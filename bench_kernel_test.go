@@ -110,6 +110,21 @@ func BenchmarkKernelRCStream(b *testing.B) {
 	reportKernelRate(b, env.Executed())
 }
 
+// BenchmarkKernelRCStreamWAN10ms is the deep-pipe case the paper is about:
+// the same stream across a 10 ms WAN with a window wide enough to fill it,
+// so up to 512 messages — sixteen thousand MTU packets — are in flight at
+// once. They wait out the delay in the WAN ports' sim.Pipes rather than in
+// the event heap; ns/op here against BenchmarkKernelRCStream is what a
+// long pipe costs the simulator.
+func BenchmarkKernelRCStreamWAN10ms(b *testing.B) {
+	env, tb := pair(10 * sim.Millisecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	perftest.BandwidthRC(env, tb.A[0].HCA, tb.B[0].HCA, 64<<10, b.N, 512)
+	b.StopTimer()
+	reportKernelRate(b, env.Executed())
+}
+
 // BenchmarkKernelRCStreamTelemetryOff is the telemetry regression guard:
 // the same RC stream as BenchmarkKernelRCStream on an environment with no
 // telemetry attached (nil registry, nil recorder). Every instrumentation

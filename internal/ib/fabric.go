@@ -190,7 +190,7 @@ func (f *Fabric) addDevice(d Device) {
 // AddHCA creates a host channel adapter end node (on the UseEnv
 // environment).
 func (f *Fabric) AddHCA(name string) *HCA {
-	h := &HCA{fab: f, env: f.cur, name: name, qps: make(map[int]*QP), mrs: make(map[int]*MR)}
+	h := &HCA{fab: f, env: f.cur, name: name, procq: f.cur.NewPipe(), qps: make(map[int]*QP), mrs: make(map[int]*MR)}
 	f.addDevice(h)
 	return h
 }
@@ -198,7 +198,7 @@ func (f *Fabric) AddHCA(name string) *HCA {
 // AddSwitch creates a switch with the given forwarding latency (use
 // ib.SwitchDelay for a normal cluster switch) on the UseEnv environment.
 func (f *Fabric) AddSwitch(name string, forwardDelay sim.Time) *Switch {
-	s := &Switch{fab: f, env: f.cur, name: name, fwd: forwardDelay, routes: make(map[LID]*Port)}
+	s := &Switch{fab: f, env: f.cur, name: name, fwd: forwardDelay, fwdq: f.cur.NewPipe(), routes: make(map[LID]*Port)}
 	f.addDevice(s)
 	return s
 }
@@ -440,6 +440,11 @@ type Port struct {
 	// forwarding) rides the kernel's closure-free AtArg path.
 	deliverArg func(any)
 	sendArg    func(any)
+	// wire holds the packets propagating toward a peer on the same
+	// environment: departures never go backwards and the delay is constant
+	// between SetDelay calls, so they are a FIFO (sim.Pipe) rather than one
+	// heap entry each. A cross-shard peer is reached through AtArgOn instead.
+	wire sim.Pipe
 	// cong holds the bounded-queue state for this direction when the link
 	// has a QueueConfig; nil means the unbounded seed path.
 	cong *portQueue
@@ -460,16 +465,19 @@ type portQueue struct {
 	waitq sim.Ring[*packet]
 	// drainArg is the long-lived drain handler for closure-free AtArg.
 	drainArg func(any)
+	// drains holds the scheduled drain events: one per admitted packet, at
+	// its departure instant, and departures never go backwards.
+	drains sim.Pipe
 }
 
 func newPortQueue(p *Port) *portQueue {
-	q := &portQueue{}
+	q := &portQueue{drains: p.env.NewPipe()}
 	q.drainArg = func(any) { p.drain() }
 	return q
 }
 
 func newPort(env *sim.Env, dev Device, link *Link) *Port {
-	p := &Port{env: env, dev: dev, link: link}
+	p := &Port{env: env, dev: dev, link: link, wire: env.NewPipe()}
 	p.deliverArg = func(v any) { p.dev.receive(v.(*packet), p) }
 	p.sendArg = func(v any) { p.send(v.(*packet)) }
 	return p
@@ -493,8 +501,12 @@ func (p *Port) sendBounded(pkt *packet) {
 	q := p.cong
 	cfg := p.link.qcfg
 	// A packet larger than the whole queue is admitted when the queue is
-	// empty — otherwise it could never transmit at all.
-	if q.depth > 0 && q.depth+pkt.wire > cfg.QueueBytes {
+	// empty — otherwise it could never transmit at all. Credits are granted
+	// in arrival order (link-level flow control is FIFO per VL), so on a
+	// lossless link a packet that would fit still waits behind any packet
+	// already stalled: a message's small tail must not overtake its body.
+	full := q.depth > 0 && q.depth+pkt.wire > cfg.QueueBytes
+	if full || (cfg.Lossless && q.waitq.Len() > 0) {
 		fab := p.dev.fabric()
 		if cfg.Lossless {
 			// Credit-based link-level flow control: the next hop withholds
@@ -538,7 +550,7 @@ func (p *Port) admit(pkt *packet) {
 		fab.obs.wanQueueDepth.Observe(int64(q.depth))
 	}
 	depart := p.transmit(pkt)
-	p.env.AtArg(depart-p.env.Now(), q.drainArg, nil)
+	q.drains.AtArg(depart-p.env.Now(), q.drainArg, nil)
 }
 
 // drain releases one packet's bytes at its departure instant and re-admits
@@ -606,9 +618,13 @@ func (p *Port) transmit(pkt *packet) sim.Time {
 		return depart
 	}
 	arrive := depart + p.link.prop
-	// The peer may live on another shard (the WAN hop of a sharded world);
-	// AtArgOn degrades to plain AtArg when both ports share an environment.
-	p.env.AtArgOn(p.peer.env, arrive-now, p.peer.deliverArg, pkt)
+	if p.peer.env == p.env {
+		p.wire.AtArg(arrive-now, p.peer.deliverArg, pkt)
+	} else {
+		// The peer lives on another shard (the WAN hop of a sharded world):
+		// the packet crosses through the kernel's mailbox lanes.
+		p.env.AtArgOn(p.peer.env, arrive-now, p.peer.deliverArg, pkt)
+	}
 	return depart
 }
 
@@ -623,6 +639,7 @@ type Switch struct {
 	name   string
 	lid    LID
 	fwd    sim.Time
+	fwdq   sim.Pipe // packets crossing the switch: one constant latency, so FIFO
 	plist  []*Port
 	routes map[LID]*Port
 }
@@ -651,5 +668,5 @@ func (s *Switch) receive(pkt *packet, on *Port) {
 		s.fab.dropUnreachable(s, pkt)
 		return
 	}
-	s.env.AtArg(s.fwd, out.sendArg, pkt)
+	s.fwdq.AtArg(s.fwd, out.sendArg, pkt)
 }

@@ -14,7 +14,8 @@ type HCA struct {
 	name  string
 	lid   LID
 	port  *Port
-	route *Port // single port: route to everything
+	route *Port    // single port: route to everything
+	procq sim.Pipe // packets in the PacketProc stage: constant latency, so FIFO
 	qps   map[int]*QP
 	mrs   map[int]*MR
 }
@@ -56,9 +57,9 @@ func (h *HCA) setRoute(d LID, p *Port) { h.route = p }
 
 // resetRoutes is a no-op: an HCA has a single port, so its only possible
 // route survives every epoch (path choice happens at the switches).
-func (h *HCA) resetRoutes() {}
-func (h *HCA) fabric() *Fabric         { return h.fab }
-func (h *HCA) environment() *sim.Env   { return h.env }
+func (h *HCA) resetRoutes()          {}
+func (h *HCA) fabric() *Fabric       { return h.fab }
+func (h *HCA) environment() *sim.Env { return h.env }
 
 // Port returns the HCA's single port (nil before Connect).
 func (h *HCA) FabricPort() *Port { return h.port }
@@ -71,7 +72,7 @@ func (h *HCA) receive(pkt *packet, on *Port) {
 	}
 	// Per-packet HCA processing is a pipeline latency stage. The QP's
 	// cached handler consumes the packet and recycles it.
-	h.env.AtArg(PacketProc, qp.recvArg, pkt)
+	h.procq.AtArg(PacketProc, qp.recvArg, pkt)
 }
 
 // RegisterMR registers buf as an RDMA-accessible memory region and returns

@@ -30,7 +30,7 @@ func TestDebounceEdges(t *testing.T) {
 	ms := sim.Millisecond
 	us := sim.Microsecond
 	raw := []HealthTransition{
-		{At: 1 * ms, Down: true},   // flap: back up before the debounce expires
+		{At: 1 * ms, Down: true}, // flap: back up before the debounce expires
 		{At: 1*ms + 100*us, Down: false},
 		{At: 2 * ms, Down: true},  // real outage
 		{At: 5 * ms, Down: false}, // real recovery

@@ -210,6 +210,9 @@ type QP struct {
 	sendQ    sim.Ring[*transfer]
 	inflight map[int64]*transfer
 	seqTx    int64 // next message sequence to assign (this direction)
+	// retryq holds the armed retry timeouts, one per launch. They share one
+	// length until a backoff shifts it, so they expire in the order armed.
+	retryq sim.Pipe
 
 	// Receiver state.
 	recvQ   sim.Ring[RecvWR]
@@ -246,7 +249,8 @@ func (h *HCA) CreateQP(cq *CQ, cfg QPConfig) *QP {
 		cfg.RetryLimit = DefaultRetryLimit
 	}
 	qp := &QP{hca: h, qpn: int(h.fab.nextQPN.Add(1)), cfg: cfg, cq: cq,
-		inflight: make(map[int64]*transfer), reorder: make(map[int64]*transfer)}
+		inflight: make(map[int64]*transfer), reorder: make(map[int64]*transfer),
+		retryq: h.env.NewPipe()}
 	qp.recvArg = func(v any) {
 		pkt := v.(*packet)
 		qp.receive(pkt)

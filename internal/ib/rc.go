@@ -165,7 +165,7 @@ func (q *QP) armRetry(t *transfer) {
 	if shift > maxBackoffShift {
 		shift = maxBackoffShift
 	}
-	q.env().At(q.cfg.RetryTimeout<<shift, func() {
+	q.retryq.At(q.cfg.RetryTimeout<<shift, func() {
 		t, still := q.inflight[id]
 		if !still || t.acked || q.errored {
 			return

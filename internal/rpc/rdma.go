@@ -45,6 +45,9 @@ type RDMAClient struct {
 	policy  Policy
 	nextXID uint64
 	pending map[uint64]*rdmaCall
+	// timeouts holds the armed per-attempt reply timeouts: one policy, one
+	// length, so they expire in the order armed.
+	timeouts sim.Pipe
 	// err, once set, is the transport's terminal failure: the RC
 	// connection's retry budget ran out and the QP moved to the error
 	// state, so every pending and future call fails with it.
@@ -208,7 +211,7 @@ func CtrlWire(metaLen int) int { return headerBytes + metaLen }
 // NewRDMAClient connects an RPC-over-RDMA client on the node to the server.
 func NewRDMAClient(node *cluster.Node, srv *RDMAServer) *RDMAClient {
 	env := node.HCA.Env()
-	c := &RDMAClient{env: env, node: node, pending: make(map[uint64]*rdmaCall)}
+	c := &RDMAClient{env: env, node: node, pending: make(map[uint64]*rdmaCall), timeouts: env.NewPipe()}
 	cq := ib.NewCQ(env)
 	local, remote := ib.CreateRCPair(node.HCA, srv.node.HCA, cq, srv.cq,
 		ib.QPConfig{MaxInflight: rdmaQPWindow})
@@ -280,7 +283,7 @@ func (c *RDMAClient) fail(st ib.Status) {
 // expiry re-sends the header message (same XID), or fails the call with
 // ErrTimeout once a soft policy's budget is spent.
 func (c *RDMAClient) armTimeout(call *rdmaCall, w *rdmaWire, tries int) {
-	c.env.At(c.policy.Timeout, func() {
+	c.timeouts.At(c.policy.Timeout, func() {
 		if call.done.Triggered() {
 			return
 		}

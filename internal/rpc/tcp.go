@@ -18,6 +18,9 @@ type TCPClient struct {
 	nextXID uint64
 	pending map[uint64]*tcpCall
 	writeQ  *sim.Queue[*tcpCall]
+	// timeouts holds the armed per-attempt reply timeouts: one policy, one
+	// length, so they expire in the order armed.
+	timeouts sim.Pipe
 	// err, once set, is the transport's terminal failure: the connection
 	// underneath reset, so every pending and future call fails with it.
 	err error
@@ -41,10 +44,11 @@ func NewTCPClient(p *sim.Proc, stack *tcpsim.Stack, addr ib.LID, port int) (*TCP
 		return nil, err
 	}
 	c := &TCPClient{
-		env:     stack.Env(),
-		conn:    conn,
-		pending: make(map[uint64]*tcpCall),
-		writeQ:  sim.NewQueue[*tcpCall](stack.Env(), 0),
+		env:      stack.Env(),
+		conn:     conn,
+		pending:  make(map[uint64]*tcpCall),
+		writeQ:   sim.NewQueue[*tcpCall](stack.Env(), 0),
+		timeouts: stack.Env().NewPipe(),
 	}
 	// Writer: serializes request framing onto the shared connection. A
 	// write error means the connection reset underneath us; the transport
@@ -147,7 +151,7 @@ func (c *TCPClient) fail(err error) {
 // expiry either retransmits the request frame (same XID, like ONC RPC) or
 // — once a soft policy's budget is spent — fails the call with ErrTimeout.
 func (c *TCPClient) armTimeout(call *tcpCall, tries int) {
-	c.env.At(c.policy.Timeout, func() {
+	c.timeouts.At(c.policy.Timeout, func() {
 		if call.done.Triggered() {
 			return
 		}

@@ -18,8 +18,11 @@ type Env struct {
 	stopped  bool               // set by Stop to end Run early
 	nprocs   int64              // counter for default proc names
 	fatal    string             // set when a process panics; re-raised by handoff
-	executed int64              // heap entries dispatched so far
+	executed int64              // events dispatched so far
 	evFree   []*Event           // recycled Events (see AcquireEvent)
+	piped    int                // entries waiting in pipes behind their standing head
+	pipeFree *pipeNode          // recycled pipe nodes (see pipe.go)
+	pipeSlab int                // size of the last node slab allocated
 	tel      any                // opaque telemetry attachment (see SetTelemetry)
 	flt      any                // opaque fault-plan attachment (see SetFault)
 
@@ -118,22 +121,22 @@ func (e *Env) push(ent entry) {
 
 // schedule enqueues fn to run at absolute time at (>= e.now).
 func (e *Env) schedule(at Time, fn func()) {
-	e.push(entry{at: at, kind: kindFn, fn: fn})
+	e.push(entry{at: at, kind: kindFn, tgt: fn})
 }
 
 // scheduleArg enqueues fn(v) at absolute time at without a closure.
 func (e *Env) scheduleArg(at Time, fn func(any), v any) {
-	e.push(entry{at: at, kind: kindFnArg, fnv: fn, val: v})
+	e.push(entry{at: at, kind: kindFnArg, tgt: fn, val: v})
 }
 
 // scheduleResume enqueues the resumption of p with value v at time at.
 func (e *Env) scheduleResume(at Time, p *Proc, v any) {
-	e.push(entry{at: at, kind: kindResume, p: p, val: v})
+	e.push(entry{at: at, kind: kindResume, tgt: p, val: v})
 }
 
 // scheduleTrigger enqueues ev.Trigger(v) at time at.
 func (e *Env) scheduleTrigger(at Time, ev *Event, v any) {
-	e.push(entry{at: at, kind: kindTrigger, ev: ev, val: v})
+	e.push(entry{at: at, kind: kindTrigger, tgt: ev, val: v})
 }
 
 // At schedules fn to be invoked (in scheduler context, not in a process) at
@@ -158,21 +161,34 @@ func (e *Env) AtArg(delay Time, fn func(any), arg any) {
 	e.scheduleArg(e.now+delay, fn, arg)
 }
 
-// dispatch advances the clock to ent and executes it.
-func (e *Env) dispatch(ent *entry) {
+// runNext removes the heap's top entry, advances the clock to it and
+// executes it. A timer's standing entry that comes up with nothing due (see
+// Timer.wake) is not an event: it leaves the clock and the executed count
+// alone.
+func (e *Env) runNext() {
+	if e.queue.peek().kind == kindPipe {
+		e.runPipeHead()
+		return
+	}
+	ent := e.queue.pop()
+	if ent.kind == kindTimer && !ent.tgt.(*Timer).wake(ent.seq) {
+		return
+	}
 	e.now = ent.at
 	e.executed++
 	switch ent.kind {
 	case kindFn:
-		ent.fn()
+		ent.tgt.(func())()
 	case kindFnArg:
-		ent.fnv(ent.val)
+		ent.tgt.(func(any))(ent.val)
 	case kindResume:
-		if p := ent.p; !p.finished && !p.killed {
+		if p := ent.tgt.(*Proc); !p.finished && !p.killed {
 			e.handoff(p, ent.val)
 		}
 	case kindTrigger:
-		ent.ev.Trigger(ent.val)
+		ent.tgt.(*Event).Trigger(ent.val)
+	case kindTimer:
+		ent.tgt.(*Timer).fn()
 	}
 }
 
@@ -203,8 +219,7 @@ func (e *Env) RunUntil(horizon Time) Time {
 		if e.sampleFn != nil && e.sampleNext < at {
 			e.fireSamples(at - 1)
 		}
-		ent := e.queue.pop()
-		e.dispatch(&ent)
+		e.runNext()
 	}
 	if !e.stopped {
 		// Heap drained: fire samples through the final clock. After a Stop
@@ -218,30 +233,34 @@ func (e *Env) RunUntil(horizon Time) Time {
 
 // Step executes exactly one scheduled entry and reports whether one existed.
 func (e *Env) Step() bool {
-	if e.queue.empty() {
-		return false
+	for !e.queue.empty() {
+		before := e.executed
+		e.runNext()
+		if e.executed != before {
+			return true
+		}
 	}
-	ent := e.queue.pop()
-	e.dispatch(&ent)
-	return true
+	return false
 }
 
-// Pending returns the number of scheduled heap entries (summed across
-// shards on a partitioned world; call only between windows, not from
-// concurrently running shard code).
+// Pending returns the number of scheduled entries: those in the heap
+// (including a stopped or re-armed timer's standing wake-up) plus those
+// waiting in pipes. It is summed across shards on a partitioned world; call
+// only between windows, not from concurrently running shard code.
 func (e *Env) Pending() int {
 	if w := e.world; w != nil {
 		n := 0
 		for _, s := range w.shards {
-			n += s.queue.len()
+			n += s.queue.len() + s.piped
 		}
 		return n
 	}
-	return e.queue.len()
+	return e.queue.len() + e.piped
 }
 
-// Executed returns the number of heap entries dispatched since the
-// environment was created — a machine-independent measure of how much
+// Executed returns the number of events dispatched since the environment
+// was created (a Timer deadline superseded by Reset or cancelled by Stop
+// never becomes one) — a machine-independent measure of how much
 // simulation work an experiment cost. On a partitioned world it sums all
 // shards (call after Run returns, not from concurrent shard code).
 func (e *Env) Executed() int64 {

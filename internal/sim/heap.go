@@ -7,30 +7,38 @@ package sim
 type entryKind uint8
 
 const (
-	// kindFn invokes fn() — the general At path.
+	// kindFn invokes tgt.(func())() — the general At path.
 	kindFn entryKind = iota
-	// kindFnArg invokes fnv(val) — AtArg and event callbacks; fnv is a
-	// long-lived function value shared across many schedules.
+	// kindFnArg invokes tgt.(func(any))(val) — AtArg and event callbacks;
+	// the function is a long-lived value shared across many schedules.
 	kindFnArg
-	// kindResume hands control to process p, delivering val from its
-	// pending Wait (skipped if the process finished or was killed in the
-	// meantime).
+	// kindResume hands control to process tgt.(*Proc), delivering val from
+	// its pending Wait (skipped if the process finished or was killed in
+	// the meantime).
 	kindResume
-	// kindTrigger fires event ev with val — the timer path behind Sleep.
+	// kindTrigger fires event tgt.(*Event) with val — the timer path behind
+	// Sleep.
 	kindTrigger
+	// kindPipe stands for the head of pipe tgt.(*Pipe): the entry carries
+	// the head's (at, seq) key, the pipe node carries its handler.
+	kindPipe
+	// kindTimer is the standing wake-up of timer tgt.(*Timer); see
+	// Timer.wake for what it does when it comes up.
+	kindTimer
 )
 
 // entry is one scheduled occurrence. Entries live by value inside the
 // heap's backing slice: scheduling an event moves a struct, never boxes a
-// pointer through an interface as container/heap would.
+// pointer through an interface as container/heap would. Every sift moves
+// whole entries, so the struct is kept to 56 bytes: the one thing an entry
+// acts on — a function, a process, an event, a pipe, a timer, all
+// pointer-shaped and therefore free to store in an interface — shares the
+// single tgt word pair, discriminated by kind.
 type entry struct {
 	at   Time
 	seq  int64 // tie-breaker: FIFO among equal times
 	kind entryKind
-	fn   func()
-	fnv  func(any)
-	p    *Proc
-	ev   *Event
+	tgt  any
 	val  any
 }
 

@@ -582,7 +582,7 @@ func (w *world) deliverMail() {
 			if x.at < dst.now {
 				panic(fmt.Sprintf("sim: cross-shard event at %v arrives in shard %d's past (now %v)", x.at, di, dst.now))
 			}
-			dst.push(entry{at: x.at, kind: kindFnArg, fnv: x.fnv, val: x.val})
+			dst.push(entry{at: x.at, kind: kindFnArg, tgt: x.fnv, val: x.val})
 		}
 		for j := 0; j < n; j++ {
 			if j == di {
@@ -633,8 +633,7 @@ func (s *Env) runShard(limit Time) {
 		if s.queue.peek().at >= limit {
 			return
 		}
-		ent := s.queue.pop()
-		s.dispatch(&ent)
+		s.runNext()
 	}
 }
 

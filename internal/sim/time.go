@@ -5,6 +5,15 @@
 // ibwan repository (InfiniBand fabric, WAN extenders, TCP, MPI, NFS) are
 // built on this kernel.
 //
+// Scheduling: Env.At and Env.AtArg put one entry in the heap per call. Two
+// primitives keep the heap shallow where a model would otherwise park
+// thousands of entries in it, without changing what is dispatched or when:
+// a Pipe holds a FIFO of entries whose times never decrease (packets waiting
+// out a link's propagation delay) behind a single heap entry, and a Timer is
+// a re-armable deadline (a retransmission timeout) whose superseded settings
+// cost nothing. Both consume sequence numbers exactly as the calls they
+// replace, so every event keeps its (time, sequence) place in the order.
+//
 // Determinism: only one goroutine ever runs at a time, the event heap breaks
 // ties by insertion sequence number, and no wall-clock or map-iteration
 // ordering leaks into scheduling decisions. Two runs with the same inputs

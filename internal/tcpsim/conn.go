@@ -96,12 +96,14 @@ type Conn struct {
 	lossRecovery bool
 	// sendCWR schedules a congestion-window-reduced confirmation on the
 	// next data segment, answering the receiver's ECE echo.
-	sendCWR bool
-	sendQ          sim.Ring[span]
-	sendQBytes     int
-	unacked        sim.Ring[*segment] // retransmission queue (go-back-N)
-	writeWaiters   sim.Ring[*sim.Event]
-	rtoGen         int
+	sendCWR      bool
+	sendQ        sim.Ring[span]
+	sendQBytes   int
+	unacked      sim.Ring[*segment] // retransmission queue (go-back-N)
+	writeWaiters sim.Ring[*sim.Event]
+	// rto is the retransmission timer: re-armed on every ack that makes
+	// progress, so nearly every deadline is superseded before it expires.
+	rto *sim.Timer
 	// rtoStreak counts consecutive unproductive RTO expiries; it shifts
 	// the exponential backoff and, against MaxRetransmits, decides when
 	// the connection gives up. Any ack progress resets it.
@@ -136,7 +138,7 @@ type Conn struct {
 }
 
 func newConn(s *Stack, remote ib.LID, remotePort, localPort int) *Conn {
-	return &Conn{
+	c := &Conn{
 		stack:       s,
 		remote:      remote,
 		remotePort:  remotePort,
@@ -146,6 +148,8 @@ func newConn(s *Stack, remote ib.LID, remotePort, localPort int) *Conn {
 		swnd:        s.cfg.Window, // refined by SYN/SYNACK exchange
 		ssthresh:    s.cfg.Window,
 	}
+	c.rto = s.env.NewTimer(c.onRTO)
+	return c
 }
 
 func (c *Conn) key() connKey {
@@ -177,7 +181,7 @@ func (c *Conn) reset(err error) {
 		return
 	}
 	c.err = err
-	c.rtoGen++ // cancel in-flight RTO timers
+	c.rto.Stop()
 	c.stack.stats.Resets++
 	c.stack.obs.resets.Add(1)
 	for c.unacked.Len() > 0 {
@@ -540,7 +544,7 @@ func (c *Conn) handleAck(seg *segment) {
 			}
 		}
 	}
-	c.rtoGen++
+	c.rto.Stop()
 	c.rtoStreak = 0 // forward progress: recovery is working
 	if c.unacked.Len() > 0 {
 		c.armRTO()
@@ -588,7 +592,6 @@ func (c *Conn) fastRetransmit() {
 	c.retransmits++
 	c.stack.obs.retransmits.Add(1)
 	c.stack.obs.fastRetransmits.Add(1)
-	c.rtoGen++
 	for i := 0; i < c.unacked.Len(); i++ {
 		c.stack.transmit(*c.unacked.At(i))
 	}
@@ -602,33 +605,34 @@ func (c *Conn) fastRetransmit() {
 // permanently dead WAN terminates with ErrReset instead of retransmitting
 // forever.
 func (c *Conn) armRTO() {
-	gen := c.rtoGen
 	shift := c.rtoStreak
 	if shift > maxRTOShift {
 		shift = maxRTOShift
 	}
-	c.stack.env.At(c.stack.cfg.RTO<<shift, func() {
-		if gen != c.rtoGen || c.unacked.Len() == 0 {
-			return
-		}
-		if mx := c.stack.cfg.MaxRetransmits; mx >= 0 && c.rtoStreak >= mx {
-			c.reset(ErrReset)
-			return
-		}
-		c.rtoStreak++
-		// Timeout loss response: halve ssthresh and restart from one
-		// segment of flight (classic slow-start restart).
-		c.cutCwnd()
-		c.cwnd = c.stack.MSS()
-		// Go-back-N: resend everything outstanding.
-		c.retransmits++
-		c.stack.obs.retransmits.Add(1)
-		c.rtoGen++
-		for i := 0; i < c.unacked.Len(); i++ {
-			c.stack.transmit(*c.unacked.At(i))
-		}
-		c.armRTO()
-	})
+	c.rto.Reset(c.stack.cfg.RTO << shift)
+}
+
+// onRTO is the retransmission timer expiring with data still outstanding.
+func (c *Conn) onRTO() {
+	if c.unacked.Len() == 0 {
+		return
+	}
+	if mx := c.stack.cfg.MaxRetransmits; mx >= 0 && c.rtoStreak >= mx {
+		c.reset(ErrReset)
+		return
+	}
+	c.rtoStreak++
+	// Timeout loss response: halve ssthresh and restart from one
+	// segment of flight (classic slow-start restart).
+	c.cutCwnd()
+	c.cwnd = c.stack.MSS()
+	// Go-back-N: resend everything outstanding.
+	c.retransmits++
+	c.stack.obs.retransmits.Add(1)
+	for i := 0; i < c.unacked.Len(); i++ {
+		c.stack.transmit(*c.unacked.At(i))
+	}
+	c.armRTO()
 }
 
 // armHandshake retransmits the connection-establishing control segment

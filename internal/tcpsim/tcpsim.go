@@ -244,16 +244,16 @@ func NewStack(dev *ipoib.NetDev, cfg Config) *Stack {
 	if tel := telemetry.FromEnv(s.env); tel != nil && tel.Metrics != nil {
 		m := tel.Metrics
 		s.obs = stackObs{
-			txSegs:      m.Counter("tcp.tx.segments"),
-			rxSegs:      m.Counter("tcp.rx.segments"),
-			txBytes:     m.Counter("tcp.tx.bytes"),
-			rxBytes:     m.Counter("tcp.rx.bytes"),
-			retransmits: m.Counter("tcp.retransmits"),
-			resets:      m.Counter("tcp.conn.resets"),
-			segDrops:    m.Counter("tcp.seg.drops"),
-			segProcNS:   m.Histogram("tcp.segment.proc.ns"),
-			ecnCE:       m.Counter("tcp.ecn.ce.segments"),
-			ecnCuts:     m.Counter("tcp.ecn.cwnd.cuts"),
+			txSegs:          m.Counter("tcp.tx.segments"),
+			rxSegs:          m.Counter("tcp.rx.segments"),
+			txBytes:         m.Counter("tcp.tx.bytes"),
+			rxBytes:         m.Counter("tcp.rx.bytes"),
+			retransmits:     m.Counter("tcp.retransmits"),
+			resets:          m.Counter("tcp.conn.resets"),
+			segDrops:        m.Counter("tcp.seg.drops"),
+			segProcNS:       m.Histogram("tcp.segment.proc.ns"),
+			ecnCE:           m.Counter("tcp.ecn.ce.segments"),
+			ecnCuts:         m.Counter("tcp.ecn.cwnd.cuts"),
 			fastRetransmits: m.Counter("tcp.fast.retransmits"),
 		}
 	}
