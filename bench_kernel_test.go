@@ -1,7 +1,7 @@
 package repro
 
-// DES-kernel microbenchmarks: the four hot paths every experiment in the
-// paper reproduction is wall-time-bound by. Each reports, besides ns/op
+// DES-kernel microbenchmarks: the hot paths every experiment in the paper
+// reproduction is wall-time-bound by. Each reports, besides ns/op
 // and allocs/op, the machine-independent events/op (heap entries
 // dispatched per benchmark op, via Env.Executed()) and the headline
 // events/s rate. Before/after numbers for the allocation-free kernel are
@@ -15,8 +15,10 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/ipoib"
 	"repro/internal/perftest"
 	"repro/internal/sim"
+	"repro/internal/tcpsim"
 )
 
 // reportKernelRate attaches the events/s and events/op metrics.
@@ -74,8 +76,8 @@ func BenchmarkKernelProcHandoff(b *testing.B) {
 }
 
 // BenchmarkKernelQueue measures the blocking producer/consumer channel: a
-// bounded queue forces both put-side and get-side waits, as the tcpsim
-// softirq contexts and MPI progress engines do.
+// bounded queue forces both put-side and get-side waits, as the MPI
+// progress engines do.
 func BenchmarkKernelQueue(b *testing.B) {
 	env := sim.NewEnv()
 	q := sim.NewQueue[int](env, 16)
@@ -123,6 +125,50 @@ func BenchmarkKernelRCStreamWAN10ms(b *testing.B) {
 	perftest.BandwidthRC(env, tb.A[0].HCA, tb.B[0].HCA, 64<<10, b.N, 512)
 	b.StopTimer()
 	reportKernelRate(b, env.Executed())
+}
+
+// BenchmarkKernelTCPStreamUD measures the TCP/IPoIB per-segment path: each
+// op streams 64 MB of synthetic payload over IPoIB-UD between two stacks on
+// the zero-delay testbed — 33 K segments and their acks through both stacks'
+// transmit and receive servers and both interfaces' completion handlers,
+// with the two applications as the only processes. Besides events/s it
+// reports ns/MB, the figure the benchmark's tcpsim.ud_stream driver tracks.
+func BenchmarkKernelTCPStreamUD(b *testing.B) {
+	const opBytes = 64 << 20
+	env, tb := pair(0)
+	net := ipoib.NewNetwork()
+	sa := tcpsim.NewStack(net.Attach(tb.A[0].HCA, ipoib.Datagram, 0), tcpsim.Config{})
+	sb := tcpsim.NewStack(net.Attach(tb.B[0].HCA, ipoib.Datagram, 0), tcpsim.Config{})
+	ln := sb.Listen(5000)
+	var sink *tcpsim.Conn
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Go("server", func(p *sim.Proc) {
+		c, err := ln.Accept(p)
+		for sink = c; err == nil; {
+			_, err = c.Read(p, 1<<20)
+		}
+	})
+	env.Go("client", func(p *sim.Proc) {
+		c, err := sa.Dial(p, sb.Addr(), 5000)
+		for i := 0; i < b.N && err == nil; i++ {
+			err = c.WriteSynthetic(p, opBytes)
+		}
+		if err != nil {
+			b.Error(err)
+		}
+	})
+	env.Run()
+	b.StopTimer()
+	if sink == nil {
+		b.Fatal("stream never connected")
+	}
+	if got := sink.Delivered(); got != int64(b.N)*opBytes {
+		b.Fatalf("stream incomplete: receiver accepted %d of %d bytes", got, int64(b.N)*opBytes)
+	}
+	env.Shutdown()
+	reportKernelRate(b, env.Executed())
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(opBytes>>20)), "ns/MB")
 }
 
 // BenchmarkKernelRCStreamTelemetryOff is the telemetry regression guard:

@@ -2,8 +2,10 @@ package core
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -21,26 +23,51 @@ var updateGolden = flag.Bool("update", false, "rewrite golden output files")
 // pre-congestion seed.
 var goldenIDs = []string{"table1", "fig3", "fig4", "fig5", "fig7", "fig11"}
 
+// paperIDs are the twelve experiments of the paper's evaluation. The golden
+// test pins Executed() for each of them in testdata/golden_quick_events.txt:
+// tables round, so a simulator-only change could move an event — an extra
+// wake-up, a tie resolved the other way — without moving a rendered digit.
+// The counts make "this change leaves the simulation alone" a machine check
+// on every layer, including the ones whose tables are too long to pin.
+var paperIDs = []string{"table1", "fig3", "fig4", "fig5", "fig6", "fig7",
+	"fig8", "fig9", "fig10", "fig11", "fig12", "fig13"}
+
 // TestGoldenQuickOutput asserts that quick-mode ibwan-exp rendering is
-// byte-identical to the checked-in pre-optimization output. The par=1 vs
-// par=8 determinism test proves output is independent of scheduling; this
+// byte-identical to the checked-in pre-optimization output, and that every
+// paper experiment dispatches exactly the pinned number of events. The par=1
+// vs par=8 determinism test proves output is independent of scheduling; this
 // test additionally proves it is independent of the kernel's internal
-// representation (heap layout, freelists, ring buffers), which is the
-// contract every performance PR against internal/sim, internal/ib or
-// internal/tcpsim must preserve. Regenerate (only when an intentional
-// modeling change shifts the numbers) with:
+// representation (heap layout, freelists, ring buffers, processes vs
+// servers), which is the contract every performance PR against internal/sim,
+// internal/ib or internal/tcpsim must preserve. Regenerate (only when an
+// intentional modeling change shifts the numbers) with:
 //
 //	go test ./internal/core -run TestGoldenQuickOutput -update
 func TestGoldenQuickOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden sweep skipped in -short mode")
 	}
-	var sb strings.Builder
-	for _, id := range goldenIDs {
-		sb.WriteString(renderTables(RunWith(id, Options{Quick: true}, RunnerOptions{Workers: 1})))
+	var tables, events strings.Builder
+	for _, id := range paperIDs {
+		res := RunWith(id, Options{Quick: true}, RunnerOptions{Workers: 1})
+		if slices.Contains(goldenIDs, id) {
+			tables.WriteString(renderTables(res))
+		}
+		fmt.Fprintf(&events, "%s %d\n", id, res.Metrics.Events)
 	}
-	got := sb.String()
-	path := filepath.Join("testdata", "golden_quick.txt")
+	checkGolden(t, "golden_quick.txt", tables.String(),
+		"The optimized kernel must render byte-identical results; a diff "+
+			"means a behavioral (not just performance) change.")
+	checkGolden(t, "golden_quick_events.txt", events.String(),
+		"A simulator-only change must dispatch exactly the events its parent "+
+			"did; a modeling change regenerates the file and says so.")
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name, got, contract string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -56,10 +83,8 @@ func TestGoldenQuickOutput(t *testing.T) {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("quick-mode output diverges from golden %s.\n"+
-			"The optimized kernel must render byte-identical results; a diff "+
-			"means a behavioral (not just performance) change.\n--- got ---\n%s",
-			path, diffHint(string(want), got))
+		t.Errorf("quick-mode output diverges from golden %s.\n%s\n--- got ---\n%s",
+			path, contract, diffHint(string(want), got))
 	}
 }
 

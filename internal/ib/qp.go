@@ -129,14 +129,21 @@ type Completion struct {
 	ECN bool
 }
 
-// CQ is a completion queue processes can block on. Entries and parked
-// pollers live in ring buffers, and poll events are recycled through the
-// environment's freelist, so steady-state completion traffic allocates
-// nothing.
+// CQ is a completion queue. A consumer that blocks mid-body polls it from a
+// process (Poll); one that only dispatches installs a completion handler
+// (SetHandler) and needs no process at all. Entries and parked pollers live
+// in ring buffers, and poll events are recycled through the environment's
+// freelist, so steady-state completion traffic allocates nothing.
 type CQ struct {
 	env     *sim.Env
 	items   sim.Ring[Completion]
 	waiters sim.Ring[*sim.Event]
+	// drain, non-nil once SetHandler installed a completion handler, feeds
+	// it every queued completion; it is what post schedules.
+	drain func(any)
+	// armed means the handler has drained the queue and the next post must
+	// schedule a drain — a parked poller's state, without the process.
+	armed bool
 }
 
 // NewCQ creates a completion queue.
@@ -144,14 +151,51 @@ func NewCQ(env *sim.Env) *CQ { return &CQ{env: env} }
 
 func (c *CQ) post(comp Completion) {
 	c.items.Push(comp)
-	if c.waiters.Len() > 0 {
+	if c.armed {
+		c.armed = false
+		c.env.AtArg(0, c.drain, nil)
+	} else if c.waiters.Len() > 0 {
 		c.waiters.Pop().Trigger(nil)
 	}
+}
+
+// SetHandler installs fn as the queue's completion-event handler, the verbs
+// pattern for a consumer that never blocks: fn runs in scheduler context for
+// every completion, in order. It stands for the process
+//
+//	env.Go(name, func(p *sim.Proc) {
+//		for {
+//			fn(cq.Poll(p))
+//		}
+//	})
+//
+// and schedules exactly the entries that process would — one first
+// activation now, then one zero-delay drain per post on an idle queue, each
+// drain popping until the queue is empty — so event order and counts are
+// those of the poll loop, without a goroutine handoff per wake-up. fn must
+// not block; a consumer that waits mid-body stays a process and uses Poll.
+func (c *CQ) SetHandler(fn func(Completion)) {
+	if c.drain != nil {
+		panic("ib: CQ.SetHandler called twice")
+	}
+	if c.waiters.Len() > 0 {
+		panic("ib: CQ.SetHandler on a CQ with a parked poller")
+	}
+	c.drain = func(any) {
+		for c.items.Len() > 0 {
+			fn(c.items.Pop())
+		}
+		c.armed = true
+	}
+	c.env.AtArg(0, c.drain, nil)
 }
 
 // Poll blocks the calling process until a completion is available and
 // returns it.
 func (c *CQ) Poll(p *sim.Proc) Completion {
+	if c.drain != nil {
+		panic("ib: CQ.Poll on a CQ with a completion handler")
+	}
 	for c.items.Len() == 0 {
 		ev := c.env.AcquireEvent()
 		c.waiters.Push(ev)

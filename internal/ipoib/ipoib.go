@@ -95,6 +95,7 @@ type NetDev struct {
 	cq      *ib.CQ
 	udQP    *ib.QP
 	conns   map[ib.LID]*ib.QP // connected-mode per-peer QPs
+	qps     map[int]*ib.QP    // every QP of the interface by QPN, for receive reposts
 	handler Handler
 	window  int // RC in-flight window override (0 = default)
 	rxPkts  int64
@@ -133,18 +134,20 @@ func (n *Network) Attach(hca *ib.HCA, mode Mode, mtu int) *NetDev {
 		mtu:   mtu,
 		cq:    ib.NewCQ(hca.Env()),
 		conns: make(map[ib.LID]*ib.QP),
+		qps:   make(map[int]*ib.QP),
 	}
 	if mode == Connected {
 		d.window = DefaultCMWindow
 	}
 	if mode == Datagram {
 		d.udQP = hca.CreateQP(d.cq, ib.QPConfig{Transport: ib.UD})
+		d.qps[d.udQP.QPN()] = d.udQP
 		for i := 0; i < recvPool; i++ {
 			d.udQP.PostRecv(ib.RecvWR{})
 		}
 	}
 	n.devs[hca.LID()] = d
-	d.startReceiver()
+	d.cq.SetHandler(d.receive)
 	return d
 }
 
@@ -213,6 +216,8 @@ func (d *NetDev) connTo(peer *NetDev) *ib.QP {
 	local, remote := ib.CreateRCPair(d.hca, peer.hca, d.cq, peer.cq, cfg)
 	d.conns[peer.LID()] = local
 	peer.conns[d.LID()] = remote
+	d.qps[local.QPN()] = local
+	peer.qps[remote.QPN()] = remote
 	for i := 0; i < recvPool; i++ {
 		local.PostRecv(ib.RecvWR{})
 		remote.PostRecv(ib.RecvWR{})
@@ -220,38 +225,22 @@ func (d *NetDev) connTo(peer *NetDev) *ib.QP {
 	return local
 }
 
-// startReceiver runs the interface's receive engine: it polls the CQ,
-// reposts receive buffers and dispatches inbound packets to the handler. It
-// models the single NAPI/softirq context a 2008-era IPoIB interface has —
-// receive processing for all flows on an interface is serialized, which is
-// part of why a host cannot exceed the single-interface stack ceiling no
-// matter how many TCP streams it runs (paper Figs. 6b, 7b).
-func (d *NetDev) startReceiver() {
-	d.Env().Go("ipoib-rx-"+d.hca.Name(), func(p *sim.Proc) {
-		for {
-			c := d.cq.Poll(p)
-			if c.Op != ib.OpRecv {
-				continue // send completions need no action
-			}
-			d.rxPkts++
-			if qp := d.qpByQPN(c.QPN); qp != nil {
-				qp.PostRecv(ib.RecvWR{})
-			}
-			if d.handler != nil {
-				d.handler(c.SrcLID, c.Meta, c.Bytes-EncapHeader, c.ECN)
-			}
-		}
-	})
-}
-
-func (d *NetDev) qpByQPN(qpn int) *ib.QP {
-	if d.udQP != nil && d.udQP.QPN() == qpn {
-		return d.udQP
+// receive is the interface's receive engine, the CQ's completion handler:
+// it reposts receive buffers and dispatches inbound packets to the handler.
+// One handler per interface models the single NAPI/softirq context a
+// 2008-era IPoIB interface has — receive processing for all flows on an
+// interface is serialized, which is part of why a host cannot exceed the
+// single-interface stack ceiling no matter how many TCP streams it runs
+// (paper Figs. 6b, 7b).
+func (d *NetDev) receive(c ib.Completion) {
+	if c.Op != ib.OpRecv {
+		return // send completions need no action
 	}
-	for _, qp := range d.conns {
-		if qp.QPN() == qpn {
-			return qp
-		}
+	d.rxPkts++
+	if qp := d.qps[c.QPN]; qp != nil {
+		qp.PostRecv(ib.RecvWR{})
 	}
-	return nil
+	if d.handler != nil {
+		d.handler(c.SrcLID, c.Meta, c.Bytes-EncapHeader, c.ECN)
+	}
 }

@@ -86,42 +86,42 @@ func ServeRDMA(node *cluster.Node, threads int, h Handler) *RDMAServer {
 		issueCtx: sim.NewResource(env, 1),
 		cq:       ib.NewCQ(env),
 	}
-	// Single CQ consumer: routes inbound calls to handler processes and
-	// fragment completions to their waiting groups.
-	env.Go("rpc-rdma-server", func(p *sim.Proc) {
-		for {
-			c := s.cq.Poll(p)
-			if c.Status != ib.StatusOK {
-				// Errored connection: a flushed receive carries no call,
-				// but a failed fragment must still count down its group or
-				// the handler waiting on it would hang forever.
-				if g, ok := c.Ctx.(*fragGroup); ok {
-					g.remaining--
-					if g.remaining == 0 {
-						g.done.Trigger(nil)
-					}
-				}
-				continue
-			}
-			switch c.Op {
-			case ib.OpRecv:
-				s.repostByQPN(c.QPN)
-				w := c.Meta.(*rdmaWire)
-				localQPN := c.QPN
-				s.env.Go("rpc-rdma-handler", func(ph *sim.Proc) {
-					s.serve(ph, w, localQPN)
-				})
-			case ib.OpRDMAWrite, ib.OpRDMARead:
-				if g, ok := c.Ctx.(*fragGroup); ok {
-					g.remaining--
-					if g.remaining == 0 {
-						g.done.Trigger(nil)
-					}
-				}
-			}
-		}
-	})
+	s.cq.SetHandler(s.complete)
 	return s
+}
+
+// complete is the server's single CQ consumer: it routes inbound calls to
+// handler processes and fragment completions to their waiting groups.
+func (s *RDMAServer) complete(c ib.Completion) {
+	if c.Status != ib.StatusOK {
+		// Errored connection: a flushed receive carries no call, but a
+		// failed fragment must still count down its group or the handler
+		// waiting on it would hang forever.
+		s.fragmentDone(c)
+		return
+	}
+	switch c.Op {
+	case ib.OpRecv:
+		s.repostByQPN(c.QPN)
+		w := c.Meta.(*rdmaWire)
+		localQPN := c.QPN
+		s.env.Go("rpc-rdma-handler", func(ph *sim.Proc) {
+			s.serve(ph, w, localQPN)
+		})
+	case ib.OpRDMAWrite, ib.OpRDMARead:
+		s.fragmentDone(c)
+	}
+}
+
+// fragmentDone counts a direct-placement fragment's completion down on its
+// group, waking the handler that issued the batch when it was the last.
+func (s *RDMAServer) fragmentDone(c ib.Completion) {
+	if g, ok := c.Ctx.(*fragGroup); ok {
+		g.remaining--
+		if g.remaining == 0 {
+			g.done.Trigger(nil)
+		}
+	}
 }
 
 // fragGroup tracks a batch of outstanding direct-placement fragments.
@@ -221,39 +221,38 @@ func NewRDMAClient(node *cluster.Node, srv *RDMAServer) *RDMAClient {
 		local.PostRecv(ib.RecvWR{})
 		remote.PostRecv(ib.RecvWR{})
 	}
-	env.Go("rpc-rdma-client", func(p *sim.Proc) {
-		for {
-			comp := cq.Poll(p)
-			if comp.Status != ib.StatusOK {
-				// The RC connection gave up (retry budget exhausted) and
-				// flushed its queues: the transport is dead. Fail
-				// everything pending; further error completions drain
-				// through fail as no-ops.
-				c.fail(comp.Status)
-				continue
-			}
-			if comp.Op != ib.OpRecv {
-				continue
-			}
-			c.qp.PostRecv(ib.RecvWR{})
-			w := comp.Meta.(*rdmaWire)
-			if !w.isReply {
-				continue
-			}
-			call := c.pending[w.xid]
-			if call == nil {
-				continue // late reply for a timed-out call
-			}
-			delete(c.pending, w.xid)
-			call.reply = &Reply{Meta: w.meta, BulkLen: w.bulkLen}
-			call.bulkN = w.bulkLen
-			if call.req.ReadBuf == nil && w.bulkLen > call.req.ReadLen {
-				call.bulkN = call.req.ReadLen
-			}
-			call.done.Trigger(nil)
-		}
-	})
+	cq.SetHandler(c.complete)
 	return c
+}
+
+// complete is the client's CQ consumer: it matches replies to pending calls.
+func (c *RDMAClient) complete(comp ib.Completion) {
+	if comp.Status != ib.StatusOK {
+		// The RC connection gave up (retry budget exhausted) and flushed its
+		// queues: the transport is dead. Fail everything pending; further
+		// error completions drain through fail as no-ops.
+		c.fail(comp.Status)
+		return
+	}
+	if comp.Op != ib.OpRecv {
+		return
+	}
+	c.qp.PostRecv(ib.RecvWR{})
+	w := comp.Meta.(*rdmaWire)
+	if !w.isReply {
+		return
+	}
+	call := c.pending[w.xid]
+	if call == nil {
+		return // late reply for a timed-out call
+	}
+	delete(c.pending, w.xid)
+	call.reply = &Reply{Meta: w.meta, BulkLen: w.bulkLen}
+	call.bulkN = w.bulkLen
+	if call.req.ReadBuf == nil && w.bulkLen > call.req.ReadLen {
+		call.bulkN = call.req.ReadLen
+	}
+	call.done.Trigger(nil)
 }
 
 // SetPolicy installs the client's call timeout policy (an NFS mount's

@@ -14,6 +14,13 @@
 // cost nothing. Both consume sequence numbers exactly as the calls they
 // replace, so every event keeps its (time, sequence) place in the order.
 //
+// Processes and servers: a Proc is a goroutine, and every resume of one is a
+// handoff through the Go scheduler — right for application code that waits
+// in the middle of its body, dear for a context that serves a queue one item
+// and one service time after another. A Server is that loop as events: it
+// schedules exactly the entries the process would (see server.go), so
+// choosing one over the other changes host time only.
+//
 // Determinism: only one goroutine ever runs at a time, the event heap breaks
 // ties by insertion sequence number, and no wall-clock or map-iteration
 // ordering leaks into scheduling decisions. Two runs with the same inputs

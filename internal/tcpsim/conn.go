@@ -260,53 +260,63 @@ func (c *Conn) write(p *sim.Proc, sp span) error {
 // them (synthetic spans materialize as zero bytes). Buffered in-order data
 // is drained before a terminal connection error is reported.
 func (c *Conn) Read(p *sim.Proc, max int) ([]byte, error) {
+	if err := c.awaitData(p); err != nil {
+		return nil, err
+	}
+	out := make([]byte, min(c.recvBytes, max))
+	c.take(out)
+	return out, nil
+}
+
+// ReadFull blocks until exactly n bytes are available and returns them, or
+// the bytes read so far and the connection's terminal error if it dies
+// first.
+func (c *Conn) ReadFull(p *sim.Proc, n int) ([]byte, error) {
+	out := make([]byte, n)
+	for got := 0; got < n; {
+		if err := c.awaitData(p); err != nil {
+			return out[:got], err
+		}
+		k := min(c.recvBytes, n-got)
+		c.take(out[got : got+k])
+		got += k
+	}
+	return out, nil
+}
+
+// awaitData blocks until in-order stream bytes are buffered. It fails with
+// the connection's terminal error only once nothing is left to drain.
+func (c *Conn) awaitData(p *sim.Proc) error {
 	for c.recvBytes == 0 {
 		if c.err != nil {
-			return nil, c.err
+			return c.err
 		}
 		ev := c.stack.env.AcquireEvent()
 		c.readWaiters.Push(ev)
 		p.Wait(ev)
 		c.stack.env.ReleaseEvent(ev)
 	}
-	n := c.recvBytes
-	if n > max {
-		n = max
-	}
-	out := make([]byte, 0, n)
-	for len(out) < n {
+	return nil
+}
+
+// take moves the next len(dst) buffered stream bytes into dst, which must
+// be fresh from make: real spans are copied into place, synthetic spans are
+// the zeroes already there.
+func (c *Conn) take(dst []byte) {
+	c.recvBytes -= len(dst)
+	for len(dst) > 0 {
 		sp := c.recvBuf.Front()
-		take := n - len(out)
-		if take > sp.length {
-			take = sp.length
-		}
+		k := min(len(dst), sp.length)
 		if sp.data != nil {
-			out = append(out, sp.data[:take]...)
-			sp.data = sp.data[take:]
-		} else {
-			out = append(out, make([]byte, take)...)
+			copy(dst, sp.data[:k])
+			sp.data = sp.data[k:]
 		}
-		sp.length -= take
+		dst = dst[k:]
+		sp.length -= k
 		if sp.length == 0 {
 			c.recvBuf.Pop()
 		}
 	}
-	c.recvBytes -= n
-	return out, nil
-}
-
-// ReadFull blocks until exactly n bytes are available and returns them, or
-// the connection's terminal error if it dies first.
-func (c *Conn) ReadFull(p *sim.Proc, n int) ([]byte, error) {
-	out := make([]byte, 0, n)
-	for len(out) < n {
-		chunk, err := c.Read(p, n-len(out))
-		if err != nil {
-			return out, err
-		}
-		out = append(out, chunk...)
-	}
-	return out, nil
 }
 
 // pump segments queued stream bytes into the transmit context while the

@@ -1,0 +1,76 @@
+package tcpsim
+
+import (
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/ipoib"
+	"repro/internal/sim"
+)
+
+// The stack's transmit and receive contexts and the interface's receive
+// engine are servers and a completion handler: bringing up both ends of a
+// link starts no process, so the only live ones are the application's.
+func TestStackContextsAreNotProcesses(t *testing.T) {
+	env := sim.NewEnv()
+	tb := cluster.New(env, cluster.Config{NodesA: 1, NodesB: 1, Delay: sim.Millisecond})
+	base := env.LiveProcs()
+	net := ipoib.NewNetwork()
+	sa := NewStack(net.Attach(tb.A[0].HCA, ipoib.Datagram, 0), Config{})
+	sb := NewStack(net.Attach(tb.B[0].HCA, ipoib.Datagram, 0), Config{})
+	if n := env.LiveProcs() - base; n != 0 {
+		t.Fatalf("two stacks on two interfaces started %d processes, want 0", n)
+	}
+	ln := sb.Listen(5000)
+	env.Go("server", func(p *sim.Proc) {
+		if c, err := ln.Accept(p); err == nil {
+			c.ReadFull(p, 1<<20)
+		}
+	})
+	env.Go("client", func(p *sim.Proc) {
+		if c, err := sa.Dial(p, sb.Addr(), 5000); err == nil {
+			c.WriteSynthetic(p, 1<<20)
+			p.Wait(env.NewEvent()) // park: still live when the world drains
+		}
+	})
+	if n := env.LiveProcs() - base; n != 2 {
+		t.Fatalf("%d live processes with two application processes started, want 2", n)
+	}
+	env.Run()
+	if n := env.LiveProcs() - base; n != 1 {
+		t.Fatalf("%d live processes after the transfer, want 1 (the parked client)", n)
+	}
+	if got := sb.Stats().RxBytes; got < 1<<20 {
+		t.Fatalf("receiver processed %d payload bytes, want >= 1 MB", got)
+	}
+	env.Shutdown()
+}
+
+// lossFreeStreamEvents is Executed() after a 10 000-segment loss-free stream
+// (rtoPair, 64 KB window, 1 ms WAN), measured on the commit before the
+// contexts became servers, when each was a process over a Queue. A server
+// schedules entry for entry what that process did, so the count may not move.
+const lossFreeStreamEvents = 410022
+
+func TestLossFreeStreamEventCountPinned(t *testing.T) {
+	env, _, client := rtoPair(t, Config{Window: 64 << 10}, 0)
+	var mss int
+	env.Go("stream", func(p *sim.Proc) {
+		for client() == nil {
+			p.Sleep(sim.Millisecond)
+		}
+		mss = client().stack.MSS()
+		if err := client().WriteSynthetic(p, 10000*mss); err != nil {
+			t.Errorf("write: %v", err)
+		}
+	})
+	env.Run()
+	c := client()
+	if c.sndUna < int64(10000*mss) || c.Retransmits() != 0 {
+		t.Fatalf("stream incomplete or lossy: %d bytes acked, %d retransmissions", c.sndUna, c.Retransmits())
+	}
+	if got := env.Executed(); got != lossFreeStreamEvents {
+		t.Errorf("Executed() = %d after the stream, want %d: the service contexts no longer schedule what their processes did", got, lossFreeStreamEvents)
+	}
+	env.Shutdown()
+}

@@ -117,8 +117,8 @@ type Stack struct {
 	listeners map[int]*Listener
 	conns     map[connKey]*Conn
 	nextPort  int
-	txq       *sim.Queue[*segment]
-	rxq       *sim.Queue[*segment]
+	txq       *sim.Server[*segment] // transmit context
+	rxq       *sim.Server[*segment] // receive context (softirq)
 	stats     StackStats
 	// segFree recycles segment objects. Like the fabric's packet pool it
 	// is a plain slice touched only from the stack's environment, so reuse
@@ -179,7 +179,7 @@ func (s *Stack) newSegment() *segment {
 // falls back to the garbage collector).
 func (s *Stack) transmit(seg *segment) {
 	atomic.AddInt32(&seg.refs, 1)
-	s.txq.TryPut(seg)
+	s.txq.Put(seg)
 }
 
 // unrefSegment ends one flight of seg.
@@ -238,8 +238,6 @@ func NewStack(dev *ipoib.NetDev, cfg Config) *Stack {
 		listeners: make(map[int]*Listener),
 		conns:     make(map[connKey]*Conn),
 		nextPort:  40000,
-		txq:       sim.NewQueue[*segment](dev.Env(), 0),
-		rxq:       sim.NewQueue[*segment](dev.Env(), 0),
 	}
 	if tel := telemetry.FromEnv(s.env); tel != nil && tel.Metrics != nil {
 		m := tel.Metrics
@@ -277,50 +275,60 @@ func NewStack(dev *ipoib.NetDev, cfg Config) *Stack {
 			// the CE codepoint for the receive path to echo as ECE.
 			seg.ce = true
 		}
-		s.rxq.TryPut(seg)
+		s.rxq.Put(seg)
 	})
-	name := fmt.Sprintf("tcp-%d", dev.LID())
-	// Transmit context: serialized per-segment send processing.
-	s.env.Go(name+"-tx", func(p *sim.Proc) {
-		for {
-			seg := s.txq.Get(p)
-			c := segCPU(seg.length)
-			s.stats.TxSegments++
-			s.stats.TxBytes += int64(seg.length)
-			s.stats.TxBusy += c
-			s.obs.txSegs.Add(1)
-			s.obs.txBytes.Add(int64(seg.length))
-			s.obs.segProcNS.Observe(int64(c))
-			p.Sleep(c)
-			if s.dropFn != nil && s.dropFn(seg.length+HeaderBytes) {
-				// TCP-layer fault injection: the segment is lost after
-				// transmit processing. End its flight; data segments stay
-				// in the sender's retransmission queue.
-				s.stats.SegDrops++
-				s.obs.segDrops.Add(1)
-				s.unrefSegment(seg)
-				continue
-			}
-			s.dev.Send(seg.dst, seg, seg.length+HeaderBytes)
-		}
-	})
-	// Receive context (softirq): serialized per-segment receive
-	// processing for every flow on the interface.
-	s.env.Go(name+"-rx", func(p *sim.Proc) {
-		for {
-			seg := s.rxq.Get(p)
-			c := segCPU(seg.length)
-			s.stats.RxSegments++
-			s.stats.RxBytes += int64(seg.length)
-			s.stats.RxBusy += c
-			s.obs.rxSegs.Add(1)
-			s.obs.rxBytes.Add(int64(seg.length))
-			p.Sleep(c)
-			s.dispatch(seg)
-			s.unrefSegment(seg)
-		}
-	})
+	// The transmit context and the receive context (softirq) each serialize
+	// per-segment processing for every flow on the interface. Neither waits
+	// for anything but its own queue and one service time, so they are
+	// servers, not processes.
+	s.txq = sim.NewServer(s.env, s.txCost, s.txDone)
+	s.rxq = sim.NewServer(s.env, s.rxCost, s.rxDone)
 	return s
+}
+
+// txCost accounts a segment entering transmit processing and returns the
+// time it occupies the transmit context.
+func (s *Stack) txCost(seg *segment) sim.Time {
+	c := segCPU(seg.length)
+	s.stats.TxSegments++
+	s.stats.TxBytes += int64(seg.length)
+	s.stats.TxBusy += c
+	s.obs.txSegs.Add(1)
+	s.obs.txBytes.Add(int64(seg.length))
+	s.obs.segProcNS.Observe(int64(c))
+	return c
+}
+
+// txDone puts a processed segment on the interface.
+func (s *Stack) txDone(seg *segment) {
+	if s.dropFn != nil && s.dropFn(seg.length+HeaderBytes) {
+		// TCP-layer fault injection: the segment is lost after transmit
+		// processing. End its flight; data segments stay in the sender's
+		// retransmission queue.
+		s.stats.SegDrops++
+		s.obs.segDrops.Add(1)
+		s.unrefSegment(seg)
+		return
+	}
+	s.dev.Send(seg.dst, seg, seg.length+HeaderBytes)
+}
+
+// rxCost accounts a segment entering receive processing and returns the
+// time it occupies the receive context.
+func (s *Stack) rxCost(seg *segment) sim.Time {
+	c := segCPU(seg.length)
+	s.stats.RxSegments++
+	s.stats.RxBytes += int64(seg.length)
+	s.stats.RxBusy += c
+	s.obs.rxSegs.Add(1)
+	s.obs.rxBytes.Add(int64(seg.length))
+	return c
+}
+
+// rxDone hands a processed segment to its connection and ends its flight.
+func (s *Stack) rxDone(seg *segment) {
+	s.dispatch(seg)
+	s.unrefSegment(seg)
 }
 
 // Stats returns a snapshot of the stack counters.
