@@ -24,6 +24,8 @@ type Device interface {
 	// resetRoutes clears the routing table ahead of a re-sweep, so entries
 	// toward now-unreachable destinations do not survive a routing epoch.
 	resetRoutes()
+	// wireTrackSlot is the device's cached telemetry "wire" track (obs.go).
+	wireTrackSlot() *wireTrackCache
 	fabric() *Fabric
 	// environment returns the device's home environment: the shard view it
 	// was created under (see Fabric.UseEnv), or the fabric environment on
@@ -523,7 +525,7 @@ func (p *Port) sendBounded(pkt *packet) {
 		if fab.obs != nil {
 			fab.obs.wanOverflowDrops.Add(1)
 		}
-		fab.traceReason("drop", p.dev, pkt, "overflow")
+		fab.traceReason(evDrop, p.dev, pkt, "overflow")
 		fab.freePacket(pkt)
 		return
 	}
@@ -607,13 +609,13 @@ func (p *Port) transmit(pkt *packet) sim.Time {
 			obs.rec.RecordAt(now, depart, obs.wanTrack(p), "wan.xmit", parent)
 		}
 	}
-	fab.trace("tx", p.dev, pkt)
+	fab.trace(evTx, p.dev, pkt)
 	if p.link.DropFn != nil && p.link.DropFn(now, pkt.wire) {
 		p.link.drops.Add(1)
 		if fab.obs != nil {
 			fab.obs.linkDrops.Add(1)
 		}
-		fab.traceReason("drop", p.dev, pkt, "fault")
+		fab.traceReason(evDrop, p.dev, pkt, "fault")
 		fab.freePacket(pkt)
 		return depart
 	}
@@ -642,6 +644,7 @@ type Switch struct {
 	fwdq   sim.Pipe // packets crossing the switch: one constant latency, so FIFO
 	plist  []*Port
 	routes map[LID]*Port
+	wireTrackCache
 }
 
 // Name returns the switch name.

@@ -18,6 +18,7 @@ type HCA struct {
 	procq sim.Pipe // packets in the PacketProc stage: constant latency, so FIFO
 	qps   map[int]*QP
 	mrs   map[int]*MR
+	wireTrackCache
 }
 
 // Name returns the HCA name.
@@ -65,7 +66,7 @@ func (h *HCA) environment() *sim.Env { return h.env }
 func (h *HCA) FabricPort() *Port { return h.port }
 
 func (h *HCA) receive(pkt *packet, on *Port) {
-	h.fab.trace("rx", h, pkt)
+	h.fab.trace(evRx, h, pkt)
 	qp := h.qps[pkt.dstQP]
 	if qp == nil {
 		panic(fmt.Sprintf("ib: HCA %s: packet for unknown QP %d", h.name, pkt.dstQP))

@@ -419,7 +419,7 @@ func (f *Fabric) dropUnreachable(s *Switch, pkt *packet) {
 	if obs := f.obs; obs != nil {
 		obs.routeUnreachable.Add(1)
 	}
-	f.traceReason("drop", s, pkt, "unreachable")
+	f.traceReason(evDrop, s, pkt, "unreachable")
 	t := pkt.msg
 	var origin *QP
 	if t != nil && !t.acked {

@@ -1,6 +1,7 @@
 package ib
 
 import (
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -40,15 +41,33 @@ type fabObs struct {
 	healthTransitions *telemetry.Counter        // debounced link verdict flips
 	failoverNs        *telemetry.HiResHistogram // raw edge -> verdict latency, ns
 
-	// Track caches: devices and ports are few and long-lived, so per-event
-	// track resolution is a map hit.
+	// Track caches: HCAs and WAN ports are few and long-lived, so per-event
+	// track resolution is a map hit. The per-packet wire track is cached on
+	// the device itself (wireTrackCache).
 	verbsTracks map[*HCA]telemetry.TrackID
-	wireTracks  map[Device]telemetry.TrackID
 	wanTracks   map[*Port]telemetry.TrackID
-	// instNames interns "kind pkt" instant labels so the enabled wire path
-	// does not concatenate per event.
-	instNames map[[2]string]string
 }
+
+// wireTrackCache is a device's "wire" track, registered with the recorder
+// on the device's first wire event (registration order fixes the exported
+// pid/tid numbering, so it stays lazy). HCA and Switch embed one.
+type wireTrackCache struct {
+	wireTrack   telemetry.TrackID
+	wireTracked bool
+}
+
+func (c *wireTrackCache) wireTrackSlot() *wireTrackCache { return c }
+
+// instantNames holds the "kind pkt" label of every wire instant, so the
+// enabled wire path neither concatenates nor hashes per event.
+var instantNames = func() (names [numEvKinds][len(pktNames)]string) {
+	for k, kind := range evKindNames {
+		for p, pkt := range pktNames {
+			names[k][p] = kind + " " + pkt
+		}
+	}
+	return names
+}()
 
 func newFabObs(tel *telemetry.Telemetry) *fabObs {
 	m := tel.Metrics
@@ -85,9 +104,7 @@ func newFabObs(tel *telemetry.Telemetry) *fabObs {
 	}
 	if o.rec != nil {
 		o.verbsTracks = make(map[*HCA]telemetry.TrackID)
-		o.wireTracks = make(map[Device]telemetry.TrackID)
 		o.wanTracks = make(map[*Port]telemetry.TrackID)
-		o.instNames = make(map[[2]string]string)
 	}
 	return o
 }
@@ -104,12 +121,11 @@ func (o *fabObs) verbsTrack(h *HCA) telemetry.TrackID {
 
 // wireTrack is the per-device track carrying wire-level instant events.
 func (o *fabObs) wireTrack(dev Device) telemetry.TrackID {
-	id, ok := o.wireTracks[dev]
-	if !ok {
-		id = o.rec.Track(dev.Name(), "wire")
-		o.wireTracks[dev] = id
+	c := dev.wireTrackSlot()
+	if !c.wireTracked {
+		c.wireTrack, c.wireTracked = o.rec.Track(dev.Name(), "wire"), true
 	}
-	return id
+	return c.wireTrack
 }
 
 // wanTrack is the per-WAN-port track carrying wan.xmit queue spans.
@@ -124,16 +140,10 @@ func (o *fabObs) wanTrack(p *Port) telemetry.TrackID {
 
 // instant folds one wire trace event into the span recorder's instant
 // stream, so a Perfetto trace shows packet activity alongside the spans.
-func (o *fabObs) instant(dev Device, ev TraceEvent) {
-	key := [2]string{ev.Kind, ev.Pkt}
-	name, ok := o.instNames[key]
-	if !ok {
-		name = ev.Kind + " " + ev.Pkt
-		o.instNames[key] = name
-	}
+func (o *fabObs) instant(dev Device, at sim.Time, kind evKind, pk pktKind, msg int64, wire int, reason string) {
 	o.rec.AddInstant(telemetry.Instant{
-		Time: ev.Time, Track: o.wireTrack(dev), Name: name,
-		Msg: ev.Msg, Wire: ev.Wire, Reason: ev.Reason,
+		Time: at, Track: o.wireTrack(dev), Name: instantNames[kind][pk],
+		Msg: msg, Wire: wire, Reason: reason,
 	})
 }
 

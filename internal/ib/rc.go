@@ -179,7 +179,7 @@ func (q *QP) armRetry(t *transfer) {
 		if obs := q.hca.fab.obs; obs != nil {
 			obs.rcRetransmits.Add(1)
 		}
-		q.traceRTO(t)
+		q.traceTimer(evRTO, t, "timeout")
 		// Feed reactive link-health detection before relaunching: if this
 		// timeout pushes a monitored link on the path over its threshold,
 		// the re-sweep below runs synchronously and the retransmission
@@ -204,7 +204,7 @@ func (q *QP) retryExhausted(t *transfer) {
 		obs.rcGiveUps.Add(1)
 		obs.qpErrors.Add(1)
 	}
-	q.traceGiveUp(t)
+	q.traceTimer(evErr, t, "retry-exceeded")
 	delete(q.inflight, t.id)
 	t.acked = true // poison against late acks from earlier attempts
 	q.endVerbsSpan(t)

@@ -43,100 +43,97 @@ type Tracer func(ev TraceEvent)
 // SetTracer installs (or, with nil, removes) a fabric-wide tracer.
 func (f *Fabric) SetTracer(t Tracer) { f.tracer = t }
 
+// evKind is a wire trace event's kind; TraceEvent.Kind carries its name.
+type evKind uint8
+
+const (
+	evTx evKind = iota
+	evRx
+	evDrop
+	evRTO
+	evErr
+	numEvKinds
+)
+
+var evKindNames = [numEvKinds]string{"tx", "rx", "drop", "rto", "err"}
+
+// Trace events name a packet by its wire kind, with two names past the
+// pktKind range: UD datagrams travel as pktData but trace as "ud", and a
+// kind outside the enumeration traces as "unknown".
+const (
+	pktUD      = pktReadResp + 1
+	pktUnknown = pktUD + 1
+)
+
+var pktNames = [pktUnknown + 1]string{"data", "ack", "readreq", "readresp", "ud", "unknown"}
+
 func (k pktKind) String() string {
-	switch k {
-	case pktData:
-		return "data"
-	case pktAck:
-		return "ack"
-	case pktReadReq:
-		return "readreq"
-	case pktReadResp:
-		return "readresp"
+	if k < 0 || k > pktUnknown {
+		k = pktUnknown
 	}
-	return "unknown"
+	return pktNames[k]
 }
 
-func (f *Fabric) trace(kind string, dev Device, pkt *packet) {
+func (f *Fabric) trace(kind evKind, dev Device, pkt *packet) {
 	f.traceReason(kind, dev, pkt, "")
 }
 
 // traceReason emits a packet event with a qualifying reason (drops). Events
 // flow to the installed Tracer and, when span recording is enabled, into
 // the telemetry recorder's instant stream.
-func (f *Fabric) traceReason(kind string, dev Device, pkt *packet, reason string) {
+func (f *Fabric) traceReason(kind evKind, dev Device, pkt *packet, reason string) {
 	folding := f.obs != nil && f.obs.rec != nil
 	if f.tracer == nil && !folding {
 		return
 	}
-	pk := pkt.kind.String()
+	pk := pkt.kind
 	if pkt.ud {
-		pk = "ud"
+		pk = pktUD
 	}
-	ev := TraceEvent{
-		Time: f.env.Now(), Kind: kind,
-		Src: pkt.src, Dst: pkt.dst, SrcQP: pkt.srcQP, DstQP: pkt.dstQP,
-		Pkt: pk, Wire: pkt.wire, Seq: pkt.seq, Msg: pkt.msg.id, Last: pkt.last,
-		Dev: dev.Name(), Retx: pkt.retx, Reason: reason,
-	}
+	now := f.env.Now()
 	if f.tracer != nil {
-		f.tracer(ev)
+		f.tracer(TraceEvent{
+			Time: now, Kind: evKindNames[kind],
+			Src: pkt.src, Dst: pkt.dst, SrcQP: pkt.srcQP, DstQP: pkt.dstQP,
+			Pkt: pk.String(), Wire: pkt.wire, Seq: pkt.seq, Msg: pkt.msg.id, Last: pkt.last,
+			Dev: dev.Name(), Retx: pkt.retx, Reason: reason,
+		})
 	}
 	if folding {
-		f.obs.instant(dev, ev)
+		f.obs.instant(dev, now, kind, pk, pkt.msg.id, pkt.wire, reason)
 	}
 }
 
-// pktName is the wire packet kind a retransmission of the op would resend.
-func (o Opcode) pktName() string {
+// pktKind is the wire packet kind a retransmission of the op would resend.
+func (o Opcode) pktKind() pktKind {
 	if o == OpRDMARead {
-		return "readreq"
+		return pktReadReq
 	}
-	return "data"
+	return pktData
 }
 
-// traceRTO emits a retry-timeout event. There is no packet at timer expiry,
-// so the event is synthesized from the QP's connection state.
-func (q *QP) traceRTO(t *transfer) {
+// traceTimer emits the two events of the retry timer: the retry-timeout
+// expiry (evRTO, "timeout") and the retry-budget exhaustion that pushes the
+// QP into the error state (evErr, "retry-exceeded"). There is no packet at
+// either, so the event is synthesized from the QP's connection state.
+func (q *QP) traceTimer(kind evKind, t *transfer, reason string) {
 	f := q.hca.fab
 	folding := f.obs != nil && f.obs.rec != nil
 	if f.tracer == nil && !folding {
 		return
 	}
-	ev := TraceEvent{
-		Time: f.env.Now(), Kind: "rto",
-		Src: q.hca.lid, Dst: q.remote.hca.lid, SrcQP: q.qpn, DstQP: q.remote.qpn,
-		Pkt: t.wr.Op.pktName(), Wire: 0, Msg: t.id, Last: true,
-		Dev: q.hca.name, Reason: "timeout",
-	}
+	pk := t.wr.Op.pktKind()
+	now := f.env.Now()
 	if f.tracer != nil {
-		f.tracer(ev)
+		f.tracer(TraceEvent{
+			Time: now, Kind: evKindNames[kind],
+			Src: q.hca.lid, Dst: q.remote.hca.lid, SrcQP: q.qpn, DstQP: q.remote.qpn,
+			Pkt: pk.String(), Wire: 0, Msg: t.id, Last: true,
+			Dev: q.hca.name, Reason: reason,
+		})
 	}
 	if folding {
-		f.obs.instant(q.hca, ev)
-	}
-}
-
-// traceGiveUp emits the retry-budget-exhausted event for the transfer that
-// pushed the QP into the error state. Like traceRTO it is synthesized —
-// there is no packet at budget exhaustion.
-func (q *QP) traceGiveUp(t *transfer) {
-	f := q.hca.fab
-	folding := f.obs != nil && f.obs.rec != nil
-	if f.tracer == nil && !folding {
-		return
-	}
-	ev := TraceEvent{
-		Time: f.env.Now(), Kind: "err",
-		Src: q.hca.lid, Dst: q.remote.hca.lid, SrcQP: q.qpn, DstQP: q.remote.qpn,
-		Pkt: t.wr.Op.pktName(), Wire: 0, Msg: t.id, Last: true,
-		Dev: q.hca.name, Reason: "retry-exceeded",
-	}
-	if f.tracer != nil {
-		f.tracer(ev)
-	}
-	if folding {
-		f.obs.instant(q.hca, ev)
+		f.obs.instant(q.hca, now, kind, pk, t.id, 0, reason)
 	}
 }
 

@@ -46,10 +46,12 @@ type segment struct {
 	// overlap the original flight's receive processing (peer shard, refs
 	// down) inside one conservative window. A plain int32 driven through
 	// sync/atomic functions (not atomic.Int32) keeps the pooled zeroing
-	// assignment in maybeFreeSegment copyable.
+	// assignment in maybeFree copyable.
 	refs int32
 	// inUnacked marks membership in the sender's retransmission queue.
 	inUnacked bool
+	// home is the stack that created the segment; its pool takes it back.
+	home *Stack
 }
 
 // span is a run of stream bytes, possibly synthetic.
@@ -187,7 +189,7 @@ func (c *Conn) reset(err error) {
 	for c.unacked.Len() > 0 {
 		seg := c.unacked.Pop()
 		seg.inUnacked = false
-		c.stack.maybeFreeSegment(seg)
+		seg.maybeFree()
 	}
 	for c.sendQ.Len() > 0 {
 		c.sendQ.Pop()
@@ -525,7 +527,7 @@ func (c *Conn) handleAck(seg *segment) {
 		}
 		c.unacked.Pop()
 		head.inUnacked = false
-		c.stack.maybeFreeSegment(head)
+		head.maybeFree()
 	}
 	if c.sndUna >= c.recover {
 		c.lossRecovery = false

@@ -1,6 +1,7 @@
 package tcpsim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -64,10 +65,26 @@ func TestLossFreeStreamEventCountPinned(t *testing.T) {
 			t.Errorf("write: %v", err)
 		}
 	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	env.Run()
+	runtime.ReadMemStats(&after)
 	c := client()
 	if c.sndUna < int64(10000*mss) || c.Retransmits() != 0 {
 		t.Fatalf("stream incomplete or lossy: %d bytes acked, %d retransmissions", c.sndUna, c.Retransmits())
+	}
+	// Segments go back to the stack that created them, so the receiver's
+	// acks come out of its own pool and the sender's pool holds a window of
+	// data segments, not one more segment per ack it ever received. What is
+	// left per data segment is the receiving application's Read result;
+	// an ack segment allocated per data segment made it two.
+	perSeg := float64(after.Mallocs-before.Mallocs) / 10000
+	t.Logf("%.2f allocations per data segment, %d segments in the sender's pool", perSeg, len(c.stack.segFree))
+	if perSeg > 1.5 {
+		t.Errorf("%.2f allocations per data segment over the stream, want <= 1.5", perSeg)
+	}
+	if n := len(c.stack.segFree); n > 100 {
+		t.Errorf("sender's pool holds %d segments after the stream, want a window's worth", n)
 	}
 	if got := env.Executed(); got != lossFreeStreamEvents {
 		t.Errorf("Executed() = %d after the stream, want %d: the service contexts no longer schedule what their processes did", got, lossFreeStreamEvents)

@@ -121,10 +121,11 @@ type Stack struct {
 	rxq       *sim.Server[*segment] // receive context (softirq)
 	stats     StackStats
 	// segFree recycles segment objects. Like the fabric's packet pool it
-	// is a plain slice touched only from the stack's environment, so reuse
-	// is deterministic. A segment may be created on one stack and freed on
-	// the peer's (control segments are consumed at the receiver); each
-	// stack simply pools whatever it frees.
+	// is a plain slice touched only from the (unsharded) world's one
+	// environment, so reuse is deterministic. A segment's last toucher is
+	// often the peer stack (acks are consumed at the data sender), so a
+	// segment is released to the pool of the stack that created it
+	// (segment.home): every stack's pool refills at the rate it drains.
 	segFree []*segment
 	// sharded marks a stack living on a shard view of a partitioned world.
 	// Mirroring the fabric's policy, sharded stacks never pool segments: a
@@ -159,18 +160,16 @@ type stackObs struct {
 }
 
 // newSegment returns a zeroed segment (its spans backing array is kept).
-// On a sharded world segments are always fresh: the pool belongs to no
-// single shard.
+// On a sharded world segments are always fresh: nothing is ever released
+// into the pool there (see maybeFree).
 func (s *Stack) newSegment() *segment {
-	if s.sharded {
-		return &segment{}
-	}
 	if n := len(s.segFree); n > 0 {
 		seg := s.segFree[n-1]
 		s.segFree = s.segFree[:n-1]
+		seg.home = s
 		return seg
 	}
-	return &segment{}
+	return &segment{home: s}
 }
 
 // transmit hands a segment to the transmit context, counting the flight.
@@ -182,20 +181,21 @@ func (s *Stack) transmit(seg *segment) {
 	s.txq.Put(seg)
 }
 
-// unrefSegment ends one flight of seg.
-func (s *Stack) unrefSegment(seg *segment) {
+// unref ends one flight of seg.
+func (seg *segment) unref() {
 	if atomic.AddInt32(&seg.refs, -1) < 0 {
 		panic("tcpsim: segment reference count underflow")
 	}
-	s.maybeFreeSegment(seg)
+	seg.maybeFree()
 }
 
-// maybeFreeSegment recycles seg once no flight is in progress and the
-// sender no longer holds it for retransmission. Sharded stacks never
-// recycle (see the sharded field); the segment is left to the garbage
-// collector, which also keeps the inUnacked read shard-local.
-func (s *Stack) maybeFreeSegment(seg *segment) {
-	if s.sharded {
+// maybeFree recycles seg into its home stack's pool once no flight is in
+// progress and the sender no longer holds it for retransmission. Sharded
+// stacks never recycle (see the sharded field); the segment is left to the
+// garbage collector, which also keeps the inUnacked read shard-local.
+func (seg *segment) maybeFree() {
+	home := seg.home
+	if home.sharded {
 		return
 	}
 	if atomic.LoadInt32(&seg.refs) == 0 && !seg.inUnacked {
@@ -205,7 +205,7 @@ func (s *Stack) maybeFreeSegment(seg *segment) {
 		}
 		*seg = segment{}
 		seg.spans = spans[:0]
-		s.segFree = append(s.segFree, seg)
+		home.segFree = append(home.segFree, seg)
 	}
 }
 
@@ -307,7 +307,7 @@ func (s *Stack) txDone(seg *segment) {
 		// retransmission queue.
 		s.stats.SegDrops++
 		s.obs.segDrops.Add(1)
-		s.unrefSegment(seg)
+		seg.unref()
 		return
 	}
 	s.dev.Send(seg.dst, seg, seg.length+HeaderBytes)
@@ -328,7 +328,7 @@ func (s *Stack) rxCost(seg *segment) sim.Time {
 // rxDone hands a processed segment to its connection and ends its flight.
 func (s *Stack) rxDone(seg *segment) {
 	s.dispatch(seg)
-	s.unrefSegment(seg)
+	seg.unref()
 }
 
 // Stats returns a snapshot of the stack counters.

@@ -67,12 +67,18 @@ func HiResBucketHi(i int) int64 {
 
 // HiResHistogram is a fixed-layout log-linear histogram with count and sum.
 // Recording is one bucket computation plus three atomic adds — no CAS
-// min/max loop, since the extreme values are recoverable from the populated
-// buckets — so the record path stays allocation-free and cheap enough for
-// per-packet sites.
+// min/max loop over values, since the extremes are recoverable from the
+// populated buckets — so the record path stays allocation-free and cheap
+// enough for per-packet sites. It also keeps the range of bucket indexes ever
+// touched (two loads and compares once a site's values have settled), so the
+// sampler reads the few dozen buckets a metric uses, not all 960.
 type HiResHistogram struct {
-	count   atomic.Int64
-	sum     atomic.Int64
+	count atomic.Int64
+	sum   atomic.Int64
+	// Touched buckets are [HiResBuckets-loInv, hi). Both words only grow and
+	// both are zero on the empty histogram, so the zero value stays ready.
+	loInv   atomic.Int32
+	hi      atomic.Int32
 	buckets [HiResBuckets]atomic.Int64
 }
 
@@ -81,9 +87,33 @@ func (h *HiResHistogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	h.buckets[hiResBucketOf(v)].Add(1)
+	i := hiResBucketOf(v)
+	h.touch(i, i+1)
+	h.buckets[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+}
+
+// touch widens the touched range to cover buckets [lo, hi).
+func (h *HiResHistogram) touch(lo, hi int) {
+	raise(&h.loInv, int32(HiResBuckets-lo))
+	raise(&h.hi, int32(hi))
+}
+
+// raise lifts a to at least v.
+func raise(a *atomic.Int32, v int32) {
+	for {
+		cur := a.Load()
+		if cur >= v || a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
+// touched returns the bucket range [lo, hi) outside which every bucket is
+// still zero; lo >= hi on an empty histogram.
+func (h *HiResHistogram) touched() (lo, hi int) {
+	return HiResBuckets - int(h.loInv.Load()), int(h.hi.Load())
 }
 
 // Count returns the number of observations (0 on a nil receiver).
@@ -144,7 +174,9 @@ func (h *HiResHistogram) merge(src *HiResHistogram) {
 	if h == nil || src == nil {
 		return
 	}
-	for i := range src.buckets {
+	lo, hi := src.touched()
+	h.touch(lo, hi) // widens nothing when src is empty
+	for i := lo; i < hi; i++ {
 		if n := src.buckets[i].Load(); n != 0 {
 			h.buckets[i].Add(n)
 		}
@@ -154,36 +186,48 @@ func (h *HiResHistogram) merge(src *HiResHistogram) {
 }
 
 // QuantileFromBuckets estimates the q-quantile of a HiResHistogram bucket
-// vector holding count observations (the sampler hands it per-interval
-// bucket deltas). Interpolation is linear within the landing bucket; the
-// <=0 bucket estimates as 0.
+// vector holding count observations. Interpolation is linear within the
+// landing bucket; the <=0 bucket estimates as 0.
 func QuantileFromBuckets(buckets []int64, count int64, q float64) float64 {
+	var out [1]float64
+	quantilesFromBuckets(buckets, 0, count, []float64{q}, out[:])
+	return out[0]
+}
+
+// quantilesFromBuckets estimates the ascending quantiles qs in one cumulative
+// walk, where buckets[k] counts bucket base+k of the layout and count is the
+// number of observations (the sampler hands it an interval's bucket deltas
+// over the touched range). out[i] receives the qs[i] estimate, 0 when empty.
+func quantilesFromBuckets(buckets []int64, base int, count int64, qs, out []float64) {
+	clear(out)
 	if count <= 0 {
-		return 0
+		return
 	}
-	target := int64(math.Ceil(q * float64(count)))
-	if target < 1 {
-		target = 1
-	}
-	if target > count {
-		target = count
-	}
+	next := 0
+	target := quantileRank(qs[0], count)
 	var cum int64
-	for i, c := range buckets {
+	for k, c := range buckets {
 		if c == 0 {
 			continue
 		}
 		cum += c
-		if cum < target {
-			continue
+		for cum >= target {
+			if i := base + k; i > 0 {
+				lo, hi := HiResBucketLo(i), HiResBucketHi(i)
+				pos := target - (cum - c) // 1..c within this bucket
+				frac := float64(pos) / float64(c)
+				out[next] = float64(lo) + frac*float64(hi-lo)
+			}
+			if next++; next == len(qs) {
+				return
+			}
+			target = quantileRank(qs[next], count)
 		}
-		if i == 0 {
-			return 0
-		}
-		lo, hi := HiResBucketLo(i), HiResBucketHi(i)
-		pos := target - (cum - c) // 1..c within this bucket
-		frac := float64(pos) / float64(c)
-		return float64(lo) + frac*float64(hi-lo)
 	}
-	return 0
+}
+
+// quantileRank is the 1-based rank of the observation the q-quantile lands on.
+func quantileRank(q float64, count int64) int64 {
+	rank := int64(math.Ceil(q * float64(count)))
+	return min(max(rank, 1), count)
 }

@@ -390,13 +390,12 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 	var scratch [HiResBuckets]int64
 	for name, h := range r.hires {
 		count, sum := h.CopyBuckets(scratch[:])
+		var q [4]float64
+		quantilesFromBuckets(scratch[:], 0, count, sampledQuantiles[:], q[:])
 		snap := MetricSnapshot{
 			Name: name, Kind: "hires",
 			Count: count, Sum: sum,
-			P50:  QuantileFromBuckets(scratch[:], count, 0.50),
-			P90:  QuantileFromBuckets(scratch[:], count, 0.90),
-			P99:  QuantileFromBuckets(scratch[:], count, 0.99),
-			P999: QuantileFromBuckets(scratch[:], count, 0.999),
+			P50: q[0], P90: q[1], P99: q[2], P999: q[3],
 		}
 		if count > 0 {
 			snap.Mean = float64(sum) / float64(count)

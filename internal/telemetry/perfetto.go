@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"io"
 	"sort"
 )
@@ -11,45 +10,6 @@ import (
 // events; spans become "X" complete events with id/parent/depth args so the
 // cross-track hierarchy survives the export; wire-level instants become "i"
 // thread-scoped instant events.
-
-type traceEventArgs struct {
-	Name   string  `json:"name,omitempty"`
-	ID     int64   `json:"id,omitempty"`
-	Parent int64   `json:"parent,omitempty"`
-	Depth  int32   `json:"depth,omitempty"`
-	Msg    int64   `json:"msg,omitempty"`
-	Wire   int     `json:"wire,omitempty"`
-	Reason string  `json:"reason,omitempty"`
-	SortIx float64 `json:"sort_index,omitempty"`
-}
-
-type traceEvent struct {
-	Name  string          `json:"name"`
-	Phase string          `json:"ph"`
-	TS    float64         `json:"ts"`            // microseconds
-	Dur   float64         `json:"dur,omitempty"` // microseconds
-	PID   int             `json:"pid"`
-	TID   int             `json:"tid"`
-	Scope string          `json:"s,omitempty"` // instant scope
-	Args  *traceEventArgs `json:"args,omitempty"`
-}
-
-// counterEvent is a Chrome trace-event "C" counter sample. Counter tracks
-// are per-process (no tid); the args map's keys become sub-series of the
-// rendered graph, and encoding/json emits map keys sorted, so the output
-// stays deterministic.
-type counterEvent struct {
-	Name  string             `json:"name"`
-	Phase string             `json:"ph"`
-	TS    float64            `json:"ts"` // microseconds
-	PID   int                `json:"pid"`
-	Args  map[string]float64 `json:"args"`
-}
-
-type traceFile struct {
-	TraceEvents     []any  `json:"traceEvents"`
-	DisplayTimeUnit string `json:"displayTimeUnit"`
-}
 
 // micros converts sim time (ns) to trace-event microseconds.
 func micros(ns int64) float64 { return float64(ns) / 1000.0 }
@@ -104,84 +64,193 @@ func WritePerfettoTimeline(w io.Writer, r *Recorder, pts []PointTimeline) error 
 		return instants[i].Time < instants[j].Time
 	})
 
-	events := make([]any, 0, 2*len(tracks)+len(spans)+len(instants))
+	t := traceWriter{jsonWriter: newJSONWriter(w)}
+	t.raw("{\n \"traceEvents\": [")
+	meta := func(name string, pid, tid int, arg string) {
+		t.event(name, "M", 0)
+		t.pidTID(pid, tid)
+		t.openArgs()
+		t.argStr("name", arg)
+		t.end()
+	}
 	for i, proc := range procs {
-		events = append(events, traceEvent{
-			Name: "process_name", Phase: "M", PID: i + 1,
-			Args: &traceEventArgs{Name: proc},
-		})
+		meta("process_name", i+1, 0, proc)
 	}
 	tlPID := 0
 	if hasSamples(pts) {
 		// The timeline process hosts every counter track; sort_index -1
 		// pins it above the (default-sorted) span processes.
 		tlPID = len(procs) + 1
-		events = append(events, traceEvent{
-			Name: "process_name", Phase: "M", PID: tlPID,
-			Args: &traceEventArgs{Name: "timeline"},
-		})
-		events = append(events, traceEvent{
-			Name: "process_sort_index", Phase: "M", PID: tlPID,
-			Args: &traceEventArgs{SortIx: -1},
-		})
+		meta("process_name", tlPID, 0, "timeline")
+		t.event("process_sort_index", "M", 0)
+		t.pidTID(tlPID, 0)
+		t.openArgs()
+		t.argFloat("sort_index", -1)
+		t.end()
 	}
 	for i, tk := range tracks {
-		events = append(events, traceEvent{
-			Name: "thread_name", Phase: "M", PID: trackPID[i], TID: tidOf[i],
-			Args: &traceEventArgs{Name: tk[1]},
-		})
+		meta("thread_name", trackPID[i], tidOf[i], tk[1])
 	}
-	for _, s := range spans {
+	for i := range spans {
+		s := &spans[i]
 		tid, pid := 0, 0
 		if int(s.Track) < len(tracks) {
 			tid, pid = tidOf[s.Track], trackPID[s.Track]
 		}
-		events = append(events, traceEvent{
-			Name: s.Name, Phase: "X",
-			TS: micros(int64(s.Start)), Dur: micros(int64(s.End - s.Start)),
-			PID: pid, TID: tid,
-			Args: &traceEventArgs{ID: s.ID, Parent: s.Parent, Depth: s.Depth},
-		})
+		t.event(s.Name, "X", micros(int64(s.Start)))
+		if dur := micros(int64(s.End - s.Start)); dur != 0 {
+			t.field("dur")
+			t.float(dur)
+		}
+		t.pidTID(pid, tid)
+		t.openArgs()
+		t.argInt("id", s.ID)
+		t.argInt("parent", s.Parent)
+		t.argInt("depth", int64(s.Depth))
+		t.end()
 	}
-	for _, in := range instants {
+	for i := range instants {
+		in := &instants[i]
 		tid, pid := 0, 0
 		if int(in.Track) < len(tracks) {
 			tid, pid = tidOf[in.Track], trackPID[in.Track]
 		}
-		ev := traceEvent{
-			Name: in.Name, Phase: "i", TS: micros(int64(in.Time)),
-			PID: pid, TID: tid, Scope: "t",
-		}
+		t.event(in.Name, "i", micros(int64(in.Time)))
+		t.pidTID(pid, tid)
+		t.field("s")
+		t.raw("\"t\"")
 		if in.Msg != 0 || in.Wire != 0 || in.Reason != "" {
-			ev.Args = &traceEventArgs{Msg: in.Msg, Wire: in.Wire, Reason: in.Reason}
+			t.openArgs()
+			t.argInt("msg", in.Msg)
+			t.argInt("wire", int64(in.Wire))
+			t.argStr("reason", in.Reason)
 		}
-		events = append(events, ev)
+		t.end()
 	}
 	if tlPID != 0 {
+		// Counter tracks are per-process (no tid); the args keys become
+		// sub-series of the rendered graph, written in sorted key order.
 		for pi := range pts {
 			pt := &pts[pi]
 			off := int64(pt.TraceOffset)
 			for si := range pt.Series {
 				s := &pt.Series[si]
 				for _, smp := range s.Samples {
-					events = append(events, counterEvent{
-						Name: s.Name, Phase: "C", TS: micros(int64(smp.T) + off), PID: tlPID,
-						Args: map[string]float64{"value": float64(smp.V)},
-					})
+					t.counter(s.Name, micros(int64(smp.T)+off), tlPID)
+					t.argFloat("value", float64(smp.V))
+					t.end()
 				}
-				for _, q := range s.Quantiles {
-					events = append(events, counterEvent{
-						Name: s.Name, Phase: "C", TS: micros(int64(q.T) + off), PID: tlPID,
-						Args: map[string]float64{"p50": q.P50, "p99": q.P99, "p999": q.P999},
-					})
+				for qi := range s.Quantiles {
+					q := &s.Quantiles[qi]
+					t.counter(s.Name, micros(int64(q.T)+off), tlPID)
+					t.argFloat("p50", q.P50)
+					t.argFloat("p99", q.P99)
+					t.argFloat("p999", q.P999)
+					t.end()
 				}
 			}
 		}
 	}
+	if t.events > 0 {
+		t.raw("\n ")
+	}
+	t.raw("],\n \"displayTimeUnit\": \"ns\"\n}\n")
+	return t.finish()
+}
 
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(traceFile{TraceEvents: events, DisplayTimeUnit: "ns"})
+// traceWriter streams trace events into the "traceEvents" array at the
+// format's one space of indentation per level. An event is event, its
+// phase-specific fields, optionally openArgs and arg* calls, then end.
+// Integer and string args with zero values are left out (the format's
+// omitempty); an args object left with no field is written "{}".
+type traceWriter struct {
+	*jsonWriter
+	events int  // events written so far
+	inArgs bool // an args object is open
+	args   int  // fields written into it
+}
+
+// event opens the next trace event with the fields every event starts with.
+func (t *traceWriter) event(name, phase string, ts float64) {
+	if t.events > 0 {
+		t.raw(",")
+	}
+	t.events++
+	t.raw("\n  {\n   \"name\": ")
+	t.str(name)
+	t.field("ph")
+	t.str(phase)
+	t.field("ts")
+	t.float(ts)
+}
+
+func (t *traceWriter) field(key string) {
+	t.raw(",\n   \"")
+	t.raw(key)
+	t.raw("\": ")
+}
+
+func (t *traceWriter) pidTID(pid, tid int) {
+	t.field("pid")
+	t.int(int64(pid))
+	t.field("tid")
+	t.int(int64(tid))
+}
+
+// counter opens a "C" counter sample up to its args object.
+func (t *traceWriter) counter(name string, ts float64, pid int) {
+	t.event(name, "C", ts)
+	t.field("pid")
+	t.int(int64(pid))
+	t.openArgs()
+}
+
+func (t *traceWriter) openArgs() {
+	t.field("args")
+	t.raw("{")
+	t.inArgs, t.args = true, 0
+}
+
+func (t *traceWriter) arg(key string) {
+	if t.args > 0 {
+		t.raw(",")
+	}
+	t.args++
+	t.raw("\n    \"")
+	t.raw(key)
+	t.raw("\": ")
+}
+
+func (t *traceWriter) argInt(key string, v int64) {
+	if v != 0 {
+		t.arg(key)
+		t.int(v)
+	}
+}
+
+func (t *traceWriter) argStr(key, v string) {
+	if v != "" {
+		t.arg(key)
+		t.str(v)
+	}
+}
+
+func (t *traceWriter) argFloat(key string, v float64) {
+	t.arg(key)
+	t.float(v)
+}
+
+// end closes the open args object, if any, and the event.
+func (t *traceWriter) end() {
+	if t.inArgs {
+		if t.args > 0 {
+			t.raw("\n   ")
+		}
+		t.raw("}")
+		t.inArgs = false
+	}
+	t.raw("\n  }")
+	t.rowDone()
 }
 
 // hasSamples reports whether any point timeline carries at least one row —

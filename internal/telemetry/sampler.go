@@ -18,7 +18,9 @@ import (
 //
 // Counters are recorded as per-interval deltas (rates fall out at export
 // time); hires histograms as per-interval quantile rows computed from
-// bucket deltas against the previous tick. Gauges are not sampled — they
+// bucket deltas against the previous tick — a histogram nothing observed
+// into since the last tick costs two loads, an active one a pass over the
+// buckets its values have ever touched. Gauges are not sampled — they
 // are last-write-wins and the registry no longer carries any on the
 // deterministic paths. Zero-delta intervals are kept, so every series has
 // one row per tick and timelines from different runs align by construction.
@@ -28,7 +30,8 @@ type Sampler struct {
 
 	counters []*samplerCounter
 	hires    []*samplerHiRes
-	byName   map[string]int // index into counters/hires by kind-prefixed name
+	byName   map[string]int      // index into counters/hires by kind-prefixed name
+	delta    [HiResBuckets]int64 // scratch: one histogram's bucket deltas
 }
 
 type samplerCounter struct {
@@ -42,7 +45,6 @@ type samplerHiRes struct {
 	name    string
 	h       *HiResHistogram
 	prev    []int64 // previous tick's cumulative buckets
-	cur     []int64 // scratch: this tick's cumulative buckets
 	prevCnt int64
 	prevSum int64
 	samples []QuantileSample
@@ -79,7 +81,6 @@ func (s *Sampler) refresh() {
 			s.hires = append(s.hires, &samplerHiRes{
 				name: name, h: h,
 				prev: make([]int64, HiResBuckets),
-				cur:  make([]int64, HiResBuckets),
 			})
 		}
 	}
@@ -105,24 +106,27 @@ func (s *Sampler) Tick(at sim.Time) {
 		c.prev = v
 	}
 	for _, h := range s.hires {
-		count, sum := h.h.CopyBuckets(h.cur)
-		dc, ds := count-h.prevCnt, sum-h.prevSum
-		for i := range h.cur {
-			h.cur[i] -= h.prev[i]
+		count, sum := h.h.Count(), h.h.Sum()
+		row := QuantileSample{T: at, Count: count - h.prevCnt, Sum: sum - h.prevSum}
+		if count != h.prevCnt {
+			lo, hi := h.h.touched()
+			delta := s.delta[lo:hi]
+			for i := range delta {
+				v := h.h.buckets[lo+i].Load()
+				delta[i] = v - h.prev[lo+i]
+				h.prev[lo+i] = v
+			}
+			var q [4]float64
+			quantilesFromBuckets(delta, lo, row.Count, sampledQuantiles[:], q[:])
+			row.P50, row.P90, row.P99, row.P999 = q[0], q[1], q[2], q[3]
 		}
-		h.samples = append(h.samples, QuantileSample{
-			T: at, Count: dc, Sum: ds,
-			P50:  QuantileFromBuckets(h.cur, dc, 0.50),
-			P90:  QuantileFromBuckets(h.cur, dc, 0.90),
-			P99:  QuantileFromBuckets(h.cur, dc, 0.99),
-			P999: QuantileFromBuckets(h.cur, dc, 0.999),
-		})
-		for i := range h.cur {
-			h.prev[i] += h.cur[i]
-		}
+		h.samples = append(h.samples, row)
 		h.prevCnt, h.prevSum = count, sum
 	}
 }
+
+// sampledQuantiles are the columns of a QuantileSample, ascending.
+var sampledQuantiles = [4]float64{0.50, 0.90, 0.99, 0.999}
 
 // Series returns the accumulated series, sorted by (name, kind). The
 // returned slices share the sampler's backing arrays; take them after the

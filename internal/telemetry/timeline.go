@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"io"
 	"sort"
 	"strconv"
@@ -136,79 +135,96 @@ func (pt *PointTimeline) SampleCount() int {
 	return n
 }
 
-// JSON schema types. Counter/derived rows and hires rows have different
-// shapes, so series carry their rows as the appropriate concrete struct —
-// struct field order keeps the encoding deterministic.
-
-type timelineJSON struct {
-	Schema        string              `json:"schema"`
-	SampleEveryNS int64               `json:"sample_every_ns"`
-	Points        []pointTimelineJSON `json:"points"`
-}
-
-type pointTimelineJSON struct {
-	Experiment string       `json:"experiment"`
-	Point      string       `json:"point"`
-	Series     []seriesJSON `json:"series"`
-}
-
-type seriesJSON struct {
-	Name    string `json:"name"`
-	Kind    string `json:"kind"`
-	Samples []any  `json:"samples"`
-}
-
-type counterSampleJSON struct {
-	TNS      int64   `json:"t_ns"`
-	Delta    int64   `json:"delta"`
-	RatePerS float64 `json:"rate_per_s"`
-}
-
-type quantileSampleJSON struct {
-	TNS   int64   `json:"t_ns"`
-	Count int64   `json:"count"`
-	Sum   int64   `json:"sum"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-	P999  float64 `json:"p999"`
-}
-
 // WriteTimelineJSON dumps the point timelines as "ibwan-timeline/v1" JSON.
 // Counter and derived rows carry {t_ns, delta, rate_per_s}; hires rows
-// {t_ns, count, sum, p50, p90, p99, p999}.
+// {t_ns, count, sum, p50, p90, p99, p999}. Rows stream through a jsonWriter
+// at two spaces of indentation per level.
 func WriteTimelineJSON(w io.Writer, every sim.Time, pts []PointTimeline) error {
-	rep := timelineJSON{Schema: TimelineSchema, SampleEveryNS: int64(every), Points: make([]pointTimelineJSON, 0, len(pts))}
+	j := newJSONWriter(w)
+	j.raw("{\n  \"schema\": ")
+	j.str(TimelineSchema)
+	j.raw(",\n  \"sample_every_ns\": ")
+	j.int(int64(every))
+	j.raw(",\n  \"points\": [")
 	for i := range pts {
 		pt := &pts[i]
-		jp := pointTimelineJSON{Experiment: pt.Experiment, Point: pt.Point, Series: make([]seriesJSON, 0, len(pt.Series))}
 		ev := pt.Every
 		if ev <= 0 {
 			ev = every
 		}
-		for j := range pt.Series {
-			s := &pt.Series[j]
-			js := seriesJSON{Name: s.Name, Kind: s.Kind, Samples: make([]any, 0, len(s.Samples)+len(s.Quantiles))}
-			for _, smp := range s.Samples {
-				row := counterSampleJSON{TNS: int64(smp.T), Delta: smp.V}
-				if ev > 0 {
-					row.RatePerS = float64(smp.V) / ev.Seconds()
-				}
-				js.Samples = append(js.Samples, row)
-			}
-			for _, q := range s.Quantiles {
-				js.Samples = append(js.Samples, quantileSampleJSON{
-					TNS: int64(q.T), Count: q.Count, Sum: q.Sum,
-					P50: q.P50, P90: q.P90, P99: q.P99, P999: q.P999,
-				})
-			}
-			jp.Series = append(jp.Series, js)
+		if i > 0 {
+			j.raw(",")
 		}
-		rep.Points = append(rep.Points, jp)
+		j.raw("\n    {\n      \"experiment\": ")
+		j.str(pt.Experiment)
+		j.raw(",\n      \"point\": ")
+		j.str(pt.Point)
+		j.raw(",\n      \"series\": [")
+		for si := range pt.Series {
+			s := &pt.Series[si]
+			if si > 0 {
+				j.raw(",")
+			}
+			j.raw("\n        {\n          \"name\": ")
+			j.str(s.Name)
+			j.raw(",\n          \"kind\": ")
+			j.str(s.Kind)
+			j.raw(",\n          \"samples\": [")
+			rows := 0
+			row := func(t sim.Time) {
+				if rows > 0 {
+					j.raw(",")
+				}
+				rows++
+				j.raw("\n            {\n              \"t_ns\": ")
+				j.int(int64(t))
+			}
+			for _, smp := range s.Samples {
+				row(smp.T)
+				j.raw(",\n              \"delta\": ")
+				j.int(smp.V)
+				j.raw(",\n              \"rate_per_s\": ")
+				rate := 0.0
+				if ev > 0 {
+					rate = float64(smp.V) / ev.Seconds()
+				}
+				j.float(rate)
+				j.raw("\n            }")
+				j.rowDone()
+			}
+			for qi := range s.Quantiles {
+				q := &s.Quantiles[qi]
+				row(q.T)
+				j.raw(",\n              \"count\": ")
+				j.int(q.Count)
+				j.raw(",\n              \"sum\": ")
+				j.int(q.Sum)
+				j.raw(",\n              \"p50\": ")
+				j.float(q.P50)
+				j.raw(",\n              \"p90\": ")
+				j.float(q.P90)
+				j.raw(",\n              \"p99\": ")
+				j.float(q.P99)
+				j.raw(",\n              \"p999\": ")
+				j.float(q.P999)
+				j.raw("\n            }")
+				j.rowDone()
+			}
+			if rows > 0 {
+				j.raw("\n          ")
+			}
+			j.raw("]\n        }")
+		}
+		if len(pt.Series) > 0 {
+			j.raw("\n      ")
+		}
+		j.raw("]\n    }")
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	if len(pts) > 0 {
+		j.raw("\n  ")
+	}
+	j.raw("]\n}\n")
+	return j.finish()
 }
 
 // WriteTimelineCSV dumps the point timelines as one flat CSV: one row per
