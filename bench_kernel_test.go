@@ -10,7 +10,8 @@ package repro
 //	go test -run='^$' -bench=Kernel -benchmem .
 //
 // CI runs the same selector at -benchtime=50x as a smoke test so these can
-// never silently rot.
+// never silently rot. The repository benchmark (`sh bench/run.sh`) measures
+// the same paths as its sim.* and ib.* per-layer metrics.
 
 import (
 	"testing"

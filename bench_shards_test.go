@@ -10,7 +10,8 @@ package repro
 // numbers live in BENCH_shards.json (regenerate with
 // `go test -bench BenchmarkSharded -run - .`). On a single-core host the
 // shard workers can only timeshare, so ~1x events/s is expected there —
-// the windows/event drop is host-independent.
+// the windows/event drop is host-independent. The repository benchmark
+// (`sh bench/run.sh`) reports both as its sim.shard.* per-layer metrics.
 
 import (
 	"testing"

@@ -38,9 +38,9 @@ func pair(delay sim.Time) (*sim.Env, *cluster.Testbed) {
 
 // Harness benchmarks: the full Quick regeneration through the registry +
 // parallel runner, sequentially and at GOMAXPROCS workers. Comparing the
-// two tracks the harness speedup on multicore hosts; per-figure numbers
-// live in BENCH_harness.json (regenerate with
-// `go run ./cmd/ibwan-exp -quick -bench BENCH_harness.json all`).
+// two tracks the harness speedup on multicore hosts; the repository
+// benchmark (`sh bench/run.sh`) reports it as core.par_speedup_x, with
+// per-family wall times as core.family.*.wall_ms.
 
 func BenchmarkHarnessRunAllQuickSeq(b *testing.B) {
 	b.ReportAllocs()

@@ -34,7 +34,6 @@
 //	ibwan-exp -class A fig12       # NAS sweep at class A (faster)
 //	ibwan-exp -par 8 -progress all # everything, 8 workers, live status
 //	ibwan-exp -quick -json - all   # metrics + table data as JSON on stdout
-//	ibwan-exp -quick -bench BENCH_harness.json all  # par=1 vs par=N timing
 //	ibwan-exp -cpuprofile cpu.out -par 1 fig5       # profile the hot path
 //	ibwan-exp -memprofile mem.out all               # heap profile at exit
 //	ibwan-exp -quick -trace-out trace.json fig8     # Perfetto trace of the run
@@ -56,7 +55,7 @@
 // at any -par / -shards combination. With -trace-out, the sampled series
 // also appear as Perfetto counter tracks pinned above the span rows.
 //
-// Every output path (-json, -bench, -cpuprofile, -memprofile, -trace-out,
+// Every output path (-json, -cpuprofile, -memprofile, -trace-out,
 // -metrics-out, -timeline-out) is opened before any simulation runs, so an
 // unwritable path fails immediately instead of discarding results after
 // minutes of work.
@@ -104,7 +103,6 @@ func main() {
 	shards := flag.Int("shards", 1, "OS workers per simulation world: a shardable multi-site world runs one event shard per site on up to this many workers (output is identical at any value)")
 	progress := flag.Bool("progress", false, "live per-point status line on stderr")
 	jsonOut := flag.String("json", "", "write a JSON report (metrics + table data) to this file ('-' = stdout, suppresses tables)")
-	benchOut := flag.String("bench", "", "time each experiment at -par 1 vs -par N and write the comparison JSON to this file (suppresses tables)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with `go tool pprof`)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile taken at exit to this file")
 	traceOut := flag.String("trace-out", "", "write a Perfetto (Chrome trace event) JSON trace of the run to this file ('-' = stdout, suppresses tables); forces -par 1")
@@ -132,6 +130,16 @@ func main() {
 	}
 	if _, err := topo.Preset(*topoName, 0, 0); err != nil {
 		fmt.Fprintf(os.Stderr, "ibwan-exp: -topo: %v\n", err)
+		os.Exit(2)
+	}
+	// A negative measurement window or file size has no meaning and would
+	// otherwise run on as a silently wrong number (0 selects the default).
+	if *tcpMS < 0 {
+		fmt.Fprintf(os.Stderr, "ibwan-exp: -tcpms must not be negative (got %d)\n", *tcpMS)
+		os.Exit(2)
+	}
+	if *fileMB < 0 {
+		fmt.Fprintf(os.Stderr, "ibwan-exp: -filemb must not be negative (got %d)\n", *fileMB)
 		os.Exit(2)
 	}
 	opt := core.Options{NASClass: *class, NFSFileMB: *fileMB, TCPMillis: *tcpMS, Topo: *topoName, Quick: *quick}
@@ -222,7 +230,6 @@ func main() {
 		{"cpuprofile", *cpuProfile},
 		{"memprofile", *memProfile},
 		{"json", *jsonOut},
-		{"bench", *benchOut},
 		{"trace-out", *traceOut},
 		{"metrics-out", *metricsOut},
 		{"timeline-out", *timelineOut},
@@ -257,7 +264,7 @@ func main() {
 	// stdout, so '-' on any report flag suppresses them.
 	render := outs["json"] != os.Stdout && outs["trace-out"] != os.Stdout &&
 		outs["metrics-out"] != os.Stdout && outs["timeline-out"] != os.Stdout
-	results, err := run(ids, opt, ropt, outs["bench"], outs["json"], *csv, *chart, render)
+	results, err := run(ids, opt, ropt, outs["json"], *csv, *chart, render)
 	if outs["cpuprofile"] != nil {
 		pprof.StopCPUProfile()
 	}
@@ -354,10 +361,7 @@ func writeTelemetry(trace, metrics *os.File, metricsPath string, tel *telemetry.
 // Profiling bookkeeping stays in main: every exit path from here returns,
 // so the profiles are always flushed. Output files arrive as already-open
 // handles (nil = not requested).
-func run(ids []string, opt core.Options, ropt core.RunnerOptions, benchOut, jsonOut *os.File, csv, chart, render bool) ([]core.Result, error) {
-	if benchOut != nil {
-		return nil, runBench(benchOut, ids, opt, ropt)
-	}
+func run(ids []string, opt core.Options, ropt core.RunnerOptions, jsonOut *os.File, csv, chart, render bool) ([]core.Result, error) {
 	var results []core.Result
 	for _, id := range ids {
 		res := core.RunWith(id, opt, ropt)
@@ -513,65 +517,6 @@ func writeJSONReport(w io.Writer, opt core.Options, ropt core.RunnerOptions, res
 		})
 	}
 	return writeJSON(w, rep)
-}
-
-// Harness benchmark: per-figure wall time at par=1 vs par=N.
-
-type benchFigure struct {
-	ID       string  `json:"id"`
-	Points   int     `json:"points"`
-	Par1MS   float64 `json:"par1_ms"`
-	ParNMS   float64 `json:"parN_ms"`
-	SpeedupX float64 `json:"speedup_x"`
-}
-
-type benchReport struct {
-	Schema  string        `json:"schema"`
-	Quick   bool          `json:"quick"`
-	Cores   int           `json:"cores"`
-	ParN    int           `json:"parN"`
-	Note    string        `json:"note,omitempty"`
-	Figures []benchFigure `json:"figures"`
-	Total   benchFigure   `json:"total"`
-}
-
-func runBench(w io.Writer, ids []string, opt core.Options, ropt core.RunnerOptions) error {
-	parN := ropt.Workers
-	if parN <= 0 {
-		parN = runtime.GOMAXPROCS(0)
-	}
-	rep := benchReport{Schema: "ibwan-bench/v1", Quick: opt.Quick, Cores: runtime.NumCPU(), ParN: parN}
-	if rep.Cores == 1 {
-		rep.Note = "single-core host: the worker pool can only timeshare, so speedup_x ~ 1.0 is expected; rerun on a multicore machine to observe scaling"
-	}
-	rep.Total = benchFigure{ID: "total"}
-	for _, id := range ids {
-		seq := core.RunWith(id, opt, core.RunnerOptions{Workers: 1, Progress: ropt.Progress})
-		par := core.RunWith(id, opt, core.RunnerOptions{Workers: parN, Progress: ropt.Progress})
-		f := benchFigure{
-			ID:     id,
-			Points: seq.Metrics.Points,
-			Par1MS: float64(seq.Metrics.Wall.Microseconds()) / 1e3,
-			ParNMS: float64(par.Metrics.Wall.Microseconds()) / 1e3,
-		}
-		if f.ParNMS > 0 {
-			f.SpeedupX = round2(f.Par1MS / f.ParNMS)
-		}
-		rep.Figures = append(rep.Figures, f)
-		rep.Total.Points += f.Points
-		rep.Total.Par1MS += f.Par1MS
-		rep.Total.ParNMS += f.ParNMS
-		fmt.Fprintf(os.Stderr, "bench %-7s par1=%8.1fms  par%d=%8.1fms  %.2fx\n",
-			id, f.Par1MS, parN, f.ParNMS, f.SpeedupX)
-	}
-	if rep.Total.ParNMS > 0 {
-		rep.Total.SpeedupX = round2(rep.Total.Par1MS / rep.Total.ParNMS)
-	}
-	return writeJSON(w, rep)
-}
-
-func round2(x float64) float64 {
-	return float64(int64(x*100+0.5)) / 100
 }
 
 func writeJSON(w io.Writer, v any) error {

@@ -192,7 +192,7 @@ func (f *Fabric) addDevice(d Device) {
 // AddHCA creates a host channel adapter end node (on the UseEnv
 // environment).
 func (f *Fabric) AddHCA(name string) *HCA {
-	h := &HCA{fab: f, env: f.cur, name: name, procq: f.cur.NewPipe(), qps: make(map[int]*QP), mrs: make(map[int]*MR)}
+	h := &HCA{fab: f, env: f.cur, name: name, procq: f.cur.NewPipe(), qps: make(map[int]*QP)}
 	f.addDevice(h)
 	return h
 }
@@ -434,7 +434,6 @@ type Port struct {
 	link      *Link
 	peer      *Port
 	busyUntil sim.Time
-	busyTime  sim.Time // cumulative serialization time (telemetry only)
 	txBytes   int64
 	txPkts    int64
 	// deliverArg and sendArg are this port's packet handlers as long-lived
@@ -591,16 +590,10 @@ func (p *Port) transmit(pkt *packet) sim.Time {
 	p.txPkts++
 	fab := p.dev.fabric()
 	if obs := fab.obs; obs != nil && p.link.wan {
-		p.busyTime += ser
 		obs.wanTxPkts.Add(1)
 		obs.wanTxBytes.Add(int64(pkt.wire))
 		obs.wanBusy.Add(int64(ser))
 		obs.wanQueueWait.Observe(int64(start - now))
-		obs.wanQueueWaitHi.Observe(int64(start - now))
-		if depart > 0 {
-			util := int64(1000 * float64(p.busyTime) / float64(depart))
-			obs.wanUtilHist.Observe(util)
-		}
 		if obs.rec != nil {
 			parent := telemetry.NoSpan
 			if pkt.msg != nil {

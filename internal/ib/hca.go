@@ -17,7 +17,6 @@ type HCA struct {
 	route *Port    // single port: route to everything
 	procq sim.Pipe // packets in the PacketProc stage: constant latency, so FIFO
 	qps   map[int]*QP
-	mrs   map[int]*MR
 	wireTrackCache
 }
 
@@ -80,7 +79,6 @@ func (h *HCA) receive(pkt *packet, on *Port) {
 // the region handle (which doubles as the rkey a peer must present).
 func (h *HCA) RegisterMR(buf []byte) *MR {
 	mr := &MR{id: int(h.fab.nextMRID.Add(1)), hca: h, Buf: buf}
-	h.mrs[mr.id] = mr
 	return mr
 }
 
@@ -90,7 +88,6 @@ func (h *HCA) RegisterMR(buf []byte) *MR {
 // and copying gigabytes of synthetic payload.
 func (h *HCA) RegisterVirtualMR(n int) *MR {
 	mr := &MR{id: int(h.fab.nextMRID.Add(1)), hca: h, virtualLen: n}
-	h.mrs[mr.id] = mr
 	return mr
 }
 

@@ -113,7 +113,6 @@ func (ml *monitoredLink) edgeAt(t sim.Time) *verdictEdge {
 // healthState hangs off the fabric once MonitorLink has been called.
 type healthState struct {
 	cfg      HealthConfig
-	enabled  bool
 	reactive bool
 	links    []*monitoredLink
 	byLink   map[*Link]*monitoredLink
@@ -161,7 +160,6 @@ func (f *Fabric) EnableFailover(cfg HealthConfig) error {
 		cfg.TimeoutThreshold = DefaultTimeoutThreshold
 	}
 	h.cfg = cfg
-	h.enabled = true
 	h.reactive = cfg.TimeoutThreshold > 0 && !f.sharded
 
 	edgeTimes := make(map[sim.Time]bool)

@@ -14,20 +14,17 @@ import (
 type fabObs struct {
 	rec *telemetry.Recorder
 
-	wanTxBytes     *telemetry.Counter
-	wanTxPkts      *telemetry.Counter
-	wanBusy        *telemetry.Counter        // cumulative serialization (busy) time, ns
-	wanQueueWait   *telemetry.Histogram      // egress queueing ahead of serialization, ns
-	wanQueueWaitHi *telemetry.HiResHistogram // same site, percentile resolution
-	wanUtilHist    *telemetry.Histogram      // per-packet busy-time share of elapsed time, permille
-	rcWindow       *telemetry.Histogram      // in-flight window occupancy at launch
-	rcWindowHi     *telemetry.HiResHistogram // same site, percentile resolution
-	rcSendQ        *telemetry.Histogram      // send-queue depth behind the window
-	rcRetransmits  *telemetry.Counter
-	rcGiveUps      *telemetry.Counter // retry budgets exhausted
-	qpErrors       *telemetry.Counter // QP error-state transitions
-	udRecvDrops    *telemetry.Counter
-	linkDrops      *telemetry.Counter
+	wanTxBytes    *telemetry.Counter
+	wanTxPkts     *telemetry.Counter
+	wanBusy       *telemetry.Counter        // cumulative serialization (busy) time, ns
+	wanQueueWait  *telemetry.HiResHistogram // egress queueing ahead of serialization, ns
+	rcWindow      *telemetry.HiResHistogram // in-flight window occupancy at launch
+	rcSendQ       *telemetry.Histogram      // send-queue depth behind the window
+	rcRetransmits *telemetry.Counter
+	rcGiveUps     *telemetry.Counter // retry budgets exhausted
+	qpErrors      *telemetry.Counter // QP error-state transitions
+	udRecvDrops   *telemetry.Counter
+	linkDrops     *telemetry.Counter
 
 	// Bounded link queues (congestion model).
 	wanQueueDepth    *telemetry.HiResHistogram // queue depth at admission, bytes
@@ -79,18 +76,15 @@ func newFabObs(tel *telemetry.Telemetry) *fabObs {
 		// deterministic under concurrent points (a gauge here would be
 		// last-write-wins) and the sampler/exporters divide per-interval
 		// busy deltas by wall (sim) time.
-		wanBusy:        m.Counter("wan.link.busy.ns"),
-		wanQueueWait:   m.Histogram("wan.link.queue.wait.ns"),
-		wanQueueWaitHi: m.HiRes("wan.link.queue.wait.ns"),
-		wanUtilHist:    m.Histogram("wan.link.utilization.permille"),
-		rcWindow:       m.Histogram("ib.rc.window.occupancy"),
-		rcWindowHi:     m.HiRes("ib.rc.window.occupancy"),
-		rcSendQ:        m.Histogram("ib.rc.sendq.depth"),
-		rcRetransmits:  m.Counter("ib.rc.retransmits"),
-		rcGiveUps:      m.Counter("ib.rc.retry.exhausted"),
-		qpErrors:       m.Counter("ib.qp.errors"),
-		udRecvDrops:    m.Counter("ib.ud.recv.drops"),
-		linkDrops:      m.Counter("ib.link.drops"),
+		wanBusy:       m.Counter("wan.link.busy.ns"),
+		wanQueueWait:  m.HiRes("wan.link.queue.wait.ns"),
+		rcWindow:      m.HiRes("ib.rc.window.occupancy"),
+		rcSendQ:       m.Histogram("ib.rc.sendq.depth"),
+		rcRetransmits: m.Counter("ib.rc.retransmits"),
+		rcGiveUps:     m.Counter("ib.rc.retry.exhausted"),
+		qpErrors:      m.Counter("ib.qp.errors"),
+		udRecvDrops:   m.Counter("ib.ud.recv.drops"),
+		linkDrops:     m.Counter("ib.link.drops"),
 
 		wanQueueDepth:    m.HiRes("wan.link.queue.depth"),
 		wanECNMarks:      m.Counter("wan.link.ecn.marks"),

@@ -75,7 +75,6 @@ func (q *QP) kick() {
 		q.inflight[t.id] = t
 		if obs != nil {
 			obs.rcWindow.Observe(int64(len(q.inflight)))
-			obs.rcWindowHi.Observe(int64(len(q.inflight)))
 		}
 		q.launch(t)
 	}

@@ -97,7 +97,7 @@ type NetDev struct {
 	conns   map[ib.LID]*ib.QP // connected-mode per-peer QPs
 	qps     map[int]*ib.QP    // every QP of the interface by QPN, for receive reposts
 	handler Handler
-	window  int // RC in-flight window override (0 = default)
+	window  int // connected-mode RC in-flight window
 	rxPkts  int64
 	txPkts  int64
 }
@@ -168,10 +168,6 @@ func (d *NetDev) Env() *sim.Env { return d.hca.Env() }
 
 // SetHandler installs the receive callback (e.g. the TCP demultiplexer).
 func (d *NetDev) SetHandler(h Handler) { d.handler = h }
-
-// SetWindow overrides the connected-mode RC in-flight window; it must be
-// set before the first Send to a peer.
-func (d *NetDev) SetWindow(w int) { d.window = w }
 
 // TxPackets and RxPackets report interface counters.
 func (d *NetDev) TxPackets() int64 { return d.txPkts }

@@ -56,13 +56,6 @@ type Config struct {
 	CopyPerByteNanos float64
 	// RecvPool is the number of preposted receives per QP.
 	RecvPool int
-	// RndvTimeout, when positive, arms a watchdog on every rendezvous
-	// send: if the CTS has not arrived when it fires, the stall is
-	// counted and — if the connection toward the peer has moved to the
-	// error state — the job aborts with a deterministic communication
-	// failure. Zero (the default) arms no timers, so fault-free runs
-	// schedule no extra events.
-	RndvTimeout sim.Time
 }
 
 // DefaultEagerThreshold is the MVAPICH2 default rendezvous switch point.
@@ -102,13 +95,11 @@ type World struct {
 // the rendezvous/eager counters and latency histograms the paper's §3.4
 // analysis needs.
 type mpiObs struct {
-	rec         *telemetry.Recorder
-	eagerMsgs   *telemetry.Counter
-	rndvMsgs    *telemetry.Counter
-	msgBytes    *telemetry.Histogram
-	handshake   *telemetry.Histogram      // RTS -> CTS round trip, ns
-	handshakeHi *telemetry.HiResHistogram // same site, percentile resolution
-	rndvStalls  *telemetry.Counter        // rendezvous watchdog expiries without a CTS
+	rec       *telemetry.Recorder
+	eagerMsgs *telemetry.Counter
+	rndvMsgs  *telemetry.Counter
+	msgBytes  *telemetry.Histogram
+	handshake *telemetry.HiResHistogram // RTS -> CTS round trip, ns
 }
 
 // MessageProfile is the world's send-side message-size census — the
@@ -188,13 +179,11 @@ func NewWorld(env *sim.Env, placement []*cluster.Node, cfg Config) *World {
 	if tel := telemetry.FromEnv(env); tel != nil && (tel.Metrics != nil || tel.Spans != nil) {
 		m := tel.Metrics
 		w.obs = &mpiObs{
-			rec:         tel.Spans,
-			eagerMsgs:   m.Counter("mpi.eager.msgs"),
-			rndvMsgs:    m.Counter("mpi.rndv.msgs"),
-			msgBytes:    m.Histogram("mpi.msg.bytes"),
-			handshake:   m.Histogram("mpi.rndv.handshake.ns"),
-			handshakeHi: m.HiRes("mpi.rndv.handshake.ns"),
-			rndvStalls:  m.Counter("mpi.rndv.stalls"),
+			rec:       tel.Spans,
+			eagerMsgs: m.Counter("mpi.eager.msgs"),
+			rndvMsgs:  m.Counter("mpi.rndv.msgs"),
+			msgBytes:  m.Histogram("mpi.msg.bytes"),
+			handshake: m.HiRes("mpi.rndv.handshake.ns"),
 		}
 	}
 	for i, node := range placement {

@@ -23,7 +23,7 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, data []byte, size int) *Request 
 		panic(fmt.Sprintf("mpi: Isend to invalid rank %d", dst))
 	}
 	req := &Request{
-		rank: r, done: r.env().NewEvent(), isSend: true,
+		rank: r, done: r.env().NewEvent(),
 		peer: dst, tag: tag, size: size, data: data,
 	}
 	r.world.profile.record(size)
@@ -67,31 +67,7 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, data []byte, size int) *Request 
 	r.rndv[m.sendReq] = req
 	req.rtsAt = r.env().Now()
 	r.ctrlSend(peer, m, nil, req.span)
-	if r.world.cfg.RndvTimeout > 0 && peer.node != r.node {
-		r.armRndvWatchdog(m.sendReq, peer)
-	}
 	return req
-}
-
-// armRndvWatchdog schedules the rendezvous stall check for an outstanding
-// RTS. Each expiry without a CTS counts a stall; the watchdog re-arms
-// until the handshake completes — unless the connection toward the peer
-// has errored, in which case waiting longer cannot help and the job aborts
-// deterministically (the RTS or its CTS died with the connection).
-func (r *Rank) armRndvWatchdog(sendReq int64, peer *Rank) {
-	r.env().At(r.world.cfg.RndvTimeout, func() {
-		if _, waiting := r.rndv[sendReq]; !waiting {
-			return // CTS arrived
-		}
-		if obs := r.world.obs; obs != nil {
-			obs.rndvStalls.Add(1)
-		}
-		if r.qpTo(peer).Errored() {
-			panic(fmt.Sprintf("mpi: rank %d: rendezvous to rank %d timed out on errored connection (communication failure)",
-				r.id, peer.id))
-		}
-		r.armRndvWatchdog(sendReq, peer)
-	})
 }
 
 // Irecv posts a nonblocking receive matching (src, tag); src may be

@@ -33,17 +33,13 @@ type mpiMsg struct {
 
 // Request is a pending nonblocking operation.
 type Request struct {
-	rank   *Rank
-	done   *sim.Event
-	isSend bool
-	peer   int // destination (send) / source or AnySource (recv)
-	tag    int
-	size   int    // send size / recv capacity
-	data   []byte // send payload / recv landing buffer
-	mr     *ib.MR // rendezvous receive region
-
-	// rndvPeer is the receiver's request, learned from CTS (sender side).
-	rndvPeer *Request
+	rank *Rank
+	done *sim.Event
+	peer int // destination (send) / source or AnySource (recv)
+	tag  int
+	size int    // send size / recv capacity
+	data []byte // send payload / recv landing buffer
+	mr   *ib.MR // rendezvous receive region
 
 	// Results (valid after completion).
 	recvSize int // actual bytes received
@@ -166,10 +162,8 @@ func (r *Rank) handleMsg(p *sim.Proc, m *mpiMsg) {
 			panic(fmt.Sprintf("mpi: CTS for unknown send request %d at rank %d", m.sendReq, r.id))
 		}
 		delete(r.rndv, m.sendReq)
-		req.rndvPeer = m.recvReq
 		if obs := r.world.obs; obs != nil {
 			obs.handshake.Observe(int64(r.env().Now() - req.rtsAt))
-			obs.handshakeHi.Observe(int64(r.env().Now() - req.rtsAt))
 		}
 		peer := r.world.ranks[req.peer]
 		qp := r.qpTo(peer)
@@ -299,7 +293,6 @@ func (r *Rank) handleShmMsg(m *mpiMsg) {
 		delete(r.rndv, m.sendReq)
 		if obs := r.world.obs; obs != nil {
 			obs.handshake.Observe(int64(r.env().Now() - req.rtsAt))
-			obs.handshakeHi.Observe(int64(r.env().Now() - req.rtsAt))
 		}
 		env := r.env()
 		d := sim.Time(float64(req.size) * ShmPerByteNanos)

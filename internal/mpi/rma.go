@@ -94,7 +94,7 @@ func (w *Win) Put(p *sim.Proc, target int, data []byte, size, targetOff int) {
 		panic(fmt.Sprintf("mpi: Put beyond window bounds: off=%d size=%d win=%d", targetOff, size, w.size))
 	}
 	peer := r.world.ranks[target]
-	req := &Request{rank: r, done: r.env().NewEvent(), isSend: true, peer: target, size: size}
+	req := &Request{rank: r, done: r.env().NewEvent(), peer: target, size: size}
 	r.world.profile.record(size)
 	qp := r.qpTo(peer)
 	qp.PostSend(ib.SendWR{

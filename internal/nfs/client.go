@@ -29,8 +29,7 @@ type clientObs struct {
 	rec   *telemetry.Recorder
 	track telemetry.TrackID
 	calls *telemetry.Counter
-	lat   *telemetry.Histogram
-	latHi *telemetry.HiResHistogram
+	lat   *telemetry.HiResHistogram
 }
 
 // NewClient wraps a connected RPC transport as an NFS mount.
@@ -47,8 +46,7 @@ func NewClientOn(node *cluster.Node, t rpc.Client) *Client {
 			env:   env,
 			rec:   tel.Spans,
 			calls: tel.Metrics.Counter("nfs.rpc.calls"),
-			lat:   tel.Metrics.Histogram("nfs.rpc.latency.ns"),
-			latHi: tel.Metrics.HiRes("nfs.rpc.latency.ns"),
+			lat:   tel.Metrics.HiRes("nfs.rpc.latency.ns"),
 		}
 		if tel.Spans != nil {
 			c.obs.track = tel.Spans.Track(node.Name, "nfs")
@@ -74,7 +72,6 @@ func (c *Client) call(p *sim.Proc, name string, req *rpc.Request) (*rpc.Reply, i
 	now := obs.env.Now()
 	obs.calls.Add(1)
 	obs.lat.Observe(int64(now - start))
-	obs.latHi.Observe(int64(now - start))
 	if obs.rec != nil {
 		obs.rec.EndAt(now, ref)
 	}

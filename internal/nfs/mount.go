@@ -11,71 +11,19 @@ import (
 // nfsPort is the TCP port the NFS/TCP service listens on.
 const nfsPort = 2049
 
-// Default soft-mount timing (the timeo/retrans mount options).
-const (
-	// DefaultTimeout is the per-attempt RPC reply timeout of a mount that
-	// opted into RPC-layer timers.
-	DefaultTimeout = 200 * sim.Millisecond
-	// DefaultRetrans is a soft mount's retransmission budget before an op
-	// fails with rpc.ErrTimeout.
-	DefaultRetrans = 3
-)
-
-// MountOptions are the fault-tolerance mount options (hard/soft, timeo,
-// retrans). The zero value is a plain hard mount with no RPC-layer timers —
-// exactly the pre-fault behavior, so fault-free runs schedule no extra
-// events. Note that even a hard mount's ops fail fast when the transport
-// underneath dies (a reset TCP connection, an errored QP): hardness only
-// governs reply timeouts, which cannot be outwaited on a dead transport.
-type MountOptions struct {
-	// Soft makes ops fail with rpc.ErrTimeout after Retrans unanswered
-	// retransmissions instead of retrying forever.
-	Soft bool
-	// Timeout is the per-attempt reply timeout (0 with Soft selects
-	// DefaultTimeout; 0 without Soft arms no timers).
-	Timeout sim.Time
-	// Retrans is the soft-mount retransmission budget (0 with Soft selects
-	// DefaultRetrans).
-	Retrans int
-}
-
-// policy translates mount options into the RPC client's call policy.
-func (o MountOptions) policy() rpc.Policy {
-	pol := rpc.Policy{Timeout: o.Timeout, Retrans: o.Retrans, Hard: !o.Soft}
-	if o.Soft {
-		if pol.Timeout == 0 {
-			pol.Timeout = DefaultTimeout
-		}
-		if pol.Retrans == 0 {
-			pol.Retrans = DefaultRetrans
-		}
-	}
-	return pol
-}
-
-func pick(opts []MountOptions) MountOptions {
-	if len(opts) > 0 {
-		return opts[0]
-	}
-	return MountOptions{}
-}
-
 // MountRDMA stands up an NFS/RDMA server on serverNode and returns it with
 // a client mounted from clientNode.
-func MountRDMA(serverNode, clientNode *cluster.Node, opts ...MountOptions) (*Server, *Client) {
+func MountRDMA(serverNode, clientNode *cluster.Node) (*Server, *Client) {
 	srv := NewServer(serverNode, RDMATouchNanos)
 	rsrv := rpc.ServeRDMA(serverNode, DefaultThreads, srv.Handler())
-	rc := rpc.NewRDMAClient(clientNode, rsrv)
-	rc.SetPolicy(pick(opts).policy())
-	cl := NewClientOn(clientNode, rc)
-	return srv, cl
+	return srv, NewClientOn(clientNode, rpc.NewRDMAClient(clientNode, rsrv))
 }
 
 // MountTCP stands up an NFS server over TCP/IPoIB in the given IPoIB mode
 // and returns it with a client mounted from clientNode. The mount is
 // performed inside a short simulation run (TCP handshake); under fault
 // injection it can fail with the dial's error.
-func MountTCP(env *sim.Env, serverNode, clientNode *cluster.Node, mode ipoib.Mode, opts ...MountOptions) (*Server, *Client, error) {
+func MountTCP(env *sim.Env, serverNode, clientNode *cluster.Node, mode ipoib.Mode) (*Server, *Client, error) {
 	net := ipoib.NewNetwork()
 	sdev := net.Attach(serverNode.HCA, mode, 0)
 	cdev := net.Attach(clientNode.HCA, mode, 0)
@@ -90,7 +38,6 @@ func MountTCP(env *sim.Env, serverNode, clientNode *cluster.Node, mode ipoib.Mod
 		if err != nil {
 			mountErr = err
 		} else {
-			tc.SetPolicy(pick(opts).policy())
 			cl = NewClientOn(clientNode, tc)
 		}
 		env.Stop()

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/ib"
@@ -39,28 +38,9 @@ type rdmaWire struct {
 // RDMAClient is the NFS/RDMA client transport: one RC connection to the
 // server, small sends for headers, direct data placement for bulk.
 type RDMAClient struct {
-	env     *sim.Env
-	node    *cluster.Node
-	qp      *ib.QP
-	policy  Policy
-	nextXID uint64
-	pending map[uint64]*rdmaCall
-	// timeouts holds the armed per-attempt reply timeouts: one policy, one
-	// length, so they expire in the order armed.
-	timeouts sim.Pipe
-	// err, once set, is the transport's terminal failure: the RC
-	// connection's retry budget ran out and the QP moved to the error
-	// state, so every pending and future call fails with it.
-	err error
-}
-
-type rdmaCall struct {
-	xid   uint64
-	done  *sim.Event
-	req   *Request
-	reply *Reply
-	bulkN int
-	err   error
+	core
+	node *cluster.Node
+	qp   *ib.QP
 }
 
 // RDMAServer is the server side of the RDMA transport.
@@ -102,11 +82,11 @@ func (s *RDMAServer) complete(c ib.Completion) {
 	}
 	switch c.Op {
 	case ib.OpRecv:
-		s.repostByQPN(c.QPN)
+		qp := s.qpToClient(c.QPN)
+		qp.PostRecv(ib.RecvWR{})
 		w := c.Meta.(*rdmaWire)
-		localQPN := c.QPN
 		s.env.Go("rpc-rdma-handler", func(ph *sim.Proc) {
-			s.serve(ph, w, localQPN)
+			s.serve(ph, w, qp)
 		})
 	case ib.OpRDMAWrite, ib.OpRDMARead:
 		s.fragmentDone(c)
@@ -130,15 +110,6 @@ type fragGroup struct {
 	done      *sim.Event
 }
 
-func (s *RDMAServer) repostByQPN(qpn int) {
-	for _, qp := range s.qps {
-		if qp.QPN() == qpn {
-			qp.PostRecv(ib.RecvWR{})
-			return
-		}
-	}
-}
-
 // qpToClient returns the server-side QP the call arrived on; replies and
 // direct data placement flow back over the same connection.
 func (s *RDMAServer) qpToClient(localQPN int) *ib.QP {
@@ -152,10 +123,9 @@ func (s *RDMAServer) qpToClient(localQPN int) *ib.QP {
 
 // serve runs one call: fetch WRITE data by RDMA read, invoke the handler,
 // place READ data by fragmented RDMA writes, send the reply.
-func (s *RDMAServer) serve(p *sim.Proc, w *rdmaWire, localQPN int) {
+func (s *RDMAServer) serve(p *sim.Proc, w *rdmaWire, qp *ib.QP) {
 	s.threads.Acquire(p)
 	defer s.threads.Release()
-	qp := s.qpToClient(localQPN)
 	req := &Request{Proc: w.proc, Meta: w.meta, ReadLen: w.readLen}
 	// Pull WRITE bulk from the client by RDMA read, fragment by fragment.
 	if w.wlen > 0 {
@@ -211,7 +181,8 @@ func CtrlWire(metaLen int) int { return headerBytes + metaLen }
 // NewRDMAClient connects an RPC-over-RDMA client on the node to the server.
 func NewRDMAClient(node *cluster.Node, srv *RDMAServer) *RDMAClient {
 	env := node.HCA.Env()
-	c := &RDMAClient{env: env, node: node, pending: make(map[uint64]*rdmaCall), timeouts: env.NewPipe()}
+	c := &RDMAClient{node: node}
+	c.core = newCore(env, c.post)
 	cq := ib.NewCQ(env)
 	local, remote := ib.CreateRCPair(node.HCA, srv.node.HCA, cq, srv.cq,
 		ib.QPConfig{MaxInflight: rdmaQPWindow})
@@ -229,9 +200,12 @@ func NewRDMAClient(node *cluster.Node, srv *RDMAServer) *RDMAClient {
 func (c *RDMAClient) complete(comp ib.Completion) {
 	if comp.Status != ib.StatusOK {
 		// The RC connection gave up (retry budget exhausted) and flushed its
-		// queues: the transport is dead. Fail everything pending; further
-		// error completions drain through fail as no-ops.
-		c.fail(comp.Status)
+		// queues: the transport is dead. The first error completion fails
+		// everything pending; the rest of the flush drains here without
+		// formatting an error each.
+		if c.err == nil {
+			c.fail(fmt.Errorf("rpc: rdma transport failure: %s", comp.Status))
+		}
 		return
 	}
 	if comp.Op != ib.OpRecv {
@@ -242,74 +216,27 @@ func (c *RDMAClient) complete(comp ib.Completion) {
 	if !w.isReply {
 		return
 	}
-	call := c.pending[w.xid]
-	if call == nil {
-		return // late reply for a timed-out call
+	cl := c.take(w.xid)
+	if cl == nil {
+		return
 	}
-	delete(c.pending, w.xid)
-	call.reply = &Reply{Meta: w.meta, BulkLen: w.bulkLen}
-	call.bulkN = w.bulkLen
-	if call.req.ReadBuf == nil && w.bulkLen > call.req.ReadLen {
-		call.bulkN = call.req.ReadLen
+	// Bulk was placed directly; a synthetic read reports at most its capacity.
+	n := w.bulkLen
+	if cl.req.ReadBuf == nil && n > cl.req.ReadLen {
+		n = cl.req.ReadLen
 	}
-	call.done.Trigger(nil)
+	cl.resolve(&Reply{Meta: w.meta, BulkLen: w.bulkLen}, n)
 }
 
-// SetPolicy installs the client's call timeout policy (an NFS mount's
-// timeo/retrans options). The zero Policy — the default — arms no timers.
-func (c *RDMAClient) SetPolicy(pol Policy) { c.policy = pol }
-
-// fail marks the transport dead and fails every pending call, in XID order
-// so faulted output is deterministic regardless of map iteration.
-func (c *RDMAClient) fail(st ib.Status) {
-	if c.err == nil {
-		c.err = fmt.Errorf("rpc: rdma transport failure: %s", st)
-	}
-	xids := make([]uint64, 0, len(c.pending))
-	for xid := range c.pending {
-		xids = append(xids, xid)
-	}
-	sort.Slice(xids, func(i, j int) bool { return xids[i] < xids[j] })
-	for _, xid := range xids {
-		call := c.pending[xid]
-		delete(c.pending, xid)
-		call.err = c.err
-		call.done.Trigger(nil)
-	}
-}
-
-// armTimeout schedules the per-attempt reply timeout for a call: each
-// expiry re-sends the header message (same XID), or fails the call with
-// ErrTimeout once a soft policy's budget is spent.
-func (c *RDMAClient) armTimeout(call *rdmaCall, w *rdmaWire, tries int) {
-	c.timeouts.At(c.policy.Timeout, func() {
-		if call.done.Triggered() {
-			return
-		}
-		if !c.policy.Hard && tries >= c.policy.Retrans {
-			delete(c.pending, call.xid)
-			call.err = ErrTimeout
-			call.done.Trigger(nil)
-			return
-		}
-		c.qp.PostSend(ib.SendWR{Op: ib.OpSend, Len: CtrlWire(len(call.req.Meta)), Meta: w})
-		c.armTimeout(call, w, tries+1)
-	})
-}
-
-// Call implements Client.
-func (c *RDMAClient) Call(p *sim.Proc, req *Request) (*Reply, int, error) {
-	if c.err != nil {
-		return nil, 0, c.err
-	}
-	c.nextXID++
-	call := &rdmaCall{xid: c.nextXID, done: c.env.NewEvent(), req: req}
-	c.pending[c.nextXID] = call
+// post advertises the call's bulk regions for direct placement and sends
+// its header message.
+func (c *RDMAClient) post(cl *call) {
+	req := cl.req
 	w := &rdmaWire{
-		xid: c.nextXID, proc: req.Proc, meta: req.Meta,
+		xid: cl.xid, proc: req.Proc, meta: req.Meta,
 		readLen: req.readCap(), wlen: req.writeLen(),
 	}
-	if req.readCap() > 0 {
+	if w.readLen > 0 {
 		if req.ReadBuf != nil {
 			w.readMR = c.node.HCA.RegisterMR(req.ReadBuf)
 		} else {
@@ -324,12 +251,4 @@ func (c *RDMAClient) Call(p *sim.Proc, req *Request) (*Reply, int, error) {
 		}
 	}
 	c.qp.PostSend(ib.SendWR{Op: ib.OpSend, Len: CtrlWire(len(req.Meta)), Meta: w})
-	if c.policy.Timeout > 0 {
-		c.armTimeout(call, w, 0)
-	}
-	p.Wait(call.done)
-	if call.err != nil {
-		return nil, 0, call.err
-	}
-	return call.reply, call.bulkN, nil
 }

@@ -16,32 +16,10 @@ package rpc
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
+	"sort"
 
 	"repro/internal/sim"
 )
-
-// ErrTimeout reports that a call exhausted its retransmission budget (a
-// soft mount's op timeout). The value is fixed so faulted experiment output
-// stays deterministic.
-var ErrTimeout = errors.New("rpc: call timed out")
-
-// Policy bounds how long a client waits for replies. The zero value —
-// no RPC-layer timers at all, relying on the transport's own recovery —
-// is the default; fault-free runs schedule no extra events.
-type Policy struct {
-	// Timeout is the per-attempt reply timeout; 0 disables RPC-layer
-	// timeouts entirely.
-	Timeout sim.Time
-	// Retrans is the number of retransmissions after the first timeout
-	// before the call fails with ErrTimeout (soft-mount semantics).
-	Retrans int
-	// Hard retries timed-out calls forever (hard-mount semantics).
-	// Transport failures — a reset TCP connection, an errored QP — still
-	// fail calls immediately: retrying a dead transport cannot succeed.
-	Hard bool
-}
 
 // Fragment is the RDMA direct-data-placement chunk size.
 const Fragment = 4096
@@ -101,11 +79,89 @@ type Client interface {
 	// Call performs the RPC, blocking the calling process until the reply
 	// (and any bulk data) has arrived. It returns the reply metadata and
 	// the number of bulk bytes placed into ReadBuf. Under fault injection
-	// a call can fail instead: with ErrTimeout when the client's Policy
-	// budget runs out, or with the transport's terminal error when the
-	// connection underneath dies. The reply is nil exactly when the error
-	// is non-nil.
+	// a call can fail instead, with the transport's terminal error: the
+	// connection underneath died (a reset TCP connection, an errored QP).
+	// The reply is nil exactly when the error is non-nil.
 	Call(p *sim.Proc, req *Request) (*Reply, int, error)
+}
+
+// call is one outstanding RPC.
+type call struct {
+	xid   uint64
+	done  *sim.Event
+	req   *Request
+	reply *Reply
+	bulkN int
+	err   error
+}
+
+// resolve completes the call with its reply and wakes the caller.
+func (cl *call) resolve(reply *Reply, bulkN int) {
+	cl.reply, cl.bulkN = reply, bulkN
+	cl.done.Trigger(nil)
+}
+
+// core is the call handling both transports share: XID allocation, the
+// table of outstanding calls, and failing them all when the transport
+// dies. TCPClient and RDMAClient embed it and differ only in how a call's
+// bytes move. Multiple processes may call concurrently; replies are
+// matched by XID.
+type core struct {
+	env *sim.Env
+	// send puts a registered call on the wire; bound once at construction.
+	send    func(*call)
+	nextXID uint64
+	pending map[uint64]*call
+	// err, once set, is the transport's terminal failure (the TCP
+	// connection reset, the RC QP moved to the error state): every pending
+	// and future call fails with it.
+	err error
+}
+
+func newCore(env *sim.Env, send func(*call)) core {
+	return core{env: env, send: send, pending: make(map[uint64]*call)}
+}
+
+// Call implements Client.
+func (c *core) Call(p *sim.Proc, req *Request) (*Reply, int, error) {
+	if c.err != nil {
+		return nil, 0, c.err
+	}
+	c.nextXID++
+	cl := &call{xid: c.nextXID, done: c.env.NewEvent(), req: req}
+	c.pending[cl.xid] = cl
+	c.send(cl)
+	p.Wait(cl.done)
+	return cl.reply, cl.bulkN, cl.err
+}
+
+// take removes and returns the pending call a reply's XID names. It is nil
+// for a reply that outlived its call: the transport failed, and fail
+// already answered everything pending.
+func (c *core) take(xid uint64) *call {
+	cl := c.pending[xid]
+	delete(c.pending, xid)
+	return cl
+}
+
+// fail marks the transport dead with its first error and fails every
+// pending call, in XID order so faulted output is deterministic regardless
+// of map iteration.
+func (c *core) fail(err error) {
+	if c.err != nil {
+		return
+	}
+	c.err = err
+	xids := make([]uint64, 0, len(c.pending))
+	for xid := range c.pending {
+		xids = append(xids, xid)
+	}
+	sort.Slice(xids, func(i, j int) bool { return xids[i] < xids[j] })
+	for _, xid := range xids {
+		cl := c.take(xid)
+		cl.err = err
+		cl.done.Trigger(nil)
+	}
 }
 
 // marshalHeader/unmarshalHeader frame the fixed fields.
@@ -126,10 +182,4 @@ func unmarshalHeader(b []byte) (xid uint64, proc uint32, metaLen, bulkLen, readL
 	bulkLen = int(binary.LittleEndian.Uint32(b[16:]))
 	readLen = int(binary.LittleEndian.Uint32(b[20:]))
 	return
-}
-
-func check(cond bool, msg string) {
-	if !cond {
-		panic(fmt.Sprintf("rpc: %s", msg))
-	}
 }

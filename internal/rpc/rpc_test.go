@@ -3,9 +3,11 @@ package rpc
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/fault"
 	"repro/internal/ipoib"
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
@@ -44,112 +46,165 @@ func echoHandler(p *sim.Proc, req *Request) *Reply {
 	return rep
 }
 
-func TestTCPTransportEcho(t *testing.T) {
-	env, tb := testbed(sim.Micros(100))
-	defer env.Shutdown()
-	net := ipoib.NewNetwork()
-	ss := tcpsim.NewStack(net.Attach(tb.B[0].HCA, ipoib.Connected, 0), tcpsim.Config{})
-	cs := tcpsim.NewStack(net.Attach(tb.A[0].HCA, ipoib.Connected, 0), tcpsim.Config{})
-	ServeTCP(ss, 9999, 4, echoHandler)
-	payload := make([]byte, 100000)
-	rand.New(rand.NewSource(2)).Read(payload)
-	env.Go("client", func(p *sim.Proc) {
-		cl, err := NewTCPClient(p, cs, ss.Addr(), 9999)
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			env.Stop()
-			return
-		}
-		buf := make([]byte, len(payload))
-		reply, n, err := cl.Call(p, &Request{
-			Proc: 7, Meta: []byte("abc"), WriteBulk: payload, ReadBuf: buf,
-		})
-		if err != nil {
-			t.Errorf("call: %v", err)
-			env.Stop()
-			return
-		}
-		if string(reply.Meta) != "cba" {
-			t.Errorf("meta = %q", reply.Meta)
-		}
-		if n != len(payload) || !bytes.Equal(buf, payload) {
-			t.Errorf("bulk echo mismatch: n=%d", n)
-		}
-		env.Stop()
-	})
-	env.Run()
+// transports is the table TestTransports runs every scenario against: the
+// two transports share one call core, so they must behave alike in
+// everything but how the bytes move. serve starts a server on tb.B[0] and
+// returns the dial of a client on tb.A[0].
+var transports = []struct {
+	name  string
+	serve serveFunc
+}{
+	{"tcp-rc", serveTCP(ipoib.Connected)},
+	{"tcp-ud", serveTCP(ipoib.Datagram)},
+	{"rdma", func(tb *cluster.Testbed, threads int, h Handler) dialFunc {
+		srv := ServeRDMA(tb.B[0], threads, h)
+		return func(*sim.Proc) (Client, error) { return NewRDMAClient(tb.A[0], srv), nil }
+	}},
 }
 
-func TestTCPConcurrentCallsXIDMatching(t *testing.T) {
-	env, tb := testbed(sim.Micros(100))
-	defer env.Shutdown()
-	net := ipoib.NewNetwork()
-	ss := tcpsim.NewStack(net.Attach(tb.B[0].HCA, ipoib.Datagram, 0), tcpsim.Config{})
-	cs := tcpsim.NewStack(net.Attach(tb.A[0].HCA, ipoib.Datagram, 0), tcpsim.Config{})
-	// Handler sleeps inversely to the first meta byte so replies come
-	// back out of order relative to requests.
-	ServeTCP(ss, 9999, 8, func(p *sim.Proc, req *Request) *Reply {
-		p.Sleep(sim.Time(10-req.Meta[0]) * sim.Millisecond)
-		return &Reply{Meta: req.Meta}
-	})
-	const calls = 5
-	results := make([]byte, calls)
-	env.Go("main", func(p *sim.Proc) {
-		cl, err := NewTCPClient(p, cs, ss.Addr(), 9999)
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			env.Stop()
-			return
-		}
-		done := env.NewEvent()
-		left := calls
-		for i := 0; i < calls; i++ {
-			i := i
-			env.Go("call", func(pc *sim.Proc) {
-				reply, _, _ := cl.Call(pc, &Request{Proc: 1, Meta: []byte{byte(i)}})
-				results[i] = reply.Meta[0]
-				if left--; left == 0 {
-					done.Trigger(nil)
-				}
-			})
-		}
-		p.Wait(done)
-		env.Stop()
-	})
-	env.Run()
-	for i := 0; i < calls; i++ {
-		if results[i] != byte(i) {
-			t.Errorf("call %d got reply %d (XID mismatch)", i, results[i])
+type (
+	serveFunc func(tb *cluster.Testbed, threads int, h Handler) dialFunc
+	dialFunc  func(p *sim.Proc) (Client, error)
+)
+
+func serveTCP(mode ipoib.Mode) serveFunc {
+	return func(tb *cluster.Testbed, threads int, h Handler) dialFunc {
+		net := ipoib.NewNetwork()
+		// A small retransmission budget, so a dead WAN resets the
+		// connection within a few RTOs.
+		cfg := tcpsim.Config{MaxRetransmits: 2}
+		ss := tcpsim.NewStack(net.Attach(tb.B[0].HCA, mode, 0), cfg)
+		cs := tcpsim.NewStack(net.Attach(tb.A[0].HCA, mode, 0), cfg)
+		ServeTCP(ss, 9999, threads, h)
+		return func(p *sim.Proc) (Client, error) {
+			cl, err := NewTCPClient(p, cs, ss.Addr(), 9999)
+			if err != nil {
+				return nil, err
+			}
+			return cl, nil
 		}
 	}
 }
 
-func TestRDMATransportEcho(t *testing.T) {
-	env, tb := testbed(sim.Micros(100))
-	defer env.Shutdown()
-	srv := ServeRDMA(tb.B[0], 4, echoHandler)
-	cl := NewRDMAClient(tb.A[0], srv)
-	payload := make([]byte, 50000)
-	rand.New(rand.NewSource(3)).Read(payload)
-	env.Go("client", func(p *sim.Proc) {
-		buf := make([]byte, len(payload))
-		reply, n, err := cl.Call(p, &Request{
-			Proc: 9, Meta: []byte("xyz"), WriteBulk: payload, ReadBuf: buf,
+// fanOut issues n concurrent calls (meta = the call's index, in XID order)
+// and returns once all have come back, reporting each through done.
+func fanOut(p *sim.Proc, cl Client, n int, done func(i int, reply *Reply, err error)) {
+	env := p.Env()
+	all := env.NewEvent()
+	left := n
+	for i := 0; i < n; i++ {
+		i := i
+		env.Go("call", func(pc *sim.Proc) {
+			reply, _, err := cl.Call(pc, &Request{Proc: 1, Meta: []byte{byte(i)}})
+			done(i, reply, err)
+			if left--; left == 0 {
+				all.Trigger(nil)
+			}
 		})
-		if err != nil {
-			t.Errorf("call: %v", err)
-			env.Stop()
-			return
+	}
+	p.Wait(all)
+}
+
+func TestTransports(t *testing.T) {
+	scenarios := []struct {
+		name    string
+		handler Handler
+		body    func(t *testing.T, p *sim.Proc, cl Client, wan *fault.Injector)
+	}{
+		{"echo", echoHandler, func(t *testing.T, p *sim.Proc, cl Client, _ *fault.Injector) {
+			payload := make([]byte, 100000)
+			rand.New(rand.NewSource(2)).Read(payload)
+			buf := make([]byte, len(payload))
+			reply, n, err := cl.Call(p, &Request{Proc: 7, Meta: []byte("abc"), WriteBulk: payload, ReadBuf: buf})
+			if err != nil {
+				t.Errorf("call: %v", err)
+				return
+			}
+			if string(reply.Meta) != "cba" {
+				t.Errorf("meta = %q", reply.Meta)
+			}
+			if n != len(payload) || !bytes.Equal(buf, payload) {
+				t.Errorf("bulk echo mismatch: n=%d", n)
+			}
+		}},
+		// The handler sleeps inversely to the first meta byte, so replies
+		// come back in the reverse of request order.
+		{"xid-matching", func(p *sim.Proc, req *Request) *Reply {
+			p.Sleep(sim.Time(10-req.Meta[0]) * sim.Millisecond)
+			return &Reply{Meta: req.Meta}
+		}, func(t *testing.T, p *sim.Proc, cl Client, _ *fault.Injector) {
+			var order []int
+			fanOut(p, cl, 5, func(i int, reply *Reply, err error) {
+				order = append(order, i)
+				if err != nil || reply.Meta[0] != byte(i) {
+					t.Errorf("call %d got reply %v, err %v (XID mismatch)", i, reply, err)
+				}
+			})
+			if !reflect.DeepEqual(order, []int{4, 3, 2, 1, 0}) {
+				t.Errorf("replies arrived in order %v, want reversed", order)
+			}
+		}},
+		// The WAN dies mid-run with calls pending: the transport's retry
+		// budget runs out and every call fails with the transport's error,
+		// in XID order, as does any call made afterwards.
+		{"transport-death", echoHandler, func(t *testing.T, p *sim.Proc, cl Client, wan *fault.Injector) {
+			if _, _, err := cl.Call(p, &Request{Proc: 1, Meta: []byte{1}}); err != nil {
+				t.Errorf("call over the live WAN: %v", err)
+				return
+			}
+			wan.SetDown(true)
+			var order []int
+			var errs []error
+			fanOut(p, cl, 4, func(i int, reply *Reply, err error) {
+				order = append(order, i)
+				errs = append(errs, err)
+				if reply != nil {
+					t.Errorf("call %d: reply %v alongside error %v", i, reply, err)
+				}
+			})
+			if !reflect.DeepEqual(order, []int{0, 1, 2, 3}) {
+				t.Errorf("pending calls failed in order %v, want XID order", order)
+			}
+			for i, err := range errs {
+				if err == nil || err != errs[0] {
+					t.Errorf("call %d: err %v, want the transport's error %v", i, err, errs[0])
+				}
+			}
+			before := p.Env().Now()
+			if _, _, err := cl.Call(p, &Request{Proc: 1, Meta: []byte{1}}); err != errs[0] {
+				t.Errorf("call on the dead transport: err %v, want %v", err, errs[0])
+			}
+			if now := p.Env().Now(); now != before {
+				t.Errorf("call on the dead transport took %v, want an immediate failure", now-before)
+			}
+		}},
+	}
+	for _, tr := range transports {
+		for _, sc := range scenarios {
+			t.Run(tr.name+"/"+sc.name, func(t *testing.T) {
+				env, tb := testbed(sim.Micros(100))
+				defer env.Shutdown()
+				wan := fault.NewInjector(env, 1)
+				wan.AttachLink(tb.WAN.Link())
+				dial := tr.serve(tb, 8, sc.handler)
+				finished := false
+				env.Go("client", func(p *sim.Proc) {
+					defer env.Stop()
+					cl, err := dial(p)
+					if err != nil {
+						t.Errorf("dial: %v", err)
+						return
+					}
+					sc.body(t, p, cl, wan)
+					finished = true
+				})
+				env.Run()
+				if !finished && !t.Failed() {
+					t.Error("simulation drained with the client still blocked in a call")
+				}
+			})
 		}
-		if string(reply.Meta) != "zyx" {
-			t.Errorf("meta = %q", reply.Meta)
-		}
-		if n != len(payload) || !bytes.Equal(buf, payload) {
-			t.Errorf("RDMA bulk echo mismatch: n=%d", n)
-		}
-		env.Stop()
-	})
-	env.Run()
+	}
 }
 
 func TestRDMAFragmentation(t *testing.T) {

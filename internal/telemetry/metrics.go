@@ -259,9 +259,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // HiRes returns the high-resolution histogram registered under name,
-// creating it on first use. A hires histogram may share its name with a
-// coarse Histogram (the two are separate kinds); layers typically register
-// both and record into both at SLO-relevant sites.
+// creating it on first use. Coarse and hires histograms are separate kinds
+// with separate namespaces, but a site records into one of them: the
+// layers register each name under exactly one kind.
 func (r *Registry) HiRes(name string) *HiResHistogram {
 	if r == nil {
 		return nil
