@@ -76,6 +76,53 @@ func BenchmarkKernelProcHandoff(b *testing.B) {
 	reportKernelRate(b, env.Executed())
 }
 
+// BenchmarkKernelProcSpawn measures a process's whole life on a warm
+// carrier pool: each op is one Go, the first activation, the body's return
+// and the carrier's trip back to the free list. allocs/op is the figure to
+// read — the Proc itself; a cold carrier would add ten.
+func BenchmarkKernelProcSpawn(b *testing.B) {
+	env := sim.NewEnv()
+	body := func(p *sim.Proc) {}
+	env.Go("warm", body)
+	env.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.Go("spawned", body)
+		env.Run()
+	}
+	b.StopTimer()
+	reportKernelRate(b, env.Executed())
+}
+
+// TestKernelProcAllocs holds the process substrate's allocation budgets:
+// a warm spawn run to completion is the Proc and little else, and a Sleep
+// round trip — timer entry, trigger, switch to the process and back —
+// allocates nothing.
+func TestKernelProcAllocs(t *testing.T) {
+	env := sim.NewEnv()
+	body := func(p *sim.Proc) {}
+	spawn := testing.AllocsPerRun(1000, func() {
+		env.Go("spawned", body)
+		env.Run()
+	})
+	if spawn > 2 {
+		t.Errorf("warm Go+Run: %v allocs, want <= 2", spawn)
+	}
+	env.Go("sleeper", func(p *sim.Proc) {
+		for {
+			p.Sleep(sim.Microsecond)
+		}
+	})
+	sleep := testing.AllocsPerRun(1000, func() {
+		env.RunUntil(env.Now() + sim.Microsecond)
+	})
+	if sleep != 0 {
+		t.Errorf("Sleep round trip: %v allocs, want 0", sleep)
+	}
+	env.Shutdown()
+}
+
 // BenchmarkKernelQueue measures the blocking producer/consumer channel: a
 // bounded queue forces both put-side and get-side waits, as the MPI
 // progress engines do.

@@ -227,7 +227,7 @@ func (m *Meter) recordShardStats() (windows int64, horizon sim.Time) {
 }
 
 // close shuts down every tracked environment, killing parked processes so
-// their goroutines exit.
+// the goroutines carrying them return to the kernel's pool.
 func (m *Meter) close() {
 	for _, e := range m.envs {
 		e.Shutdown()

@@ -12,12 +12,10 @@ type Env struct {
 	now      Time
 	queue    entryHeap
 	seq      int64
-	yield    chan struct{} // proc -> scheduler handoff
-	current  *Proc
+	current  *Proc              // the running process; nil in scheduler context
 	procs    map[*Proc]struct{} // live (started, not finished) processes
 	stopped  bool               // set by Stop to end Run early
 	nprocs   int64              // counter for default proc names
-	fatal    string             // set when a process panics; re-raised by handoff
 	executed int64              // events dispatched so far
 	evFree   []*Event           // recycled Events (see AcquireEvent)
 	piped    int                // entries waiting in pipes behind their standing head
@@ -46,10 +44,7 @@ type Env struct {
 
 // NewEnv creates an empty simulation environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{
-		yield: make(chan struct{}),
-		procs: make(map[*Proc]struct{}),
-	}
+	return &Env{procs: make(map[*Proc]struct{})}
 }
 
 // Now returns the current virtual time.
@@ -192,6 +187,24 @@ func (e *Env) runNext() {
 	}
 }
 
+// schedulerOnly panics when a process of this environment (any shard's, on
+// a partitioned world) is running: the dispatch loop and Shutdown resume
+// processes, and a process that re-entered them would sooner or later
+// resume itself.
+func (e *Env) schedulerOnly() {
+	running := e.current
+	if w := e.world; w != nil {
+		for _, s := range w.shards {
+			if s.current != nil {
+				running = s.current
+			}
+		}
+	}
+	if running != nil {
+		panic(fmt.Sprintf("sim: Run, RunUntil, Step and Shutdown must be called from outside process context (process %q is running)", running.name))
+	}
+}
+
 // Run executes scheduled work until the event heap is empty or Stop is
 // called, and returns the final virtual time. Processes still blocked when
 // the heap drains are left parked; call Shutdown to unwind them.
@@ -203,6 +216,7 @@ func (e *Env) Run() Time { return e.RunUntil(Time(1<<62 - 1)) }
 // every shard under the conservative window protocol and returns when all
 // shard heaps are empty.
 func (e *Env) RunUntil(horizon Time) Time {
+	e.schedulerOnly()
 	if e.world != nil {
 		return e.runWorld(horizon)
 	}
@@ -233,6 +247,7 @@ func (e *Env) RunUntil(horizon Time) Time {
 
 // Step executes exactly one scheduled entry and reports whether one existed.
 func (e *Env) Step() bool {
+	e.schedulerOnly()
 	for !e.queue.empty() {
 		before := e.executed
 		e.runNext()
@@ -300,9 +315,10 @@ func (e *Env) Stop() {
 	e.stopped = true
 }
 
-// Shutdown forcibly kills every live process so their goroutines exit. It
-// must be called from outside process context (i.e., not from within a
-// Proc), typically after Run returns. The environment remains usable for
+// Shutdown forcibly kills every live process, so their bodies' defers run
+// and their carriers return to the free list (see proc.go). It must be
+// called from outside process context (i.e., not from within a Proc),
+// typically after Run returns. The environment remains usable for
 // inspection but no further processes should be started.
 //
 // Victims die in ascending id (creation) order. The live set is collected
@@ -311,6 +327,7 @@ func (e *Env) Stop() {
 // cleanup starts new processes, which — ids being monotonic — are always
 // killed after every process of the previous round, exactly as before.
 func (e *Env) Shutdown() {
+	e.schedulerOnly()
 	if w := e.world; w != nil {
 		// Kill shard by shard in index order; loop in case a victim's
 		// deferred cleanup starts a process on another shard.

@@ -33,9 +33,9 @@ func (e *Env) AcquireEvent() *Event {
 // reference to ev survives — no parked waiter, no pending callback, no
 // scheduled trigger. The canonical pattern is release immediately after a
 // Wait on the event returns. Events a peer may still observe (completion
-// events handed to user code, WaitAny composites) must use NewEvent and be
-// left to the garbage collector. The freelist is per-Env and therefore
-// deterministic: reuse order depends only on the simulation itself.
+// events handed to user code) must use NewEvent and be left to the garbage
+// collector. The freelist is per-Env and therefore deterministic: reuse
+// order depends only on the simulation itself.
 func (e *Env) ReleaseEvent(ev *Event) {
 	ev.triggered = false
 	ev.val = nil
@@ -84,15 +84,12 @@ func (ev *Event) TryTrigger(v any) bool {
 	return true
 }
 
-// onTrigger registers cb to run when the event fires; if it already fired,
-// cb is scheduled immediately.
-func (ev *Event) onTrigger(cb func(any)) {
+// OnTrigger registers cb to run (in scheduler context) when the event
+// fires; if it already fired, cb is scheduled immediately.
+func (ev *Event) OnTrigger(cb func(any)) {
 	if ev.triggered {
 		ev.env.scheduleArg(ev.env.now, cb, ev.val)
 		return
 	}
 	ev.callbacks = append(ev.callbacks, cb)
 }
-
-// OnTrigger registers cb to run (in scheduler context) when the event fires.
-func (ev *Event) OnTrigger(cb func(any)) { ev.onTrigger(cb) }

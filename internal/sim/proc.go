@@ -1,22 +1,105 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"sync"
+)
 
-// killSignal is delivered to a process's resume channel to unwind it.
+// killSignal is the wake value that unwinds a process: delivered by Kill,
+// it panics out of the process's pending yield so the body's defers run.
 type killSignal struct{}
 
-// Proc is a simulation process: a goroutine that runs cooperatively under
-// the environment's scheduler. At most one process (or the scheduler) runs
-// at any instant; a process only ever blocks in Wait, Sleep or the blocking
-// operations built on them.
+// Proc is a simulation process: a body that runs cooperatively under the
+// environment's scheduler, on a coroutine (see carrier). At most one
+// process (or the scheduler) runs at any instant; a process only ever
+// blocks in Wait, Sleep or the blocking operations built on them.
 type Proc struct {
 	env      *Env
 	id       int64
 	name     string
-	resume   chan any // scheduler -> process, carries the wait value
-	done     *Event   // triggered with the process result when it returns
+	fn       func(p *Proc)
+	car      *carrier // coroutine the body runs on, from first activation to exit
+	wake     any      // resumer -> process: the value the pending yield returns
+	done     *Event   // created by the first Done call
 	finished bool
 	killed   bool
+}
+
+// A carrier is a coroutine that runs process bodies, one after another.
+// Resuming a process is next() — a direct switch to the carrier's
+// goroutine that passes through no scheduler run queue and wakes no other
+// thread — and parking is yield(), the switch back to whoever called
+// next(). When its body returns or is killed the carrier parks between
+// bodies and is handed to the next process to start, in any environment, so
+// a world's processes cost no goroutine creation once the pool is warm.
+type carrier struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc // the process whose body runs at the next resume from idle
+}
+
+// maxIdleCarriers bounds the goroutines parked in the free list. The
+// experiments' largest worlds run some 130 processes (64 MPI ranks and
+// their progress engines), so this holds several of them finishing at once
+// under -par; a carrier released beyond it is stopped and its goroutine
+// exits.
+const maxIdleCarriers = 1024
+
+// idleCarriers is the process-wide free list. The mutex is taken once per
+// first activation and once per exit, never per resume.
+var idleCarriers struct {
+	sync.Mutex
+	free []*carrier
+}
+
+// acquireCarrier returns an idle carrier, or starts a new one, bound to p.
+func acquireCarrier(p *Proc) *carrier {
+	var c *carrier
+	idleCarriers.Lock()
+	if n := len(idleCarriers.free); n > 0 {
+		c = idleCarriers.free[n-1]
+		idleCarriers.free[n-1] = nil
+		idleCarriers.free = idleCarriers.free[:n-1]
+	}
+	idleCarriers.Unlock()
+	if c == nil {
+		c = new(carrier)
+		c.next, c.stop = iter.Pull(c.loop)
+	}
+	c.p = p
+	return c
+}
+
+// release returns a carrier whose body has finished to the free list. Only
+// the resumer may call it, and only after next() has returned: the carrier
+// is then parked in loop. Releasing from inside the coroutine, before it
+// has switched away, would let another goroutine (a -par worker, another
+// shard's worker) take it and call next() on a coroutine still running.
+func (c *carrier) release() {
+	c.p = nil
+	idleCarriers.Lock()
+	pooled := len(idleCarriers.free) < maxIdleCarriers
+	if pooled {
+		idleCarriers.free = append(idleCarriers.free, c)
+	}
+	idleCarriers.Unlock()
+	if !pooled {
+		c.stop()
+	}
+}
+
+// loop is the carrier's coroutine: run the bound process's body, park until
+// bound to another, repeat until stopped.
+func (c *carrier) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.p.run()
+		if !yield(struct{}{}) {
+			return
+		}
+	}
 }
 
 // Go starts a new process executing fn. The process body receives its own
@@ -27,71 +110,56 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	if name == "" {
 		name = fmt.Sprintf("proc-%d", e.nprocs)
 	}
-	p := &Proc{
-		env:    e,
-		id:     e.nprocs,
-		name:   name,
-		resume: make(chan any),
-		done:   e.NewEvent(),
-	}
+	p := &Proc{env: e, id: e.nprocs, name: name, fn: fn}
 	e.procs[p] = struct{}{}
-	go p.run(fn)
 	// First activation rides a typed resume entry (which skips killed or
 	// finished processes at dispatch), not a closure.
 	e.scheduleResume(e.now, p, nil)
 	return p
 }
 
-// run is the goroutine body wrapping the user function.
-func (p *Proc) run(fn func(p *Proc)) {
-	// Park until first activation.
-	v := <-p.resume
-	if _, dead := v.(killSignal); dead {
-		p.exit()
-		return
-	}
+// run executes the body on its carrier, from first activation to exit.
+// However the body ends — return, Kill, panic, runtime.Goexit — the process
+// is finished and off the live set before control leaves the coroutine. A
+// kill ends here and the carrier lives on; a genuine panic continues, with
+// the process named, through next() into the resumer, so it surfaces on
+// the scheduler side exactly as a panic in a callback would.
+func (p *Proc) run() {
 	defer func() {
-		if r := recover(); r != nil {
-			if _, dead := r.(killSignal); dead {
-				p.exit()
-				return
-			}
-			// A genuine panic in simulation code: surface it on the
-			// scheduler side rather than crashing a bare goroutine.
-			p.finished = true
-			delete(p.env.procs, p)
-			p.env.fatal = fmt.Sprintf("sim: panic in process %q: %v", p.name, r)
-			p.env.yield <- struct{}{}
-			return
+		r := recover()
+		p.finished = true
+		p.fn = nil // a retained handle must not pin what the body captured
+		delete(p.env.procs, p)
+		if p.done != nil {
+			p.done.Trigger(nil)
+		}
+		if _, dead := r.(killSignal); r != nil && !dead {
+			panic(fmt.Sprintf("sim: panic in process %q: %v", p.name, r))
 		}
 	}()
-	fn(p)
-	p.finished = true
-	delete(p.env.procs, p)
-	p.done.Trigger(nil)
-	p.env.yield <- struct{}{}
-}
-
-// exit unwinds a killed process.
-func (p *Proc) exit() {
-	p.finished = true
-	delete(p.env.procs, p)
-	p.done.Trigger(nil)
-	p.env.yield <- struct{}{}
+	// A process killed before its first activation never runs its body.
+	if !p.killed {
+		p.fn(p)
+	}
 }
 
 // handoff transfers control to process p, delivering v as the value its
-// pending Wait returns, and blocks until p yields back.
+// pending Wait returns, and returns when p parks or finishes. A panic or
+// runtime.Goexit in p's body propagates to the caller.
 func (e *Env) handoff(p *Proc, v any) {
 	prev := e.current
 	e.current = p
-	p.resume <- v
-	<-e.yield
-	e.current = prev
-	if e.fatal != "" {
-		msg := e.fatal
-		e.fatal = ""
-		panic(msg)
+	defer func() { e.current = prev }()
+	if p.car == nil {
+		// First activation: a process that is never resumed never
+		// occupies a carrier.
+		p.car = acquireCarrier(p)
+	}
+	p.wake = v
+	p.car.next()
+	if p.finished {
+		p.car.release()
+		p.car = nil
 	}
 }
 
@@ -104,9 +172,17 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
-// Done returns an event triggered when the process function returns or the
-// process is killed.
-func (p *Proc) Done() *Event { return p.done }
+// Done returns an event triggered when the process function returns,
+// panics or is killed.
+func (p *Proc) Done() *Event {
+	if p.done == nil {
+		p.done = p.env.NewEvent()
+		if p.finished {
+			p.done.Trigger(nil)
+		}
+	}
+	return p.done
+}
 
 // Finished reports whether the process has returned or been killed.
 func (p *Proc) Finished() bool { return p.finished }
@@ -127,8 +203,9 @@ func (p *Proc) Kill() {
 
 // yield parks the process and returns the value delivered at resumption.
 func (p *Proc) yield() any {
-	p.env.yield <- struct{}{}
-	v := <-p.resume
+	p.car.yield(struct{}{})
+	v := p.wake
+	p.wake = nil
 	if _, dead := v.(killSignal); dead {
 		panic(killSignal{})
 	}
@@ -173,31 +250,4 @@ func (p *Proc) Sleep(d Time) {
 	env.scheduleTrigger(env.now+d, ev, nil)
 	p.Wait(ev)
 	env.ReleaseEvent(ev)
-}
-
-// WaitAll blocks until every event in evs has triggered.
-func (p *Proc) WaitAll(evs ...*Event) {
-	for _, ev := range evs {
-		p.Wait(ev)
-	}
-}
-
-// WaitAny blocks until at least one of evs triggers, returning the index and
-// value of the first event (in evs order) found triggered when the process
-// resumes.
-func (p *Proc) WaitAny(evs ...*Event) (int, any) {
-	for {
-		for i, ev := range evs {
-			if ev.Triggered() {
-				return i, ev.val
-			}
-		}
-		first := p.env.NewEvent()
-		for _, ev := range evs {
-			ev.onTrigger(func(v any) {
-				first.TryTrigger(v)
-			})
-		}
-		p.Wait(first)
-	}
 }

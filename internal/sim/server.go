@@ -18,7 +18,7 @@ package sim
 // server idle (the parked Get's resume); per item one at now+cost (Sleep's
 // trigger) whose dispatch schedules one more at now (the resume after the
 // sleep), which runs done and takes the next item. What it saves is the
-// goroutine handoff behind every one of those resumes. cost is called when
+// coroutine switch behind every one of those resumes. cost is called when
 // service starts, done in scheduler context — neither may block, which is
 // what separates a server from a process: a body that waits for anything
 // but its own input and one service time stays a Proc.

@@ -376,40 +376,6 @@ func TestReleaseWithoutAcquirePanics(t *testing.T) {
 	r.Release()
 }
 
-func TestWaitAny(t *testing.T) {
-	e := NewEnv()
-	a, b := e.NewEvent(), e.NewEvent()
-	var idx int
-	var at Time
-	e.Go("w", func(p *Proc) {
-		idx, _ = p.WaitAny(a, b)
-		at = p.Now()
-	})
-	e.At(7*Microsecond, func() { b.Trigger(nil) })
-	e.At(20*Microsecond, func() { a.Trigger(nil) })
-	e.Run()
-	if idx != 1 || at != 7*Microsecond {
-		t.Errorf("WaitAny = idx %d at %v, want 1 at 7us", idx, at)
-	}
-}
-
-func TestWaitAll(t *testing.T) {
-	e := NewEnv()
-	a, b, c := e.NewEvent(), e.NewEvent(), e.NewEvent()
-	var at Time
-	e.Go("w", func(p *Proc) {
-		p.WaitAll(a, b, c)
-		at = p.Now()
-	})
-	e.At(5*Microsecond, func() { b.Trigger(nil) })
-	e.At(9*Microsecond, func() { a.Trigger(nil) })
-	e.At(2*Microsecond, func() { c.Trigger(nil) })
-	e.Run()
-	if at != 9*Microsecond {
-		t.Errorf("WaitAll finished at %v, want 9us", at)
-	}
-}
-
 func TestOnTriggerAfterFire(t *testing.T) {
 	e := NewEnv()
 	ev := e.NewEvent()

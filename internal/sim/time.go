@@ -1,7 +1,7 @@
 // Package sim implements a deterministic discrete-event simulation (DES)
 // kernel in the style of SimPy: an environment with a virtual clock and an
 // event heap, plus cooperatively scheduled processes implemented as
-// goroutines with strict one-at-a-time handoff. All higher layers of the
+// coroutines with strict one-at-a-time handoff. All higher layers of the
 // ibwan repository (InfiniBand fabric, WAN extenders, TCP, MPI, NFS) are
 // built on this kernel.
 //
@@ -14,17 +14,18 @@
 // cost nothing. Both consume sequence numbers exactly as the calls they
 // replace, so every event keeps its (time, sequence) place in the order.
 //
-// Processes and servers: a Proc is a goroutine, and every resume of one is a
-// handoff through the Go scheduler — right for application code that waits
-// in the middle of its body, dear for a context that serves a queue one item
-// and one service time after another. A Server is that loop as events: it
+// Processes and servers: a Proc's body runs on a coroutine, and every resume
+// of one is a switch to its stack and back (see proc.go) — right for
+// application code that waits in the middle of its body, several times the
+// price of a plain dispatch for a context that serves a queue one item and
+// one service time after another. A Server is that loop as events: it
 // schedules exactly the entries the process would (see server.go), so
 // choosing one over the other changes host time only.
 //
-// Determinism: only one goroutine ever runs at a time, the event heap breaks
-// ties by insertion sequence number, and no wall-clock or map-iteration
-// ordering leaks into scheduling decisions. Two runs with the same inputs
-// produce identical traces.
+// Determinism: only one process or callback ever runs at a time, the event
+// heap breaks ties by insertion sequence number, and no wall-clock or
+// map-iteration ordering leaks into scheduling decisions. Two runs with the
+// same inputs produce identical traces.
 package sim
 
 import (
