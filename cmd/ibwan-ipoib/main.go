@@ -57,8 +57,8 @@ func main() {
 	for i := 0; i < *streams; i++ {
 		port := 5000 + i
 		ln := sb.Listen(port)
-		env.Go("srv", func(p *sim.Proc) { ln.Accept(p) })
-		env.Go("cli", func(p *sim.Proc) {
+		sb.Env().Go("srv", func(p *sim.Proc) { ln.Accept(p) })
+		sa.Env().Go("cli", func(p *sim.Proc) {
 			c, err := sa.Dial(p, sb.Addr(), port)
 			if err != nil {
 				panic(err)

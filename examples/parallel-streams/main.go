@@ -22,8 +22,8 @@ func throughput(streams int, delay sim.Time) float64 {
 	for i := 0; i < streams; i++ {
 		port := 5000 + i
 		ln := sb.Listen(port)
-		env.Go("srv", func(p *sim.Proc) { ln.Accept(p) })
-		env.Go("cli", func(p *sim.Proc) {
+		sb.Env().Go("srv", func(p *sim.Proc) { ln.Accept(p) })
+		sa.Env().Go("cli", func(p *sim.Proc) {
 			c, err := sa.Dial(p, sb.Addr(), port)
 			if err != nil {
 				panic(err)

@@ -249,6 +249,11 @@ func tcpPoint(m *Meter, mode ipoib.Mode, mtu int, window int, streams int, d sim
 // individual streams may die mid-run (their connections reset); the rate
 // then reflects what the surviving streams delivered. Only when nothing at
 // all was delivered does the first connection error surface instead.
+//
+// Each process is spawned through the stack it drives, so on a partitioned
+// world the acceptor parks on its own shard's events and the dialer on its:
+// firstErr is written by client processes only — one shard — and read here
+// between runs.
 func tcpThroughput(env *sim.Env, sa, sb *tcpsim.Stack, streams int, dur sim.Time) (float64, error) {
 	var firstErr error
 	note := func(err error) {
@@ -259,8 +264,8 @@ func tcpThroughput(env *sim.Env, sa, sb *tcpsim.Stack, streams int, dur sim.Time
 	for i := 0; i < streams; i++ {
 		port := 6000 + i
 		ln := sb.Listen(port)
-		env.Go("srv", func(p *sim.Proc) { ln.Accept(p) })
-		env.Go("cli", func(p *sim.Proc) {
+		sb.Env().Go("srv", func(p *sim.Proc) { ln.Accept(p) })
+		sa.Env().Go("cli", func(p *sim.Proc) {
 			c, err := sa.Dial(p, sb.Addr(), port)
 			if err != nil {
 				note(err)

@@ -137,8 +137,11 @@ func convergeRC(env *sim.Env, a, b *ib.HCA) sim.Time {
 	completed := false
 	// Each probe process lives on its endpoint's environment so the world
 	// may shard: posts and polls stay shard-local.
+	// A probe is one WAN round trip (at least 2*failoverDelay) and the last
+	// one is the first posted at or after failoverKillAt, so a handful ever
+	// fly; 64 receives leave room for either constant to move.
 	b.Env().Go("probe-recv", func(p *sim.Proc) {
-		for i := 0; i < 1<<16; i++ {
+		for i := 0; i < 64; i++ {
 			qb.PostRecv(ib.RecvWR{})
 		}
 	})

@@ -11,25 +11,35 @@ import (
 // point-parallel, sharded, and both combined — and the base run must be
 // all measurements, no ERR rows. The kill is a scheduled flap (a pure
 // function of simulated time), so the sharded scheduler's swap-on-epoch
-// re-sweep has to reproduce the classic path exactly.
+// re-sweep has to reproduce the classic path exactly. failover-services
+// puts the middleware stacks — MPI, NFS/RDMA and TCP over IPoIB — through
+// the same kill; its TCP rows rendered ERR on a partitioned world while the
+// harness parked the acceptor on the dialer's shard.
 func TestFailoverDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("failover determinism matrix skipped in -short mode")
 	}
-	opt := Options{Quick: true, Topo: "ring4"}
-	base := renderTables(RunWith("failover-kill", opt, RunnerOptions{Workers: 1}))
-	if strings.Contains(base, "ERR") {
-		t.Fatalf("failover-kill on ring4 must land every measurement, got ERR rows:\n%s", base)
-	}
-	for _, ropt := range []RunnerOptions{
-		{Workers: 1, ShardWorkers: 4},
-		{Workers: 8},
-		{Workers: 2, ShardWorkers: 2},
+	mixed := []RunnerOptions{{Workers: 1, ShardWorkers: 4}, {Workers: 8}, {Workers: 2, ShardWorkers: 2}}
+	shards := []RunnerOptions{{Workers: 1, ShardWorkers: 2}, {Workers: 1, ShardWorkers: 4}}
+	for _, c := range []struct {
+		id, topo string
+		ropts    []RunnerOptions
+	}{
+		{"failover-kill", "ring4", mixed},
+		{"failover-services", "ring4", shards},
+		{"failover-services", "mesh4", shards},
 	} {
-		got := renderTables(RunWith("failover-kill", opt, ropt))
-		if got != base {
-			t.Fatalf("output diverges at workers=%d shards=%d\n--- sequential ---\n%s\n--- got ---\n%s",
-				ropt.Workers, ropt.ShardWorkers, base, got)
+		opt := Options{Quick: true, Topo: c.topo}
+		base := renderTables(RunWith(c.id, opt, RunnerOptions{Workers: 1}))
+		if strings.Contains(base, "ERR") {
+			t.Fatalf("%s on %s must land every measurement, got ERR rows:\n%s", c.id, c.topo, base)
+		}
+		for _, ropt := range c.ropts {
+			got := renderTables(RunWith(c.id, opt, ropt))
+			if got != base {
+				t.Fatalf("%s on %s: output diverges at workers=%d shards=%d\n--- sequential ---\n%s\n--- got ---\n%s",
+					c.id, c.topo, ropt.Workers, ropt.ShardWorkers, base, got)
+			}
 		}
 	}
 }

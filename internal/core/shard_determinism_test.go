@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/ipoib"
 	"repro/internal/sim"
+	"repro/internal/tcpsim"
 	"repro/internal/topo"
 )
 
@@ -88,4 +90,47 @@ func TestShardedMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+	// The harness's TCP helper across shards. The registry's loss-tcp draws
+	// Bernoulli segment loss, which is not a function of simulated time alone,
+	// so its worlds never partition; here the loss comes from the WAN flap
+	// (segments sent into the outage are gone, the RTO brings the stream
+	// back), which is, and the hub and its metro satellite land on different
+	// shards.
+	t.Run("star3-hetero/loss-tcp", func(t *testing.T) {
+		measure := func(shardWorkers int) float64 {
+			m := &Meter{shardWorkers: shardWorkers, fault: flap}
+			env := m.NewEnv()
+			defer env.Shutdown()
+			spec, err := topo.Preset("star3-hetero", 1, sim.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nw, err := topo.Build(env, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if env.Sharded() != (shardWorkers > 1) {
+				t.Fatalf("shardWorkers=%d: partitioned=%v", shardWorkers, env.Sharded())
+			}
+			net := ipoib.NewNetwork()
+			da := net.Attach(nw.Site("hub").Nodes[0].HCA, ipoib.Datagram, 0)
+			db := net.Attach(nw.Site("s1").Nodes[0].HCA, ipoib.Datagram, 0)
+			sa := tcpsim.NewStack(da, tcpsim.Config{RTO: 5 * sim.Millisecond})
+			sb := tcpsim.NewStack(db, tcpsim.Config{RTO: 5 * sim.Millisecond})
+			bw, err := tcpThroughput(env, sa, sb, 2, 100*sim.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return bw
+		}
+		base := measure(1)
+		if base < 10 {
+			t.Fatalf("the streams did not recover from the flap on the classic path: %v MB/s", base)
+		}
+		for _, shardWorkers := range []int{2, 4} {
+			if got := measure(shardWorkers); got != base {
+				t.Fatalf("goodput diverges at shards=%d: %v, sequential %v", shardWorkers, got, base)
+			}
+		}
+	})
 }

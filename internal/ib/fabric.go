@@ -21,34 +21,33 @@ type Device interface {
 	// routeTo returns the egress port toward the destination LID.
 	routeTo(dst LID) *Port
 	setRoute(dst LID, p *Port)
-	// resetRoutes clears the routing table ahead of a re-sweep, so entries
-	// toward now-unreachable destinations do not survive a routing epoch.
-	resetRoutes()
+	// resetRoutes clears the routing table ahead of a re-sweep over LIDs
+	// below n, so entries toward now-unreachable destinations do not survive
+	// a routing epoch.
+	resetRoutes(n int)
 	// wireTrackSlot is the device's cached telemetry "wire" track (obs.go).
 	wireTrackSlot() *wireTrackCache
 	fabric() *Fabric
-	// environment returns the device's home environment: the shard view it
-	// was created under (see Fabric.UseEnv), or the fabric environment on
-	// unsharded fabrics.
-	environment() *sim.Env
+	// home returns the pool — and with it the environment — the device was
+	// created under (see Fabric.UseEnv).
+	home() *pool
 }
 
 // Fabric is an InfiniBand subnet: devices, links, LID assignment and
 // routing. It plays the role of the subnet manager.
 type Fabric struct {
 	env *sim.Env
-	// cur is the environment new devices are created on (UseEnv); it
-	// defaults to env and only ever differs on sharded topologies, where
-	// each site's devices live on that site's shard view.
-	cur *sim.Env
-	// sharded is set once UseEnv installs a view of a partitioned world:
-	// from then on the id counters may be bumped from concurrent shards
-	// (they are atomics) and the packet/transfer freelists are bypassed —
-	// LIFO reuse across shards would race, and leaking to the GC is safe.
-	sharded  bool
-	devices  []Device
-	byLID    map[LID]Device
-	nextLID  LID
+	// cur is where new devices are created (UseEnv): the pool of the
+	// environment they live on. It starts as the fabric environment's and
+	// only ever differs on partitioned topologies, where each site's devices
+	// live on that site's shard view. pools holds one pool per environment
+	// seen so far; the classic world is the one-pool case.
+	cur     *pool
+	pools   []*pool
+	devices []Device
+	byLID   []Device // indexed by LID; LIDs are dense from 1
+	// The id counters are atomics: on a partitioned world QPs on different
+	// shards draw from them concurrently.
 	nextQPN  atomic.Int64
 	nextMsg  atomic.Int64
 	nextMRID atomic.Int64
@@ -57,7 +56,7 @@ type Fabric struct {
 	// health is non-nil once MonitorLink has registered a WAN link with the
 	// self-healing layer (see health.go); routeEpoch counts re-sweeps and
 	// unreachable counts packets dropped for lack of a route. Both are
-	// atomics: on sharded fabrics they are bumped from shard events.
+	// atomics: on partitioned worlds they are bumped from shard events.
 	health      *healthState
 	routeEpoch  atomic.Int64
 	unreachable atomic.Int64
@@ -65,99 +64,163 @@ type Fabric struct {
 	// environment; every instrumented hot-path site is gated on this one
 	// pointer, keeping the disabled path allocation-free.
 	obs *fabObs
-
-	// Freelists for wire packets and transfer contexts. They are plain
-	// slices, not sync.Pools: a fabric belongs to exactly one simulation
-	// environment and is only touched from that environment's scheduler,
-	// so unsynchronized LIFO reuse is safe and — crucially — deterministic
-	// (reuse order depends only on simulated traffic, never on GC timing
-	// or OS scheduling).
-	pktFree  []*packet
-	xferFree []*transfer
 }
 
-// newPacket returns a packet from the freelist (or a fresh one). The caller
-// overwrites every field; packets come back zeroed from freePacket. On a
-// sharded fabric packets are always fresh: the freelist belongs to no
-// single shard.
-func (f *Fabric) newPacket() *packet {
-	if f.sharded {
-		return &packet{}
+// pool holds the freelists of one environment — one shard view of a
+// partitioned world, or the whole of a classic one — for wire packets,
+// transfer contexts and retry-timer records. They are plain LIFO lists, not
+// sync.Pools: a pool is only touched from its own environment's scheduler, so
+// reuse is unsynchronized and deterministic (it depends on simulated traffic
+// only, never on GC timing or OS scheduling).
+//
+// Every packet and transfer has a home pool, the one it was taken from (a
+// transfer's is its origin QP's). Its last consumer is often on another
+// shard — data flows one way, the acks come back — and neither keeps it (its
+// list would grow without bound while the sender's ran dry) nor pushes it
+// onto the home list (the home shard is running): it goes on the consumer's
+// return lane (sim.Env.ReturnTo) and the window barrier hands it home.
+type pool struct {
+	fab      *Fabric
+	env      *sim.Env
+	pktFree  []*packet
+	xferFree []*transfer
+	// Retry-timer records never leave their shard: retryFree holds the
+	// recycled ones, retrySlab what is left of the slab fresh ones come from.
+	retryFree []*retryRec
+	retrySlab []retryRec
+	// takePacket and takeTransfer are the return-lane sinks: long-lived
+	// func(any) values, so sending an object home allocates nothing.
+	takePacket   func(any)
+	takeTransfer func(any)
+}
+
+// poolFor returns env's pool, creating it on first sight.
+func (f *Fabric) poolFor(env *sim.Env) *pool {
+	for _, pl := range f.pools {
+		if pl.env == env {
+			return pl
+		}
 	}
-	if n := len(f.pktFree); n > 0 {
-		pkt := f.pktFree[n-1]
-		f.pktFree = f.pktFree[:n-1]
-		return pkt
+	pl := &pool{fab: f, env: env}
+	pl.takePacket = func(v any) { pl.pktFree = append(pl.pktFree, v.(*packet)) }
+	pl.takeTransfer = func(v any) {
+		t := v.(*transfer)
+		t.reset()
+		pl.xferFree = append(pl.xferFree, t)
 	}
-	return &packet{}
+	f.pools = append(f.pools, pl)
+	return pl
+}
+
+// newPacket returns a packet holding v, from the freelist or fresh.
+func (pl *pool) newPacket(v packet) *packet {
+	var pkt *packet
+	if n := len(pl.pktFree); n > 0 {
+		pkt = pl.pktFree[n-1]
+		pl.pktFree = pl.pktFree[:n-1]
+	} else {
+		pkt = new(packet)
+	}
+	v.home = pl
+	*pkt = v
+	return pkt
 }
 
 // freePacket recycles a packet at its terminal sink — after the destination
-// QP consumed it, or when fault injection dropped it on the wire — and
-// releases the packet's reference on its transfer.
-func (f *Fabric) freePacket(pkt *packet) {
-	t := pkt.msg
+// QP consumed it, or when a drop removed it from the wire — and releases the
+// packet's reference on its transfer. pl is the pool of the environment the
+// sink runs on.
+func (pl *pool) freePacket(pkt *packet) {
+	t, home := pkt.msg, pkt.home
 	*pkt = packet{}
-	if !f.sharded {
-		f.pktFree = append(f.pktFree, pkt)
+	if home == pl {
+		pl.pktFree = append(pl.pktFree, pkt)
+	} else {
+		pl.env.ReturnTo(home.env, home.takePacket, pkt)
 	}
 	if t != nil {
-		f.unref(t)
+		pl.unref(t)
 	}
 }
 
 // newTransfer returns a zeroed transfer context carrying a fresh message id.
 // Ids stay monotonic across recycling, so id-keyed state (QP inflight maps,
 // retry timers) can never confuse two uses of the same memory.
-func (f *Fabric) newTransfer() *transfer {
-	id := f.nextMsg.Add(1)
+func (pl *pool) newTransfer() *transfer {
 	var t *transfer
-	if n := len(f.xferFree); !f.sharded && n > 0 {
-		t = f.xferFree[n-1]
-		f.xferFree = f.xferFree[:n-1]
+	if n := len(pl.xferFree); n > 0 {
+		t = pl.xferFree[n-1]
+		pl.xferFree = pl.xferFree[:n-1]
 	} else {
 		t = &transfer{}
 	}
-	t.id = id
+	t.id = pl.fab.nextMsg.Add(1)
 	return t
 }
 
-// ref records a live reference to t: a packet on the wire carrying it, or a
-// scheduled protocol action (overhead stage, ack emission) that captured it.
-func (f *Fabric) ref(t *transfer) { t.refs.Add(1) }
+// A transfer's state word: the low bits count live references from outside
+// the QP state machines — wire packets carrying the transfer plus scheduled
+// protocol actions (overhead timers, ack emissions) that captured it — and
+// two flags record that the initiating and the responding endpoint have each
+// finished with it. The transfer is recycled by whichever operation brings
+// the word to exactly xferDone: no reference left, both ends done. The two
+// endpoints of a WAN-crossing transfer run on different shards, and with
+// three separate fields both could see "all clear" after the other's last
+// write; one atomic word has one last writer.
+const (
+	xferSenderDone = 1 << 30
+	xferRecvDone   = 1 << 29
+	xferDone       = xferSenderDone | xferRecvDone
+	xferRefs       = xferRecvDone - 1
+)
 
-// unref releases one reference and recycles t if it was the last and both
-// endpoints are done. Transfers that never reach that state (e.g. a UD
-// datagram lost on the wire, or work cut short by Env.Shutdown) simply fall
-// back to the garbage collector — leaking to the GC is safe, recycling too
-// early is not.
-func (f *Fabric) unref(t *transfer) {
-	if t.refs.Add(-1) < 0 {
+// ref records a live reference to t.
+func (t *transfer) ref() { t.state.Add(1) }
+
+// unref releases one reference. Transfers that never reach xferDone (e.g. a
+// UD datagram lost on the wire, or work cut short by Env.Shutdown) simply
+// fall back to the garbage collector — leaking to the GC is safe, recycling
+// too early is not.
+func (pl *pool) unref(t *transfer) {
+	s := t.state.Add(-1)
+	if s&xferRefs == xferRefs {
 		panic("ib: transfer reference count underflow")
 	}
-	f.maybeFree(t)
+	pl.released(t, s)
 }
 
-// maybeFree recycles t once nothing can touch it again: no wire packet or
-// scheduled action references it, the initiator has completed it
-// (senderDone) and the responder has finished with it (recvDone). Sharded
-// fabrics never recycle (a transfer's last toucher can be either endpoint's
-// shard); the transfer is left to the garbage collector.
-func (f *Fabric) maybeFree(t *transfer) {
-	if f.sharded {
+// endpointDone sets one of the two done flags (idempotently: a retried RDMA
+// read is served, and so finished with, once per attempt). A CAS loop, not
+// state.Or: with Or's result in use go1.24.0/amd64 faulted in released.
+func (pl *pool) endpointDone(t *transfer, flag int32) {
+	for {
+		old := t.state.Load()
+		if old&flag != 0 {
+			return
+		}
+		if t.state.CompareAndSwap(old, old|flag) {
+			pl.released(t, old|flag)
+			return
+		}
+	}
+}
+
+// released sends t home once its state word says nothing can touch it
+// again. pl is the pool of the environment that made the last release.
+func (pl *pool) released(t *transfer, state int32) {
+	if state != xferDone {
 		return
 	}
-	if t.refs.Load() == 0 && t.senderDone.Load() && t.recvDone.Load() {
-		t.reset()
-		f.xferFree = append(f.xferFree, t)
-	}
+	home := t.origin.hca.pool
+	pl.env.ReturnTo(home.env, home.takeTransfer, t)
 }
 
 // NewFabric creates an empty fabric on the given simulation environment.
 // If the environment carries a telemetry attachment (telemetry.Attach), the
 // fabric arms its instrumentation; otherwise observation costs nothing.
 func NewFabric(env *sim.Env) *Fabric {
-	f := &Fabric{env: env, cur: env, byLID: make(map[LID]Device), nextLID: 1}
+	f := &Fabric{env: env, byLID: []Device{nil}}
+	f.cur = f.poolFor(env)
 	f.nextQPN.Store(1)
 	if tel := telemetry.FromEnv(env); tel != nil && (tel.Metrics != nil || tel.Spans != nil) {
 		f.obs = newFabObs(tel)
@@ -169,22 +232,14 @@ func NewFabric(env *sim.Env) *Fabric {
 func (f *Fabric) Env() *sim.Env { return f.env }
 
 // UseEnv selects the environment subsequently created devices live on. On a
-// sharded topology the compiler points it at each site's shard view before
-// building that site, so every device's timers, handlers and queues stay on
-// one shard; passing a view of a partitioned world also switches the fabric
-// into sharded mode (atomic ids, no cross-shard freelist reuse). Devices
-// already created are unaffected.
-func (f *Fabric) UseEnv(env *sim.Env) {
-	f.cur = env
-	if env.Sharded() {
-		f.sharded = true
-	}
-}
+// partitioned topology the compiler points it at each site's shard view
+// before building that site, so every device's timers, handlers, queues and
+// freelists stay on one shard. Devices already created are unaffected.
+func (f *Fabric) UseEnv(env *sim.Env) { f.cur = f.poolFor(env) }
 
 func (f *Fabric) addDevice(d Device) {
-	d.setLID(f.nextLID)
-	f.byLID[f.nextLID] = d
-	f.nextLID++
+	d.setLID(LID(len(f.byLID)))
+	f.byLID = append(f.byLID, d)
 	f.devices = append(f.devices, d)
 	f.routed = false
 }
@@ -192,7 +247,7 @@ func (f *Fabric) addDevice(d Device) {
 // AddHCA creates a host channel adapter end node (on the UseEnv
 // environment).
 func (f *Fabric) AddHCA(name string) *HCA {
-	h := &HCA{fab: f, env: f.cur, name: name, procq: f.cur.NewPipe(), qps: make(map[int]*QP)}
+	h := &HCA{fab: f, pool: f.cur, env: f.cur.env, name: name, procq: f.cur.env.NewPipe(), qps: make(map[int]*QP)}
 	f.addDevice(h)
 	return h
 }
@@ -200,7 +255,7 @@ func (f *Fabric) AddHCA(name string) *HCA {
 // AddSwitch creates a switch with the given forwarding latency (use
 // ib.SwitchDelay for a normal cluster switch) on the UseEnv environment.
 func (f *Fabric) AddSwitch(name string, forwardDelay sim.Time) *Switch {
-	s := &Switch{fab: f, env: f.cur, name: name, fwd: forwardDelay, fwdq: f.cur.NewPipe(), routes: make(map[LID]*Port)}
+	s := &Switch{fab: f, pool: f.cur, name: name, fwd: forwardDelay, fwdq: f.cur.env.NewPipe()}
 	f.addDevice(s)
 	return s
 }
@@ -213,8 +268,8 @@ func (f *Fabric) AddSwitch(name string, forwardDelay sim.Time) *Switch {
 // delay must honor the world's registered lookahead bound.
 func (f *Fabric) Connect(a, b Device, rate Rate, prop sim.Time) *Link {
 	l := &Link{env: f.env, rate: rate, prop: prop}
-	pa := newPort(a.environment(), a, l)
-	pb := newPort(b.environment(), b, l)
+	pa := newPort(a, l)
+	pb := newPort(b, l)
 	pa.peer, pb.peer = pb, pa
 	l.a, l.b = pa, pb
 	a.attach(pa)
@@ -227,55 +282,71 @@ func (f *Fabric) Connect(a, b Device, rate Rate, prop sim.Time) *Link {
 // every device toward every LID. It must be called after topology changes
 // and before traffic flows; CreateRC/CreateUD call it implicitly.
 func (f *Fabric) Finalize() {
-	f.resweep(f.devices, nil)
+	f.resweep(f.devices, nil, new(sweepScratch))
 	f.routed = true
+}
+
+// sweepScratch is resweep's working memory, reused from one source device to
+// the next: visited[lid] holds the stamp of the sweep that last reached the
+// device, so starting a new source is one increment, not a fresh set.
+type sweepScratch struct {
+	visited        []int
+	stamp          int
+	frontier, next []sweepHop
+}
+
+// sweepHop is a device reached by the BFS and the source's first-hop port
+// toward it.
+type sweepHop struct {
+	dev   Device
+	first *Port
 }
 
 // resweep recomputes the routing tables of devs from scratch. A non-nil
 // excluded predicate removes links from consideration (the health monitor
 // excludes dead links, making each call a new routing epoch). The sweep
 // reads only the immutable port/link graph and writes only the tables of
-// the devices it was given, so on a sharded fabric each shard re-sweeps
-// its own devices concurrently without synchronization.
-func (f *Fabric) resweep(devs []Device, excluded func(*Link) bool) {
+// the devices it was given (and sc, the caller's own), so on a partitioned
+// world each shard re-sweeps its own devices concurrently without
+// synchronization.
+func (f *Fabric) resweep(devs []Device, excluded func(*Link) bool, sc *sweepScratch) {
+	if len(sc.visited) < len(f.byLID) {
+		sc.visited = make([]int, len(f.byLID))
+	}
 	for _, src := range devs {
-		src.resetRoutes()
+		src.resetRoutes(len(f.byLID))
 		// BFS from src over the device graph recording first hop.
-		type hop struct {
-			dev   Device
-			first *Port
-		}
-		visited := map[Device]bool{src: true}
-		var frontier []hop
+		sc.stamp++
+		sc.visited[src.LID()] = sc.stamp
+		frontier, next := sc.frontier[:0], sc.next[:0]
 		for _, p := range src.ports() {
-			if p.peer == nil || (excluded != nil && excluded(p.link)) {
-				continue
-			}
-			nb := p.peer.dev
-			if !visited[nb] {
-				visited[nb] = true
-				src.setRoute(nb.LID(), p)
-				frontier = append(frontier, hop{nb, p})
-			}
+			frontier = sc.visit(frontier, src, p, p, excluded)
 		}
 		for len(frontier) > 0 {
-			var next []hop
 			for _, h := range frontier {
 				for _, p := range h.dev.ports() {
-					if p.peer == nil || (excluded != nil && excluded(p.link)) {
-						continue
-					}
-					nb := p.peer.dev
-					if !visited[nb] {
-						visited[nb] = true
-						src.setRoute(nb.LID(), h.first)
-						next = append(next, hop{nb, h.first})
-					}
+					next = sc.visit(next, src, p, h.first, excluded)
 				}
 			}
-			frontier = next
+			frontier, next = next, frontier[:0]
 		}
+		sc.frontier, sc.next = frontier, next
 	}
+}
+
+// visit routes src toward the device behind port p through first, if p is
+// usable and the device has not been reached yet, and appends it to hops.
+func (sc *sweepScratch) visit(hops []sweepHop, src Device, p, first *Port, excluded func(*Link) bool) []sweepHop {
+	if p.peer == nil || (excluded != nil && excluded(p.link)) {
+		return hops
+	}
+	nb := p.peer.dev
+	if sc.visited[nb.LID()] == sc.stamp {
+		return hops
+	}
+	sc.visited[nb.LID()] = sc.stamp
+	src.setRoute(nb.LID(), first)
+	return append(hops, sweepHop{nb, first})
 }
 
 func (f *Fabric) ensureRouted() {
@@ -285,7 +356,12 @@ func (f *Fabric) ensureRouted() {
 }
 
 // DeviceByLID returns the device owning the LID (nil if unassigned).
-func (f *Fabric) DeviceByLID(l LID) Device { return f.byLID[l] }
+func (f *Fabric) DeviceByLID(l LID) Device {
+	if l < 0 || int(l) >= len(f.byLID) {
+		return nil
+	}
+	return f.byLID[l]
+}
 
 // Link is a full-duplex point-to-point cable between two ports. Each
 // direction serializes packets at the link rate and delivers them after the
@@ -297,8 +373,8 @@ type Link struct {
 	a, b *Port
 	// DropFn, when non-nil, is consulted for every packet; returning true
 	// drops the packet on the wire (fault injection). now is the sending
-	// port's current virtual time — on sharded worlds the two ends of a WAN
-	// link live on different shards, so the decision must be a function of
+	// port's current virtual time — on partitioned worlds the two ends of a
+	// WAN link live on different shards, so the decision must be a function of
 	// the passed time, not of state mutated by scheduled closures.
 	DropFn func(now sim.Time, wireBytes int) bool
 	// drops counts packets removed by DropFn (atomic: a WAN link's two
@@ -341,8 +417,8 @@ type QueueConfig struct {
 	// selects QueueBytes/2 — a step mark deep enough that a single
 	// window-limited flow's slow-start burst passes unmarked, while a
 	// standing overload crosses it. The step function keeps marking a pure
-	// function of queue state, so sharded runs need no per-port randomness
-	// to stay byte-identical.
+	// function of queue state, so partitioned runs need no per-port
+	// randomness to stay byte-identical.
 	ECNThreshold int
 	// Lossless models IB credit-based link-level flow control: a packet
 	// that finds the queue full waits for credits (queue drain) instead of
@@ -353,8 +429,8 @@ type QueueConfig struct {
 
 // ConfigureQueue bounds both directions of the link with cfg. Call it after
 // Connect and before traffic; the per-port queue state lives on each port's
-// own environment, so on sharded worlds each direction's accounting stays
-// shard-local and the determinism matrix holds at any worker count.
+// own environment, so on partitioned worlds each direction's accounting
+// stays shard-local and the determinism matrix holds at any worker count.
 func (l *Link) ConfigureQueue(cfg QueueConfig) error {
 	if cfg.QueueBytes <= 0 {
 		return fmt.Errorf("ib: queue bytes must be positive, got %d", cfg.QueueBytes)
@@ -430,6 +506,7 @@ func (l *Link) TxTotal() int64 { return l.a.txBytes + l.b.txBytes }
 // arrives at the peer one propagation delay after its serialization ends.
 type Port struct {
 	env       *sim.Env
+	pool      *pool // the device's: where this port's drops release packets
 	dev       Device
 	link      *Link
 	peer      *Port
@@ -452,8 +529,8 @@ type Port struct {
 }
 
 // portQueue is one direction's bounded egress queue. All state is touched
-// only from the owning port's environment — on a sharded world that is the
-// sender's shard, so admission, marking and drain are shard-local.
+// only from the owning port's environment — on a partitioned world that is
+// the sender's shard, so admission, marking and drain are shard-local.
 type portQueue struct {
 	// depth is the bytes admitted and not yet fully serialized.
 	depth int
@@ -477,8 +554,9 @@ func newPortQueue(p *Port) *portQueue {
 	return q
 }
 
-func newPort(env *sim.Env, dev Device, link *Link) *Port {
-	p := &Port{env: env, dev: dev, link: link, wire: env.NewPipe()}
+func newPort(dev Device, link *Link) *Port {
+	pl := dev.home()
+	p := &Port{env: pl.env, pool: pl, dev: dev, link: link, wire: pl.env.NewPipe()}
 	p.deliverArg = func(v any) { p.dev.receive(v.(*packet), p) }
 	p.sendArg = func(v any) { p.send(v.(*packet)) }
 	return p
@@ -525,7 +603,7 @@ func (p *Port) sendBounded(pkt *packet) {
 			fab.obs.wanOverflowDrops.Add(1)
 		}
 		fab.traceReason(evDrop, p.dev, pkt, "overflow")
-		fab.freePacket(pkt)
+		p.pool.freePacket(pkt)
 		return
 	}
 	p.admit(pkt)
@@ -609,15 +687,15 @@ func (p *Port) transmit(pkt *packet) sim.Time {
 			fab.obs.linkDrops.Add(1)
 		}
 		fab.traceReason(evDrop, p.dev, pkt, "fault")
-		fab.freePacket(pkt)
+		p.pool.freePacket(pkt)
 		return depart
 	}
 	arrive := depart + p.link.prop
 	if p.peer.env == p.env {
 		p.wire.AtArg(arrive-now, p.peer.deliverArg, pkt)
 	} else {
-		// The peer lives on another shard (the WAN hop of a sharded world):
-		// the packet crosses through the kernel's mailbox lanes.
+		// The peer lives on another shard (the WAN hop of a partitioned
+		// world): the packet crosses through the kernel's mailbox lanes.
 		p.env.AtArgOn(p.peer.env, arrive-now, p.peer.deliverArg, pkt)
 	}
 	return depart
@@ -630,13 +708,13 @@ func (p *Port) TxBytes() int64 { return p.txBytes }
 // Longbow WAN extender operating in switch mode).
 type Switch struct {
 	fab    *Fabric
-	env    *sim.Env
+	pool   *pool
 	name   string
 	lid    LID
 	fwd    sim.Time
 	fwdq   sim.Pipe // packets crossing the switch: one constant latency, so FIFO
 	plist  []*Port
-	routes map[LID]*Port
+	routes []*Port // egress port by destination LID; nil where unreachable
 	wireTrackCache
 }
 
@@ -649,14 +727,28 @@ func (s *Switch) LID() LID { return s.lid }
 func (s *Switch) ports() []*Port          { return s.plist }
 func (s *Switch) attach(p *Port)          { s.plist = append(s.plist, p) }
 func (s *Switch) setLID(l LID)            { s.lid = l }
-func (s *Switch) routeTo(dst LID) *Port   { return s.routes[dst] }
 func (s *Switch) setRoute(d LID, p *Port) { s.routes[d] = p }
-func (s *Switch) resetRoutes()            { s.routes = make(map[LID]*Port, len(s.routes)) }
 func (s *Switch) fabric() *Fabric         { return s.fab }
-func (s *Switch) environment() *sim.Env   { return s.env }
+func (s *Switch) home() *pool             { return s.pool }
+
+func (s *Switch) routeTo(dst LID) *Port {
+	if int(dst) >= len(s.routes) {
+		return nil // a LID assigned after the last sweep
+	}
+	return s.routes[dst]
+}
+
+func (s *Switch) resetRoutes(n int) {
+	if cap(s.routes) < n {
+		s.routes = make([]*Port, n)
+		return
+	}
+	s.routes = s.routes[:n]
+	clear(s.routes)
+}
 
 func (s *Switch) receive(pkt *packet, on *Port) {
-	out := s.routes[pkt.dst]
+	out := s.routeTo(pkt.dst)
 	if out == nil {
 		// No route in the current epoch: a failover transition window or a
 		// true partition. Count the drop and error the owning QP instead of

@@ -10,10 +10,11 @@ import (
 // pairs and registered memory regions.
 type HCA struct {
 	fab   *Fabric
-	env   *sim.Env // home environment (the shard view on sharded fabrics)
+	pool  *pool
+	env   *sim.Env // pool.env: the site's shard view on a partitioned world
 	name  string
 	lid   LID
-	port  *Port
+	plist []*Port  // the single port, once attached
 	route *Port    // single port: route to everything
 	procq sim.Pipe // packets in the PacketProc stage: constant latency, so FIFO
 	qps   map[int]*QP
@@ -30,24 +31,19 @@ func (h *HCA) LID() LID { return h.lid }
 func (h *HCA) Fabric() *Fabric { return h.fab }
 
 // Env returns the simulation environment the HCA lives on: its site's
-// shard view on sharded topologies, the fabric environment otherwise.
+// shard view on partitioned topologies, the fabric environment otherwise.
 // Layers hosting software on a node (MPI ranks, NFS clients and servers)
 // schedule through this, which is what keeps all of a node's work on its
 // own shard.
 func (h *HCA) Env() *sim.Env { return h.env }
 
-func (h *HCA) ports() []*Port {
-	if h.port == nil {
-		return nil
-	}
-	return []*Port{h.port}
-}
+func (h *HCA) ports() []*Port { return h.plist }
 
 func (h *HCA) attach(p *Port) {
-	if h.port != nil {
+	if h.plist != nil {
 		panic(fmt.Sprintf("ib: HCA %s already has a port", h.name))
 	}
-	h.port = p
+	h.plist = []*Port{p}
 	h.route = p
 }
 
@@ -57,12 +53,12 @@ func (h *HCA) setRoute(d LID, p *Port) { h.route = p }
 
 // resetRoutes is a no-op: an HCA has a single port, so its only possible
 // route survives every epoch (path choice happens at the switches).
-func (h *HCA) resetRoutes()          {}
-func (h *HCA) fabric() *Fabric       { return h.fab }
-func (h *HCA) environment() *sim.Env { return h.env }
+func (h *HCA) resetRoutes(int) {}
+func (h *HCA) fabric() *Fabric { return h.fab }
+func (h *HCA) home() *pool     { return h.pool }
 
 // Port returns the HCA's single port (nil before Connect).
-func (h *HCA) FabricPort() *Port { return h.port }
+func (h *HCA) FabricPort() *Port { return h.route }
 
 func (h *HCA) receive(pkt *packet, on *Port) {
 	h.fab.trace(evRx, h, pkt)

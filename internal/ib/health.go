@@ -160,7 +160,7 @@ func (f *Fabric) EnableFailover(cfg HealthConfig) error {
 		cfg.TimeoutThreshold = DefaultTimeoutThreshold
 	}
 	h.cfg = cfg
-	h.reactive = cfg.TimeoutThreshold > 0 && !f.sharded
+	h.reactive = cfg.TimeoutThreshold > 0 && !f.env.Sharded()
 
 	edgeTimes := make(map[sim.Time]bool)
 	for _, ml := range h.links {
@@ -198,7 +198,7 @@ func (f *Fabric) EnableFailover(cfg HealthConfig) error {
 	var envs []*sim.Env
 	byEnv := make(map[*sim.Env][]Device)
 	for _, d := range f.devices {
-		e := d.environment()
+		e := d.home().env
 		if _, ok := byEnv[e]; !ok {
 			envs = append(envs, e)
 		}
@@ -268,7 +268,7 @@ func (f *Fabric) applyEpoch(devs []Device, at sim.Time, lead bool) {
 	f.resweep(devs, func(l *Link) bool {
 		ml := h.byLink[l]
 		return ml != nil && ml.downAt(at)
-	})
+	}, new(sweepScratch))
 	if !lead {
 		return
 	}
@@ -359,7 +359,7 @@ func (h *healthState) reactiveDown(f *Fabric, ml *monitoredLink, now sim.Time) {
 	f.resweep(f.devices, func(l *Link) bool {
 		m := h.byLink[l]
 		return m != nil && (m.down || m.downAt(now))
-	})
+	}, new(sweepScratch))
 	f.routeEpoch.Add(1)
 	h.transitions.Add(1)
 	if obs := f.obs; obs != nil {
@@ -423,8 +423,8 @@ func (f *Fabric) dropUnreachable(s *Switch, pkt *packet) {
 	if t != nil && !t.acked {
 		origin = t.origin
 	}
-	if origin != nil && origin.hca.env == s.env {
+	if origin != nil && origin.hca.pool == s.pool {
 		origin.routeUnreachable(t)
 	}
-	f.freePacket(pkt)
+	s.pool.freePacket(pkt)
 }

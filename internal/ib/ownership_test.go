@@ -1,0 +1,126 @@
+package ib
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// shardLine builds a partitioned world of n sites in a line — one switch per
+// shard, neighbours joined by links of the given delay — with an HCA at each
+// end, and returns the two HCAs.
+func shardLine(workers, n int, delay sim.Time) (*sim.Env, *HCA, *HCA) {
+	env := sim.NewEnv()
+	env.SetShardWorkers(workers)
+	views := env.Partition(n)
+	f := NewFabric(env)
+	sws := make([]*Switch, n)
+	for i, v := range views {
+		f.UseEnv(v)
+		sws[i] = f.AddSwitch(fmt.Sprintf("sw%d", i), SwitchDelay)
+		if i > 0 {
+			f.Connect(sws[i-1], sws[i], SDR, delay)
+			views[i-1].RegisterLookaheadBetween(v, delay)
+			v.RegisterLookaheadBetween(views[i-1], delay)
+		}
+	}
+	f.UseEnv(views[0])
+	a := f.AddHCA("a")
+	f.Connect(a, sws[0], SDR, DefaultCableDelay)
+	f.UseEnv(views[n-1])
+	b := f.AddHCA("b")
+	f.Connect(b, sws[n-1], SDR, DefaultCableDelay)
+	f.Finalize()
+	return env, a, b
+}
+
+// TestOwnershipOneWayStream streams RC messages one way across a
+// partitioned world. Every data packet and every transfer is taken from the
+// sender's pool and last touched on the receiver's shard; every ack packet
+// the other way round. With the return lane working, both go home at each
+// barrier: after thousands of packets neither pool has allocated more than
+// what is in flight between two barriers, and — the failure of releasing to
+// the consumer instead — neither has hoarded the other's objects.
+func TestOwnershipOneWayStream(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			env, a, b := shardLine(shards, shards, 100*sim.Microsecond)
+			const size, count = 16 << 10, 2000
+			qa, qb := CreateRCPair(a, b, nil, nil, QPConfig{MaxInflight: 16})
+			b.Env().Go("recv", func(p *sim.Proc) {
+				for i := 0; i < count; i++ {
+					qb.PostRecv(RecvWR{})
+				}
+				for i := 0; i < count; i++ {
+					qb.CQ().Poll(p)
+				}
+			})
+			a.Env().Go("send", func(p *sim.Proc) {
+				// Keep the QP's window full and no more: a transfer exists
+				// from post to completion.
+				for posted, done := 0, 0; done < count; {
+					for ; posted < count && posted-done < 16; posted++ {
+						qa.PostSend(SendWR{Op: OpSend, Len: size})
+					}
+					if c := qa.CQ().Poll(p); c.Status != StatusOK {
+						panic(c.Status)
+					}
+					done++
+				}
+			})
+			env.Run()
+			env.Shutdown()
+			if got := qb.Stats().MsgsRecv; got != count {
+				t.Fatalf("received %d of %d messages", got, count)
+			}
+			dataPkts := count * (size / MTU)
+			// In flight at once: 16 messages of 8 packets; a window batches a
+			// few of those rounds.
+			const bound = 16 * (size / MTU) * 4
+			for _, h := range []*HCA{a, b} {
+				pl := h.pool
+				t.Logf("%s: %d packets and %d transfers pooled for %d data packets, %d messages",
+					h.name, len(pl.pktFree), len(pl.xferFree), dataPkts, count)
+				if n := len(pl.pktFree); n == 0 || n > bound {
+					t.Errorf("%s holds %d pooled packets after %d crossed, want 1..%d", h.name, n, dataPkts, bound)
+				}
+			}
+			if n := len(a.pool.xferFree); n == 0 || n > bound {
+				t.Errorf("the sender holds %d pooled transfers after %d messages, want 1..%d", n, count, bound)
+			}
+			if n := len(b.pool.xferFree); n != 0 {
+				t.Errorf("the receiver pooled %d of the sender's transfers", n)
+			}
+		})
+	}
+}
+
+// TestTransferReleasedOnce: the two endpoints of a transfer finish with it
+// in the same window, on different shards and so on different workers — the
+// initiator completing it while the responder drops the last reference.
+// Exactly one of them may see the state word reach xferDone; a second
+// observer frees the transfer twice (the pool ends up long), none leaves it
+// to the collector (short).
+func TestTransferReleasedOnce(t *testing.T) {
+	env, a, b := shardLine(2, 2, 10*sim.Millisecond)
+	qa, _ := CreateRCPair(a, b, nil, nil, QPConfig{})
+	const n = 5000
+	for i := 0; i < n; i++ {
+		tr := &transfer{origin: qa}
+		tr.state.Store(1) // the responder's reference
+		at := sim.Time(i) * sim.Nanosecond
+		a.Env().At(at, func() { a.pool.endpointDone(tr, xferSenderDone) })
+		b.Env().At(at, func() {
+			b.pool.endpointDone(tr, xferRecvDone)
+			b.pool.unref(tr)
+		})
+	}
+	env.Run()
+	if got := len(a.pool.xferFree); got != n {
+		t.Fatalf("%d transfers came home for %d released", got, n)
+	}
+	if got := len(b.pool.xferFree); got != 0 {
+		t.Fatalf("%d transfers landed in the responder's pool", got)
+	}
+}

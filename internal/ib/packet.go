@@ -6,7 +6,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-type pktKind int
+type pktKind uint8
 
 const (
 	pktData pktKind = iota
@@ -22,11 +22,11 @@ const (
 type packet struct {
 	src, dst     LID
 	srcQP, dstQP int
-	kind         pktKind
 	wire         int // total bytes on the wire (header + payload share)
 	payload      int // payload bytes carried by this packet
 	msg          *transfer
-	seq          int // packet index within the transfer
+	seq          int     // packet index within the transfer
+	kind         pktKind // one byte beside the flags: with home, the struct still fits 80 bytes
 	last         bool
 	ud           bool // UD datagram (reported as pkt "ud" in traces)
 	retx         bool // put on the wire by a retransmission
@@ -34,6 +34,8 @@ type packet struct {
 	// queue at admission past its ECN threshold, accumulated onto the
 	// receiving transfer, and surfaced to upper layers via Completion.ECN.
 	ecn bool
+	// home is the pool the packet was taken from and goes back to.
+	home *pool
 }
 
 // transfer is the sender-side context of one message / RDMA operation in
@@ -72,19 +74,12 @@ type transfer struct {
 	// instead of a per-message closure.
 	rwr RecvWR
 
-	// Freelist accounting (see Fabric.newTransfer). refs counts live
-	// references from outside the QP state machines: wire packets carrying
-	// this transfer plus scheduled protocol actions (overhead timers, ack
-	// emissions) that captured it. senderDone/recvDone flag that the
-	// initiating and responding endpoints have each finished with the
-	// transfer. The transfer is recycled when all three say so. The three
-	// are atomics because on a sharded world the two endpoints of a
-	// WAN-crossing transfer run on different shards; everything else in the
-	// struct is either endpoint-owned or handed across inside a packet,
-	// whose mailbox crossing establishes the ordering.
-	refs       atomic.Int32
-	senderDone atomic.Bool
-	recvDone   atomic.Bool
+	// state is the freelist accounting word: a reference count and the two
+	// endpoint-done flags (see xferDone in fabric.go). It is the only field
+	// both endpoints write; everything else in the struct is either
+	// endpoint-owned or handed across inside a packet, whose mailbox
+	// crossing establishes the ordering.
+	state atomic.Int32
 
 	// span is the verbs-layer telemetry span covering the operation from
 	// post to completion (null when observation is off). WAN queue spans
@@ -94,7 +89,7 @@ type transfer struct {
 }
 
 // reset zeroes the transfer for freelist reuse. Field-by-field rather than
-// a struct assignment: the atomics must not be copied.
+// a struct assignment: the atomic must not be copied.
 func (t *transfer) reset() {
 	t.id = 0
 	t.wr = SendWR{}
@@ -110,8 +105,6 @@ func (t *transfer) reset() {
 	t.readData = nil
 	t.udData = nil
 	t.rwr = RecvWR{}
-	t.refs.Store(0)
-	t.senderDone.Store(false)
-	t.recvDone.Store(false)
+	t.state.Store(0)
 	t.span = telemetry.SpanRef{}
 }

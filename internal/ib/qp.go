@@ -270,6 +270,7 @@ type QP struct {
 	// closure per message or per packet.
 	recvArg      func(any) // consume + recycle an arriving packet
 	launchArg    func(any) // transmit a transfer after SendOverhead
+	retryArg     func(any) // a retry timeout expiring
 	ackArg       func(any) // emit an ack after RecvOverheadSR
 	writeDoneArg func(any) // RDMA write responder completion
 	readDoneArg  func(any) // RDMA read requester completion
@@ -298,8 +299,9 @@ func (h *HCA) CreateQP(cq *CQ, cfg QPConfig) *QP {
 	qp.recvArg = func(v any) {
 		pkt := v.(*packet)
 		qp.receive(pkt)
-		h.fab.freePacket(pkt)
+		h.pool.freePacket(pkt)
 	}
+	qp.retryArg = func(v any) { qp.retryFired(v.(*retryRec)) }
 	qp.launchArg = func(v any) { qp.launchBody(v.(*transfer)) }
 	qp.ackArg = func(v any) { qp.ackSend(v.(*transfer)) }
 	qp.writeDoneArg = func(v any) { qp.writeDone(v.(*transfer)) }
@@ -391,7 +393,7 @@ func (q *QP) receive(pkt *packet) {
 }
 
 // env returns the QP's scheduling environment: the owning HCA's home
-// environment, i.e. the site shard view on a sharded fabric. All of a QP's
+// environment, i.e. the site shard view on a partitioned world. All of a QP's
 // protocol timers and pipeline stages run on this environment; the only
 // cross-shard step is the wire delivery itself (Port.send → AtArgOn).
 func (q *QP) env() *sim.Env { return q.hca.env }

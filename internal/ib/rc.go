@@ -42,7 +42,7 @@ func (q *QP) rcPostSend(wr SendWR) {
 	default:
 		panic("ib: bad opcode for PostSend")
 	}
-	t := q.hca.fab.newTransfer()
+	t := q.hca.pool.newTransfer()
 	t.wr = wr
 	t.size = size
 	t.origin = q
@@ -84,14 +84,14 @@ func (q *QP) kick() {
 // For RDMA read, a single request packet is sent and the responder streams
 // the data back.
 func (q *QP) launch(t *transfer) {
-	q.hca.fab.ref(t)
+	t.ref()
 	q.env().AtArg(SendOverhead, q.launchArg, t)
 }
 
 // launchBody transmits all packets of a transfer (the SendOverhead stage).
 func (q *QP) launchBody(t *transfer) {
-	fab := q.hca.fab
-	if fab.health != nil {
+	pl := q.hca.pool
+	if fab := q.hca.fab; fab.health != nil {
 		// Stamp the attempt with the routing epoch it launches under, so a
 		// later retry timeout is only attributed to the links of a route
 		// the attempt actually took (see healthState.noteTimeout).
@@ -100,27 +100,25 @@ func (q *QP) launchBody(t *transfer) {
 	port := q.hca.routeTo(q.remote.hca.lid)
 	if t.wr.Op == OpRDMARead {
 		q.stats.ReadRequests++
-		pkt := fab.newPacket()
-		*pkt = packet{
+		t.ref()
+		port.send(pl.newPacket(packet{
 			src: q.hca.lid, dst: q.remote.hca.lid,
 			srcQP: q.qpn, dstQP: q.remote.qpn,
 			kind: pktReadReq, wire: ReadReqBytes, msg: t, last: true,
 			retx: t.retried > 0,
-		}
-		fab.ref(t)
-		port.send(pkt)
+		}))
 	} else {
 		q.sendDataPackets(port, q.remote, t, pktData)
 		q.stats.MsgsSent++
 		q.stats.BytesSent += int64(t.size)
 	}
 	q.armRetry(t)
-	fab.unref(t)
+	pl.unref(t)
 }
 
 // sendDataPackets packetizes a transfer onto the wire toward dst.
 func (q *QP) sendDataPackets(port *Port, dst *QP, t *transfer, kind pktKind) {
-	fab := q.hca.fab
+	pl := q.hca.pool
 	n := (t.size + MTU - 1) / MTU
 	if n == 0 {
 		n = 1
@@ -132,62 +130,93 @@ func (q *QP) sendDataPackets(port *Port, dst *QP, t *transfer, kind pktKind) {
 			chunk = MTU
 		}
 		remaining -= chunk
-		pkt := fab.newPacket()
-		*pkt = packet{
+		// Every caller holds its own reference on t for the duration of
+		// this loop, so a fault-injected drop inside port.send (which
+		// releases the packet's reference) can never recycle t mid-loop.
+		t.ref()
+		port.send(pl.newPacket(packet{
 			src: q.hca.lid, dst: dst.hca.lid,
 			srcQP: q.qpn, dstQP: dst.qpn,
 			kind: kind, wire: HeaderRC + chunk, payload: chunk,
 			msg: t, seq: i, last: i == n-1,
 			retx: t.retried > 0,
-		}
-		// Every caller holds its own reference on t for the duration of
-		// this loop, so a fault-injected drop inside port.send (which
-		// releases the packet's reference) can never recycle t mid-loop.
-		fab.ref(t)
-		port.send(pkt)
+		}))
 	}
 }
 
 // armRetry schedules a retransmission if the transfer is not acknowledged
 // within the retry timeout. In a loss-free fabric this never fires. The
-// timer captures the transfer id, not the transfer: ids are never reused,
-// so a transfer acked and recycled during the (long) timeout is simply
-// absent from the inflight map, and the timer holds nothing alive.
+// timer's record carries the transfer together with the id it had when the
+// timer was armed: ids are never reused, so a transfer acked and recycled
+// during the (long) timeout no longer carries that id, and the timer keeps
+// nothing from being recycled.
 //
 // Each retry doubles the timeout (capped at base << maxBackoffShift) and
 // spends one unit of the QP's retry budget; when the budget runs out the
 // transfer completes with StatusRetryExceeded and the QP errors instead
 // of retransmitting forever (see retryExhausted).
 func (q *QP) armRetry(t *transfer) {
-	id := t.id
 	shift := t.retried
 	if shift > maxBackoffShift {
 		shift = maxBackoffShift
 	}
-	q.retryq.At(q.cfg.RetryTimeout<<shift, func() {
-		t, still := q.inflight[id]
-		if !still || t.acked || q.errored {
-			return
-		}
-		if q.cfg.RetryLimit >= 0 && t.retried >= q.cfg.RetryLimit {
-			q.retryExhausted(t)
-			return
-		}
-		t.retried++
-		q.stats.Retransmits++
-		if obs := q.hca.fab.obs; obs != nil {
-			obs.rcRetransmits.Add(1)
-		}
-		q.traceTimer(evRTO, t, "timeout")
-		// Feed reactive link-health detection before relaunching: if this
-		// timeout pushes a monitored link on the path over its threshold,
-		// the re-sweep below runs synchronously and the retransmission
-		// resolves its route over the fresh tables.
-		if h := q.hca.fab.health; h != nil {
-			h.noteTimeout(q, t)
-		}
-		q.launch(t)
-	})
+	rec := q.hca.pool.newRetryRec()
+	rec.t, rec.id = t, t.id
+	q.retryq.AtArg(q.cfg.RetryTimeout<<shift, q.retryArg, rec)
+}
+
+// retryRec is one armed retry timeout.
+type retryRec struct {
+	t  *transfer
+	id int64
+}
+
+// newRetryRec takes a record from the freelist or carves one from a slab: a
+// timeout outlives most runs, so records come back rarely and it is the
+// slabs that keep a message from costing an allocation here.
+func (pl *pool) newRetryRec() *retryRec {
+	if n := len(pl.retryFree); n > 0 {
+		rec := pl.retryFree[n-1]
+		pl.retryFree = pl.retryFree[:n-1]
+		return rec
+	}
+	if len(pl.retrySlab) == 0 {
+		pl.retrySlab = make([]retryRec, 64)
+	}
+	rec := &pl.retrySlab[0]
+	pl.retrySlab = pl.retrySlab[1:]
+	return rec
+}
+
+// retryFired is a retry timeout expiring: retransmit unless the transfer has
+// left the in-flight window since (every way out of it sets acked, and a
+// recycled transfer has lost the id).
+func (q *QP) retryFired(rec *retryRec) {
+	pl := q.hca.pool
+	t, id := rec.t, rec.id
+	*rec = retryRec{}
+	pl.retryFree = append(pl.retryFree, rec)
+	if t.id != id || t.acked || q.errored {
+		return
+	}
+	if q.cfg.RetryLimit >= 0 && t.retried >= q.cfg.RetryLimit {
+		q.retryExhausted(t)
+		return
+	}
+	t.retried++
+	q.stats.Retransmits++
+	if obs := q.hca.fab.obs; obs != nil {
+		obs.rcRetransmits.Add(1)
+	}
+	q.traceTimer(evRTO, t, "timeout")
+	// Feed reactive link-health detection before relaunching: if this
+	// timeout pushes a monitored link on the path over its threshold,
+	// the re-sweep below runs synchronously and the retransmission
+	// resolves its route over the fresh tables.
+	if h := q.hca.fab.health; h != nil {
+		h.noteTimeout(q, t)
+	}
+	q.launch(t)
 }
 
 // retryExhausted is the QP error transition: the transfer that ran out of
@@ -208,8 +237,7 @@ func (q *QP) retryExhausted(t *transfer) {
 	t.acked = true // poison against late acks from earlier attempts
 	q.endVerbsSpan(t)
 	q.cq.post(Completion{Op: t.wr.Op, Status: StatusRetryExceeded, Bytes: t.size, Ctx: t.wr.Ctx, QPN: q.qpn})
-	t.senderDone.Store(true)
-	q.hca.fab.maybeFree(t)
+	q.hca.pool.endpointDone(t, xferSenderDone)
 	// Flush the rest of the in-flight window in posting (id) order — map
 	// iteration order would be nondeterministic.
 	ids := make([]int64, 0, len(q.inflight))
@@ -230,7 +258,7 @@ func (q *QP) retryExhausted(t *transfer) {
 // retryExhausted transition, so the completion stream — StatusRetryExceeded
 // for the doomed transfer, StatusFlushed for the rest in posting order — is
 // identical whether a transfer dies by budget exhaustion or by explicit
-// unreachability, and the rendered output of classic and sharded runs
+// unreachability, and the rendered output of classic and partitioned runs
 // (where a cross-shard drop falls back to budget exhaustion) can only
 // differ in timing the harness never prints.
 func (q *QP) routeUnreachable(t *transfer) {
@@ -250,8 +278,7 @@ func (q *QP) flushTransfer(t *transfer) {
 	q.stats.Flushed++
 	q.endVerbsSpan(t)
 	q.cq.post(Completion{Op: t.wr.Op, Status: StatusFlushed, Bytes: t.size, Ctx: t.wr.Ctx, QPN: q.qpn})
-	t.senderDone.Store(true)
-	q.hca.fab.maybeFree(t)
+	q.hca.pool.endpointDone(t, xferSenderDone)
 }
 
 // rcReceive handles an arriving RC packet.
@@ -307,7 +334,7 @@ func (q *QP) rcData(pkt *packet, readResp bool) {
 		if t.wr.LocalBuf != nil && t.readData != nil {
 			copy(t.wr.LocalBuf, t.readData)
 		}
-		q.hca.fab.ref(t)
+		t.ref()
 		q.env().AtArg(RecvOverheadRDMA, q.readDoneArg, t)
 		return
 	}
@@ -336,9 +363,9 @@ func (q *QP) readDone(t *transfer) {
 	t.acked = true
 	q.endVerbsSpan(t)
 	q.cq.post(Completion{Op: OpRDMARead, Status: StatusOK, Bytes: t.size, Ctx: t.wr.Ctx, QPN: q.qpn})
-	t.senderDone.Store(true)
+	q.hca.pool.endpointDone(t, xferSenderDone)
 	q.kick()
-	q.hca.fab.unref(t)
+	q.hca.pool.unref(t)
 }
 
 // endVerbsSpan closes the transfer's verbs-layer span at the current time.
@@ -367,7 +394,7 @@ func (q *QP) deliverInOrder(t *transfer) {
 		if t.wr.Data != nil && t.wr.RemoteMR.Buf != nil {
 			copy(t.wr.RemoteMR.Buf[t.wr.RemoteOff:], t.wr.Data)
 		}
-		q.hca.fab.ref(t)
+		t.ref()
 		q.env().AtArg(RecvOverheadRDMA, q.writeDoneArg, t)
 	}
 }
@@ -380,8 +407,8 @@ func (q *QP) writeDone(t *transfer) {
 		q.cq.post(Completion{Op: OpRDMAWrite, Status: StatusOK, Bytes: t.size,
 			QPN: q.qpn, SrcQPN: t.origin.qpn, SrcLID: t.origin.hca.lid, Meta: t.wr.Meta})
 	}
-	t.recvDone.Store(true)
-	q.hca.fab.unref(t)
+	q.hca.pool.endpointDone(t, xferRecvDone)
+	q.hca.pool.unref(t)
 }
 
 // deliverSend consumes a receive WQE for a completed inbound send.
@@ -391,42 +418,40 @@ func (q *QP) deliverSend(t *transfer) {
 		copy(rwr.Buf, t.wr.Data)
 	}
 	t.rwr = rwr
-	q.hca.fab.ref(t)
+	t.ref()
 	q.env().AtArg(RecvOverheadSR, q.recvCompArg, t)
 }
 
 // recvComp posts the receive completion (the RecvOverheadSR stage).
 func (q *QP) recvComp(t *transfer) {
 	q.cq.post(Completion{Op: OpRecv, Status: StatusOK, Bytes: t.size, Ctx: t.rwr.Ctx, QPN: q.qpn, SrcQPN: t.origin.qpn, SrcLID: t.origin.hca.lid, Meta: t.wr.Meta, ECN: t.ecn})
-	t.recvDone.Store(true)
-	q.hca.fab.unref(t)
+	q.hca.pool.endpointDone(t, xferRecvDone)
+	q.hca.pool.unref(t)
 }
 
 // sendAck acknowledges a completed inbound transfer after the
 // channel-semantics receive overhead.
 func (q *QP) sendAck(t *transfer) {
-	q.hca.fab.ref(t)
+	t.ref()
 	q.env().AtArg(RecvOverheadSR, q.ackArg, t)
 }
 
 // ackSend emits the ack (the RecvOverheadSR stage behind sendAck).
 func (q *QP) ackSend(t *transfer) {
 	q.sendAckNow(t)
-	q.hca.fab.unref(t)
+	q.hca.pool.unref(t)
 }
 
 func (q *QP) sendAckNow(t *transfer) {
 	q.stats.Acks++
 	port := q.hca.routeTo(q.remote.hca.lid)
-	fab := q.hca.fab
-	pkt := fab.newPacket()
-	*pkt = packet{
+	pl := q.hca.pool
+	t.ref()
+	port.send(pl.newPacket(packet{
 		src: q.hca.lid, dst: q.remote.hca.lid,
 		srcQP: q.qpn, dstQP: q.remote.qpn,
 		kind: pktAck, wire: AckBytes, msg: t, last: true,
-	}
-	fab.ref(t)
-	port.send(pkt)
+	}))
 }
 
 // rcAck completes the acknowledged transfer and slides the window.
@@ -442,7 +467,7 @@ func (q *QP) rcAck(pkt *packet) {
 	}
 	q.endVerbsSpan(t)
 	q.cq.post(Completion{Op: t.wr.Op, Status: StatusOK, Bytes: t.size, Ctx: t.wr.Ctx, QPN: q.qpn})
-	t.senderDone.Store(true)
+	q.hca.pool.endpointDone(t, xferSenderDone)
 	q.kick()
 }
 
@@ -458,7 +483,7 @@ func (q *QP) rcReadReq(pkt *packet) {
 		t.readData = make([]byte, t.size)
 		copy(t.readData, mr.Buf[t.wr.RemoteOff:t.wr.RemoteOff+t.size])
 	}
-	q.hca.fab.ref(t)
+	t.ref()
 	q.env().AtArg(RecvOverheadRDMA, q.readServeArg, t)
 }
 
@@ -467,6 +492,6 @@ func (q *QP) rcReadReq(pkt *packet) {
 func (q *QP) readServe(t *transfer) {
 	port := q.hca.routeTo(q.remote.hca.lid)
 	q.sendDataPackets(port, q.remote, t, pktReadResp)
-	t.recvDone.Store(true)
-	q.hca.fab.unref(t)
+	q.hca.pool.endpointDone(t, xferRecvDone)
+	q.hca.pool.unref(t)
 }

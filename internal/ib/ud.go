@@ -21,8 +21,8 @@ func (q *QP) udPostSend(wr SendWR) {
 		panic("ib: UD send requires DestLID/DestQPN")
 	}
 	q.hca.fab.ensureRouted()
-	fab := q.hca.fab
-	t := fab.newTransfer()
+	fab, pl := q.hca.fab, q.hca.pool
+	t := pl.newTransfer()
 	t.wr = wr
 	t.size = size
 	t.origin = q
@@ -30,32 +30,30 @@ func (q *QP) udPostSend(wr SendWR) {
 	if obs := fab.obs; obs != nil && obs.rec != nil {
 		t.span = obs.rec.StartAt(q.env().Now(), obs.verbsTrack(q.hca), "verbs.ud.send", wr.ParentSpan)
 	}
-	fab.ref(t)
+	t.ref()
 	q.env().AtArg(SendOverhead, q.udSendArg, t)
 }
 
 // udSend puts the datagram on the wire (the SendOverhead stage).
 func (q *QP) udSend(t *transfer) {
-	fab := q.hca.fab
+	pl := q.hca.pool
 	port := q.hca.routeTo(t.wr.DestLID)
 	if port == nil {
 		panic(fmt.Sprintf("ib: no route from %s to LID %d", q.hca.name, t.wr.DestLID))
 	}
-	pkt := fab.newPacket()
-	*pkt = packet{
+	t.ref()
+	port.send(pl.newPacket(packet{
 		src: q.hca.lid, dst: t.wr.DestLID,
 		srcQP: q.qpn, dstQP: t.wr.DestQPN,
 		kind: pktData, wire: HeaderUD + t.size, payload: t.size,
 		msg: t, last: true, ud: true,
-	}
-	fab.ref(t)
-	port.send(pkt)
+	}))
 	q.stats.MsgsSent++
 	q.stats.BytesSent += int64(t.size)
 	q.endVerbsSpan(t) // UD completes at wire departure (open loop)
 	q.cq.post(Completion{Op: OpSend, Status: StatusOK, Bytes: t.size, Ctx: t.wr.Ctx, QPN: q.qpn})
-	t.senderDone.Store(true)
-	fab.unref(t)
+	pl.endpointDone(t, xferSenderDone)
+	pl.unref(t)
 }
 
 // udReceive delivers a datagram into a posted receive, or drops it.
@@ -69,7 +67,7 @@ func (q *QP) udReceive(pkt *packet) {
 		q.hca.fab.traceReason(evDrop, q.hca, pkt, "no-recv")
 		// Nothing on this end will ever touch the transfer again; the
 		// packet's reference (released by the caller) recycles it.
-		t.recvDone.Store(true)
+		q.hca.pool.endpointDone(t, xferRecvDone)
 		return
 	}
 	rwr := q.recvQ.Pop()
@@ -83,6 +81,6 @@ func (q *QP) udReceive(pkt *packet) {
 	q.stats.MsgsRecv++
 	q.stats.BytesRecv += int64(t.size)
 	t.rwr = rwr
-	q.hca.fab.ref(t)
+	t.ref()
 	q.env().AtArg(RecvOverheadSR, q.recvCompArg, t)
 }

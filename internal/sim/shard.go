@@ -27,10 +27,13 @@ import (
 // promises that every cross-shard event deposited while src's clock reads t
 // lands at or after t+b. The windowed run loop repeats:
 //
-//  1. merge every mailbox lane into its destination heap in deterministic
+//  1. merge every mailbox lane into its destination in deterministic
 //     (time, source shard, source sequence) order, stamping fresh local
 //     sequence numbers — the merge rule, unchanged from the global-lookahead
-//     scheduler;
+//     scheduler. Each lane lands in a Pipe of its own on the destination, so
+//     a WAN's worth of packets in flight costs the destination heap one
+//     entry per lane, not one per packet; the same pass hands every object
+//     on a return lane (ReturnTo) back to its home shard;
 //  2. compute each shard's safe horizon from the channel clocks:
 //     limit[i] = min over incoming channels k→i of (est[k] + b[k→i]),
 //     where est[k] is shard k's earliest conceivable execution time — the
@@ -65,7 +68,9 @@ import (
 // single-producer lane owned by the sending shard (no mutex — the lane is
 // only written by that shard's worker during a window and only drained at
 // the barrier), and delivery is a k-way merge of the per-source lanes, each
-// already in nondecreasing (at, srcSeq) order.
+// already in nondecreasing (at, srcSeq) order. A window in which only one
+// shard has anything to run — the common case on a lightly coupled world —
+// runs on the coordinator without waking the pool at all.
 type world struct {
 	shards  []*Env
 	workers int
@@ -79,6 +84,7 @@ type world struct {
 	nchan     int
 
 	lanes []lane // lanes[src*n+dst]: single-producer cross-shard deposits
+	pipes []Pipe // pipes[src*n+dst]: lane src→dst's delivered events, on dst
 
 	next   []Time  // per-window scratch: each shard's next-event time
 	est    []Time  // per-window scratch: earliest conceivable execution time
@@ -108,10 +114,18 @@ type world struct {
 // under concurrent producers.
 type lane struct {
 	entries []xentry
-	head    int  // drain cursor during the k-way merge
-	last    Time // most recent append's at, for the sorted check
-	sorted  bool // entries are in nondecreasing at order (the common case)
-	_       [24]byte
+	rets    []returned // objects going home to dst's freelists (ReturnTo)
+	head    int        // drain cursor during the k-way merge
+	last    Time       // most recent append's at, for the sorted check
+	sorted  bool       // entries are in nondecreasing at order (the common case)
+	_       [56]byte
+}
+
+// returned is one object on a return lane: sink(val) puts it back on its
+// home shard's freelist at the barrier.
+type returned struct {
+	sink func(any)
+	val  any
 }
 
 // xentry is one cross-shard event in flight: an AtArgOn deposit carrying
@@ -188,6 +202,7 @@ func (e *Env) Partition(n int) []*Env {
 		lookahead: maxTime,
 		bounds:    make([]Time, n*n),
 		lanes:     make([]lane, n*n),
+		pipes:     make([]Pipe, n*n),
 		next:      make([]Time, n),
 		est:       make([]Time, n),
 		limits:    make([]Time, n),
@@ -214,6 +229,9 @@ func (e *Env) Partition(n int) []*Env {
 		views[i] = v
 	}
 	w.shards = views
+	for i := range w.pipes {
+		w.pipes[i] = views[i%n].NewPipe()
+	}
 	return views
 }
 
@@ -346,6 +364,27 @@ func (e *Env) AtArgOn(target *Env, delay Time, fn func(any), arg any) {
 	})
 }
 
+// ReturnTo hands v back to the shard that owns it: sink(v) — typically a
+// push onto one of home's freelists — runs at once when home is the calling
+// shard (always, on an unpartitioned world), and otherwise at the next window
+// barrier, single-threaded, after v has waited on the calling shard's return
+// lane toward home. This is what lets layers pool objects that cross a
+// mailbox: the shard that consumes one last sends it home instead of keeping
+// or sharing it. Returning is not an event — no sequence number, not counted
+// by Executed — and the lane takes no lock, exactly like AtArgOn's.
+func (e *Env) ReturnTo(home *Env, sink func(any), v any) {
+	if home == e {
+		sink(v)
+		return
+	}
+	w := e.world
+	if w == nil || home.world != w {
+		panic("sim: ReturnTo across unrelated environments")
+	}
+	ln := &w.lanes[int(e.shard)*len(w.shards)+int(home.shard)]
+	ln.rets = append(ln.rets, returned{sink, v})
+}
+
 // runWorld is RunUntil for a partitioned world: the windowed barrier loop.
 // Sampling state lives on shard 0 (the root view — the environment the
 // world was partitioned from, where SetSampler is installed): at each
@@ -358,10 +397,11 @@ func (e *Env) runWorld(horizon Time) Time {
 	root := w.shards[0]
 	w.stopped.Store(false)
 	var p *wpool
-	if w.workers > 1 && len(w.shards) > 1 {
-		p = newWPool(w)
-		defer p.stop()
-	}
+	defer func() {
+		if p != nil {
+			p.stop()
+		}
+	}()
 	for !w.stopped.Load() {
 		w.deliverMail()
 		next := maxTime
@@ -410,11 +450,14 @@ func (e *Env) runWorld(horizon Time) Time {
 		}
 		w.planWindow(next, windowHorizon)
 		w.windows++
-		if p == nil {
-			for _, si := range w.active {
-				w.shards[si].runShard(w.limits[si])
-			}
+		if w.workers == 1 || len(w.active) == 1 {
+			// One shard has work (or one worker runs them all): nothing to
+			// overlap, so the window costs no release and no collection.
+			w.runShards(0, 1)
 		} else {
+			if p == nil {
+				p = newWPool(w)
+			}
 			p.window()
 		}
 		w.raisePanics()
@@ -528,15 +571,18 @@ func (w *world) planWindow(next, horizon Time) {
 	}
 }
 
-// deliverMail merges every destination's incoming lanes into its heap in
-// deterministic (time, source shard, source sequence) order, stamping
-// fresh destination sequence numbers. Each lane is appended in
-// nondecreasing at order by a single producer (srcSeq strictly increasing),
-// so delivery is a k-way merge across source lanes rather than a sort; a
-// lane that went out of order (a link delay lowered mid-run) is stably
-// re-sorted by at first, which preserves its srcSeq order. Buffers are
-// retained for reuse; entries are zeroed so the freelists can reclaim
-// their payloads.
+// deliverMail merges every destination's incoming lanes in deterministic
+// (time, source shard, source sequence) order, stamping fresh destination
+// sequence numbers. Each lane is appended in nondecreasing at order by a
+// single producer (srcSeq strictly increasing), so delivery is a k-way merge
+// across source lanes rather than a sort; a lane that went out of order (a
+// link delay lowered mid-run) is stably re-sorted by at first, which
+// preserves its srcSeq order. An entry is scheduled through its lane's pipe
+// on the destination, which is Env.AtArg in every observable respect — same
+// sequence number, same (at, seq) dispatch key — but keeps only the lane's
+// earliest undelivered event in the heap. The same pass empties the return
+// lanes into their home freelists. Buffers are retained for reuse; entries
+// are zeroed so the freelists can reclaim their payloads.
 func (w *world) deliverMail() {
 	n := len(w.shards)
 	for di := 0; di < n; di++ {
@@ -547,6 +593,13 @@ func (w *world) deliverMail() {
 				continue
 			}
 			ln := &w.lanes[j*n+di]
+			if len(ln.rets) > 0 {
+				for i, r := range ln.rets {
+					r.sink(r.val)
+					ln.rets[i] = returned{}
+				}
+				ln.rets = ln.rets[:0]
+			}
 			if len(ln.entries) == 0 {
 				continue
 			}
@@ -582,7 +635,7 @@ func (w *world) deliverMail() {
 			if x.at < dst.now {
 				panic(fmt.Sprintf("sim: cross-shard event at %v arrives in shard %d's past (now %v)", x.at, di, dst.now))
 			}
-			dst.push(entry{at: x.at, kind: kindFnArg, tgt: x.fnv, val: x.val})
+			w.pipes[best*n+di].AtArg(x.at-dst.now, x.fnv, x.val)
 		}
 		for j := 0; j < n; j++ {
 			if j == di {
@@ -664,15 +717,11 @@ type wpool struct {
 const barrierSpin = 128
 
 func newWPool(w *world) *wpool {
-	workers := w.workers
-	if workers > len(w.shards) {
-		workers = len(w.shards)
-	}
-	p := &wpool{w: w, workers: workers}
+	p := &wpool{w: w, workers: w.workers}
 	p.cond = sync.NewCond(&p.mu)
 	p.dcond = sync.NewCond(&p.dmu)
-	p.wg.Add(workers - 1)
-	for k := 1; k < workers; k++ {
+	p.wg.Add(p.workers - 1)
+	for k := 1; k < p.workers; k++ {
 		go p.worker(k)
 	}
 	return p
@@ -686,13 +735,33 @@ func (p *wpool) worker(k int) {
 		if p.quit.Load() {
 			return
 		}
-		p.w.runShards(k, p.workers)
+		p.runWindow(k)
+	}
+}
+
+// runWindow runs worker k's share of the current window and arrives at the
+// barrier. The arrival is deferred so that it happens on every way out: a
+// runtime.Goexit inside a process (t.FailNow, say) unwinds the worker
+// goroutine through here, and without its arrival the coordinator would wait
+// forever. The worker is gone after that, so the exit is recorded like a
+// panic and the coordinator raises it at the barrier.
+func (p *wpool) runWindow(k int) {
+	finished := false
+	defer func() {
+		if !finished {
+			w := p.w
+			w.pmu.Lock()
+			w.panics = append(w.panics, shardPanic{at: maxTime, val: "sim: a shard worker exited mid-window (runtime.Goexit — t.FailNow or t.Fatal — inside a process or callback)"})
+			w.pmu.Unlock()
+		}
 		if p.arrived.Add(-1) == 0 {
 			p.dmu.Lock()
 			p.dcond.Signal()
 			p.dmu.Unlock()
 		}
-	}
+	}()
+	p.w.runShards(k, p.workers)
+	finished = true
 }
 
 // awaitStart blocks until the generation moves past gen and returns the

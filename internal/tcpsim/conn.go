@@ -38,21 +38,26 @@ type segment struct {
 	// link queue. Receiver-owned, like the delivery bookkeeping.
 	ce bool
 
-	// refs counts in-progress flights: transmissions handed to a transmit
-	// context whose receive-side processing has not finished yet. A flight
-	// lost to fault injection never completes, leaving the segment to the
-	// garbage collector — safe, just unpooled. It is atomic because on a
-	// sharded world a go-back-N retransmission (sender shard, refs up) can
-	// overlap the original flight's receive processing (peer shard, refs
-	// down) inside one conservative window. A plain int32 driven through
+	// state is the recycling word: the low bits count in-progress flights —
+	// transmissions handed to a transmit context whose receive-side
+	// processing has not finished yet — and segUnacked flags membership in
+	// the sender's retransmission queue. The segment is recycled by whichever
+	// operation brings the word to zero. A flight lost to fault injection
+	// never completes, leaving the segment to the garbage collector — safe,
+	// just unpooled. The word is atomic, and one word, because on a
+	// partitioned world a go-back-N retransmission or an ack leaving the
+	// queue (sender shard) can overlap the original flight's receive
+	// processing (peer shard) inside one conservative window, and exactly
+	// one of the two must see the last release. A plain int32 driven through
 	// sync/atomic functions (not atomic.Int32) keeps the pooled zeroing
-	// assignment in maybeFree copyable.
-	refs int32
-	// inUnacked marks membership in the sender's retransmission queue.
-	inUnacked bool
+	// assignment in released copyable.
+	state int32
 	// home is the stack that created the segment; its pool takes it back.
 	home *Stack
 }
+
+// segUnacked is the retransmission-queue flag in segment.state.
+const segUnacked = 1 << 30
 
 // span is a run of stream bytes, possibly synthetic.
 type span struct {
@@ -187,9 +192,7 @@ func (c *Conn) reset(err error) {
 	c.stack.stats.Resets++
 	c.stack.obs.resets.Add(1)
 	for c.unacked.Len() > 0 {
-		seg := c.unacked.Pop()
-		seg.inUnacked = false
-		seg.maybeFree()
+		c.stack.acked(c.unacked.Pop())
 	}
 	for c.sendQ.Len() > 0 {
 		c.sendQ.Pop()
@@ -370,7 +373,7 @@ func (c *Conn) pump() {
 		}
 		c.sendQBytes -= n
 		c.sndNxt += int64(n)
-		seg.inUnacked = true
+		seg.state = segUnacked // fresh from the pool: no flight yet
 		c.unacked.Push(seg)
 		c.stack.transmit(seg)
 		if c.unacked.Len() == 1 {
@@ -526,8 +529,7 @@ func (c *Conn) handleAck(seg *segment) {
 			break
 		}
 		c.unacked.Pop()
-		head.inUnacked = false
-		head.maybeFree()
+		c.stack.acked(head)
 	}
 	if c.sndUna >= c.recover {
 		c.lossRecovery = false

@@ -1,0 +1,80 @@
+package tcpsim
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/ib"
+	"repro/internal/ipoib"
+	"repro/internal/sim"
+)
+
+// shardedStacks builds a partitioned world of n sites in a line — one switch
+// per shard, neighbours joined by links of the given delay — with a TCP stack
+// over an IPoIB-UD interface at each end.
+func shardedStacks(n int, delay sim.Time) (*sim.Env, *Stack, *Stack) {
+	env := sim.NewEnv()
+	env.SetShardWorkers(n)
+	views := env.Partition(n)
+	f := ib.NewFabric(env)
+	sws := make([]*ib.Switch, n)
+	for i, v := range views {
+		f.UseEnv(v)
+		sws[i] = f.AddSwitch(fmt.Sprintf("sw%d", i), ib.SwitchDelay)
+		if i > 0 {
+			f.Connect(sws[i-1], sws[i], ib.SDR, delay)
+			views[i-1].RegisterLookaheadBetween(v, delay)
+			v.RegisterLookaheadBetween(views[i-1], delay)
+		}
+	}
+	f.UseEnv(views[0])
+	a := f.AddHCA("a")
+	f.Connect(a, sws[0], ib.SDR, ib.DefaultCableDelay)
+	f.UseEnv(views[n-1])
+	b := f.AddHCA("b")
+	f.Connect(b, sws[n-1], ib.SDR, ib.DefaultCableDelay)
+	f.Finalize()
+	net := ipoib.NewNetwork()
+	return env, NewStack(net.Attach(a, ipoib.Datagram, 0), Config{}), NewStack(net.Attach(b, ipoib.Datagram, 0), Config{})
+}
+
+// TestOwnershipOneWayStream streams TCP one way across a partitioned world.
+// A data segment is created by the sender and is last touched by whichever
+// comes second, the receiver finishing its flight or the sender taking it
+// off the retransmission queue; an ack is created by the receiver and
+// consumed on the sender's shard. Each must go back to the stack that made
+// it: after tens of thousands of segments both pools hold what was in
+// flight at once, not a share of the stream.
+func TestOwnershipOneWayStream(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			env, sa, sb := shardedStacks(shards, 100*sim.Microsecond)
+			ln := sb.Listen(7000)
+			sb.Env().Go("srv", func(p *sim.Proc) { ln.Accept(p) })
+			sa.Env().Go("cli", func(p *sim.Proc) {
+				c, err := sa.Dial(p, sb.Addr(), 7000)
+				if err != nil {
+					panic(err)
+				}
+				for i := 0; i < 24; i++ {
+					c.WriteSynthetic(p, 1<<20)
+				}
+			})
+			env.Run() // to quiescence: everything acknowledged, nothing in flight
+			env.Shutdown()
+			segs := sb.Stats().RxSegments
+			if segs < 10000 {
+				t.Fatalf("only %d segments crossed", segs)
+			}
+			// One window of data (768 KB of 2 KB segments) and its acks.
+			const bound = 2 * DefaultWindow / 2000
+			for _, s := range []*Stack{sa, sb} {
+				n := len(s.segFree)
+				t.Logf("stack at LID %d: %d segments pooled, %d crossed", s.Addr(), n, segs)
+				if n == 0 || n > bound {
+					t.Errorf("stack at LID %d holds %d pooled segments after %d crossed, want 1..%d", s.Addr(), n, segs, bound)
+				}
+			}
+		})
+	}
+}

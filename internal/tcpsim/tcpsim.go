@@ -120,18 +120,16 @@ type Stack struct {
 	txq       *sim.Server[*segment] // transmit context
 	rxq       *sim.Server[*segment] // receive context (softirq)
 	stats     StackStats
-	// segFree recycles segment objects. Like the fabric's packet pool it
-	// is a plain slice touched only from the (unsharded) world's one
-	// environment, so reuse is deterministic. A segment's last toucher is
-	// often the peer stack (acks are consumed at the data sender), so a
-	// segment is released to the pool of the stack that created it
-	// (segment.home): every stack's pool refills at the rate it drains.
+	// segFree recycles segment objects. Like the fabric's packet pool it is
+	// a plain slice touched only from the stack's own environment, so reuse
+	// is deterministic. A segment's last toucher is often the peer stack
+	// (acks are consumed at the data sender), so a segment goes back to the
+	// pool of the stack that created it (segment.home) — directly when the
+	// two stacks share an environment, over the kernel's return lane
+	// (takeSeg is its sink) when the peer is on another shard: every
+	// stack's pool refills at the rate it drains.
 	segFree []*segment
-	// sharded marks a stack living on a shard view of a partitioned world.
-	// Mirroring the fabric's policy, sharded stacks never pool segments: a
-	// segment's last toucher can be either endpoint's shard, so recycling
-	// would race; fresh allocations fall back to the garbage collector.
-	sharded bool
+	takeSeg func(any)
 	// obs holds possibly-nil telemetry handles; record methods on nil
 	// handles are no-ops, so the disabled path costs a nil check per site.
 	obs stackObs
@@ -160,8 +158,6 @@ type stackObs struct {
 }
 
 // newSegment returns a zeroed segment (its spans backing array is kept).
-// On a sharded world segments are always fresh: nothing is ever released
-// into the pool there (see maybeFree).
 func (s *Stack) newSegment() *segment {
 	if n := len(s.segFree); n > 0 {
 		seg := s.segFree[n-1]
@@ -177,36 +173,35 @@ func (s *Stack) newSegment() *segment {
 // the segment (or never, if fault injection drops it — then the segment
 // falls back to the garbage collector).
 func (s *Stack) transmit(seg *segment) {
-	atomic.AddInt32(&seg.refs, 1)
+	atomic.AddInt32(&seg.state, 1)
 	s.txq.Put(seg)
 }
 
-// unref ends one flight of seg.
-func (seg *segment) unref() {
-	if atomic.AddInt32(&seg.refs, -1) < 0 {
+// unref ends one flight of seg; s is the stack the flight ended on.
+func (s *Stack) unref(seg *segment) {
+	st := atomic.AddInt32(&seg.state, -1)
+	if st&(segUnacked-1) == segUnacked-1 {
 		panic("tcpsim: segment reference count underflow")
 	}
-	seg.maybeFree()
+	s.released(seg, st)
 }
 
-// maybeFree recycles seg into its home stack's pool once no flight is in
-// progress and the sender no longer holds it for retransmission. Sharded
-// stacks never recycle (see the sharded field); the segment is left to the
-// garbage collector, which also keeps the inUnacked read shard-local.
-func (seg *segment) maybeFree() {
-	home := seg.home
-	if home.sharded {
+// acked takes seg off its sender's retransmission queue (s is that sender).
+func (s *Stack) acked(seg *segment) {
+	s.released(seg, atomic.AddInt32(&seg.state, -segUnacked))
+}
+
+// released recycles seg once its state word is zero: no flight in progress,
+// not held for retransmission. Whichever stack brought it there zeroes the
+// segment and sends it to its home stack's pool.
+func (s *Stack) released(seg *segment, state int32) {
+	if state != 0 {
 		return
 	}
-	if atomic.LoadInt32(&seg.refs) == 0 && !seg.inUnacked {
-		spans := seg.spans
-		for i := range spans {
-			spans[i] = span{}
-		}
-		*seg = segment{}
-		seg.spans = spans[:0]
-		home.segFree = append(home.segFree, seg)
-	}
+	home, spans := seg.home, seg.spans
+	clear(spans)
+	*seg = segment{spans: spans[:0]}
+	s.env.ReturnTo(home.env, home.takeSeg, seg)
 }
 
 // StackStats counts stack activity, for utilization analysis.
@@ -233,12 +228,12 @@ func NewStack(dev *ipoib.NetDev, cfg Config) *Stack {
 	s := &Stack{
 		env:       dev.Env(),
 		dev:       dev,
-		sharded:   dev.Env().Sharded(),
 		cfg:       cfg,
 		listeners: make(map[int]*Listener),
 		conns:     make(map[connKey]*Conn),
 		nextPort:  40000,
 	}
+	s.takeSeg = func(v any) { s.segFree = append(s.segFree, v.(*segment)) }
 	if tel := telemetry.FromEnv(s.env); tel != nil && tel.Metrics != nil {
 		m := tel.Metrics
 		s.obs = stackObs{
@@ -307,7 +302,7 @@ func (s *Stack) txDone(seg *segment) {
 		// retransmission queue.
 		s.stats.SegDrops++
 		s.obs.segDrops.Add(1)
-		seg.unref()
+		s.unref(seg)
 		return
 	}
 	s.dev.Send(seg.dst, seg, seg.length+HeaderBytes)
@@ -328,7 +323,7 @@ func (s *Stack) rxCost(seg *segment) sim.Time {
 // rxDone hands a processed segment to its connection and ends its flight.
 func (s *Stack) rxDone(seg *segment) {
 	s.dispatch(seg)
-	seg.unref()
+	s.unref(seg)
 }
 
 // Stats returns a snapshot of the stack counters.

@@ -110,26 +110,24 @@ func TestShardedHeteroStarWindowsDrop(t *testing.T) {
 		float64(uniWins)/float64(chWins), chEvents, chMbps)
 }
 
-// TestShardedAllocsBound pins the sharded scheduler's allocation overhead
-// (the "shards=1 + lanes bound" in BENCH_shards.json): the mesh4
-// collective workload at shards=4 must not allocate more than the
-// single-heap run plus a fixed budget for the world's standing
-// structures. The window loop itself must be allocation-free — the
-// profile shows nothing from the worker pool, the mailbox deposits or
-// the k-way merge — so the remaining gap is world-construction scale:
-// mailbox lane buffers growing to steady state, plus the per-shard
-// event/packet freelists warming up independently where the single heap
-// shares one pool. None of that scales with window count; the old
-// mutex-mailbox scheduler's per-window churn (~3300 allocs/op on this
-// workload) blows the budget and trips the guard.
+// TestShardedAllocsBound pins the sharded scheduler's allocation overhead:
+// the mesh4 collective workload at shards=4 must not allocate more than the
+// single-heap run plus a fixed budget for the world's standing structures.
+// The window loop itself must be allocation-free — nothing from the worker
+// pool, the mailbox deposits, the k-way merge or the return lanes — and
+// packets, transfers and segments are pooled per shard exactly as on the
+// classic path, so what is left is world-construction scale: the MPI layer
+// connecting cross-shard rank pairs up front instead of on first use (QPs
+// and their receive rings, about 600), lane and per-shard freelist warm-up
+// (about 250), the shard views themselves. None of that scales with window
+// count; per-window churn (the old mutex-mailbox scheduler cost ~3300
+// allocs/op here) or an unpooled wire path (+1200) blows the budget.
 func TestShardedAllocsBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation calibration skipped in -short mode")
 	}
-	// Measured gap is ~2100 (lane growth ~600, split freelist warm-up
-	// ~1500); the budget allows modest drift without re-admitting
-	// window-scale churn.
-	const budget = 2600
+	// Measured gap is 882, and it repeats exactly.
+	const budget = 1000
 	measure := func(shards int) float64 {
 		return testing.AllocsPerRun(3, func() {
 			shardedMultisiteWorkload(t, shards)
