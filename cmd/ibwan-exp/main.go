@@ -1,10 +1,13 @@
-// Command ibwan-exp regenerates the tables and figures of "Performance of
-// HPC Middleware over InfiniBand WAN" on the simulated testbed.
+// Command ibwan-exp is the repository's one binary: it regenerates the
+// tables and figures of "Performance of HPC Middleware over InfiniBand WAN"
+// on the simulated testbed, and measures single points of any middleware
+// layer with that layer's own tool.
 //
 // Usage:
 //
 //	ibwan-exp [flags] <experiment>...
-//	ibwan-exp all
+//	ibwan-exp [flags] all
+//	ibwan-exp [flags] probe <perftest|ipoib|mpi|nas|nfs> [probe flags]
 //
 // Experiments: table1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
 // fig13, plus the loss-* family (loss-goodput loss-latency loss-flap
@@ -15,6 +18,16 @@
 // queues so marks and drops emerge from stream contention, and the
 // failover-* family arming the self-healing routing layer (see
 // EXPERIMENTS.md). -list enumerates them all with descriptions.
+//
+// A probe is one measurement cell named on the command line, after the tool
+// the paper measured that layer with: perftest (verbs), iperf (ipoib, incl.
+// -mode sdp), OMB (mpi), the NAS kernels (nas), IOzone (nfs). It runs on the
+// same harness as a registry experiment, so every flag before the word
+// "probe" applies (-fault, -trace-out, -metrics-out, -json, -csv, ...)
+// except the five that shape registry sweeps (-quick, -class, -filemb,
+// -tcpms, -topo). At a figure's parameters it prints that figure's cell; a
+// bad flag value is exit 2, a point the model cannot complete an ERR row.
+// "ibwan-exp probe <layer> -h" lists a layer's flags.
 //
 // Every experiment expands into independent measurement points (one
 // simulated testbed per point) that run on a bounded worker pool; -par
@@ -46,6 +59,10 @@
 //	ibwan-exp -quick -sample-every 1ms -timeline-out tl.json fig8   # sampled timelines
 //	ibwan-exp -quick -sample-every 1ms -timeline-out tl.csv loss-flap  # same, CSV
 //	ibwan-exp -list                                 # experiment ids + descriptions
+//	ibwan-exp probe mpi -bench bw -size 16384 -delay 1000 -threshold 65536
+//	ibwan-exp probe nfs -transport tcp-rc -threads 8 -delay 1000 -filemb 64
+//	ibwan-exp -fault wan-loss=0.01 probe ipoib -mode ud -streams 8   # a probe under chaos
+//	ibwan-exp -trace-out p.json probe perftest -test bw -size 65536  # its packet log
 //
 // -sample-every arms the sim-time timeline sampler: every point's metrics
 // are snapshotted at that cadence of virtual time into deterministic
@@ -112,7 +129,7 @@ func main() {
 	timelineOut := flag.String("timeline-out", "", "write sampled timelines to this file ('-' = stdout, suppresses tables; a .csv suffix selects CSV, otherwise JSON); requires -sample-every")
 	faultSpec := flag.String("fault", "", "run-wide chaos plan, e.g. 'wan-loss=0.01,seed=7' or 'wan-down' or 'wan-flap=5ms:20ms'; prefix 'link=NAME:' targets one link of a multi-link topology (e.g. 'link=r1-r2:wan-down'); failed points render as ERR")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ibwan-exp [flags] <experiment>...\nexperiments: %s all\nflags:\n",
+		fmt.Fprintf(os.Stderr, "usage: ibwan-exp [flags] <experiment>...\n       ibwan-exp [flags] probe <layer> [probe flags]\nexperiments: %s all (-list describes them and the probe layers)\nflags:\n",
 			strings.Join(core.ExperimentIDs, " "))
 		flag.PrintDefaults()
 	}
@@ -120,6 +137,9 @@ func main() {
 	if *list {
 		for _, s := range core.Specs() {
 			fmt.Printf("%-20s %s\n", s.ID, s.Desc)
+		}
+		for _, p := range core.Probes() {
+			fmt.Printf("%-20s %s\n", "probe "+p.Name, p.Desc)
 		}
 		return
 	}
@@ -155,15 +175,36 @@ func main() {
 			opt.TCPMillis = 0
 		}
 	}
-	ids := args
-	if len(args) == 1 && args[0] == "all" {
-		ids = core.ExperimentIDs
-	}
-	for _, id := range ids {
-		if _, ok := core.Lookup(id); !ok {
-			fmt.Fprintf(os.Stderr, "ibwan-exp: unknown experiment %q\n\n", id)
-			flag.Usage()
+	var specs []core.Spec
+	if args[0] == "probe" {
+		// The sweep-shaping flags mean nothing to a single point (a probe
+		// has its own -class and -filemb): refuse them rather than print a
+		// number they did not shape.
+		for _, name := range []string{"quick", "class", "filemb", "tcpms", "topo"} {
+			if flagSet(name) {
+				fmt.Fprintf(os.Stderr, "ibwan-exp: -%s shapes registry sweeps and does not apply to a probe (probe flags go after the layer name)\n", name)
+				os.Exit(2)
+			}
+		}
+		spec, err := core.ProbeSpec(args[1:])
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ibwan-exp: %v\n", err)
 			os.Exit(2)
+		}
+		specs = []core.Spec{spec}
+	} else {
+		ids := args
+		if len(args) == 1 && args[0] == "all" {
+			ids = core.ExperimentIDs
+		}
+		for _, id := range ids {
+			spec, ok := core.Lookup(id)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "ibwan-exp: unknown experiment %q\n\n", id)
+				flag.Usage()
+				os.Exit(2)
+			}
+			specs = append(specs, spec)
 		}
 	}
 	// Validate observability knobs before any simulation: a zero or negative
@@ -264,7 +305,7 @@ func main() {
 	// stdout, so '-' on any report flag suppresses them.
 	render := outs["json"] != os.Stdout && outs["trace-out"] != os.Stdout &&
 		outs["metrics-out"] != os.Stdout && outs["timeline-out"] != os.Stdout
-	results, err := run(ids, opt, ropt, outs["json"], *csv, *chart, render)
+	results, err := run(specs, opt, ropt, outs["json"], *csv, *chart, render)
 	if outs["cpuprofile"] != nil {
 		pprof.StopCPUProfile()
 	}
@@ -361,10 +402,10 @@ func writeTelemetry(trace, metrics *os.File, metricsPath string, tel *telemetry.
 // Profiling bookkeeping stays in main: every exit path from here returns,
 // so the profiles are always flushed. Output files arrive as already-open
 // handles (nil = not requested).
-func run(ids []string, opt core.Options, ropt core.RunnerOptions, jsonOut *os.File, csv, chart, render bool) ([]core.Result, error) {
+func run(specs []core.Spec, opt core.Options, ropt core.RunnerOptions, jsonOut *os.File, csv, chart, render bool) ([]core.Result, error) {
 	var results []core.Result
-	for _, id := range ids {
-		res := core.RunWith(id, opt, ropt)
+	for _, spec := range specs {
+		res := core.RunSpec(spec, opt, ropt)
 		results = append(results, res)
 		if !render {
 			continue

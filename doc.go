@@ -6,9 +6,10 @@
 // The paper's hardware testbed — two InfiniBand DDR clusters joined by
 // Obsidian Longbow XR WAN range extenders — is modeled packet by packet,
 // and every middleware layer it measures (verbs, IPoIB/TCP, MVAPICH2-style
-// MPI, NFS over RDMA and over TCP) is implemented on the model. The
-// benchmarks in bench_test.go regenerate one headline result per table and
-// figure of the paper's evaluation; cmd/ibwan-exp regenerates them in full.
+// MPI, NFS over RDMA and over TCP) is implemented on the model.
+// cmd/ibwan-exp regenerates every table and figure of the paper's evaluation
+// and probes single points of any layer; `sh bench/run.sh --trace 1` reports
+// what each figure (core.family.<id>.*) and each layer costs to simulate.
 //
 // See README.md for the layout and DESIGN.md for the substitution map from
 // paper hardware to simulated substrate.

@@ -149,7 +149,6 @@ func congestTCP(nw *topo.Network, ecn bool, streams int, dur sim.Time) (float64,
 	conns := make([]*tcpsim.Conn, streams)
 	errs := make([]error, streams)
 	for i := 0; i < streams; i++ {
-		i := i
 		sa, sb := sas[i%nstacks], sbs[i%nstacks]
 		port := 6000 + i
 		ln := sb.Listen(port)
@@ -185,23 +184,9 @@ func congestTCP(nw *topo.Network, ecn bool, streams int, dur sim.Time) (float64,
 		}
 		return n
 	}
-	nw.Env.RunUntil(dur / 2)
-	mid := delivered()
-	nw.Env.RunUntil(dur)
-	end := delivered()
-	if end == 0 {
-		// Nothing was delivered inside the window: run on until the
-		// connect/retransmission machinery reaches its verdict so a dead
-		// WAN (the chaos matrix kills links under congest too) surfaces
-		// its error instead of a measurement of nothing.
-		nw.Env.RunUntil(dur + 20*sim.Second)
-		for _, err := range errs {
-			if err != nil {
-				return 0, err
-			}
-		}
-	}
-	return float64(end-mid) / (dur / 2).Seconds() / 1e6, nil
+	// The chaos matrix kills links under congest too: this surfaces
+	// what a dead WAN did to the flows.
+	return secondHalfRate(nw.Env, dur, delivered, func() error { return firstOf(errs...) })
 }
 
 // congestDur is the family's per-point measurement window. AIMD needs tens
@@ -233,10 +218,8 @@ func congestStreams(opt Options) *Plan {
 		streams = []int{1, 4}
 	}
 	for _, sc := range congestStreamSeries {
-		sc := sc
 		s := t.AddSeries(sc.name)
 		for _, n := range streams {
-			n := n
 			label := fmt.Sprintf("congest-streams/%s/%s/%d", opt.Topo, sc.name, n)
 			pl.point(s, float64(n), label, func(m *Meter) float64 {
 				nw := congestNet(m, opt, sc)
@@ -271,7 +254,6 @@ func congestQueue(opt Options) *Plan {
 		{name: "lossless", lossless: true},
 	}
 	for _, d := range disciplines {
-		d := d
 		s := t.AddSeries(d.name)
 		for _, frac := range fracs {
 			sc := d

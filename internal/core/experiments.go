@@ -101,7 +101,6 @@ func table1(Options) *Plan {
 	s := t.AddSeries("delay")
 	pl := &Plan{Tables: []*stats.Table{t}}
 	for _, km := range []float64{10, 20, 200, 2000, 20000} {
-		km := km
 		pl.point(s, km, fmt.Sprintf("table1/%gkm", km), func(m *Meter) float64 {
 			d, err := wan.DelayForDistance(km)
 			m.Check(err)
@@ -121,18 +120,9 @@ func fig3(Options) *Plan {
 		fn   func(m *Meter) float64
 	}{
 		// Through the Longbow pair at zero configured delay.
-		{"SendRecv/UD", func(m *Meter) float64 {
-			env, tb := m.pair(0)
-			return perftest.SendLatency(env, tb.A[0].HCA, tb.B[0].HCA, ib.UD, 8, iters).Microseconds()
-		}},
-		{"SendRecv/RC", func(m *Meter) float64 {
-			env, tb := m.pair(0)
-			return perftest.SendLatency(env, tb.A[0].HCA, tb.B[0].HCA, ib.RC, 8, iters).Microseconds()
-		}},
-		{"RDMAWrite/RC", func(m *Meter) float64 {
-			env, tb := m.pair(0)
-			return perftest.WriteLatency(env, tb.A[0].HCA, tb.B[0].HCA, 8, iters).Microseconds()
-		}},
+		{"SendRecv/UD", func(m *Meter) float64 { return verbsPoint(m, 0, "lat", ib.UD, 8, iters, 0) }},
+		{"SendRecv/RC", func(m *Meter) float64 { return verbsPoint(m, 0, "lat", ib.RC, 8, iters, 0) }},
+		{"RDMAWrite/RC", func(m *Meter) float64 { return verbsPoint(m, 0, "wlat", ib.RC, 8, iters, 0) }},
 		// Back-to-back DDR nodes, no Longbows.
 		{"BackToBack-SR/RC", func(m *Meter) float64 {
 			env := m.NewEnv()
@@ -145,7 +135,6 @@ func fig3(Options) *Plan {
 	}
 	pl := &Plan{Tables: []*stats.Table{t}}
 	for i, row := range rows {
-		i := i
 		s := t.AddSeries(row.name)
 		pl.point(s, float64(i), "fig3/"+row.name, row.fn)
 	}
@@ -166,56 +155,54 @@ func bwCount(size int) int {
 	return c
 }
 
-// fig4 reproduces verbs UD bandwidth and bidirectional bandwidth vs delay.
-func fig4(opt Options) *Plan {
-	opt.fill()
-	bw := stats.NewTable("Figure 4(a): Verbs-level UD Bandwidth",
-		"Message Size (Bytes)", "Bandwidth (MillionBytes/s)")
-	bibw := stats.NewTable("Figure 4(b): Verbs-level UD Bidirectional Bandwidth",
-		"Message Size (Bytes)", "Bidirectional Bandwidth (MillionBytes/s)")
-	pl := &Plan{Tables: []*stats.Table{bw, bibw}}
-	for _, d := range opt.delays() {
-		d := d
-		s1 := bw.AddSeries("UD-" + delayLabel(d))
-		s2 := bibw.AddSeries("UD-" + delayLabel(d))
-		for _, size := range opt.sizes(2, ib.MaxUDPayload) {
-			size := size
-			label := fmt.Sprintf("fig4/%s/%s", delayLabel(d), stats.FormatSize(float64(size)))
-			pl.point(s1, float64(size), label+"/uni", func(m *Meter) float64 {
-				env, tb := m.pair(d)
-				return perftest.BandwidthUD(env, tb.A[0].HCA, tb.B[0].HCA, size, bwCount(size))
-			})
-			pl.point(s2, float64(size), label+"/bidir", func(m *Meter) float64 {
-				env, tb := m.pair(d)
-				return perftest.BiBandwidthUD(env, tb.A[0].HCA, tb.B[0].HCA, size, bwCount(size))
-			})
-		}
+// verbsPoint runs one perftest-style verbs measurement across the WAN pair:
+// test is lat (send/recv ping-pong), wlat (RDMA write), bw or bibw; n is the
+// iteration count of a latency test or the message count of a bandwidth
+// one, window the RC in-flight message window (0 = default). Latencies come
+// back in microseconds, bandwidths in MillionBytes/s.
+func verbsPoint(m *Meter, d sim.Time, test string, tr ib.Transport, size, n, window int) float64 {
+	env, tb := m.pair(d)
+	a, b := tb.A[0].HCA, tb.B[0].HCA
+	switch {
+	case test == "lat":
+		return perftest.SendLatency(env, a, b, tr, size, n).Microseconds()
+	case test == "wlat":
+		return perftest.WriteLatency(env, a, b, size, n).Microseconds()
+	case test == "bw" && tr == ib.UD:
+		return perftest.BandwidthUD(env, a, b, size, n)
+	case test == "bw":
+		return perftest.BandwidthRC(env, a, b, size, n, window)
+	case tr == ib.UD:
+		return perftest.BiBandwidthUD(env, a, b, size, n)
 	}
-	return pl
+	return perftest.BiBandwidthRC(env, a, b, size, n, window)
 }
 
+// fig4 reproduces verbs UD bandwidth and bidirectional bandwidth vs delay.
+func fig4(opt Options) *Plan { return verbsBandwidth(opt, 4, ib.UD, ib.MaxUDPayload) }
+
 // fig5 reproduces verbs RC bandwidth and bidirectional bandwidth vs delay.
-func fig5(opt Options) *Plan {
+func fig5(opt Options) *Plan { return verbsBandwidth(opt, 5, ib.RC, 4<<20) }
+
+// verbsBandwidth is the shape fig4 and fig5 share: one series per delay,
+// message sizes from 2 bytes to maxSize, uni- and bidirectional.
+func verbsBandwidth(opt Options, fig int, tr ib.Transport, maxSize int) *Plan {
 	opt.fill()
-	bw := stats.NewTable("Figure 5(a): Verbs-level RC Bandwidth",
+	bw := stats.NewTable(fmt.Sprintf("Figure %d(a): Verbs-level %s Bandwidth", fig, tr),
 		"Message Size (Bytes)", "Bandwidth (MillionBytes/s)")
-	bibw := stats.NewTable("Figure 5(b): Verbs-level RC Bidirectional Bandwidth",
+	bibw := stats.NewTable(fmt.Sprintf("Figure %d(b): Verbs-level %s Bidirectional Bandwidth", fig, tr),
 		"Message Size (Bytes)", "Bidirectional Bandwidth (MillionBytes/s)")
 	pl := &Plan{Tables: []*stats.Table{bw, bibw}}
 	for _, d := range opt.delays() {
-		d := d
-		s1 := bw.AddSeries("RC-" + delayLabel(d))
-		s2 := bibw.AddSeries("RC-" + delayLabel(d))
-		for _, size := range opt.sizes(2, 4<<20) {
-			size := size
-			label := fmt.Sprintf("fig5/%s/%s", delayLabel(d), stats.FormatSize(float64(size)))
+		s1 := bw.AddSeries(tr.String() + "-" + delayLabel(d))
+		s2 := bibw.AddSeries(tr.String() + "-" + delayLabel(d))
+		for _, size := range opt.sizes(2, maxSize) {
+			label := fmt.Sprintf("fig%d/%s/%s", fig, delayLabel(d), stats.FormatSize(float64(size)))
 			pl.point(s1, float64(size), label+"/uni", func(m *Meter) float64 {
-				env, tb := m.pair(d)
-				return perftest.BandwidthRC(env, tb.A[0].HCA, tb.B[0].HCA, size, bwCount(size), 0)
+				return verbsPoint(m, d, "bw", tr, size, bwCount(size), 0)
 			})
 			pl.point(s2, float64(size), label+"/bidir", func(m *Meter) float64 {
-				env, tb := m.pair(d)
-				return perftest.BiBandwidthRC(env, tb.A[0].HCA, tb.B[0].HCA, size, bwCount(size), 0)
+				return verbsPoint(m, d, "bibw", tr, size, bwCount(size), 0)
 			})
 		}
 	}
@@ -232,16 +219,17 @@ func tcpPoint(m *Meter, mode ipoib.Mode, mtu int, window int, streams int, d sim
 	db := net.Attach(tb.B[0].HCA, mode, mtu)
 	sa := tcpsim.NewStack(da, tcpsim.Config{Window: window})
 	sb := tcpsim.NewStack(db, tcpsim.Config{Window: window})
-	// Measurement window scales with delay so slow starts and pipe fills
-	// finish inside the first half.
-	dur := sim.Time(opt.TCPMillis) * sim.Millisecond
-	if d > 0 {
-		dur += 60 * d
-	}
 	defer env.Shutdown()
-	bw, err := tcpThroughput(env, sa, sb, streams, dur)
+	bw, err := tcpThroughput(env, sa, sb, streams, streamWindow(opt.TCPMillis, d))
 	m.Check(err)
 	return bw
+}
+
+// streamWindow is the measurement window of a stream-throughput point: ms
+// virtual milliseconds at zero delay, scaled up with delay so slow starts
+// and pipe fills finish inside the first half.
+func streamWindow(ms int, d sim.Time) sim.Time {
+	return sim.Time(ms)*sim.Millisecond + 60*d
 }
 
 // tcpThroughput runs one-way flows for dur and returns the steady-state
@@ -280,107 +268,86 @@ func tcpThroughput(env *sim.Env, sa, sb *tcpsim.Stack, streams int, dur sim.Time
 			}
 		})
 	}
+	return secondHalfRate(env, dur, func() int64 { return sb.Stats().RxBytes }, func() error { return firstErr })
+}
+
+// secondHalfRate runs env for dur and returns, in MillionBytes/s, the rate
+// at which delivered() grew over the second half of the window; the first
+// half absorbs connection setup, slow start and the pipe fill. When nothing
+// at all was delivered it runs on until the connect/retransmission
+// machinery has reached its verdict (the budget covers the full handshake
+// backoff schedule) and returns failed()'s error, so a dead WAN reports an
+// error instead of a measurement of nothing.
+func secondHalfRate(env *sim.Env, dur sim.Time, delivered func() int64, failed func() error) (float64, error) {
 	env.RunUntil(dur / 2)
-	mid := sb.Stats().RxBytes
+	mid := delivered()
 	env.RunUntil(dur)
-	end := sb.Stats().RxBytes
+	end := delivered()
 	if end == 0 {
-		// Nothing crossed the wire inside the window. Run on until the
-		// connect/retransmission machinery reaches its verdict, so a dead
-		// WAN reports its error instead of a measurement of nothing. The
-		// budget covers the full handshake backoff schedule.
 		env.RunUntil(dur + 20*sim.Second)
-		if firstErr != nil {
-			return 0, firstErr
+		if err := failed(); err != nil {
+			return 0, err
 		}
 	}
 	return float64(end-mid) / (dur / 2).Seconds() / 1e6, nil
 }
 
+// tcpVariant is one single-stream series of fig6(a)/fig7(a): a TCP window
+// or an IP MTU away from the default (0).
+type tcpVariant struct {
+	label       string
+	mtu, window int
+}
+
 // fig6 reproduces IPoIB-UD throughput: (a) single stream with varying TCP
 // windows, (b) parallel streams, both vs WAN delay.
 func fig6(opt Options) *Plan {
-	opt.fill()
-	a := stats.NewTable("Figure 6(a): IPoIB-UD single-stream throughput vs delay",
-		"Delay (usecs)", "Throughput (MillionBytes/s)")
-	pl := &Plan{}
-	windows := []struct {
-		label string
-		bytes int
-	}{
-		{"64k-window", 64 << 10},
-		{"256k-window", 256 << 10},
-		{"512k-window", 512 << 10},
-		{"default-window", 0},
-	}
-	for _, w := range windows {
-		w := w
-		s := a.AddSeries(w.label)
-		for _, d := range opt.delays() {
-			d := d
-			pl.point(s, d.Microseconds(), fmt.Sprintf("fig6a/%s/%s", w.label, delayLabel(d)),
-				func(m *Meter) float64 {
-					return tcpPoint(m, ipoib.Datagram, 0, w.bytes, 1, d, opt)
-				})
-		}
-	}
-	b := stats.NewTable("Figure 6(b): IPoIB-UD parallel-stream throughput vs delay",
-		"Delay (usecs)", "Throughput (MillionBytes/s)")
-	streams := []int{1, 2, 4, 6, 8}
-	if opt.Quick {
-		streams = []int{1, 4}
-	}
-	for _, n := range streams {
-		n := n
-		s := b.AddSeries(fmt.Sprintf("%d-streams", n))
-		for _, d := range opt.delays() {
-			d := d
-			pl.point(s, d.Microseconds(), fmt.Sprintf("fig6b/%d-streams/%s", n, delayLabel(d)),
-				func(m *Meter) float64 {
-					return tcpPoint(m, ipoib.Datagram, 0, 0, n, d, opt)
-				})
-		}
-	}
-	pl.Tables = []*stats.Table{a, b}
-	return pl
+	return tcpFigure(opt, 6, ipoib.Datagram, []tcpVariant{
+		{label: "64k-window", window: 64 << 10},
+		{label: "256k-window", window: 256 << 10},
+		{label: "512k-window", window: 512 << 10},
+		{label: "default-window"},
+	})
 }
 
 // fig7 reproduces IPoIB-RC throughput: (a) single stream with varying IP
 // MTUs, (b) parallel streams, both vs WAN delay.
 func fig7(opt Options) *Plan {
+	mtus := []tcpVariant{{label: "2K-MTU", mtu: 2044}, {label: "16K-MTU", mtu: 16380}, {label: "64K-MTU", mtu: 65532}}
+	if opt.Quick {
+		mtus = []tcpVariant{mtus[0], mtus[2]}
+	}
+	return tcpFigure(opt, 7, ipoib.Connected, mtus)
+}
+
+// tcpFigure is the shape fig6 and fig7 share: (a) one stream per variant,
+// (b) parallel streams at the mode's defaults, both vs WAN delay.
+func tcpFigure(opt Options, fig int, mode ipoib.Mode, variants []tcpVariant) *Plan {
 	opt.fill()
-	a := stats.NewTable("Figure 7(a): IPoIB-RC single-stream throughput vs delay",
+	a := stats.NewTable(fmt.Sprintf("Figure %d(a): IPoIB-%s single-stream throughput vs delay", fig, mode),
 		"Delay (usecs)", "Throughput (MillionBytes/s)")
 	pl := &Plan{}
-	mtus := []int{2044, 16380, 65532}
-	if opt.Quick {
-		mtus = []int{2044, 65532}
-	}
-	for _, mtu := range mtus {
-		mtu := mtu
-		s := a.AddSeries(fmt.Sprintf("%dK-MTU", (mtu+4)>>10))
+	for _, v := range variants {
+		s := a.AddSeries(v.label)
 		for _, d := range opt.delays() {
-			d := d
-			pl.point(s, d.Microseconds(), fmt.Sprintf("fig7a/%dK-MTU/%s", (mtu+4)>>10, delayLabel(d)),
+			pl.point(s, d.Microseconds(), fmt.Sprintf("fig%da/%s/%s", fig, v.label, delayLabel(d)),
 				func(m *Meter) float64 {
-					return tcpPoint(m, ipoib.Connected, mtu, 0, 1, d, opt)
+					return tcpPoint(m, mode, v.mtu, v.window, 1, d, opt)
 				})
 		}
 	}
-	b := stats.NewTable("Figure 7(b): IPoIB-RC parallel-stream throughput vs delay",
+	b := stats.NewTable(fmt.Sprintf("Figure %d(b): IPoIB-%s parallel-stream throughput vs delay", fig, mode),
 		"Delay (usecs)", "Throughput (MillionBytes/s)")
 	streams := []int{1, 2, 4, 6, 8}
 	if opt.Quick {
 		streams = []int{1, 4}
 	}
 	for _, n := range streams {
-		n := n
 		s := b.AddSeries(fmt.Sprintf("%d-streams", n))
 		for _, d := range opt.delays() {
-			d := d
-			pl.point(s, d.Microseconds(), fmt.Sprintf("fig7b/%d-streams/%s", n, delayLabel(d)),
+			pl.point(s, d.Microseconds(), fmt.Sprintf("fig%db/%d-streams/%s", fig, n, delayLabel(d)),
 				func(m *Meter) float64 {
-					return tcpPoint(m, ipoib.Connected, 0, 0, n, d, opt)
+					return tcpPoint(m, mode, 0, 0, n, d, opt)
 				})
 		}
 	}
@@ -390,9 +357,34 @@ func fig7(opt Options) *Plan {
 
 // mpiWorld builds a fresh 2-rank cross-WAN world.
 func mpiWorld(m *Meter, delay sim.Time, cfg mpi.Config) *mpi.World {
+	return clusterWorld(m, 1, 1, delay, cfg)
+}
+
+// clusterWorld builds a fresh world of ppn ranks on each of perSide nodes
+// per cluster, placed block-wise, cluster A's ranks first.
+func clusterWorld(m *Meter, perSide, ppn int, delay sim.Time, cfg mpi.Config) *mpi.World {
 	env := m.NewEnv()
-	tb := cluster.New(env, cluster.Config{NodesA: 1, NodesB: 1, Delay: delay})
-	return mpi.NewWorld(env, []*cluster.Node{tb.A[0], tb.B[0]}, cfg)
+	tb := cluster.New(env, cluster.Config{NodesA: perSide, NodesB: perSide, Delay: delay})
+	return mpi.NewWorld(env, mpi.BlockPlacement(tb.Nodes(), ppn), cfg)
+}
+
+// mpiPoint runs one OSU-microbenchmark-style measurement on w and shuts the
+// world down: latency, bcast and hier-bcast in microseconds, bw and bibw in
+// MillionBytes/s, mr — w's first half of ranks streaming to its second — in
+// million messages/s.
+func mpiPoint(w *mpi.World, bench string, size, iters int) float64 {
+	defer w.Shutdown()
+	switch bench {
+	case "latency":
+		return mpi.Latency(w, size, iters).Microseconds()
+	case "bw":
+		return mpi.Bandwidth(w, size, iters)
+	case "bibw":
+		return mpi.BiBandwidth(w, size, iters)
+	case "mr":
+		return mpi.MessageRate(w, w.Size()/2, size, iters)
+	}
+	return mpi.BcastLatency(w, size, iters, bench == "hier-bcast").Microseconds()
 }
 
 // mpiIters bounds per-point cost for the MPI bandwidth loops.
@@ -415,21 +407,15 @@ func fig8(opt Options) *Plan {
 		"Message Size (Bytes)", "Bidirectional Bandwidth (MillionBytes/s)")
 	pl := &Plan{Tables: []*stats.Table{bw, bibw}}
 	for _, d := range opt.delays() {
-		d := d
 		s1 := bw.AddSeries("MVAPICH-" + delayLabel(d))
 		s2 := bibw.AddSeries("MVAPICH-" + delayLabel(d))
 		for _, size := range opt.sizes(1, 4<<20) {
-			size := size
 			label := fmt.Sprintf("fig8/%s/%s", delayLabel(d), stats.FormatSize(float64(size)))
 			pl.point(s1, float64(size), label+"/uni", func(m *Meter) float64 {
-				w := mpiWorld(m, d, mpi.Config{})
-				defer w.Shutdown()
-				return mpi.Bandwidth(w, size, mpiIters(size))
+				return mpiPoint(mpiWorld(m, d, mpi.Config{}), "bw", size, mpiIters(size))
 			})
 			pl.point(s2, float64(size), label+"/bidir", func(m *Meter) float64 {
-				w := mpiWorld(m, d, mpi.Config{})
-				defer w.Shutdown()
-				return mpi.BiBandwidth(w, size, mpiIters(size))
+				return mpiPoint(mpiWorld(m, d, mpi.Config{}), "bibw", size, mpiIters(size))
 			})
 		}
 	}
@@ -453,21 +439,15 @@ func fig9(opt Options) *Plan {
 	}
 	pl := &Plan{Tables: []*stats.Table{bw, bibw}}
 	for _, c := range cfgs {
-		c := c
 		s1 := bw.AddSeries(c.label)
 		s2 := bibw.AddSeries(c.label)
 		for _, size := range opt.sizes(1<<10, 64<<10) {
-			size := size
 			label := fmt.Sprintf("fig9/%s/%s", c.label, stats.FormatSize(float64(size)))
 			pl.point(s1, float64(size), label+"/uni", func(m *Meter) float64 {
-				w := mpiWorld(m, sim.Micros(delay), c.cfg)
-				defer w.Shutdown()
-				return mpi.Bandwidth(w, size, 4)
+				return mpiPoint(mpiWorld(m, sim.Micros(delay), c.cfg), "bw", size, 4)
 			})
 			pl.point(s2, float64(size), label+"/bidir", func(m *Meter) float64 {
-				w := mpiWorld(m, sim.Micros(delay), c.cfg)
-				defer w.Shutdown()
-				return mpi.BiBandwidth(w, size, 4)
+				return mpiPoint(mpiWorld(m, sim.Micros(delay), c.cfg), "bibw", size, 4)
 			})
 		}
 	}
@@ -485,25 +465,15 @@ func fig10(opt Options) *Plan {
 	}
 	pl := &Plan{}
 	for _, d := range delays {
-		d := d
 		t := stats.NewTable(
 			fmt.Sprintf("Figure 10: Multi-pair message rate, %s", delayLabel(d)),
 			"Message Size (Bytes)", "Message Rate (Million Messages/s)")
 		for _, pairs := range pairCounts {
-			pairs := pairs
 			s := t.AddSeries(fmt.Sprintf("%d pairs", pairs))
 			for _, size := range opt.sizes(1, 32<<10) {
-				size := size
 				label := fmt.Sprintf("fig10/%s/%dpairs/%s", delayLabel(d), pairs, stats.FormatSize(float64(size)))
 				pl.point(s, float64(size), label, func(m *Meter) float64 {
-					env := m.NewEnv()
-					tb := cluster.New(env, cluster.Config{NodesA: pairs, NodesB: pairs, Delay: d})
-					var nodes []*cluster.Node
-					nodes = append(nodes, tb.A...)
-					nodes = append(nodes, tb.B...)
-					w := mpi.NewWorld(env, nodes, mpi.Config{})
-					defer w.Shutdown()
-					return mpi.MessageRate(w, pairs, size, 2)
+					return mpiPoint(clusterWorld(m, pairs, 1, d, mpi.Config{}), "mr", size, 2)
 				})
 			}
 		}
@@ -526,28 +496,20 @@ func fig11(opt Options) *Plan {
 	}
 	pl := &Plan{}
 	for _, d := range delays {
-		d := d
 		t := stats.NewTable(
 			fmt.Sprintf("Figure 11: MPI broadcast latency over IB WAN, %s", delayLabel(d)),
 			"Message Size (Bytes)", "Latency (us)")
 		orig := t.AddSeries("Original")
 		mod := t.AddSeries("Modified")
 		for _, size := range sizes {
-			size := size
-			for _, hier := range []bool{false, true} {
-				hier := hier
+			for _, bench := range []string{"bcast", "hier-bcast"} {
 				s, variant := orig, "orig"
-				if hier {
+				if bench == "hier-bcast" {
 					s, variant = mod, "hier"
 				}
 				label := fmt.Sprintf("fig11/%s/%s/%s", delayLabel(d), stats.FormatSize(float64(size)), variant)
 				pl.point(s, float64(size), label, func(m *Meter) float64 {
-					env := m.NewEnv()
-					tb := cluster.New(env, cluster.Config{NodesA: nodesPerCluster, NodesB: nodesPerCluster, Delay: d})
-					placement := mpi.BlockPlacement(tb.Nodes(), 2)
-					w := mpi.NewWorld(env, placement, mpi.Config{})
-					defer w.Shutdown()
-					return mpi.BcastLatency(w, size, 3, hier).Microseconds()
+					return mpiPoint(clusterWorld(m, nodesPerCluster, 2, d, mpi.Config{}), bench, size, 3)
 				})
 			}
 		}
@@ -578,20 +540,13 @@ func fig12(opt Options) *Plan {
 	}
 	pl := &Plan{Tables: []*stats.Table{t, rel}}
 	for _, k := range kernels {
-		k := k
 		s := t.AddSeries(k)
 		sr := rel.AddSeries(k)
 		for _, d := range opt.delays() {
-			d := d
 			sr.Alloc(d.Microseconds())
 			pl.point(s, d.Microseconds(), fmt.Sprintf("fig12/%s/%s", k, delayLabel(d)),
 				func(m *Meter) float64 {
-					env := m.NewEnv()
-					tb := cluster.New(env, cluster.Config{NodesA: nasNodes, NodesB: nasNodes, Delay: d})
-					var nodes []*cluster.Node
-					nodes = append(nodes, tb.A...)
-					nodes = append(nodes, tb.B...)
-					w := mpi.NewWorld(env, nodes, mpi.Config{})
+					w := clusterWorld(m, nasNodes, 1, d, mpi.Config{})
 					defer w.Shutdown()
 					return nas.RunClass(w, k, opt.NASClass).Seconds()
 				})
@@ -612,6 +567,37 @@ func fig12(opt Options) *Plan {
 	return pl
 }
 
+// nfsPoint mounts a server over the named transport — across the WAN pair
+// at the given delay, or with lan inside one cluster (DDR, no Longbows) —
+// and runs the IOzone workload against a synthetic file of cfg's size.
+func nfsPoint(m *Meter, transport string, lan bool, d sim.Time, cfg nfs.IOzoneConfig) float64 {
+	env := m.NewEnv()
+	var server, client *cluster.Node
+	if lan {
+		tb := cluster.New(env, cluster.Config{NodesA: 2, NodesB: 1})
+		server, client = tb.A[1], tb.A[0]
+	} else {
+		tb := cluster.New(env, cluster.Config{NodesA: 1, NodesB: 1, Delay: d})
+		server, client = tb.B[0], tb.A[0]
+	}
+	var srv *nfs.Server
+	var cl *nfs.Client
+	var err error
+	switch transport {
+	case "rdma":
+		srv, cl = nfs.MountRDMA(server, client)
+	case "tcp-rc":
+		srv, cl, err = nfs.MountTCP(env, server, client, ipoib.Connected)
+	case "tcp-ud":
+		srv, cl, err = nfs.MountTCP(env, server, client, ipoib.Datagram)
+	default:
+		err = fmt.Errorf("nfs: unknown transport %q", transport)
+	}
+	m.Check(err)
+	srv.AddSyntheticFile("f", cfg.FileSize)
+	return nfs.IOzone(env, cl, "f", cfg)
+}
+
 // fig13 reproduces the NFS read throughput experiments.
 func fig13(opt Options) *Plan {
 	opt.fill()
@@ -620,11 +606,8 @@ func fig13(opt Options) *Plan {
 	if opt.Quick {
 		streams = []int{1, 8}
 	}
-	iozone := func(srv *nfs.Server, cl *nfs.Client, env *sim.Env, threads int) float64 {
-		srv.AddSyntheticFile("f", fileMB<<20)
-		return nfs.IOzone(env, cl, "f", nfs.IOzoneConfig{
-			FileSize: fileMB << 20, RecordSize: 256 << 10, Threads: threads,
-		})
+	iozone := func(threads int) nfs.IOzoneConfig {
+		return nfs.IOzoneConfig{FileSize: fileMB << 20, RecordSize: 256 << 10, Threads: threads}
 	}
 	pl := &Plan{}
 	// (a) NFS/RDMA: LAN vs WAN delays.
@@ -632,12 +615,8 @@ func fig13(opt Options) *Plan {
 		"Number of Streams", "Throughput (MillionBytes/s)")
 	lan := a.AddSeries("LAN")
 	for _, th := range streams {
-		th := th
 		pl.point(lan, float64(th), fmt.Sprintf("fig13a/LAN/%dstreams", th), func(m *Meter) float64 {
-			env := m.NewEnv()
-			tb := cluster.New(env, cluster.Config{NodesA: 2, NodesB: 1})
-			srv, cl := nfs.MountRDMA(tb.A[1], tb.A[0])
-			return iozone(srv, cl, env, th)
+			return nfsPoint(m, "rdma", true, 0, iozone(th))
 		})
 	}
 	wanDelays := []sim.Time{0, sim.Micros(10), sim.Micros(100), sim.Micros(1000)}
@@ -645,22 +624,17 @@ func fig13(opt Options) *Plan {
 		wanDelays = []sim.Time{0, sim.Micros(1000)}
 	}
 	for _, d := range wanDelays {
-		d := d
 		s := a.AddSeries(fmt.Sprintf("%dusec", int64(d/sim.Microsecond)))
 		for _, th := range streams {
-			th := th
 			pl.point(s, float64(th), fmt.Sprintf("fig13a/%s/%dstreams", delayLabel(d), th),
 				func(m *Meter) float64 {
-					env, tb := m.pair(d)
-					srv, cl := nfs.MountRDMA(tb.B[0], tb.A[0])
-					return iozone(srv, cl, env, th)
+					return nfsPoint(m, "rdma", false, d, iozone(th))
 				})
 		}
 	}
 	pl.Tables = append(pl.Tables, a)
 	// (b), (c): transport comparison at 100 us and 1000 us.
 	for _, d := range []sim.Time{sim.Micros(100), sim.Micros(1000)} {
-		d := d
 		t := stats.NewTable(
 			fmt.Sprintf("Figure 13(%s): NFS read throughput, RDMA vs IPoIB, %s",
 				map[sim.Time]string{sim.Micros(100): "b", sim.Micros(1000): "c"}[d], delayLabel(d)),
@@ -669,24 +643,15 @@ func fig13(opt Options) *Plan {
 		rc := t.AddSeries("IPoIB-RC")
 		ud := t.AddSeries("IPoIB-UD")
 		for _, th := range streams {
-			th := th
 			label := fmt.Sprintf("fig13/%s/%dstreams", delayLabel(d), th)
 			pl.point(rdma, float64(th), label+"/rdma", func(m *Meter) float64 {
-				env, tb := m.pair(d)
-				srv, cl := nfs.MountRDMA(tb.B[0], tb.A[0])
-				return iozone(srv, cl, env, th)
+				return nfsPoint(m, "rdma", false, d, iozone(th))
 			})
 			pl.point(rc, float64(th), label+"/ipoib-rc", func(m *Meter) float64 {
-				env, tb := m.pair(d)
-				srv, cl, err := nfs.MountTCP(env, tb.B[0], tb.A[0], ipoib.Connected)
-				m.Check(err)
-				return iozone(srv, cl, env, th)
+				return nfsPoint(m, "tcp-rc", false, d, iozone(th))
 			})
 			pl.point(ud, float64(th), label+"/ipoib-ud", func(m *Meter) float64 {
-				env, tb := m.pair(d)
-				srv, cl, err := nfs.MountTCP(env, tb.B[0], tb.A[0], ipoib.Datagram)
-				m.Check(err)
-				return iozone(srv, cl, env, th)
+				return nfsPoint(m, "tcp-ud", false, d, iozone(th))
 			})
 		}
 		pl.Tables = append(pl.Tables, t)

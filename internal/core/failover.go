@@ -95,7 +95,6 @@ func failoverKill(opt Options) *Plan {
 		spec = topo.Topology{Sites: []topo.Site{{Name: "?"}, {Name: "??"}}}
 	}
 	for _, kill := range failoverKills(spec) {
-		kill := kill
 		name := failoverSeriesName(spec, kill)
 		gs := goodput.AddSeries(name)
 		ls := lat.AddSeries(name)
@@ -188,14 +187,12 @@ func failoverDebounce(opt Options) *Plan {
 		debounces = []sim.Time{250 * sim.Microsecond, sim.Millisecond, 5 * sim.Millisecond}
 	}
 	for _, kill := range []int{-1, 0} {
-		kill := kill
 		name := "no-fault"
 		if kill >= 0 {
 			name = "kill first link"
 		}
 		s := t.AddSeries(name)
 		for _, d := range debounces {
-			d := d
 			label := fmt.Sprintf("failover-debounce/%s/%s/%s", opt.Topo, name, delayLabel(d))
 			pl.point(s, d.Microseconds(), label, func(m *Meter) float64 {
 				nw := failoverNet(m, opt, kill, label, d)
@@ -234,7 +231,6 @@ func failoverServices(opt Options) *Plan {
 		spec = topo.Topology{Sites: []topo.Site{{Name: "?"}, {Name: "??"}}}
 	}
 	for _, kill := range failoverKills(spec) {
-		kill := kill
 		name := failoverSeriesName(spec, kill)
 		x := float64(kill)
 		ms := mpiT.AddSeries(name)

@@ -60,10 +60,8 @@ func lossGoodput(opt Options) *Plan {
 		count = 96
 	}
 	for _, d := range []sim.Time{0, sim.Millisecond} {
-		d := d
 		s := t.AddSeries(fmt.Sprintf("delay-%v", d))
 		for _, pct := range lossRates(opt.Quick) {
-			pct := pct
 			label := fmt.Sprintf("loss-goodput/%v/%g%%", d, pct)
 			pl.point(s, pct, label, func(m *Meter) float64 {
 				m.WithFault(&fault.Plan{Seed: seedFor(label), WANLoss: pct / 100})
@@ -90,7 +88,6 @@ func lossLatency(opt Options) *Plan {
 		iters = 50
 	}
 	for _, pct := range lossRates(opt.Quick) {
-		pct := pct
 		label := fmt.Sprintf("loss-latency/%g%%", pct)
 		pl.point(s, pct, label, func(m *Meter) float64 {
 			m.WithFault(&fault.Plan{Seed: seedFor(label), WANLoss: pct / 100})
@@ -122,7 +119,6 @@ func lossFlap(opt Options) *Plan {
 		outages = []sim.Time{0, 10 * sim.Millisecond}
 	}
 	for _, outage := range outages {
-		outage := outage
 		label := fmt.Sprintf("loss-flap/%v", outage)
 		pl.point(s, outage.Seconds()*1e3, label, func(m *Meter) float64 {
 			plan := &fault.Plan{Seed: seedFor(label)}
@@ -161,7 +157,6 @@ func lossTCP(opt Options) *Plan {
 	s := t.AddSeries("1-stream")
 	pl := &Plan{Tables: []*stats.Table{t}}
 	for _, pct := range rates {
-		pct := pct
 		label := fmt.Sprintf("loss-tcp/%g%%", pct)
 		pl.point(s, pct, label, func(m *Meter) float64 {
 			m.WithFault(&fault.Plan{Seed: seedFor(label), TCPLoss: pct / 100})

@@ -81,14 +81,12 @@ func multisiteBcast(opt Options) *Plan {
 		iters = 2
 	}
 	for _, hier := range []bool{false, true} {
-		hier := hier
 		variant := "Flat"
 		if hier {
 			variant = "Hier"
 		}
 		s := lat.AddSeries(variant)
 		for _, size := range sizes {
-			size := size
 			label := fmt.Sprintf("multisite-bcast/%s/%s/%s", opt.Topo, variant, stats.FormatSize(float64(size)))
 			pl.point(s, float64(size), label, func(m *Meter) float64 {
 				nw := m.multisite(opt, delay)
@@ -147,14 +145,12 @@ func multisiteAllreduce(opt Options) *Plan {
 		iters = 2
 	}
 	for _, hier := range []bool{false, true} {
-		hier := hier
 		variant := "Flat"
 		if hier {
 			variant = "Hier"
 		}
 		s := t.AddSeries(variant)
 		for _, d := range opt.delays() {
-			d := d
 			label := fmt.Sprintf("multisite-allreduce/%s/%s/%s", opt.Topo, variant, delayLabel(d))
 			pl.point(s, d.Microseconds(), label, func(m *Meter) float64 {
 				nw := m.multisite(opt, d)
@@ -185,7 +181,6 @@ func multisiteNFS(opt Options) *Plan {
 		spec = topo.Topology{Sites: []topo.Site{{Name: "?"}, {Name: "??"}}} // shape for the error points
 	}
 	for _, d := range []sim.Time{0, sim.Millisecond} {
-		d := d
 		s := t.AddSeries(delayLabel(d))
 		for si := 1; si < len(spec.Sites); si++ {
 			si, site := si, spec.Sites[si].Name
@@ -230,7 +225,6 @@ func multisiteLoss(opt Options) *Plan {
 		kills = append(kills, li)
 	}
 	for _, kill := range kills {
-		kill := kill
 		name := "no-fault"
 		if kill >= 0 {
 			name = fmt.Sprintf("kill %s:%s", spec.Links[kill].A, spec.Links[kill].B)

@@ -235,7 +235,7 @@ func (m *Meter) close() {
 }
 
 // registry lists every experiment in the paper's order. Adding a figure
-// means adding a builder and one entry here; the CLI, RunAll, benchmarks
+// means adding a builder and one entry here; the CLI, RunAllWith, the benchmark
 // and the determinism test all pick it up from this table.
 var registry = []Spec{
 	{"table1", "delay overhead of the Longbow's emulated wire length (Table 1)", table1},

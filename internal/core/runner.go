@@ -162,15 +162,16 @@ func Run(id string, opt Options) []*stats.Table {
 	return RunWith(id, opt, RunnerOptions{Workers: 1}).Tables
 }
 
-// RunWith generates one experiment under the given runner options,
-// executing its points on a bounded worker pool and reassembling results
-// in registry order.
+// RunWith generates one registered experiment under the given runner
+// options. It panics on an unknown id.
 func RunWith(id string, opt Options, ropt RunnerOptions) Result {
-	return runSpec(mustLookup(id), opt, ropt)
+	return RunSpec(mustLookup(id), opt, ropt)
 }
 
-// runSpec expands a spec and executes its plan.
-func runSpec(spec Spec, opt Options, ropt RunnerOptions) Result {
+// RunSpec expands a spec — a registry entry or a probe (ProbeSpec) — and
+// executes its plan under the given runner options: points run on a bounded
+// worker pool and results are reassembled in plan order.
+func RunSpec(spec Spec, opt Options, ropt RunnerOptions) Result {
 	pl := spec.Build(opt)
 	start := time.Now()
 	workers := ropt.workers(len(pl.Points))
@@ -282,12 +283,6 @@ func runSpec(spec Spec, opt Options, ropt RunnerOptions) Result {
 	return Result{ID: spec.ID, Tables: pl.Tables, Metrics: agg, Errors: perr, Timelines: timelines}
 }
 
-// RunAll generates every experiment sequentially, rendering each table to
-// w as it completes.
-func RunAll(w io.Writer, opt Options) {
-	RunAllWith(w, opt, RunnerOptions{Workers: 1})
-}
-
 // RunAllWith generates every registered experiment under the given runner
 // options, rendering tables to w in registry order regardless of
 // scheduling, and returns per-experiment metrics. Output is byte-identical
@@ -295,7 +290,7 @@ func RunAll(w io.Writer, opt Options) {
 func RunAllWith(w io.Writer, opt Options, ropt RunnerOptions) []Result {
 	results := make([]Result, 0, len(registry))
 	for _, spec := range registry {
-		res := runSpec(spec, opt, ropt)
+		res := RunSpec(spec, opt, ropt)
 		fmt.Fprintf(w, "=== %s ===\n", res.ID)
 		for _, t := range res.Tables {
 			t.Render(w)

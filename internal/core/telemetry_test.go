@@ -7,20 +7,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// metricsFingerprint snapshots the deterministic subset of a registry:
-// counters and histograms. Gauges are last-write-wins and so depend on
-// point completion order under concurrent workers.
-func metricsFingerprint(r *telemetry.Registry) []telemetry.MetricSnapshot {
-	var out []telemetry.MetricSnapshot
-	for _, s := range r.Snapshot() {
-		if s.Kind == "gauge" {
-			continue
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 // TestTelemetryMetricsDeterministic runs the same experiment with 1 and 4
 // workers and requires identical counter and histogram totals: metric
 // recording must not perturb, nor be perturbed by, point scheduling.
@@ -28,7 +14,7 @@ func TestTelemetryMetricsDeterministic(t *testing.T) {
 	run := func(workers int) []telemetry.MetricSnapshot {
 		tel := &telemetry.Telemetry{Metrics: telemetry.NewRegistry()}
 		RunWith("fig8", Options{Quick: true}, RunnerOptions{Workers: workers, Telemetry: tel})
-		return metricsFingerprint(tel.Metrics)
+		return tel.Metrics.Snapshot()
 	}
 	seq := run(1)
 	par := run(4)

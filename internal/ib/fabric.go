@@ -52,7 +52,6 @@ type Fabric struct {
 	nextMsg  atomic.Int64
 	nextMRID atomic.Int64
 	routed   bool
-	tracer   Tracer
 	// health is non-nil once MonitorLink has registered a WAN link with the
 	// self-healing layer (see health.go); routeEpoch counts re-sweeps and
 	// unreachable counts packets dropped for lack of a route. Both are
@@ -602,7 +601,7 @@ func (p *Port) sendBounded(pkt *packet) {
 		if fab.obs != nil {
 			fab.obs.wanOverflowDrops.Add(1)
 		}
-		fab.traceReason(evDrop, p.dev, pkt, "overflow")
+		fab.trace(evDrop, p.dev, pkt, "overflow")
 		p.pool.freePacket(pkt)
 		return
 	}
@@ -680,13 +679,13 @@ func (p *Port) transmit(pkt *packet) sim.Time {
 			obs.rec.RecordAt(now, depart, obs.wanTrack(p), "wan.xmit", parent)
 		}
 	}
-	fab.trace(evTx, p.dev, pkt)
+	fab.trace(evTx, p.dev, pkt, "")
 	if p.link.DropFn != nil && p.link.DropFn(now, pkt.wire) {
 		p.link.drops.Add(1)
 		if fab.obs != nil {
 			fab.obs.linkDrops.Add(1)
 		}
-		fab.traceReason(evDrop, p.dev, pkt, "fault")
+		fab.trace(evDrop, p.dev, pkt, "fault")
 		p.pool.freePacket(pkt)
 		return depart
 	}

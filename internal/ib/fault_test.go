@@ -1,6 +1,7 @@
 package ib_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -84,17 +85,31 @@ func TestRCDeadLinkFlushesInflight(t *testing.T) {
 	}
 }
 
+// dropInstants counts the "drop <pkt>" wire instants in the recorder's
+// packet log that carry the given reason ("" counts every drop). The log is
+// a bounded ring, so an eviction would undercount: that fails the test.
+func dropInstants(t *testing.T, rec *telemetry.Recorder, reason string) (n int64) {
+	t.Helper()
+	if d := rec.Dropped(); d != 0 {
+		t.Fatalf("recorder evicted %d records; the packet log is incomplete", d)
+	}
+	for _, in := range rec.Instants() {
+		if strings.HasPrefix(in.Name, "drop ") && (reason == "" || in.Reason == reason) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestDropAccountingAgreement pushes lossy traffic across one link and
 // checks that the three independent drop ledgers agree exactly:
-// Link.Drops(), the ib.link.drops telemetry counter, and the tracer's
-// count of "drop" events.
+// Link.Drops(), the ib.link.drops telemetry counter, and the packet log's
+// count of "drop" wire instants.
 func TestDropAccountingAgreement(t *testing.T) {
 	env := sim.NewEnv()
-	reg := telemetry.NewRegistry()
-	telemetry.Attach(env, &telemetry.Telemetry{Metrics: reg})
+	reg, rec := telemetry.NewRegistry(), telemetry.NewRecorder(0, 0)
+	telemetry.Attach(env, &telemetry.Telemetry{Metrics: reg, Spans: rec})
 	f := ib.NewFabric(env)
-	var ct ib.CountingTracer
-	f.SetTracer(ct.Hook())
 	a, b := f.AddHCA("a"), f.AddHCA("b")
 	link := f.Connect(a, b, ib.DDR, ib.DefaultCableDelay)
 	f.Finalize()
@@ -132,8 +147,8 @@ func TestDropAccountingAgreement(t *testing.T) {
 	if got := reg.Counter("ib.link.drops").Value(); got != drops {
 		t.Errorf("telemetry ib.link.drops = %d, Link.Drops() = %d", got, drops)
 	}
-	if ct.Drops != drops {
-		t.Errorf("tracer drop events = %d, Link.Drops() = %d", ct.Drops, drops)
+	if got := dropInstants(t, rec, "fault"); got != drops {
+		t.Errorf("drop instants = %d, Link.Drops() = %d", got, drops)
 	}
 	if in.Drops() != drops {
 		t.Errorf("injector Drops() = %d, Link.Drops() = %d", in.Drops(), drops)
@@ -144,15 +159,14 @@ func TestDropAccountingAgreement(t *testing.T) {
 // run — injected Bernoulli drops on the narrow hop, bounded-queue overflow
 // on the same hop (DDR arrivals against an SDR drain), and
 // unreachable-route drops once the only path is swept away — and checks
-// that the three ledgers are disjoint and sum exactly to the tracer's
-// total count of dropped packets.
+// that the three ledgers are disjoint and each equals the packet log's
+// count of drop instants carrying its reason, with no drop of any other
+// reason logged.
 func TestThreeLedgerDropAccounting(t *testing.T) {
 	env := sim.NewEnv()
-	reg := telemetry.NewRegistry()
-	telemetry.Attach(env, &telemetry.Telemetry{Metrics: reg})
+	reg, rec := telemetry.NewRegistry(), telemetry.NewRecorder(0, 0)
+	telemetry.Attach(env, &telemetry.Telemetry{Metrics: reg, Spans: rec})
 	f := ib.NewFabric(env)
-	var ct ib.CountingTracer
-	f.SetTracer(ct.Hook())
 	a, b := f.AddHCA("a"), f.AddHCA("b")
 	s1 := f.AddSwitch("s1", ib.SwitchDelay)
 	s2 := f.AddSwitch("s2", ib.SwitchDelay)
@@ -212,9 +226,18 @@ func TestThreeLedgerDropAccounting(t *testing.T) {
 	if tail == ib.StatusOK {
 		t.Error("post-sweep send completed OK; want an error status via the unreachable drop")
 	}
-	if total := inj + ovf + unr; total != ct.Drops {
-		t.Errorf("ledgers sum to %d (injected=%d overflow=%d unreachable=%d), tracer counted %d drops",
-			total, inj, ovf, unr, ct.Drops)
+	logged := dropInstants(t, rec, "")
+	for _, l := range []struct {
+		reason string
+		ledger int64
+	}{{"fault", inj}, {"overflow", ovf}, {"unreachable", unr}} {
+		if got := dropInstants(t, rec, l.reason); got != l.ledger {
+			t.Errorf("drop instants with reason %q = %d, ledger = %d", l.reason, got, l.ledger)
+		}
+	}
+	if total := inj + ovf + unr; total != logged {
+		t.Errorf("ledgers sum to %d (injected=%d overflow=%d unreachable=%d), the packet log holds %d drops",
+			total, inj, ovf, unr, logged)
 	}
 	if got := reg.Counter("ib.link.drops").Value(); got != inj {
 		t.Errorf("telemetry ib.link.drops = %d, want %d", got, inj)

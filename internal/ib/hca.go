@@ -61,7 +61,7 @@ func (h *HCA) home() *pool     { return h.pool }
 func (h *HCA) FabricPort() *Port { return h.route }
 
 func (h *HCA) receive(pkt *packet, on *Port) {
-	h.fab.trace(evRx, h, pkt)
+	h.fab.trace(evRx, h, pkt, "")
 	qp := h.qps[pkt.dstQP]
 	if qp == nil {
 		panic(fmt.Sprintf("ib: HCA %s: packet for unknown QP %d", h.name, pkt.dstQP))

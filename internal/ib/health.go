@@ -205,7 +205,6 @@ func (f *Fabric) EnableFailover(cfg HealthConfig) error {
 		byEnv[e] = append(byEnv[e], d)
 	}
 	for _, at := range times {
-		at := at
 		lead := false
 		for _, e := range envs {
 			devs := byEnv[e]
@@ -417,7 +416,7 @@ func (f *Fabric) dropUnreachable(s *Switch, pkt *packet) {
 	if obs := f.obs; obs != nil {
 		obs.routeUnreachable.Add(1)
 	}
-	f.traceReason(evDrop, s, pkt, "unreachable")
+	f.trace(evDrop, s, pkt, "unreachable")
 	t := pkt.msg
 	var origin *QP
 	if t != nil && !t.acked {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // pktID names one wire packet for order comparisons.
@@ -13,11 +14,19 @@ type pktID struct {
 	msg        int64
 }
 
+// pktWire is what a wire instant records of a packet: the transfer it
+// belongs to and its size on the wire.
+type pktWire struct {
+	msg  int64
+	wire int
+}
+
 // TestLosslessPortFIFO drives two RC senders through a switch whose egress
 // toward the receiver is a bounded Lossless queue, and checks that credit
 // stalls never reorder the port: the order packets were handed to the port
-// (admission), the order they were serialized (tx) and the order they
-// arrived (rx) are one sequence. Before the enqueue-behind rule in
+// (admission), the order they were serialized (the switch's "tx data" wire
+// instants) and the order they arrived (the receiver port's deliveries) are
+// one sequence. Before the enqueue-behind rule in
 // sendBounded, a message's small tail packet fitted the headroom its stalled
 // predecessors could not, overtook them, and a "lossless" link ended in
 // RETRY_EXCEEDED.
@@ -53,6 +62,8 @@ func TestLosslessPortFIFO(t *testing.T) {
 func losslessFIFOCase(t *testing.T, queueBytes int, sizes []int) {
 	const msgs = 12
 	env := sim.NewEnv()
+	rec := telemetry.NewRecorder(0, 0)
+	telemetry.Attach(env, &telemetry.Telemetry{Spans: rec})
 	f := NewFabric(env)
 	a1, a2, b := f.AddHCA("a1"), f.AddHCA("a2"), f.AddHCA("b")
 	sw := f.AddSwitch("sw", SwitchDelay)
@@ -65,25 +76,22 @@ func losslessFIFOCase(t *testing.T, queueBytes int, sizes []int) {
 		t.Fatal(err)
 	}
 
-	var admitted, sent, arrived []pktID
-	egress := out.a // the switch's port toward b
+	var admitted, arrived []pktID
+	var admittedWire []pktWire
+	egress, ingress := out.a, out.b // the switch's port toward b, and b's
 	send := egress.sendArg
 	egress.sendArg = func(v any) {
 		pkt := v.(*packet)
 		admitted = append(admitted, pktID{pkt.srcQP, pkt.seq, pkt.msg.id})
+		admittedWire = append(admittedWire, pktWire{pkt.msg.id, pkt.wire})
 		send(v)
 	}
-	f.SetTracer(func(ev TraceEvent) {
-		if ev.Dst != b.LID() {
-			return
-		}
-		switch {
-		case ev.Kind == "tx" && ev.Dev == "sw":
-			sent = append(sent, pktID{ev.SrcQP, ev.Seq, ev.Msg})
-		case ev.Kind == "rx" && ev.Dev == "b":
-			arrived = append(arrived, pktID{ev.SrcQP, ev.Seq, ev.Msg})
-		}
-	})
+	deliver := ingress.deliverArg
+	ingress.deliverArg = func(v any) {
+		pkt := v.(*packet)
+		arrived = append(arrived, pktID{pkt.srcQP, pkt.seq, pkt.msg.id})
+		deliver(v)
+	}
 
 	cfg := QPConfig{RetryLimit: 3, RetryTimeout: 50 * sim.Millisecond, MaxInflight: 8}
 	cq := NewCQ(env)
@@ -132,17 +140,24 @@ func losslessFIFOCase(t *testing.T, queueBytes int, sizes []int) {
 	if len(admitted) == 0 {
 		t.Fatal("no packet crossed the bounded port")
 	}
-	for _, o := range []struct {
-		name string
-		got  []pktID
-	}{{"tx", sent}, {"rx", arrived}} {
-		if err := sameOrder(admitted, o.got); err != nil {
-			t.Errorf("%s order differs from admission order (%d credit stalls): %v", o.name, out.CreditStalls(), err)
+	// The switch sends data toward b only (acks flow the other way), so its
+	// "tx data" instants are the egress port's serialization order.
+	var sent []pktWire
+	swWire := rec.Track("sw", "wire")
+	for _, in := range rec.Instants() {
+		if in.Track == swWire && in.Name == "tx data" {
+			sent = append(sent, pktWire{in.Msg, in.Wire})
 		}
+	}
+	if err := sameOrder(admittedWire, sent); err != nil {
+		t.Errorf("tx order differs from admission order (%d credit stalls): %v", out.CreditStalls(), err)
+	}
+	if err := sameOrder(admitted, arrived); err != nil {
+		t.Errorf("rx order differs from admission order (%d credit stalls): %v", out.CreditStalls(), err)
 	}
 }
 
-func sameOrder(want, got []pktID) error {
+func sameOrder[T comparable](want, got []T) error {
 	if len(want) != len(got) {
 		return fmt.Errorf("%d packets, want %d", len(got), len(want))
 	}

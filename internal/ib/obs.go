@@ -1,9 +1,6 @@
 package ib
 
-import (
-	"repro/internal/sim"
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // fabObs caches the fabric's telemetry handles. It exists (non-nil) only
 // when a telemetry session is attached to the fabric's environment, so the
@@ -54,6 +51,47 @@ type wireTrackCache struct {
 }
 
 func (c *wireTrackCache) wireTrackSlot() *wireTrackCache { return c }
+
+// evKind is a wire instant's kind: packet departure (tx), arrival at the
+// destination device (rx), a drop, an RC retry-timeout expiry (rto) and the
+// retry-budget exhaustion that errors the QP (err).
+type evKind uint8
+
+const (
+	evTx evKind = iota
+	evRx
+	evDrop
+	evRTO
+	evErr
+	numEvKinds
+)
+
+var evKindNames = [numEvKinds]string{"tx", "rx", "drop", "rto", "err"}
+
+// Wire instants name a packet by its wire kind, with two names past the
+// pktKind range: UD datagrams travel as pktData but log as "ud", and a
+// kind outside the enumeration logs as "unknown".
+const (
+	pktUD      = pktReadResp + 1
+	pktUnknown = pktUD + 1
+)
+
+var pktNames = [pktUnknown + 1]string{"data", "ack", "readreq", "readresp", "ud", "unknown"}
+
+func (k pktKind) String() string {
+	if k < 0 || k > pktUnknown {
+		k = pktUnknown
+	}
+	return pktNames[k]
+}
+
+// pktKind is the wire packet kind a retransmission of the op would resend.
+func (o Opcode) pktKind() pktKind {
+	if o == OpRDMARead {
+		return pktReadReq
+	}
+	return pktData
+}
 
 // instantNames holds the "kind pkt" label of every wire instant, so the
 // enabled wire path neither concatenates nor hashes per event.
@@ -132,12 +170,26 @@ func (o *fabObs) wanTrack(p *Port) telemetry.TrackID {
 	return id
 }
 
-// instant folds one wire trace event into the span recorder's instant
-// stream, so a Perfetto trace shows packet activity alongside the spans.
-func (o *fabObs) instant(dev Device, at sim.Time, kind evKind, pk pktKind, msg int64, wire int, reason string) {
+// trace records one wire-level event as an instant on the observing
+// device's wire track. The recorder's instant stream is the packet log of a
+// run (what -trace-out writes): "<kind> <pkt>" with the transfer id, the
+// wire bytes and, for drop, rto and err, the reason ("fault": injected on
+// the wire, "no-recv": UD datagram with no posted receive, "overflow":
+// tail-drop at a full bounded queue, "unreachable": no route, "timeout",
+// "retry-exceeded"). The retry timer has no packet at hand and passes a
+// zero-wire one of the kind a retransmission resends.
+func (f *Fabric) trace(kind evKind, dev Device, pkt *packet, reason string) {
+	o := f.obs
+	if o == nil || o.rec == nil {
+		return
+	}
+	pk := pkt.kind
+	if pkt.ud {
+		pk = pktUD
+	}
 	o.rec.AddInstant(telemetry.Instant{
-		Time: at, Track: o.wireTrack(dev), Name: instantNames[kind][pk],
-		Msg: msg, Wire: wire, Reason: reason,
+		Time: f.env.Now(), Track: o.wireTrack(dev), Name: instantNames[kind][pk],
+		Msg: pkt.msg.id, Wire: pkt.wire, Reason: reason,
 	})
 }
 

@@ -29,7 +29,6 @@ type packet struct {
 	kind         pktKind // one byte beside the flags: with home, the struct still fits 80 bytes
 	last         bool
 	ud           bool // UD datagram (reported as pkt "ud" in traces)
-	retx         bool // put on the wire by a retransmission
 	// ecn is the congestion-experienced codepoint: set by a bounded link
 	// queue at admission past its ECN threshold, accumulated onto the
 	// receiving transfer, and surfaced to upper layers via Completion.ECN.

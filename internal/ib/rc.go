@@ -105,7 +105,6 @@ func (q *QP) launchBody(t *transfer) {
 			src: q.hca.lid, dst: q.remote.hca.lid,
 			srcQP: q.qpn, dstQP: q.remote.qpn,
 			kind: pktReadReq, wire: ReadReqBytes, msg: t, last: true,
-			retx: t.retried > 0,
 		}))
 	} else {
 		q.sendDataPackets(port, q.remote, t, pktData)
@@ -139,7 +138,6 @@ func (q *QP) sendDataPackets(port *Port, dst *QP, t *transfer, kind pktKind) {
 			srcQP: q.qpn, dstQP: dst.qpn,
 			kind: kind, wire: HeaderRC + chunk, payload: chunk,
 			msg: t, seq: i, last: i == n-1,
-			retx: t.retried > 0,
 		}))
 	}
 }
@@ -208,7 +206,7 @@ func (q *QP) retryFired(rec *retryRec) {
 	if obs := q.hca.fab.obs; obs != nil {
 		obs.rcRetransmits.Add(1)
 	}
-	q.traceTimer(evRTO, t, "timeout")
+	q.hca.fab.trace(evRTO, q.hca, &packet{kind: t.wr.Op.pktKind(), msg: t}, "timeout")
 	// Feed reactive link-health detection before relaunching: if this
 	// timeout pushes a monitored link on the path over its threshold,
 	// the re-sweep below runs synchronously and the retransmission
@@ -232,7 +230,7 @@ func (q *QP) retryExhausted(t *transfer) {
 		obs.rcGiveUps.Add(1)
 		obs.qpErrors.Add(1)
 	}
-	q.traceTimer(evErr, t, "retry-exceeded")
+	q.hca.fab.trace(evErr, q.hca, &packet{kind: t.wr.Op.pktKind(), msg: t}, "retry-exceeded")
 	delete(q.inflight, t.id)
 	t.acked = true // poison against late acks from earlier attempts
 	q.endVerbsSpan(t)

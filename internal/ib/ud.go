@@ -64,7 +64,7 @@ func (q *QP) udReceive(pkt *packet) {
 		if obs := q.hca.fab.obs; obs != nil {
 			obs.udRecvDrops.Add(1)
 		}
-		q.hca.fab.traceReason(evDrop, q.hca, pkt, "no-recv")
+		q.hca.fab.trace(evDrop, q.hca, pkt, "no-recv")
 		// Nothing on this end will ever touch the transfer again; the
 		// packet's reference (released by the caller) recycles it.
 		q.hca.pool.endpointDone(t, xferRecvDone)

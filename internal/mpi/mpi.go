@@ -261,7 +261,6 @@ func (w *World) Run(fn func(r *Rank, p *sim.Proc)) sim.Time {
 	var finish atomic.Int64
 	remaining.Store(int64(len(w.ranks)))
 	for _, r := range w.ranks {
-		r := r
 		r.env().Go(fmt.Sprintf("rank-%d", r.id), func(p *sim.Proc) {
 			fn(r, p)
 			remaining.Add(-1)

@@ -71,6 +71,9 @@ type Table struct {
 	XLabel string // e.g. "Message Size (Bytes)"
 	YLabel string // e.g. "Bandwidth (MillionBytes/s)"
 	Series []*Series
+	// Decimals is the number of decimals Render prints (0 selects 2, the
+	// paper's tables; probes print 3, what the layers' own tools show).
+	Decimals int
 }
 
 // NewTable creates an empty table.
@@ -131,12 +134,16 @@ func (t *Table) Render(w io.Writer) {
 	for _, s := range t.Series {
 		headers = append(headers, s.Label)
 	}
+	verb := "%.2f"
+	if t.Decimals > 0 {
+		verb = fmt.Sprintf("%%.%df", t.Decimals)
+	}
 	rows := [][]string{headers}
 	for _, x := range xs {
 		row := []string{FormatX(x)}
 		for _, s := range t.Series {
 			if y, ok := s.At(x); ok {
-				row = append(row, fmtCell(y, "%.2f"))
+				row = append(row, fmtCell(y, verb))
 			} else {
 				row = append(row, "-")
 			}

@@ -47,7 +47,7 @@ func WriteMetricsText(w io.Writer, r *Registry) error {
 	}
 	for _, s := range snaps {
 		switch s.Kind {
-		case "counter", "gauge":
+		case "counter":
 			if _, err := fmt.Fprintf(w, "%-9s %-*s %d\n", s.Kind, width, s.Name, s.Value); err != nil {
 				return err
 			}

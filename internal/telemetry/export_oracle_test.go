@@ -53,7 +53,7 @@ type counterEvent struct {
 }
 
 type traceFile struct {
-	TraceEvents     []any  `json:"traceEvents"`
+	Events          []any  `json:"traceEvents"`
 	DisplayTimeUnit string `json:"displayTimeUnit"`
 }
 
@@ -168,7 +168,7 @@ func refWritePerfettoTimeline(w io.Writer, r *Recorder, pts []PointTimeline) err
 
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(traceFile{TraceEvents: events, DisplayTimeUnit: "ns"})
+	return enc.Encode(traceFile{Events: events, DisplayTimeUnit: "ns"})
 }
 
 type timelineJSON struct {

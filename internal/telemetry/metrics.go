@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 )
 
-// Metrics registry: counters, gauges and fixed-bucket log-scale histograms.
+// Metrics registry: counters and fixed-bucket log-scale histograms.
 //
 // Handles are fetched once at setup time (mutex-protected get-or-create) and
 // recorded against on the hot path with lock-free atomics, so the record
@@ -39,30 +39,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a last-value-wins instantaneous reading. Unlike counters and
-// histograms, the final value of a gauge written from concurrently measured
-// points depends on completion order; deterministic comparisons should use
-// counters and histograms.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the reading. No-op on a nil receiver.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Value returns the last reading (0 on a nil receiver).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // HistBuckets is the fixed bucket count of every histogram. Bucket 0 holds
@@ -196,7 +172,6 @@ func (h *Histogram) Mean() float64 {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	hires    map[string]*HiResHistogram
 }
@@ -205,7 +180,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		hires:    make(map[string]*HiResHistogram),
 	}
@@ -225,21 +199,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the gauge registered under name, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the histogram registered under name, creating it on
@@ -281,8 +240,7 @@ func (r *Registry) HiRes(name string) *HiResHistogram {
 // (counter adds, bucket adds), so merging several registries into one in
 // any order yields the same totals — this is how per-point sampling
 // registries fold back into a run-wide registry without making the result
-// depend on point completion order. Gauges are last-write-wins and are
-// deliberately not merged. No-op when either registry is nil.
+// depend on point completion order. No-op when either registry is nil.
 func (r *Registry) MergeInto(dst *Registry) {
 	if r == nil || dst == nil || r == dst {
 		return
@@ -342,8 +300,8 @@ type BucketCount struct {
 // MetricSnapshot is one metric's state at snapshot time.
 type MetricSnapshot struct {
 	Name string `json:"name"`
-	Kind string `json:"kind"` // counter, gauge, histogram, hires
-	// Counter/gauge value.
+	Kind string `json:"kind"` // counter, histogram, hires
+	// Counter value.
 	Value int64 `json:"value,omitempty"`
 	// Histogram aggregates.
 	Count   int64         `json:"count,omitempty"`
@@ -368,12 +326,9 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]MetricSnapshot, 0, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.hires))
+	out := make([]MetricSnapshot, 0, len(r.counters)+len(r.hists)+len(r.hires))
 	for name, c := range r.counters {
 		out = append(out, MetricSnapshot{Name: name, Kind: "counter", Value: c.Value()})
-	}
-	for name, g := range r.gauges {
-		out = append(out, MetricSnapshot{Name: name, Kind: "gauge", Value: g.Value()})
 	}
 	for name, h := range r.hists {
 		snap := MetricSnapshot{

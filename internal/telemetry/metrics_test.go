@@ -86,15 +86,14 @@ func TestEmptyHistogram(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	// Nil registry hands out nil handles; every record method must no-op.
-	c, g, h := r.Counter("c"), r.Gauge("g"), r.Histogram("h")
-	if c != nil || g != nil || h != nil {
+	c, h := r.Counter("c"), r.Histogram("h")
+	if c != nil || h != nil {
 		t.Fatal("nil registry returned non-nil handles")
 	}
 	c.Add(3)
 	c.Inc()
-	g.Set(7)
 	h.Observe(9)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Min() != 0 {
+	if c.Value() != 0 || h.Count() != 0 || h.Min() != 0 {
 		t.Error("nil handles reported non-zero state")
 	}
 	if r.Snapshot() != nil {
@@ -122,11 +121,10 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 	// Same name, different kinds coexist.
 	r.Counter("dup").Add(1)
-	r.Gauge("dup").Set(2)
 	r.Histogram("dup").Observe(3)
 	snap := r.Snapshot()
-	if len(snap) != 5 { // x counter, x hist, dup counter+gauge+hist
-		t.Fatalf("snapshot has %d entries, want 5", len(snap))
+	if len(snap) != 4 { // x counter, x hist, dup counter+hist
+		t.Fatalf("snapshot has %d entries, want 4", len(snap))
 	}
 	for i := 1; i < len(snap); i++ {
 		a, b := snap[i-1], snap[i]

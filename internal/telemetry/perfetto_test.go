@@ -68,7 +68,7 @@ func TestWritePerfettoStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	var f struct {
-		TraceEvents []struct {
+		Events []struct {
 			Name  string `json:"name"`
 			Phase string `json:"ph"`
 			TS    float64
@@ -87,7 +87,7 @@ func TestWritePerfettoStructure(t *testing.T) {
 	}
 	ids := map[float64]string{}
 	var spans, instants, meta int
-	for _, e := range f.TraceEvents {
+	for _, e := range f.Events {
 		switch e.Phase {
 		case "M":
 			meta++
@@ -109,7 +109,7 @@ func TestWritePerfettoStructure(t *testing.T) {
 	if meta != 6 || spans != 5 || instants != 4 {
 		t.Errorf("meta/spans/instants = %d/%d/%d, want 6/5/4", meta, spans, instants)
 	}
-	for _, e := range f.TraceEvents {
+	for _, e := range f.Events {
 		if e.Phase != "X" {
 			continue
 		}
@@ -124,7 +124,7 @@ func TestWritePerfettoStructure(t *testing.T) {
 func TestMetricsDump(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a.count").Add(42)
-	r.Gauge("b.gauge").Set(-3)
+	r.Counter("b.count").Add(7)
 	h := r.Histogram("c.hist")
 	h.Observe(1)
 	h.Observe(900)
@@ -158,7 +158,7 @@ func TestMetricsDump(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := txt.String()
-	for _, want := range []string{"counter", "a.count", "42", "gauge", "-3", "histogram", "count=2", "[512,1024):1"} {
+	for _, want := range []string{"counter", "a.count", "42", "b.count", "7", "histogram", "count=2", "[512,1024):1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text dump missing %q:\n%s", want, out)
 		}

@@ -20,10 +20,9 @@ import (
 // time); hires histograms as per-interval quantile rows computed from
 // bucket deltas against the previous tick — a histogram nothing observed
 // into since the last tick costs two loads, an active one a pass over the
-// buckets its values have ever touched. Gauges are not sampled — they
-// are last-write-wins and the registry no longer carries any on the
-// deterministic paths. Zero-delta intervals are kept, so every series has
-// one row per tick and timelines from different runs align by construction.
+// buckets its values have ever touched. Zero-delta intervals are kept, so
+// every series has one row per tick and timelines from different runs align
+// by construction.
 type Sampler struct {
 	reg   *Registry
 	every sim.Time

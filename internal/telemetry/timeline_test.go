@@ -215,7 +215,7 @@ func TestWritePerfettoCountersStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	var f struct {
-		TraceEvents []struct {
+		Events []struct {
 			Name  string `json:"name"`
 			Phase string `json:"ph"`
 			TS    float64
@@ -228,7 +228,7 @@ func TestWritePerfettoCountersStructure(t *testing.T) {
 	}
 	var counters, data int
 	tlPID, sortPID := -1, -1
-	for _, e := range f.TraceEvents {
+	for _, e := range f.Events {
 		switch e.Phase {
 		case "M":
 			if data > 0 {
