@@ -4,19 +4,23 @@ package repro
 // reproduction is wall-time-bound by. Each reports, besides ns/op
 // and allocs/op, the machine-independent events/op (heap entries
 // dispatched per benchmark op, via Env.Executed()) and the headline
-// events/s rate. Before/after numbers for the allocation-free kernel are
-// recorded in BENCH_kernel.json; regenerate with
+// events/s rate. Run them with
 //
 //	go test -run='^$' -bench=Kernel -benchmem .
 //
 // CI runs the same selector at -benchtime=50x as a smoke test so these can
-// never silently rot. The repository benchmark (`sh bench/run.sh`) measures
-// the same paths as its sim.* and ib.* per-layer metrics.
+// never silently rot. The recorded numbers are the repository benchmark's:
+// `sh bench/run.sh --trace 1` measures the same paths as its sim.* and ib.*
+// per-layer metrics.
 
 import (
+	"bytes"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/ipoib"
+	"repro/internal/nfs"
 	"repro/internal/perftest"
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
@@ -223,8 +227,9 @@ func BenchmarkKernelTCPStreamUD(b *testing.B) {
 // the same RC stream as BenchmarkKernelRCStream on an environment with no
 // telemetry attached (nil registry, nil recorder). Every instrumentation
 // site in the fabric sits behind a single nil check, so this must match
-// the uninstrumented baseline recorded in BENCH_kernel.json — the
-// disabled observability path adds zero allocations to the hot path.
+// the uninstrumented baseline (`sh bench/run.sh --trace 1`:
+// ib.rc_stream.allocs_per_msg) — the disabled observability path adds zero
+// allocations to the hot path.
 func BenchmarkKernelRCStreamTelemetryOff(b *testing.B) {
 	env, tb := pair(0)
 	b.ReportAllocs()
@@ -251,7 +256,8 @@ func TestKernelRCStreamTelemetryOffAllocs(t *testing.T) {
 // disabled path: with no QueueConfig on any link (the default), the
 // bounded-queue support compiled into the port transmit path must add
 // zero allocations — the end-to-end RC stream holds the seed's <= 2
-// allocs per 64 KB message recorded in BENCH_kernel.json.
+// allocs per 64 KB message (`sh bench/run.sh --trace 1`:
+// ib.rc_stream.allocs_per_msg).
 func TestKernelRCStreamQueuesDisabledAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full benchmark")
@@ -259,5 +265,55 @@ func TestKernelRCStreamQueuesDisabledAllocs(t *testing.T) {
 	r := testing.Benchmark(BenchmarkKernelRCStream)
 	if a := r.AllocsPerOp(); a > 2 {
 		t.Errorf("RC stream with queues disabled: %d allocs/op, want <= 2", a)
+	}
+}
+
+// TestKernelNFSTCPReadAllocBytes is the byte budget of the one stack that
+// moves file data through a socket: reading a synthetic file over
+// NFS/IPoIB-RC must not allocate the bytes it reads. The records are lengths
+// from the server's page cache to the client's caller — tcpsim spans, the RPC
+// frame's bulkLen — and what is left per megabyte (four 256 KB records) is
+// the RPCs' own headers, requests and replies. Materializing each record's
+// zeroes in the socket reader made it a megabyte per megabyte. A file with
+// contents still arrives as its bytes.
+func TestKernelNFSTCPReadAllocBytes(t *testing.T) {
+	const fileMB = 64
+	env, tb := pair(0)
+	defer env.Shutdown()
+	srv, cl, err := nfs.MountTCP(env, tb.B[0], tb.A[0], ipoib.Connected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.AddSyntheticFile("f", fileMB<<20)
+	cfg := nfs.IOzoneConfig{FileSize: fileMB << 20, Threads: 8}
+	nfs.IOzone(env, cl, "f", cfg) // the first pass grows the world's freelists and rings
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	nfs.IOzone(env, cl, "f", cfg)
+	runtime.ReadMemStats(&after)
+	perMB := float64(after.TotalAlloc-before.TotalAlloc) / fileMB
+	t.Logf("%.0f bytes allocated per MB read", perMB)
+	if perMB > 8<<10 {
+		t.Errorf("synthetic NFS/IPoIB-RC read allocated %.0f bytes per MB read, want <= 8192", perMB)
+	}
+
+	content := make([]byte, 300_000)
+	rand.New(rand.NewSource(13)).Read(content)
+	srv.AddFile("data", content)
+	got := make([]byte, len(content))
+	env.Go("read-data", func(p *sim.Proc) {
+		defer env.Stop()
+		fh, _, err := cl.Lookup(p, "data")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if n, err := cl.Read(p, fh, 0, len(got), got); err != nil || n != len(got) {
+			t.Errorf("Read = %d, %v, want %d", n, err, len(got))
+		}
+	})
+	env.Run()
+	if !bytes.Equal(got, content) {
+		t.Error("a file with contents no longer reads back as its bytes")
 	}
 }

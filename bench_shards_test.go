@@ -6,12 +6,12 @@ package repro
 // plus the star3-hetero preset where the channel-clock scheduler's
 // per-link bounds pay off (a 1ms metro link next to 10ms long-haul links).
 // Contrasting the tracks gives the parallel scheduler's speedup in
-// events/s and its synchronization cost in windows/event; the headline
-// numbers live in BENCH_shards.json (regenerate with
+// events/s and its synchronization cost in windows/event (run with
 // `go test -bench BenchmarkSharded -run - .`). On a single-core host the
 // shard workers can only timeshare, so ~1x events/s is expected there —
-// the windows/event drop is host-independent. The repository benchmark
-// (`sh bench/run.sh`) reports both as its sim.shard.* per-layer metrics.
+// the windows/event drop is host-independent. The recorded numbers are the
+// repository benchmark's: `sh bench/run.sh --trace 1` reports both as its
+// sim.shard.* per-layer metrics.
 
 import (
 	"testing"

@@ -23,24 +23,23 @@ var updateGolden = flag.Bool("update", false, "rewrite golden output files")
 // pre-congestion seed.
 var goldenIDs = []string{"table1", "fig3", "fig4", "fig5", "fig7", "fig11"}
 
-// paperIDs are the twelve experiments of the paper's evaluation. The golden
-// test pins Executed() for each of them in testdata/golden_quick_events.txt:
-// tables round, so a simulator-only change could move an event — an extra
-// wake-up, a tie resolved the other way — without moving a rendered digit.
-// The counts make "this change leaves the simulation alone" a machine check
-// on every layer, including the ones whose tables are too long to pin.
-var paperIDs = []string{"table1", "fig3", "fig4", "fig5", "fig6", "fig7",
-	"fig8", "fig9", "fig10", "fig11", "fig12", "fig13"}
-
 // TestGoldenQuickOutput asserts that quick-mode ibwan-exp rendering is
 // byte-identical to the checked-in pre-optimization output, and that every
-// paper experiment dispatches exactly the pinned number of events. The par=1
-// vs par=8 determinism test proves output is independent of scheduling; this
-// test additionally proves it is independent of the kernel's internal
-// representation (heap layout, freelists, ring buffers, processes vs
-// servers), which is the contract every performance PR against internal/sim,
-// internal/ib or internal/tcpsim must preserve. Regenerate (only when an
-// intentional modeling change shifts the numbers) with:
+// registered experiment dispatches exactly the pinned number of events on the
+// classic single heap (testdata/golden_quick_events.txt, one line per
+// registry entry): tables round, so a simulator-only change could move an
+// event — an extra wake-up, a tie resolved the other way — without moving a
+// rendered digit. The counts make "this change leaves the simulation alone"
+// a machine check on every layer, including the ones whose tables are too
+// long to pin; sharded counts are not pinned (a Stop on a partitioned world
+// lands at a scheduling-dependent event). The par=1 vs par=8 determinism
+// test proves output is independent of scheduling; this test additionally
+// proves it is independent of the kernel's internal representation (heap
+// layout, freelists and the arenas that carry them between worlds, ring
+// buffers, processes vs servers), which is the contract every performance
+// PR against internal/sim, internal/ib or internal/tcpsim must preserve.
+// Regenerate (only when an intentional modeling change shifts the numbers)
+// with:
 //
 //	go test ./internal/core -run TestGoldenQuickOutput -update
 func TestGoldenQuickOutput(t *testing.T) {
@@ -48,7 +47,7 @@ func TestGoldenQuickOutput(t *testing.T) {
 		t.Skip("golden sweep skipped in -short mode")
 	}
 	var tables, events strings.Builder
-	for _, id := range paperIDs {
+	for _, id := range ExperimentIDs {
 		res := RunWith(id, Options{Quick: true}, RunnerOptions{Workers: 1})
 		if slices.Contains(goldenIDs, id) {
 			tables.WriteString(renderTables(res))

@@ -58,6 +58,10 @@ func (pl *Plan) point(s *stats.Series, x float64, label string, fn func(m *Meter
 // leftover processes once the point completes.
 type Meter struct {
 	envs []*sim.Env
+	// arena, when non-nil, is the running worker's: the point's first
+	// environment starts with the memory the worker's earlier points
+	// recycled, and recycle hands it back (see sim.Arena).
+	arena *sim.Arena
 	// tel, when non-nil, is attached to every environment the point
 	// creates, so layer instrumentation lights up.
 	tel *telemetry.Telemetry
@@ -90,31 +94,32 @@ type envSampler struct {
 
 // NewEnv creates a simulation environment owned by this point.
 func (m *Meter) NewEnv() *sim.Env {
-	env := sim.NewEnv()
-	if m != nil {
-		if m.shardWorkers > 1 {
-			env.SetShardWorkers(m.shardWorkers)
-		}
-		if m.sampleEvery > 0 {
-			reg := telemetry.NewRegistry()
-			t := &telemetry.Telemetry{Metrics: reg}
-			if m.tel != nil {
-				t.Spans = m.tel.Spans
-			}
-			telemetry.Attach(env, t)
-			s := telemetry.NewSampler(reg, m.sampleEvery)
-			env.SetSampler(m.sampleEvery, s.Tick)
-			m.samplers = append(m.samplers, envSampler{env: env, reg: reg, s: s})
-		} else if m.tel != nil {
-			telemetry.Attach(env, m.tel)
-		}
-		if m.fault != nil {
-			// An invalid plan fails this one point (error row), never the
-			// whole run.
-			m.Check(fault.AttachPlan(env, m.fault))
-		}
-		m.envs = append(m.envs, env)
+	if m == nil {
+		return sim.NewEnv()
 	}
+	env := m.arena.NewEnv()
+	if m.shardWorkers > 1 {
+		env.SetShardWorkers(m.shardWorkers)
+	}
+	if m.sampleEvery > 0 {
+		reg := telemetry.NewRegistry()
+		t := &telemetry.Telemetry{Metrics: reg}
+		if m.tel != nil {
+			t.Spans = m.tel.Spans
+		}
+		telemetry.Attach(env, t)
+		s := telemetry.NewSampler(reg, m.sampleEvery)
+		env.SetSampler(m.sampleEvery, s.Tick)
+		m.samplers = append(m.samplers, envSampler{env: env, reg: reg, s: s})
+	} else if m.tel != nil {
+		telemetry.Attach(env, m.tel)
+	}
+	if m.fault != nil {
+		// An invalid plan fails this one point (error row), never the
+		// whole run.
+		m.Check(fault.AttachPlan(env, m.fault))
+	}
+	m.envs = append(m.envs, env)
 	return env
 }
 
@@ -231,6 +236,16 @@ func (m *Meter) recordShardStats() (windows int64, horizon sim.Time) {
 func (m *Meter) close() {
 	for _, e := range m.envs {
 		e.Shutdown()
+	}
+}
+
+// recycle returns what the point's environments recycled to the worker's
+// arena. It comes last — after close, and after SimTime and Events were read
+// — and only for a point that ran to its end: the worker drops the arena of
+// a failed one.
+func (m *Meter) recycle() {
+	for _, e := range m.envs {
+		m.arena.Reclaim(e)
 	}
 }
 

@@ -127,6 +127,42 @@ func runPoint(pt *Point, m *Meter) (y float64, err error) {
 	return pt.Fn(m), nil
 }
 
+// maxIdleArenas bounds the arenas kept between RunSpec calls. An arena holds
+// the freelists of the largest world its worker ran (about 6 MB at most over
+// the paper's experiments), so this is also the bound on what the list retains;
+// a worker finishing beyond it lets its arena go.
+const maxIdleArenas = 8
+
+// idleArenas keeps the workers' arenas from one RunSpec call to the next —
+// a run is many calls, one per experiment, and each would otherwise start
+// cold. A worker owns the arena it took until it puts it back, so the mutex
+// is taken twice per worker per call. Which arena a worker gets is
+// scheduling-dependent and cannot matter: nothing simulated depends on what
+// an arena holds (see sim.Arena).
+var idleArenas struct {
+	sync.Mutex
+	free []*sim.Arena
+}
+
+func takeArena() *sim.Arena {
+	idleArenas.Lock()
+	defer idleArenas.Unlock()
+	if n := len(idleArenas.free); n > 0 {
+		a := idleArenas.free[n-1]
+		idleArenas.free = idleArenas.free[:n-1]
+		return a
+	}
+	return sim.NewArena()
+}
+
+func putArena(a *sim.Arena) {
+	idleArenas.Lock()
+	defer idleArenas.Unlock()
+	if len(idleArenas.free) < maxIdleArenas {
+		idleArenas.free = append(idleArenas.free, a)
+	}
+}
+
 // ExperimentMetrics aggregates point metrics for one experiment.
 type ExperimentMetrics struct {
 	ID      string
@@ -203,9 +239,13 @@ func RunSpec(spec Spec, opt Options, ropt RunnerOptions) Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// The worker's arena: each point's world starts with what the
+			// worlds before it on this worker recycled.
+			arena := takeArena()
+			defer func() { putArena(arena) }()
 			for i := range idx {
 				pt := &pl.Points[i]
-				m := &Meter{tel: ropt.Telemetry, fault: ropt.Fault, shardWorkers: shardWorkers, sampleEvery: ropt.SampleEvery}
+				m := &Meter{arena: arena, tel: ropt.Telemetry, fault: ropt.Fault, shardWorkers: shardWorkers, sampleEvery: ropt.SampleEvery}
 				var traceOff sim.Time
 				if tel := ropt.Telemetry; tel != nil && tel.Spans != nil {
 					// The recorder's epoch offset when the point starts
@@ -243,6 +283,13 @@ func RunSpec(spec Spec, opt Options, ropt RunnerOptions) Result {
 					ShardWindows: wins,
 					ShardHorizon: hor,
 					Err:          errs[i],
+				}
+				if err == nil {
+					m.recycle()
+				} else {
+					// The point died somewhere inside its world; nothing
+					// there is known to be whole.
+					arena = sim.NewArena()
 				}
 				mu.Lock()
 				agg.SimTime += pm.SimTime

@@ -65,12 +65,12 @@ type Fabric struct {
 	obs *fabObs
 }
 
-// pool holds the freelists of one environment — one shard view of a
-// partitioned world, or the whole of a classic one — for wire packets,
-// transfer contexts and retry-timer records. They are plain LIFO lists, not
-// sync.Pools: a pool is only touched from its own environment's scheduler, so
-// reuse is unsynchronized and deterministic (it depends on simulated traffic
-// only, never on GC timing or OS scheduling).
+// pool is a fabric's handle on the freelists of one environment — one shard
+// view of a partitioned world, or the whole of a classic one — for wire
+// packets, transfer contexts and retry-timer records. They are plain LIFO
+// lists, not sync.Pools: a pool is only touched from its own environment's
+// scheduler, so reuse is unsynchronized and deterministic (it depends on
+// simulated traffic only, never on GC timing or OS scheduling).
 //
 // Every packet and transfer has a home pool, the one it was taken from (a
 // transfer's is its origin QP's). Its last consumer is often on another
@@ -79,19 +79,33 @@ type Fabric struct {
 // onto the home list (the home shard is running): it goes on the consumer's
 // return lane (sim.Env.ReturnTo) and the window barrier hands it home.
 type pool struct {
-	fab      *Fabric
-	env      *sim.Env
+	fab *Fabric
+	env *sim.Env
+	*poolMem
+	// takePacket and takeTransfer are the return-lane sinks: long-lived
+	// func(any) values, so sending an object home allocates nothing.
+	takePacket   func(any)
+	takeTransfer func(any)
+}
+
+// poolMem is the lists themselves. They live in the environment's recycled
+// memory (sim.Env.Recycled), so under a sim.Arena the next world on this
+// shard index starts with them warm. Everything on them was zeroed when it
+// was released, retry records hold no pointer at all, and a pop clears the
+// slot it vacates — past a list's end its array would otherwise go on
+// pointing at packets and transfers in use — so they carry nothing of the
+// world that filled them and keep nothing of it alive.
+type poolMem struct {
 	pktFree  []*packet
 	xferFree []*transfer
 	// Retry-timer records never leave their shard: retryFree holds the
 	// recycled ones, retrySlab what is left of the slab fresh ones come from.
 	retryFree []*retryRec
 	retrySlab []retryRec
-	// takePacket and takeTransfer are the return-lane sinks: long-lived
-	// func(any) values, so sending an object home allocates nothing.
-	takePacket   func(any)
-	takeTransfer func(any)
 }
+
+// poolMemKey is poolMem's key in the environment's recycled memory.
+type poolMemKey struct{}
 
 // poolFor returns env's pool, creating it on first sight.
 func (f *Fabric) poolFor(env *sim.Env) *pool {
@@ -100,7 +114,8 @@ func (f *Fabric) poolFor(env *sim.Env) *pool {
 			return pl
 		}
 	}
-	pl := &pool{fab: f, env: env}
+	mem := env.Recycled(poolMemKey{}, func() any { return new(poolMem) }).(*poolMem)
+	pl := &pool{fab: f, env: env, poolMem: mem}
 	pl.takePacket = func(v any) { pl.pktFree = append(pl.pktFree, v.(*packet)) }
 	pl.takeTransfer = func(v any) {
 		t := v.(*transfer)
@@ -116,6 +131,7 @@ func (pl *pool) newPacket(v packet) *packet {
 	var pkt *packet
 	if n := len(pl.pktFree); n > 0 {
 		pkt = pl.pktFree[n-1]
+		pl.pktFree[n-1] = nil // see poolMem: no slot past the end names a live object
 		pl.pktFree = pl.pktFree[:n-1]
 	} else {
 		pkt = new(packet)
@@ -149,6 +165,7 @@ func (pl *pool) newTransfer() *transfer {
 	var t *transfer
 	if n := len(pl.xferFree); n > 0 {
 		t = pl.xferFree[n-1]
+		pl.xferFree[n-1] = nil
 		pl.xferFree = pl.xferFree[:n-1]
 	} else {
 		t = &transfer{}

@@ -9,9 +9,9 @@ import (
 
 // shardLine builds a partitioned world of n sites in a line — one switch per
 // shard, neighbours joined by links of the given delay — with an HCA at each
-// end, and returns the two HCAs.
-func shardLine(workers, n int, delay sim.Time) (*sim.Env, *HCA, *HCA) {
-	env := sim.NewEnv()
+// end, and returns the two HCAs. The world draws on arena (nil: none).
+func shardLine(arena *sim.Arena, workers, n int, delay sim.Time) (*sim.Env, *HCA, *HCA) {
+	env := arena.NewEnv()
 	env.SetShardWorkers(workers)
 	views := env.Partition(n)
 	f := NewFabric(env)
@@ -44,53 +44,65 @@ func shardLine(workers, n int, delay sim.Time) (*sim.Env, *HCA, *HCA) {
 // the consumer instead — neither has hoarded the other's objects.
 func TestOwnershipOneWayStream(t *testing.T) {
 	for _, shards := range []int{2, 4} {
+		// The counts hold whatever the pools are made of: the world's own
+		// memory, an arena's, or an arena's that an earlier world already
+		// filled (the same traffic leaves the same lists).
+		arena := sim.NewArena()
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			env, a, b := shardLine(shards, shards, 100*sim.Microsecond)
-			const size, count = 16 << 10, 2000
-			qa, qb := CreateRCPair(a, b, nil, nil, QPConfig{MaxInflight: 16})
-			b.Env().Go("recv", func(p *sim.Proc) {
-				for i := 0; i < count; i++ {
-					qb.PostRecv(RecvWR{})
-				}
-				for i := 0; i < count; i++ {
-					qb.CQ().Poll(p)
-				}
-			})
-			a.Env().Go("send", func(p *sim.Proc) {
-				// Keep the QP's window full and no more: a transfer exists
-				// from post to completion.
-				for posted, done := 0, 0; done < count; {
-					for ; posted < count && posted-done < 16; posted++ {
-						qa.PostSend(SendWR{Op: OpSend, Len: size})
+			for _, on := range []struct {
+				name  string
+				arena *sim.Arena
+			}{{"plain", nil}, {"arena", arena}, {"arena-again", arena}} {
+				t.Run(on.name, func(t *testing.T) {
+					env, a, b := shardLine(on.arena, shards, shards, 100*sim.Microsecond)
+					const size, count = 16 << 10, 2000
+					qa, qb := CreateRCPair(a, b, nil, nil, QPConfig{MaxInflight: 16})
+					b.Env().Go("recv", func(p *sim.Proc) {
+						for i := 0; i < count; i++ {
+							qb.PostRecv(RecvWR{})
+						}
+						for i := 0; i < count; i++ {
+							qb.CQ().Poll(p)
+						}
+					})
+					a.Env().Go("send", func(p *sim.Proc) {
+						// Keep the QP's window full and no more: a transfer exists
+						// from post to completion.
+						for posted, done := 0, 0; done < count; {
+							for ; posted < count && posted-done < 16; posted++ {
+								qa.PostSend(SendWR{Op: OpSend, Len: size})
+							}
+							if c := qa.CQ().Poll(p); c.Status != StatusOK {
+								panic(c.Status)
+							}
+							done++
+						}
+					})
+					env.Run()
+					env.Shutdown()
+					defer on.arena.Reclaim(env)
+					if got := qb.Stats().MsgsRecv; got != count {
+						t.Fatalf("received %d of %d messages", got, count)
 					}
-					if c := qa.CQ().Poll(p); c.Status != StatusOK {
-						panic(c.Status)
+					dataPkts := count * (size / MTU)
+					// In flight at once: 16 messages of 8 packets; a window batches a
+					// few of those rounds.
+					const bound = 16 * (size / MTU) * 4
+					for _, h := range []*HCA{a, b} {
+						pl := h.pool
+						t.Logf("%s: %d packets and %d transfers pooled for %d data packets, %d messages",
+							h.name, len(pl.pktFree), len(pl.xferFree), dataPkts, count)
+						if n := len(pl.pktFree); n == 0 || n > bound {
+							t.Errorf("%s holds %d pooled packets after %d crossed, want 1..%d", h.name, n, dataPkts, bound)
+						}
 					}
-					done++
-				}
-			})
-			env.Run()
-			env.Shutdown()
-			if got := qb.Stats().MsgsRecv; got != count {
-				t.Fatalf("received %d of %d messages", got, count)
-			}
-			dataPkts := count * (size / MTU)
-			// In flight at once: 16 messages of 8 packets; a window batches a
-			// few of those rounds.
-			const bound = 16 * (size / MTU) * 4
-			for _, h := range []*HCA{a, b} {
-				pl := h.pool
-				t.Logf("%s: %d packets and %d transfers pooled for %d data packets, %d messages",
-					h.name, len(pl.pktFree), len(pl.xferFree), dataPkts, count)
-				if n := len(pl.pktFree); n == 0 || n > bound {
-					t.Errorf("%s holds %d pooled packets after %d crossed, want 1..%d", h.name, n, dataPkts, bound)
-				}
-			}
-			if n := len(a.pool.xferFree); n == 0 || n > bound {
-				t.Errorf("the sender holds %d pooled transfers after %d messages, want 1..%d", n, count, bound)
-			}
-			if n := len(b.pool.xferFree); n != 0 {
-				t.Errorf("the receiver pooled %d of the sender's transfers", n)
+					if n := len(a.pool.xferFree); n == 0 || n > bound {
+						t.Errorf("the sender holds %d pooled transfers after %d messages, want 1..%d", n, count, bound)
+					}
+					if n := len(b.pool.xferFree); n != 0 {
+						t.Errorf("the receiver pooled %d of the sender's transfers", n)
+					}
+				})
 			}
 		})
 	}
@@ -103,24 +115,28 @@ func TestOwnershipOneWayStream(t *testing.T) {
 // observer frees the transfer twice (the pool ends up long), none leaves it
 // to the collector (short).
 func TestTransferReleasedOnce(t *testing.T) {
-	env, a, b := shardLine(2, 2, 10*sim.Millisecond)
-	qa, _ := CreateRCPair(a, b, nil, nil, QPConfig{})
-	const n = 5000
-	for i := 0; i < n; i++ {
-		tr := &transfer{origin: qa}
-		tr.state.Store(1) // the responder's reference
-		at := sim.Time(i) * sim.Nanosecond
-		a.Env().At(at, func() { a.pool.endpointDone(tr, xferSenderDone) })
-		b.Env().At(at, func() {
-			b.pool.endpointDone(tr, xferRecvDone)
-			b.pool.unref(tr)
+	for name, arena := range map[string]*sim.Arena{"plain": nil, "arena": sim.NewArena()} {
+		t.Run(name, func(t *testing.T) {
+			env, a, b := shardLine(arena, 2, 2, 10*sim.Millisecond)
+			qa, _ := CreateRCPair(a, b, nil, nil, QPConfig{})
+			const n = 5000
+			for i := 0; i < n; i++ {
+				tr := &transfer{origin: qa}
+				tr.state.Store(1) // the responder's reference
+				at := sim.Time(i) * sim.Nanosecond
+				a.Env().At(at, func() { a.pool.endpointDone(tr, xferSenderDone) })
+				b.Env().At(at, func() {
+					b.pool.endpointDone(tr, xferRecvDone)
+					b.pool.unref(tr)
+				})
+			}
+			env.Run()
+			if got := len(a.pool.xferFree); got != n {
+				t.Fatalf("%d transfers came home for %d released", got, n)
+			}
+			if got := len(b.pool.xferFree); got != 0 {
+				t.Fatalf("%d transfers landed in the responder's pool", got)
+			}
 		})
-	}
-	env.Run()
-	if got := len(a.pool.xferFree); got != n {
-		t.Fatalf("%d transfers came home for %d released", got, n)
-	}
-	if got := len(b.pool.xferFree); got != 0 {
-		t.Fatalf("%d transfers landed in the responder's pool", got)
 	}
 }

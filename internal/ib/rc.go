@@ -144,10 +144,10 @@ func (q *QP) sendDataPackets(port *Port, dst *QP, t *transfer, kind pktKind) {
 
 // armRetry schedules a retransmission if the transfer is not acknowledged
 // within the retry timeout. In a loss-free fabric this never fires. The
-// timer's record carries the transfer together with the id it had when the
-// timer was armed: ids are never reused, so a transfer acked and recycled
-// during the (long) timeout no longer carries that id, and the timer keeps
-// nothing from being recycled.
+// timer's record names the transfer by the id it had when the timer was
+// armed, and the QP's in-flight window is keyed by id: ids are never reused,
+// so a transfer acked and recycled during the (long) timeout is simply not
+// found, and the timer keeps nothing from being recycled.
 //
 // Each retry doubles the timeout (capped at base << maxBackoffShift) and
 // spends one unit of the QP's retry budget; when the budget runs out the
@@ -159,13 +159,15 @@ func (q *QP) armRetry(t *transfer) {
 		shift = maxBackoffShift
 	}
 	rec := q.hca.pool.newRetryRec()
-	rec.t, rec.id = t, t.id
+	rec.id = t.id
 	q.retryq.AtArg(q.cfg.RetryTimeout<<shift, q.retryArg, rec)
 }
 
-// retryRec is one armed retry timeout.
+// retryRec is one armed retry timeout. It holds no pointer: records are
+// carved from slabs and outlive their world on the pool's freelist (see
+// poolMem), and a slab kept alive by one free record must not keep the
+// transfers its other records were armed for.
 type retryRec struct {
-	t  *transfer
 	id int64
 }
 
@@ -175,6 +177,7 @@ type retryRec struct {
 func (pl *pool) newRetryRec() *retryRec {
 	if n := len(pl.retryFree); n > 0 {
 		rec := pl.retryFree[n-1]
+		pl.retryFree[n-1] = nil
 		pl.retryFree = pl.retryFree[:n-1]
 		return rec
 	}
@@ -187,14 +190,13 @@ func (pl *pool) newRetryRec() *retryRec {
 }
 
 // retryFired is a retry timeout expiring: retransmit unless the transfer has
-// left the in-flight window since (every way out of it sets acked, and a
-// recycled transfer has lost the id).
+// left the in-flight window since (every way out of it also sets acked).
 func (q *QP) retryFired(rec *retryRec) {
 	pl := q.hca.pool
-	t, id := rec.t, rec.id
-	*rec = retryRec{}
+	t := q.inflight[rec.id]
+	rec.id = 0
 	pl.retryFree = append(pl.retryFree, rec)
-	if t.id != id || t.acked || q.errored {
+	if t == nil || t.acked || q.errored {
 		return
 	}
 	if q.cfg.RetryLimit >= 0 && t.retried >= q.cfg.RetryLimit {

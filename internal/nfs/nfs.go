@@ -218,17 +218,21 @@ func (s *Server) write(p *sim.Proc, req *rpc.Request) *rpc.Reply {
 		n = req.WriteLen
 	}
 	s.ioCtx.Use(p, sim.Time(float64(n)*s.touchNanos))
-	if f.Data != nil && req.WriteBulk != nil {
-		need := off + int64(n)
-		for int64(len(f.Data)) < need {
-			f.Data = append(f.Data, 0)
+	need := off + int64(n)
+	if f.Data != nil {
+		// A file with contents stores what it is sent, on either transport:
+		// the bytes of a real write, zeroes for a synthetic one.
+		if int64(len(f.Data)) < need {
+			f.Data = append(f.Data, make([]byte, need-int64(len(f.Data)))...)
 		}
-		copy(f.Data[off:], req.WriteBulk)
-		if need > f.Size {
-			f.Size = need
+		if req.WriteBulk != nil {
+			copy(f.Data[off:], req.WriteBulk)
+		} else {
+			clear(f.Data[off:need])
 		}
-	} else if off+int64(n) > f.Size {
-		f.Size = off + int64(n)
+	}
+	if need > f.Size {
+		f.Size = need
 	}
 	meta := make([]byte, 4+4)
 	binary.LittleEndian.PutUint32(meta, OK)

@@ -265,3 +265,70 @@ func TestPropRandomReadsRDMA(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWriteSameOnEveryTransport: what a WRITE leaves in the file, and what a
+// READ of it then returns, depends on the write and the file — never on the
+// transport that carried them. A synthetic write used to reach the handler
+// as a length over RDMA and as materialized zeroes over TCP, so on a file
+// with contents one extended Size and the other zero-filled Data.
+func TestWriteSameOnEveryTransport(t *testing.T) {
+	const fileLen, off, n = 1000, 600, 900 // the write runs past the end
+	seed := make([]byte, fileLen)
+	rand.New(rand.NewSource(21)).Read(seed)
+	patch := bytes.Repeat([]byte{0xAB}, n)
+	zeroes := make([]byte, n)
+	for _, tc := range []struct {
+		name     string
+		realFile bool
+		data     []byte // nil: a synthetic write of n bytes
+		wantData []byte // the file's contents afterwards; nil on a synthetic file
+		wantRead []byte // what reading the written range back returns
+	}{
+		{"real write, real file", true, patch, append(append([]byte(nil), seed[:off]...), patch...), patch},
+		{"synthetic write, real file", true, nil, append(append([]byte(nil), seed[:off]...), zeroes...), zeroes},
+		{"real write, synthetic file", false, patch, nil, zeroes},
+		{"synthetic write, synthetic file", false, nil, nil, zeroes},
+	} {
+		for _, transport := range []string{"tcp-rc", "tcp-ud", "rdma"} {
+			t.Run(tc.name+"/"+transport, func(t *testing.T) {
+				env, tb := testbed(sim.Micros(10))
+				defer env.Shutdown()
+				var srv *Server
+				var cl *Client
+				switch transport {
+				case "rdma":
+					srv, cl = MountRDMA(tb.B[0], tb.A[0])
+				case "tcp-rc":
+					srv, cl, _ = MountTCP(env, tb.B[0], tb.A[0], ipoib.Connected)
+				case "tcp-ud":
+					srv, cl, _ = MountTCP(env, tb.B[0], tb.A[0], ipoib.Datagram)
+				}
+				var f *File
+				if tc.realFile {
+					f = srv.AddFile("f", append([]byte(nil), seed...))
+				} else {
+					f = srv.AddSyntheticFile("f", fileLen)
+				}
+				got := bytes.Repeat([]byte{0xEE}, n) // a read must overwrite all of it
+				run(env, func(p *sim.Proc) {
+					fh, _, _ := cl.Lookup(p, "f")
+					if w, err := cl.Write(p, fh, off, tc.data, n); err != nil || w != n {
+						t.Errorf("Write = %d, %v, want %d", w, err, n)
+					}
+					if r, err := cl.Read(p, fh, off, n, got); err != nil || r != n {
+						t.Errorf("Read = %d, %v, want %d", r, err, n)
+					}
+				})
+				if f.Size != off+n {
+					t.Errorf("Size = %d after the write, want %d", f.Size, off+n)
+				}
+				if !bytes.Equal(f.Data, tc.wantData) || (f.Data == nil) != (tc.wantData == nil) {
+					t.Errorf("file contents differ from what this write leaves on the other transports (len %d, want %d)", len(f.Data), len(tc.wantData))
+				}
+				if !bytes.Equal(got, tc.wantRead) {
+					t.Errorf("reading the written range back returned other bytes than on the other transports")
+				}
+			})
+		}
+	}
+}

@@ -28,6 +28,9 @@ type rdmaWire struct {
 	meta    []byte
 	isReply bool
 	bulkLen int // reply: bulk bytes placed before this reply was sent
+	// synthetic marks a reply whose bulk was a length: nothing was written
+	// into the client's region, which must read as zeroes all the same.
+	synthetic bool
 	// Request: regions the client advertises for direct data placement.
 	readMR  *ib.MR // server writes READ data here
 	writeMR *ib.MR // server reads WRITE data from here
@@ -171,7 +174,7 @@ func (s *RDMAServer) serve(p *sim.Proc, w *rdmaWire, qp *ib.QP) {
 		p.Wait(g.done)
 	}
 	qp.PostSend(ib.SendWR{Op: ib.OpSend, Len: CtrlWire(len(reply.Meta)),
-		Meta: &rdmaWire{xid: w.xid, proc: w.proc, meta: reply.Meta, isReply: true, bulkLen: bulkN}})
+		Meta: &rdmaWire{xid: w.xid, proc: w.proc, meta: reply.Meta, isReply: true, bulkLen: bulkN, synthetic: reply.Bulk == nil}})
 }
 
 // CtrlWire is the wire size of an RPC header message with the given
@@ -222,8 +225,10 @@ func (c *RDMAClient) complete(comp ib.Completion) {
 	}
 	// Bulk was placed directly; a synthetic read reports at most its capacity.
 	n := w.bulkLen
-	if cl.req.ReadBuf == nil && n > cl.req.ReadLen {
-		n = cl.req.ReadLen
+	if buf := cl.req.ReadBuf; buf == nil {
+		n = min(n, cl.req.ReadLen)
+	} else if w.synthetic {
+		clear(buf[:n])
 	}
 	cl.resolve(&Reply{Meta: w.meta, BulkLen: w.bulkLen}, n)
 }

@@ -38,16 +38,18 @@ func writeFrame(p *sim.Proc, conn *tcpsim.Conn, f *frame) error {
 	return nil
 }
 
-// readFrame blocks until the next whole frame has arrived. Inline bulk
-// always lands as bytes, synthetic or not.
-func readFrame(p *sim.Proc, conn *tcpsim.Conn) (f frame, err error) {
-	hdr, err := conn.ReadFull(p, headerBytes)
-	if err != nil {
+// readFrame blocks until the next whole frame has arrived. The fixed header
+// is decoded in hdr, the reader's scratch; the metadata is the frame's own
+// (it outlives the next read); inline bulk is bytes only if the sender
+// supplied bytes — a synthetic one arrives as bulkLen alone.
+func readFrame(p *sim.Proc, conn *tcpsim.Conn, hdr *[headerBytes]byte) (f frame, err error) {
+	if err = conn.ReadInto(p, hdr[:]); err != nil {
 		return f, err
 	}
 	var metaLen int
-	f.xid, f.proc, metaLen, f.bulkLen, f.readLen = unmarshalHeader(hdr)
-	if f.meta, err = conn.ReadFull(p, metaLen); err != nil {
+	f.xid, f.proc, metaLen, f.bulkLen, f.readLen = unmarshalHeader(hdr[:])
+	f.meta = make([]byte, metaLen)
+	if err = conn.ReadInto(p, f.meta); err != nil {
 		return f, err
 	}
 	if f.bulkLen > 0 {
@@ -97,11 +99,12 @@ func (c *TCPClient) writer(p *sim.Proc) {
 	}
 }
 
-// reader demultiplexes replies by XID, copying inline bulk out of the
-// socket into the caller's buffer.
+// reader demultiplexes replies by XID, landing inline bulk in the caller's
+// buffer: copied when the server sent bytes, zeroes when it sent a length.
 func (c *TCPClient) reader(p *sim.Proc) {
+	var hdr [headerBytes]byte
 	for {
-		f, err := readFrame(p, c.conn)
+		f, err := readFrame(p, c.conn, &hdr)
 		if err != nil {
 			c.fail(err)
 			return
@@ -111,8 +114,13 @@ func (c *TCPClient) reader(p *sim.Proc) {
 			continue
 		}
 		n := f.bulkLen
-		if n > 0 && cl.req.ReadBuf != nil {
-			n = copy(cl.req.ReadBuf, f.bulk)
+		if buf := cl.req.ReadBuf; n > 0 && buf != nil {
+			n = min(n, len(buf))
+			if f.bulk != nil {
+				copy(buf, f.bulk)
+			} else {
+				clear(buf[:n])
+			}
 		}
 		cl.resolve(&Reply{Meta: f.meta, BulkLen: f.bulkLen}, n)
 	}
@@ -156,17 +164,22 @@ func (s *TCPServer) serveConn(conn *tcpsim.Conn) {
 		}
 	})
 	env.Go("rpc-tcp-serve", func(p *sim.Proc) {
+		var hdr [headerBytes]byte
 		for {
-			f, err := readFrame(p, conn)
+			f, err := readFrame(p, conn, &hdr)
 			if err != nil {
 				return
 			}
 			req := &Request{Proc: f.proc, Meta: f.meta, WriteBulk: f.bulk, ReadLen: f.readLen}
+			if f.bulk == nil {
+				req.WriteLen = f.bulkLen
+			}
+			xid := f.xid // the handler outlives this frame; keep it off the heap
 			env.Go("rpc-tcp-handler", func(ph *sim.Proc) {
 				s.threads.Acquire(ph)
 				defer s.threads.Release()
 				reply := s.handler(ph, req)
-				replies.TryPut(&frame{xid: f.xid, proc: f.proc, meta: reply.Meta,
+				replies.TryPut(&frame{xid: xid, proc: req.Proc, meta: reply.Meta,
 					bulk: reply.Bulk, bulkLen: reply.bulkLen()})
 			})
 		}

@@ -319,36 +319,49 @@ func (c *Conn) write(p *sim.Proc, data []byte, n int) {
 // Read blocks until stream bytes are available and returns up to max
 // (synthetic spans materialize as zeros).
 func (c *Conn) Read(p *sim.Proc, max int) []byte {
-	for c.recvBytes == 0 {
-		ev := c.node.HCA.Env().NewEvent()
-		c.readWaiters = append(c.readWaiters, ev)
-		p.Wait(ev)
-	}
-	n := min(c.recvBytes, max)
-	out := make([]byte, 0, n)
-	for len(out) < n {
-		sp := &c.recvBuf[0]
-		take := min(n-len(out), sp.size)
-		if sp.data != nil {
-			out = append(out, sp.data[:take]...)
-			sp.data = sp.data[take:]
-		} else {
-			out = append(out, make([]byte, take)...)
-		}
-		sp.size -= take
-		if sp.size == 0 {
-			c.recvBuf = c.recvBuf[1:]
-		}
-	}
-	c.recvBytes -= n
+	c.awaitData(p)
+	out := make([]byte, min(c.recvBytes, max))
+	c.take(out)
 	return out
 }
 
 // ReadFull blocks until exactly n bytes arrive.
 func (c *Conn) ReadFull(p *sim.Proc, n int) []byte {
-	out := make([]byte, 0, n)
-	for len(out) < n {
-		out = append(out, c.Read(p, n-len(out))...)
+	out := make([]byte, n)
+	for got := 0; got < n; {
+		c.awaitData(p)
+		k := min(c.recvBytes, n-got)
+		c.take(out[got : got+k])
+		got += k
 	}
 	return out
+}
+
+// awaitData blocks until stream bytes are buffered.
+func (c *Conn) awaitData(p *sim.Proc) {
+	for c.recvBytes == 0 {
+		ev := c.node.HCA.Env().NewEvent()
+		c.readWaiters = append(c.readWaiters, ev)
+		p.Wait(ev)
+	}
+}
+
+// take moves the next len(dst) buffered stream bytes into dst, which must
+// be fresh from make: real spans are copied into place, synthetic spans are
+// the zeroes already there.
+func (c *Conn) take(dst []byte) {
+	c.recvBytes -= len(dst)
+	for len(dst) > 0 {
+		sp := &c.recvBuf[0]
+		k := min(len(dst), sp.size)
+		if sp.data != nil {
+			copy(dst, sp.data[:k])
+			sp.data = sp.data[k:]
+		}
+		dst = dst[k:]
+		sp.size -= k
+		if sp.size == 0 {
+			c.recvBuf = c.recvBuf[1:]
+		}
+	}
 }

@@ -1,0 +1,205 @@
+package sim
+
+import (
+	"fmt"
+	"testing"
+)
+
+// strand builds a world on e and abandons it mid-run: pipes deep with
+// entries, timers armed, processes asleep and parked on events others hold,
+// pooled events out and back. It returns the pipes, for looking at once the
+// world is gone.
+func strand(e *Env, seed int64) []Pipe {
+	p := newPipeProgramOn(e, seed, true)
+	p.budget = 400
+	for i := 0; i < 200; i++ {
+		p.schedule()
+	}
+	for i := 0; i < 8; i++ {
+		e.Go("", func(pr *Proc) {
+			for {
+				pr.Sleep(Time(3 + i))
+			}
+		})
+		e.Go("", func(pr *Proc) { pr.Wait(e.NewEvent()) })
+		e.Go("", func(pr *Proc) { pr.Sleep(Time(1 + i)) }) // done before the stop: its event is free
+	}
+	e.NewTimer(func() {}).Reset(Second)
+	for e.Now() < 30 { // the program's handlers Stop now and then
+		e.RunUntil(30)
+	}
+	if e.Pending() < 50 || e.pipeFree == nil || len(e.evFree) == 0 {
+		t := fmt.Sprintf("pending %d, free pipe nodes %v, free events %d", e.Pending(), e.pipeFree != nil, len(e.evFree))
+		panic("strand: the world is not mid-run with warm freelists: " + t)
+	}
+	e.Shutdown()
+	return p.pipes
+}
+
+// TestArenaWorldMatchesFresh: a world on an arena that other worlds were
+// stranded on runs exactly as on sim.NewEnv — same dispatch log, clock,
+// Executed() and Pending() at every slice.
+func TestArenaWorldMatchesFresh(t *testing.T) {
+	a := NewArena()
+	for seed := int64(1); seed <= 20; seed++ {
+		dead := a.NewEnv()
+		strand(dead, seed)
+		a.Reclaim(dead)
+
+		ref, got := newPipeProgram(seed, true), newPipeProgramOn(a.NewEnv(), seed, true)
+		ref.run()
+		got.run()
+		if fmt.Sprint(ref.log) != fmt.Sprint(got.log) {
+			t.Fatalf("seed %d: the world on the arena diverges from the fresh one", seed)
+		}
+		a.Reclaim(got.env)
+	}
+}
+
+// TestArenaKeepsNothingOfTheWorld: what Reclaim keeps is memory, not state.
+// Every kept object is as released — zeroed — and the world it served holds
+// none of it any more, so a dead world neither lives on through its arena
+// nor can reach into the next one.
+func TestArenaKeepsNothingOfTheWorld(t *testing.T) {
+	a := NewArena()
+	e := a.NewEnv()
+	pipes := strand(e, 7)
+	inFlight := e.Pending()
+	a.Reclaim(e)
+
+	if e.Pending() != 0 || e.queue.s != nil || e.evFree != nil || e.pipeFree != nil {
+		t.Errorf("the reclaimed world still holds recycled memory (Pending() = %d)", e.Pending())
+	}
+	for i := range pipes {
+		if pipes[i].head != nil || pipes[i].tail != nil {
+			t.Errorf("pipe %d of the reclaimed world still holds nodes", i)
+		}
+	}
+	m := &a.shards[0]
+	if len(m.heap) != 0 || cap(m.heap) == 0 {
+		t.Fatalf("kept heap has len %d cap %d, want an empty backing array", len(m.heap), cap(m.heap))
+	}
+	for i, ent := range m.heap[:cap(m.heap)] {
+		if ent != (entry{}) {
+			t.Fatalf("kept heap slot %d still holds an entry of the dead world", i)
+		}
+	}
+	nodes := 0
+	for n := m.pipeFree; n != nil; n = n.next {
+		nodes++
+		if n.fn != nil || n.val != nil || n.at != 0 || n.seq != 0 {
+			t.Fatalf("kept pipe node %d still holds a dead world's entry", nodes)
+		}
+	}
+	if nodes < inFlight/2 {
+		t.Errorf("%d pipe nodes kept with %d entries in flight at the stop: the waiting ones were not scrubbed into the list", nodes, inFlight)
+	}
+	if len(m.evFree) == 0 {
+		t.Fatal("no pooled event kept")
+	}
+	for _, ev := range m.evFree[len(m.evFree):cap(m.evFree)] {
+		if ev != nil {
+			t.Fatal("the event list's array still names, past its end, an event the dead world took")
+		}
+	}
+	for _, ev := range m.evFree {
+		if ev.env != nil || ev.triggered || ev.val != nil {
+			t.Fatal("a kept event still belongs to the dead world")
+		}
+		for _, w := range ev.waiters[:cap(ev.waiters)] {
+			if w != nil {
+				t.Fatal("a kept event's waiter array still names a dead process")
+			}
+		}
+		for _, cb := range ev.callbacks[:cap(ev.callbacks)] {
+			if cb != nil {
+				t.Fatal("a kept event's callback array still holds a dead world's closure")
+			}
+		}
+	}
+
+	// The next world starts with it.
+	next := a.NewEnv()
+	if next.pipeFree == nil || len(next.evFree) == 0 || cap(next.queue.s) == 0 {
+		t.Fatal("the next world did not receive the arena's memory")
+	}
+	ev := next.AcquireEvent()
+	if ev.env != next {
+		t.Error("a pooled event from the arena is still bound to the environment that released it")
+	}
+}
+
+// TestArenaServesOneWorldAtATime: while an arena's memory is out, NewEnv is
+// sim.NewEnv; only the borrower gives anything back; a nil arena is no arena.
+func TestArenaServesOneWorldAtATime(t *testing.T) {
+	a := NewArena()
+	first := a.NewEnv()
+	strand(first, 3)
+	second := a.NewEnv()
+	strand(second, 4)
+	a.Reclaim(second) // not the borrower: nothing to take
+	if len(a.shards) != 0 || !a.lent {
+		t.Fatal("an environment that did not borrow from the arena was reclaimed into it")
+	}
+	a.Reclaim(first)
+	if a.lent || a.shards[0].pipeFree == nil {
+		t.Fatal("the borrower's memory did not come back")
+	}
+	kept := a.shards[0].pipeFree
+	a.Reclaim(first) // again: already given back
+	if a.shards[0].pipeFree != kept {
+		t.Fatal("reclaiming twice disturbed the arena")
+	}
+	var none *Arena
+	e := none.NewEnv()
+	strand(e, 5)
+	none.Reclaim(e)
+}
+
+// TestArenaPerShardIndex: a partitioned world returns each view's memory
+// under its shard index and the next one gets it back at the same index —
+// also what its layers kept under Recycled — while a classic world in
+// between uses index 0 alone.
+func TestArenaPerShardIndex(t *testing.T) {
+	type key struct{}
+	a := NewArena()
+	root := a.NewEnv()
+	views := root.Partition(3)
+	root.RegisterLookahead(Millisecond)
+	marks := make([]*int, len(views))
+	for i, v := range views {
+		marks[i] = v.Recycled(key{}, func() any { return new(int) }).(*int)
+		*marks[i] = 100 + i
+		ev := v.AcquireEvent()
+		v.ReleaseEvent(ev)
+		p := v.NewPipe()
+		p.AtArg(Second, func(any) {}, nil) // stranded
+		v.AtArgOn(views[(i+1)%3], Millisecond, func(any) {}, nil)
+	}
+	root.RunUntil(2 * Millisecond)
+	root.Shutdown()
+	a.Reclaim(root)
+	if len(a.shards) != 3 {
+		t.Fatalf("arena holds %d shard sets after a 3-shard world, want 3", len(a.shards))
+	}
+
+	classic := a.NewEnv()
+	if got := classic.Recycled(key{}, func() any { return new(int) }).(*int); got != marks[0] {
+		t.Error("the classic world did not get shard 0's layer memory")
+	}
+	a.Reclaim(classic)
+	if len(a.shards) != 3 || a.shards[1].pipeFree == nil {
+		t.Fatal("a classic world in between lost the other shards' memory")
+	}
+
+	again := a.NewEnv().Partition(3)
+	for i, v := range again {
+		got := v.Recycled(key{}, func() any { return new(int) }).(*int)
+		if got != marks[i] || *got != 100+i {
+			t.Errorf("view %d got another index's layer memory", i)
+		}
+		if v.pipeFree == nil || len(v.evFree) == 0 {
+			t.Errorf("view %d did not get its index's kernel memory", i)
+		}
+	}
+}

@@ -23,6 +23,8 @@ type Env struct {
 	pipeSlab int                // size of the last node slab allocated
 	tel      any                // opaque telemetry attachment (see SetTelemetry)
 	flt      any                // opaque fault-plan attachment (see SetFault)
+	layers   []layerMem         // what the layers above recycle (see Recycled)
+	arena    *Arena             // where all of the recycled memory returns to (see Arena.Reclaim)
 
 	// Periodic observation hook (see SetSampler). The sampler is NOT a heap
 	// event: it fires inside the dispatch loop between events, so sequence

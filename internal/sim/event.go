@@ -23,7 +23,12 @@ func (e *Env) NewEvent() *Event { return &Event{env: e} }
 func (e *Env) AcquireEvent() *Event {
 	if n := len(e.evFree); n > 0 {
 		ev := e.evFree[n-1]
+		// The list may outlive the world (see Arena): the vacated slot must
+		// not go on naming an event the world still uses, and the event may
+		// have been released in an earlier one.
+		e.evFree[n-1] = nil
 		e.evFree = e.evFree[:n-1]
+		ev.env = e
 		return ev
 	}
 	return &Event{env: e}

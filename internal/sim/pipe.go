@@ -95,7 +95,8 @@ func (e *Env) runPipeHead() {
 // Pipe nodes are carved from slabs that double up to pipeSlabMax, so a small
 // world pays for a few dozen nodes and a deep one allocates once per
 // thousand. Nodes are never handed back to the collector before the
-// environment itself goes.
+// environment itself goes — and under an Arena not then either: the freelist
+// and the slab size it reached go to the arena's next world.
 const (
 	pipeSlabMin = 32
 	pipeSlabMax = 1024

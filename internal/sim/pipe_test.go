@@ -33,7 +33,11 @@ type pipeProgram struct {
 }
 
 func newPipeProgram(seed int64, piped bool) *pipeProgram {
-	p := &pipeProgram{env: NewEnv(), piped: piped, rng: rand.New(rand.NewSource(seed))}
+	return newPipeProgramOn(NewEnv(), seed, piped)
+}
+
+func newPipeProgramOn(env *Env, seed int64, piped bool) *pipeProgram {
+	p := &pipeProgram{env: env, piped: piped, rng: rand.New(rand.NewSource(seed))}
 	for i := 0; i < 4; i++ {
 		p.pipes = append(p.pipes, p.env.NewPipe())
 		p.delay = append(p.delay, Time(1+p.rng.Intn(40)))

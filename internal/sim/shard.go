@@ -221,6 +221,9 @@ func (e *Env) Partition(n int) []*Env {
 	e.shard = 0
 	for i := 1; i < n; i++ {
 		v := NewEnv()
+		if e.arena != nil {
+			e.arena.lend(v, i)
+		}
 		v.world = w
 		v.shard = int32(i)
 		v.shardWorkers = e.shardWorkers

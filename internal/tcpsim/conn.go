@@ -233,8 +233,9 @@ func (c *Conn) Write(p *sim.Proc, data []byte) error {
 	return c.write(p, span{data: d, length: len(d)})
 }
 
-// WriteSynthetic queues n synthetic payload bytes (zeroes at the receiver),
-// for traffic generation without byte-copy costs in the host simulator.
+// WriteSynthetic queues n synthetic payload bytes — a length, never
+// materialized on the way; zeroes to a receiver that asks for bytes — for
+// traffic generation without byte-copy costs in the host simulator.
 func (c *Conn) WriteSynthetic(p *sim.Proc, n int) error {
 	if n <= 0 {
 		return c.err
@@ -268,25 +269,44 @@ func (c *Conn) Read(p *sim.Proc, max int) ([]byte, error) {
 	if err := c.awaitData(p); err != nil {
 		return nil, err
 	}
-	out := make([]byte, min(c.recvBytes, max))
-	c.take(out)
-	return out, nil
+	n := min(c.recvBytes, max)
+	return c.take(make([]byte, n), 0, n, n), nil
 }
 
-// ReadFull blocks until exactly n bytes are available and returns them, or
-// the bytes read so far and the connection's terminal error if it dies
-// first.
+// ReadFull blocks until exactly n stream bytes have arrived and consumes
+// them. Bytes exist only where the peer supplied some: a range written with
+// WriteSynthetic alone comes back as nil — the caller knows its length — and
+// any other as n bytes, real spans copied into place and zeroes where the
+// stream was synthetic. If the connection dies first, the result is what had
+// arrived (nil, again, if none of it was real) and the terminal error.
 func (c *Conn) ReadFull(p *sim.Proc, n int) ([]byte, error) {
-	out := make([]byte, n)
+	out, got, err := c.fill(p, nil, n)
+	if out != nil {
+		out = out[:got]
+	}
+	return out, err
+}
+
+// ReadInto is ReadFull into the caller's buffer, all of it: for fixed-size
+// headers decoded in place from a scratch buffer the reader keeps.
+func (c *Conn) ReadInto(p *sim.Proc, dst []byte) error {
+	clear(dst)
+	_, _, err := c.fill(p, dst, len(dst))
+	return err
+}
+
+// fill consumes exactly n stream bytes into dst (see take), blocking as they
+// arrive, and reports how many it got before a terminal error.
+func (c *Conn) fill(p *sim.Proc, dst []byte, n int) ([]byte, int, error) {
 	for got := 0; got < n; {
 		if err := c.awaitData(p); err != nil {
-			return out[:got], err
+			return dst, got, err
 		}
 		k := min(c.recvBytes, n-got)
-		c.take(out[got : got+k])
+		dst = c.take(dst, got, k, n)
 		got += k
 	}
-	return out, nil
+	return dst, n, nil
 }
 
 // awaitData blocks until in-order stream bytes are buffered. It fails with
@@ -304,24 +324,30 @@ func (c *Conn) awaitData(p *sim.Proc) error {
 	return nil
 }
 
-// take moves the next len(dst) buffered stream bytes into dst, which must
-// be fresh from make: real spans are copied into place, synthetic spans are
-// the zeroes already there.
-func (c *Conn) take(dst []byte) {
-	c.recvBytes -= len(dst)
-	for len(dst) > 0 {
+// take consumes the next k buffered stream bytes as dst[off:off+k] of an
+// n-byte result. Real spans are copied into place; synthetic spans are the
+// zeroes dst must already hold there. A nil dst is made by the first real
+// span, so a result that is synthetic throughout stays nil and costs nothing.
+func (c *Conn) take(dst []byte, off, k, n int) []byte {
+	c.recvBytes -= k
+	for k > 0 {
 		sp := c.recvBuf.Front()
-		k := min(len(dst), sp.length)
+		m := min(k, sp.length)
 		if sp.data != nil {
-			copy(dst, sp.data[:k])
-			sp.data = sp.data[k:]
+			if dst == nil {
+				dst = make([]byte, n)
+			}
+			copy(dst[off:], sp.data[:m])
+			sp.data = sp.data[m:]
 		}
-		dst = dst[k:]
-		sp.length -= k
+		off += m
+		k -= m
+		sp.length -= m
 		if sp.length == 0 {
 			c.recvBuf.Pop()
 		}
 	}
+	return dst
 }
 
 // pump segments queued stream bytes into the transmit context while the

@@ -79,11 +79,11 @@ func TestLossFreeStreamEventCountPinned(t *testing.T) {
 	// left per data segment is the receiving application's Read result;
 	// an ack segment allocated per data segment made it two.
 	perSeg := float64(after.Mallocs-before.Mallocs) / 10000
-	t.Logf("%.2f allocations per data segment, %d segments in the sender's pool", perSeg, len(c.stack.segFree))
+	t.Logf("%.2f allocations per data segment, %d segments in the sender's pool", perSeg, len(c.stack.segs.free))
 	if perSeg > 1.5 {
 		t.Errorf("%.2f allocations per data segment over the stream, want <= 1.5", perSeg)
 	}
-	if n := len(c.stack.segFree); n > 100 {
+	if n := len(c.stack.segs.free); n > 100 {
 		t.Errorf("sender's pool holds %d segments after the stream, want a window's worth", n)
 	}
 	if got := env.Executed(); got != lossFreeStreamEvents {

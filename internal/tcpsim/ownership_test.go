@@ -11,9 +11,10 @@ import (
 
 // shardedStacks builds a partitioned world of n sites in a line — one switch
 // per shard, neighbours joined by links of the given delay — with a TCP stack
-// over an IPoIB-UD interface at each end.
-func shardedStacks(n int, delay sim.Time) (*sim.Env, *Stack, *Stack) {
-	env := sim.NewEnv()
+// over an IPoIB-UD interface at each end. The world draws on arena (nil:
+// none).
+func shardedStacks(arena *sim.Arena, n int, delay sim.Time) (*sim.Env, *Stack, *Stack) {
+	env := arena.NewEnv()
 	env.SetShardWorkers(n)
 	views := env.Partition(n)
 	f := ib.NewFabric(env)
@@ -47,33 +48,44 @@ func shardedStacks(n int, delay sim.Time) (*sim.Env, *Stack, *Stack) {
 // flight at once, not a share of the stream.
 func TestOwnershipOneWayStream(t *testing.T) {
 	for _, shards := range []int{2, 4} {
+		// The same counts whatever the lists are made of: the world's own
+		// memory, an arena's, an arena's that an earlier world filled.
+		arena := sim.NewArena()
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			env, sa, sb := shardedStacks(shards, 100*sim.Microsecond)
-			ln := sb.Listen(7000)
-			sb.Env().Go("srv", func(p *sim.Proc) { ln.Accept(p) })
-			sa.Env().Go("cli", func(p *sim.Proc) {
-				c, err := sa.Dial(p, sb.Addr(), 7000)
-				if err != nil {
-					panic(err)
-				}
-				for i := 0; i < 24; i++ {
-					c.WriteSynthetic(p, 1<<20)
-				}
-			})
-			env.Run() // to quiescence: everything acknowledged, nothing in flight
-			env.Shutdown()
-			segs := sb.Stats().RxSegments
-			if segs < 10000 {
-				t.Fatalf("only %d segments crossed", segs)
-			}
-			// One window of data (768 KB of 2 KB segments) and its acks.
-			const bound = 2 * DefaultWindow / 2000
-			for _, s := range []*Stack{sa, sb} {
-				n := len(s.segFree)
-				t.Logf("stack at LID %d: %d segments pooled, %d crossed", s.Addr(), n, segs)
-				if n == 0 || n > bound {
-					t.Errorf("stack at LID %d holds %d pooled segments after %d crossed, want 1..%d", s.Addr(), n, segs, bound)
-				}
+			for _, on := range []struct {
+				name  string
+				arena *sim.Arena
+			}{{"plain", nil}, {"arena", arena}, {"arena-again", arena}} {
+				t.Run(on.name, func(t *testing.T) {
+					env, sa, sb := shardedStacks(on.arena, shards, 100*sim.Microsecond)
+					ln := sb.Listen(7000)
+					sb.Env().Go("srv", func(p *sim.Proc) { ln.Accept(p) })
+					sa.Env().Go("cli", func(p *sim.Proc) {
+						c, err := sa.Dial(p, sb.Addr(), 7000)
+						if err != nil {
+							panic(err)
+						}
+						for i := 0; i < 24; i++ {
+							c.WriteSynthetic(p, 1<<20)
+						}
+					})
+					env.Run() // to quiescence: everything acknowledged, nothing in flight
+					env.Shutdown()
+					defer on.arena.Reclaim(env)
+					segs := sb.Stats().RxSegments
+					if segs < 10000 {
+						t.Fatalf("only %d segments crossed", segs)
+					}
+					// One window of data (768 KB of 2 KB segments) and its acks.
+					const bound = 2 * DefaultWindow / 2000
+					for _, s := range []*Stack{sa, sb} {
+						n := len(s.segs.free)
+						t.Logf("stack at LID %d: %d segments pooled, %d crossed", s.Addr(), n, segs)
+						if n == 0 || n > bound {
+							t.Errorf("stack at LID %d holds %d pooled segments after %d crossed, want 1..%d", s.Addr(), n, segs, bound)
+						}
+					}
+				})
 			}
 		})
 	}

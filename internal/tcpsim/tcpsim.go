@@ -120,15 +120,17 @@ type Stack struct {
 	txq       *sim.Server[*segment] // transmit context
 	rxq       *sim.Server[*segment] // receive context (softirq)
 	stats     StackStats
-	// segFree recycles segment objects. Like the fabric's packet pool it is
-	// a plain slice touched only from the stack's own environment, so reuse
-	// is deterministic. A segment's last toucher is often the peer stack
-	// (acks are consumed at the data sender), so a segment goes back to the
-	// pool of the stack that created it (segment.home) — directly when the
-	// two stacks share an environment, over the kernel's return lane
-	// (takeSeg is its sink) when the peer is on another shard: every
-	// stack's pool refills at the rate it drains.
-	segFree []*segment
+	// segs recycles segment objects: one list for all the stacks of an
+	// environment, kept in the environment's recycled memory so that under a
+	// sim.Arena it outlives the world (a released segment is zeroed). Like
+	// the fabric's packet pool it is a plain slice touched only from that
+	// environment, so reuse is deterministic. A segment's last toucher is
+	// often the peer stack (acks are consumed at the data sender), so a
+	// segment goes back to the environment of the stack that created it
+	// (segment.home) — directly when the two stacks share it, over the
+	// kernel's return lane (takeSeg is its sink) when the peer is on another
+	// shard: every list refills at the rate it drains.
+	segs    *segPool
 	takeSeg func(any)
 	// obs holds possibly-nil telemetry handles; record methods on nil
 	// handles are no-ops, so the disabled path costs a nil check per site.
@@ -157,11 +159,18 @@ type stackObs struct {
 	fastRetransmits  *telemetry.Counter   // dup-ack triggered retransmissions
 }
 
+// segPool is an environment's free segments (see Stack.segs).
+type segPool struct{ free []*segment }
+
+// segPoolKey is segPool's key in the environment's recycled memory.
+type segPoolKey struct{}
+
 // newSegment returns a zeroed segment (its spans backing array is kept).
 func (s *Stack) newSegment() *segment {
-	if n := len(s.segFree); n > 0 {
-		seg := s.segFree[n-1]
-		s.segFree = s.segFree[:n-1]
+	if n := len(s.segs.free); n > 0 {
+		seg := s.segs.free[n-1]
+		s.segs.free[n-1] = nil // the list outlives the world; the segment is the world's now
+		s.segs.free = s.segs.free[:n-1]
 		seg.home = s
 		return seg
 	}
@@ -233,7 +242,8 @@ func NewStack(dev *ipoib.NetDev, cfg Config) *Stack {
 		conns:     make(map[connKey]*Conn),
 		nextPort:  40000,
 	}
-	s.takeSeg = func(v any) { s.segFree = append(s.segFree, v.(*segment)) }
+	s.segs = s.env.Recycled(segPoolKey{}, func() any { return new(segPool) }).(*segPool)
+	s.takeSeg = func(v any) { s.segs.free = append(s.segs.free, v.(*segment)) }
 	if tel := telemetry.FromEnv(s.env); tel != nil && tel.Metrics != nil {
 		m := tel.Metrics
 		s.obs = stackObs{

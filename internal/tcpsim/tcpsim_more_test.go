@@ -1,6 +1,7 @@
 package tcpsim
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/ipoib"
@@ -99,6 +100,44 @@ func TestInterleavedRealAndSyntheticSpans(t *testing.T) {
 		if got[i] != 0 {
 			t.Fatalf("synthetic byte %d = %d, want 0", i, got[i])
 		}
+	}
+}
+
+// TestReadFullIsBytesOnlyWhereBytesWereSent: a range the peer wrote with
+// WriteSynthetic alone is a length to the reader too — ReadFull returns nil,
+// never a buffer of zeroes — while a range that starts synthetic and turns
+// real is bytes from its first byte, and ReadInto gives a reused buffer the
+// stream's zeroes, not its own leftovers.
+func TestReadFullIsBytesOnlyWhereBytesWereSent(t *testing.T) {
+	env, sa, sb := pairStacks(ipoib.Datagram, 0, 0, Config{})
+	defer env.Shutdown()
+	ln := sb.Listen(5000)
+	var synthetic, mixed []byte
+	scratch := []byte("leftovers!")
+	env.Go("srv", func(p *sim.Proc) {
+		c, _ := ln.Accept(p)
+		synthetic, _ = c.ReadFull(p, 300_000) // several segments, none real
+		mixed, _ = c.ReadFull(p, 4000+3)
+		c.ReadInto(p, scratch)
+		env.Stop()
+	})
+	env.Go("cli", func(p *sim.Proc) {
+		c, _ := sa.Dial(p, sb.Addr(), 5000)
+		c.WriteSynthetic(p, 300_000)
+		c.WriteSynthetic(p, 4000)
+		c.Write(p, []byte("END"))
+		c.WriteSynthetic(p, 6)
+		c.Write(p, []byte("TAIL"))
+	})
+	env.Run()
+	if synthetic != nil {
+		t.Errorf("a wholly synthetic range came back as %d materialized bytes, want nil", len(synthetic))
+	}
+	if len(mixed) != 4003 || string(mixed[4000:]) != "END" || !bytes.Equal(mixed[:4000], make([]byte, 4000)) {
+		t.Errorf("synthetic-then-real range: %d bytes ending %q, want 4000 zeroes then END", len(mixed), mixed[max(0, len(mixed)-3):])
+	}
+	if string(scratch) != "\x00\x00\x00\x00\x00\x00TAIL" {
+		t.Errorf("ReadInto left %q in a reused buffer, want six zeroes then TAIL", scratch)
 	}
 }
 
