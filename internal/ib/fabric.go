@@ -15,9 +15,10 @@ type Device interface {
 	ports() []*Port
 	attach(p *Port)
 	setLID(l LID)
-	// receive is invoked when a packet arrives on one of the device's
-	// ports (after link propagation, before device processing delay).
-	receive(pkt *packet, on *Port)
+	// receive is the device's ingress action. It runs stage() — one constant
+	// latency, whatever the port — after a packet arrives (see Port.transmit).
+	stage() sim.Time
+	receive(pkt *packet)
 	// routeTo returns the egress port toward the destination LID.
 	routeTo(dst LID) *Port
 	setRoute(dst LID, p *Port)
@@ -263,7 +264,7 @@ func (f *Fabric) addDevice(d Device) {
 // AddHCA creates a host channel adapter end node (on the UseEnv
 // environment).
 func (f *Fabric) AddHCA(name string) *HCA {
-	h := &HCA{fab: f, pool: f.cur, env: f.cur.env, name: name, procq: f.cur.env.NewPipe(), qps: make(map[int]*QP)}
+	h := &HCA{fab: f, pool: f.cur, env: f.cur.env, name: name, qps: make(map[int]*QP)}
 	f.addDevice(h)
 	return h
 }
@@ -271,7 +272,7 @@ func (f *Fabric) AddHCA(name string) *HCA {
 // AddSwitch creates a switch with the given forwarding latency (use
 // ib.SwitchDelay for a normal cluster switch) on the UseEnv environment.
 func (f *Fabric) AddSwitch(name string, forwardDelay sim.Time) *Switch {
-	s := &Switch{fab: f, pool: f.cur, name: name, fwd: forwardDelay, fwdq: f.cur.env.NewPipe()}
+	s := &Switch{fab: f, pool: f.cur, name: name, fwd: forwardDelay}
 	f.addDevice(s)
 	return s
 }
@@ -283,7 +284,7 @@ func (f *Fabric) AddSwitch(name string, forwardDelay sim.Time) *Switch {
 // delivery crosses through the kernel's mailbox path, and the propagation
 // delay must honor the world's registered lookahead bound.
 func (f *Fabric) Connect(a, b Device, rate Rate, prop sim.Time) *Link {
-	l := &Link{env: f.env, rate: rate, prop: prop}
+	l := &Link{rate: rate, prop: prop}
 	pa := newPort(a, l)
 	pb := newPort(b, l)
 	pa.peer, pb.peer = pb, pa
@@ -383,7 +384,6 @@ func (f *Fabric) DeviceByLID(l LID) Device {
 // direction serializes packets at the link rate and delivers them after the
 // propagation delay.
 type Link struct {
-	env  *sim.Env
 	rate Rate
 	prop sim.Time
 	a, b *Port
@@ -529,15 +529,15 @@ type Port struct {
 	busyUntil sim.Time
 	txBytes   int64
 	txPkts    int64
-	// deliverArg and sendArg are this port's packet handlers as long-lived
-	// func(any) values, so per-packet scheduling (link propagation, switch
-	// forwarding) rides the kernel's closure-free AtArg path.
+	// stage caches dev.stage(), and deliverArg is dev.receive as a long-lived
+	// func(any) value, so the peer's per-packet scheduling rides the kernel's
+	// closure-free AtArg path.
+	stage      sim.Time
 	deliverArg func(any)
-	sendArg    func(any)
-	// wire holds the packets propagating toward a peer on the same
-	// environment: departures never go backwards and the delay is constant
-	// between SetDelay calls, so they are a FIFO (sim.Pipe) rather than one
-	// heap entry each. A cross-shard peer is reached through AtArgOn instead.
+	// wire holds the packets on their way through propagation and the stage
+	// of a peer on the same environment: departures never go backwards and
+	// both delays are constant between SetDelay calls, so they are a FIFO
+	// (sim.Pipe), not one heap entry each. A cross-shard peer takes AtArgOn.
 	wire sim.Pipe
 	// cong holds the bounded-queue state for this direction when the link
 	// has a QueueConfig; nil means the unbounded seed path.
@@ -572,9 +572,8 @@ func newPortQueue(p *Port) *portQueue {
 
 func newPort(dev Device, link *Link) *Port {
 	pl := dev.home()
-	p := &Port{env: pl.env, pool: pl, dev: dev, link: link, wire: pl.env.NewPipe()}
-	p.deliverArg = func(v any) { p.dev.receive(v.(*packet), p) }
-	p.sendArg = func(v any) { p.send(v.(*packet)) }
+	p := &Port{env: pl.env, pool: pl, dev: dev, link: link, stage: dev.stage(), wire: pl.env.NewPipe()}
+	p.deliverArg = func(v any) { dev.receive(v.(*packet)) }
 	return p
 }
 
@@ -669,8 +668,11 @@ func (p *Port) drain() {
 
 // transmit is the serialization core shared by the bounded and unbounded
 // paths: busy-until occupancy, telemetry, injected-fault drops, and
-// propagation toward the peer. It returns the departure time (the instant
-// the last bit leaves the port).
+// propagation toward the peer, whose device holds every arriving packet for
+// one constant latency: packets leave that stage in arrival order, so it
+// needs no event of its own and the packet is scheduled once, at arrival +
+// stage, under the sequence number its arrival would have carried. transmit
+// returns the departure time (the instant the last bit leaves the port).
 func (p *Port) transmit(pkt *packet) sim.Time {
 	now := p.env.Now()
 	start := now
@@ -706,13 +708,13 @@ func (p *Port) transmit(pkt *packet) sim.Time {
 		p.pool.freePacket(pkt)
 		return depart
 	}
-	arrive := depart + p.link.prop
+	staged := depart + p.link.prop + p.peer.stage
 	if p.peer.env == p.env {
-		p.wire.AtArg(arrive-now, p.peer.deliverArg, pkt)
+		p.wire.AtArg(staged-now, p.peer.deliverArg, pkt)
 	} else {
 		// The peer lives on another shard (the WAN hop of a partitioned
 		// world): the packet crosses through the kernel's mailbox lanes.
-		p.env.AtArgOn(p.peer.env, arrive-now, p.peer.deliverArg, pkt)
+		p.env.AtArgOn(p.peer.env, staged-now, p.peer.deliverArg, pkt)
 	}
 	return depart
 }
@@ -728,7 +730,6 @@ type Switch struct {
 	name   string
 	lid    LID
 	fwd    sim.Time
-	fwdq   sim.Pipe // packets crossing the switch: one constant latency, so FIFO
 	plist  []*Port
 	routes []*Port // egress port by destination LID; nil where unreachable
 	wireTrackCache
@@ -746,6 +747,7 @@ func (s *Switch) setLID(l LID)            { s.lid = l }
 func (s *Switch) setRoute(d LID, p *Port) { s.routes[d] = p }
 func (s *Switch) fabric() *Fabric         { return s.fab }
 func (s *Switch) home() *pool             { return s.pool }
+func (s *Switch) stage() sim.Time         { return s.fwd }
 
 func (s *Switch) routeTo(dst LID) *Port {
 	if int(dst) >= len(s.routes) {
@@ -763,7 +765,7 @@ func (s *Switch) resetRoutes(n int) {
 	clear(s.routes)
 }
 
-func (s *Switch) receive(pkt *packet, on *Port) {
+func (s *Switch) receive(pkt *packet) {
 	out := s.routeTo(pkt.dst)
 	if out == nil {
 		// No route in the current epoch: a failover transition window or a
@@ -772,5 +774,5 @@ func (s *Switch) receive(pkt *packet, on *Port) {
 		s.fab.dropUnreachable(s, pkt)
 		return
 	}
-	s.fwdq.AtArg(s.fwd, out.sendArg, pkt)
+	out.send(pkt)
 }

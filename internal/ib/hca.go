@@ -14,9 +14,8 @@ type HCA struct {
 	env   *sim.Env // pool.env: the site's shard view on a partitioned world
 	name  string
 	lid   LID
-	plist []*Port  // the single port, once attached
-	route *Port    // single port: route to everything
-	procq sim.Pipe // packets in the PacketProc stage: constant latency, so FIFO
+	plist []*Port // the single port, once attached
+	route *Port   // single port: route to everything
 	qps   map[int]*QP
 	wireTrackCache
 }
@@ -56,19 +55,20 @@ func (h *HCA) setRoute(d LID, p *Port) { h.route = p }
 func (h *HCA) resetRoutes(int) {}
 func (h *HCA) fabric() *Fabric { return h.fab }
 func (h *HCA) home() *pool     { return h.pool }
+func (h *HCA) stage() sim.Time { return PacketProc } // per-packet processing: a pipeline stage
 
 // Port returns the HCA's single port (nil before Connect).
 func (h *HCA) FabricPort() *Port { return h.route }
 
-func (h *HCA) receive(pkt *packet, on *Port) {
+// receive hands a processed packet to its QP, then recycles it.
+func (h *HCA) receive(pkt *packet) {
 	h.fab.trace(evRx, h, pkt, "")
 	qp := h.qps[pkt.dstQP]
 	if qp == nil {
 		panic(fmt.Sprintf("ib: HCA %s: packet for unknown QP %d", h.name, pkt.dstQP))
 	}
-	// Per-packet HCA processing is a pipeline latency stage. The QP's
-	// cached handler consumes the packet and recycles it.
-	h.procq.AtArg(PacketProc, qp.recvArg, pkt)
+	qp.receive(pkt)
+	h.pool.freePacket(pkt)
 }
 
 // RegisterMR registers buf as an RDMA-accessible memory region and returns

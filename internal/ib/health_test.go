@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // diamond builds a—s1—s2—b with an alternate s1—s3—s2 path, returning the
@@ -123,6 +124,8 @@ func TestScheduledFailoverReroutes(t *testing.T) {
 // (via the switch's counted unreachable drop), never a hang or a panic.
 func TestUnreachableDropErrorsQP(t *testing.T) {
 	env := sim.NewEnv()
+	rec := telemetry.NewRecorder(0, 0)
+	telemetry.Attach(env, &telemetry.Telemetry{Spans: rec})
 	f := NewFabric(env)
 	a := f.AddHCA("a")
 	b := f.AddHCA("b")
@@ -149,6 +152,20 @@ func TestUnreachableDropErrorsQP(t *testing.T) {
 	}
 	if got := f.UnreachableDrops(); got < 1 {
 		t.Errorf("UnreachableDrops = %d, want >= 1", got)
+	}
+	// The drop is logged at the forwarding instant: s1 looks the route up as
+	// the packet leaves its forwarding stage, not as it arrives.
+	var sent, dropped sim.Time
+	for _, in := range rec.Instants() {
+		switch {
+		case in.Name == "tx data" && sent == 0:
+			sent = in.Time
+		case in.Reason == "unreachable" && dropped == 0:
+			dropped = in.Time
+		}
+	}
+	if want := sent + wireTime(MTU+HeaderRC, DDR) + DefaultCableDelay + SwitchDelay; dropped != want {
+		t.Errorf("first unreachable drop stamped %v, want tx %v + serialization + cable + forwarding = %v", dropped, sent, want)
 	}
 }
 

@@ -67,8 +67,8 @@ func losslessFIFOCase(t *testing.T, queueBytes int, sizes []int) {
 	f := NewFabric(env)
 	a1, a2, b := f.AddHCA("a1"), f.AddHCA("a2"), f.AddHCA("b")
 	sw := f.AddSwitch("sw", SwitchDelay)
-	f.Connect(a1, sw, DDR, DefaultCableDelay)
-	f.Connect(a2, sw, DDR, DefaultCableDelay)
+	in1 := f.Connect(a1, sw, DDR, DefaultCableDelay)
+	in2 := f.Connect(a2, sw, DDR, DefaultCableDelay)
 	// The receiver's link is the slow one, so the switch egress backs up.
 	out := f.Connect(sw, b, SDR, DefaultCableDelay)
 	f.Finalize()
@@ -78,14 +78,19 @@ func losslessFIFOCase(t *testing.T, queueBytes int, sizes []int) {
 
 	var admitted, arrived []pktID
 	var admittedWire []pktWire
-	egress, ingress := out.a, out.b // the switch's port toward b, and b's
-	send := egress.sendArg
-	egress.sendArg = func(v any) {
-		pkt := v.(*packet)
-		admitted = append(admitted, pktID{pkt.srcQP, pkt.seq, pkt.msg.id})
-		admittedWire = append(admittedWire, pktWire{pkt.msg.id, pkt.wire})
-		send(v)
+	// The switch forwards inside its ingress action, so the order its two
+	// sender-facing ports run theirs is the order the egress port toward b is
+	// handed packets (only data arrives on them; acks arrive on out's).
+	for _, in := range []*Port{in1.b, in2.b} {
+		forward := in.deliverArg
+		in.deliverArg = func(v any) {
+			pkt := v.(*packet)
+			admitted = append(admitted, pktID{pkt.srcQP, pkt.seq, pkt.msg.id})
+			admittedWire = append(admittedWire, pktWire{pkt.msg.id, pkt.wire})
+			forward(v)
+		}
 	}
+	ingress := out.b // b's port
 	deliver := ingress.deliverArg
 	ingress.deliverArg = func(v any) {
 		pkt := v.(*packet)

@@ -187,8 +187,12 @@ func (f *Fabric) trace(kind evKind, dev Device, pkt *packet, reason string) {
 	if pkt.ud {
 		pk = pktUD
 	}
+	at := f.env.Now()
+	if kind == evRx {
+		at -= PacketProc // logged as the HCA's ingress stage ends, stamped at wire arrival
+	}
 	o.rec.AddInstant(telemetry.Instant{
-		Time: f.env.Now(), Track: o.wireTrack(dev), Name: instantNames[kind][pk],
+		Time: at, Track: o.wireTrack(dev), Name: instantNames[kind][pk],
 		Msg: pkt.msg.id, Wire: pkt.wire, Reason: reason,
 	})
 }

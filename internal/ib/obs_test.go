@@ -79,6 +79,28 @@ func TestWireTraceCounts(t *testing.T) {
 	}
 }
 
+// TestRxStampedAtWireArrival checks that an "rx" instant keeps its meaning now
+// that the HCA logs it as its ingress stage ends: it is stamped PacketProc
+// earlier, at wire arrival, so rx - tx of an unqueued packet is its
+// serialization plus the link's propagation, for the data and for the ack.
+func TestRxStampedAtWireArrival(t *testing.T) {
+	env, rec, a, b, l := tracedBackToBack(t)
+	sendOne(env, a, b, 64, QPConfig{})
+	at := map[string]sim.Time{}
+	for _, in := range rec.Instants() {
+		at[in.Name] = in.Time
+	}
+	for _, c := range []struct {
+		kind string
+		wire int
+	}{{"data", 64 + HeaderRC}, {"ack", AckBytes}} {
+		want := wireTime(c.wire, l.Rate()) + l.Delay()
+		if got := at["rx "+c.kind] - at["tx "+c.kind]; got != want {
+			t.Errorf("rx %s - tx %s = %v, want serialization + propagation = %v", c.kind, c.kind, got, want)
+		}
+	}
+}
+
 // TestTracerSeesDrops loses the first packet on the wire: the log holds the
 // injected drop with its reason, and the retry timeout that repaired it.
 func TestTracerSeesDrops(t *testing.T) {

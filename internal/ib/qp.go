@@ -265,10 +265,8 @@ type QP struct {
 	reorder map[int64]*transfer
 
 	// Cached func(any) handlers, created once per QP so the protocol's
-	// pipeline stages (packet processing, send/recv overheads, ack
-	// emission) schedule through sim.Env.AtArg without allocating a
-	// closure per message or per packet.
-	recvArg      func(any) // consume + recycle an arriving packet
+	// pipeline stages (send/recv overheads, ack emission) schedule through
+	// sim.Env.AtArg without allocating a closure per message.
 	launchArg    func(any) // transmit a transfer after SendOverhead
 	retryArg     func(any) // a retry timeout expiring
 	ackArg       func(any) // emit an ack after RecvOverheadSR
@@ -296,11 +294,6 @@ func (h *HCA) CreateQP(cq *CQ, cfg QPConfig) *QP {
 	qp := &QP{hca: h, qpn: int(h.fab.nextQPN.Add(1)), cfg: cfg, cq: cq,
 		inflight: make(map[int64]*transfer), reorder: make(map[int64]*transfer),
 		retryq: h.env.NewPipe()}
-	qp.recvArg = func(v any) {
-		pkt := v.(*packet)
-		qp.receive(pkt)
-		h.pool.freePacket(pkt)
-	}
 	qp.retryArg = func(v any) { qp.retryFired(v.(*retryRec)) }
 	qp.launchArg = func(v any) { qp.launchBody(v.(*transfer)) }
 	qp.ackArg = func(v any) { qp.ackSend(v.(*transfer)) }
