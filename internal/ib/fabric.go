@@ -16,7 +16,7 @@ type Device interface {
 	attach(p *Port)
 	setLID(l LID)
 	// receive is the device's ingress action. It runs stage() — one constant
-	// latency, whatever the port — after a packet arrives (see Port.transmit).
+	// latency, whatever the port — after a packet arrives (see Port.send).
 	stage() sim.Time
 	receive(pkt *packet)
 	// routeTo returns the egress port toward the destination LID.
@@ -400,15 +400,15 @@ type Link struct {
 	// telemetry layer records utilization and queue spans only there.
 	wan bool
 	// qcfg, when non-nil, bounds each direction's egress queue (see
-	// ConfigureQueue). Nil keeps the seed model: an infinite FIFO where the
-	// only delay is serialization behind busyUntil.
+	// ConfigureQueue). Nil leaves an infinite FIFO where the only delay is
+	// serialization behind busyUntil.
 	qcfg *QueueConfig
 	// ovfDrops counts packets tail-dropped at a full bounded queue. It is a
 	// ledger disjoint from drops (injected faults) and from the fabric's
 	// unreachable-route counter: emergent loss, not configured loss.
 	ovfDrops atomic.Int64
 	// ecnMarks counts packets CE-marked at admission (queue depth at or
-	// beyond the ECN threshold).
+	// beyond half the bound).
 	ecnMarks atomic.Int64
 	// stalls counts packets held back by lossless credit flow control
 	// instead of being dropped.
@@ -416,8 +416,8 @@ type Link struct {
 }
 
 // QueueConfig bounds a link's per-direction egress queue. The zero value is
-// invalid — links without an explicit configuration stay unbounded so the
-// seed model (and the golden experiment output) is untouched.
+// invalid — links without an explicit configuration stay unbounded, book
+// nothing, and the golden experiment output is untouched.
 type QueueConfig struct {
 	// QueueBytes caps the bytes admitted but not yet fully serialized in
 	// one direction. A packet that would exceed the cap is tail-dropped
@@ -426,20 +426,13 @@ type QueueConfig struct {
 	// wedge a flow.
 	QueueBytes int
 	// ECN enables CE marking: packets admitted while the queue holds at
-	// least ECNThreshold bytes carry a congestion-experienced codepoint to
+	// least half of QueueBytes carry a congestion-experienced codepoint to
 	// the receiving endpoint instead of being dropped.
 	ECN bool
-	// ECNThreshold is the marking threshold in bytes. Zero with ECN set
-	// selects QueueBytes/2 — a step mark deep enough that a single
-	// window-limited flow's slow-start burst passes unmarked, while a
-	// standing overload crosses it. The step function keeps marking a pure
-	// function of queue state, so partitioned runs need no per-port
-	// randomness to stay byte-identical.
-	ECNThreshold int
 	// Lossless models IB credit-based link-level flow control: a packet
-	// that finds the queue full waits for credits (queue drain) instead of
-	// dropping, preserving the verbs layers' no-loss assumption on
-	// configured fabrics.
+	// that finds the queue full waits for credits (earlier packets'
+	// departures) instead of dropping, preserving the verbs layers' no-loss
+	// assumption on configured fabrics.
 	Lossless bool
 }
 
@@ -451,18 +444,10 @@ func (l *Link) ConfigureQueue(cfg QueueConfig) error {
 	if cfg.QueueBytes <= 0 {
 		return fmt.Errorf("ib: queue bytes must be positive, got %d", cfg.QueueBytes)
 	}
-	if cfg.ECNThreshold < 0 || cfg.ECNThreshold > cfg.QueueBytes {
-		return fmt.Errorf("ib: ECN threshold %d outside queue bound %d", cfg.ECNThreshold, cfg.QueueBytes)
-	}
-	if cfg.ECN && cfg.ECNThreshold == 0 {
-		cfg.ECNThreshold = cfg.QueueBytes / 2
-		if cfg.ECNThreshold == 0 {
-			cfg.ECNThreshold = 1
-		}
-	}
 	l.qcfg = &cfg
-	l.a.cong = newPortQueue(l.a)
-	l.b.cong = newPortQueue(l.b)
+	for _, p := range []*Port{l.a, l.b} {
+		p.cong = &portQueue{credit: p.env.NewTimer(p.grantCredits)}
+	}
 	return nil
 }
 
@@ -520,6 +505,7 @@ func (l *Link) TxTotal() int64 { return l.a.txBytes + l.b.txBytes }
 // Port is one link endpoint on a device. Transmission is modeled with a
 // busy-until horizon: each packet occupies the egress for wireBytes/rate and
 // arrives at the peer one propagation delay after its serialization ends.
+// Port.send is the one place a packet is serialized.
 type Port struct {
 	env       *sim.Env
 	pool      *pool // the device's: where this port's drops release packets
@@ -540,34 +526,48 @@ type Port struct {
 	// (sim.Pipe), not one heap entry each. A cross-shard peer takes AtArgOn.
 	wire sim.Pipe
 	// cong holds the bounded-queue state for this direction when the link
-	// has a QueueConfig; nil means the unbounded seed path.
+	// has a QueueConfig, and is nil otherwise.
 	cong *portQueue
 }
 
 // portQueue is one direction's bounded egress queue. All state is touched
 // only from the owning port's environment — on a partitioned world that is
-// the sender's shard, so admission, marking and drain are shard-local.
+// the sender's shard, so admission, marking and retirement are shard-local.
 type portQueue struct {
-	// depth is the bytes admitted and not yet fully serialized.
+	// depth is the bytes admitted and not yet retired.
 	depth int
-	// sizes records admitted wire sizes in departure order. Drain events
-	// read sizes rather than the packet itself: by the time a drain fires
-	// at the departure instant, a zero-delay peer may already have consumed
-	// (and freed) the packet.
-	sizes sim.Ring[int]
-	// waitq holds packets stalled on lossless credits, in arrival order.
-	waitq sim.Ring[*packet]
-	// drainArg is the long-lived drain handler for closure-free AtArg.
-	drainArg func(any)
-	// drains holds the scheduled drain events: one per admitted packet, at
-	// its departure instant, and departures never go backwards.
-	drains sim.Pipe
+	// booked holds every admitted packet's departure instant and wire size,
+	// in departure order. Nothing is scheduled to take them out again: the
+	// next admission (or credit wake-up) first retires the ones whose last
+	// bit has left.
+	booked sim.Ring[booking]
+	// waitq holds packets stalled on lossless credits, in arrival order, and
+	// credit is the only event the queue ever schedules: while packets wait
+	// it stands at the head booking's departure.
+	waitq  sim.Ring[*packet]
+	credit *sim.Timer
 }
 
-func newPortQueue(p *Port) *portQueue {
-	q := &portQueue{drains: p.env.NewPipe()}
-	q.drainArg = func(any) { p.drain() }
-	return q
+// booking is one admitted packet's claim on the queue: wire bytes, held until
+// the instant depart.
+type booking struct {
+	depart sim.Time
+	wire   int
+}
+
+// retire releases the bytes of every packet whose last bit has left the port
+// by now. A packet departing at T is out of the queue at T.
+func (q *portQueue) retire(now sim.Time) {
+	for q.booked.Len() > 0 && q.booked.Front().depart <= now {
+		q.depth -= q.booked.Pop().wire
+	}
+}
+
+// full reports whether a packet of the given wire size would overflow the
+// bound. A packet larger than the whole queue is admitted when the queue is
+// empty — otherwise it could never transmit at all.
+func (q *portQueue) full(wire, bound int) bool {
+	return q.depth > 0 && q.depth+wire > bound
 }
 
 func newPort(dev Device, link *Link) *Port {
@@ -577,114 +577,74 @@ func newPort(dev Device, link *Link) *Port {
 	return p
 }
 
-// send serializes pkt onto the link toward the peer port. Links without a
-// QueueConfig take the unbounded transmit path unchanged from the seed
-// model; bounded links pass through admission control first.
+// send puts pkt on the link toward the peer port. On a link with a
+// QueueConfig the packet first meets the bounded queue's verdict: stall
+// (lossless), tail-drop, or pass, CE-marked past the ECN threshold. Then
+// busy-until serialization, telemetry, injected-fault drops, and propagation
+// toward the peer, whose device holds every arriving packet for one constant
+// latency: packets leave that stage in arrival order, so it needs no event of
+// its own and the packet is scheduled once, at arrival + stage, under the
+// sequence number its arrival would have carried.
 func (p *Port) send(pkt *packet) {
-	if p.cong != nil {
-		p.sendBounded(pkt)
-		return
-	}
-	p.transmit(pkt)
-}
-
-// sendBounded applies the bounded-queue admission decision: tail-drop (or a
-// lossless credit stall) when the packet would overflow the queue, otherwise
-// ECN marking and transmission.
-func (p *Port) sendBounded(pkt *packet) {
+	now := p.env.Now()
+	fab := p.dev.fabric()
 	q := p.cong
-	cfg := p.link.qcfg
-	// A packet larger than the whole queue is admitted when the queue is
-	// empty — otherwise it could never transmit at all. Credits are granted
-	// in arrival order (link-level flow control is FIFO per VL), so on a
-	// lossless link a packet that would fit still waits behind any packet
-	// already stalled: a message's small tail must not overtake its body.
-	full := q.depth > 0 && q.depth+pkt.wire > cfg.QueueBytes
-	if full || (cfg.Lossless && q.waitq.Len() > 0) {
-		fab := p.dev.fabric()
-		if cfg.Lossless {
+	if cfg := p.link.qcfg; cfg != nil {
+		q.retire(now)
+		full := q.full(pkt.wire, cfg.QueueBytes)
+		// Credits are granted in arrival order (link-level flow control is
+		// FIFO per VL), so on a lossless link a packet that would fit still
+		// waits behind any packet already stalled: a message's small tail
+		// must not overtake its body.
+		if cfg.Lossless && (full || q.waitq.Len() > 0) {
 			// Credit-based link-level flow control: the next hop withholds
-			// credits, so the packet waits for queue drain instead of
+			// credits, so the packet waits for departures instead of
 			// dropping. The verbs layers above never see loss.
 			p.link.stalls.Add(1)
 			if fab.obs != nil {
 				fab.obs.wanCreditStalls.Add(1)
 			}
+			if q.waitq.Len() == 0 {
+				q.credit.Reset(q.booked.Front().depart - now)
+			}
 			q.waitq.Push(pkt)
 			return
 		}
-		p.link.ovfDrops.Add(1)
-		if fab.obs != nil {
-			fab.obs.wanOverflowDrops.Add(1)
+		if full {
+			p.link.ovfDrops.Add(1)
+			if fab.obs != nil {
+				fab.obs.wanOverflowDrops.Add(1)
+			}
+			fab.trace(evDrop, p.dev, pkt, "overflow")
+			p.pool.freePacket(pkt)
+			return
 		}
-		fab.trace(evDrop, p.dev, pkt, "overflow")
-		p.pool.freePacket(pkt)
-		return
-	}
-	p.admit(pkt)
-}
-
-// admit books pkt into the bounded queue (marking it CE past the ECN
-// threshold), transmits it, and schedules the drain that releases its bytes
-// at the departure instant.
-func (p *Port) admit(pkt *packet) {
-	q := p.cong
-	cfg := p.link.qcfg
-	fab := p.dev.fabric()
-	if cfg.ECN && q.depth >= cfg.ECNThreshold {
-		pkt.ecn = true
-		p.link.ecnMarks.Add(1)
-		if fab.obs != nil {
-			fab.obs.wanECNMarks.Add(1)
+		// The mark is a step at half the bound — deep enough that a single
+		// window-limited flow's slow-start burst passes unmarked, while a
+		// standing overload crosses it — and so a pure function of queue
+		// state: partitioned runs need no per-port randomness to stay
+		// byte-identical.
+		if cfg.ECN && q.depth >= max(cfg.QueueBytes/2, 1) {
+			pkt.ecn = true
+			p.link.ecnMarks.Add(1)
+			if fab.obs != nil {
+				fab.obs.wanECNMarks.Add(1)
+			}
 		}
 	}
-	q.depth += pkt.wire
-	q.sizes.Push(pkt.wire)
-	if fab.obs != nil {
-		fab.obs.wanQueueDepth.Observe(int64(q.depth))
-	}
-	depart := p.transmit(pkt)
-	q.drains.AtArg(depart-p.env.Now(), q.drainArg, nil)
-}
-
-// drain releases one packet's bytes at its departure instant and re-admits
-// any stalled packets that now fit. Drains are scheduled once per admission
-// and fire in admission order (departure times are nondecreasing), so sizes
-// pops pair up with the packets they booked even across mid-run rate
-// changes.
-func (p *Port) drain() {
-	q := p.cong
-	q.depth -= q.sizes.Pop()
-	cfg := p.link.qcfg
-	for q.waitq.Len() > 0 {
-		head := *q.waitq.Front()
-		if q.depth > 0 && q.depth+head.wire > cfg.QueueBytes {
-			break
-		}
-		q.waitq.Pop()
-		p.admit(head)
-	}
-}
-
-// transmit is the serialization core shared by the bounded and unbounded
-// paths: busy-until occupancy, telemetry, injected-fault drops, and
-// propagation toward the peer, whose device holds every arriving packet for
-// one constant latency: packets leave that stage in arrival order, so it
-// needs no event of its own and the packet is scheduled once, at arrival +
-// stage, under the sequence number its arrival would have carried. transmit
-// returns the departure time (the instant the last bit leaves the port).
-func (p *Port) transmit(pkt *packet) sim.Time {
-	now := p.env.Now()
-	start := now
-	if p.busyUntil > start {
-		start = p.busyUntil
-	}
+	start := max(now, p.busyUntil)
 	ser := sim.Time(float64(pkt.wire) / float64(p.link.rate) * 1e9)
-	depart := start + ser
+	depart := start + ser // the instant the last bit leaves the port
 	p.busyUntil = depart
 	p.txBytes += int64(pkt.wire)
 	p.txPkts++
-	fab := p.dev.fabric()
+	if q != nil {
+		q.depth += pkt.wire
+		q.booked.Push(booking{depart, pkt.wire})
+		if fab.obs != nil {
+			fab.obs.wanQueueDepth.Observe(int64(q.depth))
+		}
+	}
 	if obs := fab.obs; obs != nil && p.link.wan {
 		obs.wanTxPkts.Add(1)
 		obs.wanTxBytes.Add(int64(pkt.wire))
@@ -706,7 +666,7 @@ func (p *Port) transmit(pkt *packet) sim.Time {
 		}
 		fab.trace(evDrop, p.dev, pkt, "fault")
 		p.pool.freePacket(pkt)
-		return depart
+		return
 	}
 	staged := depart + p.link.prop + p.peer.stage
 	if p.peer.env == p.env {
@@ -716,7 +676,25 @@ func (p *Port) transmit(pkt *packet) sim.Time {
 		// world): the packet crosses through the kernel's mailbox lanes.
 		p.env.AtArgOn(p.peer.env, staged-now, p.peer.deliverArg, pkt)
 	}
-	return depart
+}
+
+// grantCredits is the lossless credit wake-up, run at a departure while
+// packets wait: it sends, in arrival order, the ones that now fit, and stands
+// again at the next departure if some still wait.
+func (p *Port) grantCredits() {
+	q, now := p.cong, p.env.Now()
+	q.retire(now)
+	// The line steps aside while its head is sent: send sees an arrival with
+	// nobody ahead of it and room in the queue, so it cannot stall again.
+	line := q.waitq
+	q.waitq = sim.Ring[*packet]{}
+	for line.Len() > 0 && !q.full((*line.Front()).wire, p.link.qcfg.QueueBytes) {
+		p.send(line.Pop())
+	}
+	q.waitq = line
+	if line.Len() > 0 {
+		q.credit.Reset(q.booked.Front().depart - now)
+	}
 }
 
 // TxBytes returns the total wire bytes transmitted from this port.

@@ -12,24 +12,31 @@ import (
 
 // stagedPath builds a — b over the given number of links: back to back for
 // one, and for five the paper's host – switch – Longbow – WAN – Longbow –
-// switch – host.
-func stagedPath(links int) (*sim.Env, *HCA, *HCA) {
+// switch – host. It returns the slowest link — the WAN hop, where there is
+// one — with its egress queues bounded by wanQueue unless that is nil.
+func stagedPath(links int, wanQueue *QueueConfig) (*sim.Env, *HCA, *HCA, *Link) {
 	env := sim.NewEnv()
 	f := NewFabric(env)
 	a, b := f.AddHCA("a"), f.AddHCA("b")
+	var wan *Link
 	if links == 1 {
-		f.Connect(a, b, DDR, DefaultCableDelay)
+		wan = f.Connect(a, b, DDR, DefaultCableDelay)
 	} else {
 		swA, swB := f.AddSwitch("swA", SwitchDelay), f.AddSwitch("swB", SwitchDelay)
 		lbA, lbB := f.AddSwitch("lbA", 2500*sim.Nanosecond), f.AddSwitch("lbB", 2500*sim.Nanosecond)
 		f.Connect(a, swA, DDR, DefaultCableDelay)
 		f.Connect(swA, lbA, DDR, DefaultCableDelay)
-		f.Connect(lbA, lbB, SDR, 100*sim.Microsecond)
+		wan = f.Connect(lbA, lbB, SDR, 100*sim.Microsecond)
 		f.Connect(lbB, swB, DDR, DefaultCableDelay)
 		f.Connect(swB, b, DDR, DefaultCableDelay)
 	}
 	f.Finalize()
-	return env, a, b
+	if wanQueue != nil {
+		if err := wan.ConfigureQueue(*wanQueue); err != nil {
+			panic(err)
+		}
+	}
+	return env, a, b, wan
 }
 
 // TestOneEventPerLinkCrossing pins the cost of a link crossing at one kernel
@@ -38,11 +45,16 @@ func stagedPath(links int) (*sim.Env, *HCA, *HCA) {
 // more packet and nothing else, so it costs exactly one event per link. UD:
 // one more datagram also runs its send and receive stages, the same on any
 // path, so it costs exactly four more over five links than over one. An event
-// for the device's ingress stage beside the wire's would double both.
+// for the device's ingress stage beside the wire's would double both. A bound
+// on the WAN hop's queues that holds no packet back costs no event at all:
+// the queue retires departed bytes at the next admission and schedules
+// nothing but lossless wake-ups, so every stream executes exactly what it
+// does unbounded — a drain event per admission would add one per packet (and
+// per ack, on the way back).
 func TestOneEventPerLinkCrossing(t *testing.T) {
 	const msgs = 8
-	rc := func(links, pkts int) int64 {
-		env, a, b := stagedPath(links)
+	rc := func(links, pkts int, wanQueue *QueueConfig) int64 {
+		env, a, b, wan := stagedPath(links, wanQueue)
 		qa, qb := CreateRCPair(a, b, nil, nil, QPConfig{})
 		for i := 0; i < msgs; i++ {
 			qb.PostRecv(RecvWR{})
@@ -52,10 +64,16 @@ func TestOneEventPerLinkCrossing(t *testing.T) {
 		if got := qb.Stats().MsgsRecv; got != msgs {
 			t.Fatalf("RC over %d links: %d of %d messages arrived", links, got, msgs)
 		}
+		if n := wan.OverflowDrops() + wan.CreditStalls(); n != 0 {
+			t.Fatalf("RC over %d links: the bound %+v held %d packets back", links, wanQueue, n)
+		}
+		if wanQueue != nil && wanQueue.ECN && links == 1 && wan.ECNMarks() == 0 {
+			t.Fatalf("RC back to back: the bound %+v marked nothing", wanQueue)
+		}
 		return env.Executed()
 	}
-	ud := func(links, n int) int64 {
-		env, a, b := stagedPath(links)
+	ud := func(links, n int, wanQueue *QueueConfig) int64 {
+		env, a, b, _ := stagedPath(links, wanQueue)
 		qa := a.CreateQP(NewCQ(env), QPConfig{Transport: UD})
 		qb := b.CreateQP(NewCQ(env), QPConfig{Transport: UD})
 		for i := 0; i < n; i++ {
@@ -69,13 +87,30 @@ func TestOneEventPerLinkCrossing(t *testing.T) {
 		return env.Executed()
 	}
 	for _, links := range []int{1, 5} {
-		if got, want := rc(links, 4)-rc(links, 3), int64(msgs*links); got != want {
+		if got, want := rc(links, 4, nil)-rc(links, 3, nil), int64(msgs*links); got != want {
 			t.Errorf("RC over %d links: one more packet in each of %d messages costs %d events, want %d", links, msgs, got, want)
 		}
 	}
-	perDatagram := func(links int) int64 { return ud(links, msgs+1) - ud(links, msgs) }
+	perDatagram := func(links int) int64 { return ud(links, msgs+1, nil) - ud(links, msgs, nil) }
 	if got := perDatagram(5) - perDatagram(1); got != 4 {
 		t.Errorf("UD: one more datagram costs %d more events over 5 links than over 1, want 4", got)
+	}
+	// The whole RC burst is 8 x 4 packets, 66 KB: it fits the bounds below,
+	// and back to back, where it all queues on the sender's own port, it
+	// crosses the 36 KB ECN mark.
+	for _, bound := range []QueueConfig{
+		{QueueBytes: 1 << 20},
+		{QueueBytes: 72 << 10, ECN: true},
+		{QueueBytes: 1 << 20, Lossless: true},
+	} {
+		for _, links := range []int{1, 5} {
+			if got, want := rc(links, 4, &bound), rc(links, 4, nil); got != want {
+				t.Errorf("RC over %d links, WAN hop bounded %+v: %d events, unbounded %d", links, bound, got, want)
+			}
+			if got, want := ud(links, msgs, &bound), ud(links, msgs, nil); got != want {
+				t.Errorf("UD over %d links, WAN hop bounded %+v: %d events, unbounded %d", links, bound, got, want)
+			}
+		}
 	}
 }
 
@@ -100,15 +135,21 @@ type stamp struct {
 // portModel is the test's own model of one egress port and of the ingress
 // stage of the device behind it.
 type portModel struct {
-	link       *Link
-	rate       [2]Rate     // before and from rateAt on
-	prop       [2]sim.Time // before and from propAt on
-	rateAt     sim.Time
-	propAt     sim.Time
-	drop       func(now sim.Time, wire int) bool
-	queueBytes int      // lossless bound, 0 for an unbounded port
-	stage      sim.Time // the far device's constant ingress latency
-	overtaken  bool     // set by run
+	link   *Link
+	rate   [2]Rate     // before and from rateAt on
+	prop   [2]sim.Time // before and from propAt on
+	rateAt sim.Time
+	propAt sim.Time
+	drop   func(now sim.Time, wire int) bool
+	queue  QueueConfig // the zero value for an unbounded port
+	stage  sim.Time    // the far device's constant ingress latency
+	// What run found: packets tail-dropped at the full queue, the ids of the
+	// ones CE-marked, packets handed over in the very nanosecond a queued one
+	// departed, and whether any packet passed another on the wire.
+	overflowed []stamp
+	marked     []int64
+	departTies int64
+	overtaken  bool
 }
 
 // step picks the value a mid-run change left in force at the instant now.
@@ -123,6 +164,9 @@ func step[T any](v [2]T, changeAt, now sim.Time) T {
 // at the instant it was handed over — or, on a lossless bounded port, at the
 // first departure after which it fits behind its predecessors — starting when
 // the port is free, with the rate, delay and drop decision of that instant.
+// A bounded port holds a packet's bytes until the instant its last bit
+// leaves, that instant excluded; one that is not lossless drops what does not
+// fit, and an ECN one marks what it admits on top of half the bound or more.
 // It returns every transmission, the ones dropped on the wire, and the
 // survivors as they leave the far device's ingress stage.
 func (m *portModel) run(in []hopPkt) (tx, dropped []stamp, out []hopPkt) {
@@ -143,23 +187,37 @@ func (m *portModel) run(in []hopPkt) (tx, dropped []stamp, out []hopPkt) {
 	)
 	for _, pk := range in {
 		now := pk.at
-		if m.queueBytes > 0 {
-			now = max(now, prev)
+		if bound := m.queue.QueueBytes; bound > 0 {
+			if m.queue.Lossless {
+				now = max(now, prev)
+			}
+			fits := false
 			for {
 				for len(queue) > 0 && queue[0].depart <= now {
+					if queue[0].depart == pk.at {
+						m.departTies++
+					}
 					depth -= queue[0].wire
 					queue = queue[1:]
 				}
-				if depth == 0 || depth+pk.wire <= m.queueBytes {
+				fits = depth == 0 || depth+pk.wire <= bound
+				if fits || !m.queue.Lossless {
 					break
 				}
 				now = queue[0].depart
 			}
+			if !fits {
+				m.overflowed = append(m.overflowed, stamp{pk.id, now})
+				continue
+			}
 			prev = now
+			if m.queue.ECN && depth >= max(bound/2, 1) {
+				m.marked = append(m.marked, pk.id)
+			}
 		}
 		depart := max(busy, now) + wireTime(pk.wire, step(m.rate, m.rateAt, now))
 		busy = depart
-		if m.queueBytes > 0 {
+		if m.queue.QueueBytes > 0 {
 			depth += pk.wire
 			queue = append(queue, booked{depart, pk.wire})
 		}
@@ -180,23 +238,27 @@ func (m *portModel) run(in []hopPkt) (tx, dropped []stamp, out []hopPkt) {
 // exists for; a seed sweep that stopped producing one would pass vacuously.
 type stageCoverage struct {
 	stalls, drops, mergeTies, overtakes int64
+	marks, overflows, departTies        int64
 }
 
 // TestIngressStageMatchesRecurrence checks the fused wire + stage event
 // against a per-hop recurrence the test computes for itself. Two hosts send
 // raw datagrams through one switch port into a chain of 1-4 switches with
-// different forwarding delays and link rates, unbounded or lossless-bounded
-// egress queues, one link changing rate and one changing delay mid-run, one
-// dropping by a pure function of time. Every device's wire instants — each
-// transmission, each drop, the receiver's arrival and its delivery one
+// different forwarding delays and link rates, egress queues unbounded or
+// bounded to a few packets (lossless, tail-drop or ECN), one link changing
+// rate and one changing delay mid-run, one dropping by a pure function of
+// time. Every device's wire instants — each transmission, each drop on the
+// wire or at a full queue, the receiver's arrival and its delivery one
 // PacketProc later — must be the model's, instant for instant and in order:
-// on the shared port that order is (arrival, sequence).
+// on the shared port that order is (arrival, sequence). So must the packets
+// that reach each device CE-marked.
 func TestIngressStageMatchesRecurrence(t *testing.T) {
 	var cov stageCoverage
 	for seed := int64(1); seed <= 60; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { stageRecurrenceCase(t, seed, &cov) })
 	}
-	if cov.stalls == 0 || cov.drops == 0 || cov.mergeTies == 0 || cov.overtakes == 0 {
+	if cov.stalls == 0 || cov.drops == 0 || cov.mergeTies == 0 || cov.overtakes == 0 ||
+		cov.marks == 0 || cov.overflows == 0 || cov.departTies == 0 {
 		t.Errorf("seeds no longer cover the model: %+v", cov)
 	}
 }
@@ -243,15 +305,31 @@ func stageRecurrenceCase(t *testing.T, seed int64, cov *stageCoverage) {
 	}
 	f.Finalize()
 	// The changing links are among the unbounded ones, the access links at
-	// least; every other chain port is lossless-bounded to a few packets.
+	// least; every other chain port is bounded to a few packets. ceAt[i] are
+	// the ids of the packets the chain's i-th link delivers CE-marked.
 	free := slices.Clone(access)
-	for _, m := range chain {
-		if rng.Intn(2) == 0 {
+	ceAt := make([][]int64, len(chain))
+	for i, m := range chain {
+		far := m.link.b
+		deliver := far.deliverArg
+		far.deliverArg = func(v any) {
+			if pkt := v.(*packet); pkt.ecn {
+				ceAt[i] = append(ceAt[i], pkt.msg.id)
+			}
+			deliver(v)
+		}
+		if rng.Intn(3) == 0 {
 			free = append(free, m)
 			continue
 		}
-		m.queueBytes = 300 + rng.Intn(6000)
-		if err := m.link.ConfigureQueue(QueueConfig{QueueBytes: m.queueBytes, Lossless: true}); err != nil {
+		m.queue = QueueConfig{QueueBytes: 300 + rng.Intn(6000)}
+		switch rng.Intn(3) {
+		case 0:
+			m.queue.Lossless = true
+		case 1:
+			m.queue.ECN = true
+		}
+		if err := m.link.ConfigureQueue(m.queue); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,14 +391,20 @@ func stageRecurrenceCase(t *testing.T, seed int64, cov *stageCoverage) {
 	// The model, hop by hop, and what each device must have logged.
 	type logged struct{ name, reason string }
 	want := map[string]map[logged][]stamp{}
-	expect := func(dev Device, tx, dropped []stamp) {
-		want[dev.Name()] = map[logged][]stamp{{"tx ud", ""}: tx, {"drop ud", "fault"}: dropped}
+	expect := func(dev Device, m *portModel, tx, dropped []stamp) {
+		want[dev.Name()] = map[logged][]stamp{{"tx ud", ""}: tx, {"drop ud", "fault"}: dropped, {"drop ud", "overflow"}: m.overflowed}
 		cov.drops += int64(len(dropped))
+		cov.overflows += int64(len(m.overflowed))
+		cov.marks += int64(len(m.marked))
+		cov.departTies += m.departTies
+		if got := m.link.ECNMarks(); got != int64(len(m.marked)) {
+			t.Errorf("%s marked %d packets, the model %d", dev.Name(), got, len(m.marked))
+		}
 	}
 	var merged []hopPkt
 	for i, m := range access {
 		tx, dropped, out := m.run(handed[i])
-		expect(senders[i], tx, dropped)
+		expect(senders[i], m, tx, dropped)
 		for _, pk := range out {
 			// The senders' ports transmit as injected, so across both of
 			// them execution order is injection order.
@@ -335,11 +419,24 @@ func stageRecurrenceCase(t *testing.T, seed int64, cov *stageCoverage) {
 			}
 		}
 	}
+	ce := map[int64]bool{} // marked so far along the chain
 	for i, m := range chain {
 		tx, dropped, out := m.run(merged)
-		expect(switches[i], tx, dropped)
+		expect(switches[i], m, tx, dropped)
 		merged = out
 		cov.stalls += m.link.CreditStalls()
+		for _, id := range m.marked {
+			ce[id] = true
+		}
+		var wantCE []int64
+		for _, pk := range slices.SortedStableFunc(slices.Values(out), func(x, y hopPkt) int { return int(x.at - y.at) }) {
+			if ce[pk.id] {
+				wantCE = append(wantCE, pk.id)
+			}
+		}
+		if err := sameOrder(wantCE, ceAt[i]); err != nil {
+			t.Errorf("CE-marked packets leaving %s: %v", switches[i].Name(), err)
+		}
 	}
 	slices.SortStableFunc(merged, func(x, y hopPkt) int { return int(x.at - y.at) })
 	var arrivals, deliveries []stamp
@@ -377,5 +474,55 @@ func stageRecurrenceCase(t *testing.T, seed int64, cov *stageCoverage) {
 	}
 	if n := qb.Stats().RecvDrops; n != int64(len(deliveries)) {
 		t.Errorf("b consumed %d packets, the model delivers %d", n, len(deliveries))
+	}
+}
+
+// TestQueueDepthAtDepartureInstant pins the queue's tie rule: a packet whose
+// last bit leaves at T is out of the queue at T. B is handed to a bounded
+// port in the very nanosecond A departs, by an event scheduled once before
+// A's admission and once after it. Either way B meets an empty queue: it is
+// admitted with only its own bytes queued, where A's bytes beside them would
+// have dropped, marked or stalled it. Bytes released by an event of their own
+// would make the verdict depend on which of the two events was scheduled
+// first.
+func TestQueueDepthAtDepartureInstant(t *testing.T) {
+	const wireA, wireB = 1500, 700
+	const handA = 10 * sim.Microsecond
+	for _, bound := range []QueueConfig{
+		{QueueBytes: wireA + wireB - 1},
+		{QueueBytes: 2 * wireA, ECN: true},
+		{QueueBytes: wireA + wireB - 1, Lossless: true},
+	} {
+		for _, order := range []string{"B scheduled first", "A admitted first"} {
+			env, a, b, link := stagedPath(1, &bound)
+			var arrived []*packet
+			link.b.deliverArg = func(v any) { arrived = append(arrived, v.(*packet)) }
+			hand := func(wire int) {
+				a.route.send(a.pool.newPacket(packet{src: a.lid, dst: b.lid, kind: pktData, wire: wire, ud: true}))
+			}
+			depth := -1
+			handB := func() {
+				hand(wireB)
+				depth = a.route.cong.depth
+			}
+			departA := handA + wireTime(wireA, link.Rate())
+			if order == "B scheduled first" {
+				env.At(departA, handB)
+			}
+			env.At(handA, func() {
+				hand(wireA)
+				if order == "A admitted first" {
+					env.At(departA-handA, handB)
+				}
+			})
+			env.Run()
+			if depth != wireB {
+				t.Errorf("%+v, %s: B admitted with %d bytes queued, want its own %d", bound, order, depth, wireB)
+			}
+			if n := link.OverflowDrops() + link.ECNMarks() + link.CreditStalls(); n != 0 || len(arrived) != 2 || arrived[1].ecn {
+				t.Errorf("%+v, %s: %d drops, %d marks, %d stalls, %d packets arrived; want A and B, untouched",
+					bound, order, link.OverflowDrops(), link.ECNMarks(), link.CreditStalls(), len(arrived))
+			}
+		}
 	}
 }

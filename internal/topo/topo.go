@@ -56,12 +56,12 @@ type Link struct {
 	Fault *fault.Plan
 	// QueueBytes bounds the long-haul hop's per-direction egress queue.
 	// Zero with ECN or Lossless set selects the link's bandwidth-delay
-	// product (wan.BDPQueueBytes); zero with neither leaves the seed
-	// model's unbounded FIFO. Queue admission is a pure function of
+	// product (wan.BDPQueueBytes); zero with neither leaves the
+	// unbounded FIFO. Queue admission is a pure function of
 	// shard-local state, so bounded links stay shard-eligible.
 	QueueBytes int
-	// ECN enables congestion-experienced marking at half the queue bound
-	// (see ib.QueueConfig).
+	// ECN enables congestion-experienced marking of packets admitted on
+	// top of half the queue bound or more (see ib.QueueConfig).
 	ECN bool
 	// Lossless enables credit-based link-level flow control: packets
 	// stall at a full queue instead of tail-dropping.

@@ -211,8 +211,8 @@ func BDPQueueBytes(rate ib.Rate, delay sim.Time) int {
 
 // EnableCongestion bounds the pair's long-haul hop with cfg. A zero
 // QueueBytes defaults to the link's bandwidth-delay product (BDPQueueBytes
-// at the current rate and delay). Unconfigured pairs keep the seed model's
-// unbounded FIFO, so existing experiments are byte-identical.
+// at the current rate and delay). Unconfigured pairs keep an unbounded FIFO,
+// so existing experiments are byte-identical.
 func (p *Pair) EnableCongestion(cfg ib.QueueConfig) error {
 	if cfg.QueueBytes == 0 {
 		cfg.QueueBytes = BDPQueueBytes(p.link.Rate(), p.link.Delay())
