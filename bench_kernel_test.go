@@ -128,8 +128,9 @@ func TestKernelProcAllocs(t *testing.T) {
 }
 
 // BenchmarkKernelQueue measures the blocking producer/consumer channel: a
-// bounded queue forces both put-side and get-side waits, as the MPI
-// progress engines do.
+// bounded queue forces both put-side and get-side waits (the engines left on
+// a queue — sdp's sender, the RPC/TCP writer and reply queues — take only
+// the get side).
 func BenchmarkKernelQueue(b *testing.B) {
 	env := sim.NewEnv()
 	q := sim.NewQueue[int](env, 16)

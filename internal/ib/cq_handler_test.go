@@ -13,16 +13,20 @@ import (
 // two RC connections, all four QPs of a side sharing that side's CQ, so each
 // CQ sees send and receive completions of both connections interleaved. A
 // producer process per side posts bursts of sends of mixed sizes between
-// idle gaps long enough for the CQs to go quiet; each CQ's consumer reposts
-// a receive for every arrival and sometimes answers with a send of its own.
-// With handled false the consumers are processes looping on Poll — the
-// reference a completion handler must be indistinguishable from.
+// idle gaps long enough for the CQs to go quiet; each CQ's consumer logs a
+// completion, sometimes spends time on it (a quarter of those spend none),
+// then reposts a receive for an arrival and sometimes answers with a send
+// of its own. With handled false the consumers are processes looping on
+// Poll and sleeping mid-body — the reference a completion handler that
+// holds must be indistinguishable from.
 type cqProgram struct {
 	env    *sim.Env
 	rng    *rand.Rand
 	qps    [2][]*QP // per side
 	budget int      // sends the program may still post
 	log    []string
+	// What the holds met, so the test can tell the seeds covered it.
+	zeroHolds, heldLast, heldWithPosts, backToBack int
 }
 
 func newCQProgram(t *testing.T, seed int64, handled bool) *cqProgram {
@@ -38,8 +42,34 @@ func newCQProgram(t *testing.T, seed int64, handled bool) *cqProgram {
 		}
 	}
 	for side := range cqs {
-		consume := func(c Completion) {
+		cq := cqs[side]
+		var queued int    // completions behind the one a hold began on
+		var justHeld bool // the previous completion was held
+		// arrive is the consumer's body up to where it may spend time.
+		arrive := func(c Completion) (sim.Time, bool) {
 			p.log = append(p.log, fmt.Sprintf("%d:side%d:%v:qp%d:%dB", env.Now(), side, c.Op, c.QPN, c.Bytes))
+			if p.rng.Intn(4) != 0 {
+				justHeld = false
+				return 0, false
+			}
+			d := sim.Time(p.rng.Intn(4)) * sim.Time(p.rng.Intn(3000))
+			if d == 0 {
+				p.zeroHolds++
+			}
+			if queued = cq.Len(); queued == 0 {
+				p.heldLast++
+			}
+			if justHeld {
+				p.backToBack++
+			}
+			justHeld = true
+			return d, true
+		}
+		// finish is the rest of the body.
+		finish := func(c Completion, held bool) {
+			if held && cq.Len() > queued {
+				p.heldWithPosts++
+			}
 			if c.Op != OpRecv {
 				return
 			}
@@ -53,11 +83,25 @@ func newCQProgram(t *testing.T, seed int64, handled bool) *cqProgram {
 			}
 		}
 		if handled {
-			cqs[side].SetHandler(consume)
+			var held Completion
+			then := func() { finish(held, true) }
+			cq.SetHandler(func(c Completion) {
+				if d, hold := arrive(c); hold {
+					held = c
+					cq.Hold(d, then)
+					return
+				}
+				finish(c, false)
+			})
 		} else {
 			env.Go("", func(pr *sim.Proc) {
 				for {
-					consume(cqs[side].Poll(pr))
+					c := cq.Poll(pr)
+					d, hold := arrive(c)
+					if hold {
+						pr.Sleep(d)
+					}
+					finish(c, hold)
 				}
 			})
 		}
@@ -103,6 +147,7 @@ func (p *cqProgram) run() {
 }
 
 func TestCQHandlerMatchesPollLoop(t *testing.T) {
+	var zeroHolds, heldLast, heldWithPosts, backToBack int
 	for seed := int64(1); seed <= 40; seed++ {
 		ref, got := newCQProgram(t, seed, false), newCQProgram(t, seed, true)
 		ref.run()
@@ -119,6 +164,52 @@ func TestCQHandlerMatchesPollLoop(t *testing.T) {
 		if len(got.log) != len(ref.log) {
 			t.Fatalf("seed %d: handled run logged %d lines, poll loop %d", seed, len(got.log), len(ref.log))
 		}
+		zeroHolds += got.zeroHolds
+		heldLast += got.heldLast
+		heldWithPosts += got.heldWithPosts
+		backToBack += got.backToBack
+	}
+	for name, n := range map[string]int{
+		"zero-length holds": zeroHolds, "holds on the last queued completion": heldLast,
+		"holds with posts landing meanwhile": heldWithPosts, "back-to-back holds": backToBack,
+	} {
+		if n < 40 {
+			t.Errorf("the 40 seeds ran %d %s between them, want at least 40", n, name)
+		}
+	}
+}
+
+// heldConsumer is a consumer written the way Hold asks: what then needs sits
+// in the consumer, and then is a function value made once.
+type heldConsumer struct {
+	cq   *CQ
+	held Completion
+	then func()
+	done int
+}
+
+func (h *heldConsumer) handle(c Completion) {
+	h.held = c
+	h.cq.Hold(sim.Microsecond, h.then)
+}
+
+func TestWarmHoldAllocatesNothing(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Shutdown()
+	h := &heldConsumer{cq: NewCQ(env)}
+	h.then = func() { h.done += h.held.Bytes }
+	h.cq.SetHandler(h.handle)
+	cycle := func() {
+		h.cq.post(Completion{Bytes: 1})
+		env.Run()
+	}
+	cycle() // warm the CQ ring and the event heap
+	before := h.done
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a warm Hold -> then cycle allocates %v times, want 0", allocs)
+	}
+	if h.done-before != 101 {
+		t.Fatalf("then ran for %d of 101 held completions", h.done-before)
 	}
 }
 
@@ -143,6 +234,24 @@ func TestCQMisusePanics(t *testing.T) {
 		{"SetHandler twice", "ib: CQ.SetHandler called twice", func(env *sim.Env, cq *CQ) {
 			cq.SetHandler(nop)
 			cq.SetHandler(nop)
+		}},
+		{"Hold outside the handler", "ib: CQ.Hold outside the completion handler", func(env *sim.Env, cq *CQ) {
+			cq.SetHandler(nop)
+			env.Run()
+			cq.Hold(0, func() {})
+		}},
+		{"Hold twice for one completion", "ib: CQ.Hold called twice for one completion", func(env *sim.Env, cq *CQ) {
+			cq.SetHandler(func(Completion) {
+				cq.Hold(0, func() {})
+				cq.Hold(0, func() {})
+			})
+			cq.post(Completion{})
+			env.Run()
+		}},
+		{"Hold for a negative time", "ib: CQ.Hold for a negative time", func(env *sim.Env, cq *CQ) {
+			cq.SetHandler(func(Completion) { cq.Hold(-1, func() {}) })
+			cq.post(Completion{})
+			env.Run()
 		}},
 	}
 	for _, tc := range cases {

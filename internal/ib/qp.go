@@ -129,11 +129,12 @@ type Completion struct {
 	ECN bool
 }
 
-// CQ is a completion queue. A consumer that blocks mid-body polls it from a
-// process (Poll); one that only dispatches installs a completion handler
-// (SetHandler) and needs no process at all. Entries and parked pollers live
-// in ring buffers, and poll events are recycled through the environment's
-// freelist, so steady-state completion traffic allocates nothing.
+// CQ is a completion queue. A consumer either polls it from a process (Poll)
+// or installs a completion handler (SetHandler) and needs no process at all;
+// a handler that must spend time on a completion holds the queue (Hold).
+// Entries and parked pollers live in ring buffers, and poll events are
+// recycled through the environment's freelist, so steady-state completion
+// traffic allocates nothing.
 type CQ struct {
 	env     *sim.Env
 	items   sim.Ring[Completion]
@@ -144,6 +145,10 @@ type CQ struct {
 	// armed means the handler has drained the queue and the next post must
 	// schedule a drain — a parked poller's state, without the process.
 	armed bool
+	// handling is true while the handler runs, the only time Hold is legal.
+	// then, non-nil while the queue is held, is what runs when the hold ends.
+	handling bool
+	then     func()
 }
 
 // NewCQ creates a completion queue.
@@ -160,8 +165,8 @@ func (c *CQ) post(comp Completion) {
 }
 
 // SetHandler installs fn as the queue's completion-event handler, the verbs
-// pattern for a consumer that never blocks: fn runs in scheduler context for
-// every completion, in order. It stands for the process
+// pattern for a consumer that is not a thread of control: fn runs in
+// scheduler context for every completion, in order. It stands for the process
 //
 //	env.Go(name, func(p *sim.Proc) {
 //		for {
@@ -173,7 +178,7 @@ func (c *CQ) post(comp Completion) {
 // activation now, then one zero-delay drain per post on an idle queue, each
 // drain popping until the queue is empty — so event order and counts are
 // those of the poll loop, without a goroutine handoff per wake-up. fn must
-// not block; a consumer that waits mid-body stays a process and uses Poll.
+// not block; where the process would sleep mid-body, fn calls Hold.
 func (c *CQ) SetHandler(fn func(Completion)) {
 	if c.drain != nil {
 		panic("ib: CQ.SetHandler called twice")
@@ -183,11 +188,54 @@ func (c *CQ) SetHandler(fn func(Completion)) {
 	}
 	c.drain = func(any) {
 		for c.items.Len() > 0 {
+			c.handling = true
 			fn(c.items.Pop())
+			c.handling = false
+			if c.then != nil {
+				return // held: resume goes on draining
+			}
 		}
 		c.armed = true
 	}
 	c.env.AtArg(0, c.drain, nil)
+}
+
+// Hold is the handler's Sleep: called from inside the completion handler as
+// its last act for the current completion, it stops the drain there, and d
+// later runs then and goes on draining. It stands for
+//
+//	p.Sleep(d)
+//	then()
+//
+// in the body of the poll loop SetHandler describes, and schedules the same
+// two entries — one at now+d whose dispatch schedules one at that instant
+// (the timer's trigger, then the sleeper's resumption) — while completions
+// posted meanwhile queue without scheduling anything, as they do behind a
+// sleeping poller. A zero d still takes both hops. One hold is outstanding
+// per queue, so a consumer keeps what then needs in its own state and passes
+// a function value it made once: a hold then allocates nothing.
+func (c *CQ) Hold(d sim.Time, then func()) {
+	switch {
+	case !c.handling:
+		panic("ib: CQ.Hold outside the completion handler")
+	case c.then != nil:
+		panic("ib: CQ.Hold called twice for one completion")
+	case d < 0:
+		panic("ib: CQ.Hold for a negative time")
+	}
+	c.then = then
+	c.env.AtArg(d, holdDue, c)
+}
+
+// holdDue and holdResume are a hold's two hops.
+func holdDue(cq any) { cq.(*CQ).env.AtArg(0, holdResume, cq) }
+
+func holdResume(cq any) {
+	c := cq.(*CQ)
+	then := c.then
+	c.then = nil
+	then()
+	c.drain(nil)
 }
 
 // Poll blocks the calling process until a completion is available and

@@ -13,8 +13,11 @@
 //   - OSU-microbenchmark-style measurement loops (latency, bandwidth,
 //     bidirectional bandwidth, multi-pair message rate, broadcast).
 //
-// Ranks run as simulation processes; each rank owns a completion queue and
-// a progress engine, with reliable-connected QPs created lazily per peer.
+// Ranks run as simulation processes, the only threads of control: each
+// rank's progress engine is the completion handler of the rank's completion
+// queue, advancing per-request state from completion events (the CH3 design
+// of MPICH2 over InfiniBand). Reliable-connected QPs are created lazily per
+// peer.
 package mpi
 
 import (
@@ -196,9 +199,9 @@ func NewWorld(env *sim.Env, placement []*cluster.Node, cfg Config) *World {
 			node:  node,
 			cq:    ib.NewCQ(node.HCA.Env()),
 			qps:   make(map[int]*ib.QP),
-			rndv:  make(map[int64]*Request),
 			byQPN: make(map[int]*ib.QP),
 		}
+		r.copied = func() { r.deliverEager(r.copyReq, r.copyMsg) }
 		w.ranks = append(w.ranks, r)
 	}
 	if env.Sharded() {
@@ -215,7 +218,7 @@ func NewWorld(env *sim.Env, placement []*cluster.Node, cfg Config) *World {
 		}
 	}
 	for _, r := range w.ranks {
-		r.startProgress()
+		r.cq.SetHandler(r.progress)
 	}
 	return w
 }
@@ -279,7 +282,8 @@ func (w *World) Run(fn func(r *Rank, p *sim.Proc)) sim.Time {
 	return sim.Time(finish.Load())
 }
 
-// Shutdown unwinds rank progress engines (call when done with the world).
+// Shutdown unwinds any rank process still parked (call when done with the
+// world).
 func (w *World) Shutdown() { w.env.Shutdown() }
 
 // Rank is one MPI process.
@@ -292,12 +296,16 @@ type Rank struct {
 
 	// Matching engine state.
 	postedRecvs []*Request // Irecv requests not yet matched
-	unexpected  []*inbound // arrived messages with no matching recv
+	unexpected  []*mpiMsg  // arrived eager messages and RTSs with no matching recv
 
-	// Pending rendezvous sends by request id.
-	nextReq int64
-	rndv    map[int64]*Request
-	byQPN   map[int]*ib.QP // local QPN -> QP, for receive reposting
+	// The matched eager arrival whose receive-side copy holds the CQ (one
+	// hold is outstanding per CQ), and the function value, made once, that
+	// lands it when the copy is done.
+	copyReq *Request
+	copyMsg *mpiMsg
+	copied  func()
+
+	byQPN map[int]*ib.QP // local QPN -> QP, for receive reposting
 
 	// collSeq numbers collective calls; collectives must be invoked in
 	// the same order on every rank (the MPI rule), which keeps tags

@@ -1,39 +1,61 @@
 package mpi
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func TestEagerThresholdBoundary(t *testing.T) {
 	// A message exactly at the threshold goes eagerly; one byte more uses
-	// rendezvous. Distinguish by the control traffic: rendezvous posts an
-	// entry in the sender's rndv map until CTS.
-	w := crossWorld(sim.Micros(10), Config{})
+	// rendezvous. The library counts its sends by protocol.
+	env := sim.NewEnv()
+	reg := telemetry.NewRegistry()
+	telemetry.Attach(env, &telemetry.Telemetry{Metrics: reg})
+	tb := cluster.New(env, cluster.Config{NodesA: 1, NodesB: 1, Delay: sim.Micros(10)})
+	w := NewWorld(env, []*cluster.Node{tb.A[0], tb.B[0]}, Config{})
 	defer w.Shutdown()
 	thr := w.Config().EagerThreshold
-	var sawRndv [2]bool
+	eager, rndv := reg.Counter("mpi.eager.msgs"), reg.Counter("mpi.rndv.msgs")
+	var rndvAtThreshold int64
 	w.Run(func(r *Rank, p *sim.Proc) {
 		switch r.ID() {
 		case 0:
-			q1 := r.Isend(p, 1, 1, nil, thr)
-			sawRndv[0] = len(r.rndv) > 0
-			q1.Wait(p)
-			q2 := r.Isend(p, 1, 2, nil, thr+1)
-			sawRndv[1] = len(r.rndv) > 0
-			q2.Wait(p)
+			r.Send(p, 1, 1, nil, thr)
+			rndvAtThreshold = rndv.Value()
+			r.Send(p, 1, 2, nil, thr+1)
 		case 1:
 			r.Recv(p, 0, 1, nil, thr)
 			r.Recv(p, 0, 2, nil, thr+1)
 		}
 	})
-	if sawRndv[0] {
+	if rndvAtThreshold != 0 {
 		t.Error("message at threshold used rendezvous")
 	}
-	if !sawRndv[1] {
-		t.Error("message above threshold did not use rendezvous")
+	if eager.Value() != 1 || rndv.Value() != 1 {
+		t.Errorf("%d eager and %d rendezvous sends, want 1 and 1: message above threshold did not use rendezvous",
+			eager.Value(), rndv.Value())
+	}
+}
+
+// A receive from a rank that does not exist can never match: it must say so
+// up front, not park the rank until Run reports a generic deadlock.
+func TestIrecvInvalidRankPanics(t *testing.T) {
+	for _, src := range []int{-2, 2} {
+		w := crossWorld(0, Config{})
+		func() {
+			defer w.Shutdown()
+			defer func() {
+				want := fmt.Sprintf("mpi: Irecv from invalid rank %d", src)
+				if got := recover(); got != want {
+					t.Errorf("Irecv(%d) panicked with %v, want %q", src, got, want)
+				}
+			}()
+			w.Rank(0).Irecv(src, 0, nil, 8)
+		}()
 	}
 }
 

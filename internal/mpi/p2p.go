@@ -61,10 +61,8 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, data []byte, size int) *Request 
 		return req
 	}
 	// Rendezvous.
-	r.nextReq++
 	m.kind = rtsMsg
-	m.sendReq = r.nextReq
-	r.rndv[m.sendReq] = req
+	m.sendReq = req
 	req.rtsAt = r.env().Now()
 	r.ctrlSend(peer, m, nil, req.span)
 	return req
@@ -78,25 +76,21 @@ func (r *Rank) Irecv(src, tag int, buf []byte, size int) *Request {
 	if buf != nil {
 		size = len(buf)
 	}
+	if src != AnySource && (src < 0 || src >= len(r.world.ranks)) {
+		panic(fmt.Sprintf("mpi: Irecv from invalid rank %d", src))
+	}
 	req := &Request{
 		rank: r, done: r.env().NewEvent(),
 		peer: src, tag: tag, size: size, data: buf,
 	}
-	if in := r.matchUnexpected(req); in != nil {
-		switch in.kind {
-		case eagerMsg:
-			// The receive-side copy cost is charged on the progress
-			// engine's timeline for remote messages; for an
-			// already-arrived message the copy happens now, but without a
-			// process handle we fold it into delivery directly (the cost
-			// was dominated by the wait that already happened).
-			r.deliverEager(req, in)
-		case rtsMsg:
-			if in.srcRank.node == r.node {
-				r.shmCTS(req, in)
-			} else {
-				r.sendCTS(req, in)
-			}
+	if m := r.matchUnexpected(req); m != nil {
+		if m.kind == rtsMsg {
+			r.sendCTS(req, m)
+		} else {
+			// The receive-side copy of an arrival holds the progress
+			// engine; an already-arrived message is landed at once, its
+			// copy folded into the wait that already happened.
+			r.deliverEager(req, m)
 		}
 		return req
 	}

@@ -18,17 +18,24 @@ const (
 	finMsg           // rendezvous completion notification
 )
 
-// mpiMsg is the protocol header riding on verbs messages.
+// mpiMsg is one protocol message: the header riding a verbs message or a
+// shared-memory delivery, and, for an eager message or RTS that arrives
+// before its receive is posted, the record the unexpected queue holds.
 type mpiMsg struct {
 	kind msgKind
 	src  int // sender rank
 	tag  int
 	size int    // payload size of the MPI message
 	data []byte // eager payload (nil for synthetic traffic)
-	// Rendezvous fields.
-	sendReq int64    // RTS: sender request id
+	// Rendezvous fields: a request is its own id.
+	sendReq *Request // RTS/CTS: the sender's request
 	recvReq *Request // CTS/FIN: the receiver's request
 	mr      *ib.MR   // CTS: registered landing region
+}
+
+func (m *mpiMsg) matches(req *Request) bool {
+	return (req.peer == AnySource || req.peer == m.src) &&
+		(req.tag == AnyTag || req.tag == m.tag)
 }
 
 // Request is a pending nonblocking operation.
@@ -74,100 +81,86 @@ func (q *Request) complete() {
 	q.done.Trigger(nil)
 }
 
-// inbound is a message that arrived before a matching receive was posted.
-type inbound struct {
-	kind    msgKind
-	src     int
-	tag     int
-	size    int
-	data    []byte
-	sendReq int64
-	srcRank *Rank
-}
-
-func (m *inbound) matches(req *Request) bool {
-	return (req.peer == AnySource || req.peer == m.src) &&
-		(req.tag == AnyTag || req.tag == m.tag)
-}
-
 // copyTime is the eager bounce-buffer copy cost for n bytes.
 func (w *World) copyTime(n int) sim.Time {
 	return sim.Time(float64(n) * w.cfg.CopyPerByteNanos)
 }
 
-// startProgress launches the rank's progress engine: the process that polls
-// the completion queue, reposts receives, runs the matching engine and
-// drives the rendezvous protocol.
-func (r *Rank) startProgress() {
-	r.env().Go(fmt.Sprintf("mpi-prog-%d", r.id), func(p *sim.Proc) {
-		for {
-			c := r.cq.Poll(p)
-			if c.Status != ib.StatusOK {
-				// An errored completion means an RC connection exhausted
-				// its retry budget: MPI has no recovery story (as in the
-				// paper's era), so the job aborts. The panic carries a
-				// deterministic message and surfaces as the experiment
-				// point's error.
-				panic(fmt.Sprintf("mpi: rank %d: %s completed with %s (communication failure)",
-					r.id, c.Op, c.Status))
-			}
-			switch c.Op {
-			case ib.OpRecv:
-				if qp := r.byQPN[c.QPN]; qp != nil {
-					qp.PostRecv(ib.RecvWR{})
-				}
-				r.handleMsg(p, c.Meta.(*mpiMsg))
-			case ib.OpSend:
-				if req, ok := c.Ctx.(*Request); ok {
-					req.complete()
-				}
-			case ib.OpRDMAWrite:
-				// Rendezvous data acknowledged (the FIN was already
-				// posted right behind the write), or a one-sided Put:
-				// either way the local buffer is reusable.
-				c.Ctx.(*Request).complete()
-			case ib.OpRDMARead:
-				// One-sided Get landed.
-				if req, ok := c.Ctx.(*Request); ok {
-					req.complete()
-				}
-			}
+// progress is the rank's progress engine, the completion handler of its CQ:
+// it reposts receives, runs the matching engine and drives the rendezvous
+// protocol.
+func (r *Rank) progress(c ib.Completion) {
+	if c.Status != ib.StatusOK {
+		// An errored completion means an RC connection exhausted its retry
+		// budget: MPI has no recovery story (as in the paper's era), so the
+		// job aborts. The panic carries a deterministic message and surfaces
+		// as the experiment point's error.
+		panic(fmt.Sprintf("mpi: rank %d: %s completed with %s (communication failure)",
+			r.id, c.Op, c.Status))
+	}
+	switch c.Op {
+	case ib.OpRecv:
+		if qp := r.byQPN[c.QPN]; qp != nil {
+			qp.PostRecv(ib.RecvWR{})
 		}
-	})
+		r.handleMsg(c.Meta.(*mpiMsg))
+	case ib.OpSend:
+		if req, ok := c.Ctx.(*Request); ok {
+			req.complete()
+		}
+	case ib.OpRDMAWrite:
+		// Rendezvous data acknowledged (the FIN was already posted right
+		// behind the write), or a one-sided Put: either way the local
+		// buffer is reusable.
+		c.Ctx.(*Request).complete()
+	case ib.OpRDMARead:
+		// One-sided Get landed.
+		if req, ok := c.Ctx.(*Request); ok {
+			req.complete()
+		}
+	}
 }
 
-// handleMsg processes an inbound protocol message in progress-engine
-// context.
-func (r *Rank) handleMsg(p *sim.Proc, m *mpiMsg) {
+// handleMsg processes an arrived protocol message, off the wire (inside the
+// completion handler) or out of shared memory (a scheduled delivery). The
+// two differ where the sender shares the node: shared memory charges its
+// copy on the sender's timeline and moves rendezvous data with a local copy,
+// not an RDMA write into a registered region.
+func (r *Rank) handleMsg(m *mpiMsg) {
 	switch m.kind {
-	case eagerMsg:
-		in := &inbound{kind: eagerMsg, src: m.src, tag: m.tag, size: m.size, data: m.data, srcRank: r.world.ranks[m.src]}
-		if req := r.matchPosted(in); req != nil {
+	case eagerMsg, rtsMsg:
+		req := r.matchPosted(m)
+		switch {
+		case req == nil:
+			r.unexpected = append(r.unexpected, m)
+		case m.kind == rtsMsg:
+			r.sendCTS(req, m)
+		case r.world.ranks[m.src].node == r.node:
+			r.deliverEager(req, m)
+		default:
 			// Receiver-side bounce-buffer copy.
-			p.Sleep(r.world.copyTime(m.size))
-			r.deliverEager(req, in)
-		} else {
-			r.unexpected = append(r.unexpected, in)
-		}
-	case rtsMsg:
-		in := &inbound{kind: rtsMsg, src: m.src, tag: m.tag, size: m.size, sendReq: m.sendReq, srcRank: r.world.ranks[m.src]}
-		if req := r.matchPosted(in); req != nil {
-			r.sendCTS(req, in)
-		} else {
-			r.unexpected = append(r.unexpected, in)
+			r.copyReq, r.copyMsg = req, m
+			r.cq.Hold(r.world.copyTime(m.size), r.copied)
 		}
 	case ctsMsg:
-		req := r.rndv[m.sendReq]
-		if req == nil {
-			panic(fmt.Sprintf("mpi: CTS for unknown send request %d at rank %d", m.sendReq, r.id))
-		}
-		delete(r.rndv, m.sendReq)
+		req := m.sendReq
 		if obs := r.world.obs; obs != nil {
 			obs.handshake.Observe(int64(r.env().Now() - req.rtsAt))
 		}
 		peer := r.world.ranks[req.peer]
-		qp := r.qpTo(peer)
-		qp.PostSend(ib.SendWR{
+		if peer.node == r.node {
+			// Shared-memory rendezvous: the "RDMA write" is a local copy.
+			recvReq := m.recvReq
+			if recvReq.data != nil && req.data != nil {
+				copy(recvReq.data, req.data)
+			}
+			r.env().At(sim.Time(float64(req.size)*ShmPerByteNanos), func() {
+				recvReq.complete()
+				req.complete()
+			})
+			return
+		}
+		r.qpTo(peer).PostSend(ib.SendWR{
 			Op: ib.OpRDMAWrite, Data: req.data, Len: req.size,
 			RemoteMR: m.mr, Ctx: req, ParentSpan: req.span,
 		})
@@ -177,16 +170,15 @@ func (r *Rank) handleMsg(p *sim.Proc, m *mpiMsg) {
 		// trip per rendezvous on high-delay links.
 		r.ctrlSend(peer, &mpiMsg{kind: finMsg, src: r.id, recvReq: m.recvReq}, nil, req.span)
 	case finMsg:
-		req := m.recvReq
-		req.complete()
+		m.recvReq.complete()
 	}
 }
 
 // matchPosted scans posted receives in order for the first match and
 // removes it.
-func (r *Rank) matchPosted(in *inbound) *Request {
+func (r *Rank) matchPosted(m *mpiMsg) *Request {
 	for i, req := range r.postedRecvs {
-		if in.matches(req) {
+		if m.matches(req) {
 			r.postedRecvs = append(r.postedRecvs[:i], r.postedRecvs[i+1:]...)
 			return req
 		}
@@ -196,49 +188,53 @@ func (r *Rank) matchPosted(in *inbound) *Request {
 
 // matchUnexpected scans the unexpected queue in arrival order for the first
 // message matching req and removes it.
-func (r *Rank) matchUnexpected(req *Request) *inbound {
-	for i, in := range r.unexpected {
-		if in.matches(req) {
+func (r *Rank) matchUnexpected(req *Request) *mpiMsg {
+	for i, m := range r.unexpected {
+		if m.matches(req) {
 			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
-			return in
+			return m
 		}
 	}
 	return nil
 }
 
 // deliverEager lands an eager message into a matched receive request.
-func (r *Rank) deliverEager(req *Request, in *inbound) {
-	n := in.size
+func (r *Rank) deliverEager(req *Request, m *mpiMsg) {
+	n := m.size
 	if req.size < n {
 		n = req.size // truncation: receiver buffer smaller than message
 	}
-	if req.data != nil && in.data != nil {
-		copy(req.data, in.data[:min(n, len(in.data))])
+	if req.data != nil && m.data != nil {
+		copy(req.data, m.data[:min(n, len(m.data))])
 	}
 	req.recvSize = n
-	req.recvFrom = in.src
+	req.recvFrom = m.src
 	req.complete()
 }
 
-// sendCTS answers a matched RTS: register the landing region and grant the
-// sender clearance to RDMA-write.
-func (r *Rank) sendCTS(req *Request, in *inbound) {
+// sendCTS answers a matched RTS: grant the sender clearance to move the
+// data, over the wire into a landing region registered here.
+func (r *Rank) sendCTS(req *Request, m *mpiMsg) {
+	peer := r.world.ranks[m.src]
 	var mr *ib.MR
-	if req.data != nil {
-		if len(req.data) < in.size {
+	switch {
+	case peer.node == r.node:
+		// Shared memory: the sender copies, nothing to register.
+	case req.data != nil:
+		if len(req.data) < m.size {
 			panic(fmt.Sprintf("mpi: rendezvous truncation at rank %d: recv %d < msg %d",
-				r.id, len(req.data), in.size))
+				r.id, len(req.data), m.size))
 		}
 		mr = r.node.HCA.RegisterMR(req.data)
-	} else {
+	default:
 		// Synthetic receive: a virtual landing region of the right size,
 		// without allocating payload memory.
-		mr = r.node.HCA.RegisterVirtualMR(in.size)
+		mr = r.node.HCA.RegisterVirtualMR(m.size)
 	}
 	req.mr = mr
-	req.recvSize = in.size
-	req.recvFrom = in.src
-	r.ctrlSend(in.srcRank, &mpiMsg{kind: ctsMsg, src: r.id, sendReq: in.sendReq, recvReq: req, mr: mr}, nil, telemetry.NoSpan)
+	req.recvSize = m.size
+	req.recvFrom = m.src
+	r.ctrlSend(peer, &mpiMsg{kind: ctsMsg, src: r.id, sendReq: m.sendReq, recvReq: req, mr: mr}, nil, telemetry.NoSpan)
 }
 
 // ctrlSend emits a small control message (RTS/CTS/FIN) to the peer; its
@@ -262,56 +258,9 @@ func (r *Rank) shmDeliver(peer *Rank, m *mpiMsg, ctx *Request) {
 	env := r.env() // co-located ranks share a node, hence a shard
 	d := ShmLatency + sim.Time(float64(m.size)*ShmPerByteNanos)
 	env.At(d, func() {
-		peer.handleShmMsg(m)
+		peer.handleMsg(m)
 		if ctx != nil {
 			ctx.complete()
 		}
 	})
-}
-
-// handleShmMsg is the callback-context twin of handleMsg for the shared
-// memory path (copy costs are charged on the sender's timeline).
-func (r *Rank) handleShmMsg(m *mpiMsg) {
-	switch m.kind {
-	case eagerMsg:
-		in := &inbound{kind: eagerMsg, src: m.src, tag: m.tag, size: m.size, data: m.data, srcRank: r.world.ranks[m.src]}
-		if req := r.matchPosted(in); req != nil {
-			r.deliverEager(req, in)
-		} else {
-			r.unexpected = append(r.unexpected, in)
-		}
-	case rtsMsg:
-		in := &inbound{kind: rtsMsg, src: m.src, tag: m.tag, size: m.size, sendReq: m.sendReq, srcRank: r.world.ranks[m.src]}
-		if req := r.matchPosted(in); req != nil {
-			r.shmCTS(req, in)
-		} else {
-			r.unexpected = append(r.unexpected, in)
-		}
-	case ctsMsg:
-		// Shared-memory rendezvous: the "RDMA write" is a local copy.
-		req := r.rndv[m.sendReq]
-		delete(r.rndv, m.sendReq)
-		if obs := r.world.obs; obs != nil {
-			obs.handshake.Observe(int64(r.env().Now() - req.rtsAt))
-		}
-		env := r.env()
-		d := sim.Time(float64(req.size) * ShmPerByteNanos)
-		recvReq := m.recvReq
-		if recvReq.data != nil && req.data != nil {
-			copy(recvReq.data, req.data)
-		}
-		env.At(d, func() {
-			recvReq.complete()
-			req.complete()
-		})
-	case finMsg:
-		m.recvReq.complete()
-	}
-}
-
-// shmCTS grants a shared-memory rendezvous.
-func (r *Rank) shmCTS(req *Request, in *inbound) {
-	req.recvSize = in.size
-	req.recvFrom = in.src
-	r.shmDeliver(in.srcRank, &mpiMsg{kind: ctsMsg, src: r.id, sendReq: in.sendReq, recvReq: req}, nil)
 }

@@ -51,9 +51,6 @@ func (r *Rank) WinCreate(p *sim.Proc, buf []byte, size int) *Win {
 	st := w.winStates[id]
 	if st == nil {
 		st = &winState{regions: make([]*ib.MR, len(w.ranks)), ready: w.env.NewEvent()}
-		if w.winStates == nil {
-			w.winStates = map[int]*winState{}
-		}
 		w.winStates[id] = st
 	}
 	var mr *ib.MR

@@ -117,7 +117,10 @@ type Conn struct {
 	zthr  int
 	sendQ *sim.Queue[*wireMsg] // serialized sender engine input
 
-	// Receive side.
+	// Receive side. copying is the bcopy message whose receive-side copy
+	// holds the CQ; copied, made once, delivers it when the copy is done.
+	copying     *wireMsg
+	copied      func()
 	recvBuf     []recvSpan
 	recvBytes   int
 	readWaiters []*sim.Event
@@ -185,13 +188,9 @@ func newConn(node *cluster.Node, qp *ib.QP, cq *ib.CQ) *Conn {
 			c.postWire(m)
 		}
 	})
-	// Receiver engine: protocol handling.
-	env.Go("sdp-rx-"+node.Name, func(p *sim.Proc) {
-		for {
-			comp := c.cq.Poll(p)
-			c.handle(p, comp)
-		}
-	})
+	// Receiver engine: protocol handling, on the CQ's completion events.
+	c.copied = func() { c.deliver(c.copying.data, c.copying.size) }
+	cq.SetHandler(c.handle)
 	return c
 }
 
@@ -218,8 +217,8 @@ func (c *Conn) postWire(m *wireMsg) {
 	c.qp.PostSend(ib.SendWR{Op: ib.OpSend, Len: wire, Meta: m})
 }
 
-// handle processes completions in receiver-engine context.
-func (c *Conn) handle(p *sim.Proc, comp ib.Completion) {
+// handle is the receiver engine: the CQ's completion handler.
+func (c *Conn) handle(comp ib.Completion) {
 	switch comp.Op {
 	case ib.OpRecv:
 		if comp.ECN {
@@ -230,8 +229,8 @@ func (c *Conn) handle(p *sim.Proc, comp ib.Completion) {
 		switch m.kind {
 		case dataMsg:
 			// Receive-side bcopy.
-			p.Sleep(sim.Time(float64(m.size) * CopyPerByteNanos))
-			c.deliver(m.data, m.size)
+			c.copying = m
+			c.cq.Hold(sim.Time(float64(m.size)*CopyPerByteNanos), c.copied)
 		case srcAvailMsg:
 			// Zcopy: pull the advertised region with RDMA read, then
 			// notify the sender. The transfer length is the advertised

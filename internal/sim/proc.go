@@ -41,10 +41,9 @@ type carrier struct {
 }
 
 // maxIdleCarriers bounds the goroutines parked in the free list. The
-// experiments' largest worlds run some 130 processes (64 MPI ranks and
-// their progress engines), so this holds several of them finishing at once
-// under -par; a carrier released beyond it is stopped and its goroutine
-// exits.
+// experiments' largest worlds run 64 processes (one per MPI rank), so this
+// holds many of them finishing at once under -par; a carrier released beyond
+// it is stopped and its goroutine exits.
 const maxIdleCarriers = 1024
 
 // idleCarriers is the process-wide free list. The mutex is taken once per
