@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/ib"
 	"repro/internal/ipoib"
 	"repro/internal/nfs"
 	"repro/internal/perftest"
@@ -316,5 +317,71 @@ func TestKernelNFSTCPReadAllocBytes(t *testing.T) {
 	env.Run()
 	if !bytes.Equal(got, content) {
 		t.Error("a file with contents no longer reads back as its bytes")
+	}
+}
+
+// TestKernelUnreadStreamAllocBytes is the byte budget of the fig6/congest
+// pattern: an IPoIB-UD TCP stream that the server accepts and never reads,
+// counting delivered bytes instead. The receive buffer holds everything that
+// arrives, and a synthetic run is one span however many segments brought it,
+// so a megabyte delivered costs a small constant. When the buffer kept a span
+// per segment it cost ~50 KB per MB, held for the whole run.
+func TestKernelUnreadStreamAllocBytes(t *testing.T) {
+	const warmMB, streamMB = 8, 64
+	env, tb := pair(0)
+	defer env.Shutdown()
+	net := ipoib.NewNetwork()
+	sa := tcpsim.NewStack(net.Attach(tb.A[0].HCA, ipoib.Datagram, 0), tcpsim.Config{})
+	sb := tcpsim.NewStack(net.Attach(tb.B[0].HCA, ipoib.Datagram, 0), tcpsim.Config{})
+	ln := sb.Listen(5000)
+	var sink, c *tcpsim.Conn
+	env.Go("server", func(p *sim.Proc) { sink, _ = ln.Accept(p) })
+	stream := func(mb int) {
+		env.Go("client", func(p *sim.Proc) {
+			var err error
+			if c == nil {
+				c, err = sa.Dial(p, sb.Addr(), 5000)
+			}
+			if err == nil {
+				err = c.WriteSynthetic(p, mb<<20)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		})
+		env.Run()
+	}
+	stream(warmMB) // the first megabytes grow the world's freelists and rings
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stream(streamMB)
+	runtime.ReadMemStats(&after)
+	if sink == nil || sink.Delivered() != (warmMB+streamMB)<<20 {
+		t.Fatal("the stream did not arrive whole")
+	}
+	perMB := float64(after.TotalAlloc-before.TotalAlloc) / streamMB
+	t.Logf("%.0f bytes allocated per MB delivered", perMB)
+	if perMB > 1<<10 {
+		t.Errorf("an unread IPoIB-UD stream allocated %.0f bytes per MB delivered, want <= 1024", perMB)
+	}
+}
+
+// TestKernelBlankRecvsStoreFlat: a QP's receive queue keeps consecutive
+// blank receives (no buffer, no context — every production PostRecv) as one
+// run, so posting more of them allocates nothing. An entry per receive was
+// the largest single item of a paper-quick pass (IPoIB posts 1024 per QP).
+func TestKernelBlankRecvsStoreFlat(t *testing.T) {
+	env, tb := pair(0)
+	defer env.Shutdown()
+	qp := tb.A[0].HCA.CreateQP(ib.NewCQ(env), ib.QPConfig{Transport: ib.UD})
+	qp.PostRecv(ib.RecvWR{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1<<16; i++ {
+		qp.PostRecv(ib.RecvWR{})
+	}
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > 1<<10 {
+		t.Errorf("posting 65536 blank receives allocated %d bytes, want <= 1024", b)
 	}
 }

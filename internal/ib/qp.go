@@ -134,10 +134,11 @@ type Completion struct {
 // a handler that must spend time on a completion holds the queue (Hold).
 // Entries and parked pollers live in ring buffers, and poll events are
 // recycled through the environment's freelist, so steady-state completion
-// traffic allocates nothing.
+// traffic allocates nothing. Identical completions with no Ctx or Meta — an
+// unpolled sender's stream of send completions — queue as one run.
 type CQ struct {
 	env     *sim.Env
-	items   sim.Ring[Completion]
+	items   runs[Completion]
 	waiters sim.Ring[*sim.Event]
 	// drain, non-nil once SetHandler installed a completion handler, feeds
 	// it every queued completion; it is what post schedules.
@@ -155,7 +156,7 @@ type CQ struct {
 func NewCQ(env *sim.Env) *CQ { return &CQ{env: env} }
 
 func (c *CQ) post(comp Completion) {
-	c.items.Push(comp)
+	c.items.push(comp, sameCompletions)
 	if c.armed {
 		c.armed = false
 		c.env.AtArg(0, c.drain, nil)
@@ -189,7 +190,7 @@ func (c *CQ) SetHandler(fn func(Completion)) {
 	c.drain = func(any) {
 		for c.items.Len() > 0 {
 			c.handling = true
-			fn(c.items.Pop())
+			fn(c.items.pop())
 			c.handling = false
 			if c.then != nil {
 				return // held: resume goes on draining
@@ -250,7 +251,7 @@ func (c *CQ) Poll(p *sim.Proc) Completion {
 		p.Wait(ev)
 		c.env.ReleaseEvent(ev)
 	}
-	return c.items.Pop()
+	return c.items.pop()
 }
 
 // TryPoll returns a completion if one is pending.
@@ -258,7 +259,7 @@ func (c *CQ) TryPoll() (Completion, bool) {
 	if c.items.Len() == 0 {
 		return Completion{}, false
 	}
-	return c.items.Pop(), true
+	return c.items.pop(), true
 }
 
 // Len returns the number of pending completions.
@@ -306,8 +307,8 @@ type QP struct {
 	// length until a backoff shifts it, so they expire in the order armed.
 	retryq sim.Pipe
 
-	// Receiver state.
-	recvQ   sim.Ring[RecvWR]
+	// Receiver state. recvQ keeps consecutive blank WQEs as one run.
+	recvQ   runs[RecvWR]
 	pending sim.Ring[*transfer] // completed inbound sends waiting for a recv WQE
 	seqRx   int64               // next message sequence to deliver
 	reorder map[int64]*transfer
@@ -402,7 +403,7 @@ func (q *QP) Config() QPConfig { return q.cfg }
 
 // PostRecv posts a receive work request.
 func (q *QP) PostRecv(wr RecvWR) {
-	q.recvQ.Push(wr)
+	q.recvQ.push(wr, blankRecvs)
 	// Satisfy any buffered (RNR'd) sends in arrival order.
 	for q.pending.Len() > 0 && q.recvQ.Len() > 0 {
 		q.deliverSend(q.pending.Pop())

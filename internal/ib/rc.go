@@ -413,7 +413,7 @@ func (q *QP) writeDone(t *transfer) {
 
 // deliverSend consumes a receive WQE for a completed inbound send.
 func (q *QP) deliverSend(t *transfer) {
-	rwr := q.recvQ.Pop()
+	rwr := q.recvQ.pop()
 	if rwr.Buf != nil && t.wr.Data != nil {
 		copy(rwr.Buf, t.wr.Data)
 	}

@@ -70,7 +70,7 @@ func (q *QP) udReceive(pkt *packet) {
 		q.hca.pool.endpointDone(t, xferRecvDone)
 		return
 	}
-	rwr := q.recvQ.Pop()
+	rwr := q.recvQ.pop()
 	if rwr.Buf != nil && t.udData != nil {
 		copy(rwr.Buf, t.udData)
 	}

@@ -65,6 +65,19 @@ type span struct {
 	length int
 }
 
+// pushSpan appends sp to a stream buffer. A synthetic span behind a synthetic
+// tail only lengthens the tail: readers consume stream buffers by byte count,
+// so they cannot tell one run of zeroes from two.
+func pushSpan(r *sim.Ring[span], sp span) {
+	if k := r.Len(); k > 0 && sp.data == nil {
+		if t := r.At(k - 1); t.data == nil {
+			t.length += sp.length
+			return
+		}
+	}
+	r.Push(sp)
+}
+
 // oooSeg is one out-of-order segment parked in the receiver's reassembly
 // queue: its sequence range and its payload spans, copied out so the
 // segment object itself can be recycled.
@@ -256,7 +269,7 @@ func (c *Conn) write(p *sim.Proc, sp span) error {
 			return c.err
 		}
 	}
-	c.sendQ.Push(sp)
+	pushSpan(&c.sendQ, sp)
 	c.sendQBytes += sp.length
 	c.pump()
 	return nil
@@ -481,6 +494,7 @@ func (c *Conn) handleData(seg *segment) {
 		// behind it in one burst, as in a real reassembly queue.
 		for len(c.ooo) > 0 && c.ooo[0].seq <= c.rcvNxt {
 			o := c.ooo[0]
+			c.ooo[0] = oooSeg{} // the shifted-off slot must not pin o's payload
 			c.ooo = c.ooo[1:]
 			if o.seq == c.rcvNxt {
 				c.deliverSpans(o.spans, o.length)
@@ -504,7 +518,7 @@ func (c *Conn) deliverSpans(spans []span, length int) {
 	c.rcvNxt += int64(length)
 	c.delivered += int64(length)
 	for _, sp := range spans {
-		c.recvBuf.Push(sp)
+		pushSpan(&c.recvBuf, sp)
 	}
 	c.recvBytes += length
 	for c.readWaiters.Len() > 0 {
