@@ -66,7 +66,8 @@ func (c *Coalescer) Flush(p *sim.Proc) {
 func (c *Coalescer) Wait(p *sim.Proc) {
 	c.Flush(p)
 	mpi.WaitAll(p, c.pending)
-	c.pending = nil
+	clear(c.pending)
+	c.pending = c.pending[:0]
 }
 
 // CarriersSent reports how many carrier messages have been sent.

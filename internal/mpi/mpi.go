@@ -193,15 +193,21 @@ func NewWorld(env *sim.Env, placement []*cluster.Node, cfg Config) *World {
 		// The rank's CQ — and everything else it schedules — lives on its
 		// node's home environment, which on a partitioned world is the
 		// node's site shard.
+		home := node.HCA.Env()
 		r := &Rank{
 			world: w,
 			id:    i,
 			node:  node,
-			cq:    ib.NewCQ(node.HCA.Env()),
+			cq:    ib.NewCQ(home),
 			qps:   make(map[int]*ib.QP),
 			byQPN: make(map[int]*ib.QP),
+			reqs:  home.Recycled(reqPoolKey{}, func() any { return new(reqPool) }).(*reqPool),
 		}
-		r.copied = func() { r.deliverEager(r.copyReq, r.copyMsg) }
+		r.copied = func() {
+			req, m := r.copyReq, r.copyMsg
+			r.copyReq, r.copyMsg = nil, nil // the request may be freed once it lands
+			r.deliverEager(req, m)
+		}
 		w.ranks = append(w.ranks, r)
 	}
 	if env.Sharded() {
@@ -306,6 +312,13 @@ type Rank struct {
 	copied  func()
 
 	byQPN map[int]*ib.QP // local QPN -> QP, for receive reposting
+
+	// reqs is the free requests of the rank's home environment, shared by
+	// the ranks there and kept in its recycled memory, so under a sim.Arena
+	// it outlives the world (a freed request is zeroed). A request is taken
+	// by newRequest and freed by Wait, both on the owning rank's
+	// environment, so the list is touched from that environment alone.
+	reqs *reqPool
 
 	// collSeq numbers collective calls; collectives must be invoked in
 	// the same order on every rank (the MPI rule), which keeps tags

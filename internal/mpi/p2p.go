@@ -14,7 +14,8 @@ import (
 //
 // The returned request completes when the send buffer is reusable: for
 // eager sends, when the transport acknowledges the message; for rendezvous,
-// when the RDMA write has been acknowledged.
+// when the RDMA write has been acknowledged. Wait on it exactly once: after
+// Wait returns the *Request is gone (MPI_Wait frees the request).
 func (r *Rank) Isend(p *sim.Proc, dst, tag int, data []byte, size int) *Request {
 	if data != nil {
 		size = len(data)
@@ -22,10 +23,7 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, data []byte, size int) *Request 
 	if dst < 0 || dst >= len(r.world.ranks) {
 		panic(fmt.Sprintf("mpi: Isend to invalid rank %d", dst))
 	}
-	req := &Request{
-		rank: r, done: r.env().NewEvent(),
-		peer: dst, tag: tag, size: size, data: data,
-	}
+	req := r.newRequest(dst, tag, size, data)
 	r.world.profile.record(size)
 	peer := r.world.ranks[dst]
 	eager := size <= r.world.cfg.EagerThreshold
@@ -44,10 +42,13 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, data []byte, size int) *Request 
 			req.span = obs.rec.StartAt(r.env().Now(), r.obsTrack(), name, r.collSpan)
 		}
 	}
-	m := &mpiMsg{src: r.id, tag: tag, size: size}
 	if eager {
-		m.kind = eagerMsg
-		m.data = data
+		// The eager header is garbage-collected, not the request's hdr: its
+		// last reader is the receiving rank, which may read it after this
+		// request completed and was freed — the transport ACK can come back
+		// while the receiver's CQ is held, before its handler reads the
+		// header (on a sharded world, on another shard).
+		m := &mpiMsg{kind: eagerMsg, src: r.id, tag: tag, size: size, data: data}
 		if peer.node == r.node {
 			// Shared-memory path: single copy charged here.
 			p.Sleep(sim.Time(float64(size) * ShmPerByteNanos))
@@ -60,18 +61,18 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, data []byte, size int) *Request 
 		qp.PostSend(ib.SendWR{Op: ib.OpSend, Len: size + CtrlBytes, Meta: m, Ctx: req, ParentSpan: req.span})
 		return req
 	}
-	// Rendezvous.
-	m.kind = rtsMsg
-	m.sendReq = req
+	// Rendezvous: the RTS is the request's own header.
+	req.hdr = mpiMsg{kind: rtsMsg, src: r.id, tag: tag, size: size, sendReq: req}
 	req.rtsAt = r.env().Now()
-	r.ctrlSend(peer, m, nil, req.span)
+	r.ctrlSend(peer, &req.hdr, req.span)
 	return req
 }
 
 // Irecv posts a nonblocking receive matching (src, tag); src may be
 // AnySource and tag may be AnyTag. When buf is non-nil the message payload
 // lands there (its length is the capacity); otherwise size is the synthetic
-// capacity.
+// capacity. Wait on the returned request exactly once: after Wait returns
+// the *Request is gone.
 func (r *Rank) Irecv(src, tag int, buf []byte, size int) *Request {
 	if buf != nil {
 		size = len(buf)
@@ -79,10 +80,7 @@ func (r *Rank) Irecv(src, tag int, buf []byte, size int) *Request {
 	if src != AnySource && (src < 0 || src >= len(r.world.ranks)) {
 		panic(fmt.Sprintf("mpi: Irecv from invalid rank %d", src))
 	}
-	req := &Request{
-		rank: r, done: r.env().NewEvent(),
-		peer: src, tag: tag, size: size, data: buf,
-	}
+	req := r.newRequest(src, tag, size, buf)
 	if m := r.matchUnexpected(req); m != nil {
 		if m.kind == rtsMsg {
 			r.sendCTS(req, m)
@@ -121,7 +119,8 @@ func (r *Rank) Sendrecv(p *sim.Proc, dst, stag int, sdata []byte, ssize int,
 	return rreq.Wait(p)
 }
 
-// WaitAll blocks until every request completes.
+// WaitAll blocks until every request completes, waiting on each in order;
+// like Wait it frees them, so the slice names no live request afterwards.
 func WaitAll(p *sim.Proc, reqs []*Request) {
 	for _, q := range reqs {
 		q.Wait(p)

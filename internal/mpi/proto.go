@@ -15,12 +15,12 @@ const (
 	eagerMsg msgKind = iota
 	rtsMsg           // rendezvous request-to-send
 	ctsMsg           // rendezvous clear-to-send
-	finMsg           // rendezvous completion notification
 )
 
 // mpiMsg is one protocol message: the header riding a verbs message or a
 // shared-memory delivery, and, for an eager message or RTS that arrives
-// before its receive is posted, the record the unexpected queue holds.
+// before its receive is posted, the record the unexpected queue holds. The
+// rendezvous FIN has no header: its verbs Meta is the receiver's *Request.
 type mpiMsg struct {
 	kind msgKind
 	src  int // sender rank
@@ -29,7 +29,7 @@ type mpiMsg struct {
 	data []byte // eager payload (nil for synthetic traffic)
 	// Rendezvous fields: a request is its own id.
 	sendReq *Request // RTS/CTS: the sender's request
-	recvReq *Request // CTS/FIN: the receiver's request
+	recvReq *Request // CTS: the receiver's request
 	mr      *ib.MR   // CTS: registered landing region
 }
 
@@ -38,9 +38,11 @@ func (m *mpiMsg) matches(req *Request) bool {
 		(req.tag == AnyTag || req.tag == m.tag)
 }
 
-// Request is a pending nonblocking operation.
+// Request is a pending nonblocking operation. As with MPI_Wait, Wait frees
+// it: after Wait returns the *Request is gone, and the rank hands the same
+// object out again for a later operation.
 type Request struct {
-	rank *Rank
+	rank *Rank // nil once Wait has freed the request
 	done *sim.Event
 	peer int // destination (send) / source or AnySource (recv)
 	tag  int
@@ -57,25 +59,75 @@ type Request struct {
 	// latency = CTS arrival - rtsAt).
 	span  telemetry.SpanRef
 	rtsAt sim.Time
+
+	// hdr is the rendezvous control message the request sends: a send's RTS,
+	// a receive's CTS. Neither request can complete before the peer has read
+	// it — the send waits for the CTS, the receive for the FIN — so the
+	// header lives exactly as long as it is needed.
+	hdr mpiMsg
 }
 
-// Done reports whether the operation completed.
-func (q *Request) Done() bool { return q.done.Triggered() }
+// reqPool is an environment's free requests (see Rank.reqs).
+type reqPool struct{ free []*Request }
 
-// Wait blocks the calling process until the operation completes. For
-// receives it returns the byte count and source rank.
+// reqPoolKey is reqPool's key in the environment's recycled memory.
+type reqPoolKey struct{}
+
+// newRequest returns a request of r's, taken from its home environment's
+// free requests, with a done event from the environment's event freelist.
+func (r *Rank) newRequest(peer, tag, size int, data []byte) *Request {
+	var q *Request
+	if n := len(r.reqs.free); n > 0 {
+		q = r.reqs.free[n-1]
+		r.reqs.free[n-1] = nil // the list outlives the world; the request is the world's now
+		r.reqs.free = r.reqs.free[:n-1]
+	} else {
+		q = &Request{}
+	}
+	q.rank, q.done = r, r.env().AcquireEvent()
+	q.peer, q.tag, q.size, q.data = peer, tag, size, data
+	return q
+}
+
+// owner returns the rank q belongs to; a request Wait has freed has none.
+func (q *Request) owner() *Rank {
+	if q.rank == nil {
+		panic("mpi: request used after Wait freed it")
+	}
+	return q.rank
+}
+
+// Done reports whether the operation completed. It must not be called after
+// Wait.
+func (q *Request) Done() bool {
+	q.owner()
+	return q.done.Triggered()
+}
+
+// Wait blocks the calling process until the operation completes, then frees
+// the request, as MPI_Wait does: after Wait returns the *Request is gone.
+// For receives it returns the byte count and source rank.
 func (q *Request) Wait(p *sim.Proc) (int, int) {
+	r := q.owner()
 	p.Wait(q.done)
-	return q.recvSize, q.recvFrom
+	n, from := q.recvSize, q.recvFrom
+	r.env().ReleaseEvent(q.done)
+	*q = Request{}
+	r.reqs.free = append(r.reqs.free, q)
+	return n, from
 }
 
+// complete finishes the operation. Each request completes exactly once: with
+// recycling, a second completion would finish whichever operation reused
+// the object, so it panics.
 func (q *Request) complete() {
+	r := q.owner()
 	if q.done.Triggered() {
-		return
+		panic("mpi: request completed twice")
 	}
 	if q.span.Valid() {
-		if obs := q.rank.world.obs; obs != nil && obs.rec != nil {
-			obs.rec.EndAt(q.rank.env().Now(), q.span)
+		if obs := r.world.obs; obs != nil && obs.rec != nil {
+			obs.rec.EndAt(r.env().Now(), q.span)
 		}
 	}
 	q.done.Trigger(nil)
@@ -103,7 +155,13 @@ func (r *Rank) progress(c ib.Completion) {
 		if qp := r.byQPN[c.QPN]; qp != nil {
 			qp.PostRecv(ib.RecvWR{})
 		}
-		r.handleMsg(c.Meta.(*mpiMsg))
+		switch m := c.Meta.(type) {
+		case *mpiMsg:
+			r.handleMsg(m)
+		case *Request:
+			// A rendezvous FIN: the data has landed in this receive.
+			m.complete()
+		}
 	case ib.OpSend:
 		if req, ok := c.Ctx.(*Request); ok {
 			req.complete()
@@ -160,17 +218,17 @@ func (r *Rank) handleMsg(m *mpiMsg) {
 			})
 			return
 		}
-		r.qpTo(peer).PostSend(ib.SendWR{
+		qp := r.qpTo(peer)
+		qp.PostSend(ib.SendWR{
 			Op: ib.OpRDMAWrite, Data: req.data, Len: req.size,
 			RemoteMR: m.mr, Ctx: req, ParentSpan: req.span,
 		})
 		// Post the FIN immediately behind the write: the QP delivers in
 		// order, so the receiver sees it only after the data has landed —
 		// the standard RPUT design, which avoids paying an extra round
-		// trip per rendezvous on high-delay links.
-		r.ctrlSend(peer, &mpiMsg{kind: finMsg, src: r.id, recvReq: m.recvReq}, nil, req.span)
-	case finMsg:
-		m.recvReq.complete()
+		// trip per rendezvous on high-delay links. It carries no header,
+		// only the receiver's request back to its owner.
+		qp.PostSend(ib.SendWR{Op: ib.OpSend, Len: CtrlBytes, Meta: m.recvReq, ParentSpan: req.span})
 	}
 }
 
@@ -234,22 +292,18 @@ func (r *Rank) sendCTS(req *Request, m *mpiMsg) {
 	req.mr = mr
 	req.recvSize = m.size
 	req.recvFrom = m.src
-	r.ctrlSend(peer, &mpiMsg{kind: ctsMsg, src: r.id, sendReq: m.sendReq, recvReq: req, mr: mr}, nil, telemetry.NoSpan)
+	req.hdr = mpiMsg{kind: ctsMsg, src: r.id, sendReq: m.sendReq, recvReq: req, mr: mr}
+	r.ctrlSend(peer, &req.hdr, telemetry.NoSpan)
 }
 
-// ctrlSend emits a small control message (RTS/CTS/FIN) to the peer; its
+// ctrlSend emits a rendezvous control header (RTS/CTS) to the peer; its
 // verbs span (if any) nests under parent.
-func (r *Rank) ctrlSend(peer *Rank, m *mpiMsg, ctx *Request, parent telemetry.SpanRef) {
+func (r *Rank) ctrlSend(peer *Rank, m *mpiMsg, parent telemetry.SpanRef) {
 	if peer.node == r.node {
-		r.shmDeliver(peer, m, ctx)
+		r.shmDeliver(peer, m, nil)
 		return
 	}
-	qp := r.qpTo(peer)
-	var c any
-	if ctx != nil {
-		c = ctx
-	}
-	qp.PostSend(ib.SendWR{Op: ib.OpSend, Len: CtrlBytes, Meta: m, Ctx: c, ParentSpan: parent})
+	r.qpTo(peer).PostSend(ib.SendWR{Op: ib.OpSend, Len: CtrlBytes, Meta: m, ParentSpan: parent})
 }
 
 // shmDeliver carries a message between co-located ranks over the node's

@@ -91,7 +91,7 @@ func (w *Win) Put(p *sim.Proc, target int, data []byte, size, targetOff int) {
 		panic(fmt.Sprintf("mpi: Put beyond window bounds: off=%d size=%d win=%d", targetOff, size, w.size))
 	}
 	peer := r.world.ranks[target]
-	req := &Request{rank: r, done: r.env().NewEvent(), peer: target, size: size}
+	req := r.newRequest(target, 0, size, nil)
 	r.world.profile.record(size)
 	qp := r.qpTo(peer)
 	qp.PostSend(ib.SendWR{
@@ -120,7 +120,7 @@ func (w *Win) Get(p *sim.Proc, target int, buf []byte, size, targetOff int) {
 		panic("mpi: Get beyond window bounds")
 	}
 	peer := r.world.ranks[target]
-	req := &Request{rank: r, done: r.env().NewEvent(), peer: target, size: size}
+	req := r.newRequest(target, 0, size, nil)
 	r.world.profile.record(size)
 	qp := r.qpTo(peer)
 	qp.PostSend(ib.SendWR{
@@ -135,6 +135,7 @@ func (w *Win) Get(p *sim.Proc, target int, buf []byte, size, targetOff int) {
 // visible in every window.
 func (w *Win) Fence(p *sim.Proc) {
 	WaitAll(p, w.pending)
-	w.pending = nil
+	clear(w.pending)
+	w.pending = w.pending[:0]
 	w.rank.Barrier(p)
 }
