@@ -493,6 +493,9 @@ type jsonExperiment struct {
 	WallMS     float64 `json:"wall_ms"`
 	SimSeconds float64 `json:"sim_s"`
 	Events     int64   `json:"events"`
+	// Digest fingerprints the order those events ran in (hex; see
+	// sim.Env.Digest): equal counts with unequal digests mean reordered ties.
+	Digest string `json:"digest"`
 	// Sharded-scheduler cost counters (absent on single-heap runs):
 	// barrier windows and cumulative safe-horizon advance in simulated
 	// seconds. windows/events is the synchronization overhead per event.
@@ -550,6 +553,7 @@ func writeJSONReport(w io.Writer, opt core.Options, ropt core.RunnerOptions, res
 			WallMS:        float64(res.Metrics.Wall.Microseconds()) / 1e3,
 			SimSeconds:    res.Metrics.SimTime.Seconds(),
 			Events:        res.Metrics.Events,
+			Digest:        fmt.Sprintf("%016x", res.Metrics.Digest),
 			ShardWindows:  res.Metrics.ShardWindows,
 			ShardHorizonS: res.Metrics.ShardHorizon.Seconds(),
 			Tables:        toJSONTables(res.Tables),

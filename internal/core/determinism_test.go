@@ -18,7 +18,9 @@ func renderTables(res Result) string {
 
 // TestParallelRunMatchesSequential is the determinism regression test for
 // the parallel runner: for every registered experiment, Quick-mode output
-// at 8 workers must be byte-identical to the sequential (1-worker) path.
+// at 8 workers must be byte-identical to the sequential (1-worker) path, and
+// so must the event count and dispatch digest (a sum over points, so the
+// order points complete in cannot move it).
 func TestParallelRunMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel determinism sweep skipped in -short mode")
@@ -27,10 +29,14 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 	for _, id := range ExperimentIDs {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			seq := renderTables(RunWith(id, opt, RunnerOptions{Workers: 1}))
-			par := renderTables(RunWith(id, opt, RunnerOptions{Workers: 8}))
+			seqRes := RunWith(id, opt, RunnerOptions{Workers: 1})
+			parRes := RunWith(id, opt, RunnerOptions{Workers: 8})
+			seq, par := renderTables(seqRes), renderTables(parRes)
 			if seq != par {
 				t.Errorf("parallel output diverges from sequential\n--- par=1 ---\n%s\n--- par=8 ---\n%s", seq, par)
+			}
+			if s, p := seqRes.Metrics, parRes.Metrics; s.Events != p.Events || s.Digest != p.Digest {
+				t.Errorf("events/digest %d/%016x at par=1, %d/%016x at par=8", s.Events, s.Digest, p.Events, p.Digest)
 			}
 		})
 	}

@@ -25,11 +25,14 @@ var goldenIDs = []string{"table1", "fig3", "fig4", "fig5", "fig7", "fig11"}
 
 // TestGoldenQuickOutput asserts that quick-mode ibwan-exp rendering is
 // byte-identical to the checked-in pre-optimization output, and that every
-// registered experiment dispatches exactly the pinned number of events on the
-// classic single heap (testdata/golden_quick_events.txt, one line per
-// registry entry): tables round, so a simulator-only change could move an
-// event — an extra wake-up, a tie resolved the other way — without moving a
-// rendered digit. The counts make "this change leaves the simulation alone"
+// registered experiment dispatches exactly the pinned number of events, in
+// the pinned order, on the classic single heap
+// (testdata/golden_quick_events.txt, one `id events digest` line per
+// registry entry; the digest is Result.Metrics.Digest): tables round, so a
+// simulator-only change could move an event — an extra wake-up, a tie
+// resolved the other way — without moving a rendered digit, and a reordered
+// tie moves no count either. The counts and digests make "this change
+// leaves the simulation alone"
 // a machine check on every layer, including the ones whose tables are too
 // long to pin; sharded counts are not pinned (a Stop on a partitioned world
 // lands at a scheduling-dependent event). The par=1 vs par=8 determinism
@@ -52,7 +55,7 @@ func TestGoldenQuickOutput(t *testing.T) {
 		if slices.Contains(goldenIDs, id) {
 			tables.WriteString(renderTables(res))
 		}
-		fmt.Fprintf(&events, "%s %d\n", id, res.Metrics.Events)
+		fmt.Fprintf(&events, "%s %d %016x\n", id, res.Metrics.Events, res.Metrics.Digest)
 	}
 	checkGolden(t, "golden_quick.txt", tables.String(),
 		"The optimized kernel must render byte-identical results; a diff "+

@@ -192,6 +192,16 @@ func (m *Meter) Events() int64 {
 	return n
 }
 
+// Digest sums the dispatch digests (sim.Env.Digest) of the point's
+// environments, mod 2⁶⁴: a fingerprint of the order its events ran in.
+func (m *Meter) Digest() uint64 {
+	var d uint64
+	for _, e := range m.envs {
+		d += e.Digest()
+	}
+	return d
+}
+
 // recordShardStats publishes the parallel scheduler's progress counters
 // for every partitioned world the point ran — windows, cumulative
 // safe-horizon advance, and per-shard dispatched-event and barrier-stall

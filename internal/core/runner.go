@@ -85,6 +85,7 @@ type PointMetrics struct {
 	Wall       time.Duration // host time spent measuring the point
 	SimTime    sim.Time      // virtual time reached across the point's envs
 	Events     int64         // simulation events executed
+	Digest     uint64        // the point's dispatch digest (Meter.Digest)
 	// ShardWindows counts the sharded scheduler's barrier windows across
 	// the point's partitioned worlds (0 when the point ran single-heap);
 	// ShardHorizon is the matching cumulative safe-horizon advance.
@@ -171,6 +172,9 @@ type ExperimentMetrics struct {
 	Wall    time.Duration // wall time for the whole experiment
 	SimTime sim.Time      // summed virtual time across all points
 	Events  int64         // summed simulation events across all points
+	// Digest sums the points' dispatch digests mod 2⁶⁴; being a sum, it
+	// does not depend on the order points complete in.
+	Digest uint64
 	// ShardWindows/ShardHorizon sum the sharded scheduler's barrier
 	// windows and safe-horizon advance across all points (both 0 on
 	// single-heap runs).
@@ -280,6 +284,7 @@ func RunSpec(spec Spec, opt Options, ropt RunnerOptions) Result {
 					Wall:         time.Since(t0),
 					SimTime:      m.SimTime(),
 					Events:       m.Events(),
+					Digest:       m.Digest(),
 					ShardWindows: wins,
 					ShardHorizon: hor,
 					Err:          errs[i],
@@ -294,6 +299,7 @@ func RunSpec(spec Spec, opt Options, ropt RunnerOptions) Result {
 				mu.Lock()
 				agg.SimTime += pm.SimTime
 				agg.Events += pm.Events
+				agg.Digest += pm.Digest
 				agg.ShardWindows += pm.ShardWindows
 				agg.ShardHorizon += pm.ShardHorizon
 				done++

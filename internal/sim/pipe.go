@@ -78,6 +78,7 @@ func (e *Env) runPipeHead() {
 	p := top.tgt.(*Pipe)
 	e.now = top.at
 	e.executed++
+	e.mix(top.at, kindPipe)
 	n := p.head
 	fn, val := n.fn, n.val
 	if p.head = n.next; p.head == nil {
