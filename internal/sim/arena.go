@@ -14,7 +14,7 @@ package sim
 // depend on it at all, because only objects that were reset when they were
 // released are kept (see Reclaim). It serves one world at a time.
 type Arena struct {
-	shards []envMem // by shard index; shards[0] serves an unpartitioned world
+	shards []envMem // by shard index; an unpartitioned world uses shards[0]
 	lent   bool     // the memory is out with a world until Reclaim
 }
 
@@ -74,10 +74,7 @@ func (a *Arena) Reclaim(e *Env) {
 	}
 	e.arena = nil
 	a.lent = false
-	views := []*Env{e}
-	if e.world != nil {
-		views = e.world.shards
-	}
+	views := e.world.shards
 	for len(a.shards) < len(views) {
 		a.shards = append(a.shards, envMem{})
 	}

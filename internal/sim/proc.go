@@ -225,7 +225,7 @@ func (p *Proc) Wait(ev *Event) any {
 	if p.env.current != p {
 		panic("sim: Wait called from outside process context")
 	}
-	if ev.env != p.env && ev.env.world != nil && ev.env.world == p.env.world {
+	if ev.env != p.env && ev.env.world == p.env.world {
 		panic(fmt.Sprintf("sim: process %q on shard %d cannot wait on shard %d's event: cross-shard signalling must ride the mailbox lanes (AtArgOn)",
 			p.name, p.env.shard, ev.env.shard))
 	}

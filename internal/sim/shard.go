@@ -12,13 +12,14 @@ import (
 // Conservative parallel DES: one simulated world split into per-shard event
 // heaps and clocks behind the ordinary Env API.
 //
-// Partition(n) turns an environment into shard 0 of an n-shard world and
-// returns n views, one per shard. Each view is a full Env — its own heap,
-// clock, sequence counter, processes and event freelist — so everything a
-// layer builds on a view (QPs, procs, timers) stays on that view's timeline
-// and is touched by exactly one shard worker at a time. The only sanctioned
-// crossing point is AtArgOn, which deposits the event into a per-(src,dst)
-// mailbox lane instead of the destination heap.
+// Every environment is a shard of a world: NewEnv makes the one shard of a
+// world of its own, and Partition(n) turns an environment into shard 0 of an
+// n-shard world and returns n views, one per shard. Each view is a full Env —
+// its own heap, clock, sequence counter, processes and event freelist — so
+// everything a layer builds on a view (QPs, procs, timers) stays on that
+// view's timeline and is touched by exactly one shard worker at a time. The
+// only sanctioned crossing point is AtArgOn, which deposits the event into a
+// per-(src,dst) mailbox lane instead of the destination heap.
 //
 // Correctness rests on per-channel conservative bounds (the CMB protocol's
 // channel clocks, in the null-message-free synchronous variant). A directed
@@ -45,6 +46,9 @@ import (
 //     payoff over the global-minimum rule: a short metro link only narrows
 //     the windows of shards it can actually reach at that cadence;
 //  3. barrier, then repeat until every heap is empty (or Stop).
+//
+// A one-shard world has no lanes and no channels: its window is RunUntil's
+// horizon, or the next sample time when that comes first.
 //
 // The shard holding the global minimum next-event time always has
 // limit > next (every incoming bound is positive), so the loop cannot
@@ -173,8 +177,28 @@ func (e *Env) SetShardWorkers(n int) { e.shardWorkers = n }
 // ShardWorkers returns the worker count declared by SetShardWorkers.
 func (e *Env) ShardWorkers() int { return e.shardWorkers }
 
-// Sharded reports whether the environment belongs to a partitioned world.
-func (e *Env) Sharded() bool { return e.world != nil }
+// Sharded reports whether the environment belongs to a world of more than
+// one shard.
+func (e *Env) Sharded() bool { return len(e.world.shards) > 1 }
+
+// soloWorld is the storage of an unpartitioned environment's own one-shard
+// world, embedded in the Env so NewEnv allocates nothing for it. Bounds,
+// lanes and pipes stay nil: with one shard nothing indexes them.
+type soloWorld struct {
+	world
+	shards            [1]*Env
+	next, est, limits [1]Time
+	active            [1]int32
+}
+
+// init makes s the one-shard world of e and returns it.
+func (s *soloWorld) init(e *Env) *world {
+	s.shards[0] = e
+	w := &s.world
+	w.shards, w.next, w.est, w.limits, w.active = s.shards[:], s.next[:], s.est[:], s.limits[:], s.active[:0]
+	w.workers, w.lookahead = 1, maxTime
+	return w
+}
 
 // Partition splits the environment into an n-shard world and returns the
 // shard views; view 0 is the receiver itself, views 1..n-1 are fresh
@@ -182,13 +206,17 @@ func (e *Env) Sharded() bool { return e.world != nil }
 // already scheduled on the receiver stays on shard 0. The world is inert
 // until cross-shard channels are registered (RegisterLookaheadBetween, or
 // RegisterLookahead for a uniform bound); Run then executes all shards
-// under the conservative window protocol.
+// under the conservative window protocol. Partition(1) returns the
+// receiver's own one-shard world.
 func (e *Env) Partition(n int) []*Env {
-	if e.world != nil {
+	if e.Sharded() {
 		panic("sim: Partition on an already partitioned environment")
 	}
 	if n < 1 {
 		panic(fmt.Sprintf("sim: Partition into %d shards", n))
+	}
+	if n == 1 {
+		return e.world.shards
 	}
 	workers := e.shardWorkers
 	if workers > n {
@@ -262,10 +290,10 @@ func (w *world) setBound(src, dst int, d Time) {
 // target == receiver; a non-positive bound would make the window protocol
 // unsound and panics.
 func (e *Env) RegisterLookaheadBetween(target *Env, d Time) {
-	w := e.world
-	if w == nil {
+	if !e.Sharded() {
 		return
 	}
+	w := e.world
 	if target == nil || target.world != w {
 		panic("sim: RegisterLookaheadBetween across unrelated environments")
 	}
@@ -285,10 +313,10 @@ func (e *Env) RegisterLookaheadBetween(target *Env, d Time) {
 // wider windows wherever their delays are heterogeneous. No-op on an
 // unpartitioned environment; a non-positive bound panics.
 func (e *Env) RegisterLookahead(d Time) {
-	w := e.world
-	if w == nil {
+	if !e.Sharded() {
 		return
 	}
+	w := e.world
 	if d <= 0 {
 		panic(fmt.Sprintf("sim: non-positive lookahead %v registered on a partitioned world", d))
 	}
@@ -300,16 +328,13 @@ func (e *Env) RegisterLookahead(d Time) {
 			}
 		}
 	}
-	if d < w.lookahead {
-		w.lookahead = d
-	}
 }
 
 // Lookahead returns the minimum conservative bound over all registered
 // channels, or 0 when the environment is unpartitioned or no channel has
 // been registered yet.
 func (e *Env) Lookahead() Time {
-	if w := e.world; w != nil && w.lookahead != maxTime {
+	if w := e.world; w.lookahead != maxTime {
 		return w.lookahead
 	}
 	return 0
@@ -321,7 +346,7 @@ func (e *Env) Lookahead() Time {
 // unregistered.
 func (e *Env) ChannelLookahead(target *Env) Time {
 	w := e.world
-	if w == nil || target == nil || target.world != w || target.shard == e.shard {
+	if target == nil || target.world != w || target.shard == e.shard {
 		return 0
 	}
 	if b := w.bounds[int(e.shard)*len(w.shards)+int(target.shard)]; b != noBound {
@@ -345,7 +370,7 @@ func (e *Env) AtArgOn(target *Env, delay Time, fn func(any), arg any) {
 		panic("sim: negative delay")
 	}
 	w := e.world
-	if w == nil || target.world != w {
+	if target.world != w {
 		panic("sim: AtArgOn across unrelated environments")
 	}
 	b := w.bounds[int(e.shard)*len(w.shards)+int(target.shard)]
@@ -381,22 +406,21 @@ func (e *Env) ReturnTo(home *Env, sink func(any), v any) {
 		return
 	}
 	w := e.world
-	if w == nil || home.world != w {
+	if home.world != w {
 		panic("sim: ReturnTo across unrelated environments")
 	}
 	ln := &w.lanes[int(e.shard)*len(w.shards)+int(home.shard)]
 	ln.rets = append(ln.rets, returned{sink, v})
 }
 
-// runWorld is RunUntil for a partitioned world: the windowed barrier loop.
-// Sampling state lives on shard 0 (the root view — the environment the
-// world was partitioned from, where SetSampler is installed): at each
-// barrier, every shard has settled and no event below the global next-event
-// time remains, so pending samples strictly below it are consistent
-// prefixes and fire here; window horizons are clamped to the next sample
-// time (see below) so no shard ever runs past a pending sample.
-func (e *Env) runWorld(horizon Time) Time {
-	w := e.world
+// run is RunUntil: the windowed barrier loop. Sampling state lives on shard
+// 0 (the root view — the environment the world was partitioned from, where
+// SetSampler is installed): at each barrier, every shard has settled and no
+// event below the global next-event time remains, so pending samples
+// strictly below it are consistent prefixes and fire here; window horizons
+// are clamped to the next sample time (see below) so no shard ever runs
+// past a pending sample.
+func (w *world) run(horizon Time) Time {
 	root := w.shards[0]
 	w.stopped.Store(false)
 	var p *wpool
@@ -467,7 +491,7 @@ func (e *Env) runWorld(horizon Time) Time {
 	}
 	// Quiescent (or stopped): align every clock to the furthest shard so
 	// later activity on any view starts from one well-defined time.
-	maxNow := e.now
+	var maxNow Time
 	for _, s := range w.shards {
 		if s.now > maxNow {
 			maxNow = s.now
@@ -479,8 +503,9 @@ func (e *Env) runWorld(horizon Time) Time {
 		}
 	}
 	if !w.stopped.Load() {
-		// Drained: fire samples through the final clock, exactly like the
-		// classic loop. A Stop leaves the tail unsampled in both modes.
+		// Drained: fire samples through the final clock. A Stop leaves the
+		// tail unsampled: peers may not have settled, so a post-Stop sample
+		// would not be a consistent prefix.
 		root.fireSamples(maxNow)
 	}
 	return maxNow
@@ -694,7 +719,7 @@ func (s *Env) runShard(limit Time) {
 }
 
 // wpool is the persistent shard-worker pool: workers 1..n-1 are goroutines
-// that live for one runWorld invocation, worker 0 is the coordinator (the
+// that live for one world.run invocation, worker 0 is the coordinator (the
 // caller of window) participating in place. Windows are released by
 // bumping a generation counter and collected by counting arrivals down —
 // a reusable two-phase barrier. Both phases spin briefly before parking on
@@ -836,13 +861,13 @@ type ShardStats struct {
 
 // WindowStats returns the cumulative number of conservative scheduler
 // windows run so far and per-shard work counters, or (0, nil) on an
-// unpartitioned environment. Call it between runs, not from concurrent
-// shard code; for per-interval deltas use TakeWindowStats.
+// unpartitioned (one-shard) environment. Call it between runs, not from
+// concurrent shard code; for per-interval deltas use TakeWindowStats.
 func (e *Env) WindowStats() (int64, []ShardStats) {
-	w := e.world
-	if w == nil {
+	if !e.Sharded() {
 		return 0, nil
 	}
+	w := e.world
 	out := make([]ShardStats, len(w.shards))
 	for i, s := range w.shards {
 		out[i] = ShardStats{Shard: i, Executed: s.executed, Stalls: s.windowStalls}
@@ -854,12 +879,13 @@ func (e *Env) WindowStats() (int64, []ShardStats) {
 // time) granted to the critical shard across all windows so far: the sum
 // over windows of (limit − globalNext) for the shard holding the minimum
 // next-event time. Larger totals over the same simulated interval mean
-// wider windows — fewer barriers per unit of progress.
+// wider windows — fewer barriers per unit of progress. It is 0 on an
+// unpartitioned (one-shard) environment.
 func (e *Env) HorizonAdvance() Time {
-	if w := e.world; w != nil {
-		return w.horizon
+	if !e.Sharded() {
+		return 0
 	}
-	return 0
+	return e.world.horizon
 }
 
 // WindowDelta is one TakeWindowStats interval: scheduler windows run,
@@ -874,13 +900,13 @@ type WindowDelta struct {
 // since the previous TakeWindowStats call (or since Partition) and marks
 // the new baseline, so periodic reporters see per-interval counts instead
 // of re-counting the whole run. Returns a zero delta with nil Shards on an
-// unpartitioned environment. Call it between runs, not from concurrent
-// shard code.
+// unpartitioned (one-shard) environment. Call it between runs, not from
+// concurrent shard code.
 func (e *Env) TakeWindowStats() WindowDelta {
-	w := e.world
-	if w == nil {
+	if !e.Sharded() {
 		return WindowDelta{}
 	}
+	w := e.world
 	d := WindowDelta{
 		Windows: w.windows - w.repWindows,
 		Horizon: w.horizon - w.repHorizon,

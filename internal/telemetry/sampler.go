@@ -9,10 +9,9 @@ import (
 // Sampler snapshots a Registry's deltas at a fixed sim-time cadence into
 // append-only per-metric series. It is driven by the simulation kernel's
 // sampling hook (sim.Env.SetSampler), which guarantees the sample at time S
-// reflects exactly the events scheduled at or before S — on the classic
-// single-heap scheduler by firing between event dispatches, on the sharded
-// scheduler by clamping window horizons to the next sample time and firing
-// at the barrier. Because the hook never schedules heap events, sampling
+// reflects exactly the events scheduled at or before S, by clamping the
+// scheduler's window horizons to the next sample time and firing at the
+// barrier. Because the hook never schedules heap events, sampling
 // perturbs nothing: event sequence numbers, executed counts and rendered
 // output are identical with sampling on or off.
 //

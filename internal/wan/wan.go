@@ -151,18 +151,16 @@ func (p *Pair) SetDelay(d sim.Time) {
 
 // lookahead returns the registered bound of this pair's own cross-shard
 // channel (the smaller direction, though both are registered with the same
-// link delay) when the pair bridges two shards, else 0. The guard is per
-// channel: a link may be retuned freely down to its own registered bound
-// without reference to shorter links elsewhere in the world.
+// link delay) when the pair bridges two shards, else 0 — ChannelLookahead
+// is 0 between ends on one shard or on an unpartitioned world. The guard is
+// per channel: a link may be retuned freely down to its own registered
+// bound without reference to shorter links elsewhere in the world.
 func (p *Pair) lookahead() sim.Time {
-	if p.envA != nil && p.envA != p.envB && p.envA.Sharded() {
-		la := p.envA.ChannelLookahead(p.envB)
-		if ba := p.envB.ChannelLookahead(p.envA); ba > 0 && (la == 0 || ba < la) {
-			la = ba
-		}
-		return la
+	la := p.envA.ChannelLookahead(p.envB)
+	if ba := p.envB.ChannelLookahead(p.envA); ba > 0 && (la == 0 || ba < la) {
+		la = ba
 	}
-	return 0
+	return la
 }
 
 // SetDistanceKM sets the delay from an emulated wire length. It routes
