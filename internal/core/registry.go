@@ -128,6 +128,8 @@ func (m *Meter) NewEnv() *sim.Env {
 // time consumed by environments 0..i-1, mirroring the span recorder's epoch
 // stacking), derived series computed, and the per-env registries merged
 // into the run-wide one. Call after the point's Fn returned, before close.
+// The timeline takes over the samplers' rows (PointTimeline.Absorb), so the
+// point's samplers are dead once it returns.
 func (m *Meter) takeTimeline(experiment, label string, traceOff sim.Time) telemetry.PointTimeline {
 	pt := telemetry.PointTimeline{
 		Experiment: experiment, Point: label,

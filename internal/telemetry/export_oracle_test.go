@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -57,7 +58,15 @@ type traceFile struct {
 	DisplayTimeUnit string `json:"displayTimeUnit"`
 }
 
-func refWritePerfettoTimeline(w io.Writer, r *Recorder, pts []PointTimeline) error {
+// traceSource is what the reference exporter reads from a recorder: the
+// Recorder, or the ring-backed one of recorder_ref_test.go.
+type traceSource interface {
+	Tracks() [][2]string
+	Spans() []Span
+	Instants() []Instant
+}
+
+func refWritePerfettoTimeline(w io.Writer, r traceSource, pts []PointTimeline) error {
 	tracks := r.Tracks()
 	// Assign one pid per distinct process name, in first-appearance order,
 	// and one tid per track within its process.
@@ -465,9 +474,11 @@ func TestExportWriteError(t *testing.T) {
 }
 
 // TestExportAllocsIndependentOfRows pins the streaming property: an export
-// allocates the Spans()/Instants() copies, the buffer and a handful of
-// fixed-size helpers — the same number at 1 000 rows as at 10 000, where the
-// encoding/json exporters allocated three and more per row.
+// allocates a sort permutation, the buffer and a handful of fixed-size
+// helpers — the same number at 1 000 rows as at 10 000, where the
+// encoding/json exporters allocated three and more per row. In bytes, a
+// trace costs at most 8 per retained record beyond the buffer: records are
+// written from the recorder's storage in place, where sorted copies cost 64.
 func TestExportAllocsIndependentOfRows(t *testing.T) {
 	allocs := func(n int) (trace, timeline float64) {
 		r, pts := manyRows(n)
@@ -491,6 +502,20 @@ func TestExportAllocsIndependentOfRows(t *testing.T) {
 	}
 	if trLarge > 24 || tlLarge > 2 {
 		t.Errorf("allocs/export = %.0f trace, %.0f timeline; budgets 24 and 2", trLarge, tlLarge)
+	}
+
+	r, pts := manyRows(10_000)
+	retained := r.SpanCount() + r.InstantCount()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := WritePerfettoTimeline(io.Discard, r, pts); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("trace export of %d records allocated %d B", retained, got)
+	if budget := uint64(8*retained + jsonBufSize); got > budget {
+		t.Errorf("trace export of %d records allocated %d B, want <= %d (8 B a record + the buffer)", retained, got, budget)
 	}
 }
 

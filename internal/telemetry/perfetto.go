@@ -1,8 +1,9 @@
 package telemetry
 
 import (
+	"cmp"
 	"io"
-	"sort"
+	"slices"
 )
 
 // Chrome trace-event JSON export, loadable in Perfetto (ui.perfetto.dev)
@@ -52,17 +53,27 @@ func WritePerfettoTimeline(w io.Writer, r *Recorder, pts []PointTimeline) error 
 		tidOf[i] = nextTID[proc]
 	}
 
-	spans := r.Spans()
-	sort.SliceStable(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
+	// Records are written from the recorder's storage in place, in the order
+	// of a sorted index permutation (4 B a record, where a sorted copy would
+	// cost 64). Completed spans are indexes below nDone; the still-open ones,
+	// closed at the latest observed time, follow in a small tail slice.
+	// Instants are not recorded in time order (the fabric stamps a receive
+	// instant back at its arrival time), so they are sorted too; the index
+	// breaks ties in record order.
+	if r == nil {
+		r = &Recorder{}
+	}
+	done, instants, open := &r.done, &r.instants, r.appendOpen(nil)
+	nDone := done.Len()
+	span := func(i int32) *Span {
+		if int(i) < nDone {
+			return done.At(int(i))
 		}
-		return spans[i].ID < spans[j].ID
-	})
-	instants := r.Instants()
-	sort.SliceStable(instants, func(i, j int) bool {
-		return instants[i].Time < instants[j].Time
-	})
+		return &open[int(i)-nDone]
+	}
+	// One buffer serves both sorts: every span is written before the
+	// instants are sorted.
+	order := make([]int32, max(nDone+len(open), instants.Len()))
 
 	t := traceWriter{jsonWriter: newJSONWriter(w)}
 	t.raw("{\n \"traceEvents\": [")
@@ -91,8 +102,15 @@ func WritePerfettoTimeline(w io.Writer, r *Recorder, pts []PointTimeline) error 
 	for i, tk := range tracks {
 		meta("thread_name", trackPID[i], tidOf[i], tk[1])
 	}
-	for i := range spans {
-		s := &spans[i]
+	spans := sortedOrder(order[:nDone+len(open)], func(a, b int32) int {
+		sa, sb := span(a), span(b)
+		if c := cmp.Compare(sa.Start, sb.Start); c != 0 {
+			return c
+		}
+		return cmp.Compare(sa.ID, sb.ID)
+	})
+	for _, i := range spans {
+		s := span(i)
 		tid, pid := 0, 0
 		if int(s.Track) < len(tracks) {
 			tid, pid = tidOf[s.Track], trackPID[s.Track]
@@ -109,8 +127,14 @@ func WritePerfettoTimeline(w io.Writer, r *Recorder, pts []PointTimeline) error 
 		t.argInt("depth", int64(s.Depth))
 		t.end()
 	}
-	for i := range instants {
-		in := &instants[i]
+	ins := sortedOrder(order[:instants.Len()], func(a, b int32) int {
+		if c := cmp.Compare(instants.At(int(a)).Time, instants.At(int(b)).Time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for _, i := range ins {
+		in := instants.At(int(i))
 		tid, pid := 0, 0
 		if int(in.Track) < len(tracks) {
 			tid, pid = tidOf[in.Track], trackPID[in.Track]
@@ -251,6 +275,16 @@ func (t *traceWriter) end() {
 	}
 	t.raw("\n  }")
 	t.rowDone()
+}
+
+// sortedOrder fills order with the indexes 0..len(order)-1 and sorts them
+// by compare.
+func sortedOrder(order []int32, compare func(a, b int32) int) []int32 {
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, compare)
+	return order
 }
 
 // hasSamples reports whether any point timeline carries at least one row —

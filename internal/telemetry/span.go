@@ -14,8 +14,9 @@ import (
 // The recorder is single-writer by design: it belongs to one simulation
 // timeline. The experiment runner drops to one worker when span recording is
 // enabled (metrics stay concurrent; they are atomics). Completed spans and
-// instants live in bounded rings — when a run overflows the capacity the
-// oldest records are evicted and counted, never reallocated without bound.
+// instants live in bounded chunked FIFOs (records) — when a run overflows the
+// capacity the oldest records are evicted and counted, and their slots are
+// reused for the newest.
 
 // TrackID identifies a (process, thread) pair in the exported trace.
 type TrackID int32
@@ -82,17 +83,21 @@ type Recorder struct {
 	freeIdx []int32
 	nextID  int64
 
-	done     sim.Ring[Span]
-	instants sim.Ring[Instant]
-	dropped  int64 // completed spans evicted from the ring
+	done     records[Span]
+	instants records[Instant]
+	dropped  int64 // spans and instants evicted to honor cap
 	maxTime  sim.Time
 
 	trackIDs map[trackKey]TrackID
 	tracks   []trackKey
 }
 
-// DefaultRecorderCap bounds completed spans (and, separately, instants)
-// retained for export. At ~80 B per span this is tens of MB at most.
+// DefaultRecorderCap bounds completed spans and, separately, instants
+// retained for export. A Span and an Instant are 64 B each, so a full
+// recorder holds 32 MB of spans and 32 MB of instants. Each is stored in
+// 1024-record chunks allocated as records first arrive and reused once the
+// cap evicts, so a recorder never allocates more than ceil(cap/1024)+1
+// chunks per kind, however long the run.
 const DefaultRecorderCap = 1 << 19
 
 // NewRecorder creates a span recorder. cap bounds retained completed spans
@@ -275,7 +280,8 @@ func (r *Recorder) Dropped() int64 {
 
 // Spans returns the retained spans: completed ones in completion order,
 // then any still-open spans closed at the latest observed trace time (work
-// cut off when a measurement window ended). The slice is freshly allocated.
+// cut off when a measurement window ended). The slice is freshly allocated;
+// it is for tests and inspection — the exporter reads the storage in place.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
@@ -284,6 +290,12 @@ func (r *Recorder) Spans() []Span {
 	for i := 0; i < r.done.Len(); i++ {
 		out = append(out, *r.done.At(i))
 	}
+	return r.appendOpen(out)
+}
+
+// appendOpen appends the still-open spans, in slot order, closed at the
+// latest observed trace time.
+func (r *Recorder) appendOpen(out []Span) []Span {
 	for i := range r.open {
 		o := &r.open[i]
 		if !o.live {
@@ -299,7 +311,8 @@ func (r *Recorder) Spans() []Span {
 	return out
 }
 
-// Instants returns the retained instants in record order.
+// Instants returns the retained instants in record order, in a freshly
+// allocated slice; like Spans it is for tests and inspection.
 func (r *Recorder) Instants() []Instant {
 	if r == nil {
 		return nil
@@ -322,4 +335,59 @@ func (r *Recorder) Tracks() [][2]string {
 		out[i] = [2]string{k.process, k.name}
 	}
 	return out
+}
+
+// recordChunk is the number of records in one chunk of a records FIFO.
+const recordChunk = 1024
+
+// records is the recorder's FIFO of completed spans or of instants, stored
+// in fixed recordChunk-record chunks. Growing appends a chunk and copies no
+// record; the chunk Pop empties at the head is kept and becomes the next
+// tail chunk. So a FIFO held at a cap allocates each record slot once — at
+// most ceil(cap/recordChunk)+1 chunks — where a doubling ring allocates
+// about twice its final size on the way up.
+type records[T any] struct {
+	chunks []*[recordChunk]T // oldest first
+	head   int               // index of the first record in chunks[0]
+	n      int
+	spare  *[recordChunk]T // the chunk last emptied at the head, not yet reused
+}
+
+// Len returns the number of records held.
+func (q *records[T]) Len() int { return q.n }
+
+// At returns a pointer to the i-th record from the head (valid until the
+// next Pop).
+func (q *records[T]) At(i int) *T {
+	i += q.head
+	return &q.chunks[i/recordChunk][i%recordChunk]
+}
+
+// Push appends v at the tail.
+func (q *records[T]) Push(v T) {
+	if q.head+q.n == len(q.chunks)*recordChunk {
+		c := q.spare
+		if c == nil {
+			c = new([recordChunk]T)
+		}
+		q.spare = nil
+		q.chunks = append(q.chunks, c)
+	}
+	*q.At(q.n) = v
+	q.n++
+}
+
+// Pop removes the head record. The FIFO must not be empty.
+func (q *records[T]) Pop() {
+	var zero T
+	*q.At(0) = zero // drop the record's strings for the GC
+	q.head++
+	q.n--
+	if q.head == recordChunk {
+		q.spare = q.chunks[0]
+		last := copy(q.chunks, q.chunks[1:])
+		q.chunks[last] = nil
+		q.chunks = q.chunks[:last]
+		q.head = 0
+	}
 }

@@ -72,18 +72,31 @@ type PointTimeline struct {
 // Absorb merges src series into the timeline, shifting every sample time by
 // offset. Series with the same (name, kind) append — offsets are monotonic
 // across a point's environments, so times stay nondecreasing.
+//
+// Absorb takes ownership of src's row slices: their times are shifted in
+// place, and a row slice landing in an empty destination is kept rather
+// than copied. The caller must not use src — or the Sampler whose Series it
+// came from — afterwards.
 func (pt *PointTimeline) Absorb(src []Series, offset sim.Time) {
 	for _, s := range src {
+		for i := range s.Samples {
+			s.Samples[i].T += offset
+		}
+		for i := range s.Quantiles {
+			s.Quantiles[i].T += offset
+		}
 		dst := pt.series(s.Name, s.Kind)
-		for _, smp := range s.Samples {
-			smp.T += offset
-			dst.Samples = append(dst.Samples, smp)
-		}
-		for _, q := range s.Quantiles {
-			q.T += offset
-			dst.Quantiles = append(dst.Quantiles, q)
-		}
+		dst.Samples = adopt(dst.Samples, s.Samples)
+		dst.Quantiles = adopt(dst.Quantiles, s.Quantiles)
 	}
+}
+
+// adopt appends src to dst, or returns src itself when dst is empty.
+func adopt[T any](dst, src []T) []T {
+	if len(dst) == 0 && len(src) > 0 {
+		return src
+	}
+	return append(dst, src...)
 }
 
 // series finds or appends the (name, kind) series.

@@ -3,8 +3,10 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -110,6 +112,72 @@ func TestPointTimelineAbsorbAndDerive(t *testing.T) {
 	}
 	if pt.SampleCount() != 4 {
 		t.Errorf("SampleCount = %d, want 4", pt.SampleCount())
+	}
+}
+
+// refAbsorb is PointTimeline.Absorb as it was before it took ownership of
+// its input: every row copied, src left as it was.
+func refAbsorb(pt *PointTimeline, src []Series, offset sim.Time) {
+	for _, s := range src {
+		dst := pt.series(s.Name, s.Kind)
+		for _, smp := range s.Samples {
+			smp.T += offset
+			dst.Samples = append(dst.Samples, smp)
+		}
+		for _, q := range s.Quantiles {
+			q.T += offset
+			dst.Quantiles = append(dst.Quantiles, q)
+		}
+	}
+}
+
+// sampledEnv is one environment's sampler after a seeded run: counters and
+// histograms, some registered late, over a few dozen ticks.
+func sampledEnv(seed int64, names []string) *Sampler {
+	rng := rand.New(rand.NewSource(seed))
+	reg := NewRegistry()
+	s := NewSampler(reg, sim.Millisecond)
+	for tick := 1; tick <= 20+rng.Intn(20); tick++ {
+		name := names[rng.Intn(len(names))]
+		reg.Counter(name).Add(int64(rng.Intn(100)))
+		reg.HiRes(name + ".ns").Observe(int64(rng.Intn(1_000_000)))
+		s.Tick(sim.Time(tick) * sim.Millisecond)
+	}
+	return s
+}
+
+// TestPointTimelineAbsorbAdoptsRows: a point with one sampled environment
+// keeps the sampler's row slices — nothing copied — and a point with two,
+// whose series partly overlap, equals the copying reference row for row.
+func TestPointTimelineAbsorbAdoptsRows(t *testing.T) {
+	s := sampledEnv(1, []string{"a", "b"})
+	src := s.Series()
+	var pt PointTimeline
+	pt.Absorb(src, 0)
+	for i := range src {
+		got, want := pt.series(src[i].Name, src[i].Kind), &src[i]
+		if len(want.Samples) > 0 && &got.Samples[0] != &want.Samples[0] ||
+			len(want.Quantiles) > 0 && &got.Quantiles[0] != &want.Quantiles[0] {
+			t.Errorf("series %s/%s was copied, want the sampler's rows adopted", want.Name, want.Kind)
+		}
+	}
+
+	for seed := int64(0); seed < 20; seed++ {
+		envs := []*Sampler{sampledEnv(seed, []string{"a", "b"}), sampledEnv(seed+100, []string{"b", "c"})}
+		offsets := []sim.Time{0, 45 * sim.Millisecond}
+		want := PointTimeline{Experiment: "e", Point: "p", Every: sim.Millisecond}
+		got := want
+		for i, s := range envs {
+			refAbsorb(&want, s.Series(), offsets[i])
+		}
+		for i, s := range envs {
+			got.Absorb(s.Series(), offsets[i])
+		}
+		want.Finish()
+		got.Finish()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: adopted timeline differs from the copying reference\ngot:  %+v\nwant: %+v", seed, got, want)
+		}
 	}
 }
 
