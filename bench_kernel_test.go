@@ -21,10 +21,12 @@ import (
 
 	"repro/internal/ib"
 	"repro/internal/ipoib"
+	"repro/internal/mpi"
 	"repro/internal/nfs"
 	"repro/internal/perftest"
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
+	"repro/internal/topo"
 )
 
 // reportKernelRate attaches the events/s and events/op metrics.
@@ -239,6 +241,42 @@ func BenchmarkKernelRCStreamTelemetryOff(b *testing.B) {
 	perftest.BandwidthRC(env, tb.A[0].HCA, tb.B[0].HCA, 64<<10, b.N, 0)
 	b.StopTimer()
 	reportKernelRate(b, env.Executed())
+}
+
+// BenchmarkKernelWorldBuild measures world construction, which the
+// multi-site families pay once per point: each op compiles the mesh4 preset
+// (4 sites of 4 nodes, a WAN link per site pair) and builds a 32-rank MPI
+// world on the two-site preset partitioned into 2 shards, where NewWorld
+// pre-connects every cross-shard rank pair. allocs/op is the figure to read:
+// a queue pair and a link are one object each.
+func BenchmarkKernelWorldBuild(b *testing.B) {
+	mesh, err := topo.Preset("mesh4", 4, sim.Millisecond)
+	if err != nil {
+		b.Fatal(err)
+	}
+	paper, err := topo.Preset("paper", 16, sim.Millisecond)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		env := sim.NewEnv()
+		if _, err := topo.Build(env, mesh); err != nil {
+			b.Fatal(err)
+		}
+		env.Shutdown()
+		env = sim.NewEnv()
+		env.SetShardWorkers(2)
+		nw, err := topo.Build(env, paper)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !env.Sharded() {
+			b.Fatal("the two-site world did not partition")
+		}
+		mpi.NewWorld(nw.Env, nw.Nodes(), mpi.Config{})
+		env.Shutdown()
+	}
 }
 
 // TestKernelRCStreamTelemetryOffAllocs enforces the disabled-path

@@ -15,10 +15,11 @@ type Device interface {
 	ports() []*Port
 	attach(p *Port)
 	setLID(l LID)
-	// receive is the device's ingress action. It runs stage() — one constant
-	// latency, whatever the port — after a packet arrives (see Port.send).
+	// ingress is the device's ingress action, a func(any) of the arriving
+	// packet shared by all its ports. It runs stage() — one constant latency,
+	// whatever the port — after a packet arrives (see Port.send).
 	stage() sim.Time
-	receive(pkt *packet)
+	ingress() func(any)
 	// routeTo returns the egress port toward the destination LID.
 	routeTo(dst LID) *Port
 	setRoute(dst LID, p *Port)
@@ -83,10 +84,6 @@ type pool struct {
 	fab *Fabric
 	env *sim.Env
 	*poolMem
-	// takePacket and takeTransfer are the return-lane sinks: long-lived
-	// func(any) values, so sending an object home allocates nothing.
-	takePacket   func(any)
-	takeTransfer func(any)
 }
 
 // poolMem is the lists themselves. They live in the environment's recycled
@@ -117,14 +114,26 @@ func (f *Fabric) poolFor(env *sim.Env) *pool {
 	}
 	mem := env.Recycled(poolMemKey{}, func() any { return new(poolMem) }).(*poolMem)
 	pl := &pool{fab: f, env: env, poolMem: mem}
-	pl.takePacket = func(v any) { pl.pktFree = append(pl.pktFree, v.(*packet)) }
-	pl.takeTransfer = func(v any) {
-		t := v.(*transfer)
-		t.reset()
-		pl.xferFree = append(pl.xferFree, t)
-	}
 	f.pools = append(f.pools, pl)
 	return pl
+}
+
+// takePacket and takeTransfer are the return-lane sinks, run on the object's
+// home environment. The object names its home — a packet's is still in home,
+// a transfer's is its origin QP's — so they are package functions, and sending
+// an object home allocates nothing.
+func takePacket(v any) {
+	pkt := v.(*packet)
+	pl := pkt.home
+	pkt.home = nil
+	pl.pktFree = append(pl.pktFree, pkt)
+}
+
+func takeTransfer(v any) {
+	t := v.(*transfer)
+	pl := t.origin.hca.pool
+	t.reset()
+	pl.xferFree = append(pl.xferFree, t)
 }
 
 // newPacket returns a packet holding v, from the freelist or fresh.
@@ -148,11 +157,12 @@ func (pl *pool) newPacket(v packet) *packet {
 // sink runs on.
 func (pl *pool) freePacket(pkt *packet) {
 	t, home := pkt.msg, pkt.home
-	*pkt = packet{}
 	if home == pl {
+		*pkt = packet{}
 		pl.pktFree = append(pl.pktFree, pkt)
 	} else {
-		pl.env.ReturnTo(home.env, home.takePacket, pkt)
+		*pkt = packet{home: home} // takePacket reads it there, and clears it
+		pl.env.ReturnTo(home.env, takePacket, pkt)
 	}
 	if t != nil {
 		pl.unref(t)
@@ -228,8 +238,7 @@ func (pl *pool) released(t *transfer, state int32) {
 	if state != xferDone {
 		return
 	}
-	home := t.origin.hca.pool
-	pl.env.ReturnTo(home.env, home.takeTransfer, t)
+	pl.env.ReturnTo(t.origin.hca.env, takeTransfer, t)
 }
 
 // NewFabric creates an empty fabric on the given simulation environment.
@@ -264,7 +273,7 @@ func (f *Fabric) addDevice(d Device) {
 // AddHCA creates a host channel adapter end node (on the UseEnv
 // environment).
 func (f *Fabric) AddHCA(name string) *HCA {
-	h := &HCA{fab: f, pool: f.cur, env: f.cur.env, name: name, qps: make(map[int]*QP)}
+	h := &HCA{fab: f, pool: f.cur, env: f.cur.env, name: name}
 	f.addDevice(h)
 	return h
 }
@@ -273,6 +282,7 @@ func (f *Fabric) AddHCA(name string) *HCA {
 // ib.SwitchDelay for a normal cluster switch) on the UseEnv environment.
 func (f *Fabric) AddSwitch(name string, forwardDelay sim.Time) *Switch {
 	s := &Switch{fab: f, pool: f.cur, name: name, fwd: forwardDelay}
+	s.deliver = func(v any) { s.receive(v.(*packet)) }
 	f.addDevice(s)
 	return s
 }
@@ -282,15 +292,14 @@ func (f *Fabric) AddSwitch(name string, forwardDelay sim.Time) *Switch {
 // WAN layer) can later adjust the delay. Each endpoint port lives on its
 // device's environment; when the two differ (a WAN link between shards)
 // delivery crosses through the kernel's mailbox path, and the propagation
-// delay must honor the world's registered lookahead bound.
+// delay must honor the world's registered lookahead bound. The link and both
+// its ports are one allocation.
 func (f *Fabric) Connect(a, b Device, rate Rate, prop sim.Time) *Link {
 	l := &Link{rate: rate, prop: prop}
-	pa := newPort(a, l)
-	pb := newPort(b, l)
-	pa.peer, pb.peer = pb, pa
-	l.a, l.b = pa, pb
-	a.attach(pa)
-	b.attach(pb)
+	l.a.init(a, l, &l.b)
+	l.b.init(b, l, &l.a)
+	a.attach(&l.a)
+	b.attach(&l.b)
 	f.routed = false
 	return l
 }
@@ -386,7 +395,7 @@ func (f *Fabric) DeviceByLID(l LID) Device {
 type Link struct {
 	rate Rate
 	prop sim.Time
-	a, b *Port
+	a, b Port
 	// DropFn, when non-nil, is consulted for every packet; returning true
 	// drops the packet on the wire (fault injection). now is the sending
 	// port's current virtual time — on partitioned worlds the two ends of a
@@ -445,7 +454,7 @@ func (l *Link) ConfigureQueue(cfg QueueConfig) error {
 		return fmt.Errorf("ib: queue bytes must be positive, got %d", cfg.QueueBytes)
 	}
 	l.qcfg = &cfg
-	for _, p := range []*Port{l.a, l.b} {
+	for _, p := range []*Port{&l.a, &l.b} {
 		p.cong = &portQueue{credit: p.env.NewTimer(p.grantCredits)}
 	}
 	return nil
@@ -502,10 +511,10 @@ func (l *Link) Drops() int64 { return l.drops.Load() }
 // TxTotal returns the total wire bytes carried in both directions.
 func (l *Link) TxTotal() int64 { return l.a.txBytes + l.b.txBytes }
 
-// Port is one link endpoint on a device. Transmission is modeled with a
-// busy-until horizon: each packet occupies the egress for wireBytes/rate and
-// arrives at the peer one propagation delay after its serialization ends.
-// Port.send is the one place a packet is serialized.
+// Port is one link endpoint on a device, embedded in its Link. Transmission
+// is modeled with a busy-until horizon: each packet occupies the egress for
+// wireBytes/rate and arrives at the peer one propagation delay after its
+// serialization ends. Port.send is the one place a packet is serialized.
 type Port struct {
 	env       *sim.Env
 	pool      *pool // the device's: where this port's drops release packets
@@ -515,9 +524,9 @@ type Port struct {
 	busyUntil sim.Time
 	txBytes   int64
 	txPkts    int64
-	// stage caches dev.stage(), and deliverArg is dev.receive as a long-lived
-	// func(any) value, so the peer's per-packet scheduling rides the kernel's
-	// closure-free AtArg path.
+	// stage caches dev.stage(), and deliverArg dev.ingress(), a func(any)
+	// value the device shares among its ports, so the peer's per-packet
+	// scheduling rides the kernel's closure-free AtArg path.
 	stage      sim.Time
 	deliverArg func(any)
 	// wire holds the packets on their way through propagation and the stage
@@ -570,11 +579,11 @@ func (q *portQueue) full(wire, bound int) bool {
 	return q.depth > 0 && q.depth+wire > bound
 }
 
-func newPort(dev Device, link *Link) *Port {
+// init sets up p in place as dev's end of link, facing peer.
+func (p *Port) init(dev Device, link *Link, peer *Port) {
 	pl := dev.home()
-	p := &Port{env: pl.env, pool: pl, dev: dev, link: link, stage: dev.stage(), wire: pl.env.NewPipe()}
-	p.deliverArg = func(v any) { dev.receive(v.(*packet)) }
-	return p
+	*p = Port{env: pl.env, pool: pl, dev: dev, link: link, peer: peer,
+		stage: dev.stage(), deliverArg: dev.ingress(), wire: pl.env.NewPipe()}
 }
 
 // send puts pkt on the link toward the peer port. On a link with a
@@ -710,6 +719,9 @@ type Switch struct {
 	fwd    sim.Time
 	plist  []*Port
 	routes []*Port // egress port by destination LID; nil where unreachable
+	// deliver is receive as a func(any), made once for all the switch's
+	// ports: a packet in transit does not name the switch it reaches.
+	deliver func(any)
 	wireTrackCache
 }
 
@@ -726,6 +738,7 @@ func (s *Switch) setRoute(d LID, p *Port) { s.routes[d] = p }
 func (s *Switch) fabric() *Fabric         { return s.fab }
 func (s *Switch) home() *pool             { return s.pool }
 func (s *Switch) stage() sim.Time         { return s.fwd }
+func (s *Switch) ingress() func(any)      { return s.deliver }
 
 func (s *Switch) routeTo(dst LID) *Port {
 	if int(dst) >= len(s.routes) {

@@ -9,14 +9,15 @@ import (
 // HCA is a host channel adapter: a single-ported end node owning queue
 // pairs and registered memory regions.
 type HCA struct {
-	fab   *Fabric
-	pool  *pool
-	env   *sim.Env // pool.env: the site's shard view on a partitioned world
-	name  string
-	lid   LID
-	plist []*Port // the single port, once attached
-	route *Port   // single port: route to everything
-	qps   map[int]*QP
+	fab  *Fabric
+	pool *pool
+	env  *sim.Env // pool.env: the site's shard view on a partitioned world
+	name string
+	lid  LID
+	// port is the single port, once attached, and the route to everything;
+	// an array so ports() can slice it.
+	port [1]*Port
+	qps  map[int]*QP // made by the first CreateQP
 	wireTrackCache
 }
 
@@ -36,29 +37,42 @@ func (h *HCA) Fabric() *Fabric { return h.fab }
 // own shard.
 func (h *HCA) Env() *sim.Env { return h.env }
 
-func (h *HCA) ports() []*Port { return h.plist }
-
-func (h *HCA) attach(p *Port) {
-	if h.plist != nil {
-		panic(fmt.Sprintf("ib: HCA %s already has a port", h.name))
+func (h *HCA) ports() []*Port {
+	if h.port[0] == nil {
+		return nil
 	}
-	h.plist = []*Port{p}
-	h.route = p
+	return h.port[:]
 }
 
-func (h *HCA) setLID(l LID)            { h.lid = l }
-func (h *HCA) routeTo(dst LID) *Port   { return h.route }
-func (h *HCA) setRoute(d LID, p *Port) { h.route = p }
+func (h *HCA) attach(p *Port) {
+	if h.port[0] != nil {
+		panic(fmt.Sprintf("ib: HCA %s already has a port", h.name))
+	}
+	h.port[0] = p
+}
 
-// resetRoutes is a no-op: an HCA has a single port, so its only possible
-// route survives every epoch (path choice happens at the switches).
-func (h *HCA) resetRoutes(int) {}
-func (h *HCA) fabric() *Fabric { return h.fab }
-func (h *HCA) home() *pool     { return h.pool }
-func (h *HCA) stage() sim.Time { return PacketProc } // per-packet processing: a pipeline stage
+func (h *HCA) setLID(l LID)          { h.lid = l }
+func (h *HCA) routeTo(dst LID) *Port { return h.port[0] }
+
+// setRoute and resetRoutes are no-ops: an HCA has a single port, so its only
+// possible route survives every epoch (path choice happens at the switches).
+func (h *HCA) setRoute(LID, *Port) {}
+func (h *HCA) resetRoutes(int)     {}
+func (h *HCA) fabric() *Fabric     { return h.fab }
+func (h *HCA) home() *pool         { return h.pool }
+func (h *HCA) stage() sim.Time     { return PacketProc } // per-packet processing: a pipeline stage
+func (h *HCA) ingress() func(any)  { return hcaIngress }
 
 // Port returns the HCA's single port (nil before Connect).
-func (h *HCA) FabricPort() *Port { return h.route }
+func (h *HCA) FabricPort() *Port { return h.port[0] }
+
+// hcaIngress is every HCA's ingress action. Switches route a packet only
+// toward its destination, so the HCA it reaches is the one its dst names, and
+// one package function serves every HCA port.
+func hcaIngress(v any) {
+	pkt := v.(*packet)
+	pkt.home.fab.byLID[pkt.dst].(*HCA).receive(pkt)
+}
 
 // receive hands a processed packet to its QP, then recycles it.
 func (h *HCA) receive(pkt *packet) {

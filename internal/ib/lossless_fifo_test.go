@@ -81,7 +81,7 @@ func losslessFIFOCase(t *testing.T, queueBytes int, sizes []int) {
 	// The switch forwards inside its ingress action, so the order its two
 	// sender-facing ports run theirs is the order the egress port toward b is
 	// handed packets (only data arrives on them; acks arrive on out's).
-	for _, in := range []*Port{in1.b, in2.b} {
+	for _, in := range []*Port{&in1.b, &in2.b} {
 		forward := in.deliverArg
 		in.deliverArg = func(v any) {
 			pkt := v.(*packet)
@@ -90,7 +90,7 @@ func losslessFIFOCase(t *testing.T, queueBytes int, sizes []int) {
 			forward(v)
 		}
 	}
-	ingress := out.b // b's port
+	ingress := &out.b // b's port
 	deliver := ingress.deliverArg
 	ingress.deliverArg = func(v any) {
 		pkt := v.(*packet)

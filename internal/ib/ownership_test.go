@@ -95,6 +95,19 @@ func TestOwnershipOneWayStream(t *testing.T) {
 						if n := len(pl.pktFree); n == 0 || n > bound {
 							t.Errorf("%s holds %d pooled packets after %d crossed, want 1..%d", h.name, n, dataPkts, bound)
 						}
+						// What came home is zeroed: a packet keeps no home, a
+						// transfer no origin and no receiving QP.
+						for _, pkt := range pl.pktFree {
+							if *pkt != (packet{}) {
+								t.Fatalf("%s pooled a packet that is not zeroed: %+v", h.name, *pkt)
+							}
+						}
+						for _, x := range pl.xferFree {
+							if x.origin != nil || x.resp != nil || x.state.Load() != 0 {
+								t.Fatalf("%s pooled a transfer that is not reset: origin %v resp %v state %d",
+									h.name, x.origin != nil, x.resp != nil, x.state.Load())
+							}
+						}
 					}
 					if n := len(a.pool.xferFree); n == 0 || n > bound {
 						t.Errorf("the sender holds %d pooled transfers after %d messages, want 1..%d", n, count, bound)

@@ -68,10 +68,12 @@ type transfer struct {
 	// data carried by a UD datagram (single packet).
 	udData []byte
 	// rwr is the receive WQE consumed by this transfer (send/recv
-	// semantics), stashed here between delivery and the completion posting
-	// so the receive-overhead stage can run through a cached arg-handler
-	// instead of a per-message closure.
-	rwr RecvWR
+	// semantics) and resp the QP that consumed it, stashed here between
+	// delivery and the completion posting so the receive-overhead stage is a
+	// package function (recvComp) instead of a closure per QP or message.
+	// For RC resp is origin.remote; a UD datagram names no peer QP but this.
+	rwr  RecvWR
+	resp *QP
 
 	// state is the freelist accounting word: a reference count and the two
 	// endpoint-done flags (see xferDone in fabric.go). It is the only field
@@ -104,6 +106,7 @@ func (t *transfer) reset() {
 	t.readData = nil
 	t.udData = nil
 	t.rwr = RecvWR{}
+	t.resp = nil
 	t.state.Store(0)
 	t.span = telemetry.SpanRef{}
 }

@@ -299,37 +299,31 @@ type QP struct {
 	// arriving packets, exactly like a real QP in IBV_QPS_ERR.
 	errored bool
 
-	// Sender state.
+	// Sender state. inflight is made at the first launch.
 	sendQ    sim.Ring[*transfer]
 	inflight map[int64]*transfer
 	seqTx    int64 // next message sequence to assign (this direction)
 	// retryq holds the armed retry timeouts, one per launch. They share one
 	// length until a backoff shifts it, so they expire in the order armed.
-	retryq sim.Pipe
+	// retryArg, made at the first armRetry, is retryFired as a func(any): a
+	// timeout's record holds no pointer (see retryRec), so it cannot name the
+	// QP the way a transfer does for the stage handlers (see launchBody).
+	retryq   sim.Pipe
+	retryArg func(any)
 
-	// Receiver state. recvQ keeps consecutive blank WQEs as one run.
+	// Receiver state. recvQ keeps consecutive blank WQEs as one run; reorder
+	// is made when the first message overtakes a predecessor.
 	recvQ   runs[RecvWR]
 	pending sim.Ring[*transfer] // completed inbound sends waiting for a recv WQE
 	seqRx   int64               // next message sequence to deliver
 	reorder map[int64]*transfer
 
-	// Cached func(any) handlers, created once per QP so the protocol's
-	// pipeline stages (send/recv overheads, ack emission) schedule through
-	// sim.Env.AtArg without allocating a closure per message.
-	launchArg    func(any) // transmit a transfer after SendOverhead
-	retryArg     func(any) // a retry timeout expiring
-	ackArg       func(any) // emit an ack after RecvOverheadSR
-	writeDoneArg func(any) // RDMA write responder completion
-	readDoneArg  func(any) // RDMA read requester completion
-	readServeArg func(any) // RDMA read responder data streaming
-	recvCompArg  func(any) // recv WQE completion posting
-	udSendArg    func(any) // UD datagram transmission
-
 	stats Stats
 }
 
 // CreateQP creates a queue pair on the HCA bound to the given completion
-// queue. RC QPs must be connected with ConnectRC before use.
+// queue. RC QPs must be connected with ConnectRC before use. A QP is one
+// allocation until it carries traffic.
 func (h *HCA) CreateQP(cq *CQ, cfg QPConfig) *QP {
 	if cfg.MaxInflight == 0 {
 		cfg.MaxInflight = DefaultMaxInflight
@@ -340,17 +334,10 @@ func (h *HCA) CreateQP(cq *CQ, cfg QPConfig) *QP {
 	if cfg.RetryLimit == 0 {
 		cfg.RetryLimit = DefaultRetryLimit
 	}
-	qp := &QP{hca: h, qpn: int(h.fab.nextQPN.Add(1)), cfg: cfg, cq: cq,
-		inflight: make(map[int64]*transfer), reorder: make(map[int64]*transfer),
-		retryq: h.env.NewPipe()}
-	qp.retryArg = func(v any) { qp.retryFired(v.(*retryRec)) }
-	qp.launchArg = func(v any) { qp.launchBody(v.(*transfer)) }
-	qp.ackArg = func(v any) { qp.ackSend(v.(*transfer)) }
-	qp.writeDoneArg = func(v any) { qp.writeDone(v.(*transfer)) }
-	qp.readDoneArg = func(v any) { qp.readDone(v.(*transfer)) }
-	qp.readServeArg = func(v any) { qp.readServe(v.(*transfer)) }
-	qp.recvCompArg = func(v any) { qp.recvComp(v.(*transfer)) }
-	qp.udSendArg = func(v any) { qp.udSend(v.(*transfer)) }
+	qp := &QP{hca: h, qpn: int(h.fab.nextQPN.Add(1)), cfg: cfg, cq: cq, retryq: h.env.NewPipe()}
+	if h.qps == nil {
+		h.qps = make(map[int]*QP)
+	}
 	h.qps[qp.qpn] = qp
 	return qp
 }

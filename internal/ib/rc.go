@@ -72,6 +72,9 @@ func (q *QP) kick() {
 	obs := q.hca.fab.obs
 	for len(q.inflight) < q.cfg.MaxInflight && q.sendQ.Len() > 0 {
 		t := q.sendQ.Pop()
+		if q.inflight == nil {
+			q.inflight = make(map[int64]*transfer)
+		}
 		q.inflight[t.id] = t
 		if obs != nil {
 			obs.rcWindow.Observe(int64(len(q.inflight)))
@@ -85,11 +88,20 @@ func (q *QP) kick() {
 // the data back.
 func (q *QP) launch(t *transfer) {
 	t.ref()
-	q.env().AtArg(SendOverhead, q.launchArg, t)
+	q.env().AtArg(SendOverhead, launchBody, t)
 }
 
 // launchBody transmits all packets of a transfer (the SendOverhead stage).
-func (q *QP) launchBody(t *transfer) {
+//
+// It and the other stage handlers — ackSend, writeDone, readServe, readDone,
+// recvComp, udSend — are package functions, scheduled with the transfer as
+// their argument, because the transfer names the QP each runs on: the
+// initiator is t.origin, an RC responder t.origin.remote, and the QP whose
+// receive WQE an inbound send consumed t.resp. So a QP holds no function
+// value per stage, which matters because most QPs never carry a message.
+func launchBody(v any) {
+	t := v.(*transfer)
+	q := t.origin
 	pl := q.hca.pool
 	if fab := q.hca.fab; fab.health != nil {
 		// Stamp the attempt with the routing epoch it launches under, so a
@@ -160,6 +172,9 @@ func (q *QP) armRetry(t *transfer) {
 	}
 	rec := q.hca.pool.newRetryRec()
 	rec.id = t.id
+	if q.retryArg == nil {
+		q.retryArg = func(v any) { q.retryFired(v.(*retryRec)) }
+	}
 	q.retryq.AtArg(q.cfg.RetryTimeout<<shift, q.retryArg, rec)
 }
 
@@ -335,13 +350,16 @@ func (q *QP) rcData(pkt *packet, readResp bool) {
 			copy(t.wr.LocalBuf, t.readData)
 		}
 		t.ref()
-		q.env().AtArg(RecvOverheadRDMA, q.readDoneArg, t)
+		q.env().AtArg(RecvOverheadRDMA, readDone, t)
 		return
 	}
 	// Deliver strictly in message-sequence order. A message that overtook
 	// a retransmitted predecessor waits here, exactly as out-of-order
 	// packets are discarded and resent in order on a real RC connection.
 	if t.qpSeq != q.seqRx {
+		if q.reorder == nil {
+			q.reorder = make(map[int64]*transfer)
+		}
 		q.reorder[t.qpSeq] = t
 		return
 	}
@@ -358,7 +376,9 @@ func (q *QP) rcData(pkt *packet, readResp bool) {
 
 // readDone completes an RDMA read on the requester side (the
 // RecvOverheadRDMA stage).
-func (q *QP) readDone(t *transfer) {
+func readDone(v any) {
+	t := v.(*transfer)
+	q := t.origin
 	delete(q.inflight, t.id)
 	t.acked = true
 	q.endVerbsSpan(t)
@@ -395,13 +415,15 @@ func (q *QP) deliverInOrder(t *transfer) {
 			copy(t.wr.RemoteMR.Buf[t.wr.RemoteOff:], t.wr.Data)
 		}
 		t.ref()
-		q.env().AtArg(RecvOverheadRDMA, q.writeDoneArg, t)
+		q.env().AtArg(RecvOverheadRDMA, writeDone, t)
 	}
 }
 
 // writeDone finishes an RDMA write on the responder side (the
 // RecvOverheadRDMA stage): acknowledge and optionally notify.
-func (q *QP) writeDone(t *transfer) {
+func writeDone(v any) {
+	t := v.(*transfer)
+	q := t.origin.remote
 	q.sendAckNow(t)
 	if t.wr.NotifyRemote {
 		q.cq.post(Completion{Op: OpRDMAWrite, Status: StatusOK, Bytes: t.size,
@@ -418,12 +440,16 @@ func (q *QP) deliverSend(t *transfer) {
 		copy(rwr.Buf, t.wr.Data)
 	}
 	t.rwr = rwr
+	t.resp = q
 	t.ref()
-	q.env().AtArg(RecvOverheadSR, q.recvCompArg, t)
+	q.env().AtArg(RecvOverheadSR, recvComp, t)
 }
 
-// recvComp posts the receive completion (the RecvOverheadSR stage).
-func (q *QP) recvComp(t *transfer) {
+// recvComp posts the receive completion (the RecvOverheadSR stage) on the
+// QP that consumed the receive WQE, RC or UD.
+func recvComp(v any) {
+	t := v.(*transfer)
+	q := t.resp
 	q.cq.post(Completion{Op: OpRecv, Status: StatusOK, Bytes: t.size, Ctx: t.rwr.Ctx, QPN: q.qpn, SrcQPN: t.origin.qpn, SrcLID: t.origin.hca.lid, Meta: t.wr.Meta, ECN: t.ecn})
 	q.hca.pool.endpointDone(t, xferRecvDone)
 	q.hca.pool.unref(t)
@@ -433,11 +459,13 @@ func (q *QP) recvComp(t *transfer) {
 // channel-semantics receive overhead.
 func (q *QP) sendAck(t *transfer) {
 	t.ref()
-	q.env().AtArg(RecvOverheadSR, q.ackArg, t)
+	q.env().AtArg(RecvOverheadSR, ackSend, t)
 }
 
 // ackSend emits the ack (the RecvOverheadSR stage behind sendAck).
-func (q *QP) ackSend(t *transfer) {
+func ackSend(v any) {
+	t := v.(*transfer)
+	q := t.origin.remote
 	q.sendAckNow(t)
 	q.hca.pool.unref(t)
 }
@@ -484,12 +512,14 @@ func (q *QP) rcReadReq(pkt *packet) {
 		copy(t.readData, mr.Buf[t.wr.RemoteOff:t.wr.RemoteOff+t.size])
 	}
 	t.ref()
-	q.env().AtArg(RecvOverheadRDMA, q.readServeArg, t)
+	q.env().AtArg(RecvOverheadRDMA, readServe, t)
 }
 
 // readServe streams RDMA read response data back to the requester (the
 // responder's RecvOverheadRDMA stage).
-func (q *QP) readServe(t *transfer) {
+func readServe(v any) {
+	t := v.(*transfer)
+	q := t.origin.remote
 	port := q.hca.routeTo(q.remote.hca.lid)
 	q.sendDataPackets(port, q.remote, t, pktReadResp)
 	q.hca.pool.endpointDone(t, xferRecvDone)

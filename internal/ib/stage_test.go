@@ -310,7 +310,7 @@ func stageRecurrenceCase(t *testing.T, seed int64, cov *stageCoverage) {
 	free := slices.Clone(access)
 	ceAt := make([][]int64, len(chain))
 	for i, m := range chain {
-		far := m.link.b
+		far := &m.link.b
 		deliver := far.deliverArg
 		far.deliverArg = func(v any) {
 			if pkt := v.(*packet); pkt.ecn {
@@ -381,7 +381,7 @@ func stageRecurrenceCase(t *testing.T, seed int64, cov *stageCoverage) {
 		env.At(in.at, func() {
 			msg := &transfer{id: id}
 			msg.ref()
-			a.route.send(a.pool.newPacket(packet{src: a.lid, dst: b.lid, dstQP: qb.qpn,
+			a.FabricPort().send(a.pool.newPacket(packet{src: a.lid, dst: b.lid, dstQP: qb.qpn,
 				kind: pktData, wire: in.wire, msg: msg, last: true, ud: true}))
 		})
 	}
@@ -498,12 +498,12 @@ func TestQueueDepthAtDepartureInstant(t *testing.T) {
 			var arrived []*packet
 			link.b.deliverArg = func(v any) { arrived = append(arrived, v.(*packet)) }
 			hand := func(wire int) {
-				a.route.send(a.pool.newPacket(packet{src: a.lid, dst: b.lid, kind: pktData, wire: wire, ud: true}))
+				a.FabricPort().send(a.pool.newPacket(packet{src: a.lid, dst: b.lid, kind: pktData, wire: wire, ud: true}))
 			}
 			depth := -1
 			handB := func() {
 				hand(wireB)
-				depth = a.route.cong.depth
+				depth = a.FabricPort().cong.depth
 			}
 			departA := handA + wireTime(wireA, link.Rate())
 			if order == "B scheduled first" {

@@ -31,11 +31,13 @@ func (q *QP) udPostSend(wr SendWR) {
 		t.span = obs.rec.StartAt(q.env().Now(), obs.verbsTrack(q.hca), "verbs.ud.send", wr.ParentSpan)
 	}
 	t.ref()
-	q.env().AtArg(SendOverhead, q.udSendArg, t)
+	q.env().AtArg(SendOverhead, udSend, t)
 }
 
 // udSend puts the datagram on the wire (the SendOverhead stage).
-func (q *QP) udSend(t *transfer) {
+func udSend(v any) {
+	t := v.(*transfer)
+	q := t.origin
 	pl := q.hca.pool
 	port := q.hca.routeTo(t.wr.DestLID)
 	if port == nil {
@@ -81,6 +83,7 @@ func (q *QP) udReceive(pkt *packet) {
 	q.stats.MsgsRecv++
 	q.stats.BytesRecv += int64(t.size)
 	t.rwr = rwr
+	t.resp = q
 	t.ref()
-	q.env().AtArg(RecvOverheadSR, q.recvCompArg, t)
+	q.env().AtArg(RecvOverheadSR, recvComp, t)
 }

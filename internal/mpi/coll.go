@@ -311,6 +311,7 @@ func (r *Rank) Reduce(p *sim.Proc, root int, vals []float64) []float64 {
 	vrank := (r.id - root + n) % n
 	acc := make([]float64, len(vals))
 	copy(acc, vals)
+	var buf []byte // one receive buffer for every child
 	// Receive from children (vrank + mask), then send to parent.
 	for mask := 1; mask < n; mask <<= 1 {
 		if vrank&mask != 0 {
@@ -320,12 +321,11 @@ func (r *Rank) Reduce(p *sim.Proc, root int, vals []float64) []float64 {
 		}
 		if vrank+mask < n {
 			child := (vrank + mask + root) % n
-			buf := make([]byte, 8*len(vals))
-			got, _ := r.Recv(p, child, tag, buf, 0)
-			vec := decodeF64(buf[:got])
-			for i := range acc {
-				acc[i] += vec[i]
+			if buf == nil {
+				buf = make([]byte, 8*len(vals))
 			}
+			got, _ := r.Recv(p, child, tag, buf, 0)
+			addF64(acc, buf[:got])
 		}
 	}
 	return acc
@@ -395,4 +395,12 @@ func decodeF64(b []byte) []float64 {
 		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return v
+}
+
+// addF64 adds the encoded vector b into acc element by element: the sum
+// acc[i] += decodeF64(b)[i] makes, without the decoded copy.
+func addF64(acc []float64, b []byte) {
+	for i := range acc {
+		acc[i] += math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
 }

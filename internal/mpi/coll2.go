@@ -182,10 +182,7 @@ func (r *Rank) ReduceScatter(p *sim.Proc, vals []float64) []float64 {
 		buf := make([]byte, 8*(keepHi-keepLo))
 		r.Sendrecv(p, partner, r.collTag(round), encodeF64(work[sendLo:sendHi]), 0,
 			partner, r.collTag(round), buf, 0)
-		vec := decodeF64(buf)
-		for i := range vec {
-			work[keepLo+i] += vec[i]
-		}
+		addF64(work[keepLo:keepHi], buf)
 		lo, hi = keepLo, keepHi
 	}
 	out := make([]float64, share)

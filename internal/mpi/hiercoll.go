@@ -90,10 +90,7 @@ func (r *Rank) HierAllreduce(p *sim.Proc, vals []float64) []float64 {
 		peerBuf := make([]byte, 8*len(vals))
 		got, _ := r.Sendrecv(p, remoteLeader, tagWAN, encodeF64(acc), 0,
 			remoteLeader, tagWAN, peerBuf, 0)
-		peer := decodeF64(peerBuf[:got])
-		for i := range acc {
-			acc[i] += peer[i]
-		}
+		addF64(acc, peerBuf[:got])
 		result = encodeF64(acc)
 	} else {
 		result = make([]byte, 8*len(vals))
@@ -111,6 +108,7 @@ func (r *Rank) localReduce(p *sim.Proc, ids []int, vals []float64, tag int) []fl
 	n := len(ids)
 	acc := make([]float64, len(vals))
 	copy(acc, vals)
+	var buf []byte // one receive buffer for every child
 	for mask := 1; mask < n; mask <<= 1 {
 		if me&mask != 0 {
 			parent := ids[me&^mask]
@@ -119,12 +117,11 @@ func (r *Rank) localReduce(p *sim.Proc, ids []int, vals []float64, tag int) []fl
 		}
 		if me+mask < n {
 			child := ids[me+mask]
-			buf := make([]byte, 8*len(vals))
-			got, _ := r.Recv(p, child, tag, buf, 0)
-			vec := decodeF64(buf[:got])
-			for i := range acc {
-				acc[i] += vec[i]
+			if buf == nil {
+				buf = make([]byte, 8*len(vals))
 			}
+			got, _ := r.Recv(p, child, tag, buf, 0)
+			addF64(acc, buf[:got])
 		}
 	}
 	return acc
@@ -187,18 +184,14 @@ func (r *Rank) hierAllreduceTree(p *sim.Proc, vals []float64) []float64 {
 	acc := r.localReduce(p, mine, vals, tagReduce)
 	var result []byte
 	if r.id == leader {
+		buf := make([]byte, 8*len(vals)) // one receive buffer for the whole call
 		for _, c := range st.children(mySite) {
-			buf := make([]byte, 8*len(vals))
 			got, _ := r.Recv(p, st.leader(c), tagUp, buf, 0)
-			vec := decodeF64(buf[:got])
-			for i := range acc {
-				acc[i] += vec[i]
-			}
+			addF64(acc, buf[:got])
 		}
 		if mySite != rootSite {
 			parent := st.leader(st.parent[mySite])
 			r.Send(p, parent, tagUp, encodeF64(acc), 0)
-			buf := make([]byte, 8*len(vals))
 			got, _ := r.Recv(p, parent, tagDown, buf, 0)
 			acc = decodeF64(buf[:got])
 		}

@@ -327,6 +327,11 @@ type Rank struct {
 	// winSeq numbers collective window creations (same lockstep rule).
 	winSeq int
 
+	// trees caches the site tree by root site and sites the occupied-site
+	// count (0 until counted); both depend only on placement (sitetree.go).
+	trees map[string]*siteTree
+	sites int
+
 	// Telemetry: the rank's trace track (lazily created) and the span of
 	// the collective currently executing on this rank, which point-to-point
 	// sends parent under.

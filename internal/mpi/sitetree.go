@@ -10,35 +10,44 @@ import "sort"
 // paper's two-cluster "cross the WAN once" rule (§3.4) to arbitrary site
 // graphs.
 type siteTree struct {
-	groups map[string][]int  // site -> ascending rank ids
-	order  []string          // occupied sites, root first (deterministic)
-	parent map[string]string // occupied site -> its occupied parent site
+	groups map[string][]int    // site -> ascending rank ids
+	order  []string            // occupied sites, root first (deterministic)
+	parent map[string]string   // occupied site -> its occupied parent site
+	kids   map[string][]string // occupied site -> its children, in order
 }
 
 // leader returns the site's leader rank (the lowest id at the site).
 func (st *siteTree) leader(site string) int { return st.groups[site][0] }
 
 // children returns the occupied sites whose tree parent is site, in order.
-func (st *siteTree) children(site string) []string {
-	var out []string
-	for _, s := range st.order {
-		if st.parent[s] == site {
-			out = append(out, s)
-		}
+func (st *siteTree) children(site string) []string { return st.kids[site] }
+
+// siteTree returns the tree for a collective rooted at rootSite (which must
+// be occupied). It depends only on placement, so the rank builds it once per
+// root site and keeps it; the cache is the rank's, not the world's, because
+// ranks on different shards ask concurrently.
+func (r *Rank) siteTree(rootSite string) *siteTree {
+	if st := r.trees[rootSite]; st != nil {
+		return st
 	}
-	return out
+	if r.trees == nil {
+		r.trees = make(map[string]*siteTree)
+	}
+	st := r.buildSiteTree(rootSite)
+	r.trees[rootSite] = st
+	return st
 }
 
-// siteTree builds the tree for a collective rooted at rootSite (which must
-// be occupied). When the ranks were placed on a topo.Network, the tree
-// follows the physical site graph breadth-first from the root site —
-// unoccupied transit sites collapse into their nearest occupied ancestor —
-// so a payload forwarded leader-to-leader down the tree crosses each WAN
-// link on the BFS paths exactly once. Ranks assembled outside the topology
-// layer fall back to a star: every other site hangs directly off the root
-// site (exactly the two-cluster behavior when there are two sites).
-func (r *Rank) siteTree(rootSite string) siteTree {
-	st := siteTree{groups: map[string][]int{}, parent: map[string]string{}}
+// buildSiteTree builds the tree rooted at rootSite. When the ranks were
+// placed on a topo.Network, the tree follows the physical site graph
+// breadth-first from the root site — unoccupied transit sites collapse into
+// their nearest occupied ancestor — so a payload forwarded leader-to-leader
+// down the tree crosses each WAN link on the BFS paths exactly once. Ranks
+// assembled outside the topology layer fall back to a star: every other site
+// hangs directly off the root site (exactly the two-cluster behavior when
+// there are two sites).
+func (r *Rank) buildSiteTree(rootSite string) *siteTree {
+	st := &siteTree{groups: map[string][]int{}, parent: map[string]string{}, kids: map[string][]string{}}
 	var occupied []string // first-appearance order by rank id: deterministic
 	for _, rk := range r.world.ranks {
 		s := rk.node.Site()
@@ -76,14 +85,22 @@ func (r *Rank) siteTree(rootSite string) siteTree {
 			placed[s] = true
 		}
 	}
+	for _, s := range st.order[1:] {
+		p := st.parent[s]
+		st.kids[p] = append(st.kids[p], s)
+	}
 	return st
 }
 
-// occupiedSites returns the number of distinct sites holding ranks.
+// occupiedSites returns the number of distinct sites holding ranks, counted
+// at the rank's first call.
 func (r *Rank) occupiedSites() int {
-	seen := map[string]bool{}
-	for _, rk := range r.world.ranks {
-		seen[rk.node.Site()] = true
+	if r.sites == 0 {
+		seen := map[string]bool{}
+		for _, rk := range r.world.ranks {
+			seen[rk.node.Site()] = true
+		}
+		r.sites = len(seen)
 	}
-	return len(seen)
+	return r.sites
 }
