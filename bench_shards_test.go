@@ -50,7 +50,7 @@ func shardedPresetWorkload(tb testing.TB, preset string, shardWorkers int) (even
 		}
 	})
 	w.Shutdown()
-	windows, _ = env.WindowStats()
+	windows = env.TakeWindowStats().Windows // the first take: the whole run
 	return env.Executed(), windows
 }
 

@@ -23,9 +23,7 @@ func TestMPIOverLossyWAN(t *testing.T) {
 		n++
 		return n%97 == 0
 	}
-	w := mpi.NewWorld(env, []*cluster.Node{tb.A[0], tb.B[0]}, mpi.Config{
-		QPWindow: 8,
-	})
+	w := mpi.NewWorld(env, []*cluster.Node{tb.A[0], tb.B[0]}, mpi.Config{})
 	defer w.Shutdown()
 	rng := rand.New(rand.NewSource(11))
 	payloads := make([][]byte, 20)

@@ -47,9 +47,9 @@ func TestShardedRaceStress(t *testing.T) {
 		if prof.Msgs == 0 {
 			t.Fatal("no messages recorded in the census")
 		}
-		windows, shards := env.WindowStats()
-		if windows == 0 || len(shards) != 4 {
-			t.Fatalf("window stats: %d windows, %d shards", windows, len(shards))
+		d := env.TakeWindowStats() // the first take: the whole run
+		if d.Windows == 0 || len(d.Shards) != 4 {
+			t.Fatalf("window stats: %d windows, %d shards", d.Windows, len(d.Shards))
 		}
 		w.Shutdown()
 	}

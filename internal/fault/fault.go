@@ -1,14 +1,15 @@
 // Package fault is the deterministic fault-injection engine for the
-// simulated stack. It turns the raw ib.Link.DropFn hook (and the analogous
-// tcpsim segment hook) into composable, seeded fault models:
+// simulated stack. A declarative Plan arms the raw ib.Link.DropFn hook (and
+// the analogous tcpsim segment hook) with seeded injectors. Every lever is
+// either a pure function of simulated time or a seeded per-packet draw:
 //
-//   - Bernoulli: independent per-packet loss with probability P.
-//   - GilbertElliott: bursty two-state loss (good/bad channel).
+//   - down: the WAN link is down from the start;
+//   - flaps: scheduled link down/up edges, validated up front;
+//   - loss: independent per-packet (Bernoulli) loss on the WAN link or on
+//     TCP segments;
 //   - corruption: per-packet bit corruption; a corrupted packet fails its
 //     CRC at the receiver and is discarded, so its observable effect is a
-//     drop, but it is counted separately.
-//   - scheduled link flaps (Down/Up steps), loss brownouts, and WAN rate
-//     throttling, validated up front like wan.ScheduleDelays.
+//     drop, but Drops does not count it.
 //
 // Determinism: every Injector owns a private splitmix64 stream seeded from
 // the fault Plan, and every random decision is drawn in simulation-event
@@ -19,7 +20,6 @@
 package fault
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -59,65 +59,6 @@ func MixSeed(seed, salt uint64) uint64 {
 	return r.Uint64()
 }
 
-// Model decides the fate of one packet. Drop is called once per packet in
-// transmission order; implementations may keep state (burst models) but
-// must draw randomness only from the supplied stream.
-type Model interface {
-	Drop(rng *RNG, wireBytes int) bool
-}
-
-// Bernoulli drops each packet independently with probability P.
-type Bernoulli struct{ P float64 }
-
-// Drop implements Model.
-func (b Bernoulli) Drop(rng *RNG, _ int) bool {
-	return b.P > 0 && rng.Float64() < b.P
-}
-
-// BurstParams configures a Gilbert–Elliott channel: per-packet transition
-// probabilities between the good and bad states, and the loss probability
-// inside each state. Typical WAN burst loss uses PLossGood ~ 0 and
-// PLossBad near 1, with PGoodToBad small and PBadToGood setting the mean
-// burst length (1/PBadToGood packets).
-type BurstParams struct {
-	PGoodToBad float64
-	PBadToGood float64
-	PLossGood  float64
-	PLossBad   float64
-}
-
-// GilbertElliott is the stateful burst-loss model built from BurstParams.
-// It starts in the good state.
-type GilbertElliott struct {
-	BurstParams
-	bad bool
-}
-
-// NewGilbertElliott returns a burst model in the good state.
-func NewGilbertElliott(p BurstParams) *GilbertElliott {
-	return &GilbertElliott{BurstParams: p}
-}
-
-// Drop implements Model. Each packet first resolves the state transition,
-// then draws the loss for the resulting state — two draws per packet,
-// always, so the stream position is independent of the outcome.
-func (g *GilbertElliott) Drop(rng *RNG, _ int) bool {
-	if g.bad {
-		if rng.Float64() < g.PBadToGood {
-			g.bad = false
-		}
-	} else {
-		if rng.Float64() < g.PGoodToBad {
-			g.bad = true
-		}
-	}
-	p := g.PLossGood
-	if g.bad {
-		p = g.PLossBad
-	}
-	return p > 0 && rng.Float64() < p
-}
-
 // FlapStep is one edge of a scheduled link flap: at time At the link goes
 // down (Down=true) or comes back up.
 type FlapStep struct {
@@ -125,71 +66,33 @@ type FlapStep struct {
 	Down bool
 }
 
-// LossStep sets the scheduled brownout loss level at time At. Loss is a
-// probability in [0, 1]; 0 ends the brownout.
-type LossStep struct {
-	At   sim.Time
-	Loss float64
-}
-
-// RateStep throttles a link to Rate at time At (WAN rate throttling, e.g.
-// a congested provider circuit).
-type RateStep struct {
-	At   sim.Time
-	Rate ib.Rate
-}
-
-// Injector is the per-environment fault state for one attachment point
-// (one link, or one TCP stack). All decisions flow through DropWire in
-// simulation-event order.
+// Injector is the fault state for one attachment point (one link, or one
+// TCP stack). All decisions flow through DropWire in simulation-event
+// order.
 type Injector struct {
-	env    *sim.Env
-	rng    *RNG
-	models []Model
-	// corruptP is the bit-corruption probability, applied after the loss
-	// models so clean packets can still be corrupted.
+	rng *RNG
+	// loss is the independent per-packet loss probability and corruptP the
+	// bit-corruption probability, drawn in that order so clean packets can
+	// still be corrupted.
+	loss     float64
 	corruptP float64
-	// down is the base down/up state (the WANDown lever, SetDown). flaps,
-	// when non-empty, override it from the first step's time onward: the
-	// link state is then a pure function of simulated time (see downAt),
-	// never a mutation, which is what lets both directions of a WAN link —
+	// down is the base down/up state (the WANDown lever). flaps, when
+	// non-empty, override it from the first step's time onward: the link
+	// state is then a pure function of simulated time (see downAt), never a
+	// mutation, which is what lets both directions of a WAN link —
 	// dispatched on different shards of a partitioned world — consult the
-	// injector concurrently. loss is the brownout lever and still mutates
-	// through scheduled closures, which is why brownout plans are not
-	// ShardSafe.
+	// injector concurrently.
 	down  bool
 	flaps []FlapStep
-	loss  float64
 
-	drops    atomic.Int64 // packets dropped (loss models, brownouts, down link)
-	corrupts atomic.Int64 // packets corrupted (discarded at the receiver's CRC)
+	drops atomic.Int64 // packets dropped (loss, down link)
 }
 
-// NewInjector creates an injector drawing from its own seeded stream.
-func NewInjector(env *sim.Env, seed uint64) *Injector {
-	return &Injector{env: env, rng: NewRNG(seed)}
+// NewInjector creates an injector drawing from its own seeded stream. It
+// arms no lever: Plan.ArmWAN and Plan.ArmTCP build armed injectors.
+func NewInjector(seed uint64) *Injector {
+	return &Injector{rng: NewRNG(seed)}
 }
-
-// Use appends a loss model; models are consulted in the order added.
-func (in *Injector) Use(m Model) { in.models = append(in.models, m) }
-
-// SetCorruption sets the per-packet bit-corruption probability.
-func (in *Injector) SetCorruption(p float64) error {
-	if p < 0 || p > 1 {
-		return fmt.Errorf("fault: corruption probability %v outside [0, 1]", p)
-	}
-	in.corruptP = p
-	return nil
-}
-
-// SetDown forces the base down/up state directly (tests and the WANDown
-// plan lever; scheduled flaps use ScheduleFlaps). With a flap schedule
-// armed, the base state only applies before the first step.
-func (in *Injector) SetDown(down bool) { in.down = down }
-
-// Down reports whether the attachment point is down at the current
-// simulated time.
-func (in *Injector) Down() bool { return in.downAt(in.env.Now()) }
 
 // downAt reports the link's down/up state at time now: the Down value of
 // the last flap step with At <= now, or the base state before the first
@@ -208,14 +111,11 @@ func (in *Injector) downAt(now sim.Time) bool {
 // Drops returns the number of packets dropped so far.
 func (in *Injector) Drops() int64 { return in.drops.Load() }
 
-// Corrupts returns the number of packets corrupted so far.
-func (in *Injector) Corrupts() int64 { return in.corrupts.Load() }
-
 // DropWire decides the fate of one packet of wireBytes on the wire at
 // simulated time now. It is the func installed into ib.Link.DropFn (the
 // tcpsim segment hook wraps it with the stack's clock). The down/flap
 // check draws no randomness and reads only time-pure state, and the drop
-// counters are atomic, so down/flap-only injectors (Plan.ShardSafe) are
+// counter is atomic, so down/flap-only injectors (Plan.ShardSafe) are
 // safe to consult from both shards sharing a WAN link; every other lever
 // advances the private RNG stream and must stay single-shard.
 func (in *Injector) DropWire(now sim.Time, wireBytes int) bool {
@@ -227,95 +127,9 @@ func (in *Injector) DropWire(now sim.Time, wireBytes int) bool {
 		in.drops.Add(1)
 		return true
 	}
-	for _, m := range in.models {
-		if m.Drop(in.rng, wireBytes) {
-			in.drops.Add(1)
-			return true
-		}
-	}
-	if in.corruptP > 0 && in.rng.Float64() < in.corruptP {
-		in.corrupts.Add(1)
-		return true
-	}
-	return false
+	return in.corruptP > 0 && in.rng.Float64() < in.corruptP
 }
 
 // AttachLink installs the injector as the link's fault hook. Both
 // directions of the link share this injector (and its stream).
 func (in *Injector) AttachLink(l *ib.Link) { l.DropFn = in.DropWire }
-
-// ScheduleFlaps validates the whole flap schedule and then arms it by
-// appending to the injector's stored schedule (the state is computed from
-// the schedule at packet time, not mutated by timers). Steps must be
-// sorted by time, not in the simulated past, and not before any step
-// already armed; on any violation nothing is armed and the error describes
-// the offending step.
-func (in *Injector) ScheduleFlaps(steps []FlapStep) error {
-	now := in.env.Now()
-	prev := sim.Time(-1)
-	if n := len(in.flaps); n > 0 {
-		prev = in.flaps[n-1].At
-	}
-	for i, s := range steps {
-		if s.At < now {
-			return fmt.Errorf("fault: flap step %d at %v is in the past (now %v)", i, s.At, now)
-		}
-		if s.At < prev {
-			return fmt.Errorf("fault: flap step %d at %v out of order (previous %v)", i, s.At, prev)
-		}
-		prev = s.At
-	}
-	in.flaps = append(in.flaps, steps...)
-	return nil
-}
-
-// ScheduleLoss validates and arms a brownout schedule: at each step the
-// scheduled loss level changes to Loss.
-func (in *Injector) ScheduleLoss(steps []LossStep) error {
-	now := in.env.Now()
-	prev := sim.Time(-1)
-	for i, s := range steps {
-		if s.At < now {
-			return fmt.Errorf("fault: loss step %d at %v is in the past (now %v)", i, s.At, now)
-		}
-		if s.At < prev {
-			return fmt.Errorf("fault: loss step %d at %v out of order (previous %v)", i, s.At, prev)
-		}
-		if s.Loss < 0 || s.Loss > 1 {
-			return fmt.Errorf("fault: loss step %d level %v outside [0, 1]", i, s.Loss)
-		}
-		prev = s.At
-	}
-	for _, s := range steps {
-		level := s.Loss
-		in.env.At(s.At-now, func() { in.loss = level })
-	}
-	return nil
-}
-
-// ScheduleRates validates and arms a rate-throttling schedule on l.
-func (in *Injector) ScheduleRates(l *ib.Link, steps []RateStep) error {
-	now := in.env.Now()
-	prev := sim.Time(-1)
-	for i, s := range steps {
-		if s.At < now {
-			return fmt.Errorf("fault: rate step %d at %v is in the past (now %v)", i, s.At, now)
-		}
-		if s.At < prev {
-			return fmt.Errorf("fault: rate step %d at %v out of order (previous %v)", i, s.At, prev)
-		}
-		if s.Rate <= 0 {
-			return fmt.Errorf("fault: rate step %d rate %v must be positive", i, s.Rate)
-		}
-		prev = s.At
-	}
-	for _, s := range steps {
-		rate := s.Rate
-		in.env.At(s.At-now, func() {
-			if err := l.SetRate(rate); err != nil {
-				panic(err) // unreachable: rate validated above
-			}
-		})
-	}
-	return nil
-}

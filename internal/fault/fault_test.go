@@ -1,8 +1,10 @@
 package fault
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/ib"
 	"repro/internal/sim"
 )
 
@@ -33,132 +35,132 @@ func TestMixSeedIndependence(t *testing.T) {
 	}
 }
 
+// wanLink builds a two-HCA fabric on env and returns the link a plan arms.
+func wanLink(env *sim.Env) *ib.Link {
+	f := ib.NewFabric(env)
+	a, b := f.AddHCA("a"), f.AddHCA("b")
+	l := f.Connect(a, b, ib.DDR, ib.DefaultCableDelay)
+	f.Finalize()
+	return l
+}
+
+// verdicts draws n DropWire verdicts, one packet per microsecond from at.
+func verdicts(in *Injector, at sim.Time, n int) []bool {
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = in.DropWire(at+sim.Time(i)*sim.Microsecond, 2048)
+	}
+	return out
+}
+
 // TestInjectorDeterminism replays the same decision sequence twice and
 // requires identical outcomes — the property the cross-parallelism
 // byte-identity of the loss-* experiments rests on.
 func TestInjectorDeterminism(t *testing.T) {
-	run := func() []bool {
-		env := sim.NewEnv()
-		in := NewInjector(env, 99)
-		in.Use(Bernoulli{P: 0.1})
-		in.Use(NewGilbertElliott(BurstParams{
-			PGoodToBad: 0.05, PBadToGood: 0.3, PLossBad: 0.9,
-		}))
-		if err := in.SetCorruption(0.01); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]bool, 5000)
-		for i := range out {
-			out[i] = in.DropWire(0, 2048)
-		}
-		return out
+	wan := &Plan{Seed: 99, WANLoss: 0.1, WANCorrupt: 0.01}
+	tcp := &Plan{Seed: 99, TCPLoss: 0.1}
+	if a, b := verdicts(wan.ArmWAN(wanLink(sim.NewEnv())), 0, 5000), verdicts(wan.ArmWAN(wanLink(sim.NewEnv())), 0, 5000); !slices.Equal(a, b) {
+		t.Error("WAN drop decisions differ between identical arms")
 	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("drop decision %d differs between identical runs", i)
+	if a, b := verdicts(tcp.ArmTCP(), 0, 5000), verdicts(tcp.ArmTCP(), 0, 5000); !slices.Equal(a, b) {
+		t.Error("TCP drop decisions differ between identical arms")
+	}
+}
+
+// TestPlanDrawOrderPinned pins the first 64 verdicts and Drops() of a
+// WANLoss+WANCorrupt plan and of a TCPLoss plan at a fixed seed: the loss
+// draw comes first, the corruption draw only for packets the loss spared,
+// and a corrupted packet is not counted in Drops. A change to the seeding,
+// the salts or the draw order moves these values.
+func TestPlanDrawOrderPinned(t *testing.T) {
+	mask := func(v []bool) (m uint64) {
+		for i, d := range v {
+			if d {
+				m |= 1 << i
+			}
+		}
+		return m
+	}
+	for _, c := range []struct {
+		name  string
+		in    *Injector
+		mask  uint64
+		drops int64
+	}{
+		{"wan", (&Plan{Seed: 2008, WANLoss: 0.1, WANCorrupt: 0.05}).ArmWAN(wanLink(sim.NewEnv())), 0x004210140409c100, 7},
+		{"tcp", (&Plan{Seed: 2008, TCPLoss: 0.1}).ArmTCP(), 0x0000052088200004, 7},
+	} {
+		if got := mask(verdicts(c.in, 0, 64)); got != c.mask {
+			t.Errorf("%s: verdicts %#016x, want %#016x", c.name, got, c.mask)
+		}
+		if got := c.in.Drops(); got != c.drops {
+			t.Errorf("%s: Drops() = %d, want %d", c.name, got, c.drops)
 		}
 	}
 }
 
 // TestBernoulliRate sanity-checks the long-run drop frequency.
 func TestBernoulliRate(t *testing.T) {
-	env := sim.NewEnv()
-	in := NewInjector(env, 7)
-	in.Use(Bernoulli{P: 0.2})
+	in := (&Plan{Seed: 7, TCPLoss: 0.2}).ArmTCP()
 	const n = 100000
 	drops := 0
-	for i := 0; i < n; i++ {
-		if in.DropWire(0, 1500) {
+	for _, d := range verdicts(in, 0, n) {
+		if d {
 			drops++
 		}
 	}
 	got := float64(drops) / n
 	if got < 0.18 || got > 0.22 {
-		t.Errorf("Bernoulli(0.2) dropped %.3f of packets", got)
+		t.Errorf("loss 0.2 dropped %.3f of packets", got)
 	}
 	if int64(drops) != in.Drops() {
 		t.Errorf("Drops() = %d, observed %d", in.Drops(), drops)
 	}
 }
 
-// TestGilbertElliottBursts checks the model actually clusters losses: with
-// a near-lossless good state and a lossy bad state, the mean run length of
-// consecutive drops must exceed what independent loss at the same average
-// rate would produce (~1/(1-p) ≈ 1).
-func TestGilbertElliottBursts(t *testing.T) {
-	rng := NewRNG(3)
-	g := NewGilbertElliott(BurstParams{
-		PGoodToBad: 0.01, PBadToGood: 0.2, PLossGood: 0, PLossBad: 1,
-	})
-	const n = 200000
-	drops, runs, inRun := 0, 0, false
-	for i := 0; i < n; i++ {
-		if g.Drop(rng, 1500) {
-			drops++
-			if !inRun {
-				runs++
-				inRun = true
-			}
-		} else {
-			inRun = false
-		}
-	}
-	if drops == 0 || runs == 0 {
-		t.Fatalf("no loss produced (drops=%d runs=%d)", drops, runs)
-	}
-	meanRun := float64(drops) / float64(runs)
-	// Mean bad-state dwell is 1/PBadToGood = 5 packets, all lost.
-	if meanRun < 2 {
-		t.Errorf("mean loss-burst length %.2f; losses are not bursty", meanRun)
-	}
-}
-
-// TestDownDominates checks a down link drops everything regardless of
-// models, and that flipping it back up restores the models' verdicts.
+// TestDownDominates checks a down link drops everything regardless of the
+// loss lever and draws no randomness doing so: once a flap brings it back
+// up, its verdicts are exactly those of the same plan that was never down.
 func TestDownDominates(t *testing.T) {
-	env := sim.NewEnv()
-	in := NewInjector(env, 1)
-	in.SetDown(true)
-	for i := 0; i < 100; i++ {
-		if !in.DropWire(0, 64) {
-			t.Fatal("packet survived a down link")
+	up := sim.Millisecond
+	downThenUp := (&Plan{Seed: 1, WANLoss: 0.5, WANDown: true, WANFlaps: []FlapStep{{At: up}}}).ArmWAN(wanLink(sim.NewEnv()))
+	for i, d := range verdicts(downThenUp, 0, 100) {
+		if !d {
+			t.Fatalf("packet %d survived a down link", i)
 		}
 	}
-	in.SetDown(false)
-	dropped := false
-	for i := 0; i < 100; i++ {
-		if in.DropWire(0, 64) {
-			dropped = true
-		}
-	}
-	if dropped {
-		t.Error("model-free injector dropped a packet while up")
+	neverDown := (&Plan{Seed: 1, WANLoss: 0.5}).ArmWAN(wanLink(sim.NewEnv()))
+	if !slices.Equal(verdicts(downThenUp, up, 200), verdicts(neverDown, up, 200)) {
+		t.Error("verdicts after the up edge differ from a link that was never down")
 	}
 }
 
-// TestScheduleValidation exercises every rejection path: past steps,
-// out-of-order steps, out-of-range probabilities, non-positive rates. A
-// rejected schedule must arm nothing.
+// TestScheduleValidation exercises every rejection path of a flap schedule
+// (negative and out-of-order steps) and checks that an accepted one arms
+// nothing on the event heap: flaps are resolved at packet time.
 func TestScheduleValidation(t *testing.T) {
+	for _, p := range []*Plan{
+		{WANFlaps: []FlapStep{{At: 2 * sim.Second, Down: true}, {At: sim.Second}}},
+		{WANFlaps: []FlapStep{{At: -sim.Second, Down: true}}},
+	} {
+		env := sim.NewEnv()
+		if err := AttachPlan(env, p); err == nil {
+			t.Errorf("invalid flap schedule %v accepted", p.WANFlaps)
+		}
+		env.Shutdown()
+	}
 	env := sim.NewEnv()
-	in := NewInjector(env, 1)
-	if err := in.ScheduleFlaps([]FlapStep{{At: 2 * sim.Second, Down: true}, {At: sim.Second}}); err == nil {
-		t.Error("out-of-order flap schedule accepted")
+	link := wanLink(env)
+	p := &Plan{WANFlaps: []FlapStep{{At: sim.Second, Down: true}, {At: 2 * sim.Second}}}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	if err := in.ScheduleLoss([]LossStep{{At: sim.Second, Loss: 1.5}}); err == nil {
-		t.Error("loss level 1.5 accepted")
+	if p.ArmWAN(link) == nil {
+		t.Fatal("valid flap schedule armed no injector")
 	}
-	if err := in.ScheduleLoss([]LossStep{{At: -sim.Second, Loss: 0.5}}); err == nil {
-		t.Error("negative-time loss step accepted")
-	}
-	if err := in.ScheduleRates(nil, []RateStep{{At: sim.Second, Rate: 0}}); err == nil {
-		t.Error("zero rate accepted")
-	}
-	// Nothing armed: the environment must drain with zero events.
 	env.Run()
 	if n := env.Executed(); n != 0 {
-		t.Errorf("rejected schedules armed %d events", n)
+		t.Errorf("an armed flap schedule executed %d events", n)
 	}
 	env.Shutdown()
 }
@@ -166,25 +168,18 @@ func TestScheduleValidation(t *testing.T) {
 // TestScheduledFlapTakesEffect arms a down/up pair and probes the state
 // around the edges.
 func TestScheduledFlapTakesEffect(t *testing.T) {
-	env := sim.NewEnv()
-	in := NewInjector(env, 1)
-	err := in.ScheduleFlaps([]FlapStep{
+	in := (&Plan{WANFlaps: []FlapStep{
 		{At: sim.Millisecond, Down: true},
 		{At: 3 * sim.Millisecond, Down: false},
-	})
-	if err != nil {
-		t.Fatal(err)
+	}}).ArmWAN(wanLink(sim.NewEnv()))
+	if in.DropWire(0, 64) {
+		t.Error("link down before the first edge")
 	}
-	var during, after bool
-	env.At(2*sim.Millisecond, func() { during = in.Down() })
-	env.At(4*sim.Millisecond, func() { after = in.Down() })
-	env.Run()
-	env.Shutdown()
-	if !during {
-		t.Error("link not down between the scheduled edges")
+	if !in.DropWire(sim.Millisecond, 64) || !in.DropWire(2*sim.Millisecond, 64) {
+		t.Error("link not down from the down edge on")
 	}
-	if after {
-		t.Error("link still down after the up edge")
+	if in.DropWire(3*sim.Millisecond, 64) || in.DropWire(4*sim.Millisecond, 64) {
+		t.Error("link still down from the up edge on")
 	}
 }
 
@@ -195,11 +190,8 @@ func TestPlanValidate(t *testing.T) {
 		{WANLoss: 1.1},
 		{WANCorrupt: 2},
 		{TCPLoss: -1},
-		{WANBurst: &BurstParams{PGoodToBad: 1.5}},
 		{WANFlaps: []FlapStep{{At: -1}}},
 		{WANFlaps: []FlapStep{{At: 2}, {At: 1}}},
-		{WANBrownouts: []LossStep{{At: 1, Loss: 7}}},
-		{WANRates: []RateStep{{At: 1, Rate: -3}}},
 	}
 	for i, p := range bad {
 		p := p
@@ -209,10 +201,7 @@ func TestPlanValidate(t *testing.T) {
 	}
 	good := Plan{
 		Seed: 9, WANLoss: 0.01, WANCorrupt: 0.001, TCPLoss: 0.02,
-		WANBurst:     &BurstParams{PGoodToBad: 0.01, PBadToGood: 0.2, PLossBad: 0.8},
-		WANFlaps:     []FlapStep{{At: 1, Down: true}, {At: 2}},
-		WANBrownouts: []LossStep{{At: 1, Loss: 0.5}, {At: 2, Loss: 0}},
-		WANRates:     []RateStep{{At: 3, Rate: 1}},
+		WANFlaps: []FlapStep{{At: 1, Down: true}, {At: 2}},
 	}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid plan rejected: %v", err)

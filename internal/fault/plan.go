@@ -41,19 +41,12 @@ type Plan struct {
 	// WANLoss is an independent per-packet (Bernoulli) loss probability
 	// on the WAN link.
 	WANLoss float64
-	// WANBurst, when non-nil, adds a Gilbert–Elliott burst-loss channel
-	// on the WAN link.
-	WANBurst *BurstParams
 	// WANCorrupt is the per-packet bit-corruption probability on the WAN
 	// link (corrupted packets are dropped at the receiver's CRC but
 	// counted separately).
 	WANCorrupt float64
 	// WANFlaps schedules link down/up edges on the WAN link.
 	WANFlaps []FlapStep
-	// WANBrownouts schedules loss-level changes on the WAN link.
-	WANBrownouts []LossStep
-	// WANRates schedules rate throttling on the WAN link.
-	WANRates []RateStep
 
 	// TCPLoss is an independent per-segment loss probability inside the
 	// simulated TCP stack (IPoIB/SDP path).
@@ -67,9 +60,9 @@ func probErr(name string, p float64) error {
 	return nil
 }
 
-// Validate checks every lever of the plan: probabilities in [0, 1],
-// schedules sorted with non-negative times, rates positive. A plan that
-// validates at time zero arms without error.
+// Validate checks every lever of the plan: probabilities in [0, 1], and
+// the flap schedule sorted with non-negative times. A plan that validates
+// arms without error.
 func (p *Plan) Validate() error {
 	if err := probErr("WANLoss", p.WANLoss); err != nil {
 		return err
@@ -79,21 +72,6 @@ func (p *Plan) Validate() error {
 	}
 	if err := probErr("TCPLoss", p.TCPLoss); err != nil {
 		return err
-	}
-	if b := p.WANBurst; b != nil {
-		for _, f := range []struct {
-			name string
-			v    float64
-		}{
-			{"WANBurst.PGoodToBad", b.PGoodToBad},
-			{"WANBurst.PBadToGood", b.PBadToGood},
-			{"WANBurst.PLossGood", b.PLossGood},
-			{"WANBurst.PLossBad", b.PLossBad},
-		} {
-			if err := probErr(f.name, f.v); err != nil {
-				return err
-			}
-		}
 	}
 	prev := sim.Time(-1)
 	for i, s := range p.WANFlaps {
@@ -105,39 +83,12 @@ func (p *Plan) Validate() error {
 		}
 		prev = s.At
 	}
-	prev = sim.Time(-1)
-	for i, s := range p.WANBrownouts {
-		if s.At < 0 {
-			return fmt.Errorf("fault: brownout step %d at negative time %v", i, s.At)
-		}
-		if s.At < prev {
-			return fmt.Errorf("fault: brownout step %d at %v out of order (previous %v)", i, s.At, prev)
-		}
-		if err := probErr(fmt.Sprintf("brownout step %d", i), s.Loss); err != nil {
-			return err
-		}
-		prev = s.At
-	}
-	prev = sim.Time(-1)
-	for i, s := range p.WANRates {
-		if s.At < 0 {
-			return fmt.Errorf("fault: rate step %d at negative time %v", i, s.At)
-		}
-		if s.At < prev {
-			return fmt.Errorf("fault: rate step %d at %v out of order (previous %v)", i, s.At, prev)
-		}
-		if s.Rate <= 0 {
-			return fmt.Errorf("fault: rate step %d rate %v must be positive", i, s.Rate)
-		}
-		prev = s.At
-	}
 	return nil
 }
 
 // wanEnabled reports whether any WAN-link lever is armed.
 func (p *Plan) wanEnabled() bool {
-	return p.WANDown || p.WANLoss > 0 || p.WANBurst != nil || p.WANCorrupt > 0 ||
-		len(p.WANFlaps) > 0 || len(p.WANBrownouts) > 0 || len(p.WANRates) > 0
+	return p.WANDown || p.WANLoss > 0 || p.WANCorrupt > 0 || len(p.WANFlaps) > 0
 }
 
 // Enabled reports whether the plan arms any fault at all.
@@ -157,7 +108,7 @@ func (p *Plan) MatchesLink(a, b string) bool {
 // health transitions for the fabric's link-health monitor
 // (ib.Fabric.MonitorLink): a permanent WANDown is an edge at time zero,
 // and each flap step contributes its edge. Levers that draw randomness
-// (loss, burst, corruption) have no schedule and are detected reactively.
+// (loss, corruption) have no schedule and are detected reactively.
 func (p *Plan) DownEdges() []ib.HealthTransition {
 	if p == nil {
 		return nil
@@ -177,19 +128,16 @@ func (p *Plan) DownEdges() []ib.HealthTransition {
 // pure functions of simulated time (see Injector.downAt) and draw no
 // randomness, so the two directions of a WAN link can consult the shared
 // injector from different shards without racing or perturbing the RNG
-// stream. Every other lever either draws per-packet randomness (loss,
-// burst, corruption) or mutates injector/link state through scheduled
-// closures (brownouts, rate throttling, TCP loss), all of which require
-// the single-heap event order; topo.Build refuses to partition when such a
-// plan is attached.
+// stream. Every other lever draws per-packet randomness (WAN loss,
+// corruption, TCP loss), which requires the single-heap event order;
+// topo.Build refuses to partition when such a plan is attached.
 func (p *Plan) ShardSafe() bool {
-	return p == nil || !(p.WANLoss > 0 || p.WANBurst != nil || p.WANCorrupt > 0 ||
-		len(p.WANBrownouts) > 0 || len(p.WANRates) > 0 || p.TCPLoss > 0)
+	return p == nil || !(p.WANLoss > 0 || p.WANCorrupt > 0 || p.TCPLoss > 0)
 }
 
 // AttachPlan validates p and installs it on the environment's fault slot.
-// It must run before the testbed is built (wan.NewPair and tcpsim.NewStack
-// read the slot at construction time).
+// It must run before the testbed is built (wan.NewPairAcross and
+// tcpsim.NewStack read the slot at construction time).
 func AttachPlan(env *sim.Env, p *Plan) error {
 	if p == nil {
 		return nil
@@ -208,55 +156,20 @@ func PlanFromEnv(env *sim.Env) *Plan {
 	return p
 }
 
-// ArmWAN builds the WAN-link injector for a validated plan and attaches
-// it to link, arming the scheduled flap/brownout/rate steps. It returns
-// nil — and touches nothing — when no WAN lever is set. Schedule steps at
-// or before the current simulated time are applied immediately in order
-// (the plan was validated against time zero; arming later than a step's
-// time just means that state is already in effect).
-func (p *Plan) ArmWAN(env *sim.Env, link *ib.Link) *Injector {
+// ArmWAN builds the WAN-link injector for a validated plan and attaches it
+// to link. It returns nil — and touches nothing — when no WAN lever is set.
+// The injector schedules nothing: flap steps are stored and resolved at
+// packet time (downAt), so steps in the past are naturally in effect and
+// sharded worlds read them without synchronization.
+func (p *Plan) ArmWAN(link *ib.Link) *Injector {
 	if p == nil || !p.wanEnabled() {
 		return nil
 	}
-	in := NewInjector(env, MixSeed(p.Seed, saltWAN))
-	if p.WANDown {
-		in.down = true
-	}
-	if p.WANLoss > 0 {
-		in.Use(Bernoulli{P: p.WANLoss})
-	}
-	if p.WANBurst != nil {
-		in.Use(NewGilbertElliott(*p.WANBurst))
-	}
+	in := NewInjector(MixSeed(p.Seed, saltWAN))
+	in.down = p.WANDown
+	in.loss = p.WANLoss
 	in.corruptP = p.WANCorrupt
-	// The flap schedule is stored, not armed as timers: the injector
-	// resolves the down/up state from it at packet time (downAt), so steps
-	// in the past are naturally in effect and sharded worlds read it
-	// without synchronization.
 	in.flaps = p.WANFlaps
-	now := env.Now()
-	for _, s := range p.WANBrownouts {
-		if s.At <= now {
-			in.loss = s.Loss
-			continue
-		}
-		level := s.Loss
-		env.At(s.At-now, func() { in.loss = level })
-	}
-	for _, s := range p.WANRates {
-		if s.At <= now {
-			if err := link.SetRate(s.Rate); err != nil {
-				panic(err) // unreachable: plan validated
-			}
-			continue
-		}
-		rate := s.Rate
-		env.At(s.At-now, func() {
-			if err := link.SetRate(rate); err != nil {
-				panic(err) // unreachable: plan validated
-			}
-		})
-	}
 	in.AttachLink(link)
 	return in
 }
@@ -264,11 +177,11 @@ func (p *Plan) ArmWAN(env *sim.Env, link *ib.Link) *Injector {
 // ArmTCP builds the TCP-stack injector for a validated plan, or returns
 // nil when the plan injects no TCP faults. The stack installs the
 // injector's DropWire as its segment hook.
-func (p *Plan) ArmTCP(env *sim.Env) *Injector {
+func (p *Plan) ArmTCP() *Injector {
 	if p == nil || p.TCPLoss <= 0 {
 		return nil
 	}
-	in := NewInjector(env, MixSeed(p.Seed, saltTCP))
-	in.Use(Bernoulli{P: p.TCPLoss})
+	in := NewInjector(MixSeed(p.Seed, saltTCP))
+	in.loss = p.TCPLoss
 	return in
 }

@@ -50,10 +50,9 @@ type Fabric struct {
 	byLID   []Device // indexed by LID; LIDs are dense from 1
 	// The id counters are atomics: on a partitioned world QPs on different
 	// shards draw from them concurrently.
-	nextQPN  atomic.Int64
-	nextMsg  atomic.Int64
-	nextMRID atomic.Int64
-	routed   bool
+	nextQPN atomic.Int64
+	nextMsg atomic.Int64
+	routed  bool
 	// health is non-nil once MonitorLink has registered a WAN link with the
 	// self-healing layer (see health.go); routeEpoch counts re-sweeps and
 	// unreachable counts packets dropped for lack of a route. Both are
@@ -381,14 +380,6 @@ func (f *Fabric) ensureRouted() {
 	}
 }
 
-// DeviceByLID returns the device owning the LID (nil if unassigned).
-func (f *Fabric) DeviceByLID(l LID) Device {
-	if l < 0 || int(l) >= len(f.byLID) {
-		return nil
-	}
-	return f.byLID[l]
-}
-
 // Link is a full-duplex point-to-point cable between two ports. Each
 // direction serializes packets at the link rate and delivers them after the
 // propagation delay.
@@ -491,9 +482,9 @@ func (l *Link) SetDelay(d sim.Time) {
 // Delay returns the one-way propagation delay.
 func (l *Link) Delay() sim.Time { return l.prop }
 
-// SetRate changes the link data rate. The fault layer uses it for WAN rate
-// throttling (a degraded provider circuit); packets already serializing
-// keep their departure times, later packets serialize at the new rate.
+// SetRate changes the link data rate (a topology link's Rate); packets
+// already serializing keep their departure times, later packets serialize
+// at the new rate.
 func (l *Link) SetRate(r Rate) error {
 	if r <= 0 {
 		return fmt.Errorf("ib: link rate must be positive, got %v", r)

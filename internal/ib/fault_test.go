@@ -19,9 +19,7 @@ func deadLinkWorld(t *testing.T, cfg ib.QPConfig) (*sim.Env, *ib.QP, *ib.QP) {
 	a, b := f.AddHCA("a"), f.AddHCA("b")
 	link := f.Connect(a, b, ib.DDR, ib.DefaultCableDelay)
 	f.Finalize()
-	in := fault.NewInjector(env, 1)
-	in.SetDown(true)
-	in.AttachLink(link)
+	(&fault.Plan{WANDown: true}).ArmWAN(link)
 	qa, qb := ib.CreateRCPair(a, b, nil, nil, cfg)
 	return env, qa, qb
 }
@@ -114,9 +112,7 @@ func TestDropAccountingAgreement(t *testing.T) {
 	link := f.Connect(a, b, ib.DDR, ib.DefaultCableDelay)
 	f.Finalize()
 
-	in := fault.NewInjector(env, 42)
-	in.Use(fault.Bernoulli{P: 0.05})
-	in.AttachLink(link)
+	in := (&fault.Plan{Seed: 42, WANLoss: 0.05}).ArmWAN(link)
 
 	qa, qb := ib.CreateRCPair(a, b, nil, nil, ib.QPConfig{RetryLimit: 50, RetryTimeout: sim.Millisecond})
 	const msgs = 200
@@ -177,9 +173,7 @@ func TestThreeLedgerDropAccounting(t *testing.T) {
 	if err := mid.ConfigureQueue(ib.QueueConfig{QueueBytes: 16 << 10}); err != nil {
 		t.Fatal(err)
 	}
-	in := fault.NewInjector(env, 42)
-	in.Use(fault.Bernoulli{P: 0.05})
-	in.AttachLink(mid)
+	(&fault.Plan{Seed: 42, WANLoss: 0.05}).ArmWAN(mid)
 	// The only path dies at 20ms, after the burst has drained; reactive
 	// detection is off so the verdict comes from the schedule alone.
 	f.MonitorLink(mid, "s1-s2", []ib.HealthTransition{{At: 20 * sim.Millisecond, Down: true}})

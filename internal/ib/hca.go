@@ -88,8 +88,7 @@ func (h *HCA) receive(pkt *packet) {
 // RegisterMR registers buf as an RDMA-accessible memory region and returns
 // the region handle (which doubles as the rkey a peer must present).
 func (h *HCA) RegisterMR(buf []byte) *MR {
-	mr := &MR{id: int(h.fab.nextMRID.Add(1)), hca: h, Buf: buf}
-	return mr
+	return &MR{hca: h, Buf: buf}
 }
 
 // RegisterVirtualMR registers a region with a size but no backing memory:
@@ -97,20 +96,15 @@ func (h *HCA) RegisterMR(buf []byte) *MR {
 // payload bytes. Perf-only traffic uses virtual regions to avoid allocating
 // and copying gigabytes of synthetic payload.
 func (h *HCA) RegisterVirtualMR(n int) *MR {
-	mr := &MR{id: int(h.fab.nextMRID.Add(1)), hca: h, virtualLen: n}
-	return mr
+	return &MR{hca: h, virtualLen: n}
 }
 
 // MR is a registered memory region on an HCA.
 type MR struct {
-	id         int
 	hca        *HCA
 	Buf        []byte
 	virtualLen int // size of a virtual (unbacked) region
 }
-
-// RKey returns the remote key identifying the region.
-func (m *MR) RKey() int { return m.id }
 
 // Len returns the region size in bytes.
 func (m *MR) Len() int {

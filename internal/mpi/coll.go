@@ -369,18 +369,6 @@ func (r *Rank) AlltoallSynthetic(p *sim.Proc, sizePer int) {
 	WaitAll(p, reqs)
 }
 
-// AllgatherSynthetic circulates size synthetic bytes around a ring so every
-// rank ends holding every rank's block.
-func (r *Rank) AllgatherSynthetic(p *sim.Proc, size int) {
-	r.collSeq++
-	n := len(r.world.ranks)
-	right := (r.id + 1) % n
-	left := (r.id - 1 + n) % n
-	for i := 0; i < n-1; i++ {
-		r.Sendrecv(p, right, r.collTag(i), nil, size, left, r.collTag(i), nil, size)
-	}
-}
-
 func encodeF64(v []float64) []byte {
 	b := make([]byte, 8*len(v))
 	for i, x := range v {

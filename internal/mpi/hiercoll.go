@@ -6,9 +6,9 @@ import (
 	"repro/internal/sim"
 )
 
-// This file implements WAN-aware (hierarchical) variants of barrier and
-// allreduce — the paper's stated future work ("we plan to study collective
-// communication operations in cluster-of-clusters scenarios in detail").
+// This file implements the WAN-aware (hierarchical) allreduce — the
+// paper's stated future work ("we plan to study collective communication
+// operations in cluster-of-clusters scenarios in detail").
 // The design principle is the one §3.4 demonstrates for broadcast: pay the
 // WAN latency a constant number of times, independent of process count, by
 // electing one leader per cluster.
@@ -26,42 +26,6 @@ func (r *Rank) groups() (mine, other []int) {
 	sort.Ints(mine)
 	sort.Ints(other)
 	return mine, other
-}
-
-// HierBarrier synchronizes all ranks crossing each WAN link of the site
-// tree exactly twice (a gather toward the root site and a release back
-// down), instead of the dissemination barrier's log2(n) rounds of
-// potentially-crossing exchanges. With two sites this degenerates to the
-// single leader handshake of the original design.
-func (r *Rank) HierBarrier(p *sim.Proc) {
-	if r.occupiedSites() > 2 {
-		r.hierBarrierTree(p)
-		return
-	}
-	r.collSeq++
-	tagGather := r.collTag(0)
-	tagWAN := r.collTag(1)
-	tagRelease := r.collTag(2)
-	mine, other := r.groups()
-	if len(other) == 0 {
-		r.Barrier(p)
-		return
-	}
-	leader := mine[0]
-	remoteLeader := other[0]
-	if r.id == leader {
-		// Gather arrivals from the local cluster.
-		for range mine[1:] {
-			r.Recv(p, AnySource, tagGather, nil, 0)
-		}
-		// Leader handshake across the WAN.
-		r.Sendrecv(p, remoteLeader, tagWAN, nil, 0, remoteLeader, tagWAN, nil, 0)
-		// Release the local cluster.
-		r.bcastTree(p, leader, nil, 0, mine, tagRelease)
-	} else {
-		r.Send(p, leader, tagGather, nil, 0)
-		r.bcastTree(p, leader, nil, 0, mine, tagRelease)
-	}
 }
 
 // HierAllreduce sums float64 vectors with site-local reduction, leader
@@ -125,45 +89,6 @@ func (r *Rank) localReduce(p *sim.Proc, ids []int, vals []float64, tag int) []fl
 		}
 	}
 	return acc
-}
-
-// hierBarrierTree is the >=3-site barrier: site-local gather onto each
-// site leader, leader signals up the site tree, the root site's leader
-// releases back down, and each site broadcasts the release locally. Every
-// WAN link on the tree carries exactly one zero-byte message in each
-// direction.
-func (r *Rank) hierBarrierTree(p *sim.Proc) {
-	r.collSeq++
-	tagGather := r.collTag(0)
-	tagUp := r.collTag(1)
-	tagDown := r.collTag(2)
-	tagRelease := r.collTag(3)
-	rootSite := r.world.ranks[0].node.Site()
-	st := r.siteTree(rootSite)
-	mySite := r.node.Site()
-	mine := st.groups[mySite]
-	leader := st.leader(mySite)
-	if r.id != leader {
-		r.Send(p, leader, tagGather, nil, 0)
-		r.bcastTree(p, leader, nil, 0, mine, tagRelease)
-		return
-	}
-	// Gather arrivals from the local site, then from child sites.
-	for range mine[1:] {
-		r.Recv(p, AnySource, tagGather, nil, 0)
-	}
-	for _, c := range st.children(mySite) {
-		r.Recv(p, st.leader(c), tagUp, nil, 0)
-	}
-	if mySite != rootSite {
-		parent := st.leader(st.parent[mySite])
-		r.Send(p, parent, tagUp, nil, 0)
-		r.Recv(p, parent, tagDown, nil, 0)
-	}
-	for _, c := range st.children(mySite) {
-		r.Send(p, st.leader(c), tagDown, nil, 0)
-	}
-	r.bcastTree(p, leader, nil, 0, mine, tagRelease)
 }
 
 // hierAllreduceTree is the >=3-site allreduce: site-local reduce onto each

@@ -8,26 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestHierBarrierSynchronizes(t *testing.T) {
-	w, _ := spreadWorld(3, 3, sim.Micros(100), Config{})
-	defer w.Shutdown()
-	var minExit, maxEnter sim.Time
-	minExit = 1 << 60
-	w.Run(func(r *Rank, p *sim.Proc) {
-		p.Sleep(sim.Time(r.ID()) * 30 * sim.Microsecond)
-		if p.Now() > maxEnter {
-			maxEnter = p.Now()
-		}
-		r.HierBarrier(p)
-		if p.Now() < minExit {
-			minExit = p.Now()
-		}
-	})
-	if minExit < maxEnter {
-		t.Errorf("hier barrier released (%v) before last entry (%v)", minExit, maxEnter)
-	}
-}
-
 func TestHierAllreduceCorrect(t *testing.T) {
 	for _, shape := range [][2]int{{2, 2}, {3, 4}, {4, 1}} {
 		w, _ := spreadWorld(shape[0], shape[1], sim.Micros(100), Config{})
@@ -69,10 +49,8 @@ func TestHierCollectivesCrossWANLess(t *testing.T) {
 			vals := []float64{float64(r.ID())}
 			for i := 0; i < 3; i++ {
 				if hier {
-					r.HierBarrier(p)
 					r.HierAllreduce(p, vals)
 				} else {
-					r.Barrier(p)
 					r.Allreduce(p, vals)
 				}
 			}
@@ -92,7 +70,6 @@ func TestHierCollectivesSingleCluster(t *testing.T) {
 	defer env.Shutdown()
 	ok := true
 	env.Run(func(r *Rank, p *sim.Proc) {
-		r.HierBarrier(p)
 		got := r.HierAllreduce(p, []float64{1})
 		if got[0] != float64(r.Size()) {
 			ok = false

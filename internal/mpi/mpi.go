@@ -51,45 +51,38 @@ type Config struct {
 	// EagerThreshold is the largest message sent eagerly; larger messages
 	// use rendezvous. Default 8 KB ("by default above 8KB for MVAPICH2").
 	EagerThreshold int
-	// QPWindow is the per-QP bound on in-flight messages (ib
-	// MaxInflight). Default ib.DefaultMaxInflight.
-	QPWindow int
-	// CopyPerByteNanos is the eager-protocol copy cost per byte charged
-	// at each end (bounce-buffer memcpy). Default 0.4 ns/B (~2.5 GB/s).
-	CopyPerByteNanos float64
-	// RecvPool is the number of preposted receives per QP.
-	RecvPool int
 }
 
 // DefaultEagerThreshold is the MVAPICH2 default rendezvous switch point.
 const DefaultEagerThreshold = 8 << 10
 
+// Per-connection constants.
+const (
+	// qpWindow is the per-QP bound on in-flight messages (ib MaxInflight).
+	qpWindow = ib.DefaultMaxInflight
+	// copyPerByteNanos is the eager-protocol copy cost per byte charged at
+	// each end (bounce-buffer memcpy): 0.4 ns/B, ~2.5 GB/s.
+	copyPerByteNanos = 0.4
+	// recvPool is the number of preposted receives per QP. In-flight
+	// messages per QP are bounded by qpWindow (excess sends are
+	// RNR-buffered), so a modest pool suffices even for large worlds with
+	// thousands of QPs.
+	recvPool = 32
+)
+
 func (c *Config) fill() {
 	if c.EagerThreshold == 0 {
 		c.EagerThreshold = DefaultEagerThreshold
-	}
-	if c.QPWindow == 0 {
-		c.QPWindow = ib.DefaultMaxInflight
-	}
-	if c.CopyPerByteNanos == 0 {
-		c.CopyPerByteNanos = 0.4
-	}
-	if c.RecvPool == 0 {
-		// In-flight messages per QP are bounded by QPWindow (excess sends
-		// are RNR-buffered), so a modest pool suffices even for large
-		// worlds with thousands of QPs.
-		c.RecvPool = 32
 	}
 }
 
 // World is an MPI communicator spanning a set of ranks placed on cluster
 // nodes.
 type World struct {
-	env       *sim.Env
-	cfg       Config
-	ranks     []*Rank
-	profile   census
-	winStates map[int]*winState
+	env     *sim.Env
+	cfg     Config
+	ranks   []*Rank
+	profile census
 	// obs is non-nil only when telemetry is attached to the environment.
 	obs *mpiObs
 }
@@ -178,7 +171,7 @@ func (w *World) Profile() MessageProfile {
 // through the shared-memory path.
 func NewWorld(env *sim.Env, placement []*cluster.Node, cfg Config) *World {
 	cfg.fill()
-	w := &World{env: env, cfg: cfg, winStates: map[int]*winState{}}
+	w := &World{env: env, cfg: cfg}
 	if tel := telemetry.FromEnv(env); tel != nil && (tel.Metrics != nil || tel.Spans != nil) {
 		m := tel.Metrics
 		w.obs = &mpiObs{
@@ -324,8 +317,6 @@ type Rank struct {
 	// the same order on every rank (the MPI rule), which keeps tags
 	// aligned.
 	collSeq int
-	// winSeq numbers collective window creations (same lockstep rule).
-	winSeq int
 
 	// trees caches the site tree by root site and sites the occupied-site
 	// count (0 until counted); both depend only on placement (sitetree.go).
@@ -400,11 +391,11 @@ func (r *Rank) qpTo(peer *Rank) *ib.QP {
 	if qp, ok := r.qps[peer.id]; ok {
 		return qp
 	}
-	cfg := ib.QPConfig{MaxInflight: r.world.cfg.QPWindow}
+	cfg := ib.QPConfig{MaxInflight: qpWindow}
 	local, remote := ib.CreateRCPair(r.node.HCA, peer.node.HCA, r.cq, peer.cq, cfg)
 	r.qps[peer.id] = local
 	peer.qps[r.id] = remote
-	for i := 0; i < r.world.cfg.RecvPool; i++ {
+	for i := 0; i < recvPool; i++ {
 		local.PostRecv(ib.RecvWR{})
 		remote.PostRecv(ib.RecvWR{})
 	}

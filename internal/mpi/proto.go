@@ -135,7 +135,7 @@ func (q *Request) complete() {
 
 // copyTime is the eager bounce-buffer copy cost for n bytes.
 func (w *World) copyTime(n int) sim.Time {
-	return sim.Time(float64(n) * w.cfg.CopyPerByteNanos)
+	return sim.Time(float64(n) * copyPerByteNanos)
 }
 
 // progress is the rank's progress engine, the completion handler of its CQ:
@@ -168,14 +168,8 @@ func (r *Rank) progress(c ib.Completion) {
 		}
 	case ib.OpRDMAWrite:
 		// Rendezvous data acknowledged (the FIN was already posted right
-		// behind the write), or a one-sided Put: either way the local
-		// buffer is reusable.
+		// behind the write): the local buffer is reusable.
 		c.Ctx.(*Request).complete()
-	case ib.OpRDMARead:
-		// One-sided Get landed.
-		if req, ok := c.Ctx.(*Request); ok {
-			req.complete()
-		}
 	}
 }
 

@@ -124,30 +124,6 @@ func TestHierAllreduceMultisite(t *testing.T) {
 	}
 }
 
-// TestHierBarrierMultisite checks that the site-tree barrier releases no
-// rank before the last one enters, across multi-hop topologies.
-func TestHierBarrierMultisite(t *testing.T) {
-	for _, preset := range []string{"star3", "ring4"} {
-		w, _ := presetWorld(t, preset, 2, sim.Micros(100))
-		var minExit, maxEnter sim.Time
-		minExit = 1 << 60
-		w.Run(func(r *Rank, p *sim.Proc) {
-			p.Sleep(sim.Time(r.ID()) * 30 * sim.Microsecond)
-			if p.Now() > maxEnter {
-				maxEnter = p.Now()
-			}
-			r.HierBarrier(p)
-			if p.Now() < minExit {
-				minExit = p.Now()
-			}
-		})
-		if minExit < maxEnter {
-			t.Errorf("%s: barrier released (%v) before last entry (%v)", preset, minExit, maxEnter)
-		}
-		w.Shutdown()
-	}
-}
-
 // TestSiteTreeFallbackStar checks the path for ranks assembled outside the
 // topology layer: with no Network to consult, every non-root site hangs
 // off the root site directly, and the collectives still work.
@@ -172,7 +148,6 @@ func TestSiteTreeFallbackStar(t *testing.T) {
 	}
 	ok := true
 	w.Run(func(r *Rank, p *sim.Proc) {
-		r.HierBarrier(p)
 		got := r.HierAllreduce(p, []float64{float64(r.ID())})
 		if got[0] != float64(want) {
 			ok = false

@@ -14,8 +14,7 @@ import (
 // simulation processes (IOzone threads) may issue operations concurrently.
 type Client struct {
 	t rpc.Client
-	// env is the client node's home environment (nil when the client was
-	// wrapped with NewClient, without a node). On a partitioned world the
+	// env is the client node's home environment. On a partitioned world the
 	// workload processes driving this mount must run here: the RPC
 	// transport's completion events live on the client node's shard.
 	env *sim.Env
@@ -32,12 +31,10 @@ type clientObs struct {
 	lat   *telemetry.HiResHistogram
 }
 
-// NewClient wraps a connected RPC transport as an NFS mount.
-func NewClient(t rpc.Client) *Client { return &Client{t: t} }
-
-// NewClientOn is NewClient plus observability: when telemetry is attached
-// to the node's environment, RPCs are recorded as "nfs.<op>" spans on the
-// client node's track and into the call latency histogram.
+// NewClientOn wraps a connected RPC transport from node as an NFS mount.
+// When telemetry is attached to the node's environment, RPCs are recorded
+// as "nfs.<op>" spans on the client node's track and into the call latency
+// histogram.
 func NewClientOn(node *cluster.Node, t rpc.Client) *Client {
 	env := node.HCA.Env()
 	c := &Client{t: t, env: env}
@@ -98,12 +95,6 @@ func statusErr(st uint32) error {
 	}
 }
 
-// Null performs a no-op RPC (useful for RTT probing).
-func (c *Client) Null(p *sim.Proc) error {
-	_, _, err := c.call(p, "nfs.null", &rpc.Request{Proc: ProcNull, Meta: statusMeta(0)[:0]})
-	return err
-}
-
 // Lookup resolves a name to a file handle and size.
 func (c *Client) Lookup(p *sim.Proc, name string) (uint64, int64, error) {
 	reply, _, err := c.call(p, "nfs.lookup", &rpc.Request{Proc: ProcLookup, Meta: []byte(name)})
@@ -117,21 +108,6 @@ func (c *Client) Lookup(p *sim.Proc, name string) (uint64, int64, error) {
 	fh := binary.LittleEndian.Uint64(reply.Meta[4:])
 	size := int64(binary.LittleEndian.Uint64(reply.Meta[12:]))
 	return fh, size, nil
-}
-
-// Getattr returns the file size.
-func (c *Client) Getattr(p *sim.Proc, fh uint64) (int64, error) {
-	meta := make([]byte, 8)
-	binary.LittleEndian.PutUint64(meta, fh)
-	reply, _, err := c.call(p, "nfs.getattr", &rpc.Request{Proc: ProcGetattr, Meta: meta})
-	if err != nil {
-		return 0, err
-	}
-	st := binary.LittleEndian.Uint32(reply.Meta)
-	if err := statusErr(st); err != nil {
-		return 0, err
-	}
-	return int64(binary.LittleEndian.Uint64(reply.Meta[4:])), nil
 }
 
 // Create makes a new file: size >= 0 creates a synthetic file of that size;

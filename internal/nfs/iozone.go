@@ -32,14 +32,12 @@ func (c *IOzoneConfig) fill() {
 // works a contiguous stripe of the file, record by record, as IOzone's
 // multi-threaded mode does. The simulation runs inside this call.
 //
-// When the client knows its home environment (NewClientOn), the workload
-// threads run there — on a partitioned world that is the client node's
-// shard, where the mount's RPC completion events live.
+// The workload threads run on the client's home environment, not on env: on
+// a partitioned world that is the client node's shard, where the mount's RPC
+// completion events live.
 func IOzone(env *sim.Env, c *Client, file string, cfg IOzoneConfig) float64 {
 	cfg.fill()
-	if c.env != nil {
-		env = c.env
-	}
+	env = c.env
 	var fh uint64
 	var elapsed sim.Time
 	env.Go("iozone-main", func(p *sim.Proc) {

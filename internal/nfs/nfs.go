@@ -19,11 +19,10 @@ import (
 	"repro/internal/sim"
 )
 
-// NFS procedure numbers (v3-flavoured subset).
+// NFS procedure numbers (v3-flavoured subset; NULL and GETATTR, procedures
+// 0 and 1, are not served).
 const (
-	ProcNull uint32 = iota
-	ProcGetattr
-	ProcLookup
+	ProcLookup uint32 = iota + 2
 	ProcRead
 	ProcWrite
 	ProcCreate
@@ -122,10 +121,6 @@ func (s *Server) Handler() rpc.Handler {
 		s.ops++
 		s.node.CPU.Use(p, PerOpCPU)
 		switch req.Proc {
-		case ProcNull:
-			return &rpc.Reply{Meta: statusMeta(OK)}
-		case ProcGetattr:
-			return s.getattr(req)
 		case ProcLookup:
 			return s.lookup(req)
 		case ProcRead:
@@ -138,18 +133,6 @@ func (s *Server) Handler() rpc.Handler {
 			return &rpc.Reply{Meta: statusMeta(ErrIO)}
 		}
 	}
-}
-
-func (s *Server) getattr(req *rpc.Request) *rpc.Reply {
-	fh := binary.LittleEndian.Uint64(req.Meta)
-	f := s.byFH[fh]
-	if f == nil {
-		return &rpc.Reply{Meta: statusMeta(ErrNoEnt)}
-	}
-	meta := make([]byte, 4+8)
-	binary.LittleEndian.PutUint32(meta, OK)
-	binary.LittleEndian.PutUint64(meta[4:], uint64(f.Size))
-	return &rpc.Reply{Meta: meta}
 }
 
 func (s *Server) lookup(req *rpc.Request) *rpc.Reply {

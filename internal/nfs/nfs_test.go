@@ -36,10 +36,6 @@ func TestLookupGetattrRDMA(t *testing.T) {
 		if err != nil || size != 1<<30 {
 			t.Errorf("Lookup = fh %d size %d err %v", fh, size, err)
 		}
-		sz, err := cl.Getattr(p, fh)
-		if err != nil || sz != 1<<30 {
-			t.Errorf("Getattr = %d, %v", sz, err)
-		}
 		if _, _, err := cl.Lookup(p, "missing"); err != ErrNotFound {
 			t.Errorf("Lookup(missing) err = %v", err)
 		}
@@ -121,8 +117,7 @@ func TestCreate(t *testing.T) {
 		if _, err := cl.Create(p, "new", 4096); err != ErrExists {
 			t.Errorf("duplicate Create err = %v", err)
 		}
-		sz, _ := cl.Getattr(p, fh)
-		if sz != 4096 {
+		if _, sz, _ := cl.Lookup(p, "new"); sz != 4096 {
 			t.Errorf("size = %d", sz)
 		}
 	})

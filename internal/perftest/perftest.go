@@ -180,25 +180,16 @@ func BandwidthRC(env *sim.Env, a, b *ib.HCA, size, count, window int) float64 {
 //
 // The measured window runs from the sender's start to whichever endpoint
 // finishes later: the receiver's last in-order delivery or the sender's
-// last send completion (the returning ack). On a classic world the receiver
-// hands its finish instant to the sender through a zero-latency done event
-// and the sender's clock after the wait is exactly that maximum, as before.
-// On a sharded world (the endpoints live on different shard environments) a
-// zero-latency cross-shard event would violate conservative synchronization,
-// so each side records its own timestamp and the maximum is taken after Run
-// returns — RC acks ride the in-order delivery stream, so the sender's
-// final completion strictly follows the receiver's last delivery and
-// stopping the run there seals both timestamps. The two paths compute the
-// same value from the same instants.
+// last send completion (the returning ack). Each side records its own
+// timestamp and the maximum is taken after Run returns — RC acks ride the
+// in-order delivery stream, so the sender's final completion strictly
+// follows the receiver's last delivery and stopping the run there seals both
+// timestamps. No event passes between the endpoints, so the measurement is
+// the same whether they share an environment or live on different shards.
 func StreamRC(env *sim.Env, a, b *ib.HCA, size, count int, qcfg ib.QPConfig) float64 {
 	qa, qb := ib.CreateRCPair(a, b, nil, nil, qcfg)
 	var start, senderEnd, recvEnd sim.Time
 	sent, received := false, false
-	classic := a.Env() == b.Env()
-	var done *sim.Event
-	if classic {
-		done = env.NewEvent()
-	}
 	b.Env().Go("bw-recv", func(p *sim.Proc) {
 		for i := 0; i < count; i++ {
 			qb.PostRecv(ib.RecvWR{})
@@ -208,9 +199,6 @@ func StreamRC(env *sim.Env, a, b *ib.HCA, size, count int, qcfg ib.QPConfig) flo
 		}
 		recvEnd = p.Now()
 		received = true
-		if classic {
-			done.Trigger(nil)
-		}
 	})
 	a.Env().Go("bw-send", func(p *sim.Proc) {
 		start = p.Now()
@@ -220,9 +208,6 @@ func StreamRC(env *sim.Env, a, b *ib.HCA, size, count int, qcfg ib.QPConfig) flo
 		for i := 0; i < count; i++ {
 			waitFor(p, qa.CQ(), ib.OpSend)
 		}
-		if classic {
-			p.Wait(done)
-		}
 		senderEnd = p.Now()
 		sent = true
 		env.Stop()
@@ -230,11 +215,7 @@ func StreamRC(env *sim.Env, a, b *ib.HCA, size, count int, qcfg ib.QPConfig) flo
 	env.Run()
 	env.Shutdown()
 	checkCompleted(sent && received, "StreamRC")
-	end := senderEnd
-	if recvEnd > end {
-		end = recvEnd
-	}
-	elapsed := end - start
+	elapsed := max(senderEnd, recvEnd) - start
 	return float64(size) * float64(count) / elapsed.Seconds() / 1e6
 }
 

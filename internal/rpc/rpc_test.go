@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/fault"
 	"repro/internal/ipoib"
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
@@ -109,9 +108,9 @@ func TestTransports(t *testing.T) {
 	scenarios := []struct {
 		name    string
 		handler Handler
-		body    func(t *testing.T, p *sim.Proc, cl Client, wan *fault.Injector)
+		body    func(t *testing.T, p *sim.Proc, cl Client, killWAN func())
 	}{
-		{"echo", echoHandler, func(t *testing.T, p *sim.Proc, cl Client, _ *fault.Injector) {
+		{"echo", echoHandler, func(t *testing.T, p *sim.Proc, cl Client, _ func()) {
 			payload := make([]byte, 100000)
 			rand.New(rand.NewSource(2)).Read(payload)
 			buf := make([]byte, len(payload))
@@ -132,7 +131,7 @@ func TestTransports(t *testing.T) {
 		{"xid-matching", func(p *sim.Proc, req *Request) *Reply {
 			p.Sleep(sim.Time(10-req.Meta[0]) * sim.Millisecond)
 			return &Reply{Meta: req.Meta}
-		}, func(t *testing.T, p *sim.Proc, cl Client, _ *fault.Injector) {
+		}, func(t *testing.T, p *sim.Proc, cl Client, _ func()) {
 			var order []int
 			fanOut(p, cl, 5, func(i int, reply *Reply, err error) {
 				order = append(order, i)
@@ -147,12 +146,12 @@ func TestTransports(t *testing.T) {
 		// The WAN dies mid-run with calls pending: the transport's retry
 		// budget runs out and every call fails with the transport's error,
 		// in XID order, as does any call made afterwards.
-		{"transport-death", echoHandler, func(t *testing.T, p *sim.Proc, cl Client, wan *fault.Injector) {
+		{"transport-death", echoHandler, func(t *testing.T, p *sim.Proc, cl Client, killWAN func()) {
 			if _, _, err := cl.Call(p, &Request{Proc: 1, Meta: []byte{1}}); err != nil {
 				t.Errorf("call over the live WAN: %v", err)
 				return
 			}
-			wan.SetDown(true)
+			killWAN()
 			var order []int
 			var errs []error
 			fanOut(p, cl, 4, func(i int, reply *Reply, err error) {
@@ -184,8 +183,9 @@ func TestTransports(t *testing.T) {
 			t.Run(tr.name+"/"+sc.name, func(t *testing.T) {
 				env, tb := testbed(sim.Micros(100))
 				defer env.Shutdown()
-				wan := fault.NewInjector(env, 1)
-				wan.AttachLink(tb.WAN.Link())
+				// The link's raw fault hook: from the kill on, every packet
+				// crossing the WAN is lost.
+				killWAN := func() { tb.WAN.Link().DropFn = func(sim.Time, int) bool { return true } }
 				dial := tr.serve(tb, 8, sc.handler)
 				finished := false
 				env.Go("client", func(p *sim.Proc) {
@@ -195,7 +195,7 @@ func TestTransports(t *testing.T) {
 						t.Errorf("dial: %v", err)
 						return
 					}
-					sc.body(t, p, cl, wan)
+					sc.body(t, p, cl, killWAN)
 					finished = true
 				})
 				env.Run()

@@ -101,11 +101,10 @@ func (e *Env) detach() envMem {
 	}
 	clear(e.queue.s)
 	for _, ev := range e.evFree {
-		// ReleaseEvent truncated these; the backing arrays still name the
-		// old world's processes and callbacks.
+		// ReleaseEvent truncated the waiters; the backing array still names
+		// the old world's processes.
 		ev.env = nil
 		clear(ev.waiters[:cap(ev.waiters)])
-		clear(ev.callbacks[:cap(ev.callbacks)])
 	}
 	m := envMem{heap: e.queue.s[:0], evFree: e.evFree, pipeFree: e.pipeFree, pipeSlab: e.pipeSlab, layers: e.layers}
 	e.queue.s, e.evFree, e.pipeFree, e.pipeSlab, e.layers, e.piped = nil, nil, nil, 0, nil, 0

@@ -1,13 +1,12 @@
 package sim
 
-// Event is a one-shot occurrence that processes can wait on and callbacks
-// can subscribe to. An event carries an optional value delivered to waiters.
+// Event is a one-shot occurrence that processes can wait on. An event
+// carries an optional value delivered to waiters.
 type Event struct {
 	env       *Env
 	triggered bool
 	val       any
 	waiters   []*Proc
-	callbacks []func(any)
 }
 
 // NewEvent creates an untriggered event. The event's lifetime is managed by
@@ -35,9 +34,9 @@ func (e *Env) AcquireEvent() *Event {
 }
 
 // ReleaseEvent recycles ev onto the freelist. The caller asserts that no
-// reference to ev survives — no parked waiter, no pending callback, no
-// scheduled trigger. The canonical pattern is release immediately after a
-// Wait on the event returns. Events a peer may still observe (completion
+// reference to ev survives — no parked waiter, no scheduled trigger. The
+// canonical pattern is release immediately after a Wait on the event
+// returns. Events a peer may still observe (completion
 // events handed to user code) must use NewEvent and be left to the garbage
 // collector. The freelist is per-Env and therefore deterministic: reuse
 // order depends only on the simulation itself.
@@ -45,7 +44,6 @@ func (e *Env) ReleaseEvent(ev *Event) {
 	ev.triggered = false
 	ev.val = nil
 	ev.waiters = ev.waiters[:0]
-	ev.callbacks = ev.callbacks[:0]
 	e.evFree = append(e.evFree, ev)
 }
 
@@ -56,9 +54,9 @@ func (ev *Event) Triggered() bool { return ev.triggered }
 func (ev *Event) Value() any { return ev.val }
 
 // Trigger fires the event with the given value. Waiting processes are
-// resumed, and callbacks invoked, at the current virtual time in
-// registration order. Triggering an already-triggered event panics: events
-// are one-shot by design (use Queue for streams of values).
+// resumed at the current virtual time in registration order. Triggering an
+// already-triggered event panics: events are one-shot by design (use Queue
+// for streams of values).
 func (ev *Event) Trigger(v any) {
 	if ev.triggered {
 		panic("sim: event triggered twice")
@@ -69,32 +67,8 @@ func (ev *Event) Trigger(v any) {
 	for _, w := range ev.waiters {
 		env.scheduleResume(env.now, w, v)
 	}
-	for _, cb := range ev.callbacks {
-		env.scheduleArg(env.now, cb, v)
-	}
 	// Truncate rather than nil out: a recycled event reuses the backing
-	// arrays. Nothing can append after the trigger — late Waits return
-	// immediately and late OnTriggers schedule directly.
+	// array. Nothing can append after the trigger — late Waits return
+	// immediately.
 	ev.waiters = ev.waiters[:0]
-	ev.callbacks = ev.callbacks[:0]
-}
-
-// TryTrigger fires the event if it has not fired yet and reports whether it
-// did. It is useful for idempotent completion paths (timeout vs. success).
-func (ev *Event) TryTrigger(v any) bool {
-	if ev.triggered {
-		return false
-	}
-	ev.Trigger(v)
-	return true
-}
-
-// OnTrigger registers cb to run (in scheduler context) when the event
-// fires; if it already fired, cb is scheduled immediately.
-func (ev *Event) OnTrigger(cb func(any)) {
-	if ev.triggered {
-		ev.env.scheduleArg(ev.env.now, cb, ev.val)
-		return
-	}
-	ev.callbacks = append(ev.callbacks, cb)
 }

@@ -129,7 +129,11 @@ func (p *loopProgram) spawn() {
 		p.timers[p.rng.Intn(len(p.timers))].Stop()
 	case 6:
 		ev := p.events[p.rng.Intn(len(p.events))]
-		p.e.At(p.delay(), func() { ev.TryTrigger(id) })
+		p.e.At(p.delay(), func() {
+			if !ev.Triggered() {
+				ev.Trigger(id)
+			}
+		})
 	case 7:
 		if p.rng.Intn(3) == 0 {
 			p.e.At(p.delay(), func() {

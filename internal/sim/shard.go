@@ -593,7 +593,7 @@ func (w *world) planWindow(next, horizon Time) {
 			w.active = append(w.active, int32(i))
 		} else {
 			// Nothing runnable inside the horizon: the shard sits out this
-			// window waiting for the rest of the world (see WindowStats).
+			// window waiting for the rest of the world (see TakeWindowStats).
 			w.shards[i].windowStalls++
 		}
 	}
@@ -857,35 +857,6 @@ type ShardStats struct {
 	Shard    int
 	Executed int64
 	Stalls   int64
-}
-
-// WindowStats returns the cumulative number of conservative scheduler
-// windows run so far and per-shard work counters, or (0, nil) on an
-// unpartitioned (one-shard) environment. Call it between runs, not from
-// concurrent shard code; for per-interval deltas use TakeWindowStats.
-func (e *Env) WindowStats() (int64, []ShardStats) {
-	if !e.Sharded() {
-		return 0, nil
-	}
-	w := e.world
-	out := make([]ShardStats, len(w.shards))
-	for i, s := range w.shards {
-		out[i] = ShardStats{Shard: i, Executed: s.executed, Stalls: s.windowStalls}
-	}
-	return w.windows, out
-}
-
-// HorizonAdvance returns the cumulative safe-horizon advance (in simulated
-// time) granted to the critical shard across all windows so far: the sum
-// over windows of (limit − globalNext) for the shard holding the minimum
-// next-event time. Larger totals over the same simulated interval mean
-// wider windows — fewer barriers per unit of progress. It is 0 on an
-// unpartitioned (one-shard) environment.
-func (e *Env) HorizonAdvance() Time {
-	if !e.Sharded() {
-		return 0
-	}
-	return e.world.horizon
 }
 
 // WindowDelta is one TakeWindowStats interval: scheduler windows run,

@@ -189,7 +189,8 @@ func TestWindowStats(t *testing.T) {
 		views[0].AtArgOn(views[1], 10*Microsecond, func(any) {}, nil)
 	})
 	env.Run()
-	windows, shards := env.WindowStats()
+	d := env.TakeWindowStats() // the first take since Partition: the whole run
+	windows, shards := d.Windows, d.Shards
 	if windows <= 0 {
 		t.Fatalf("windows = %d, want > 0", windows)
 	}
@@ -205,8 +206,8 @@ func TestWindowStats(t *testing.T) {
 	if shards[1].Stalls == 0 {
 		t.Error("shard 1 never stalled despite having work in only one window")
 	}
-	if _, s := NewEnv().WindowStats(); s != nil {
-		t.Error("unpartitioned WindowStats must return nil shard stats")
+	if s := NewEnv().TakeWindowStats().Shards; s != nil {
+		t.Error("unpartitioned TakeWindowStats must return nil shard stats")
 	}
 }
 

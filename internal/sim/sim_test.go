@@ -133,20 +133,6 @@ func TestDoubleTriggerPanics(t *testing.T) {
 	ev.Trigger(nil)
 }
 
-func TestTryTrigger(t *testing.T) {
-	e := NewEnv()
-	ev := e.NewEvent()
-	if !ev.TryTrigger(1) {
-		t.Fatal("first TryTrigger = false")
-	}
-	if ev.TryTrigger(2) {
-		t.Fatal("second TryTrigger = true")
-	}
-	if ev.Value() != 1 {
-		t.Fatalf("Value = %v, want 1", ev.Value())
-	}
-}
-
 func TestMultipleWaitersResumeInOrder(t *testing.T) {
 	e := NewEnv()
 	ev := e.NewEvent()
@@ -374,18 +360,6 @@ func TestReleaseWithoutAcquirePanics(t *testing.T) {
 		}
 	}()
 	r.Release()
-}
-
-func TestOnTriggerAfterFire(t *testing.T) {
-	e := NewEnv()
-	ev := e.NewEvent()
-	ev.Trigger(3)
-	var got any
-	ev.OnTrigger(func(v any) { got = v })
-	e.Run()
-	if got != 3 {
-		t.Errorf("OnTrigger after fire got %v, want 3", got)
-	}
 }
 
 func TestTimeString(t *testing.T) {

@@ -135,14 +135,14 @@ type Stack struct {
 	// obs holds possibly-nil telemetry handles; record methods on nil
 	// handles are no-ops, so the disabled path costs a nil check per site.
 	obs stackObs
-	// dropFn, when non-nil, is consulted per outbound segment after
-	// transmit-side processing; returning true loses the segment (fault
+	// drop, when non-nil, is consulted per outbound segment after
+	// transmit-side processing; a drop verdict loses the segment (fault
 	// injection at the TCP layer).
-	dropFn func(wireBytes int) bool
+	drop *fault.Injector
 	// chaos arms the recovery timers that exist only for fault tolerance
 	// (handshake retransmission). It is set when the environment carries
-	// an enabled fault plan, or via SetDropFn: fault-free runs schedule
-	// not a single extra event, keeping their output byte-identical.
+	// an enabled fault plan: fault-free runs schedule not a single extra
+	// event, keeping their output byte-identical.
 	chaos bool
 }
 
@@ -266,9 +266,7 @@ func NewStack(dev *ipoib.NetDev, cfg Config) *Stack {
 	// handshake even when the plan injects no TCP loss itself).
 	if pl := fault.PlanFromEnv(s.env); pl != nil && pl.Enabled() {
 		s.chaos = true
-		if in := pl.ArmTCP(s.env); in != nil {
-			s.dropFn = func(wire int) bool { return in.DropWire(s.env.Now(), wire) }
-		}
+		s.drop = pl.ArmTCP()
 	}
 	dev.SetHandler(func(src ib.LID, payload any, length int, ecn bool) {
 		seg, ok := payload.(*segment)
@@ -306,7 +304,7 @@ func (s *Stack) txCost(seg *segment) sim.Time {
 
 // txDone puts a processed segment on the interface.
 func (s *Stack) txDone(seg *segment) {
-	if s.dropFn != nil && s.dropFn(seg.length+HeaderBytes) {
+	if s.drop != nil && s.drop.DropWire(s.env.Now(), seg.length+HeaderBytes) {
 		// TCP-layer fault injection: the segment is lost after transmit
 		// processing. End its flight; data segments stay in the sender's
 		// retransmission queue.
@@ -338,17 +336,6 @@ func (s *Stack) rxDone(seg *segment) {
 
 // Stats returns a snapshot of the stack counters.
 func (s *Stack) Stats() StackStats { return s.stats }
-
-// SetDropFn installs (or, with nil, removes) a per-segment fault-injection
-// hook: fn is consulted for every outbound segment after transmit-side
-// processing, and returning true loses it. Installing a hook also arms the
-// stack's handshake recovery timers.
-func (s *Stack) SetDropFn(fn func(wireBytes int) bool) {
-	s.dropFn = fn
-	if fn != nil {
-		s.chaos = true
-	}
-}
 
 // Env returns the simulation environment.
 func (s *Stack) Env() *sim.Env { return s.env }

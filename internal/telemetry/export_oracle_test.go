@@ -366,7 +366,7 @@ func TestPerfettoMatchesEncodingJSON(t *testing.T) {
 		r := randomRecorder(seed)
 		_, pts := randomTimelines(seed + 1000)
 		if seed%4 == 3 {
-			pts = nil // WritePerfetto's path: no counter process
+			pts = nil // the nil-pts path: no counter process
 		}
 		var got, want bytes.Buffer
 		if err := WritePerfettoTimeline(&got, r, pts); err != nil {

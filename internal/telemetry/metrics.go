@@ -30,9 +30,6 @@ func (c *Counter) Add(n int64) {
 	c.v.Add(n)
 }
 
-// Inc increments the counter by one. No-op on a nil receiver.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value returns the current count (0 on a nil receiver).
 func (c *Counter) Value() int64 {
 	if c == nil {

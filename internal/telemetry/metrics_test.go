@@ -91,7 +91,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil registry returned non-nil handles")
 	}
 	c.Add(3)
-	c.Inc()
 	h.Observe(9)
 	if c.Value() != 0 || h.Count() != 0 || h.Min() != 0 {
 		t.Error("nil handles reported non-zero state")

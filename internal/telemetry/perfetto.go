@@ -15,22 +15,17 @@ import (
 // micros converts sim time (ns) to trace-event microseconds.
 func micros(ns int64) float64 { return float64(ns) / 1000.0 }
 
-// WritePerfetto serializes the recorder's spans and instants as Chrome
-// trace-event JSON. Output is deterministic: tracks are grouped into
-// processes in first-registration order, spans are sorted by (start, id)
-// and instants by (time, record order).
-func WritePerfetto(w io.Writer, r *Recorder) error {
-	return WritePerfettoTimeline(w, r, nil)
-}
-
-// WritePerfettoTimeline is WritePerfetto plus sampled timelines rendered as
-// counter tracks: every series becomes a "C"-event graph in a dedicated
-// "timeline" process pinned above the span rows (process_sort_index -1).
-// Counter and derived series graph their per-interval value; hires series
-// graph p50/p99/p999 as stacked sub-series. Sample times are shifted by
-// each point's TraceOffset, so counters line up under that point's spans on
-// the recorder's stacked epoch timeline. With pts nil the output is exactly
-// WritePerfetto's.
+// WritePerfettoTimeline serializes the recorder's spans and instants as
+// Chrome trace-event JSON, plus sampled timelines rendered as counter
+// tracks. Output is deterministic: tracks are grouped into processes in
+// first-registration order, spans are sorted by (start, id) and instants by
+// (time, record order). Every series of pts becomes a "C"-event graph in a
+// dedicated "timeline" process pinned above the span rows
+// (process_sort_index -1). Counter and derived series graph their
+// per-interval value; hires series graph p50/p99/p999 as stacked
+// sub-series. Sample times are shifted by each point's TraceOffset, so
+// counters line up under that point's spans on the recorder's stacked epoch
+// timeline. With pts nil the output holds spans and instants only.
 func WritePerfettoTimeline(w io.Writer, r *Recorder, pts []PointTimeline) error {
 	tracks := r.Tracks()
 	// Assign one pid per distinct process name, in first-appearance order,

@@ -42,7 +42,7 @@ func goldenRecorder() *Recorder {
 
 func TestWritePerfettoGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, goldenRecorder()); err != nil {
+	if err := WritePerfettoTimeline(&buf, goldenRecorder(), nil); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "perfetto_golden.json")
@@ -64,7 +64,7 @@ func TestWritePerfettoGolden(t *testing.T) {
 // the golden bytes: valid JSON, metadata before slices, ids resolvable.
 func TestWritePerfettoStructure(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, goldenRecorder()); err != nil {
+	if err := WritePerfettoTimeline(&buf, goldenRecorder(), nil); err != nil {
 		t.Fatal(err)
 	}
 	var f struct {

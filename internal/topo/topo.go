@@ -50,9 +50,9 @@ type Link struct {
 	// Rate is the long-haul data rate (default wan.WANRate, i.e. SDR).
 	Rate ib.Rate
 	// Fault, when non-nil, is a per-link fault plan armed on this link
-	// only (its WAN levers: loss models, flaps, brownouts, rate steps,
-	// permanent down). It takes precedence over a run-wide plan attached
-	// to the environment, which arms every WAN link.
+	// only (its WAN levers: permanent down, flaps, loss, corruption). It
+	// takes precedence over a run-wide plan attached to the environment,
+	// which arms every WAN link.
 	Fault *fault.Plan
 	// QueueBytes bounds the long-haul hop's per-direction egress queue.
 	// Zero with ECN or Lossless set selects the link's bandwidth-delay
@@ -405,8 +405,8 @@ func Build(env *sim.Env, t Topology) (*Network, error) {
 		f.Connect(nw.byName[lk.B].Spine, pair.B.Device(), t.LinkRate, ib.DefaultCableDelay)
 		if lk.Fault != nil {
 			// Validated above; arming installs this link's own injector,
-			// replacing the run-wide one NewPairBetween may have armed.
-			lk.Fault.ArmWAN(env, pair.Link())
+			// replacing the run-wide one NewPairAcross may have armed.
+			lk.Fault.ArmWAN(pair.Link())
 		}
 		nw.links = append(nw.links, &WANLink{A: lk.A, B: lk.B, Pair: pair, name: name})
 		nw.adj[lk.A] = append(nw.adj[lk.A], lk.B)
@@ -471,16 +471,6 @@ func Build(env *sim.Env, t Topology) (*Network, error) {
 	return nw, nil
 }
 
-// MustBuild is Build for specs known valid at compile time (presets,
-// examples); it panics on error.
-func MustBuild(env *sim.Env, t Topology) *Network {
-	nw, err := Build(env, t)
-	if err != nil {
-		panic(err)
-	}
-	return nw
-}
-
 // Sites returns the compiled sites in declaration order.
 func (nw *Network) Sites() []*SiteNet { return nw.sites }
 
@@ -510,21 +500,11 @@ func (nw *Network) Nodes() []*Node {
 }
 
 // SetDelay reconfigures the one-way delay of every WAN link (the
-// all-links sweep knob; per-link control is SetLinkDelay).
+// all-links sweep knob).
 func (nw *Network) SetDelay(d sim.Time) {
 	for _, l := range nw.links {
 		l.Pair.SetDelay(d)
 	}
-}
-
-// SetLinkDelay reconfigures the one-way delay of the link joining a and b.
-func (nw *Network) SetLinkDelay(a, b string, d sim.Time) error {
-	l := nw.Link(a, b)
-	if l == nil {
-		return fmt.Errorf("topo: no link %q - %q", a, b)
-	}
-	l.Pair.SetDelay(d)
-	return nil
 }
 
 // BcastOrder returns the sites reachable from root in breadth-first order

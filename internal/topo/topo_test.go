@@ -112,15 +112,6 @@ func TestBuildShape(t *testing.T) {
 	if d := nw.Links()[1].Pair.Delay(); d != sim.Micros(200) {
 		t.Errorf("link 1 delay = %v, want 200us", d)
 	}
-	if err := nw.SetLinkDelay("hub", "s2", sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if d := nw.Links()[1].Pair.Delay(); d != sim.Millisecond {
-		t.Errorf("per-link SetLinkDelay not applied: %v", d)
-	}
-	if err := nw.SetLinkDelay("s1", "s2", 0); err == nil {
-		t.Error("SetLinkDelay accepted a nonexistent link")
-	}
 }
 
 func TestSingleLinkKeepsPaperNames(t *testing.T) {

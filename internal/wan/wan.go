@@ -3,6 +3,8 @@
 // switches bridging the clusters (paper Fig. 2): traffic crosses the WAN
 // hop at SDR rate, each device adds a forwarding latency, and a
 // web-configurable delay knob emulates wire length at 5 us/km.
+// NewPairAcross is the one constructor; it arms the fault plan attached to
+// the environment, if any, on the long-haul link.
 package wan
 
 import (
@@ -78,28 +80,15 @@ type Pair struct {
 	envA, envB *sim.Env
 }
 
-// NewPair creates two Longbows on the fabric and joins them with an SDR WAN
-// link with the given one-way delay. The caller connects each Longbow's
-// cluster-side to a cluster switch or HCA.
-func NewPair(f *ib.Fabric, name string, delay sim.Time) *Pair {
-	return NewPairBetween(f, name, "A", "B", delay)
-}
-
-// NewPairBetween is NewPair with explicit end labels: the Longbow facing
-// end endA is named name-endA, the other name-endB. Multi-link topologies
-// use it to give every Longbow — and the telemetry tracks keyed on device
-// names — a name identifying its link and side; NewPair's classic "A"/"B"
-// labels are the two-site special case.
-func NewPairBetween(f *ib.Fabric, name, endA, endB string, delay sim.Time) *Pair {
-	return NewPairAcross(f, name, endA, endB, delay, f.Env(), f.Env())
-}
-
-// NewPairAcross is NewPairBetween with each Longbow placed on its own
-// environment: the endA device on envA, the endB device on envB. On an
-// unpartitioned world (or with envA == envB) it behaves exactly like
-// NewPairBetween. On a partitioned world it is the topology compiler's
-// cross-shard edge: the two ends live on their sites' shard views, packet
-// delivery crosses through the kernel's mailbox path, and the link's
+// NewPairAcross creates two Longbows on the fabric and joins them with an
+// SDR WAN link with the given one-way delay; the caller connects each
+// Longbow's cluster side to a cluster switch or HCA. The Longbow facing end
+// endA is named name-endA and placed on envA, the other name-endB on envB,
+// so every Longbow — and the telemetry tracks keyed on device names — has a
+// name identifying its link and side. An unpartitioned world passes f.Env()
+// for both. On a partitioned world it is the topology compiler's cross-shard
+// edge: the two ends live on their sites' shard views, packet delivery
+// crosses through the kernel's mailbox path, and the link's
 // propagation delay is registered as the conservative bound of the directed
 // channel between the two shards, one registration per direction — the
 // delay is a lower bound on how far in the future any event this link sends
@@ -126,13 +115,13 @@ func NewPairAcross(f *ib.Fabric, name, endA, endB string, delay sim.Time, envA, 
 	}
 	// If the environment carries a fault plan naming this link (or naming
 	// no link at all — the historical "every WAN link" behavior), arm the
-	// plan's WAN levers (loss models, flaps, brownouts, rate throttling).
-	// With no plan attached this is a no-op, so fault-free runs are
-	// untouched. On a partitioned world only ShardSafe plans ever reach
-	// this point (the compiler refuses to shard otherwise), and those arm
-	// no scheduled closures, so anchoring the injector on envA is safe.
+	// plan's WAN levers (down, flaps, loss, corruption). With no plan
+	// attached this is a no-op, so fault-free runs are untouched. On a
+	// partitioned world only ShardSafe plans ever reach this point (the
+	// compiler refuses to shard otherwise), and those draw no randomness,
+	// so both shards may consult the injector.
 	if plan := fault.PlanFromEnv(envA); plan.MatchesLink(endA, endB) {
-		plan.ArmWAN(envA, link)
+		plan.ArmWAN(link)
 	}
 	return &Pair{A: a, B: b, link: link, envA: envA, envB: envB}
 }
@@ -221,47 +210,4 @@ func (p *Pair) EnableCongestion(cfg ib.QueueConfig) error {
 // String describes the pair.
 func (p *Pair) String() string {
 	return fmt.Sprintf("LongbowPair(delay=%v, %.0f km)", p.Delay(), p.DistanceKM())
-}
-
-// DelayStep is one entry of a dynamic delay schedule.
-type DelayStep struct {
-	At    sim.Time // absolute virtual time the new delay takes effect
-	Delay sim.Time // one-way delay from then on
-}
-
-// ScheduleDelays arms a time-varying delay on the WAN link — the paper
-// notes that "WAN separations often vary and can be dynamic in nature".
-// Packets in flight keep the delay they departed with; later packets see
-// the new value. Steps must be sorted by time and not in the simulated
-// past; a bad schedule returns an error with nothing armed (it used to
-// panic), so the harness can degrade a single measurement point.
-//
-// On a partitioned world the link's delay is its lookahead promise (a
-// lower bound on cross-shard event latency), so a step below the world's
-// registered bound is rejected up front: the parallel scheduler has
-// already sized its windows assuming no cross-WAN event arrives sooner.
-func (p *Pair) ScheduleDelays(env *sim.Env, steps []DelayStep) error {
-	now := env.Now()
-	la := p.lookahead()
-	var last sim.Time = -1
-	for i, s := range steps {
-		if s.At < now {
-			return fmt.Errorf("wan: delay step %d at %v is in the past (now %v)", i, s.At, now)
-		}
-		if s.At < last {
-			return fmt.Errorf("wan: delay step %d at %v out of order (previous %v)", i, s.At, last)
-		}
-		if s.Delay < 0 {
-			return fmt.Errorf("wan: delay step %d has negative delay %v", i, s.Delay)
-		}
-		if la > 0 && s.Delay < la {
-			return fmt.Errorf("wan: delay step %d sets %v, below the registered lookahead bound %v (the WAN delay is a lower bound on cross-shard event latency and cannot shrink below the bound on a partitioned world)", i, s.Delay, la)
-		}
-		last = s.At
-	}
-	for _, s := range steps {
-		d := s.Delay
-		env.At(s.At-now, func() { p.SetDelay(d) })
-	}
-	return nil
 }

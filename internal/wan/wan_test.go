@@ -48,7 +48,7 @@ func TestNegativeDistanceErrors(t *testing.T) {
 	}
 	env := sim.NewEnv()
 	f := ib.NewFabric(env)
-	p := NewPair(f, "lb", sim.Micros(10))
+	p := NewPairAcross(f, "lb", "A", "B", sim.Micros(10), env, env)
 	if err := p.SetDistanceKM(-5); err == nil {
 		t.Fatal("SetDistanceKM(-5) did not return an error")
 	}
@@ -82,7 +82,7 @@ func TestSetDistanceKMShardedLookaheadGuard(t *testing.T) {
 func TestPairDelayKnob(t *testing.T) {
 	env := sim.NewEnv()
 	f := ib.NewFabric(env)
-	p := NewPair(f, "lb", 0)
+	p := NewPairAcross(f, "lb", "A", "B", 0, env, env)
 	if p.Delay() != 0 {
 		t.Fatalf("initial delay = %v", p.Delay())
 	}
@@ -101,49 +101,11 @@ func TestPairDelayKnob(t *testing.T) {
 	}
 }
 
-func TestScheduleDelays(t *testing.T) {
-	env := sim.NewEnv()
-	f := ib.NewFabric(env)
-	p := NewPair(f, "lb", sim.Micros(10))
-	if err := p.ScheduleDelays(env, []DelayStep{
-		{At: sim.Micros(100), Delay: sim.Micros(500)},
-		{At: sim.Micros(200), Delay: sim.Micros(50)},
-	}); err != nil {
-		t.Fatalf("ScheduleDelays: %v", err)
-	}
-	env.RunUntil(sim.Micros(150))
-	if p.Delay() != sim.Micros(500) {
-		t.Errorf("delay at t=150us = %v, want 500us", p.Delay())
-	}
-	env.Run()
-	if p.Delay() != sim.Micros(50) {
-		t.Errorf("final delay = %v, want 50us", p.Delay())
-	}
-}
-
-func TestScheduleDelaysOutOfOrderErrors(t *testing.T) {
-	env := sim.NewEnv()
-	f := ib.NewFabric(env)
-	p := NewPair(f, "lb", 0)
-	err := p.ScheduleDelays(env, []DelayStep{
-		{At: sim.Micros(200), Delay: 0},
-		{At: sim.Micros(100), Delay: 0},
-	})
-	if err == nil {
-		t.Fatal("out-of-order steps did not return an error")
-	}
-	// Validation happens before arming: a rejected schedule must leave
-	// nothing behind on the event heap.
-	if env.Pending() != 0 {
-		t.Errorf("rejected schedule armed %d events", env.Pending())
-	}
-}
-
 func TestWANDelayAppliesToTraffic(t *testing.T) {
 	env := sim.NewEnv()
 	f := ib.NewFabric(env)
 	a, b := f.AddHCA("a"), f.AddHCA("b")
-	p := NewPair(f, "lb", sim.Micros(500))
+	p := NewPairAcross(f, "lb", "A", "B", sim.Micros(500), env, env)
 	f.Connect(a, p.A.Device(), ib.DDR, ib.DefaultCableDelay)
 	f.Connect(p.B.Device(), b, ib.DDR, ib.DefaultCableDelay)
 	f.Finalize()
