@@ -19,10 +19,10 @@ const (
 // Plan is the declarative fault configuration for one simulation
 // environment. The harness attaches a validated plan with AttachPlan
 // before building the testbed; layers that own an attachment point (the
-// wan package for the Longbow link, tcpsim for the socket stack) discover
-// it with PlanFromEnv and arm their injectors. The zero value means "no
-// faults" and arms nothing, so fault-free runs stay byte-identical to a
-// build without this package.
+// topo compiler for the Longbow links, tcpsim for the socket stack)
+// discover it with PlanFromEnv and arm their injectors. The zero value
+// means "no faults" and arms nothing, so fault-free runs stay
+// byte-identical to a build without this package.
 type Plan struct {
 	// Seed feeds every injector derived from this plan (via MixSeed).
 	// Same plan + same seed -> identical fault decisions, regardless of
@@ -136,8 +136,8 @@ func (p *Plan) ShardSafe() bool {
 }
 
 // AttachPlan validates p and installs it on the environment's fault slot.
-// It must run before the testbed is built (wan.NewPairAcross and
-// tcpsim.NewStack read the slot at construction time).
+// It must run before the testbed is built (topo.Build and tcpsim.NewStack
+// read the slot at construction time).
 func AttachPlan(env *sim.Env, p *Plan) error {
 	if p == nil {
 		return nil

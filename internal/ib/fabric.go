@@ -48,10 +48,6 @@ type Fabric struct {
 	pools   []*pool
 	devices []Device
 	byLID   []Device // indexed by LID; LIDs are dense from 1
-	// The id counters are atomics: on a partitioned world QPs on different
-	// shards draw from them concurrently.
-	nextQPN atomic.Int64
-	nextMsg atomic.Int64
 	routed  bool
 	// health is non-nil once MonitorLink has registered a WAN link with the
 	// self-healing layer (see health.go); routeEpoch counts re-sweeps and
@@ -79,9 +75,17 @@ type Fabric struct {
 // list would grow without bound while the sender's ran dry) nor pushes it
 // onto the home list (the home shard is running): it goes on the consumer's
 // return lane (sim.Env.ReturnTo) and the window barrier hands it home.
+//
+// The pool also numbers the QPs and messages made on its environment. A QPN
+// keys its HCA's QP table and a message id its QP's in-flight window, so
+// both need only be unique per environment; a pool's counters start afresh
+// with each fabric and advance in its own event order, so on a partitioned
+// world an id does not depend on which shard got there first. A classic
+// world has one pool and numbers exactly as one fabric-wide counter would.
 type pool struct {
-	fab *Fabric
-	env *sim.Env
+	fab              *Fabric
+	env              *sim.Env
+	nextQPN, nextMsg int64
 	*poolMem
 }
 
@@ -112,7 +116,7 @@ func (f *Fabric) poolFor(env *sim.Env) *pool {
 		}
 	}
 	mem := env.Recycled(poolMemKey{}, func() any { return new(poolMem) }).(*poolMem)
-	pl := &pool{fab: f, env: env, poolMem: mem}
+	pl := &pool{fab: f, env: env, nextQPN: 1, poolMem: mem}
 	f.pools = append(f.pools, pl)
 	return pl
 }
@@ -180,7 +184,8 @@ func (pl *pool) newTransfer() *transfer {
 	} else {
 		t = &transfer{}
 	}
-	t.id = pl.fab.nextMsg.Add(1)
+	pl.nextMsg++
+	t.id = pl.nextMsg
 	return t
 }
 
@@ -246,7 +251,6 @@ func (pl *pool) released(t *transfer, state int32) {
 func NewFabric(env *sim.Env) *Fabric {
 	f := &Fabric{env: env, byLID: []Device{nil}}
 	f.cur = f.poolFor(env)
-	f.nextQPN.Store(1)
 	if tel := telemetry.FromEnv(env); tel != nil && (tel.Metrics != nil || tel.Spans != nil) {
 		f.obs = newFabObs(tel)
 	}
@@ -751,8 +755,7 @@ func (s *Switch) receive(pkt *packet) {
 	out := s.routeTo(pkt.dst)
 	if out == nil {
 		// No route in the current epoch: a failover transition window or a
-		// true partition. Count the drop and error the owning QP instead of
-		// crashing the process (see Fabric.dropUnreachable).
+		// true partition. The packet is discarded (Fabric.dropUnreachable).
 		s.fab.dropUnreachable(s, pkt)
 		return
 	}

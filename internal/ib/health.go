@@ -21,20 +21,20 @@ import (
 //     event armed before traffic starts, classic and sharded runs see the
 //     identical epoch at the identical virtual time.
 //
-//   - Reactive detection (classic single-heap path only). Consecutive RC
-//     retransmission timeouts attributed to a monitored link — by walking
-//     the current route of the timed-out QP — mark the link dead once they
-//     reach HealthConfig.TimeoutThreshold. This covers faults with no
-//     schedule (e.g. total Bernoulli loss); such fault plans are never
-//     shard-safe, so the sharded scheduler never needs this path, and for
-//     links that do carry a schedule the schedule stays authoritative.
+//   - Reactive detection. Consecutive RC retransmission timeouts attributed
+//     to a monitored link with no raw outage schedule — by walking the
+//     current route of the timed-out QP — mark the link dead once they
+//     reach HealthConfig.TimeoutThreshold. Such links drop at random (loss,
+//     corruption), which keeps their world on one environment; a link with
+//     a schedule is never blamed, even when its flaps debounce to nothing.
+//
+// A switch with no route in the current epoch discards the packet, as an
+// IB switch does; its sender fails when the retry budget runs out.
 //
 // Re-sweeps never add links or change delays — a reroute only lengthens
 // paths — so every per-channel lookahead bound registered at build time
 // remains a valid lower bound across epochs. EnableFailover asserts this
-// for each monitored cross-shard link; topologies whose fault plans are
-// not time-pure are kept on the classic path by the topology compiler
-// (topo.shardEligible) rather than monitored optimistically.
+// for each monitored cross-shard link.
 
 // HealthTransition is one raw edge of a link's scheduled outage timeline,
 // in absolute simulated time. Links start up; edges toggle the raw state.
@@ -51,10 +51,9 @@ type HealthConfig struct {
 	DebounceDown sim.Time
 	DebounceUp   sim.Time
 	// TimeoutThreshold is the number of consecutive RC retransmission
-	// timeouts attributed to a monitored link before reactive detection
-	// declares it down. Zero selects DefaultTimeoutThreshold; negative
-	// disables reactive detection. Reactive detection is automatically
-	// disabled on sharded fabrics (see package comment above).
+	// timeouts attributed to a monitored link with no outage schedule
+	// before reactive detection declares it down. Zero selects
+	// DefaultTimeoutThreshold; negative disables reactive detection.
 	TimeoutThreshold int
 }
 
@@ -81,11 +80,10 @@ type monitoredLink struct {
 	raw  []HealthTransition
 	// edges is the debounced verdict timeline (computed at EnableFailover,
 	// sorted by time, strictly increasing). Reactive detection appends to
-	// it; scheduled timelines are immutable once armed.
-	edges     []verdictEdge
-	scheduled bool // true when the raw timeline is non-empty: schedule is authoritative
+	// it on unscheduled links; scheduled timelines are immutable once armed.
+	edges []verdictEdge
 
-	// Reactive streak (classic path only — never touched on sharded runs).
+	// Reactive streak (unscheduled links only: len(raw) == 0).
 	timeouts int
 	streakAt sim.Time // time of the first timeout in the current streak
 	down     bool     // reactive verdict latch
@@ -113,7 +111,7 @@ func (ml *monitoredLink) edgeAt(t sim.Time) *verdictEdge {
 // healthState hangs off the fabric once MonitorLink has been called.
 type healthState struct {
 	cfg      HealthConfig
-	reactive bool
+	reactive bool // some link has no schedule and the threshold is positive
 	links    []*monitoredLink
 	byLink   map[*Link]*monitoredLink
 	// suspects counts links with a nonzero reactive timeout streak, so the
@@ -140,8 +138,9 @@ func (f *Fabric) MonitorLink(l *Link, name string, schedule []HealthTransition) 
 // re-sweep (a new epoch) per verdict edge. On sharded fabrics each shard
 // re-sweeps its own devices in an event at the same virtual time, so the
 // table swap is equivalent to a swap at a window barrier and classic and
-// sharded runs stay byte-identical; reactive detection is disabled there.
-// Call after the topology is final (Finalize) and before traffic starts.
+// sharded runs stay byte-identical. A link with no schedule is an error on
+// a fabric spanning several environments: blaming it reads both ends'
+// state. Call after the topology is final (Finalize) and before traffic.
 func (f *Fabric) EnableFailover(cfg HealthConfig) error {
 	h := f.health
 	if h == nil || len(h.links) == 0 {
@@ -160,12 +159,16 @@ func (f *Fabric) EnableFailover(cfg HealthConfig) error {
 		cfg.TimeoutThreshold = DefaultTimeoutThreshold
 	}
 	h.cfg = cfg
-	h.reactive = cfg.TimeoutThreshold > 0 && !f.env.Sharded()
 
 	edgeTimes := make(map[sim.Time]bool)
 	for _, ml := range h.links {
+		if len(ml.raw) == 0 {
+			if len(f.pools) > 1 {
+				return fmt.Errorf("ib: monitored link %s has no outage schedule on a fabric spanning %d environments", ml.name, len(f.pools))
+			}
+			h.reactive = cfg.TimeoutThreshold > 0
+		}
 		ml.edges = debounceEdges(ml.raw, cfg.DebounceDown, cfg.DebounceUp)
-		ml.scheduled = len(ml.edges) > 0
 		for _, e := range ml.edges {
 			edgeTimes[e.at] = true
 		}
@@ -292,12 +295,12 @@ func (f *Fabric) applyEpoch(devs []Device, at sim.Time, lead bool) {
 }
 
 // noteTimeout feeds one RC retransmission timeout into reactive detection:
-// every monitored link on the QP's current route accumulates a consecutive-
-// timeout streak, and a streak reaching the threshold declares the link
-// dead and triggers an immediate re-sweep. Attempts launched under an
-// older routing epoch are ignored — their loss happened on a route that no
-// longer exists and says nothing about the replacement path. Links with a
-// scheduled timeline are skipped — the schedule is authoritative — and a
+// every unscheduled monitored link on the QP's current route accumulates a
+// consecutive-timeout streak, and a streak reaching the threshold declares
+// the link dead and triggers an immediate re-sweep. Attempts launched under
+// an older routing epoch are ignored — their loss happened on a route that
+// no longer exists and says nothing about the replacement path. Links with
+// a raw outage schedule are skipped — the schedule is authoritative — and a
 // reactively-dead link stays dead (the monitor never probes a path it has
 // stopped routing over).
 func (h *healthState) noteTimeout(q *QP, t *transfer) {
@@ -312,13 +315,13 @@ func (h *healthState) noteTimeout(q *QP, t *transfer) {
 		// The data reached the responder; the missing ack is in-order
 		// head-of-line blocking behind an older undelivered message, not
 		// evidence against the path the attempt took. (Reactive detection
-		// only runs on unsharded fabrics, so reading responder-side state
-		// here is race-free.)
+		// only runs on fabrics with one environment, so reading
+		// responder-side state here is race-free.)
 		return
 	}
 	now := q.env().Now()
 	f.walkRoute(q, func(ml *monitoredLink) {
-		if ml.scheduled || ml.down {
+		if len(ml.raw) > 0 || ml.down {
 			return
 		}
 		if ml.timeouts == 0 {
@@ -348,8 +351,8 @@ func (h *healthState) noteSuccess(q *QP) {
 }
 
 // reactiveDown latches a reactive link death: append a synthetic verdict
-// edge, re-sweep every device (the classic fabric is a single event heap,
-// so this swap is atomic with respect to traffic), and account the epoch.
+// edge, re-sweep every device (the fabric is on one environment, so this
+// swap is atomic with respect to traffic), and account the epoch.
 func (h *healthState) reactiveDown(f *Fabric, ml *monitoredLink, now sim.Time) {
 	ml.down = true
 	ml.timeouts = 0
@@ -406,24 +409,15 @@ func (f *Fabric) HealthTransitions() int64 {
 // window or a true partition).
 func (f *Fabric) UnreachableDrops() int64 { return f.unreachable.Load() }
 
-// dropUnreachable is the no-route sink: count the drop, error the origin
-// QP (when it is local to this shard's environment — always, on classic
-// runs) so its pending work flushes promptly instead of burning the whole
-// retry budget, and free the packet. A transition window or a true
-// partition degrades to explicit completions, never a crash or a hang.
+// dropUnreachable is the no-route sink: count the drop, trace it and free
+// the packet, as an IB switch discards a packet it has no route for. The
+// sender is not told; it fails, as on any loss, when its retry budget runs
+// out.
 func (f *Fabric) dropUnreachable(s *Switch, pkt *packet) {
 	f.unreachable.Add(1)
 	if obs := f.obs; obs != nil {
 		obs.routeUnreachable.Add(1)
 	}
 	f.trace(evDrop, s, pkt, "unreachable")
-	t := pkt.msg
-	var origin *QP
-	if t != nil && !t.acked {
-		origin = t.origin
-	}
-	if origin != nil && origin.hca.pool == s.pool {
-		origin.routeUnreachable(t)
-	}
 	s.pool.freePacket(pkt)
 }

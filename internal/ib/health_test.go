@@ -67,6 +67,31 @@ func TestEnableFailoverRejectsNegativeDebounce(t *testing.T) {
 	}
 }
 
+// TestFailoverRejectsUnscheduledAcrossEnvs: blaming a link with no outage
+// schedule reads both ends' state, so a fabric whose devices span two
+// environments refuses one, while a scheduled link is accepted there.
+func TestFailoverRejectsUnscheduledAcrossEnvs(t *testing.T) {
+	enable := func(schedule []HealthTransition) error {
+		env := sim.NewEnv()
+		env.SetShardWorkers(2)
+		views := env.Partition(2)
+		f := NewFabric(env)
+		s1 := f.AddSwitch("s1", SwitchDelay)
+		f.UseEnv(views[1])
+		s2 := f.AddSwitch("s2", SwitchDelay)
+		l12 := f.Connect(s1, s2, SDR, 50*sim.Microsecond)
+		f.Finalize()
+		f.MonitorLink(l12, "s1-s2", schedule)
+		return f.EnableFailover(HealthConfig{})
+	}
+	if err := enable(nil); err == nil {
+		t.Error("unscheduled link accepted on a fabric spanning two environments")
+	}
+	if err := enable([]HealthTransition{{At: sim.Millisecond, Down: true}}); err != nil {
+		t.Errorf("scheduled link rejected: %v", err)
+	}
+}
+
 // TestScheduledFailoverReroutes kills the monitored direct link on a
 // schedule and checks the routing tables swap to the alternate path at the
 // debounced verdict time, traffic sent after the swap completes, and the
@@ -119,9 +144,10 @@ func TestScheduledFailoverReroutes(t *testing.T) {
 	}
 }
 
-// TestUnreachableDropErrorsQP removes the only path mid-run: the send after
-// the verdict must degrade to an explicit StatusRetryExceeded completion
-// (via the switch's counted unreachable drop), never a hang or a panic.
+// TestUnreachableDropErrorsQP removes the only path mid-run: the switch
+// counts and discards every attempt of the send after the verdict, and the
+// send degrades to an explicit StatusRetryExceeded completion when its retry
+// budget runs out, never a hang or a panic.
 func TestUnreachableDropErrorsQP(t *testing.T) {
 	env := sim.NewEnv()
 	rec := telemetry.NewRecorder(0, 0)
@@ -171,9 +197,9 @@ func TestUnreachableDropErrorsQP(t *testing.T) {
 
 // TestReactiveDetection runs total loss on a monitored link with no outage
 // schedule: consecutive retry timeouts must reach the threshold, declare
-// the link dead, re-sweep, and (with no alternate path) fail the QP fast
-// through the unreachable drop instead of burning the whole exponential
-// backoff ladder.
+// the link dead and re-sweep. With no alternate path the later attempts are
+// dropped unreachable, and the QP fails exactly when its retry budget runs
+// out — the switch tells the sender nothing, as on IB hardware.
 func TestReactiveDetection(t *testing.T) {
 	env := sim.NewEnv()
 	f := NewFabric(env)
@@ -188,7 +214,8 @@ func TestReactiveDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	l1b.DropFn = func(sim.Time, int) bool { return true } // total loss
-	qa, qb := CreateRCPair(a, b, nil, nil, QPConfig{RetryTimeout: 100 * sim.Microsecond, RetryLimit: 30})
+	cfg := QPConfig{RetryTimeout: 100 * sim.Microsecond, RetryLimit: 30}
+	qa, qb := CreateRCPair(a, b, nil, nil, cfg)
 	qb.PostRecv(RecvWR{})
 	var status Status
 	var done sim.Time
@@ -210,9 +237,14 @@ func TestReactiveDetection(t *testing.T) {
 	if got := f.UnreachableDrops(); got < 1 {
 		t.Errorf("UnreachableDrops = %d, want >= 1", got)
 	}
-	// Threshold 3 at 100 us retry (exponential backoff) dies within ~1 ms;
-	// the 30-retry ladder alone would stall for seconds.
-	if done > 10*sim.Millisecond {
-		t.Errorf("reactive detection took %v, want well under the retry ladder", done)
+	// Attempt k launches one SendOverhead after its post or timeout and
+	// waits RetryTimeout << min(k, maxBackoffShift); the last attempt's
+	// timeout is the budget's end.
+	var want sim.Time
+	for k := 0; k <= cfg.RetryLimit; k++ {
+		want += SendOverhead + cfg.RetryTimeout<<min(k, maxBackoffShift)
+	}
+	if done != want {
+		t.Errorf("send failed at %v, want the retry budget's end %v", done, want)
 	}
 }

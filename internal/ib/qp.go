@@ -334,7 +334,8 @@ func (h *HCA) CreateQP(cq *CQ, cfg QPConfig) *QP {
 	if cfg.RetryLimit == 0 {
 		cfg.RetryLimit = DefaultRetryLimit
 	}
-	qp := &QP{hca: h, qpn: int(h.fab.nextQPN.Add(1)), cfg: cfg, cq: cq, retryq: h.env.NewPipe()}
+	h.pool.nextQPN++
+	qp := &QP{hca: h, qpn: int(h.pool.nextQPN), cfg: cfg, cq: cq, retryq: h.env.NewPipe()}
 	if h.qps == nil {
 		h.qps = make(map[int]*QP)
 	}

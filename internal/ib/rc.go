@@ -268,24 +268,6 @@ func (q *QP) retryExhausted(t *transfer) {
 	}
 }
 
-// routeUnreachable errors the QP whose transfer hit a switch with no route
-// in the current epoch (see Fabric.dropUnreachable). It reuses the
-// retryExhausted transition, so the completion stream — StatusRetryExceeded
-// for the doomed transfer, StatusFlushed for the rest in posting order — is
-// identical whether a transfer dies by budget exhaustion or by explicit
-// unreachability, and the rendered output of classic and partitioned runs
-// (where a cross-shard drop falls back to budget exhaustion) can only
-// differ in timing the harness never prints.
-func (q *QP) routeUnreachable(t *transfer) {
-	if q.errored || q.cfg.Transport != RC {
-		return
-	}
-	if _, still := q.inflight[t.id]; !still {
-		return
-	}
-	q.retryExhausted(t)
-}
-
 // flushTransfer error-completes one work request of an errored QP.
 func (q *QP) flushTransfer(t *transfer) {
 	delete(q.inflight, t.id)

@@ -203,16 +203,15 @@ func NewWorld(env *sim.Env, placement []*cluster.Node, cfg Config) *World {
 		}
 		w.ranks = append(w.ranks, r)
 	}
-	if env.Sharded() {
-		// On a partitioned world QPs toward remote-shard peers must exist
-		// before the shards start running concurrently: lazy creation would
-		// mutate both ranks' maps from whichever shard sends first. Same-site
-		// pairs stay lazy — creation there is a same-shard operation.
-		for i, ri := range w.ranks {
-			for _, rj := range w.ranks[i+1:] {
-				if ri.node.HCA.Env() != rj.node.HCA.Env() {
-					ri.qpTo(rj)
-				}
+	// QPs between ranks on different environments must exist before the
+	// shards start running concurrently: lazy creation would mutate both
+	// ranks' maps from whichever shard sends first. Pairs on one environment
+	// — every pair of an unpartitioned world — stay lazy (qpTo on first
+	// send): creation there is a same-shard operation.
+	for i, ri := range w.ranks {
+		for _, rj := range w.ranks[i+1:] {
+			if ri.node.HCA.Env() != rj.node.HCA.Env() {
+				ri.qpTo(rj)
 			}
 		}
 	}

@@ -21,8 +21,9 @@ func MountRDMA(serverNode, clientNode *cluster.Node) (*Server, *Client) {
 
 // MountTCP stands up an NFS server over TCP/IPoIB in the given IPoIB mode
 // and returns it with a client mounted from clientNode. The mount is
-// performed inside a short simulation run (TCP handshake); under fault
-// injection it can fail with the dial's error.
+// performed inside a short simulation run (TCP handshake), by a process on
+// the client node's environment; under fault injection it can fail with the
+// dial's error.
 func MountTCP(env *sim.Env, serverNode, clientNode *cluster.Node, mode ipoib.Mode) (*Server, *Client, error) {
 	net := ipoib.NewNetwork()
 	sdev := net.Attach(serverNode.HCA, mode, 0)
@@ -33,7 +34,7 @@ func MountTCP(env *sim.Env, serverNode, clientNode *cluster.Node, mode ipoib.Mod
 	rpc.ServeTCP(sstack, nfsPort, DefaultThreads, srv.Handler())
 	var cl *Client
 	var mountErr error
-	env.Go("nfs-mount", func(p *sim.Proc) {
+	clientNode.HCA.Env().Go("nfs-mount", func(p *sim.Proc) {
 		tc, err := rpc.NewTCPClient(p, cstack, sstack.Addr(), nfsPort)
 		if err != nil {
 			mountErr = err

@@ -6,6 +6,7 @@ package perftest
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/ib"
 	"repro/internal/sim"
@@ -16,6 +17,11 @@ const ackSize = 4
 
 // SendLatency measures half-round-trip send/recv latency between two HCAs
 // over the given transport.
+//
+// Every driver spawns each side's process, and gives each QP a CQ, on its
+// own HCA's environment: on a classic world both are env, on a sharded one
+// each side waits only on its own shard's CQ, and every crossing is the
+// wire's.
 func SendLatency(env *sim.Env, a, b *ib.HCA, tr ib.Transport, size, iters int) sim.Time {
 	if tr == ib.UD {
 		return udLatency(env, a, b, size, iters)
@@ -26,12 +32,6 @@ func SendLatency(env *sim.Env, a, b *ib.HCA, tr ib.Transport, size, iters int) s
 // PingRC is SendLatency over RC with an explicit QP configuration — the
 // knob the fault-injected experiments use to trade the retry budget
 // (QPConfig.RetryLimit, RetryTimeout) against loss rate.
-//
-// Each side's driver process is spawned on its own HCA's environment: on a
-// classic (unsharded) world both resolve to env and nothing changes, while
-// on a sharded multi-site world each process lives on its endpoint's shard
-// and only ever waits on that shard's CQ. The ping-pong needs no other
-// synchronization — every wire crossing is the fabric's own.
 func PingRC(env *sim.Env, a, b *ib.HCA, size, iters int, qcfg ib.QPConfig) sim.Time {
 	qa, qb := ib.CreateRCPair(a, b, nil, nil, qcfg)
 	var total sim.Time
@@ -61,25 +61,30 @@ func PingRC(env *sim.Env, a, b *ib.HCA, size, iters int, qcfg ib.QPConfig) sim.T
 	return total / sim.Time(2*iters)
 }
 
+// udPair creates a UD QP, with its CQ, on each HCA's environment.
+func udPair(a, b *ib.HCA) (qa, qb *ib.QP) {
+	qa = a.CreateQP(ib.NewCQ(a.Env()), ib.QPConfig{Transport: ib.UD})
+	qb = b.CreateQP(ib.NewCQ(b.Env()), ib.QPConfig{Transport: ib.UD})
+	return qa, qb
+}
+
 func udLatency(env *sim.Env, a, b *ib.HCA, size, iters int) sim.Time {
-	cqa, cqb := ib.NewCQ(env), ib.NewCQ(env)
-	qa := a.CreateQP(cqa, ib.QPConfig{Transport: ib.UD})
-	qb := b.CreateQP(cqb, ib.QPConfig{Transport: ib.UD})
+	qa, qb := udPair(a, b)
 	var total sim.Time
 	completed := false
-	env.Go("lat-b", func(p *sim.Proc) {
+	b.Env().Go("lat-b", func(p *sim.Proc) {
 		for i := 0; i < iters; i++ {
 			qb.PostRecv(ib.RecvWR{})
-			waitFor(p, cqb, ib.OpRecv)
+			waitFor(p, qb.CQ(), ib.OpRecv)
 			qb.PostSend(ib.SendWR{Op: ib.OpSend, Len: size, DestLID: a.LID(), DestQPN: qa.QPN()})
 		}
 	})
-	env.Go("lat-a", func(p *sim.Proc) {
+	a.Env().Go("lat-a", func(p *sim.Proc) {
 		start := p.Now()
 		for i := 0; i < iters; i++ {
 			qa.PostRecv(ib.RecvWR{})
 			qa.PostSend(ib.SendWR{Op: ib.OpSend, Len: size, DestLID: b.LID(), DestQPN: qb.QPN()})
-			waitFor(p, cqa, ib.OpRecv)
+			waitFor(p, qa.CQ(), ib.OpRecv)
 		}
 		total = p.Now() - start
 		completed = true
@@ -100,13 +105,13 @@ func WriteLatency(env *sim.Env, a, b *ib.HCA, size, iters int) sim.Time {
 	mrb := b.RegisterVirtualMR(size)
 	var total sim.Time
 	completed := false
-	env.Go("wlat-b", func(p *sim.Proc) {
+	b.Env().Go("wlat-b", func(p *sim.Proc) {
 		for i := 0; i < iters; i++ {
 			waitNotify(p, qb.CQ()) // peer's write landed
 			qb.PostSend(ib.SendWR{Op: ib.OpRDMAWrite, Len: size, RemoteMR: mra, NotifyRemote: true})
 		}
 	})
-	env.Go("wlat-a", func(p *sim.Proc) {
+	a.Env().Go("wlat-a", func(p *sim.Proc) {
 		start := p.Now()
 		for i := 0; i < iters; i++ {
 			qa.PostSend(ib.SendWR{Op: ib.OpRDMAWrite, Len: size, RemoteMR: mrb, NotifyRemote: true})
@@ -243,8 +248,8 @@ func BiBandwidthRC(env *sim.Env, a, b *ib.HCA, size, count, window int) float64 
 	}
 	var elapsed sim.Time
 	completed := false
-	env.Go("bibw-b", func(p *sim.Proc) { finish(p, qb) })
-	env.Go("bibw-a", func(p *sim.Proc) {
+	b.Env().Go("bibw-b", func(p *sim.Proc) { finish(p, qb) })
+	a.Env().Go("bibw-a", func(p *sim.Proc) {
 		start := p.Now()
 		finish(p, qa)
 		elapsed = p.Now() - start
@@ -262,18 +267,16 @@ func BiBandwidthRC(env *sim.Env, a, b *ib.HCA, size, count, window int) float64 
 // so the pipeline-fill delay (the WAN latency itself) is excluded —
 // matching how a long-running ib_send_bw converges.
 func BandwidthUD(env *sim.Env, a, b *ib.HCA, size, count int) float64 {
-	cqa, cqb := ib.NewCQ(env), ib.NewCQ(env)
-	qa := a.CreateQP(cqa, ib.QPConfig{Transport: ib.UD})
-	qb := b.CreateQP(cqb, ib.QPConfig{Transport: ib.UD})
+	qa, qb := udPair(a, b)
 	var window sim.Time
 	completed := false
-	env.Go("udbw-recv", func(p *sim.Proc) {
+	b.Env().Go("udbw-recv", func(p *sim.Proc) {
 		for i := 0; i < count; i++ {
 			qb.PostRecv(ib.RecvWR{})
 		}
 		var first sim.Time
 		for i := 0; i < count; i++ {
-			waitFor(p, cqb, ib.OpRecv)
+			waitFor(p, qb.CQ(), ib.OpRecv)
 			if i == 0 {
 				first = p.Now()
 			}
@@ -282,7 +285,7 @@ func BandwidthUD(env *sim.Env, a, b *ib.HCA, size, count int) float64 {
 		completed = true
 		env.Stop()
 	})
-	env.Go("udbw-send", func(p *sim.Proc) {
+	a.Env().Go("udbw-send", func(p *sim.Proc) {
 		for i := 0; i < count; i++ {
 			qa.PostSend(ib.SendWR{Op: ib.OpSend, Len: size, DestLID: b.LID(), DestQPN: qb.QPN()})
 		}
@@ -294,10 +297,9 @@ func BandwidthUD(env *sim.Env, a, b *ib.HCA, size, count int) float64 {
 }
 
 // BiBandwidthUD measures aggregate two-way UD streaming rate, steady-state.
+// The two sides may finish on different shards, so left is an atomic.
 func BiBandwidthUD(env *sim.Env, a, b *ib.HCA, size, count int) float64 {
-	cqa, cqb := ib.NewCQ(env), ib.NewCQ(env)
-	qa := a.CreateQP(cqa, ib.QPConfig{Transport: ib.UD})
-	qb := b.CreateQP(cqb, ib.QPConfig{Transport: ib.UD})
+	qa, qb := udPair(a, b)
 	rate := func(p *sim.Proc, cq *ib.CQ) float64 {
 		var first sim.Time
 		for i := 0; i < count; i++ {
@@ -309,33 +311,34 @@ func BiBandwidthUD(env *sim.Env, a, b *ib.HCA, size, count int) float64 {
 		return float64(size) * float64(count-1) / (p.Now() - first).Seconds() / 1e6
 	}
 	var ra, rb float64
-	left := 2
-	env.Go("a", func(p *sim.Proc) {
+	var left atomic.Int32
+	left.Store(2)
+	a.Env().Go("a", func(p *sim.Proc) {
 		for i := 0; i < count; i++ {
 			qa.PostRecv(ib.RecvWR{})
 		}
 		for i := 0; i < count; i++ {
 			qa.PostSend(ib.SendWR{Op: ib.OpSend, Len: size, DestLID: b.LID(), DestQPN: qb.QPN()})
 		}
-		ra = rate(p, cqa)
-		if left--; left == 0 {
+		ra = rate(p, qa.CQ())
+		if left.Add(-1) == 0 {
 			env.Stop()
 		}
 	})
-	env.Go("b", func(p *sim.Proc) {
+	b.Env().Go("b", func(p *sim.Proc) {
 		for i := 0; i < count; i++ {
 			qb.PostRecv(ib.RecvWR{})
 		}
 		for i := 0; i < count; i++ {
 			qb.PostSend(ib.SendWR{Op: ib.OpSend, Len: size, DestLID: a.LID(), DestQPN: qa.QPN()})
 		}
-		rb = rate(p, cqb)
-		if left--; left == 0 {
+		rb = rate(p, qb.CQ())
+		if left.Add(-1) == 0 {
 			env.Stop()
 		}
 	})
 	env.Run()
 	env.Shutdown()
-	checkCompleted(left == 0, "BiBandwidthUD")
+	checkCompleted(left.Load() == 0, "BiBandwidthUD")
 	return ra + rb
 }

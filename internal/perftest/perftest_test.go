@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/ib"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 func pair(delay sim.Time) (*sim.Env, *ib.HCA, *ib.HCA) {
@@ -83,5 +84,62 @@ func TestUDBiBandwidthPeak(t *testing.T) {
 	bw := BiBandwidthUD(env, a, b, ib.MaxUDPayload, 1000)
 	if bw < 1800 || bw > 2020 {
 		t.Errorf("UD bidirectional peak = %.1f, want ~1940", bw)
+	}
+}
+
+// TestShardedDriversMatchOneShard runs every driver on the paper preset split
+// into one shard per site and compares it with the one-shard run. Each side's
+// process and each QP's CQ live on that side's HCA environment, so nothing a
+// driver touches crosses a shard but the wire; run it under -race.
+func TestShardedDriversMatchOneShard(t *testing.T) {
+	const mtu = ib.MaxUDPayload
+	drivers := []struct {
+		name string
+		run  func(env *sim.Env, a, b *ib.HCA) float64
+	}{
+		{"SendLatency/RC", func(env *sim.Env, a, b *ib.HCA) float64 {
+			return float64(SendLatency(env, a, b, ib.RC, 8, 10))
+		}},
+		{"SendLatency/UD", func(env *sim.Env, a, b *ib.HCA) float64 {
+			return float64(SendLatency(env, a, b, ib.UD, 8, 10))
+		}},
+		{"WriteLatency", func(env *sim.Env, a, b *ib.HCA) float64 {
+			return float64(WriteLatency(env, a, b, 8, 10))
+		}},
+		{"BandwidthRC", func(env *sim.Env, a, b *ib.HCA) float64 {
+			return BandwidthRC(env, a, b, 64<<10, 32, 8)
+		}},
+		{"BiBandwidthRC", func(env *sim.Env, a, b *ib.HCA) float64 {
+			return BiBandwidthRC(env, a, b, 64<<10, 32, 8)
+		}},
+		{"BandwidthUD", func(env *sim.Env, a, b *ib.HCA) float64 {
+			return BandwidthUD(env, a, b, mtu, 200)
+		}},
+		{"BiBandwidthUD", func(env *sim.Env, a, b *ib.HCA) float64 {
+			return BiBandwidthUD(env, a, b, mtu, 200)
+		}},
+	}
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			measure := func(shardWorkers int) float64 {
+				env := sim.NewEnv()
+				env.SetShardWorkers(shardWorkers)
+				spec, err := topo.Preset("paper", 1, 100*sim.Microsecond)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nw, err := topo.Build(env, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if env.Sharded() != (shardWorkers > 1) {
+					t.Fatalf("shardWorkers=%d: partitioned=%v", shardWorkers, env.Sharded())
+				}
+				return d.run(env, nw.Sites()[0].Nodes[0].HCA, nw.Sites()[1].Nodes[0].HCA)
+			}
+			if one, two := measure(1), measure(2); one != two {
+				t.Errorf("two shards measure %v, one shard %v", two, one)
+			}
+		})
 	}
 }

@@ -85,11 +85,10 @@ type Topology struct {
 	Shardable bool
 	// Failover, when non-nil, arms the fabric's self-healing routing layer
 	// (ib.Fabric.EnableFailover) with this health configuration: every WAN
-	// link is registered with the link-health monitor, scheduled outages
-	// from the link's effective fault plan (per-link Fault, else a matching
-	// run-wide plan) become debounced verdict edges, and each verdict edge
-	// triggers a subnet re-sweep that routes around dead links. Nil keeps
-	// the historical route-once behavior.
+	// link whose effective fault plan (see resolveFaults) arms a WAN lever is
+	// monitored, its scheduled outages become debounced verdict edges, and
+	// each verdict edge triggers a subnet re-sweep that routes around dead
+	// links. Nil keeps the historical route-once behavior.
 	Failover *ib.HealthConfig
 }
 
@@ -306,18 +305,36 @@ type Network struct {
 	adj map[string][]string
 }
 
+// resolveFaults sets each link's Fault to its effective plan, once: its own
+// Fault, else the run-wide plan rw when rw's Link restriction matches. It
+// writes t.Links in place, so t must be Build's fill()ed copy. A run-wide
+// plan that names a link the spec does not have is an error.
+func (t Topology) resolveFaults(rw *fault.Plan) error {
+	matched := false
+	for i := range t.Links {
+		if lk := &t.Links[i]; rw.MatchesLink(lk.A, lk.B) {
+			matched = true
+			if lk.Fault == nil {
+				lk.Fault = rw
+			}
+		}
+	}
+	if rw != nil && rw.Link != "" && !matched {
+		return fmt.Errorf("topo: fault plan targets unknown link %q", rw.Link)
+	}
+	return nil
+}
+
 // shardEligible reports whether Build may partition env into per-site
 // shards for this spec: the spec opts in (Shardable), the run asked for
 // shard workers, there is more than one site, the environment is not
 // already a shard view, every WAN link has a positive delay (a zero-delay
-// link cannot bound the lookahead), and every fault plan — per-link or
-// run-wide — uses only shard-safe levers (WANDown/WANFlaps, pure functions
-// of simulated time). Everything else falls back to the classic
-// single-heap path, whose output is byte-for-byte unchanged; in
-// particular, failover under a non-time-pure fault plan (where reactive
-// health detection rather than a schedule drives re-sweeps) always runs
-// classic.
-func (t Topology) shardEligible(env *sim.Env) bool {
+// link cannot bound the lookahead), and every link's effective plan — and
+// the run-wide plan rw, whose TCP lever reaches every stack — uses only
+// shard-safe levers (WANDown/WANFlaps, pure functions of simulated time).
+// Everything else, including every link the health monitor may blame
+// reactively, runs on the classic single-heap path.
+func (t Topology) shardEligible(env *sim.Env, rw *fault.Plan) bool {
 	if !t.Shardable || env.ShardWorkers() <= 1 || len(t.Sites) < 2 || env.Sharded() {
 		return false
 	}
@@ -326,16 +343,16 @@ func (t Topology) shardEligible(env *sim.Env) bool {
 			return false
 		}
 	}
-	return fault.PlanFromEnv(env).ShardSafe()
+	return rw.ShardSafe()
 }
 
 // Build compiles the topology onto a fresh fabric in env. Construction
 // order is fixed — site spines in declaration order, then Longbow pairs in
 // link order, then nodes site by site — so LID assignment, routing
 // tie-breaks and therefore simulated results are a pure function of the
-// spec. If the environment carries a run-wide fault plan it is armed on
-// every WAN link its Link restriction matches (all of them when empty); a
-// per-link Fault plan then overrides it on that link.
+// spec. Each WAN link is armed once, with its effective fault plan (see
+// resolveFaults): its own Fault, else the environment's run-wide plan if
+// that plan's Link restriction matches (every link when empty).
 //
 // When the spec and run qualify (see shardEligible), Build partitions env
 // into one event shard per site and compiles each site's devices, node
@@ -350,9 +367,13 @@ func Build(env *sim.Env, t Topology) (*Network, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
+	rw := fault.PlanFromEnv(env)
+	if err := t.resolveFaults(rw); err != nil {
+		return nil, err
+	}
 	f := ib.NewFabric(env)
 	var views []*sim.Env // per-site shard views; nil on the classic path
-	if t.shardEligible(env) {
+	if t.shardEligible(env, rw) {
 		views = env.Partition(len(t.Sites))
 	}
 	siteEnv := func(i int) *sim.Env {
@@ -378,7 +399,7 @@ func Build(env *sim.Env, t Topology) (*Network, error) {
 		nw.byName[spec.Name] = sn
 	}
 	f.UseEnv(env)
-	for _, lk := range t.Links {
+	for i, lk := range t.Links {
 		// The single-link name stays the paper's "longbow", which keeps the
 		// two-site device names (longbow-A, longbow-B) — and the golden
 		// output — unchanged. Multi-link topologies qualify the name with
@@ -403,10 +424,10 @@ func Build(env *sim.Env, t Topology) (*Network, error) {
 		}
 		f.Connect(nw.byName[lk.A].Spine, pair.A.Device(), t.LinkRate, ib.DefaultCableDelay)
 		f.Connect(nw.byName[lk.B].Spine, pair.B.Device(), t.LinkRate, ib.DefaultCableDelay)
-		if lk.Fault != nil {
-			// Validated above; arming installs this link's own injector,
-			// replacing the run-wide one NewPairAcross may have armed.
-			lk.Fault.ArmWAN(pair.Link())
+		// From here on a link's Fault is a plan that arms a WAN lever on it,
+		// or nil: the links with one are those the health monitor watches.
+		if lk.Fault.ArmWAN(pair.Link()) == nil {
+			t.Links[i].Fault = nil
 		}
 		nw.links = append(nw.links, &WANLink{A: lk.A, B: lk.B, Pair: pair, name: name})
 		nw.adj[lk.A] = append(nw.adj[lk.A], lk.B)
@@ -439,30 +460,12 @@ func Build(env *sim.Env, t Topology) (*Network, error) {
 	}
 	f.UseEnv(env)
 	f.Finalize()
-	rw := fault.PlanFromEnv(env)
-	if rw != nil && rw.Link != "" {
-		matched := false
-		for _, lk := range t.Links {
-			if rw.MatchesLink(lk.A, lk.B) {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			return nil, fmt.Errorf("topo: fault plan targets unknown link %q", rw.Link)
-		}
-	}
 	if t.Failover != nil {
-		// Register every WAN link with the health monitor. A link's outage
-		// schedule comes from its effective plan: the per-link Fault if set,
-		// else a run-wide plan whose Link restriction matches; links with no
-		// plan register with no schedule (reactive detection only).
+		// A plan that only drops at random has no schedule: reactive detection.
 		for i, lk := range t.Links {
-			plan := lk.Fault
-			if plan == nil && rw.MatchesLink(lk.A, lk.B) {
-				plan = rw
+			if lk.Fault != nil {
+				f.MonitorLink(nw.links[i].Pair.Link(), nw.links[i].Name(), lk.Fault.DownEdges())
 			}
-			f.MonitorLink(nw.links[i].Pair.Link(), nw.links[i].Name(), plan.DownEdges())
 		}
 		if err := f.EnableFailover(*t.Failover); err != nil {
 			return nil, err

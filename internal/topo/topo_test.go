@@ -266,3 +266,35 @@ func TestWithDelayWithNodes(t *testing.T) {
 		t.Error("WithDelay/WithNodes mutated the receiver")
 	}
 }
+
+// TestFailoverBlamesOnlyFaultyLink runs total loss on ring4's r0-r1 link
+// alone (a run-wide plan restricted to it) with failover on. An RC stream
+// r0→r2 first routes r0-r1-r2, so its timeouts walk both links; only r0-r1
+// has a plan, so only it is monitored and declared dead, and the stream
+// completes over r0-r3-r2.
+func TestFailoverBlamesOnlyFaultyLink(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Shutdown()
+	if err := fault.AttachPlan(env, &fault.Plan{Link: "r0-r1", WANLoss: 1}); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := Preset("ring4", 1, 100*sim.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Failover = &ib.HealthConfig{}
+	nw, err := Build(env, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qcfg := ib.QPConfig{RetryLimit: 30, RetryTimeout: sim.Millisecond}
+	if bw := perftest.StreamRC(env, nw.Site("r0").Nodes[0].HCA, nw.Site("r2").Nodes[0].HCA, 4096, 16, qcfg); bw <= 0 {
+		t.Fatalf("stream goodput = %v", bw)
+	}
+	if got := nw.Fabric.HealthTransitions(); got != 1 {
+		t.Errorf("HealthTransitions = %d, want 1 (r0-r1 only)", got)
+	}
+	if got := nw.Link("r0", "r3").Pair.Link().TxTotal(); got == 0 {
+		t.Error("the stream did not reroute over r0-r3")
+	}
+}

@@ -3,14 +3,13 @@
 // switches bridging the clusters (paper Fig. 2): traffic crosses the WAN
 // hop at SDR rate, each device adds a forwarding latency, and a
 // web-configurable delay knob emulates wire length at 5 us/km.
-// NewPairAcross is the one constructor; it arms the fault plan attached to
-// the environment, if any, on the long-haul link.
+// NewPairAcross is the one constructor. It arms no fault: the topology
+// compiler resolves each link's fault plan and arms it on Pair.Link.
 package wan
 
 import (
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/ib"
 	"repro/internal/sim"
 )
@@ -95,7 +94,8 @@ type Pair struct {
 // into the peer shard can land, which is the promise the windowed parallel
 // scheduler runs on. Because the bound is per channel, a long link's
 // windows are sized by its own delay even when a much shorter link exists
-// elsewhere in the topology.
+// elsewhere in the topology. The pair carries no fault plan; its caller arms
+// one on Link if the link has one.
 func NewPairAcross(f *ib.Fabric, name, endA, endB string, delay sim.Time, envA, envB *sim.Env) *Pair {
 	f.UseEnv(envA)
 	a := &Longbow{name: name + "-" + endA, sw: f.AddSwitch(name+"-"+endA, ForwardingDelay)}
@@ -112,16 +112,6 @@ func NewPairAcross(f *ib.Fabric, name, endA, endB string, delay sim.Time, envA, 
 		// WAN links all have positive delay.)
 		envA.RegisterLookaheadBetween(envB, delay)
 		envB.RegisterLookaheadBetween(envA, delay)
-	}
-	// If the environment carries a fault plan naming this link (or naming
-	// no link at all — the historical "every WAN link" behavior), arm the
-	// plan's WAN levers (down, flaps, loss, corruption). With no plan
-	// attached this is a no-op, so fault-free runs are untouched. On a
-	// partitioned world only ShardSafe plans ever reach this point (the
-	// compiler refuses to shard otherwise), and those draw no randomness,
-	// so both shards may consult the injector.
-	if plan := fault.PlanFromEnv(envA); plan.MatchesLink(endA, endB) {
-		plan.ArmWAN(link)
 	}
 	return &Pair{A: a, B: b, link: link, envA: envA, envB: envB}
 }
@@ -176,7 +166,8 @@ func (p *Pair) DistanceKM() float64 {
 	return km
 }
 
-// Link exposes the WAN link for fault injection in tests.
+// Link exposes the WAN link: the topology compiler arms its fault plan and
+// registers it with the fabric's health monitor here.
 func (p *Pair) Link() *ib.Link { return p.link }
 
 // MinQueueBytes floors BDP-sized queue bounds: a metro link with near-zero
