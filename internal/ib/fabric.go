@@ -2,6 +2,7 @@ package ib
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/sim"
@@ -149,7 +150,7 @@ func (pl *pool) newPacket(v packet) *packet {
 	} else {
 		pkt = new(packet)
 	}
-	v.home = pl
+	v.home, v.train = pl, pkt.train
 	*pkt = v
 	return pkt
 }
@@ -157,14 +158,17 @@ func (pl *pool) newPacket(v packet) *packet {
 // freePacket recycles a packet at its terminal sink — after the destination
 // QP consumed it, or when a drop removed it from the wire — and releases the
 // packet's reference on its transfer. pl is the pool of the environment the
-// sink runs on.
+// sink runs on. The packet keeps its train record, zeroed.
 func (pl *pool) freePacket(pkt *packet) {
-	t, home := pkt.msg, pkt.home
+	t, home, tr := pkt.msg, pkt.home, pkt.train
+	if tr != nil {
+		*tr = train{}
+	}
 	if home == pl {
-		*pkt = packet{}
+		*pkt = packet{train: tr}
 		pl.pktFree = append(pl.pktFree, pkt)
 	} else {
-		*pkt = packet{home: home} // takePacket reads it there, and clears it
+		*pkt = packet{home: home, train: tr} // takePacket reads home there, and clears it
 		pl.env.ReturnTo(home.env, takePacket, pkt)
 	}
 	if t != nil {
@@ -298,7 +302,7 @@ func (f *Fabric) AddSwitch(name string, forwardDelay sim.Time) *Switch {
 // delay must honor the world's registered lookahead bound. The link and both
 // its ports are one allocation.
 func (f *Fabric) Connect(a, b Device, rate Rate, prop sim.Time) *Link {
-	l := &Link{rate: rate, prop: prop}
+	l := &Link{rate: rate, prop: prop, retuned: -1}
 	l.a.init(a, l, &l.b)
 	l.b.init(b, l, &l.a)
 	a.attach(&l.a)
@@ -390,7 +394,11 @@ func (f *Fabric) ensureRouted() {
 type Link struct {
 	rate Rate
 	prop sim.Time
-	a, b Port
+	// retuned is the instant of the last SetRate or SetDelay, on the clock of
+	// port a, or -1: a packet train whose body was crossing the link then
+	// cannot be booked at one rate and delay (see Port.sendBody).
+	retuned sim.Time
+	a, b    Port
 	// DropFn, when non-nil, is consulted for every packet; returning true
 	// drops the packet on the wire (fault injection). now is the sending
 	// port's current virtual time — on partitioned worlds the two ends of a
@@ -481,6 +489,7 @@ func (l *Link) SetDelay(d sim.Time) {
 		panic("ib: negative link delay")
 	}
 	l.prop = d
+	l.retuned = l.a.env.Now()
 }
 
 // Delay returns the one-way propagation delay.
@@ -494,6 +503,7 @@ func (l *Link) SetRate(r Rate) error {
 		return fmt.Errorf("ib: link rate must be positive, got %v", r)
 	}
 	l.rate = r
+	l.retuned = l.a.env.Now()
 	return nil
 }
 
@@ -588,10 +598,14 @@ func (p *Port) init(dev Device, link *Link, peer *Port) {
 // toward the peer, whose device holds every arriving packet for one constant
 // latency: packets leave that stage in arrival order, so it needs no event of
 // its own and the packet is scheduled once, at arrival + stage, under the
-// sequence number its arrival would have carried.
+// sequence number its arrival would have carried. The last packet of a train
+// first books the body ahead of it (sendBody).
 func (p *Port) send(pkt *packet) {
 	now := p.env.Now()
 	fab := p.dev.fabric()
+	if pkt.body() > 0 {
+		p.sendBody(pkt.train, now)
+	}
 	q := p.cong
 	if cfg := p.link.qcfg; cfg != nil {
 		q.retire(now)
@@ -637,7 +651,7 @@ func (p *Port) send(pkt *packet) {
 		}
 	}
 	start := max(now, p.busyUntil)
-	ser := sim.Time(float64(pkt.wire) / float64(p.link.rate) * 1e9)
+	ser := serialization(pkt.wire, p.link.rate)
 	depart := start + ser // the instant the last bit leaves the port
 	p.busyUntil = depart
 	p.txBytes += int64(pkt.wire)
@@ -680,6 +694,75 @@ func (p *Port) send(pkt *packet) {
 		// world): the packet crosses through the kernel's mailbox lanes.
 		p.env.AtArgOn(p.peer.env, staged-now, p.peer.deliverArg, pkt)
 	}
+}
+
+// serialization is the time a packet of wire bytes occupies a port of rate r.
+func serialization(wire int, r Rate) sim.Time { return sim.Time(float64(wire) / float64(r) * 1e9) }
+
+// sendBody books a train's body on the port, at now, the instant its last
+// packet reaches it: the departures send would have given the body packets
+// one by one, the busy horizon and the transmit counters they leave behind,
+// and their arrivals at the next device. That is exact because on an
+// exclusive route nothing else books the port between the body's first
+// packet and its last (see Port.exclusiveTo). A retune of the link in that
+// span would have met some body packets and not others; booking cannot tell
+// which, so it refuses. A retune in the very nanosecond the body arrived is
+// refused too unless that is now, when the whole body arrives in one event
+// (the launch) that a retune can only precede or follow.
+func (p *Port) sendBody(tr *train, now sim.Time) {
+	l := p.link
+	if l.qcfg != nil || l.DropFn != nil {
+		panic("ib: a packet train reached a port with a queue bound or a drop function")
+	}
+	if first := tr.at(0); l.retuned > first || (l.retuned == first && first < now) {
+		panic(fmt.Sprintf("ib: link retuned at %v while a packet train crossed it (first body packet at %v)", l.retuned, first))
+	}
+	const wire = HeaderRC + MTU
+	tr.book(p.busyUntil, serialization(wire, l.rate))
+	p.busyUntil = tr.at(tr.m - 1)
+	p.txBytes += int64(tr.m) * wire
+	p.txPkts += int64(tr.m)
+	tr.shift(l.prop + p.peer.stage)
+}
+
+// exclusiveTo reports whether the route from p toward dst is exclusive: no
+// port on it looks at packets one by one, and none books anything else
+// between a train's first body packet and its last. A train then crosses it
+// as its last packet's events alone (see train). That needs a fabric with no
+// observer and no health monitor, links with no drop function and no queue
+// bound, switches of two ports — a switch's egress is then fed by its other
+// port alone, in FIFO order — and at most maxTrainTerms distinct link rates.
+func (p *Port) exclusiveTo(dst LID) bool {
+	f := p.dev.fabric()
+	if f.obs != nil || f.health != nil {
+		return false
+	}
+	var rates [maxTrainTerms]Rate
+	nr := 0
+	for range f.devices {
+		l := p.link
+		if l.DropFn != nil || l.qcfg != nil {
+			return false
+		}
+		if !slices.Contains(rates[:nr], l.rate) {
+			if nr == len(rates) {
+				return false
+			}
+			rates[nr] = l.rate
+			nr++
+		}
+		sw, ok := p.peer.dev.(*Switch)
+		if !ok {
+			return p.peer.dev.LID() == dst
+		}
+		if len(sw.plist) != 2 {
+			return false
+		}
+		if p = sw.routeTo(dst); p == nil {
+			return false
+		}
+	}
+	return false
 }
 
 // grantCredits is the lossless credit wake-up, run at a departure while

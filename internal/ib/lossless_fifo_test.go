@@ -10,8 +10,9 @@ import (
 
 // pktID names one wire packet for order comparisons.
 type pktID struct {
-	srcQP, seq int
-	msg        int64
+	srcQP int
+	seq   int32
+	msg   int64
 }
 
 // pktWire is what a wire instant records of a packet: the transfer it

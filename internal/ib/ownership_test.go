@@ -96,9 +96,11 @@ func TestOwnershipOneWayStream(t *testing.T) {
 							t.Errorf("%s holds %d pooled packets after %d crossed, want 1..%d", h.name, n, dataPkts, bound)
 						}
 						// What came home is zeroed: a packet keeps no home, a
-						// transfer no origin and no receiving QP.
+						// transfer no origin and no receiving QP. A packet that
+						// carried a train keeps the record, zeroed.
 						for _, pkt := range pl.pktFree {
-							if *pkt != (packet{}) {
+							tr := pkt.train
+							if *pkt != (packet{train: tr}) || tr != nil && *tr != (train{}) {
 								t.Fatalf("%s pooled a packet that is not zeroed: %+v", h.name, *pkt)
 							}
 						}

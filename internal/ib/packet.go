@@ -3,6 +3,7 @@ package ib
 import (
 	"sync/atomic"
 
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -25,8 +26,8 @@ type packet struct {
 	wire         int // total bytes on the wire (header + payload share)
 	payload      int // payload bytes carried by this packet
 	msg          *transfer
-	seq          int     // packet index within the transfer
-	kind         pktKind // one byte beside the flags: with home, the struct still fits 80 bytes
+	seq          int32   // packet index within the transfer; a message has at most 2^20 packets
+	kind         pktKind // one byte beside the flags and seq: with home and train, the struct fits 80 bytes
 	last         bool
 	ud           bool // UD datagram (reported as pkt "ud" in traces)
 	// ecn is the congestion-experienced codepoint: set by a bounded link
@@ -35,6 +36,84 @@ type packet struct {
 	ecn bool
 	// home is the pool the packet was taken from and goes back to.
 	home *pool
+	// train is made the first time the packet carries a train body and stays
+	// with it through recycling, zeroed; a body of m == 0 is no train.
+	train *train
+}
+
+// body returns the number of body packets the packet carries ahead of it.
+func (pkt *packet) body() int {
+	if pkt.train == nil {
+		return 0
+	}
+	return pkt.train.m
+}
+
+// carry makes pkt the last packet of a train whose m body packets all reach
+// the first port at now (see train).
+func (pkt *packet) carry(m int, now sim.Time) {
+	if pkt.train == nil {
+		pkt.train = new(train)
+	}
+	*pkt.train = train{m: m, n: 1, alpha: [maxTrainTerms]sim.Time{now}}
+}
+
+// maxTrainTerms bounds a train's affine terms, and so the distinct link rates
+// of a route that carries trains.
+const maxTrainTerms = 4
+
+// train is the body of a packet train: the m full MTU packets of a message
+// that travel ahead of its last packet on an exclusive route (see
+// Port.exclusiveTo), as a closed form instead of an event each per link.
+// Body packet i reaches the port the train is at — the instant its event
+// would run — at max over k < n of alpha[k] + i·beta[k]. At launch that is
+// one term, (now, 0). A port books the body as a whole when the last packet
+// reaches it (Port.sendBody): each port's FIFO turns a max of affine terms
+// into another (book), and the link adds a constant (shift). The record holds
+// no pointer.
+type train struct {
+	m, n        int
+	alpha, beta [maxTrainTerms]sim.Time
+}
+
+// at returns the instant body packet i reaches the port.
+func (tr *train) at(i int) sim.Time {
+	a := tr.alpha[0] + sim.Time(i)*tr.beta[0]
+	for k := 1; k < tr.n; k++ {
+		a = max(a, tr.alpha[k]+sim.Time(i)*tr.beta[k])
+	}
+	return a
+}
+
+// book turns the body's arrivals at a port into its departures from it. A
+// port that is busy until busy and serializes a body packet in s departs
+// packet i at d_i = max(a_i, d_{i-1}) + s, d_{-1} = busy. Unrolled, d_i is
+// the max over j <= i of a_j + (i-j+1)·s and busy + (i+1)·s; for one term
+// of a_j, j·beta + (i-j)·s peaks at an end of [0, i], so the term becomes
+// (alpha + s, max(beta, s)) and busy adds (busy + s, s). Terms of slope s
+// merge into one, so slopes stay distinct — one per distinct s on the route.
+func (tr *train) book(busy, s sim.Time) {
+	flat := busy + s
+	n := 0
+	for k := 0; k < tr.n; k++ {
+		a, b := tr.alpha[k]+s, tr.beta[k]
+		if b <= s {
+			flat = max(flat, a)
+			continue
+		}
+		tr.alpha[n], tr.beta[n] = a, b
+		n++
+	}
+	tr.alpha[n], tr.beta[n] = flat, s
+	tr.n = n + 1
+}
+
+// shift delays every body packet by d: departures become arrivals at the
+// next hop.
+func (tr *train) shift(d sim.Time) {
+	for k := 0; k < tr.n; k++ {
+		tr.alpha[k] += d
+	}
 }
 
 // transfer is the sender-side context of one message / RDMA operation in

@@ -127,30 +127,34 @@ func launchBody(v any) {
 	pl.unref(t)
 }
 
-// sendDataPackets packetizes a transfer onto the wire toward dst.
+// sendDataPackets packetizes a transfer onto the wire toward dst. On an
+// exclusive route a message of several packets goes as a train: its last
+// packet alone, carrying the others as its body (see train).
 func (q *QP) sendDataPackets(port *Port, dst *QP, t *transfer, kind pktKind) {
 	pl := q.hca.pool
-	n := (t.size + MTU - 1) / MTU
-	if n == 0 {
-		n = 1
+	n := max((t.size+MTU-1)/MTU, 1)
+	first := 0
+	if n > 1 && port.exclusiveTo(dst.hca.lid) {
+		first = n - 1
 	}
-	remaining := t.size
-	for i := 0; i < n; i++ {
-		chunk := remaining
-		if chunk > MTU {
-			chunk = MTU
-		}
+	remaining := t.size - first*MTU
+	for i := first; i < n; i++ {
+		chunk := min(remaining, MTU)
 		remaining -= chunk
 		// Every caller holds its own reference on t for the duration of
 		// this loop, so a fault-injected drop inside port.send (which
 		// releases the packet's reference) can never recycle t mid-loop.
 		t.ref()
-		port.send(pl.newPacket(packet{
+		pkt := pl.newPacket(packet{
 			src: q.hca.lid, dst: dst.hca.lid,
 			srcQP: q.qpn, dstQP: dst.qpn,
 			kind: kind, wire: HeaderRC + chunk, payload: chunk,
-			msg: t, seq: i, last: i == n-1,
-		}))
+			msg: t, seq: int32(i), last: i == n-1,
+		})
+		if first > 0 {
+			pkt.carry(first, q.env().Now())
+		}
+		port.send(pkt)
 	}
 }
 
@@ -314,9 +318,12 @@ func (q *QP) rcData(pkt *packet, readResp bool) {
 	if pkt.ecn {
 		t.ecn = true
 	}
-	if pkt.seq == 0 {
+	switch m := pkt.body(); {
+	case m > 0: // a train's last packet: its body began at seq 0
+		t.got = m*MTU + pkt.payload
+	case pkt.seq == 0:
 		t.got = pkt.payload
-	} else {
+	default:
 		t.got += pkt.payload
 	}
 	if !pkt.last || t.got < t.size {

@@ -13,14 +13,20 @@ import (
 // stagedPath builds a — b over the given number of links: back to back for
 // one, and for five the paper's host – switch – Longbow – WAN – Longbow –
 // switch – host. It returns the slowest link — the WAN hop, where there is
-// one — with its egress queues bounded by wanQueue unless that is nil.
-func stagedPath(links int, wanQueue *QueueConfig) (*sim.Env, *HCA, *HCA, *Link) {
+// one — with its egress queues bounded by wanQueue unless that is nil. The
+// route is exclusive unless perPacket, which gives every switch an idle third
+// port and a switchless link a drop function that never drops: a message then
+// crosses packet by packet instead of as a train.
+func stagedPath(links int, wanQueue *QueueConfig, perPacket bool) (*sim.Env, *HCA, *HCA, *Link) {
 	env := sim.NewEnv()
 	f := NewFabric(env)
 	a, b := f.AddHCA("a"), f.AddHCA("b")
 	var wan *Link
 	if links == 1 {
 		wan = f.Connect(a, b, DDR, DefaultCableDelay)
+		if perPacket {
+			wan.DropFn = func(sim.Time, int) bool { return false }
+		}
 	} else {
 		swA, swB := f.AddSwitch("swA", SwitchDelay), f.AddSwitch("swB", SwitchDelay)
 		lbA, lbB := f.AddSwitch("lbA", 2500*sim.Nanosecond), f.AddSwitch("lbB", 2500*sim.Nanosecond)
@@ -29,6 +35,11 @@ func stagedPath(links int, wanQueue *QueueConfig) (*sim.Env, *HCA, *HCA, *Link) 
 		wan = f.Connect(lbA, lbB, SDR, 100*sim.Microsecond)
 		f.Connect(lbB, swB, DDR, DefaultCableDelay)
 		f.Connect(swB, b, DDR, DefaultCableDelay)
+		if perPacket {
+			for _, sw := range []*Switch{swA, lbA, lbB, swB} {
+				f.Connect(sw, f.AddHCA("idle-"+sw.name), DDR, DefaultCableDelay)
+			}
+		}
 	}
 	f.Finalize()
 	if wanQueue != nil {
@@ -42,19 +53,21 @@ func stagedPath(links int, wanQueue *QueueConfig) (*sim.Env, *HCA, *HCA, *Link) 
 // TestOneEventPerLinkCrossing pins the cost of a link crossing at one kernel
 // event. Nothing polls, so what a stream executes is its per-message protocol
 // stages plus its packets' crossings. RC: a message grown by one MTU is one
-// more packet and nothing else, so it costs exactly one event per link. UD:
-// one more datagram also runs its send and receive stages, the same on any
-// path, so it costs exactly four more over five links than over one. An event
-// for the device's ingress stage beside the wire's would double both. A bound
-// on the WAN hop's queues that holds no packet back costs no event at all:
-// the queue retires departed bytes at the next admission and schedules
-// nothing but lossless wake-ups, so every stream executes exactly what it
-// does unbounded — a drain event per admission would add one per packet (and
-// per ack, on the way back).
+// more packet and nothing else, so where it crosses packet by packet it
+// costs exactly one event per link, and on an exclusive route, where its
+// packets cross as one train, none at all. UD: one more datagram also runs
+// its send and receive stages, the same on any path, so it costs exactly four
+// more over five links than over one. An event for the device's ingress stage
+// beside the wire's would double both. A bound on the WAN hop's queues that
+// holds no packet back costs no event of its own: the queue retires departed
+// bytes at the next admission and schedules nothing but lossless wake-ups,
+// so every stream executes exactly what it does packet by packet unbounded —
+// a drain event per admission would add one per packet (and per ack, on the
+// way back).
 func TestOneEventPerLinkCrossing(t *testing.T) {
 	const msgs = 8
-	rc := func(links, pkts int, wanQueue *QueueConfig) int64 {
-		env, a, b, wan := stagedPath(links, wanQueue)
+	rc := func(links, pkts int, wanQueue *QueueConfig, perPacket bool) int64 {
+		env, a, b, wan := stagedPath(links, wanQueue, perPacket)
 		qa, qb := CreateRCPair(a, b, nil, nil, QPConfig{})
 		for i := 0; i < msgs; i++ {
 			qb.PostRecv(RecvWR{})
@@ -73,7 +86,7 @@ func TestOneEventPerLinkCrossing(t *testing.T) {
 		return env.Executed()
 	}
 	ud := func(links, n int, wanQueue *QueueConfig) int64 {
-		env, a, b, _ := stagedPath(links, wanQueue)
+		env, a, b, _ := stagedPath(links, wanQueue, false)
 		qa := a.CreateQP(NewCQ(env), QPConfig{Transport: UD})
 		qb := b.CreateQP(NewCQ(env), QPConfig{Transport: UD})
 		for i := 0; i < n; i++ {
@@ -87,8 +100,11 @@ func TestOneEventPerLinkCrossing(t *testing.T) {
 		return env.Executed()
 	}
 	for _, links := range []int{1, 5} {
-		if got, want := rc(links, 4, nil)-rc(links, 3, nil), int64(msgs*links); got != want {
-			t.Errorf("RC over %d links: one more packet in each of %d messages costs %d events, want %d", links, msgs, got, want)
+		if got := rc(links, 4, nil, false) - rc(links, 3, nil, false); got != 0 {
+			t.Errorf("RC over %d exclusive links: one more packet in each of %d messages costs %d events, want 0", links, msgs, got)
+		}
+		if got, want := rc(links, 4, nil, true)-rc(links, 3, nil, true), int64(msgs*links); got != want {
+			t.Errorf("RC over %d links packet by packet: one more packet in each of %d messages costs %d events, want %d", links, msgs, got, want)
 		}
 	}
 	perDatagram := func(links int) int64 { return ud(links, msgs+1, nil) - ud(links, msgs, nil) }
@@ -104,8 +120,8 @@ func TestOneEventPerLinkCrossing(t *testing.T) {
 		{QueueBytes: 1 << 20, Lossless: true},
 	} {
 		for _, links := range []int{1, 5} {
-			if got, want := rc(links, 4, &bound), rc(links, 4, nil); got != want {
-				t.Errorf("RC over %d links, WAN hop bounded %+v: %d events, unbounded %d", links, bound, got, want)
+			if got, want := rc(links, 4, &bound, false), rc(links, 4, nil, true); got != want {
+				t.Errorf("RC over %d links, WAN hop bounded %+v: %d events, unbounded packet by packet %d", links, bound, got, want)
 			}
 			if got, want := ud(links, msgs, &bound), ud(links, msgs, nil); got != want {
 				t.Errorf("UD over %d links, WAN hop bounded %+v: %d events, unbounded %d", links, bound, got, want)
@@ -494,7 +510,7 @@ func TestQueueDepthAtDepartureInstant(t *testing.T) {
 		{QueueBytes: wireA + wireB - 1, Lossless: true},
 	} {
 		for _, order := range []string{"B scheduled first", "A admitted first"} {
-			env, a, b, link := stagedPath(1, &bound)
+			env, a, b, link := stagedPath(1, &bound, false)
 			var arrived []*packet
 			link.b.deliverArg = func(v any) { arrived = append(arrived, v.(*packet)) }
 			hand := func(wire int) {

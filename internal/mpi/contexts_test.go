@@ -71,9 +71,10 @@ func contextProgram(t *testing.T) func(r *Rank, p *sim.Proc) {
 // Pinned on the commit before the progress engine became a completion
 // handler (a process per rank polling the CQ, sleeping for the receive-side
 // copy): a handler that holds schedules entry for entry what that process
-// did, so neither may move.
+// did, so neither may move. The testbed's route is exclusive, so the count is
+// of multi-packet messages crossing it as packet trains (ib/packet.go).
 const (
-	contextProgramEvents = 1192
+	contextProgramEvents = 562
 	contextProgramFinish = sim.Time(32016138)
 )
 
