@@ -32,8 +32,10 @@
 // Every experiment expands into independent measurement points (one
 // simulated testbed per point) that run on a bounded worker pool; -par
 // controls the pool size and output is byte-identical at any parallelism.
-// Orthogonally, -shards lets each multi-site world run its sites as
-// parallel event shards under a conservative channel-clock scheduler:
+// Orthogonally, -shards lets every world of two or more sites — the
+// paper's two-cluster testbed as much as the multi-site presets — run its
+// sites as parallel event shards under a conservative channel-clock
+// scheduler:
 // each WAN link's delay bounds its own directed channel, so every
 // shard's window follows its own incoming links rather than the world
 // minimum — again with byte-identical output at any value (see
@@ -117,7 +119,7 @@ func main() {
 	topoName := flag.String("topo", "star3", "site topology preset for the multisite-* family ("+strings.Join(topo.PresetNames(), "|")+")")
 	list := flag.Bool("list", false, "list the experiment registry with one-line descriptions and exit")
 	par := flag.Int("par", runtime.GOMAXPROCS(0), "measurement points run concurrently (output is identical at any value)")
-	shards := flag.Int("shards", 1, "OS workers per simulation world: a shardable multi-site world runs one event shard per site on up to this many workers (output is identical at any value)")
+	shards := flag.Int("shards", 1, "OS workers per simulation world: a world of two or more sites whose WAN links all have a delay runs one event shard per site on up to this many workers (output is identical at any value)")
 	progress := flag.Bool("progress", false, "live per-point status line on stderr")
 	jsonOut := flag.String("json", "", "write a JSON report (metrics + table data) to this file ('-' = stdout, suppresses tables)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with `go tool pprof`)")

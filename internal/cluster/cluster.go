@@ -1,113 +1,43 @@
-// Package cluster builds the paper's experimental testbed (Fig. 2): two
-// InfiniBand clusters, each with its own switch, joined by a pair of
-// Obsidian Longbow XR WAN extenders. Cluster A models 32 dual-processor
-// Xeon nodes, Cluster B models quad dual-core Xeon nodes, both with DDR
-// HCAs; the WAN hop runs at SDR.
-//
-// Since the topology layer landed, this package is a thin compatibility
-// wrapper: New builds the degenerate two-site topo.Topology (sites "A" and
-// "B", one link) and re-exposes it through the classic Testbed shape.
-// Construction order — and therefore LID assignment, routing tie-breaks
-// and every simulated result — is unchanged; the golden-output test pins
-// that. New experiments should use internal/topo directly.
+// Package cluster builds the paper's experimental testbed (Fig. 2),
+// topo.Paper, in the two-cluster shape the benchmark and the quickstart
+// example use: cluster A's nodes, cluster B's nodes and the Longbow pair
+// between them. It is a shim over internal/topo, which defines the spec and
+// decides whether the world shards; new code should use topo directly.
 package cluster
 
 import (
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/wan"
-
-	"repro/internal/ib"
 )
 
 // Node is one compute node. It is the topology layer's node type; the
 // Cluster field carries the site name ("A" or "B" here).
 type Node = topo.Node
 
-// Config sizes the testbed. Zero values select the paper's configuration.
+// Config sizes the testbed. Zero node counts select the paper's 32 and 6.
 type Config struct {
-	NodesA int // default 32 (paper: 32 dual-CPU nodes)
-	NodesB int // default 6 (paper: 6 quad dual-core nodes)
-	CoresA int // default 2
-	CoresB int // default 8
-	// Delay is the initial one-way WAN delay.
+	NodesA, NodesB int
+	// Delay is the one-way WAN delay.
 	Delay sim.Time
-	// LinkRate is the intra-cluster link rate (default DDR).
-	LinkRate ib.Rate
-	// LeafRadix, when nonzero, builds each cluster as a two-level fat
-	// tree: nodes attach to leaf switches of this radix, and every leaf
-	// uplinks to the cluster's spine switch (which also carries the WAN
-	// uplink). Zero keeps the paper's single-switch cluster.
-	LeafRadix int
-}
-
-func (c *Config) fill() {
-	if c.NodesA == 0 {
-		c.NodesA = 32
-	}
-	if c.NodesB == 0 {
-		c.NodesB = 6
-	}
-	if c.CoresA == 0 {
-		c.CoresA = 2
-	}
-	if c.CoresB == 0 {
-		c.CoresB = 8
-	}
-}
-
-// Topology returns the two-site topology spec the config describes.
-func (c Config) Topology() topo.Topology {
-	c.fill()
-	return topo.Topology{
-		Sites: []topo.Site{
-			{Name: "A", Nodes: c.NodesA, Cores: c.CoresA, LeafRadix: c.LeafRadix},
-			{Name: "B", Nodes: c.NodesB, Cores: c.CoresB, LeafRadix: c.LeafRadix},
-		},
-		Links:    []topo.Link{{A: "A", B: "B", Delay: c.Delay}},
-		LinkRate: c.LinkRate,
-	}
 }
 
 // Testbed is the assembled cluster-of-clusters.
 type Testbed struct {
-	Env     *sim.Env
-	Fabric  *ib.Fabric
-	Net     *topo.Network
-	A, B    []*Node
-	SwitchA *ib.Switch // cluster A spine
-	SwitchB *ib.Switch // cluster B spine
-	LeavesA []*ib.Switch
-	LeavesB []*ib.Switch
-	WAN     *wan.Pair
+	A, B []*Node
+	WAN  *wan.Pair
 }
 
 // New assembles the testbed on the given environment.
 func New(env *sim.Env, cfg Config) *Testbed {
-	nw, err := topo.Build(env, cfg.Topology())
+	nw, err := topo.Build(env, topo.Paper(cfg.NodesA, cfg.NodesB, cfg.Delay))
 	if err != nil {
 		// Only reachable through a malformed Config (e.g. negative node
 		// count); the zero Config is always valid.
 		panic(err)
 	}
-	a, b := nw.Site("A"), nw.Site("B")
-	return &Testbed{
-		Env:     env,
-		Fabric:  nw.Fabric,
-		Net:     nw,
-		A:       a.Nodes,
-		B:       b.Nodes,
-		SwitchA: a.Spine,
-		SwitchB: b.Spine,
-		LeavesA: a.Leaves,
-		LeavesB: b.Leaves,
-		WAN:     nw.Links()[0].Pair,
-	}
+	return &Testbed{A: nw.Site("A").Nodes, B: nw.Site("B").Nodes, WAN: nw.Links()[0].Pair}
 }
-
-// SetDelay reconfigures the WAN delay knob (valid between runs or at any
-// quiescent point; in-flight packets keep the delay they departed with).
-func (t *Testbed) SetDelay(d sim.Time) { t.WAN.SetDelay(d) }
 
 // Nodes returns all nodes, cluster A first.
 func (t *Testbed) Nodes() []*Node {
@@ -115,12 +45,6 @@ func (t *Testbed) Nodes() []*Node {
 	out = append(out, t.A...)
 	out = append(out, t.B...)
 	return out
-}
-
-// CrossPair returns the i-th node of each cluster, the standard WAN
-// communication pair used throughout the paper's experiments.
-func (t *Testbed) CrossPair(i int) (*Node, *Node) {
-	return t.A[i%len(t.A)], t.B[i%len(t.B)]
 }
 
 // PaperDelays are the WAN delays the paper sweeps (Table 1 and all

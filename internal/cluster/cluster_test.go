@@ -26,8 +26,7 @@ func TestDefaultTestbedShape(t *testing.T) {
 func TestCrossClusterTraffic(t *testing.T) {
 	env := sim.NewEnv()
 	tb := New(env, Config{NodesA: 2, NodesB: 2, Delay: sim.Micros(100)})
-	na, nb := tb.CrossPair(0)
-	qa, qb := ib.CreateRCPair(na.HCA, nb.HCA, nil, nil, ib.QPConfig{})
+	qa, qb := ib.CreateRCPair(tb.A[0].HCA, tb.B[0].HCA, nil, nil, ib.QPConfig{})
 	delivered := false
 	var at sim.Time
 	env.Go("recv", func(p *sim.Proc) {
@@ -80,58 +79,6 @@ func TestPaperDelays(t *testing.T) {
 			t.Fatalf("PaperDelays[%d] = %v, want %v", i, d[i], want[i])
 		}
 	}
-}
-
-func TestFatTreeTopology(t *testing.T) {
-	env := sim.NewEnv()
-	tb := New(env, Config{NodesA: 8, NodesB: 4, LeafRadix: 3})
-	// ceil(8/3)=3 leaves in A, ceil(4/3)=2 in B.
-	if len(tb.LeavesA) != 3 || len(tb.LeavesB) != 2 {
-		t.Fatalf("leaves = %d/%d, want 3/2", len(tb.LeavesA), len(tb.LeavesB))
-	}
-	// Same-leaf latency is lower than cross-leaf (two extra switch hops
-	// through the spine).
-	lat := func(a, b *Node) sim.Time {
-		e := sim.NewEnv()
-		t2 := New(e, Config{NodesA: 8, NodesB: 4, LeafRadix: 3})
-		qa, qb := ib.CreateRCPair(t2.A[a2i(a)].HCA, t2.A[a2i(b)].HCA, nil, nil, ib.QPConfig{})
-		var at sim.Time
-		e.Go("recv", func(p *sim.Proc) {
-			qb.PostRecv(ib.RecvWR{})
-			qb.CQ().Poll(p)
-			at = p.Now()
-		})
-		e.Go("send", func(p *sim.Proc) {
-			qa.PostSend(ib.SendWR{Op: ib.OpSend, Len: 8})
-		})
-		e.Run()
-		return at
-	}
-	sameLeaf := lat(tb.A[0], tb.A[1])  // both on leaf 0
-	crossLeaf := lat(tb.A[0], tb.A[3]) // leaf 0 -> leaf 1
-	if crossLeaf <= sameLeaf {
-		t.Errorf("cross-leaf latency (%v) not above same-leaf (%v)", crossLeaf, sameLeaf)
-	}
-	// Cross-cluster traffic still works through leaves + spines + WAN.
-	qa, qb := ib.CreateRCPair(tb.A[7].HCA, tb.B[3].HCA, nil, nil, ib.QPConfig{})
-	ok := false
-	env.Go("recv", func(p *sim.Proc) {
-		qb.PostRecv(ib.RecvWR{})
-		qb.CQ().Poll(p)
-		ok = true
-	})
-	env.Go("send", func(p *sim.Proc) {
-		qa.PostSend(ib.SendWR{Op: ib.OpSend, Len: 8})
-	})
-	env.Run()
-	if !ok {
-		t.Error("cross-cluster delivery failed on fat tree")
-	}
-}
-
-// a2i maps a node back to its index by name suffix (test helper).
-func a2i(n *Node) int {
-	return int(n.Name[len(n.Name)-2]-'0')*10 + int(n.Name[len(n.Name)-1]-'0')
 }
 
 func TestNodesAccessor(t *testing.T) {

@@ -81,7 +81,7 @@ func arenaDirtyPoints(opt Options) []arenaPoint {
 // arenaCleanPoints are ordinary measurements through every layer that draws
 // on recycled memory. stops marks the ones that end by Env.Stop across
 // shards, whose Executed() and final clock are not a function of the input
-// on a partitioned world whatever the arena holds (ROADMAP 3a).
+// on a partitioned world whatever the arena holds (ROADMAP 6a).
 func arenaCleanPoints(opt Options) (pts []arenaPoint, stops map[string]bool) {
 	return []arenaPoint{
 		{"clean/nfs-tcp", func(m *Meter) float64 {
@@ -105,7 +105,7 @@ func arenaCleanPoints(opt Options) (pts []arenaPoint, stops map[string]bool) {
 			srv.AddSyntheticFile("f", 4<<20)
 			return nfs.IOzone(nw.Env, cl, "f", nfs.IOzoneConfig{FileSize: 4 << 20, RecordSize: 256 << 10, Threads: 2})
 		}},
-	}, map[string]bool{"clean/multisite-nfs": true}
+	}, map[string]bool{"clean/nfs-tcp": true, "clean/multisite-nfs": true}
 }
 
 // arenaOutcome is what a point's world came to.

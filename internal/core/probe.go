@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/ib"
 	"repro/internal/ipoib"
 	"repro/internal/mpi"
@@ -243,7 +244,11 @@ func probeIPoIB(fs *flag.FlagSet) func(*probeBuild) error {
 // sdpPoint measures aggregate SDP stream throughput across the WAN pair, as
 // tcpThroughput does for TCP streams.
 func sdpPoint(m *Meter, streams int, d sim.Time, ms int) float64 {
-	env, tb := m.pair(d)
+	env := m.NewEnv()
+	// sdp.Dial makes both ends of a connection: the world stays one
+	// environment whatever shard workers the run has.
+	env.SetShardWorkers(1)
+	tb := cluster.New(env, cluster.Config{NodesA: 1, NodesB: 1, Delay: d})
 	defer env.Shutdown()
 	var conns []*sdp.Conn
 	for i := 0; i < streams; i++ {

@@ -84,6 +84,25 @@ func TestProbeMatchesRegistryCell(t *testing.T) {
 	}
 }
 
+// TestSDPProbeIgnoresShards: sdp.Dial makes both ends of its connection, so
+// the sdp probe keeps its world on one environment and measures the same
+// value, from the same events, at two shard workers as at one.
+func TestSDPProbeIgnoresShards(t *testing.T) {
+	spec, err := ProbeSpec(strings.Fields("ipoib -mode sdp -delay 1000 -streams 4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := RunSpec(spec, Options{}, RunnerOptions{Workers: 1})
+	two := RunSpec(spec, Options{}, RunnerOptions{Workers: 1, ShardWorkers: 2})
+	if a, b := renderTables(one)+fmt.Sprint(one.Errors), renderTables(two)+fmt.Sprint(two.Errors); a != b {
+		t.Fatalf("sdp probe at two shard workers:\n%s\nat one:\n%s", b, a)
+	}
+	if one.Metrics.Events != two.Metrics.Events || two.Metrics.ShardWindows != 0 {
+		t.Errorf("events %d at one shard worker, %d (%d sharded windows) at two",
+			one.Metrics.Events, two.Metrics.Events, two.Metrics.ShardWindows)
+	}
+}
+
 // TestProbeRejectsBadFlags pins the validation contract: every value the
 // model has no meaning for, and every pair of flags that contradict each
 // other, is a one-line usage error naming the flag — before any world is

@@ -70,9 +70,9 @@ type Meter struct {
 	// is seeded either by the runner (RunnerOptions.Fault, a run-wide
 	// chaos plan) or by the point itself (WithFault, the loss-* family).
 	fault *fault.Plan
-	// shardWorkers > 1 marks every environment the point creates as
-	// eligible for per-site sharding (topo.Build partitions when the
-	// topology and fault plan allow it; see RunnerOptions.ShardWorkers).
+	// shardWorkers > 1 is declared on every environment the point creates,
+	// so topo.Build may split its world into per-site shards (it does when
+	// the links and fault plans allow; see RunnerOptions.ShardWorkers).
 	shardWorkers int
 	// sampleEvery > 0 arms sim-time timeline sampling: every environment
 	// the point creates gets its own metrics registry and a Sampler wired

@@ -53,13 +53,14 @@ type RunnerOptions struct {
 	// registries merge back into Telemetry.Metrics after each point, so
 	// end-of-run dumps still see run-wide totals.
 	SampleEvery sim.Time
-	// ShardWorkers > 1 lets each point's simulation world run sharded: a
-	// shardable multi-site topology splits into per-site event shards
-	// driven by up to this many OS workers under the conservative
-	// WAN-lookahead window protocol (the CLI -shards flag). Orthogonal to
-	// Workers, which parallelizes across points: Workers*ShardWorkers is
-	// the peak OS-thread demand. Rendered output is byte-identical at any
-	// value — worlds that cannot shard safely just run single-heap. Span
+	// ShardWorkers > 1 lets each point's simulation world run sharded: any
+	// world of two or more sites — the paper's testbed included — splits
+	// into per-site event shards driven by up to this many OS workers under
+	// the conservative WAN-lookahead window protocol (the CLI -shards flag).
+	// Orthogonal to Workers, which parallelizes across points:
+	// Workers*ShardWorkers is the peak OS-thread demand. Rendered output is
+	// byte-identical at any value — a world with a zero-delay link or a
+	// random-draw fault plan, and the sdp probe's, runs as one shard. Span
 	// recording forces both to 1 (the recorder is single-writer).
 	ShardWorkers int
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -21,6 +22,37 @@ func multisiteIDs() []string {
 		}
 	}
 	return ids
+}
+
+// TestEveryFamilyShards: one sharding rule for every world. Every registered
+// family at Quick renders the same tables and error rows sequentially, on
+// four shard workers, and on two point workers of two shard workers each —
+// and the paper's own testbed really partitions: fig5, fig7 and fig13 run
+// sharded windows at two shard workers.
+func TestEveryFamilyShards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every-family sharded sweep skipped in -short mode")
+	}
+	opt := Options{Quick: true}
+	for _, id := range ExperimentIDs {
+		t.Run(id, func(t *testing.T) {
+			base := RunWith(id, opt, RunnerOptions{Workers: 1})
+			want := renderTables(base) + fmt.Sprint(base.Errors)
+			for _, ropt := range []RunnerOptions{{Workers: 1, ShardWorkers: 4}, {Workers: 2, ShardWorkers: 2}} {
+				res := RunWith(id, opt, ropt)
+				if got := renderTables(res) + fmt.Sprint(res.Errors); got != want {
+					t.Fatalf("output diverges at workers=%d shards=%d\n--- sequential ---\n%s\n--- got ---\n%s",
+						ropt.Workers, ropt.ShardWorkers, want, got)
+				}
+				switch id {
+				case "fig5", "fig7", "fig13":
+					if ropt.ShardWorkers == 2 && res.Metrics.ShardWindows == 0 {
+						t.Errorf("%s ran no sharded window at %d shard workers", id, ropt.ShardWorkers)
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestShardedMatchesSequential is the determinism matrix for the sharded

@@ -78,6 +78,7 @@ type Handler func(src ib.LID, payload any, length int, ecn bool)
 // standing in for ARP/neighbour discovery.
 type Network struct {
 	devs map[ib.LID]*NetDev
+	cm   []*NetDev // connected-mode interfaces, in attach order
 }
 
 // NewNetwork creates an empty IPoIB network.
@@ -97,14 +98,16 @@ type NetDev struct {
 	conns   map[ib.LID]*ib.QP // connected-mode per-peer QPs
 	qps     map[int]*ib.QP    // every QP of the interface by QPN, for receive reposts
 	handler Handler
-	window  int // connected-mode RC in-flight window
 	rxPkts  int64
 	txPkts  int64
 }
 
 // Attach creates an IPoIB interface on the HCA with the given mode and IP
 // MTU (0 selects the mode's default: 2 KB for datagram, 64 KB for
-// connected). The interface starts its receive engine immediately.
+// connected). The interface starts its receive engine immediately. A
+// connected-mode interface connects to every earlier one here, in attach
+// order, so no send ever builds state on the peer's (maybe another shard's)
+// environment; setup is instantaneous and schedules nothing.
 func (n *Network) Attach(hca *ib.HCA, mode Mode, mtu int) *NetDev {
 	switch mode {
 	case Datagram:
@@ -128,16 +131,12 @@ func (n *Network) Attach(hca *ib.HCA, mode Mode, mtu int) *NetDev {
 		panic(fmt.Sprintf("ipoib: HCA %s already has an interface", hca.Name()))
 	}
 	d := &NetDev{
-		net:   n,
-		hca:   hca,
-		mode:  mode,
-		mtu:   mtu,
-		cq:    ib.NewCQ(hca.Env()),
-		conns: make(map[ib.LID]*ib.QP),
-		qps:   make(map[int]*ib.QP),
-	}
-	if mode == Connected {
-		d.window = DefaultCMWindow
+		net:  n,
+		hca:  hca,
+		mode: mode,
+		mtu:  mtu,
+		cq:   ib.NewCQ(hca.Env()),
+		qps:  make(map[int]*ib.QP),
 	}
 	if mode == Datagram {
 		d.udQP = hca.CreateQP(d.cq, ib.QPConfig{Transport: ib.UD})
@@ -145,6 +144,12 @@ func (n *Network) Attach(hca *ib.HCA, mode Mode, mtu int) *NetDev {
 		for i := 0; i < recvPool; i++ {
 			d.udQP.PostRecv(ib.RecvWR{})
 		}
+	} else {
+		d.conns = make(map[ib.LID]*ib.QP, len(n.cm))
+		for _, peer := range n.cm {
+			peer.connect(d)
+		}
+		n.cm = append(n.cm, d)
 	}
 	n.devs[hca.LID()] = d
 	d.cq.SetHandler(d.receive)
@@ -185,40 +190,34 @@ func (d *NetDev) Send(dst ib.LID, payload any, length int) {
 	if peer == nil {
 		panic(fmt.Sprintf("ipoib: no interface at LID %d", dst))
 	}
+	if peer.mode != d.mode {
+		panic(fmt.Sprintf("ipoib: %s-mode send to %s-mode interface at LID %d", d.mode, peer.mode, dst))
+	}
 	d.txPkts++
 	wire := length + EncapHeader
-	switch d.mode {
-	case Datagram:
+	if d.mode == Datagram {
 		d.udQP.PostSend(ib.SendWR{
 			Op: ib.OpSend, Len: wire, Meta: payload,
 			DestLID: dst, DestQPN: peer.udQP.QPN(),
 		})
-	case Connected:
-		d.connTo(peer).PostSend(ib.SendWR{Op: ib.OpSend, Len: wire, Meta: payload})
+		return
 	}
+	d.conns[dst].PostSend(ib.SendWR{Op: ib.OpSend, Len: wire, Meta: payload})
 }
 
-// connTo returns (creating on demand) the connected-mode QP toward the
-// peer. Connection establishment is rare control-plane work, modeled as
-// instantaneous.
-func (d *NetDev) connTo(peer *NetDev) *ib.QP {
-	if qp, ok := d.conns[peer.LID()]; ok {
-		return qp
-	}
-	if peer.mode != Connected {
-		panic("ipoib: connected-mode send to datagram-mode interface")
-	}
-	cfg := ib.QPConfig{MaxInflight: d.window}
-	local, remote := ib.CreateRCPair(d.hca, peer.hca, d.cq, peer.cq, cfg)
-	d.conns[peer.LID()] = local
-	peer.conns[d.LID()] = remote
+// connect opens the connected-mode RC pair between d and a later
+// interface, d's end first.
+func (d *NetDev) connect(later *NetDev) {
+	cfg := ib.QPConfig{MaxInflight: DefaultCMWindow}
+	local, remote := ib.CreateRCPair(d.hca, later.hca, d.cq, later.cq, cfg)
+	d.conns[later.LID()] = local
+	later.conns[d.LID()] = remote
 	d.qps[local.QPN()] = local
-	peer.qps[remote.QPN()] = remote
+	later.qps[remote.QPN()] = remote
 	for i := 0; i < recvPool; i++ {
 		local.PostRecv(ib.RecvWR{})
 		remote.PostRecv(ib.RecvWR{})
 	}
-	return local
 }
 
 // receive is the interface's receive engine, the CQ's completion handler:

@@ -25,7 +25,6 @@ func TestAbortNamesRankOpStatus(t *testing.T) {
 					// The WAN link dies for good in the middle of the stream.
 					WANFlaps: []fault.FlapStep{{At: 2 * sim.Millisecond, Down: true}},
 				}}},
-				Shardable: true,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -146,9 +146,8 @@ var releaseWorlds = []struct {
 	{"sharded", func(t *testing.T, env *sim.Env) *World {
 		env.SetShardWorkers(2)
 		nw, err := topo.Build(env, topo.Topology{
-			Sites:     []topo.Site{{Name: "A", Nodes: 1}, {Name: "B", Nodes: 1}},
-			Links:     []topo.Link{{A: "A", B: "B", Delay: sim.Millisecond}},
-			Shardable: true,
+			Sites: []topo.Site{{Name: "A", Nodes: 1}, {Name: "B", Nodes: 1}},
+			Links: []topo.Link{{A: "A", B: "B", Delay: sim.Millisecond}},
 		})
 		if err != nil {
 			t.Fatal(err)

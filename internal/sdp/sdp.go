@@ -142,7 +142,12 @@ type recvSpan struct {
 }
 
 // Dial connects to an SDP listener; the handshake costs one round trip.
+// It makes both ends of the connection from the dialing process, so both
+// nodes must run on one environment (not on two shards of a world).
 func Dial(p *sim.Proc, node *cluster.Node, peer *cluster.Node, port int) *Conn {
+	if node.HCA.Env() != peer.HCA.Env() {
+		panic(fmt.Sprintf("sdp: %s and %s run on different environments; Dial makes both ends of a connection and needs one", node.Name, peer.Name))
+	}
 	key := listenerKey{peer, port}
 	listenersMu.Lock()
 	l, ok := listeners[key]

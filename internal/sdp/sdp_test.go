@@ -3,10 +3,12 @@ package sdp
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 func testbed(delay sim.Time) (*sim.Env, *cluster.Testbed) {
@@ -136,6 +138,28 @@ func TestDialWithoutListenerPanics(t *testing.T) {
 		Dial(p, tb.A[0], tb.B[0], 9)
 	})
 	env.Run()
+}
+
+// TestDialAcrossEnvironmentsPanics: Dial makes both ends of a connection,
+// so on the paper's testbed split into one shard per site it refuses, with
+// an sdp: message, before building anything on the peer's shard.
+func TestDialAcrossEnvironmentsPanics(t *testing.T) {
+	env := sim.NewEnv()
+	env.SetShardWorkers(2)
+	defer env.Shutdown()
+	nw, err := topo.Build(env, topo.Paper(1, 1, sim.Micros(100)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := nw.Site("A").Nodes[0], nw.Site("B").Nodes[0]
+	ln := Listen(b, 7000)
+	defer ln.Close()
+	defer func() {
+		if got, _ := recover().(string); !strings.HasPrefix(got, "sdp: ") {
+			t.Fatalf("Dial across environments panicked with %q, want an sdp: message", got)
+		}
+	}()
+	Dial(nil, a, b, 7000)
 }
 
 func TestInterleavedPaths(t *testing.T) {

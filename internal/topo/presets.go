@@ -6,6 +6,26 @@ import (
 	"repro/internal/sim"
 )
 
+// Paper returns the paper's testbed (Fig. 2), the one definition of its
+// spec: cluster A of nodesA dual-processor nodes (2 cores) and cluster B of
+// nodesB dual quad-core nodes (8 cores), joined by one Longbow pair of the
+// given one-way delay. A zero node count selects the paper's 32 or 6.
+func Paper(nodesA, nodesB int, delay sim.Time) Topology {
+	if nodesA == 0 {
+		nodesA = 32
+	}
+	if nodesB == 0 {
+		nodesB = 6
+	}
+	return Topology{
+		Sites: []Site{
+			{Name: "A", Nodes: nodesA, Cores: 2},
+			{Name: "B", Nodes: nodesB, Cores: 8},
+		},
+		Links: []Link{{A: "A", B: "B", Delay: delay}},
+	}
+}
+
 // presetNames lists the built-in topology presets in display order.
 var presetNames = []string{"paper", "star3", "star3-hetero", "ring4", "mesh4"}
 
@@ -38,18 +58,8 @@ func Preset(name string, nodesPerSite int, delay sim.Time) (Topology, error) {
 	n := nodesPerSite
 	switch name {
 	case "paper":
-		a, b := 32, 6
-		if n > 0 {
-			a, b = n, n
-		}
-		return Topology{
-			Sites: []Site{
-				{Name: "A", Nodes: a, Cores: 2},
-				{Name: "B", Nodes: b, Cores: 8},
-			},
-			Links:     []Link{{A: "A", B: "B", Delay: delay}},
-			Shardable: true,
-		}, nil
+		n = max(n, 0)
+		return Paper(n, n, delay), nil
 	case "star3":
 		if n <= 0 {
 			n = 4
@@ -64,7 +74,6 @@ func Preset(name string, nodesPerSite int, delay sim.Time) (Topology, error) {
 				{A: "hub", B: "s1", Delay: delay},
 				{A: "hub", B: "s2", Delay: delay},
 			},
-			Shardable: true,
 		}, nil
 	case "star3-hetero":
 		if n <= 0 {
@@ -82,7 +91,6 @@ func Preset(name string, nodesPerSite int, delay sim.Time) (Topology, error) {
 				{A: "hub", B: "s2", Delay: 10 * delay},
 				{A: "hub", B: "s3", Delay: 10 * delay},
 			},
-			Shardable: true,
 		}, nil
 	case "ring4":
 		if n <= 0 {
@@ -101,7 +109,6 @@ func Preset(name string, nodesPerSite int, delay sim.Time) (Topology, error) {
 				{A: "r2", B: "r3", Delay: delay},
 				{A: "r3", B: "r0", Delay: delay},
 			},
-			Shardable: true,
 		}, nil
 	case "mesh4":
 		if n <= 0 {
@@ -122,7 +129,6 @@ func Preset(name string, nodesPerSite int, delay sim.Time) (Topology, error) {
 				{A: "m1", B: "m3", Delay: delay},
 				{A: "m2", B: "m3", Delay: delay},
 			},
-			Shardable: true,
 		}, nil
 	default:
 		return Topology{}, fmt.Errorf("topo: unknown preset %q (have %v)", name, presetNames)

@@ -8,10 +8,11 @@
 // switch, so BFS by hop count with construction-order tie-breaking routes
 // packets between non-adjacent sites through intermediate sites.
 //
-// The classic testbed is the degenerate two-site instance: cluster.New is
-// a thin compatibility wrapper that builds Topology{Sites: {A, B}, Links:
-// {A-B}} and reproduces the original device names, construction order and
-// LID assignment byte-for-byte.
+// The paper's testbed is the degenerate two-site instance, Paper, and keeps
+// the original device names, construction order and LID assignment
+// byte-for-byte. Every world is held to one sharding rule: Build splits it
+// into one event shard per site when the run asks for shard workers and its
+// sites and links allow it (see shardEligible), whatever the spec is for.
 package topo
 
 import (
@@ -75,14 +76,6 @@ type Topology struct {
 	// LinkRate is the intra-site (and site-to-Longbow) link rate
 	// (default ib.DDR).
 	LinkRate ib.Rate
-	// Shardable marks the spec as eligible for sharded parallel execution:
-	// Build may partition the environment into one event shard per site
-	// (sim.Env.Partition) when the run asks for shard workers and every
-	// cross-site link can serve as a conservative channel bound between
-	// its two site shards (per-direction lookahead). The
-	// built-in presets set it; the classic two-site testbed (cluster.New)
-	// leaves it false, so the paper's golden experiments never shard.
-	Shardable bool
 	// Failover, when non-nil, arms the fabric's self-healing routing layer
 	// (ib.Fabric.EnableFailover) with this health configuration: every WAN
 	// link whose effective fault plan (see resolveFaults) arms a WAN lever is
@@ -326,16 +319,18 @@ func (t Topology) resolveFaults(rw *fault.Plan) error {
 }
 
 // shardEligible reports whether Build may partition env into per-site
-// shards for this spec: the spec opts in (Shardable), the run asked for
-// shard workers, there is more than one site, the environment is not
-// already a shard view, every WAN link has a positive delay (a zero-delay
-// link cannot bound the lookahead), and every link's effective plan — and
-// the run-wide plan rw, whose TCP lever reaches every stack — uses only
-// shard-safe levers (WANDown/WANFlaps, pure functions of simulated time).
-// Everything else, including every link the health monitor may blame
-// reactively, runs on the classic single-heap path.
+// shards. It decides from the world alone: the run asked for shard workers,
+// there is more than one site, the environment is not already a shard view,
+// every WAN link has a positive delay (a zero-delay link cannot bound the
+// lookahead), and every link's effective plan — and the run-wide plan rw,
+// whose TCP lever reaches every stack — uses only shard-safe levers
+// (WANDown/WANFlaps, pure functions of simulated time). Everything else,
+// including every link the health monitor may blame reactively, runs as one
+// shard. No spec opts in: the layers above connect at construction time, so
+// what runs on a world cannot make it unsafe (sdp, which cannot, refuses two
+// environments, and its one caller sets one shard worker).
 func (t Topology) shardEligible(env *sim.Env, rw *fault.Plan) bool {
-	if !t.Shardable || env.ShardWorkers() <= 1 || len(t.Sites) < 2 || env.Sharded() {
+	if env.ShardWorkers() <= 1 || len(t.Sites) < 2 || env.Sharded() {
 		return false
 	}
 	for _, lk := range t.Links {

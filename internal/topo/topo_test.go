@@ -132,6 +132,36 @@ func TestSingleLinkKeepsPaperNames(t *testing.T) {
 	}
 }
 
+// TestFatTreeTopology builds the paper's two sites as two-level fat trees
+// of leaf radix 3: ceil(8/3) = 3 leaves in A and ceil(4/3) = 2 in B,
+// same-leaf traffic faster than cross-leaf traffic (two extra switch hops
+// through the spine), and cross-site traffic through leaves, spines and the
+// WAN.
+func TestFatTreeTopology(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Shutdown()
+	nw, err := Build(env, Topology{
+		Sites: []Site{{Name: "A", Nodes: 8, LeafRadix: 3}, {Name: "B", Nodes: 4, LeafRadix: 3}},
+		Links: []Link{{A: "A", B: "B"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := nw.Site("A"), nw.Site("B")
+	if len(a.Leaves) != 3 || len(b.Leaves) != 2 {
+		t.Fatalf("leaves = %d/%d, want 3/2", len(a.Leaves), len(b.Leaves))
+	}
+	ping := func(x, y *Node) sim.Time { return perftest.PingRC(env, x.HCA, y.HCA, 8, 1, ib.QPConfig{}) }
+	sameLeaf := ping(a.Nodes[0], a.Nodes[1])  // both on leaf 0
+	crossLeaf := ping(a.Nodes[0], a.Nodes[3]) // leaf 0 -> leaf 1
+	if crossLeaf <= sameLeaf {
+		t.Errorf("cross-leaf latency (%v) not above same-leaf (%v)", crossLeaf, sameLeaf)
+	}
+	if lat := ping(a.Nodes[7], b.Nodes[3]); lat <= crossLeaf {
+		t.Errorf("cross-site latency (%v) not above cross-leaf (%v)", lat, crossLeaf)
+	}
+}
+
 func TestPresetsBuild(t *testing.T) {
 	for _, name := range PresetNames() {
 		name := name
