@@ -1,6 +1,6 @@
 // Quickstart: build the paper's cluster-of-clusters testbed — two
 // InfiniBand clusters joined by a pair of Obsidian Longbow XR WAN
-// extenders — set an emulated distance, and measure verbs-level latency
+// extenders — at an emulated distance, and measure verbs-level latency
 // and bandwidth across the WAN.
 package main
 
@@ -11,6 +11,7 @@ import (
 	"repro/internal/ib"
 	"repro/internal/perftest"
 	"repro/internal/sim"
+	"repro/internal/wan"
 )
 
 func main() {
@@ -18,24 +19,24 @@ func main() {
 	fmt.Println()
 
 	for _, km := range []float64{0, 10, 200, 2000} {
-		// A fresh simulation per distance keeps runs independent.
-		env := sim.NewEnv()
-		tb := cluster.New(env, cluster.Config{NodesA: 2, NodesB: 2})
-		must(tb.WAN.SetDistanceKM(km))
+		delay, err := wan.DelayForDistance(km)
+		if err != nil {
+			panic(err)
+		}
+		// A fresh simulation per measurement keeps runs independent; each
+		// testbed is built at the distance's delay.
+		testbed := func() (*sim.Env, *cluster.Testbed) {
+			env := sim.NewEnv()
+			return env, cluster.New(env, cluster.Config{NodesA: 2, NodesB: 2, Delay: delay})
+		}
 
-		a := tb.A[0].HCA // one node in cluster A
-		b := tb.B[0].HCA // one node in cluster B
+		env, tb := testbed()
+		lat := perftest.SendLatency(env, tb.A[0].HCA, tb.B[0].HCA, ib.RC, 8, 100)
 
-		lat := perftest.SendLatency(env, a, b, ib.RC, 8, 100)
-
-		env2 := sim.NewEnv()
-		tb2 := cluster.New(env2, cluster.Config{NodesA: 2, NodesB: 2})
-		must(tb2.WAN.SetDistanceKM(km))
+		env2, tb2 := testbed()
 		bwSmall := perftest.BandwidthRC(env2, tb2.A[0].HCA, tb2.B[0].HCA, 64<<10, 256, 0)
 
-		env3 := sim.NewEnv()
-		tb3 := cluster.New(env3, cluster.Config{NodesA: 2, NodesB: 2})
-		must(tb3.WAN.SetDistanceKM(km))
+		env3, tb3 := testbed()
 		bwLarge := perftest.BandwidthRC(env3, tb3.A[0].HCA, tb3.B[0].HCA, 4<<20, 16, 0)
 
 		fmt.Printf("distance %6.0f km (%v one-way):\n", km, tb.WAN.Delay())
@@ -48,10 +49,4 @@ func main() {
 	fmt.Println("messages hold the wire rate: RC's bounded in-flight window")
 	fmt.Println("cannot cover the WAN bandwidth-delay product with small")
 	fmt.Println("messages (paper Fig. 5).")
-}
-
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
 }

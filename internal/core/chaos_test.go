@@ -2,11 +2,16 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/ipoib"
+	"repro/internal/sim"
+	"repro/internal/tcpsim"
+	"repro/internal/topo"
 )
 
 // renderWithErrors renders an experiment the way RunAllWith does — tables
@@ -138,5 +143,27 @@ func TestRunWideFaultOverride(t *testing.T) {
 	if clean != chaos {
 		t.Errorf("per-point plans did not override the run-wide plan\n--- clean ---\n%s\n--- chaos ---\n%s",
 			clean, chaos)
+	}
+}
+
+// TestPerLinkDownDialTimesOut: a dial across a WAN link whose own fault
+// plan takes it down retransmits its SYN until the retry budget runs out
+// and fails with ErrConnectTimeout, exactly as under a run-wide plan. The
+// handshake's recovery does not depend on where the plan came from.
+func TestPerLinkDownDialTimesOut(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Shutdown()
+	spec := topo.Paper(1, 1, sim.Millisecond)
+	spec.Links[0].Fault = &fault.Plan{WANDown: true}
+	nw, err := topo.Build(env, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := ipoib.NewNetwork()
+	sa := tcpsim.NewStack(net.Attach(nw.Site("A").Nodes[0].HCA, ipoib.Datagram, 0), tcpsim.Config{})
+	sb := tcpsim.NewStack(net.Attach(nw.Site("B").Nodes[0].HCA, ipoib.Datagram, 0), tcpsim.Config{})
+	bw, err := tcpThroughput(env, sa, sb, 1, 10*sim.Millisecond)
+	if !errors.Is(err, tcpsim.ErrConnectTimeout) {
+		t.Fatalf("dial across a per-link-down WAN: %v MB/s, err %v; want %v", bw, err, tcpsim.ErrConnectTimeout)
 	}
 }

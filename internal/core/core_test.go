@@ -63,29 +63,6 @@ func TestAutoTuneMatchesConfiguredDelay(t *testing.T) {
 	}
 }
 
-func TestAutoTuneTracksDynamicDelay(t *testing.T) {
-	// The paper: "WAN links are often dynamic in nature. Hence,
-	// mechanisms like adaptive tuning of MPI protocol ... are likely to
-	// yield the best performance." Re-probing after the link changes
-	// must yield the new delay's threshold.
-	env := sim.NewEnv()
-	tb := cluster.New(env, cluster.Config{NodesA: 1, NodesB: 1, Delay: sim.Micros(10)})
-	near := AutoTune(env, tb.A[0], tb.B[0]).EagerThreshold
-	// The link "moves" to 2 000 km.
-	tb.WAN.SetDelay(sim.Micros(10000))
-	far := AutoTune(env, tb.A[0], tb.B[0]).EagerThreshold
-	env.Shutdown()
-	if near != TuneForDelay(sim.Micros(10)).EagerThreshold {
-		t.Errorf("near threshold = %d", near)
-	}
-	if far != TuneForDelay(sim.Micros(10000)).EagerThreshold {
-		t.Errorf("far threshold = %d", far)
-	}
-	if far <= near {
-		t.Errorf("threshold did not grow with the link: %d -> %d", near, far)
-	}
-}
-
 func TestCoalescerRoundTrip(t *testing.T) {
 	env := sim.NewEnv()
 	tb := cluster.New(env, cluster.Config{NodesA: 1, NodesB: 1, Delay: sim.Micros(100)})

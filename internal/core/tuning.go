@@ -53,7 +53,7 @@ const TunedThreshold = 64 << 10
 // AutoTune measures the cross-cluster round trip with a small ping over a
 // fresh 2-rank world and returns the threshold TuneForDelay would choose
 // for the observed delay — the paper's suggested "adaptive tuning of MPI
-// protocol" for links whose delay is dynamic or unknown.
+// protocol" for links whose delay is unknown.
 func AutoTune(env *sim.Env, a, b *cluster.Node) mpi.Config {
 	// The probe world shares the caller's environment; its progress
 	// engines stay parked afterwards, which is harmless (they hold no

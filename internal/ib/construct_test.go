@@ -4,11 +4,36 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
 	"repro/internal/sim"
 )
+
+// TestConnectRejectsBadLink: a link's rate and delay are set once, by
+// Connect, so Connect is where they are checked. A non-positive rate or a
+// negative delay panics with an ib: message.
+func TestConnectRejectsBadLink(t *testing.T) {
+	for _, c := range []struct {
+		rate Rate
+		prop sim.Time
+	}{{0, 0}, {-SDR, sim.Microsecond}, {SDR, -1}} {
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			f := NewFabric(sim.NewEnv())
+			f.Connect(f.AddHCA("a"), f.AddHCA("b"), c.rate, c.prop)
+			return ""
+		}()
+		if !strings.HasPrefix(msg, "ib: ") {
+			t.Errorf("Connect at rate %v, delay %v: panic %q, want an ib: message", c.rate, c.prop, msg)
+		}
+	}
+	f := NewFabric(sim.NewEnv())
+	if l := f.Connect(f.AddHCA("a"), f.AddHCA("b"), SDR, 0); l.Rate() != SDR || l.Delay() != 0 {
+		t.Errorf("Connect(SDR, 0) built a link at %v, %v", l.Rate(), l.Delay())
+	}
+}
 
 // TestConstructionAllocs holds world construction to one object per queue
 // pair and per link on a warm fabric: a QP that never carries traffic is its

@@ -295,14 +295,21 @@ func (f *Fabric) AddSwitch(name string, forwardDelay sim.Time) *Switch {
 }
 
 // Connect joins two devices with a full-duplex link of the given data rate
-// and one-way propagation delay, returning the link so callers (e.g. the
-// WAN layer) can later adjust the delay. Each endpoint port lives on its
-// device's environment; when the two differ (a WAN link between shards)
-// delivery crosses through the kernel's mailbox path, and the propagation
-// delay must honor the world's registered lookahead bound. The link and both
-// its ports are one allocation.
+// and one-way propagation delay, which the link keeps for its lifetime: a
+// world at another rate or delay is a new world. A non-positive rate or a
+// negative delay panics. Each endpoint port lives on its device's
+// environment; when the two differ (a WAN link between shards) delivery
+// crosses through the kernel's mailbox path, and the propagation delay must
+// honor the world's registered lookahead bound. The link and both its ports
+// are one allocation.
 func (f *Fabric) Connect(a, b Device, rate Rate, prop sim.Time) *Link {
-	l := &Link{rate: rate, prop: prop, retuned: -1}
+	if rate <= 0 {
+		panic(fmt.Sprintf("ib: link rate must be positive, got %v", rate))
+	}
+	if prop < 0 {
+		panic(fmt.Sprintf("ib: negative link delay %v", prop))
+	}
+	l := &Link{rate: rate, prop: prop}
 	l.a.init(a, l, &l.b)
 	l.b.init(b, l, &l.a)
 	a.attach(&l.a)
@@ -390,15 +397,11 @@ func (f *Fabric) ensureRouted() {
 
 // Link is a full-duplex point-to-point cable between two ports. Each
 // direction serializes packets at the link rate and delivers them after the
-// propagation delay.
+// propagation delay; both are fixed by Connect.
 type Link struct {
 	rate Rate
 	prop sim.Time
-	// retuned is the instant of the last SetRate or SetDelay, on the clock of
-	// port a, or -1: a packet train whose body was crossing the link then
-	// cannot be booked at one rate and delay (see Port.sendBody).
-	retuned sim.Time
-	a, b    Port
+	a, b Port
 	// DropFn, when non-nil, is consulted for every packet; returning true
 	// drops the packet on the wire (fault injection). now is the sending
 	// port's current virtual time — on partitioned worlds the two ends of a
@@ -482,30 +485,8 @@ func (l *Link) CreditStalls() int64 { return l.stalls.Load() }
 // enabled. The wan package marks the Longbow long-haul link.
 func (l *Link) MarkWAN() { l.wan = true }
 
-// SetDelay changes the one-way propagation delay (the Obsidian Longbow
-// delay knob).
-func (l *Link) SetDelay(d sim.Time) {
-	if d < 0 {
-		panic("ib: negative link delay")
-	}
-	l.prop = d
-	l.retuned = l.a.env.Now()
-}
-
 // Delay returns the one-way propagation delay.
 func (l *Link) Delay() sim.Time { return l.prop }
-
-// SetRate changes the link data rate (a topology link's Rate); packets
-// already serializing keep their departure times, later packets serialize
-// at the new rate.
-func (l *Link) SetRate(r Rate) error {
-	if r <= 0 {
-		return fmt.Errorf("ib: link rate must be positive, got %v", r)
-	}
-	l.rate = r
-	l.retuned = l.a.env.Now()
-	return nil
-}
 
 // Rate returns the link data rate.
 func (l *Link) Rate() Rate { return l.rate }
@@ -536,8 +517,8 @@ type Port struct {
 	deliverArg func(any)
 	// wire holds the packets on their way through propagation and the stage
 	// of a peer on the same environment: departures never go backwards and
-	// both delays are constant between SetDelay calls, so they are a FIFO
-	// (sim.Pipe), not one heap entry each. A cross-shard peer takes AtArgOn.
+	// both delays are constant, so they are a FIFO (sim.Pipe), not one heap
+	// entry each. A cross-shard peer takes AtArgOn.
 	wire sim.Pipe
 	// cong holds the bounded-queue state for this direction when the link
 	// has a QueueConfig, and is nil otherwise.
@@ -604,7 +585,7 @@ func (p *Port) send(pkt *packet) {
 	now := p.env.Now()
 	fab := p.dev.fabric()
 	if pkt.body() > 0 {
-		p.sendBody(pkt.train, now)
+		p.sendBody(pkt.train)
 	}
 	q := p.cong
 	if cfg := p.link.qcfg; cfg != nil {
@@ -699,23 +680,17 @@ func (p *Port) send(pkt *packet) {
 // serialization is the time a packet of wire bytes occupies a port of rate r.
 func serialization(wire int, r Rate) sim.Time { return sim.Time(float64(wire) / float64(r) * 1e9) }
 
-// sendBody books a train's body on the port, at now, the instant its last
-// packet reaches it: the departures send would have given the body packets
-// one by one, the busy horizon and the transmit counters they leave behind,
-// and their arrivals at the next device. That is exact because on an
-// exclusive route nothing else books the port between the body's first
-// packet and its last (see Port.exclusiveTo). A retune of the link in that
-// span would have met some body packets and not others; booking cannot tell
-// which, so it refuses. A retune in the very nanosecond the body arrived is
-// refused too unless that is now, when the whole body arrives in one event
-// (the launch) that a retune can only precede or follow.
-func (p *Port) sendBody(tr *train, now sim.Time) {
+// sendBody books a train's body on the port at the instant its last packet
+// reaches it: the departures send would have given the body packets one by
+// one, the busy horizon and the transmit counters they leave behind, and
+// their arrivals at the next device. That is exact because on an exclusive
+// route nothing else books the port between the body's first packet and its
+// last (see Port.exclusiveTo), and the link's rate and delay, fixed by
+// Connect, are the same for every body packet.
+func (p *Port) sendBody(tr *train) {
 	l := p.link
 	if l.qcfg != nil || l.DropFn != nil {
 		panic("ib: a packet train reached a port with a queue bound or a drop function")
-	}
-	if first := tr.at(0); l.retuned > first || (l.retuned == first && first < now) {
-		panic(fmt.Sprintf("ib: link retuned at %v while a packet train crossed it (first body packet at %v)", l.retuned, first))
 	}
 	const wire = HeaderRC + MTU
 	tr.book(p.busyUntil, serialization(wire, l.rate))

@@ -172,17 +172,6 @@ func (f *Fabric) EnableFailover(cfg HealthConfig) error {
 		for _, e := range ml.edges {
 			edgeTimes[e.at] = true
 		}
-		// A reroute keeps every link's registered propagation-delay bound:
-		// re-sweeps only remove links from consideration, never shorten one.
-		// Assert the invariant the sharded window protocol rides on.
-		if ea, eb := ml.link.a.env, ml.link.b.env; ea != eb {
-			if la := ea.ChannelLookahead(eb); ml.link.prop < la {
-				return fmt.Errorf("ib: monitored link %s delay %v below channel lookahead %v", ml.name, ml.link.prop, la)
-			}
-			if lb := eb.ChannelLookahead(ea); ml.link.prop < lb {
-				return fmt.Errorf("ib: monitored link %s delay %v below channel lookahead %v", ml.name, ml.link.prop, lb)
-			}
-		}
 	}
 	if len(edgeTimes) == 0 {
 		return nil

@@ -151,35 +151,25 @@ type stamp struct {
 // portModel is the test's own model of one egress port and of the ingress
 // stage of the device behind it.
 type portModel struct {
-	link   *Link
-	rate   [2]Rate     // before and from rateAt on
-	prop   [2]sim.Time // before and from propAt on
-	rateAt sim.Time
-	propAt sim.Time
-	drop   func(now sim.Time, wire int) bool
-	queue  QueueConfig // the zero value for an unbounded port
-	stage  sim.Time    // the far device's constant ingress latency
+	link  *Link
+	rate  Rate
+	prop  sim.Time
+	drop  func(now sim.Time, wire int) bool
+	queue QueueConfig // the zero value for an unbounded port
+	stage sim.Time    // the far device's constant ingress latency
 	// What run found: packets tail-dropped at the full queue, the ids of the
-	// ones CE-marked, packets handed over in the very nanosecond a queued one
-	// departed, and whether any packet passed another on the wire.
+	// ones CE-marked, and packets handed over in the very nanosecond a queued
+	// one departed.
 	overflowed []stamp
 	marked     []int64
 	departTies int64
-	overtaken  bool
-}
-
-// step picks the value a mid-run change left in force at the instant now.
-func step[T any](v [2]T, changeAt, now sim.Time) T {
-	if now >= changeAt {
-		return v[1]
-	}
-	return v[0]
 }
 
 // run is the recurrence: packets taken in (at, ord) order, each transmitted
 // at the instant it was handed over — or, on a lossless bounded port, at the
 // first departure after which it fits behind its predecessors — starting when
-// the port is free, with the rate, delay and drop decision of that instant.
+// the port is free, at the link's rate and delay, with the drop decision of
+// that instant.
 // A bounded port holds a packet's bytes until the instant its last bit
 // leaves, that instant excluded; one that is not lossless drops what does not
 // fit, and an ECN one marks what it admits on top of half the bound or more.
@@ -231,7 +221,7 @@ func (m *portModel) run(in []hopPkt) (tx, dropped []stamp, out []hopPkt) {
 				m.marked = append(m.marked, pk.id)
 			}
 		}
-		depart := max(busy, now) + wireTime(pk.wire, step(m.rate, m.rateAt, now))
+		depart := max(busy, now) + wireTime(pk.wire, m.rate)
 		busy = depart
 		if m.queue.QueueBytes > 0 {
 			depth += pk.wire
@@ -242,10 +232,7 @@ func (m *portModel) run(in []hopPkt) (tx, dropped []stamp, out []hopPkt) {
 			dropped = append(dropped, stamp{pk.id, now})
 			continue
 		}
-		out = append(out, hopPkt{pk.id, pk.wire, depart + step(m.prop, m.propAt, now) + m.stage, len(tx)})
-	}
-	if !slices.IsSortedFunc(out, func(x, y hopPkt) int { return int(x.at - y.at) }) {
-		m.overtaken = true // a delay cut mid-run let a packet pass another on the wire
+		out = append(out, hopPkt{pk.id, pk.wire, depart + m.prop + m.stage, len(tx)})
 	}
 	return tx, dropped, out
 }
@@ -253,19 +240,19 @@ func (m *portModel) run(in []hopPkt) (tx, dropped []stamp, out []hopPkt) {
 // stageCoverage counts, over all seeds, the situations the recurrence test
 // exists for; a seed sweep that stopped producing one would pass vacuously.
 type stageCoverage struct {
-	stalls, drops, mergeTies, overtakes int64
-	marks, overflows, departTies        int64
+	stalls, drops, mergeTies     int64
+	marks, overflows, departTies int64
 }
 
 // TestIngressStageMatchesRecurrence checks the fused wire + stage event
 // against a per-hop recurrence the test computes for itself. Two hosts send
 // raw datagrams through one switch port into a chain of 1-4 switches with
 // different forwarding delays and link rates, egress queues unbounded or
-// bounded to a few packets (lossless, tail-drop or ECN), one link changing
-// rate and one changing delay mid-run, one dropping by a pure function of
-// time. Every device's wire instants — each transmission, each drop on the
-// wire or at a full queue, the receiver's arrival and its delivery one
-// PacketProc later — must be the model's, instant for instant and in order:
+// bounded to a few packets (lossless, tail-drop or ECN), one dropping by a
+// pure function of time. Every device's wire instants — each transmission,
+// each drop on the wire or at a full queue, the receiver's arrival and its
+// delivery one PacketProc later — must be the model's, instant for instant
+// and in order:
 // on the shared port that order is (arrival, sequence). So must the packets
 // that reach each device CE-marked.
 func TestIngressStageMatchesRecurrence(t *testing.T) {
@@ -273,7 +260,7 @@ func TestIngressStageMatchesRecurrence(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { stageRecurrenceCase(t, seed, &cov) })
 	}
-	if cov.stalls == 0 || cov.drops == 0 || cov.mergeTies == 0 || cov.overtakes == 0 ||
+	if cov.stalls == 0 || cov.drops == 0 || cov.mergeTies == 0 ||
 		cov.marks == 0 || cov.overflows == 0 || cov.departTies == 0 {
 		t.Errorf("seeds no longer cover the model: %+v", cov)
 	}
@@ -298,18 +285,16 @@ func stageRecurrenceCase(t *testing.T, seed int64, cov *stageCoverage) {
 	for i := range switches {
 		switches[i] = f.AddSwitch(fmt.Sprint("s", i), sim.Time(rng.Intn(3000)))
 	}
-	model := func(l *Link, far Device) *portModel {
-		never := sim.Time(1 << 62)
-		return &portModel{link: l, rate: [2]Rate{l.Rate(), l.Rate()}, prop: [2]sim.Time{l.Delay(), l.Delay()},
-			rateAt: never, propAt: never, stage: far.stage()}
+	connect := func(near, far Device, rate Rate, prop sim.Time) *portModel {
+		return &portModel{link: f.Connect(near, far, rate, prop), rate: rate, prop: prop, stage: far.stage()}
 	}
 	var access, chain []*portModel
 	for i, a := range senders {
 		rate, prop := pick()
 		if twins && i == 1 {
-			rate, prop = access[0].rate[0], access[0].prop[0]
+			rate, prop = access[0].rate, access[0].prop
 		}
-		access = append(access, model(f.Connect(a, switches[0], rate, prop), switches[0]))
+		access = append(access, connect(a, switches[0], rate, prop))
 	}
 	for i, s := range switches {
 		var far Device = b
@@ -317,11 +302,11 @@ func stageRecurrenceCase(t *testing.T, seed int64, cov *stageCoverage) {
 			far = switches[i+1]
 		}
 		rate, prop := pick()
-		chain = append(chain, model(f.Connect(s, far, rate, prop), far))
+		chain = append(chain, connect(s, far, rate, prop))
 	}
 	f.Finalize()
-	// The changing links are among the unbounded ones, the access links at
-	// least; every other chain port is bounded to a few packets. ceAt[i] are
+	// The lossy link is among the unbounded ones, the access links at least;
+	// every other chain port is bounded to a few packets. ceAt[i] are
 	// the ids of the packets the chain's i-th link delivers CE-marked.
 	free := slices.Clone(access)
 	ceAt := make([][]int64, len(chain))
@@ -350,19 +335,7 @@ func stageRecurrenceCase(t *testing.T, seed int64, cov *stageCoverage) {
 		}
 	}
 	const span = 60 * sim.Microsecond // the injection window
-	retune := func() (*portModel, sim.Time) { return free[rng.Intn(len(free))], sim.Time(rng.Int63n(int64(span))) }
-	// Scheduled before any packet, so a packet transmitted in the very
-	// nanosecond of a change sees the new value.
-	rated, at := retune()
-	rated.rate[1], rated.rateAt = rates[rng.Intn(len(rates))], at
-	env.At(at, func() { rated.link.SetRate(rated.rate[1]) })
-	delayed, at := retune()
-	delayed.prop[1], delayed.propAt = sim.Time(rng.Intn(4000)), at
-	if rng.Intn(2) == 0 {
-		delayed.prop[1] = delayed.prop[0] / 8 // a cut deep enough to reorder the wire
-	}
-	env.At(at, func() { delayed.link.SetDelay(delayed.prop[1]) })
-	lossy, _ := retune()
+	lossy := free[rng.Intn(len(free))]
 	salt := sim.Time(rng.Intn(1000))
 	lossy.drop = func(now sim.Time, wire int) bool { return (now/64+salt+sim.Time(wire))%9 == 0 }
 	lossy.link.DropFn = lossy.drop
@@ -481,11 +454,6 @@ func stageRecurrenceCase(t *testing.T, seed int64, cov *stageCoverage) {
 		}
 		for k, extra := range got[dev] {
 			t.Errorf("%s logged %d unexpected %q %q instants", dev, len(extra), k.name, k.reason)
-		}
-	}
-	for _, m := range append(access, chain...) {
-		if m.overtaken {
-			cov.overtakes++
 		}
 	}
 	if n := qb.Stats().RecvDrops; n != int64(len(deliveries)) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -59,7 +58,7 @@ func TestTrainBodyMatchesLindley(t *testing.T) {
 			d = max(a, d) + s
 			depart[i] = d
 		}
-		p.sendBody(&tr, depart[m-1])
+		p.sendBody(&tr)
 
 		for i, d := range depart {
 			if got, want := tr.at(i), d+prop+PacketProc; got != want {
@@ -330,59 +329,5 @@ func TestTrainsMatchPackets(t *testing.T) {
 	}
 	if midTrain == 0 {
 		t.Errorf("no RunUntil slice ended while a train was on the wire")
-	}
-}
-
-// TestTrainRefusesMidTrainRetune: a train books its body at one rate and one
-// delay per link, so a SetRate or SetDelay that lands while the body crosses
-// the link would be applied to packets that per packet had already gone. It
-// must panic with an ib: message instead. A retune just before the body
-// reaches the link, or after its last packet has passed, is exact and runs.
-func TestTrainRefusesMidTrainRetune(t *testing.T) {
-	run := func(retuneAt sim.Time, delay bool) (first, last sim.Time, msg string) {
-		env, a, b, wan := stagedPath(5, nil, false)
-		in := wan.a.dev.(*Switch).plist[0] // the Longbow's port facing the cluster switch
-		deliver := in.deliverArg
-		in.deliverArg = func(v any) {
-			if pkt := v.(*packet); pkt.body() > 0 {
-				first, last = pkt.train.at(0), env.Now()
-			}
-			deliver(v)
-		}
-		if retuneAt >= 0 {
-			env.At(retuneAt, func() {
-				if delay {
-					wan.SetDelay(wan.Delay() / 2)
-				} else if err := wan.SetRate(QDR); err != nil {
-					panic(err)
-				}
-			})
-		}
-		qa, qb := CreateRCPair(a, b, nil, nil, QPConfig{})
-		qb.PostRecv(RecvWR{})
-		qa.PostSend(SendWR{Op: OpSend, Len: 32 * MTU})
-		defer func() {
-			if r := recover(); r != nil {
-				msg = fmt.Sprint(r)
-			}
-		}()
-		env.Run()
-		return first, last, ""
-	}
-	first, last, msg := run(-1, false)
-	if msg != "" || first >= last {
-		t.Fatalf("untouched: the train's body reached the WAN port at %d, its last packet at %d (%q)", first, last, msg)
-	}
-	for _, delay := range []bool{false, true} {
-		for _, at := range []sim.Time{first - 1, last + 1} {
-			if _, _, msg := run(at, delay); msg != "" {
-				t.Errorf("retune (delay %v) at %d, outside the train [%d, %d]: %s", delay, at, first, last, msg)
-			}
-		}
-		for _, at := range []sim.Time{first + 1, (first + last) / 2, last} {
-			if _, _, msg := run(at, delay); !strings.HasPrefix(msg, "ib: ") {
-				t.Errorf("retune (delay %v) at %d, inside the train [%d, %d]: panic %q, want an ib: message", delay, at, first, last, msg)
-			}
-		}
 	}
 }

@@ -340,21 +340,6 @@ func (e *Env) Lookahead() Time {
 	return 0
 }
 
-// ChannelLookahead returns the registered bound of the directed channel
-// from the receiver's shard to the target's shard, or 0 when the
-// environments are unpartitioned, unrelated, co-sharded, or the channel is
-// unregistered.
-func (e *Env) ChannelLookahead(target *Env) Time {
-	w := e.world
-	if target == nil || target.world != w || target.shard == e.shard {
-		return 0
-	}
-	if b := w.bounds[int(e.shard)*len(w.shards)+int(target.shard)]; b != noBound {
-		return b
-	}
-	return 0
-}
-
 // AtArgOn schedules fn(arg) at the given delay from now on the target
 // environment. With target == e (or on an unpartitioned world) it is
 // exactly AtArg. Across shards of one world it deposits the event into the
@@ -384,7 +369,7 @@ func (e *Env) AtArgOn(target *Env, delay Time, fn func(any), arg any) {
 	ln := &w.lanes[int(e.shard)*len(w.shards)+int(target.shard)]
 	at := e.now + delay
 	if at < ln.last && len(ln.entries) > 0 {
-		ln.sorted = false // delay dropped mid-window (e.g. a link retune)
+		ln.sorted = false // a shorter delay than the lane's last deposit
 	}
 	ln.last = at
 	ln.entries = append(ln.entries, xentry{

@@ -27,6 +27,20 @@ func TestRunUntilMaxHorizonNoOverflow(t *testing.T) {
 	}
 }
 
+// channelLookahead returns the registered bound of the directed channel
+// from e's shard to target's shard, or 0 when the environments are
+// unpartitioned, unrelated, co-sharded, or the channel is unregistered.
+func channelLookahead(e, target *Env) Time {
+	w := e.world
+	if target.world != w || target.shard == e.shard {
+		return 0
+	}
+	if b := w.bounds[int(e.shard)*len(w.shards)+int(target.shard)]; b != noBound {
+		return b
+	}
+	return 0
+}
+
 // TestChannelLookaheadRegistration checks the directed-channel bound API:
 // bounds are per (src,dst) direction, lower later wins, the global
 // RegisterLookahead is shorthand for all pairs, and Lookahead reports the
@@ -36,22 +50,22 @@ func TestChannelLookaheadRegistration(t *testing.T) {
 	views := env.Partition(3)
 	views[0].RegisterLookaheadBetween(views[1], 5*Microsecond)
 	views[1].RegisterLookaheadBetween(views[0], 7*Microsecond)
-	if got := views[0].ChannelLookahead(views[1]); got != 5*Microsecond {
+	if got := channelLookahead(views[0], views[1]); got != 5*Microsecond {
 		t.Fatalf("channel 0->1 = %v, want 5us", got)
 	}
-	if got := views[1].ChannelLookahead(views[0]); got != 7*Microsecond {
+	if got := channelLookahead(views[1], views[0]); got != 7*Microsecond {
 		t.Fatalf("channel 1->0 = %v, want 7us", got)
 	}
-	if got := views[0].ChannelLookahead(views[2]); got != 0 {
+	if got := channelLookahead(views[0], views[2]); got != 0 {
 		t.Fatalf("unregistered channel 0->2 = %v, want 0", got)
 	}
 	// Re-registering only lowers.
 	views[0].RegisterLookaheadBetween(views[1], 9*Microsecond)
-	if got := views[0].ChannelLookahead(views[1]); got != 5*Microsecond {
+	if got := channelLookahead(views[0], views[1]); got != 5*Microsecond {
 		t.Fatalf("channel 0->1 after higher re-register = %v, want 5us", got)
 	}
 	views[0].RegisterLookaheadBetween(views[1], 3*Microsecond)
-	if got := views[0].ChannelLookahead(views[1]); got != 3*Microsecond {
+	if got := channelLookahead(views[0], views[1]); got != 3*Microsecond {
 		t.Fatalf("channel 0->1 after lower re-register = %v, want 3us", got)
 	}
 	if got := env.Lookahead(); got != 3*Microsecond {
@@ -59,18 +73,18 @@ func TestChannelLookaheadRegistration(t *testing.T) {
 	}
 	// The all-pairs shorthand fills in the remaining channels.
 	env.RegisterLookahead(4 * Microsecond)
-	if got := views[0].ChannelLookahead(views[2]); got != 4*Microsecond {
+	if got := channelLookahead(views[0], views[2]); got != 4*Microsecond {
 		t.Fatalf("channel 0->2 after global register = %v, want 4us", got)
 	}
-	if got := views[0].ChannelLookahead(views[1]); got != 3*Microsecond {
+	if got := channelLookahead(views[0], views[1]); got != 3*Microsecond {
 		t.Fatalf("channel 0->1 after global register = %v, want to keep 3us", got)
 	}
 	// Same-shard and unpartitioned environments have no channels.
-	if got := views[0].ChannelLookahead(views[0]); got != 0 {
+	if got := channelLookahead(views[0], views[0]); got != 0 {
 		t.Fatalf("self channel = %v, want 0", got)
 	}
-	if got := NewEnv().ChannelLookahead(views[0]); got != 0 {
-		t.Fatalf("unpartitioned ChannelLookahead = %v, want 0", got)
+	if got := channelLookahead(NewEnv(), views[0]); got != 0 {
+		t.Fatalf("unpartitioned channelLookahead = %v, want 0", got)
 	}
 }
 

@@ -121,15 +121,15 @@ type Conn struct {
 	sendQBytes   int
 	unacked      sim.Ring[*segment] // retransmission queue (go-back-N)
 	writeWaiters sim.Ring[*sim.Event]
-	// rto is the retransmission timer: re-armed on every ack that makes
-	// progress, so nearly every deadline is superseded before it expires.
+	// rto is the retransmission timer: it retransmits the handshake segment
+	// until the connection is established, then the unacked data. It is
+	// re-armed on every ack that makes progress, so nearly every deadline is
+	// superseded before it expires.
 	rto *sim.Timer
 	// rtoStreak counts consecutive unproductive RTO expiries; it shifts
 	// the exponential backoff and, against MaxRetransmits, decides when
-	// the connection gives up. Any ack progress resets it.
+	// the connection gives up. Establishment and any ack progress reset it.
 	rtoStreak int
-	// hsTries counts handshake (SYN/SYNACK) retransmissions.
-	hsTries int
 	// passive marks the server-side endpoint of a handshake (created by a
 	// listener); a duplicate SYN makes it resend its SYNACK.
 	passive bool
@@ -453,7 +453,7 @@ func (c *Conn) handle(seg *segment) {
 		c.swnd = seg.wnd
 		c.sendCtl(ackFlag)
 		if !c.established.Triggered() {
-			c.established.Trigger(nil)
+			c.establish()
 		}
 		c.pump()
 		return
@@ -468,7 +468,7 @@ func (c *Conn) handle(seg *segment) {
 	if !c.established.Triggered() {
 		// Server side: first ACK completes the handshake.
 		c.swnd = seg.wnd
-		c.established.Trigger(nil)
+		c.establish()
 	}
 	if seg.flags&cwrFlag != 0 {
 		// The sender confirmed a window cut; stop echoing ECE.
@@ -666,52 +666,49 @@ func (c *Conn) armRTO() {
 	c.rto.Reset(c.stack.cfg.RTO << shift)
 }
 
-// onRTO is the retransmission timer expiring with data still outstanding.
+// establish completes the handshake: the timer stops retransmitting the
+// handshake segment, and Dial or Accept wakes.
+func (c *Conn) establish() {
+	c.rto.Stop()
+	c.rtoStreak = 0
+	c.established.Trigger(nil)
+}
+
+// onRTO is the retransmission timer expiring. Before the handshake completes
+// it resends the handshake segment — SYN on the active side, SYN|ACK on the
+// passive side — and exhausting the budget fails the connection with
+// ErrConnectTimeout; after, it resends the data still outstanding, and
+// exhaustion is ErrReset.
 func (c *Conn) onRTO() {
-	if c.unacked.Len() == 0 {
+	handshake := !c.established.Triggered()
+	if !handshake && c.unacked.Len() == 0 {
 		return
 	}
 	if mx := c.stack.cfg.MaxRetransmits; mx >= 0 && c.rtoStreak >= mx {
-		c.reset(ErrReset)
+		if handshake {
+			c.reset(ErrConnectTimeout)
+		} else {
+			c.reset(ErrReset)
+		}
 		return
 	}
 	c.rtoStreak++
-	// Timeout loss response: halve ssthresh and restart from one
-	// segment of flight (classic slow-start restart).
-	c.cutCwnd()
-	c.cwnd = c.stack.MSS()
-	// Go-back-N: resend everything outstanding.
 	c.retransmits++
 	c.stack.obs.retransmits.Add(1)
-	for i := 0; i < c.unacked.Len(); i++ {
-		c.stack.transmit(*c.unacked.At(i))
+	switch {
+	case c.passive && handshake:
+		c.sendCtl(synFlag | ackFlag)
+	case handshake:
+		c.sendCtl(synFlag)
+	default:
+		// Timeout loss response: halve ssthresh and restart from one
+		// segment of flight (classic slow-start restart), then go-back-N:
+		// resend everything outstanding.
+		c.cutCwnd()
+		c.cwnd = c.stack.MSS()
+		for i := 0; i < c.unacked.Len(); i++ {
+			c.stack.transmit(*c.unacked.At(i))
+		}
 	}
 	c.armRTO()
-}
-
-// armHandshake retransmits the connection-establishing control segment
-// (SYN on the active side, SYN|ACK on the passive side) until the
-// handshake completes, with the same backoff and budget as data RTOs.
-// Exhaustion resets the connection with ErrConnectTimeout. Only armed on
-// chaos-enabled stacks: fault-free runs schedule no handshake timers.
-func (c *Conn) armHandshake(flags int) {
-	tries := c.hsTries
-	shift := tries
-	if shift > maxRTOShift {
-		shift = maxRTOShift
-	}
-	c.stack.env.At(c.stack.cfg.RTO<<shift, func() {
-		if c.established.Triggered() || c.err != nil || tries != c.hsTries {
-			return
-		}
-		if mx := c.stack.cfg.MaxRetransmits; mx >= 0 && c.hsTries >= mx {
-			c.reset(ErrConnectTimeout)
-			return
-		}
-		c.hsTries++
-		c.retransmits++
-		c.stack.obs.retransmits.Add(1)
-		c.sendCtl(flags)
-		c.armHandshake(flags)
-	})
 }

@@ -139,11 +139,6 @@ type Stack struct {
 	// transmit-side processing; a drop verdict loses the segment (fault
 	// injection at the TCP layer).
 	drop *fault.Injector
-	// chaos arms the recovery timers that exist only for fault tolerance
-	// (handshake retransmission). It is set when the environment carries
-	// an enabled fault plan: fault-free runs schedule not a single extra
-	// event, keeping their output byte-identical.
-	chaos bool
 }
 
 // stackObs caches the stack's telemetry metric handles.
@@ -260,12 +255,9 @@ func NewStack(dev *ipoib.NetDev, cfg Config) *Stack {
 			fastRetransmits: m.Counter("tcp.fast.retransmits"),
 		}
 	}
-	// A fault plan on the environment arms the stack's chaos machinery:
-	// the TCP-layer segment-loss injector (if the plan asks for one) and
-	// the handshake recovery timers (a WAN-level fault can strand a
-	// handshake even when the plan injects no TCP loss itself).
+	// A fault plan on the environment arms the TCP-layer segment-loss
+	// injector, if the plan asks for one.
 	if pl := fault.PlanFromEnv(s.env); pl != nil && pl.Enabled() {
-		s.chaos = true
 		s.drop = pl.ArmTCP()
 	}
 	dev.SetHandler(func(src ib.LID, payload any, length int, ecn bool) {
@@ -360,17 +352,15 @@ func (s *Stack) Listen(port int) *Listener {
 }
 
 // Dial opens a connection to the remote stack and blocks until the
-// three-way handshake completes. Under fault injection the SYN is
-// retransmitted with exponential backoff; when the retry budget runs out
-// the dial fails with ErrConnectTimeout.
+// three-way handshake completes. A SYN that goes unanswered is retransmitted
+// with exponential backoff; when the retry budget runs out the dial fails
+// with ErrConnectTimeout.
 func (s *Stack) Dial(p *sim.Proc, remote ib.LID, port int) (*Conn, error) {
 	s.nextPort++
 	c := newConn(s, remote, port, s.nextPort)
 	s.conns[c.key()] = c
 	c.sendCtl(synFlag)
-	if s.chaos {
-		c.armHandshake(synFlag)
-	}
+	c.armRTO()
 	p.Wait(c.established)
 	if c.err != nil {
 		return nil, c.err
@@ -392,9 +382,7 @@ func (s *Stack) dispatch(seg *segment) {
 			c.swnd = seg.wnd
 			s.conns[key] = c
 			c.sendCtl(synFlag | ackFlag)
-			if s.chaos {
-				c.armHandshake(synFlag | ackFlag)
-			}
+			c.armRTO()
 			l.backlog.TryPut(c)
 			return
 		}
@@ -410,8 +398,8 @@ type Listener struct {
 }
 
 // Accept blocks until a connection arrives and returns it once established.
-// Under fault injection an accepted connection whose handshake never
-// completes fails with ErrConnectTimeout.
+// An accepted connection whose handshake never completes fails with
+// ErrConnectTimeout.
 func (l *Listener) Accept(p *sim.Proc) (*Conn, error) {
 	c := l.backlog.Get(p)
 	p.Wait(c.established)

@@ -116,6 +116,9 @@ func (t Topology) Validate() error {
 	if len(t.Sites) == 0 {
 		return fmt.Errorf("topo: no sites")
 	}
+	if t.LinkRate < 0 {
+		return fmt.Errorf("topo: negative intra-site link rate %v", t.LinkRate)
+	}
 	seen := make(map[string]bool, len(t.Sites))
 	for i, s := range t.Sites {
 		if s.Name == "" {
@@ -404,13 +407,8 @@ func Build(env *sim.Env, t Topology) (*Network, error) {
 		if len(t.Links) > 1 {
 			name = fmt.Sprintf("longbow[%s:%s]", lk.A, lk.B)
 		}
-		pair := wan.NewPairAcross(f, name, lk.A, lk.B, lk.Delay,
+		pair := wan.NewPairAcross(f, name, lk.A, lk.B, lk.Rate, lk.Delay,
 			siteEnv(siteIdx[lk.A]), siteEnv(siteIdx[lk.B]))
-		if lk.Rate != wan.WANRate {
-			if err := pair.Link().SetRate(lk.Rate); err != nil {
-				return nil, fmt.Errorf("topo: link %s: %w", name, err)
-			}
-		}
 		if lk.QueueBytes > 0 || lk.ECN || lk.Lossless {
 			cfg := ib.QueueConfig{QueueBytes: lk.QueueBytes, ECN: lk.ECN, Lossless: lk.Lossless}
 			if err := pair.EnableCongestion(cfg); err != nil {
@@ -495,14 +493,6 @@ func (nw *Network) Nodes() []*Node {
 		out = append(out, s.Nodes...)
 	}
 	return out
-}
-
-// SetDelay reconfigures the one-way delay of every WAN link (the
-// all-links sweep knob).
-func (nw *Network) SetDelay(d sim.Time) {
-	for _, l := range nw.links {
-		l.Pair.SetDelay(d)
-	}
 }
 
 // BcastOrder returns the sites reachable from root in breadth-first order

@@ -35,6 +35,8 @@ func TestValidateRejectsMalformedSpecs(t *testing.T) {
 			tp.Links = append(tp.Links, Link{A: "B", B: "A"})
 		}, "duplicate link"},
 		{"negative delay", func(tp *Topology) { tp.Links[0].Delay = -1 }, "negative delay"},
+		{"negative rate", func(tp *Topology) { tp.Links[0].Rate = -ib.SDR }, "non-positive rate"},
+		{"negative site rate", func(tp *Topology) { tp.LinkRate = -ib.DDR }, "intra-site link rate"},
 		{"disconnected", func(tp *Topology) {
 			tp.Sites = append(tp.Sites, Site{Name: "C", Nodes: 1})
 		}, "unreachable"},
@@ -111,6 +113,38 @@ func TestBuildShape(t *testing.T) {
 	}
 	if d := nw.Links()[1].Pair.Delay(); d != sim.Micros(200) {
 		t.Errorf("link 1 delay = %v, want 200us", d)
+	}
+}
+
+// TestBuildConfiguresEachLink: every spec link's Rate and Delay are the ones
+// its built WAN link carries — the one place a link is configured is its
+// construction — and a zero Rate is the Longbow's SDR.
+func TestBuildConfiguresEachLink(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Shutdown()
+	spec := Topology{
+		Sites: []Site{{Name: "hub", Nodes: 1}, {Name: "s1", Nodes: 1}, {Name: "s2", Nodes: 1}, {Name: "s3", Nodes: 1}},
+		Links: []Link{
+			{A: "hub", B: "s1", Delay: sim.Micros(10), Rate: ib.QDR},
+			{A: "hub", B: "s2", Delay: sim.Micros(1000), Rate: 1.7e9},
+			{A: "hub", B: "s3"},
+		},
+	}
+	nw, err := Build(env, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		rate  ib.Rate
+		delay sim.Time
+	}{{ib.QDR, sim.Micros(10)}, {1.7e9, sim.Micros(1000)}, {ib.SDR, 0}}
+	for i, l := range nw.Links() {
+		if got := l.Pair.Link().Rate(); got != want[i].rate {
+			t.Errorf("%s rate = %v, want %v", l.Name(), got, want[i].rate)
+		}
+		if got := l.Pair.Link().Delay(); got != want[i].delay {
+			t.Errorf("%s delay = %v, want %v", l.Name(), got, want[i].delay)
+		}
 	}
 }
 

@@ -1,10 +1,12 @@
 // Package wan models the Obsidian Longbow XR InfiniBand range extenders
 // used in the paper. A Longbow pair appears to the subnet as two two-ported
 // switches bridging the clusters (paper Fig. 2): traffic crosses the WAN
-// hop at SDR rate, each device adds a forwarding latency, and a
-// web-configurable delay knob emulates wire length at 5 us/km.
-// NewPairAcross is the one constructor. It arms no fault: the topology
-// compiler resolves each link's fault plan and arms it on Pair.Link.
+// hop at SDR rate, each device adds a forwarding latency, and the delay knob
+// emulates wire length at 5 us/km. The paper sets the knob between
+// measurements; here each measurement builds its world at its delay.
+// NewPairAcross is the one constructor, and the pair keeps the rate and
+// delay it was built with. It arms no fault: the topology compiler resolves
+// each link's fault plan and arms it on Pair.Link.
 package wan
 
 import (
@@ -66,43 +68,36 @@ func (l *Longbow) Device() *ib.Switch { return l.sw }
 // Name returns the device name.
 func (l *Longbow) Name() string { return l.name }
 
-// Pair is two Longbows joined by the long-haul link. It exposes the delay
-// knob the paper drives through the routers' web interface.
+// Pair is two Longbows joined by the long-haul link.
 type Pair struct {
 	A, B *Longbow
 	link *ib.Link
-	// envA/envB are the ends' home environments. They differ only when the
-	// pair was created with NewPairAcross on a partitioned world, in which
-	// case the link's delay is registered as the conservative bound of the
-	// directed channel between the two shards (one per direction) and the
-	// delay knob refuses values below it.
-	envA, envB *sim.Env
 }
 
-// NewPairAcross creates two Longbows on the fabric and joins them with an
-// SDR WAN link with the given one-way delay; the caller connects each
-// Longbow's cluster side to a cluster switch or HCA. The Longbow facing end
-// endA is named name-endA and placed on envA, the other name-endB on envB,
-// so every Longbow — and the telemetry tracks keyed on device names — has a
-// name identifying its link and side. An unpartitioned world passes f.Env()
-// for both. On a partitioned world it is the topology compiler's cross-shard
-// edge: the two ends live on their sites' shard views, packet delivery
-// crosses through the kernel's mailbox path, and the link's
-// propagation delay is registered as the conservative bound of the directed
-// channel between the two shards, one registration per direction — the
-// delay is a lower bound on how far in the future any event this link sends
-// into the peer shard can land, which is the promise the windowed parallel
-// scheduler runs on. Because the bound is per channel, a long link's
-// windows are sized by its own delay even when a much shorter link exists
-// elsewhere in the topology. The pair carries no fault plan; its caller arms
-// one on Link if the link has one.
-func NewPairAcross(f *ib.Fabric, name, endA, endB string, delay sim.Time, envA, envB *sim.Env) *Pair {
+// NewPairAcross creates two Longbows on the fabric and joins them with a WAN
+// link of the given rate (WANRate for the paper's Longbows) and one-way
+// delay; the caller connects each Longbow's cluster side to a cluster switch
+// or HCA. The Longbow facing end endA is named name-endA and placed on envA,
+// the other name-endB on envB, so every Longbow — and the telemetry tracks
+// keyed on device names — has a name identifying its link and side. An
+// unpartitioned world passes f.Env() for both. On a partitioned world it is
+// the topology compiler's cross-shard edge: the two ends live on their
+// sites' shard views, packet delivery crosses through the kernel's mailbox
+// path, and the link's propagation delay is registered as the conservative
+// bound of the directed channel between the two shards, one registration
+// per direction — the delay is a lower bound on how far in the future any
+// event this link sends into the peer shard can land, which is the promise
+// the windowed parallel scheduler runs on. Because the bound is per channel,
+// a long link's windows are sized by its own delay even when a much shorter
+// link exists elsewhere in the topology. The pair carries no fault plan; its
+// caller arms one on Link if the link has one.
+func NewPairAcross(f *ib.Fabric, name, endA, endB string, rate ib.Rate, delay sim.Time, envA, envB *sim.Env) *Pair {
 	f.UseEnv(envA)
 	a := &Longbow{name: name + "-" + endA, sw: f.AddSwitch(name+"-"+endA, ForwardingDelay)}
 	f.UseEnv(envB)
 	b := &Longbow{name: name + "-" + endB, sw: f.AddSwitch(name+"-"+endB, ForwardingDelay)}
 	f.UseEnv(f.Env())
-	link := f.Connect(a.sw, b.sw, WANRate, delay)
+	link := f.Connect(a.sw, b.sw, rate, delay)
 	// The long-haul hop is where utilization and queueing telemetry lives.
 	link.MarkWAN()
 	if envA != envB {
@@ -113,46 +108,7 @@ func NewPairAcross(f *ib.Fabric, name, endA, endB string, delay sim.Time, envA, 
 		envA.RegisterLookaheadBetween(envB, delay)
 		envB.RegisterLookaheadBetween(envA, delay)
 	}
-	return &Pair{A: a, B: b, link: link, envA: envA, envB: envB}
-}
-
-// SetDelay sets the one-way WAN delay (the emulated-distance knob). On a
-// partitioned world the delay is also the link's lookahead promise — a
-// lower bound on cross-shard event latency — so lowering it below the
-// world's registered bound would let an event land in the peer shard's
-// past; such a change panics instead of silently corrupting the schedule.
-func (p *Pair) SetDelay(d sim.Time) {
-	if la := p.lookahead(); la > 0 && d < la {
-		panic(fmt.Sprintf("wan: delay %v below the registered lookahead bound %v (a WAN delay is a lower bound on cross-shard event latency and cannot shrink below the bound on a partitioned world)", d, la))
-	}
-	p.link.SetDelay(d)
-}
-
-// lookahead returns the registered bound of this pair's own cross-shard
-// channel (the smaller direction, though both are registered with the same
-// link delay) when the pair bridges two shards, else 0 — ChannelLookahead
-// is 0 between ends on one shard or on an unpartitioned world. The guard is
-// per channel: a link may be retuned freely down to its own registered
-// bound without reference to shorter links elsewhere in the world.
-func (p *Pair) lookahead() sim.Time {
-	la := p.envA.ChannelLookahead(p.envB)
-	if ba := p.envB.ChannelLookahead(p.envA); ba > 0 && (la == 0 || ba < la) {
-		la = ba
-	}
-	return la
-}
-
-// SetDistanceKM sets the delay from an emulated wire length. It routes
-// through SetDelay so the partitioned-world lookahead guard applies: on a
-// sharded world, shrinking the emulated distance below the registered
-// channel bound panics instead of silently corrupting the schedule.
-func (p *Pair) SetDistanceKM(km float64) error {
-	d, err := DelayForDistance(km)
-	if err != nil {
-		return err
-	}
-	p.SetDelay(d)
-	return nil
+	return &Pair{A: a, B: b, link: link}
 }
 
 // Delay returns the configured one-way WAN delay.
@@ -189,7 +145,7 @@ func BDPQueueBytes(rate ib.Rate, delay sim.Time) int {
 
 // EnableCongestion bounds the pair's long-haul hop with cfg. A zero
 // QueueBytes defaults to the link's bandwidth-delay product (BDPQueueBytes
-// at the current rate and delay). Unconfigured pairs keep an unbounded FIFO,
+// at its rate and delay). Unconfigured pairs keep an unbounded FIFO,
 // so existing experiments are byte-identical.
 func (p *Pair) EnableCongestion(cfg ib.QueueConfig) error {
 	if cfg.QueueBytes == 0 {

@@ -46,58 +46,26 @@ func TestNegativeDistanceErrors(t *testing.T) {
 	if _, err := DistanceForDelay(-sim.Micros(1)); err == nil {
 		t.Fatal("DistanceForDelay(-1us) did not return an error")
 	}
-	env := sim.NewEnv()
-	f := ib.NewFabric(env)
-	p := NewPairAcross(f, "lb", "A", "B", sim.Micros(10), env, env)
-	if err := p.SetDistanceKM(-5); err == nil {
-		t.Fatal("SetDistanceKM(-5) did not return an error")
-	}
-	if p.Delay() != sim.Micros(10) {
-		t.Errorf("failed SetDistanceKM changed delay to %v", p.Delay())
-	}
 }
 
-// TestSetDistanceKMShardedLookaheadGuard pins the SetDistanceKM bugfix: it
-// used to call link.SetDelay directly, bypassing Pair.SetDelay's
-// partitioned-world guard, so a distance shrink could break the lookahead
-// promise the parallel scheduler runs on. Routed through SetDelay, the
-// shrink must panic; growing the emulated wire stays legal.
-func TestSetDistanceKMShardedLookaheadGuard(t *testing.T) {
-	env := sim.NewEnv()
-	env.SetShardWorkers(2)
-	views := env.Partition(2)
-	f := ib.NewFabric(env)
-	p := NewPairAcross(f, "lb", "A", "B", sim.Millisecond, views[0], views[1])
-	if err := p.SetDistanceKM(400); err != nil { // 2ms: above the bound
-		t.Fatalf("SetDistanceKM(400): %v", err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetDistanceKM below the registered lookahead bound did not panic on a partitioned world")
-		}
-	}()
-	p.SetDistanceKM(10) // 50us: below the registered 1ms bound
-}
-
+// TestPairDelayKnob builds a pair at an emulated 200 km: the Longbow's
+// 5 us/km knob gives a 1 ms one-way delay, and the pair reports the
+// distance back.
 func TestPairDelayKnob(t *testing.T) {
+	d, err := DelayForDistance(200)
+	if err != nil {
+		t.Fatalf("DelayForDistance(200): %v", err)
+	}
 	env := sim.NewEnv()
-	f := ib.NewFabric(env)
-	p := NewPairAcross(f, "lb", "A", "B", 0, env, env)
-	if p.Delay() != 0 {
-		t.Fatalf("initial delay = %v", p.Delay())
-	}
-	if err := p.SetDistanceKM(200); err != nil {
-		t.Fatalf("SetDistanceKM(200): %v", err)
-	}
+	p := NewPairAcross(ib.NewFabric(env), "lb", "A", "B", WANRate, d, env, env)
 	if p.Delay() != sim.Micros(1000) {
-		t.Errorf("delay after SetDistanceKM(200) = %v, want 1ms", p.Delay())
+		t.Errorf("delay at 200 km = %v, want 1ms", p.Delay())
 	}
 	if p.DistanceKM() != 200 {
 		t.Errorf("DistanceKM = %v, want 200", p.DistanceKM())
 	}
-	p.SetDelay(sim.Micros(42))
-	if p.Delay() != sim.Micros(42) {
-		t.Errorf("delay = %v, want 42us", p.Delay())
+	if p.Link().Rate() != WANRate {
+		t.Errorf("rate = %v, want %v", p.Link().Rate(), WANRate)
 	}
 }
 
@@ -105,7 +73,7 @@ func TestWANDelayAppliesToTraffic(t *testing.T) {
 	env := sim.NewEnv()
 	f := ib.NewFabric(env)
 	a, b := f.AddHCA("a"), f.AddHCA("b")
-	p := NewPairAcross(f, "lb", "A", "B", sim.Micros(500), env, env)
+	p := NewPairAcross(f, "lb", "A", "B", WANRate, sim.Micros(500), env, env)
 	f.Connect(a, p.A.Device(), ib.DDR, ib.DefaultCableDelay)
 	f.Connect(p.B.Device(), b, ib.DDR, ib.DefaultCableDelay)
 	f.Finalize()
