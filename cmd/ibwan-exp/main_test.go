@@ -84,6 +84,18 @@ func TestProbeMisuseExitsTwo(t *testing.T) {
 	}
 }
 
+// TestFaultNaNExitsTwo checks that a NaN probability is refused like any
+// other out-of-range one — exit 2 before any simulation — rather than run
+// as a plan that never drops.
+func TestFaultNaNExitsTwo(t *testing.T) {
+	for _, spec := range []string{"wan-loss=NaN", "tcp-loss=nan", "wan-corrupt=NaN"} {
+		stdout, stderr, code := runBin(t, "-quick", "-fault", spec, "fig3")
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "outside [0, 1]") {
+			t.Errorf("-fault %s: exit %d, stderr %q, stdout %q; want exit 2, a range error and no output", spec, code, stderr, stdout)
+		}
+	}
+}
+
 // TestProbeRunsOnTheHarness checks that a probe is an ordinary experiment to
 // everything before the word "probe": it prints its figure's cell, -list
 // shows it, a dead WAN is an ERR row and exit 0, and -trace-out holds its

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/ib"
 	"repro/internal/ipoib"
 	"repro/internal/mpi"
 	"repro/internal/nfs"
@@ -19,7 +20,7 @@ func TestMPIOverLossyWAN(t *testing.T) {
 	tb := cluster.New(env, cluster.Config{NodesA: 1, NodesB: 1, Delay: sim.Micros(100)})
 	// Drop every 97th wire packet crossing the WAN.
 	n := 0
-	tb.WAN.Link().DropFn = func(_ sim.Time, wire int) bool {
+	tb.WAN.Link().DropFn = func(sim.Time, ib.Crossing) bool {
 		n++
 		return n%97 == 0
 	}

@@ -58,7 +58,9 @@ func TestEveryFamilyShards(t *testing.T) {
 // TestShardedMatchesSequential is the determinism matrix for the sharded
 // scheduler: for every multisite experiment and every topology preset, the
 // rendered output must be byte-identical across -shards=1, -shards=N and
-// the point-parallel -par=8 path, with and without a wan-flap fault plan.
+// the point-parallel -par=8 path, with no fault plan, a wan-flap plan, a
+// WAN loss and corruption plan, and a TCP segment-loss plan. A random-drop
+// plan shards like any other: its worlds must run sharded windows.
 // TestCongestShardedDeterminism extends the matrix to the congest family on
 // the heterogeneous-delay preset: congest-streams is the one experiment
 // whose queue marks, drops and stalls feed back into endpoint pacing, so it
@@ -95,16 +97,21 @@ func TestShardedMatchesSequential(t *testing.T) {
 		{At: 2 * sim.Millisecond, Down: true},
 		{At: 6 * sim.Millisecond, Down: false},
 	}}
+	plans := []struct {
+		suffix string
+		plan   *fault.Plan
+	}{
+		{"", nil},
+		{"/wan-flap", flap},
+		{"/wan-loss", &fault.Plan{Seed: 7, WANLoss: 0.01, WANCorrupt: 0.005}},
+		{"/tcp-loss", &fault.Plan{Seed: 5, TCPLoss: 0.01}},
+	}
 	for _, preset := range topo.PresetNames() {
 		opt := Options{Quick: true, Topo: preset}
 		for _, id := range multisiteIDs() {
-			for _, plan := range []*fault.Plan{nil, flap} {
-				plan := plan
-				name := preset + "/" + id
-				if plan != nil {
-					name += "/wan-flap"
-				}
-				t.Run(name, func(t *testing.T) {
+			for _, p := range plans {
+				plan := p.plan
+				t.Run(preset+"/"+id+p.suffix, func(t *testing.T) {
 					base := renderTables(RunWith(id, opt, RunnerOptions{Workers: 1, Fault: plan}))
 					for _, ropt := range []RunnerOptions{
 						{Workers: 1, ShardWorkers: 4},
@@ -112,25 +119,30 @@ func TestShardedMatchesSequential(t *testing.T) {
 						{Workers: 2, ShardWorkers: 2},
 					} {
 						ropt.Fault = plan
-						got := renderTables(RunWith(id, opt, ropt))
-						if got != base {
+						res := RunWith(id, opt, ropt)
+						if got := renderTables(res); got != base {
 							t.Fatalf("output diverges at workers=%d shards=%d\n--- sequential ---\n%s\n--- got ---\n%s",
 								ropt.Workers, ropt.ShardWorkers, base, got)
+						}
+						// multisite-loss builds its worlds at zero delay: they
+						// never partition, whatever the plan.
+						random := plan != nil && plan.WANLoss+plan.WANCorrupt+plan.TCPLoss > 0
+						if random && ropt.ShardWorkers > 1 && id != "multisite-loss" && res.Metrics.ShardWindows == 0 {
+							t.Errorf("%s ran no sharded window at %d shard workers", p.suffix[1:], ropt.ShardWorkers)
 						}
 					}
 				})
 			}
 		}
 	}
-	// The harness's TCP helper across shards. The registry's loss-tcp draws
-	// Bernoulli segment loss, which is not a function of simulated time alone,
-	// so its worlds never partition; here the loss comes from the WAN flap
-	// (segments sent into the outage are gone, the RTO brings the stream
-	// back), which is, and the hub and its metro satellite land on different
-	// shards.
+	// The harness's TCP helper across shards. The registry's loss-tcp is
+	// built at zero delay, so its worlds never partition; here the hub and
+	// its metro satellite land on different shards, and the loss comes from
+	// the WAN flap (segments sent into the outage are gone, the RTO brings
+	// the stream back) or from keyed segment loss.
 	t.Run("star3-hetero/loss-tcp", func(t *testing.T) {
-		measure := func(shardWorkers int) float64 {
-			m := &Meter{shardWorkers: shardWorkers, fault: flap}
+		measure := func(shardWorkers int, plan *fault.Plan) float64 {
+			m := &Meter{shardWorkers: shardWorkers, fault: plan}
 			env := m.NewEnv()
 			defer env.Shutdown()
 			spec, err := topo.Preset("star3-hetero", 1, sim.Millisecond)
@@ -155,13 +167,15 @@ func TestShardedMatchesSequential(t *testing.T) {
 			}
 			return bw
 		}
-		base := measure(1)
-		if base < 10 {
-			t.Fatalf("the streams did not recover from the flap on the classic path: %v MB/s", base)
-		}
-		for _, shardWorkers := range []int{2, 4} {
-			if got := measure(shardWorkers); got != base {
-				t.Fatalf("goodput diverges at shards=%d: %v, sequential %v", shardWorkers, got, base)
+		for _, plan := range []*fault.Plan{flap, {Seed: 5, TCPLoss: 0.01}} {
+			base := measure(1, plan)
+			if base < 10 {
+				t.Fatalf("the streams did not recover from the loss on the classic path: %v MB/s", base)
+			}
+			for _, shardWorkers := range []int{2, 4} {
+				if got := measure(shardWorkers, plan); got != base {
+					t.Fatalf("goodput diverges at shards=%d: %v, sequential %v", shardWorkers, got, base)
+				}
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -8,30 +9,16 @@ import (
 	"repro/internal/sim"
 )
 
-// TestRNGDeterminism pins the splitmix64 stream: same seed, same values,
-// forever. Changing these constants silently would invalidate every
-// recorded faulted experiment.
-func TestRNGDeterminism(t *testing.T) {
-	a, b := NewRNG(12345), NewRNG(12345)
-	for i := 0; i < 1000; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("streams with equal seeds diverged at draw %d", i)
-		}
+// TestSaltsIndependent checks that the three random levers draw apart on
+// one key, and that the seed moves every draw.
+func TestSaltsIndependent(t *testing.T) {
+	const dir, flow, seq = 1<<32 | 2, 1<<32 | 7, 42
+	wan, crc, tcp := chance(1, saltWAN, dir, flow, seq), chance(1, saltCorrupt, dir, flow, seq), chance(1, saltTCP, dir, flow, seq)
+	if wan == crc || wan == tcp || crc == tcp {
+		t.Errorf("lever salts collide on one key: wan %v, corrupt %v, tcp %v", wan, crc, tcp)
 	}
-	// First draw of the seed-0 stream, as splitmix64 defines it.
-	if got := NewRNG(0).Uint64(); got != 0xe220a8397b1dcdaf {
-		t.Errorf("splitmix64(0) first draw = %#x, want 0xe220a8397b1dcdaf", got)
-	}
-}
-
-// TestMixSeedIndependence checks that salted sub-streams differ from each
-// other and from the base stream.
-func TestMixSeedIndependence(t *testing.T) {
-	if MixSeed(1, saltWAN) == MixSeed(1, saltTCP) {
-		t.Error("WAN and TCP sub-seeds collide for the same base seed")
-	}
-	if MixSeed(1, saltWAN) == MixSeed(2, saltWAN) {
-		t.Error("different base seeds give the same WAN sub-seed")
+	if chance(2, saltWAN, dir, flow, seq) == wan {
+		t.Error("different seeds give the same WAN draw")
 	}
 }
 
@@ -44,11 +31,13 @@ func wanLink(env *sim.Env) *ib.Link {
 	return l
 }
 
-// verdicts draws n DropWire verdicts, one packet per microsecond from at.
+// verdicts returns the verdicts of n consecutive packets of one QP crossing
+// one link direction, one per microsecond from at.
 func verdicts(in *Injector, at sim.Time, n int) []bool {
 	out := make([]bool, n)
 	for i := range out {
-		out[i] = in.DropWire(at+sim.Time(i)*sim.Microsecond, 2048)
+		c := ib.Crossing{From: 3, To: 4, Src: 1, QP: 2, Tx: uint64(i), Wire: 2048}
+		out[i] = in.dropCrossing(at+sim.Time(i)*sim.Microsecond, c)
 	}
 	return out
 }
@@ -67,12 +56,12 @@ func TestInjectorDeterminism(t *testing.T) {
 	}
 }
 
-// TestPlanDrawOrderPinned pins the first 64 verdicts and Drops() of a
-// WANLoss+WANCorrupt plan and of a TCPLoss plan at a fixed seed: the loss
-// draw comes first, the corruption draw only for packets the loss spared,
-// and a corrupted packet is not counted in Drops. A change to the seeding,
-// the salts or the draw order moves these values.
-func TestPlanDrawOrderPinned(t *testing.T) {
+// TestKeyedVerdictPinned pins the first 64 verdicts and Drops() of a
+// WANLoss+WANCorrupt plan and of a TCPLoss plan at a fixed seed over fixed
+// keys: the loss verdict is counted in Drops, the corruption verdict — taken
+// only for packets the loss spared — is not. A change to the mixer, the key
+// packing or the salts moves these values.
+func TestKeyedVerdictPinned(t *testing.T) {
 	mask := func(v []bool) (m uint64) {
 		for i, d := range v {
 			if d {
@@ -87,8 +76,8 @@ func TestPlanDrawOrderPinned(t *testing.T) {
 		mask  uint64
 		drops int64
 	}{
-		{"wan", (&Plan{Seed: 2008, WANLoss: 0.1, WANCorrupt: 0.05}).ArmWAN(wanLink(sim.NewEnv())), 0x004210140409c100, 7},
-		{"tcp", (&Plan{Seed: 2008, TCPLoss: 0.1}).ArmTCP(), 0x0000052088200004, 7},
+		{"wan", (&Plan{Seed: 2008, WANLoss: 0.1, WANCorrupt: 0.1}).ArmWAN(wanLink(sim.NewEnv())), 0x0008c02108024000, 4},
+		{"tcp", (&Plan{Seed: 2008, TCPLoss: 0.1}).ArmTCP(), 0x1020080200040000, 5},
 	} {
 		if got := mask(verdicts(c.in, 0, 64)); got != c.mask {
 			t.Errorf("%s: verdicts %#016x, want %#016x", c.name, got, c.mask)
@@ -99,28 +88,32 @@ func TestPlanDrawOrderPinned(t *testing.T) {
 	}
 }
 
-// TestBernoulliRate sanity-checks the long-run drop frequency.
+// TestBernoulliRate checks the keyed draw's long-run drop fraction: over 10⁶
+// distinct keys it lies inside the binomial 99.9 % interval of the rate
+// (normal approximation, z = 3.29).
 func TestBernoulliRate(t *testing.T) {
-	in := (&Plan{Seed: 7, TCPLoss: 0.2}).ArmTCP()
-	const n = 100000
-	drops := 0
-	for _, d := range verdicts(in, 0, n) {
-		if d {
-			drops++
+	const n = 1_000_000
+	for _, p := range []float64{0.001, 0.01, 0.1} {
+		in := (&Plan{Seed: 7, TCPLoss: p}).ArmTCP()
+		drops := 0
+		for i := uint64(0); i < n; i++ {
+			if in.Drop(0, 5<<32|6, 40000<<32|2049, i) {
+				drops++
+			}
 		}
-	}
-	got := float64(drops) / n
-	if got < 0.18 || got > 0.22 {
-		t.Errorf("loss 0.2 dropped %.3f of packets", got)
-	}
-	if int64(drops) != in.Drops() {
-		t.Errorf("Drops() = %d, observed %d", in.Drops(), drops)
+		mean, sd := n*p, math.Sqrt(n*p*(1-p))
+		if d := math.Abs(float64(drops) - mean); d > 3.29*sd {
+			t.Errorf("loss %v dropped %d of %d keys, want %.0f ± %.0f", p, drops, n, mean, 3.29*sd)
+		}
+		if int64(drops) != in.Drops() {
+			t.Errorf("loss %v: Drops() = %d, observed %d", p, in.Drops(), drops)
+		}
 	}
 }
 
 // TestDownDominates checks a down link drops everything regardless of the
-// loss lever and draws no randomness doing so: once a flap brings it back
-// up, its verdicts are exactly those of the same plan that was never down.
+// loss lever, and that once a flap brings it back up, its verdicts are
+// exactly those of the same plan that was never down.
 func TestDownDominates(t *testing.T) {
 	up := sim.Millisecond
 	downThenUp := (&Plan{Seed: 1, WANLoss: 0.5, WANDown: true, WANFlaps: []FlapStep{{At: up}}}).ArmWAN(wanLink(sim.NewEnv()))
@@ -172,13 +165,13 @@ func TestScheduledFlapTakesEffect(t *testing.T) {
 		{At: sim.Millisecond, Down: true},
 		{At: 3 * sim.Millisecond, Down: false},
 	}}).ArmWAN(wanLink(sim.NewEnv()))
-	if in.DropWire(0, 64) {
+	if in.Drop(0, 0, 0, 0) {
 		t.Error("link down before the first edge")
 	}
-	if !in.DropWire(sim.Millisecond, 64) || !in.DropWire(2*sim.Millisecond, 64) {
+	if !in.Drop(sim.Millisecond, 0, 0, 0) || !in.Drop(2*sim.Millisecond, 0, 0, 0) {
 		t.Error("link not down from the down edge on")
 	}
-	if in.DropWire(3*sim.Millisecond, 64) || in.DropWire(4*sim.Millisecond, 64) {
+	if in.Drop(3*sim.Millisecond, 0, 0, 0) || in.Drop(4*sim.Millisecond, 0, 0, 0) {
 		t.Error("link still down from the up edge on")
 	}
 }
@@ -190,6 +183,9 @@ func TestPlanValidate(t *testing.T) {
 		{WANLoss: 1.1},
 		{WANCorrupt: 2},
 		{TCPLoss: -1},
+		{WANLoss: math.NaN()},
+		{WANCorrupt: math.NaN()},
+		{TCPLoss: math.NaN()},
 		{WANFlaps: []FlapStep{{At: -1}}},
 		{WANFlaps: []FlapStep{{At: 2}, {At: 1}}},
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"repro/internal/ib"
 	"repro/internal/sim"
 )
 
@@ -81,7 +82,7 @@ func FuzzSchedule(f *testing.F) {
 						down = s.Down
 					}
 				}
-				if !link.DropFn(now, 1500) && down {
+				if !link.DropFn(now, ib.Crossing{Wire: 1500}) && down {
 					t.Fatalf("packet at %v survived a link the schedule has down", now)
 				}
 			})

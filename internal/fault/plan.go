@@ -7,13 +7,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Sub-stream salts: one plan seed feeds independent streams per
-// attachment point, so WAN and TCP fault decisions never interleave on a
-// shared stream (which would make one layer's traffic perturb the other's
-// loss pattern).
+// Draw salts: one per random lever, so one plan seed gives the WAN loss,
+// corruption and TCP loss verdicts of a key independently.
 const (
-	saltWAN uint64 = 0x57414e // "WAN"
-	saltTCP uint64 = 0x544350 // "TCP"
+	saltWAN     uint64 = 0x57414e // "WAN"
+	saltTCP     uint64 = 0x544350 // "TCP"
+	saltCorrupt uint64 = 0x435243 // "CRC"
 )
 
 // Plan is the declarative fault configuration for one simulation
@@ -24,9 +23,9 @@ const (
 // means "no faults" and arms nothing, so fault-free runs stay
 // byte-identical to a build without this package.
 type Plan struct {
-	// Seed feeds every injector derived from this plan (via MixSeed).
+	// Seed keys every verdict of every injector armed from this plan.
 	// Same plan + same seed -> identical fault decisions, regardless of
-	// runner parallelism.
+	// runner parallelism or shard count.
 	Seed uint64
 
 	// Link restricts a run-wide plan's WAN levers to the named link on
@@ -54,15 +53,15 @@ type Plan struct {
 }
 
 func probErr(name string, p float64) error {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // NaN fails both comparisons
 		return fmt.Errorf("fault: %s probability %v outside [0, 1]", name, p)
 	}
 	return nil
 }
 
-// Validate checks every lever of the plan: probabilities in [0, 1], and
-// the flap schedule sorted with non-negative times. A plan that validates
-// arms without error.
+// Validate checks every lever of the plan: probabilities in [0, 1] (NaN is
+// not), and the flap schedule sorted with non-negative times. A plan that
+// validates arms without error.
 func (p *Plan) Validate() error {
 	if err := probErr("WANLoss", p.WANLoss); err != nil {
 		return err
@@ -123,18 +122,6 @@ func (p *Plan) DownEdges() []ib.HealthTransition {
 	return out
 }
 
-// ShardSafe reports whether the plan may be armed on a partitioned
-// (sharded) world. Only the WANDown and WANFlaps levers qualify: both are
-// pure functions of simulated time (see Injector.downAt) and draw no
-// randomness, so the two directions of a WAN link can consult the shared
-// injector from different shards without racing or perturbing the RNG
-// stream. Every other lever draws per-packet randomness (WAN loss,
-// corruption, TCP loss), which requires the single-heap event order;
-// topo.Build refuses to partition when such a plan is attached.
-func (p *Plan) ShardSafe() bool {
-	return p == nil || !(p.WANLoss > 0 || p.WANCorrupt > 0 || p.TCPLoss > 0)
-}
-
 // AttachPlan validates p and installs it on the environment's fault slot.
 // It must run before the testbed is built (topo.Build and tcpsim.NewStack
 // read the slot at construction time).
@@ -159,29 +146,23 @@ func PlanFromEnv(env *sim.Env) *Plan {
 // ArmWAN builds the WAN-link injector for a validated plan and attaches it
 // to link. It returns nil — and touches nothing — when no WAN lever is set.
 // The injector schedules nothing: flap steps are stored and resolved at
-// packet time (downAt), so steps in the past are naturally in effect and
-// sharded worlds read them without synchronization.
+// packet time (downAt), so steps in the past are naturally in effect.
 func (p *Plan) ArmWAN(link *ib.Link) *Injector {
 	if p == nil || !p.wanEnabled() {
 		return nil
 	}
-	in := NewInjector(MixSeed(p.Seed, saltWAN))
-	in.down = p.WANDown
-	in.loss = p.WANLoss
-	in.corruptP = p.WANCorrupt
-	in.flaps = p.WANFlaps
-	in.AttachLink(link)
+	in := &Injector{seed: p.Seed, loss: p.WANLoss, lossSalt: saltWAN,
+		corruptP: p.WANCorrupt, down: p.WANDown, flaps: p.WANFlaps}
+	link.DropFn = in.dropCrossing // both directions: a crossing names its own
 	return in
 }
 
 // ArmTCP builds the TCP-stack injector for a validated plan, or returns
-// nil when the plan injects no TCP faults. The stack installs the
-// injector's DropWire as its segment hook.
+// nil when the plan injects no TCP faults. The stack consults the
+// injector's Drop for every segment it transmits.
 func (p *Plan) ArmTCP() *Injector {
 	if p == nil || p.TCPLoss <= 0 {
 		return nil
 	}
-	in := NewInjector(MixSeed(p.Seed, saltTCP))
-	in.loss = p.TCPLoss
-	return in
+	return &Injector{seed: p.Seed, loss: p.TCPLoss, lossSalt: saltTCP}
 }

@@ -65,8 +65,10 @@ func TestConstructionAllocs(t *testing.T) {
 	}
 }
 
-// stageTag names the QP a work request was posted on, and which request.
+// stageTag names the QP a work request was posted on — its HCA and its
+// QPN, which is numbered per HCA — and which request.
 type stageTag struct {
+	lid    LID
 	qpn, i int
 }
 
@@ -102,7 +104,7 @@ func stageHandlerRun(t *testing.T, seed int64) (log []string, retransmits int64)
 	a, b := f.AddHCA("a"), f.AddHCA("b")
 	sw := f.AddSwitch("sw", SwitchDelay)
 	rng := rand.New(rand.NewSource(seed))
-	drop := func(sim.Time, int) bool { return rng.Intn(40) == 0 }
+	drop := func(sim.Time, Crossing) bool { return rng.Intn(40) == 0 }
 	f.Connect(a, sw, DDR, DefaultCableDelay).DropFn = drop
 	f.Connect(sw, b, DDR, DefaultCableDelay).DropFn = drop
 	f.Finalize()
@@ -113,7 +115,8 @@ func stageHandlerRun(t *testing.T, seed int64) (log []string, retransmits int64)
 	ra2, rb2 := CreateRCPair(a, b, cqa, cqb, cfg)
 	ua := a.CreateQP(cqa, QPConfig{Transport: UD})
 	ub := b.CreateQP(cqb, QPConfig{Transport: UD})
-	peer := map[int]*QP{ra1.qpn: rb1, rb1.qpn: ra1, ra2.qpn: rb2, rb2.qpn: ra2, ua.qpn: ub}
+	peer := map[*QP]*QP{ra1: rb1, rb1: ra1, ra2: rb2, rb2: ra2, ua: ub}
+	qpOf := func(tag stageTag) *QP { return f.byLID[tag.lid].(*HCA).qps[tag.qpn] }
 	mra, mrb := a.RegisterVirtualMR(1<<16), b.RegisterVirtualMR(1<<16)
 
 	// What each posted request must complete as, keyed by its tag: the
@@ -121,13 +124,13 @@ func stageHandlerRun(t *testing.T, seed int64) (log []string, retransmits int64)
 	// map names the sender.
 	want := map[stageTag]Opcode{}
 	post := func(q *QP, i int, wr SendWR) {
-		tag := stageTag{q.qpn, i}
+		tag := stageTag{q.hca.lid, q.qpn, i}
 		wr.Ctx = tag
 		want[tag] = wr.Op
 		q.PostSend(wr)
 	}
 	recv := func(q *QP, i int) {
-		tag := stageTag{q.qpn, -1 - i}
+		tag := stageTag{q.hca.lid, q.qpn, -1 - i}
 		want[tag] = OpRecv
 		q.PostRecv(RecvWR{Ctx: tag})
 	}
@@ -143,8 +146,8 @@ func stageHandlerRun(t *testing.T, seed int64) (log []string, retransmits int64)
 				recv(ra1, i)
 				post(rb1, i, SendWR{Op: OpSend, Len: size})
 			case 1: // a notifying RDMA write, and a send on the same pair
-				notified[stageTag{ra2.qpn, i}] = true
-				post(ra2, i, SendWR{Op: OpRDMAWrite, Len: size, RemoteMR: mrb, NotifyRemote: true, Meta: stageTag{ra2.qpn, i}})
+				notified[stageTag{a.lid, ra2.qpn, i}] = true
+				post(ra2, i, SendWR{Op: OpRDMAWrite, Len: size, RemoteMR: mrb, NotifyRemote: true, Meta: stageTag{a.lid, ra2.qpn, i}})
 				recv(rb2, i)
 				post(ra2, i+rounds, SendWR{Op: OpSend, Len: size})
 			case 2: // RDMA reads both ways
@@ -157,17 +160,17 @@ func stageHandlerRun(t *testing.T, seed int64) (log []string, retransmits int64)
 		})
 	}
 	seen := map[stageTag]bool{}
-	check := func(side string, c Completion) {
-		log = append(log, fmt.Sprintf("%v %s %+v", env.Now(), side, c))
+	check := func(side *HCA, c Completion) {
+		log = append(log, fmt.Sprintf("%v %s %+v", env.Now(), side.name, c))
 		if c.Status != StatusOK {
-			t.Errorf("seed %d: %s completion %+v, want OK", seed, side, c)
+			t.Errorf("seed %d: %s completion %+v, want OK", seed, side.name, c)
 			return
 		}
 		if c.Op == OpRDMAWrite && c.Ctx == nil {
 			// The responder's notification of a write: its receiver is the
 			// peer of the writer its Meta names.
 			tag := c.Meta.(stageTag)
-			if !notified[tag] || c.QPN != peer[tag.qpn].qpn || c.SrcQPN != tag.qpn {
+			if !notified[tag] || c.QPN != peer[qpOf(tag)].qpn || c.SrcQPN != tag.qpn || c.SrcLID != tag.lid {
 				t.Errorf("seed %d: write notification %+v for %+v", seed, c, tag)
 			}
 			delete(notified, tag)
@@ -175,16 +178,16 @@ func stageHandlerRun(t *testing.T, seed int64) (log []string, retransmits int64)
 		}
 		tag := c.Ctx.(stageTag)
 		if op, ok := want[tag]; !ok || op != c.Op || seen[tag] {
-			t.Errorf("seed %d: %s completion %+v for %+v: unexpected, duplicate or wrong op", seed, side, c, tag)
+			t.Errorf("seed %d: %s completion %+v for %+v: unexpected, duplicate or wrong op", seed, side.name, c, tag)
 		}
 		seen[tag] = true
-		if c.QPN != tag.qpn {
-			t.Errorf("seed %d: %s completion for a request on QP %d names QP %d", seed, side, tag.qpn, c.QPN)
+		if c.QPN != tag.qpn || side.lid != tag.lid {
+			t.Errorf("seed %d: %s completion for a request on QP %d@%d names QP %d", seed, side.name, tag.qpn, tag.lid, c.QPN)
 		}
 		if c.Op == OpRecv {
 			var sender *QP
 			for _, q := range []*QP{ra1, rb1, ra2, rb2, ua} {
-				if peer[q.qpn].qpn == tag.qpn {
+				if peer[q] == qpOf(tag) {
 					sender = q
 				}
 			}
@@ -194,8 +197,8 @@ func stageHandlerRun(t *testing.T, seed int64) (log []string, retransmits int64)
 			}
 		}
 	}
-	cqa.SetHandler(func(c Completion) { check("a", c) })
-	cqb.SetHandler(func(c Completion) { check("b", c) })
+	cqa.SetHandler(func(c Completion) { check(a, c) })
+	cqb.SetHandler(func(c Completion) { check(b, c) })
 	env.Run()
 
 	var lostDatagrams int
@@ -203,7 +206,7 @@ func stageHandlerRun(t *testing.T, seed int64) (log []string, retransmits int64)
 		if seen[tag] {
 			continue
 		}
-		if op == OpRecv && tag.qpn == ub.qpn {
+		if op == OpRecv && qpOf(tag) == ub {
 			lostDatagrams++ // UD is unreliable: the loss plan may take a datagram
 			continue
 		}

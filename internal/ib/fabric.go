@@ -77,16 +77,15 @@ type Fabric struct {
 // onto the home list (the home shard is running): it goes on the consumer's
 // return lane (sim.Env.ReturnTo) and the window barrier hands it home.
 //
-// The pool also numbers the QPs and messages made on its environment. A QPN
-// keys its HCA's QP table and a message id its QP's in-flight window, so
-// both need only be unique per environment; a pool's counters start afresh
-// with each fabric and advance in its own event order, so on a partitioned
-// world an id does not depend on which shard got there first. A classic
-// world has one pool and numbers exactly as one fabric-wide counter would.
+// The pool also numbers the messages made on its environment. A message id
+// keys its QP's in-flight window, so it need only be unique per environment;
+// a pool's counter starts afresh with each fabric and advances in its own
+// event order, so on a partitioned world an id does not depend on which
+// shard got there first.
 type pool struct {
-	fab              *Fabric
-	env              *sim.Env
-	nextQPN, nextMsg int64
+	fab     *Fabric
+	env     *sim.Env
+	nextMsg int64
 	*poolMem
 }
 
@@ -117,7 +116,7 @@ func (f *Fabric) poolFor(env *sim.Env) *pool {
 		}
 	}
 	mem := env.Recycled(poolMemKey{}, func() any { return new(poolMem) }).(*poolMem)
-	pl := &pool{fab: f, env: env, nextQPN: 1, poolMem: mem}
+	pl := &pool{fab: f, env: env, poolMem: mem}
 	f.pools = append(f.pools, pl)
 	return pl
 }
@@ -406,8 +405,8 @@ type Link struct {
 	// drops the packet on the wire (fault injection). now is the sending
 	// port's current virtual time — on partitioned worlds the two ends of a
 	// WAN link live on different shards, so the decision must be a function of
-	// the passed time, not of state mutated by scheduled closures.
-	DropFn func(now sim.Time, wireBytes int) bool
+	// the passed time and crossing, not of state other traffic moves.
+	DropFn func(now sim.Time, c Crossing) bool
 	// drops counts packets removed by DropFn (atomic: a WAN link's two
 	// ports may transmit from different shards).
 	drops atomic.Int64
@@ -428,6 +427,18 @@ type Link struct {
 	// stalls counts packets held back by lossless credit flow control
 	// instead of being dropped.
 	stalls atomic.Int64
+}
+
+// Crossing is a packet crossing a link as a drop function sees it: the
+// sending device and its peer, and the packet's source HCA, source QP and
+// index on that QP's transmit counter (see QP.newPacket). No two crossings
+// of a direction share (Src, QP, Tx), and none of it depends on the shards.
+type Crossing struct {
+	From, To LID
+	Src      LID
+	QP       int32
+	Tx       uint64
+	Wire     int
 }
 
 // QueueConfig bounds a link's per-direction egress queue. The zero value is
@@ -493,6 +504,18 @@ func (l *Link) Rate() Rate { return l.rate }
 
 // Drops returns the number of packets dropped by fault injection.
 func (l *Link) Drops() int64 { return l.drops.Load() }
+
+// Lossy reports whether some link of the fabric has a drop function.
+func (f *Fabric) Lossy() bool {
+	for _, d := range f.devices {
+		for _, p := range d.ports() {
+			if p.link.DropFn != nil {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 // TxTotal returns the total wire bytes carried in both directions.
 func (l *Link) TxTotal() int64 { return l.a.txBytes + l.b.txBytes }
@@ -658,7 +681,7 @@ func (p *Port) send(pkt *packet) {
 		}
 	}
 	fab.trace(evTx, p.dev, pkt, "")
-	if p.link.DropFn != nil && p.link.DropFn(now, pkt.wire) {
+	if p.link.DropFn != nil && p.link.DropFn(now, Crossing{p.dev.LID(), p.peer.dev.LID(), pkt.src, pkt.srcQP, pkt.tx, pkt.wire}) {
 		p.link.drops.Add(1)
 		if fab.obs != nil {
 			fab.obs.linkDrops.Add(1)

@@ -1,6 +1,7 @@
 package ib_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,5 +242,65 @@ func TestThreeLedgerDropAccounting(t *testing.T) {
 	}
 	if got := reg.Counter("ib.route.unreachable.drops").Value(); got != unr {
 		t.Errorf("telemetry ib.route.unreachable.drops = %d, want %d", got, unr)
+	}
+}
+
+// udDropped sends n datagrams from one UD QP to another across a lossy link
+// and returns the indices that never arrived. With second set, another flow
+// between two other HCAs crosses the same link, interleaved with the first.
+func udDropped(t *testing.T, n int, second bool) []int {
+	t.Helper()
+	env := sim.NewEnv()
+	defer env.Shutdown()
+	f := ib.NewFabric(env)
+	s1, s2 := f.AddSwitch("s1", ib.SwitchDelay), f.AddSwitch("s2", ib.SwitchDelay)
+	a1, a2, b1, b2 := f.AddHCA("a1"), f.AddHCA("a2"), f.AddHCA("b1"), f.AddHCA("b2")
+	f.Connect(a1, s1, ib.DDR, ib.DefaultCableDelay)
+	f.Connect(a2, s1, ib.DDR, ib.DefaultCableDelay)
+	lossy := f.Connect(s1, s2, ib.DDR, 10*sim.Microsecond)
+	f.Connect(s2, b1, ib.DDR, ib.DefaultCableDelay)
+	f.Connect(s2, b2, ib.DDR, ib.DefaultCableDelay)
+	f.Finalize()
+	(&fault.Plan{Seed: 3, WANLoss: 0.1}).ArmWAN(lossy)
+
+	flow := func(from, to *ib.HCA, offset sim.Time, arrived map[int]bool) {
+		tx := from.CreateQP(ib.NewCQ(env), ib.QPConfig{Transport: ib.UD})
+		rx := to.CreateQP(ib.NewCQ(env), ib.QPConfig{Transport: ib.UD})
+		for i := 0; i < n; i++ {
+			rx.PostRecv(ib.RecvWR{})
+		}
+		rx.CQ().SetHandler(func(c ib.Completion) { arrived[c.Meta.(int)] = true })
+		for i := 0; i < n; i++ {
+			env.At(offset+sim.Time(i)*sim.Microsecond, func() {
+				tx.PostSend(ib.SendWR{Op: ib.OpSend, Len: 1024, DestLID: to.LID(), DestQPN: rx.QPN(), Meta: i})
+			})
+		}
+	}
+	arrived := map[int]bool{}
+	flow(a1, b1, 0, arrived)
+	if second {
+		flow(a2, b2, sim.Microsecond/2, map[int]bool{})
+	}
+	env.Run()
+	var lost []int
+	for i := 0; i < n; i++ {
+		if !arrived[i] {
+			lost = append(lost, i)
+		}
+	}
+	return lost
+}
+
+// TestUDVerdictsIndependentOfOtherFlows checks that a drop verdict is a
+// function of the packet alone: a UD flow across a lossy link loses the same
+// datagrams whether or not a second flow shares the link.
+func TestUDVerdictsIndependentOfOtherFlows(t *testing.T) {
+	const n = 400
+	alone, shared := udDropped(t, n, false), udDropped(t, n, true)
+	if len(alone) == 0 {
+		t.Fatal("no datagram lost at 10% loss")
+	}
+	if !slices.Equal(alone, shared) {
+		t.Errorf("datagrams lost alone %v, beside a second flow %v", alone, shared)
 	}
 }

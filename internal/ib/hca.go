@@ -17,7 +17,7 @@ type HCA struct {
 	// port is the single port, once attached, and the route to everything;
 	// an array so ports() can slice it.
 	port [1]*Port
-	qps  map[int]*QP // made by the first CreateQP
+	qps  map[int]*QP // by QPN, made by the first CreateQP; QPs are never removed
 	wireTrackCache
 }
 
@@ -77,7 +77,7 @@ func hcaIngress(v any) {
 // receive hands a processed packet to its QP, then recycles it.
 func (h *HCA) receive(pkt *packet) {
 	h.fab.trace(evRx, h, pkt, "")
-	qp := h.qps[pkt.dstQP]
+	qp := h.qps[int(pkt.dstQP)]
 	if qp == nil {
 		panic(fmt.Sprintf("ib: HCA %s: packet for unknown QP %d", h.name, pkt.dstQP))
 	}

@@ -213,7 +213,7 @@ func TestReactiveDetection(t *testing.T) {
 	if err := f.EnableFailover(HealthConfig{TimeoutThreshold: 3}); err != nil {
 		t.Fatal(err)
 	}
-	l1b.DropFn = func(sim.Time, int) bool { return true } // total loss
+	l1b.DropFn = func(sim.Time, Crossing) bool { return true } // total loss
 	cfg := QPConfig{RetryTimeout: 100 * sim.Microsecond, RetryLimit: 30}
 	qa, qb := CreateRCPair(a, b, nil, nil, cfg)
 	qb.PostRecv(RecvWR{})

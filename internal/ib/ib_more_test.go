@@ -220,7 +220,7 @@ func TestInOrderDeliveryUnderLoss(t *testing.T) {
 	env, _, a, b, l := backToBack(t)
 	qa, qb := CreateRCPair(a, b, nil, nil, QPConfig{RetryTimeout: 200 * sim.Microsecond})
 	n := 0
-	l.DropFn = func(_ sim.Time, wire int) bool {
+	l.DropFn = func(sim.Time, Crossing) bool {
 		n++
 		return n == 2 // second wire packet: inside message 1
 	}

@@ -387,7 +387,7 @@ func TestRCRetransmissionRecoversFromLoss(t *testing.T) {
 	qa, qb := CreateRCPair(a, b, nil, nil, QPConfig{RetryTimeout: 100 * sim.Microsecond})
 	// Drop the 3rd wire packet once.
 	n := 0
-	l.DropFn = func(_ sim.Time, wire int) bool {
+	l.DropFn = func(sim.Time, Crossing) bool {
 		n++
 		return n == 3
 	}
@@ -426,8 +426,8 @@ func TestRCRetransmissionLostAck(t *testing.T) {
 	qa, qb := CreateRCPair(a, b, nil, nil, QPConfig{RetryTimeout: 100 * sim.Microsecond})
 	// Drop exactly the first ack (acks are AckBytes on the wire).
 	dropped := false
-	l.DropFn = func(_ sim.Time, wire int) bool {
-		if wire == AckBytes && !dropped {
+	l.DropFn = func(_ sim.Time, c Crossing) bool {
+		if c.Wire == AckBytes && !dropped {
 			dropped = true
 			return true
 		}

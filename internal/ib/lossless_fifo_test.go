@@ -10,7 +10,7 @@ import (
 
 // pktID names one wire packet for order comparisons.
 type pktID struct {
-	srcQP int
+	srcQP int32
 	seq   int32
 	msg   int64
 }

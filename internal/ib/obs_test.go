@@ -106,7 +106,7 @@ func TestRxStampedAtWireArrival(t *testing.T) {
 func TestTracerSeesDrops(t *testing.T) {
 	env, rec, a, b, l := tracedBackToBack(t)
 	n := 0
-	l.DropFn = func(sim.Time, int) bool { n++; return n == 1 }
+	l.DropFn = func(sim.Time, Crossing) bool { n++; return n == 1 }
 	sendOne(env, a, b, 64, QPConfig{RetryTimeout: 50 * sim.Microsecond})
 	reasons := map[string][]string{}
 	for _, in := range rec.Instants() {

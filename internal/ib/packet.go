@@ -22,9 +22,10 @@ const (
 // because RC paths are FIFO and delivery is in order.
 type packet struct {
 	src, dst     LID
-	srcQP, dstQP int
-	wire         int // total bytes on the wire (header + payload share)
-	payload      int // payload bytes carried by this packet
+	srcQP, dstQP int32
+	tx           uint64 // index on the source QP's transmit counter (QP.newPacket)
+	wire         int    // total bytes on the wire (header + payload share)
+	payload      int    // payload bytes carried by this packet
 	msg          *transfer
 	seq          int32   // packet index within the transfer; a message has at most 2^20 packets
 	kind         pktKind // one byte beside the flags and seq: with home and train, the struct fits 80 bytes

@@ -290,6 +290,7 @@ type QP struct {
 	qpn int
 	cfg QPConfig
 	cq  *CQ
+	tx  uint64 // transmit counter: the next packet's index (see newPacket)
 
 	// RC connection state.
 	remote *QP
@@ -323,7 +324,8 @@ type QP struct {
 
 // CreateQP creates a queue pair on the HCA bound to the given completion
 // queue. RC QPs must be connected with ConnectRC before use. A QP is one
-// allocation until it carries traffic.
+// allocation until it carries traffic. QPNs number an HCA's QPs from 1 in
+// creation order, whatever environment the HCA is on.
 func (h *HCA) CreateQP(cq *CQ, cfg QPConfig) *QP {
 	if cfg.MaxInflight == 0 {
 		cfg.MaxInflight = DefaultMaxInflight
@@ -334,8 +336,7 @@ func (h *HCA) CreateQP(cq *CQ, cfg QPConfig) *QP {
 	if cfg.RetryLimit == 0 {
 		cfg.RetryLimit = DefaultRetryLimit
 	}
-	h.pool.nextQPN++
-	qp := &QP{hca: h, qpn: int(h.pool.nextQPN), cfg: cfg, cq: cq, retryq: h.env.NewPipe()}
+	qp := &QP{hca: h, qpn: len(h.qps) + 1, cfg: cfg, cq: cq, retryq: h.env.NewPipe()}
 	if h.qps == nil {
 		h.qps = make(map[int]*QP)
 	}
@@ -420,6 +421,15 @@ func (q *QP) receive(pkt *packet) {
 	case UD:
 		q.udReceive(pkt)
 	}
+}
+
+// newPacket returns a packet holding v, stamped as the QP's next
+// transmission: every packet the QP puts on the wire — data, ack, read
+// response, datagram, retransmission, train body — takes the next index.
+func (q *QP) newPacket(v packet) *packet {
+	v.src, v.srcQP, v.tx = q.hca.lid, int32(q.qpn), q.tx
+	q.tx++
+	return q.hca.pool.newPacket(v)
 }
 
 // env returns the QP's scheduling environment: the owning HCA's home

@@ -113,9 +113,8 @@ func launchBody(v any) {
 	if t.wr.Op == OpRDMARead {
 		q.stats.ReadRequests++
 		t.ref()
-		port.send(pl.newPacket(packet{
-			src: q.hca.lid, dst: q.remote.hca.lid,
-			srcQP: q.qpn, dstQP: q.remote.qpn,
+		port.send(q.newPacket(packet{
+			dst: q.remote.hca.lid, dstQP: int32(q.remote.qpn),
 			kind: pktReadReq, wire: ReadReqBytes, msg: t, last: true,
 		}))
 	} else {
@@ -131,11 +130,11 @@ func launchBody(v any) {
 // exclusive route a message of several packets goes as a train: its last
 // packet alone, carrying the others as its body (see train).
 func (q *QP) sendDataPackets(port *Port, dst *QP, t *transfer, kind pktKind) {
-	pl := q.hca.pool
 	n := max((t.size+MTU-1)/MTU, 1)
 	first := 0
 	if n > 1 && port.exclusiveTo(dst.hca.lid) {
 		first = n - 1
+		q.tx += uint64(first) // the body's packets take their transmit indices too
 	}
 	remaining := t.size - first*MTU
 	for i := first; i < n; i++ {
@@ -145,9 +144,8 @@ func (q *QP) sendDataPackets(port *Port, dst *QP, t *transfer, kind pktKind) {
 		// this loop, so a fault-injected drop inside port.send (which
 		// releases the packet's reference) can never recycle t mid-loop.
 		t.ref()
-		pkt := pl.newPacket(packet{
-			src: q.hca.lid, dst: dst.hca.lid,
-			srcQP: q.qpn, dstQP: dst.qpn,
+		pkt := q.newPacket(packet{
+			dst: dst.hca.lid, dstQP: int32(dst.qpn),
 			kind: kind, wire: HeaderRC + chunk, payload: chunk,
 			msg: t, seq: int32(i), last: i == n-1,
 		})
@@ -462,11 +460,9 @@ func ackSend(v any) {
 func (q *QP) sendAckNow(t *transfer) {
 	q.stats.Acks++
 	port := q.hca.routeTo(q.remote.hca.lid)
-	pl := q.hca.pool
 	t.ref()
-	port.send(pl.newPacket(packet{
-		src: q.hca.lid, dst: q.remote.hca.lid,
-		srcQP: q.qpn, dstQP: q.remote.qpn,
+	port.send(q.newPacket(packet{
+		dst: q.remote.hca.lid, dstQP: int32(q.remote.qpn),
 		kind: pktAck, wire: AckBytes, msg: t, last: true,
 	}))
 }

@@ -25,7 +25,7 @@ func stagedPath(links int, wanQueue *QueueConfig, perPacket bool) (*sim.Env, *HC
 	if links == 1 {
 		wan = f.Connect(a, b, DDR, DefaultCableDelay)
 		if perPacket {
-			wan.DropFn = func(sim.Time, int) bool { return false }
+			wan.DropFn = func(sim.Time, Crossing) bool { return false }
 		}
 	} else {
 		swA, swB := f.AddSwitch("swA", SwitchDelay), f.AddSwitch("swB", SwitchDelay)
@@ -338,7 +338,7 @@ func stageRecurrenceCase(t *testing.T, seed int64, cov *stageCoverage) {
 	lossy := free[rng.Intn(len(free))]
 	salt := sim.Time(rng.Intn(1000))
 	lossy.drop = func(now sim.Time, wire int) bool { return (now/64+salt+sim.Time(wire))%9 == 0 }
-	lossy.link.DropFn = lossy.drop
+	lossy.link.DropFn = func(now sim.Time, c Crossing) bool { return lossy.drop(now, c.Wire) }
 
 	// Traffic: datagrams for a QP on b with no receive posted, so each one's
 	// life ends in a "no-recv" drop the instant b's ingress stage hands it
@@ -370,7 +370,7 @@ func stageRecurrenceCase(t *testing.T, seed int64, cov *stageCoverage) {
 		env.At(in.at, func() {
 			msg := &transfer{id: id}
 			msg.ref()
-			a.FabricPort().send(a.pool.newPacket(packet{src: a.lid, dst: b.lid, dstQP: qb.qpn,
+			a.FabricPort().send(a.pool.newPacket(packet{src: a.lid, dst: b.lid, dstQP: int32(qb.qpn),
 				kind: pktData, wire: in.wire, msg: msg, last: true, ud: true}))
 		})
 	}

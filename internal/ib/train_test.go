@@ -196,7 +196,7 @@ func runTrainProgram(seed int64, links int, perPacket bool) trainOutcome {
 	rng := rand.New(rand.NewSource(seed))
 	w := newTrainWorld(rng, links)
 	if perPacket {
-		w.links[0].DropFn = func(sim.Time, int) bool { return false }
+		w.links[0].DropFn = func(sim.Time, Crossing) bool { return false }
 	}
 	qpCfg, ops := trainProgram(rng, len(w.pairs))
 	env := w.env

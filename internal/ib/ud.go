@@ -44,9 +44,8 @@ func udSend(v any) {
 		panic(fmt.Sprintf("ib: no route from %s to LID %d", q.hca.name, t.wr.DestLID))
 	}
 	t.ref()
-	port.send(pl.newPacket(packet{
-		src: q.hca.lid, dst: t.wr.DestLID,
-		srcQP: q.qpn, dstQP: t.wr.DestQPN,
+	port.send(q.newPacket(packet{
+		dst: t.wr.DestLID, dstQP: int32(t.wr.DestQPN),
 		kind: pktData, wire: HeaderUD + t.size, payload: t.size,
 		msg: t, last: true, ud: true,
 	}))

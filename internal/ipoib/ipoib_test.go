@@ -175,17 +175,20 @@ func TestAttachConnectsEarlierCMInterfaces(t *testing.T) {
 	if len(ud.conns) != 0 || len(ud.qps) != 1 {
 		t.Errorf("datagram interface holds %d connections and %d QPs, want 0 and 1", len(ud.conns), len(ud.qps))
 	}
-	// Pairs are made as each later interface attaches, earlier end first, so
-	// walking them in that order must visit consecutive QPNs.
-	var qpns []int
+	// Pairs are made as each later interface attaches, toward the earlier
+	// ones in attach order, and an HCA numbers its QPs in creation order, so
+	// walking the pairs in that order must visit each interface's QPNs
+	// consecutively from 1.
+	last := map[*NetDev]int{}
 	for j, later := range cm {
 		for _, earlier := range cm[:j] {
-			qpns = append(qpns, earlier.conns[later.LID()].QPN(), later.conns[earlier.LID()].QPN())
-		}
-	}
-	for i := 1; i < len(qpns); i++ {
-		if qpns[i] != qpns[0]+i {
-			t.Fatalf("QPNs in pair order = %v, want consecutive", qpns)
+			for _, end := range [][2]*NetDev{{earlier, later}, {later, earlier}} {
+				d, peer := end[0], end[1]
+				last[d]++
+				if got := d.conns[peer.LID()].QPN(); got != last[d] {
+					t.Fatalf("%s's QP to %s is QPN %d, want %d: pairs out of order", d.HCA().Name(), peer.HCA().Name(), got, last[d])
+				}
+			}
 		}
 	}
 	for _, d := range cm {

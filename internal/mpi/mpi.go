@@ -205,12 +205,16 @@ func NewWorld(env *sim.Env, placement []*cluster.Node, cfg Config) *World {
 	}
 	// QPs between ranks on different environments must exist before the
 	// shards start running concurrently: lazy creation would mutate both
-	// ranks' maps from whichever shard sends first. Pairs on one environment
-	// — every pair of an unpartitioned world — stay lazy (qpTo on first
-	// send): creation there is a same-shard operation.
+	// ranks' maps from whichever shard sends first. On a fabric that can drop
+	// packets every pair on different sites is made here, on every world: a
+	// drop verdict is keyed by the sending QP's number, which must then be
+	// the same on a one-shard world as on one partitioned by site. Other
+	// pairs stay lazy (qpTo on first send): creation there is a same-shard
+	// operation.
+	lossy := len(placement) > 0 && placement[0].HCA.Fabric().Lossy()
 	for i, ri := range w.ranks {
 		for _, rj := range w.ranks[i+1:] {
-			if ri.node.HCA.Env() != rj.node.HCA.Env() {
+			if ri.node.HCA.Env() != rj.node.HCA.Env() || lossy && ri.node.Cluster != rj.node.Cluster {
 				ri.qpTo(rj)
 			}
 		}

@@ -248,8 +248,11 @@ func BiBandwidthRC(env *sim.Env, a, b *ib.HCA, size, count, window int) float64 
 	}
 	var elapsed sim.Time
 	completed := false
-	b.Env().Go("bibw-b", func(p *sim.Proc) { finish(p, qb) })
-	a.Env().Go("bibw-a", func(p *sim.Proc) {
+	// The two sides share a name, so a failure reads the same whichever
+	// side reports it: both fail at one instant when the link dies under
+	// them, and on a partitioned world they do so on different shards.
+	b.Env().Go("bibw", func(p *sim.Proc) { finish(p, qb) })
+	a.Env().Go("bibw", func(p *sim.Proc) {
 		start := p.Now()
 		finish(p, qa)
 		elapsed = p.Now() - start

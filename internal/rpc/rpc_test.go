@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/ib"
 	"repro/internal/ipoib"
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
@@ -185,7 +186,7 @@ func TestTransports(t *testing.T) {
 				defer env.Shutdown()
 				// The link's raw fault hook: from the kill on, every packet
 				// crossing the WAN is lost.
-				killWAN := func() { tb.WAN.Link().DropFn = func(sim.Time, int) bool { return true } }
+				killWAN := func() { tb.WAN.Link().DropFn = func(sim.Time, ib.Crossing) bool { return true } }
 				dial := tr.serve(tb, 8, sc.handler)
 				finished := false
 				env.Go("client", func(p *sim.Proc) {

@@ -52,8 +52,9 @@ type segment struct {
 	// sync/atomic functions (not atomic.Int32) keeps the pooled zeroing
 	// assignment in released copyable.
 	state int32
-	// home is the stack that created the segment; its pool takes it back.
-	home *Stack
+	// conn is the sending connection: its stack's pool takes the segment
+	// back, and its transmit counter numbers the flights (Stack.txDone).
+	conn *Conn
 }
 
 // segUnacked is the retransmission-queue flag in segment.state.
@@ -92,6 +93,7 @@ type Conn struct {
 	stack                 *Stack
 	remote                ib.LID
 	remotePort, localPort int
+	tx                    uint64 // flights that left the transmit context
 
 	established *sim.Event
 
@@ -429,6 +431,7 @@ func (c *Conn) pump() {
 // connection's headers on it.
 func (c *Conn) newSegment(flags int) *segment {
 	seg := c.stack.newSegment()
+	seg.conn = c
 	seg.srcAddr, seg.dst = c.stack.Addr(), c.remote
 	seg.srcPort, seg.dstPort = c.localPort, c.remotePort
 	seg.flags = flags

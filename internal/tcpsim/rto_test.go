@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/ib"
 	"repro/internal/ipoib"
 	"repro/internal/sim"
 )
@@ -48,8 +49,8 @@ func TestRTOBackoffAndExhaustion(t *testing.T) {
 		blackhole = 6 * sim.Millisecond // mid-stream: the handshake takes ~2 ms
 	)
 	env, tb, client := rtoPair(t, Config{RTO: rto}, 8<<20)
-	tb.WAN.Link().DropFn = func(now sim.Time, wire int) bool {
-		return now >= blackhole && wire > 1000 // data segments only; acks in flight still land
+	tb.WAN.Link().DropFn = func(now sim.Time, c ib.Crossing) bool {
+		return now >= blackhole && c.Wire > 1000 // data segments only; acks in flight still land
 	}
 
 	// Single-step the world, watching the sender's state after every event.

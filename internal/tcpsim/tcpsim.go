@@ -127,7 +127,7 @@ type Stack struct {
 	// environment, so reuse is deterministic. A segment's last toucher is
 	// often the peer stack (acks are consumed at the data sender), so a
 	// segment goes back to the environment of the stack that created it
-	// (segment.home) — directly when the two stacks share it, over the
+	// (segment.conn's) — directly when the two stacks share it, over the
 	// kernel's return lane (takeSeg is its sink) when the peer is on another
 	// shard: every list refills at the rate it drains.
 	segs    *segPool
@@ -166,10 +166,9 @@ func (s *Stack) newSegment() *segment {
 		seg := s.segs.free[n-1]
 		s.segs.free[n-1] = nil // the list outlives the world; the segment is the world's now
 		s.segs.free = s.segs.free[:n-1]
-		seg.home = s
 		return seg
 	}
-	return &segment{home: s}
+	return new(segment)
 }
 
 // transmit hands a segment to the transmit context, counting the flight.
@@ -202,7 +201,7 @@ func (s *Stack) released(seg *segment, state int32) {
 	if state != 0 {
 		return
 	}
-	home, spans := seg.home, seg.spans
+	home, spans := seg.conn.stack, seg.spans
 	clear(spans)
 	*seg = segment{spans: spans[:0]}
 	s.env.ReturnTo(home.env, home.takeSeg, seg)
@@ -257,9 +256,7 @@ func NewStack(dev *ipoib.NetDev, cfg Config) *Stack {
 	}
 	// A fault plan on the environment arms the TCP-layer segment-loss
 	// injector, if the plan asks for one.
-	if pl := fault.PlanFromEnv(s.env); pl != nil && pl.Enabled() {
-		s.drop = pl.ArmTCP()
-	}
+	s.drop = fault.PlanFromEnv(s.env).ArmTCP()
 	dev.SetHandler(func(src ib.LID, payload any, length int, ecn bool) {
 		seg, ok := payload.(*segment)
 		if !ok {
@@ -294,9 +291,16 @@ func (s *Stack) txCost(seg *segment) sim.Time {
 	return c
 }
 
-// txDone puts a processed segment on the interface.
+// txDone puts a processed segment on the interface, unless the TCP fault
+// lever drops it. The verdict is keyed by the connection's 4-tuple and the
+// flight's index on the connection's transmit counter — its place among the
+// connection's flights, the transmit context being FIFO — since duplicate
+// acks repeat their fields verbatim.
 func (s *Stack) txDone(seg *segment) {
-	if s.drop != nil && s.drop.DropWire(s.env.Now(), seg.length+HeaderBytes) {
+	c := seg.conn
+	c.tx++
+	if s.drop != nil && s.drop.Drop(s.env.Now(), uint64(seg.srcAddr)<<32|uint64(seg.dst),
+		uint64(seg.srcPort)<<32|uint64(seg.dstPort), c.tx-1) {
 		// TCP-layer fault injection: the segment is lost after transmit
 		// processing. End its flight; data segments stay in the sender's
 		// retransmission queue.

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cluster"
+	"repro/internal/ib"
 	"repro/internal/ipoib"
 	"repro/internal/sim"
 )
@@ -212,8 +213,8 @@ func TestRetransmissionRecoversDrop(t *testing.T) {
 	db := n.Attach(tb.B[0].HCA, ipoib.Datagram, 0)
 	sa2, sb2 := NewStack(da, Config{}), NewStack(db, Config{})
 	dropped := false
-	tb.WAN.Link().DropFn = func(_ sim.Time, wire int) bool {
-		if !dropped && wire > 1000 { // drop one full data segment
+	tb.WAN.Link().DropFn = func(_ sim.Time, c ib.Crossing) bool {
+		if !dropped && c.Wire > 1000 { // drop one full data segment
 			dropped = true
 			return true
 		}

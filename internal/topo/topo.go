@@ -324,24 +324,27 @@ func (t Topology) resolveFaults(rw *fault.Plan) error {
 // shardEligible reports whether Build may partition env into per-site
 // shards. It decides from the world alone: the run asked for shard workers,
 // there is more than one site, the environment is not already a shard view,
-// every WAN link has a positive delay (a zero-delay link cannot bound the
-// lookahead), and every link's effective plan — and the run-wide plan rw,
-// whose TCP lever reaches every stack — uses only shard-safe levers
-// (WANDown/WANFlaps, pure functions of simulated time). Everything else,
-// including every link the health monitor may blame reactively, runs as one
-// shard. No spec opts in: the layers above connect at construction time, so
+// and every WAN link has a positive delay (a zero-delay link cannot bound the
+// lookahead). A fault plan does not enter into it — a verdict is a pure
+// function of the packet and simulated time — save for one clause: a
+// topology that arms failover stays on one shard if a link is reactive,
+// because the health monitor blames such a link from retry timeouts, and a
+// verdict it decides must hold world-wide at that instant, which no lookahead
+// allows. No spec opts in: the layers above connect at construction time, so
 // what runs on a world cannot make it unsafe (sdp, which cannot, refuses two
 // environments, and its one caller sets one shard worker).
-func (t Topology) shardEligible(env *sim.Env, rw *fault.Plan) bool {
+func (t Topology) shardEligible(env *sim.Env) bool {
 	if env.ShardWorkers() <= 1 || len(t.Sites) < 2 || env.Sharded() {
 		return false
 	}
 	for _, lk := range t.Links {
-		if lk.Delay <= 0 || !lk.Fault.ShardSafe() {
+		p := lk.Fault // reactive: a random WAN lever and no outage schedule
+		reactive := p != nil && p.WANLoss+p.WANCorrupt > 0 && len(p.DownEdges()) == 0
+		if lk.Delay <= 0 || t.Failover != nil && reactive {
 			return false
 		}
 	}
-	return rw.ShardSafe()
+	return true
 }
 
 // Build compiles the topology onto a fresh fabric in env. Construction
@@ -371,7 +374,7 @@ func Build(env *sim.Env, t Topology) (*Network, error) {
 	}
 	f := ib.NewFabric(env)
 	var views []*sim.Env // per-site shard views; nil on the classic path
-	if t.shardEligible(env, rw) {
+	if t.shardEligible(env) {
 		views = env.Partition(len(t.Sites))
 	}
 	siteEnv := func(i int) *sim.Env {

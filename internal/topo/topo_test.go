@@ -335,30 +335,38 @@ func TestWithDelayWithNodes(t *testing.T) {
 // alone (a run-wide plan restricted to it) with failover on. An RC stream
 // r0→r2 first routes r0-r1-r2, so its timeouts walk both links; only r0-r1
 // has a plan, so only it is monitored and declared dead, and the stream
-// completes over r0-r3-r2.
+// completes over r0-r3-r2. The plan drops at random with no schedule, so
+// the link is blamed reactively: asked for two shard workers, the world
+// still runs as one shard, and does the same.
 func TestFailoverBlamesOnlyFaultyLink(t *testing.T) {
-	env := sim.NewEnv()
-	defer env.Shutdown()
-	if err := fault.AttachPlan(env, &fault.Plan{Link: "r0-r1", WANLoss: 1}); err != nil {
-		t.Fatal(err)
-	}
-	spec, err := Preset("ring4", 1, 100*sim.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Failover = &ib.HealthConfig{}
-	nw, err := Build(env, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qcfg := ib.QPConfig{RetryLimit: 30, RetryTimeout: sim.Millisecond}
-	if bw := perftest.StreamRC(env, nw.Site("r0").Nodes[0].HCA, nw.Site("r2").Nodes[0].HCA, 4096, 16, qcfg); bw <= 0 {
-		t.Fatalf("stream goodput = %v", bw)
-	}
-	if got := nw.Fabric.HealthTransitions(); got != 1 {
-		t.Errorf("HealthTransitions = %d, want 1 (r0-r1 only)", got)
-	}
-	if got := nw.Link("r0", "r3").Pair.Link().TxTotal(); got == 0 {
-		t.Error("the stream did not reroute over r0-r3")
+	for _, workers := range []int{1, 2} {
+		env := sim.NewEnv()
+		env.SetShardWorkers(workers)
+		if err := fault.AttachPlan(env, &fault.Plan{Link: "r0-r1", WANLoss: 1}); err != nil {
+			t.Fatal(err)
+		}
+		spec, err := Preset("ring4", 1, 100*sim.Microsecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Failover = &ib.HealthConfig{}
+		nw, err := Build(env, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.Sharded() {
+			t.Errorf("shard workers %d: a world with a reactive link partitioned", workers)
+		}
+		qcfg := ib.QPConfig{RetryLimit: 30, RetryTimeout: sim.Millisecond}
+		if bw := perftest.StreamRC(env, nw.Site("r0").Nodes[0].HCA, nw.Site("r2").Nodes[0].HCA, 4096, 16, qcfg); bw <= 0 {
+			t.Fatalf("shard workers %d: stream goodput = %v", workers, bw)
+		}
+		if got := nw.Fabric.HealthTransitions(); got != 1 {
+			t.Errorf("shard workers %d: HealthTransitions = %d, want 1 (r0-r1 only)", workers, got)
+		}
+		if got := nw.Link("r0", "r3").Pair.Link().TxTotal(); got == 0 {
+			t.Errorf("shard workers %d: the stream did not reroute over r0-r3", workers)
+		}
+		env.Shutdown()
 	}
 }
