@@ -89,9 +89,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/nas"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -164,6 +166,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ibwan-exp: -filemb must not be negative (got %d)\n", *fileMB)
 		os.Exit(2)
 	}
+	if !slices.Contains(nas.Classes(), *class) {
+		fmt.Fprintf(os.Stderr, "ibwan-exp: -class must be one of %s (got %q)\n", strings.Join(nas.Classes(), ", "), *class)
+		os.Exit(2)
+	}
 	opt := core.Options{NASClass: *class, NFSFileMB: *fileMB, TCPMillis: *tcpMS, Topo: *topoName, Quick: *quick}
 	if *quick {
 		// Let Quick pick its own lighter defaults unless overridden.
@@ -229,8 +235,8 @@ func main() {
 		os.Exit(2)
 	}
 	ropt := core.RunnerOptions{Workers: *par, SampleEvery: sim.Duration(*sampleEvery)}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "ibwan-exp: -shards must be at least 1 (got %d)\n", *shards)
+	if *par < 1 || *shards < 1 {
+		fmt.Fprintf(os.Stderr, "ibwan-exp: -par and -shards must be at least 1 (got %d and %d)\n", *par, *shards)
 		os.Exit(2)
 	}
 	if *shards > 1 {

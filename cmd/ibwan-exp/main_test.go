@@ -84,6 +84,25 @@ func TestProbeMisuseExitsTwo(t *testing.T) {
 	}
 }
 
+// TestSweepFlagMisuseExitsTwo: a worker count below one and an unknown NAS
+// class are refused up front like -shards 0 and -topo bogus — exit 2, one
+// line naming the flag, nothing on stdout — rather than written into the
+// report as "par": -3, slipped under the -par x -shards guard as a negative
+// product, or run as a fig12 of ERR cells.
+func TestSweepFlagMisuseExitsTwo(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-quick -par 0 table1", "-par and -shards must be at least 1 (got 0 and 1)"},
+		{"-quick -par -3 -json - table1", "-par and -shards must be at least 1 (got -3 and 1)"},
+		{"-quick -topo mesh4 -par -64 -shards 64 multisite-bcast", "-par and -shards must be at least 1 (got -64 and 64)"},
+		{"-quick -class Z fig12", `-class must be one of B, A, W (got "Z")`},
+	} {
+		stdout, stderr, code := runBin(t, strings.Fields(c.args)...)
+		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "ibwan-exp: "+c.want) {
+			t.Errorf("ibwan-exp %s: exit %d, stderr %q, stdout %q; want exit 2, %q and no output", c.args, code, stderr, stdout, c.want)
+		}
+	}
+}
+
 // TestFaultNaNExitsTwo checks that a NaN probability is refused like any
 // other out-of-range one — exit 2 before any simulation — rather than run
 // as a plan that never drops.

@@ -346,7 +346,7 @@ func probeNAS(fs *flag.FlagSet) func(*probeBuild) error {
 	return func(b *probeBuild) error {
 		class, procs := *class, *procs
 		kernels := nas.AllKernels()
-		err := firstOf(oneOf("kernel", *kernel, append(nas.AllKernels(), "all")...), oneOf("class", class, "B", "A", "W"))
+		err := firstOf(oneOf("kernel", *kernel, append(nas.AllKernels(), "all")...), oneOf("class", class, nas.Classes()...))
 		if err == nil && (procs < 2 || procs%2 != 0) {
 			err = fmt.Errorf("-procs must be even and at least 2 (got %d)", procs)
 		}

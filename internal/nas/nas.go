@@ -50,6 +50,9 @@ func Kernels() []string { return []string{IS, FT, CG} }
 // Figure 12's "NAS benchmarks" sweep covers.
 func AllKernels() []string { return []string{IS, FT, CG, MG, LU} }
 
+// Classes lists the problem classes, the paper's first.
+func Classes() []string { return []string{"B", "A", "W"} }
+
 // params holds NAS problem-class parameters.
 type params struct {
 	// IS: keys of 4 bytes, ranking iterations.
@@ -120,7 +123,7 @@ func Run(w *mpi.World, kernel string) sim.Time {
 func RunClass(w *mpi.World, kernel, class string) sim.Time {
 	b, ok := classes[class]
 	if !ok {
-		panic(fmt.Sprintf("nas: unknown class %q (have B, A, W)", class))
+		panic(fmt.Sprintf("nas: unknown class %q (have %v)", class, Classes()))
 	}
 	switch kernel {
 	case IS:

@@ -11,7 +11,10 @@
 //     paper builds on ("the data is fragmented into 4K packets").
 //
 // Both transports support multiple outstanding calls (XID matching), which
-// is how a multi-threaded IOzone client scales throughput with streams.
+// is how a multi-threaded IOzone client scales throughput with streams, and
+// both receive in handlers, not processes: RDMA in its CQ handler, TCP in a
+// chain of tcpsim.Conn.ReadFunc callbacks that reassembles frames. Each call
+// is then served in a handler process, an nfsd thread.
 package rpc
 
 import (

@@ -140,10 +140,14 @@ type Conn struct {
 	err error
 
 	// Receiver state.
-	rcvNxt      int64
-	recvBuf     sim.Ring[span]
-	recvBytes   int
-	readWaiters sim.Ring[*sim.Event]
+	rcvNxt    int64
+	recvBuf   sim.Ring[span]
+	recvBytes int
+	// The waiting ReadFunc, if readFn is set; readHop: its hop is scheduled.
+	readDst []byte
+	readN   int
+	readFn  func([]byte, error)
+	readHop bool
 	// ooo is the reassembly queue: segments that arrived beyond a hole,
 	// sorted by sequence, waiting for a retransmission to fill the gap.
 	// With it, one lost segment costs one retransmission instead of a
@@ -182,7 +186,7 @@ func (c *Conn) key() connKey {
 func (c *Conn) Stack() *Stack { return c.stack }
 
 // Delivered returns the count of in-order payload bytes this endpoint has
-// accepted from the peer (whether or not Read has consumed them). It is the
+// accepted from the peer (whether or not a read has consumed them). It is the
 // throughput counter used by the benchmarks.
 func (c *Conn) Delivered() int64 { return c.delivered }
 
@@ -195,9 +199,9 @@ func (c *Conn) Err() error { return c.err }
 
 // reset tears the connection down with the given terminal error: the
 // retransmission machinery stops, buffered send data is discarded, and
-// every blocked reader, writer and dialer wakes to observe c.err. Receive
-// data already in order stays readable (Read drains it before reporting
-// the error). Idempotent.
+// every blocked writer and dialer wakes to observe c.err, as does a waiting
+// read. Receive data already in order stays readable (ReadFunc drains it
+// before reporting the error). Idempotent.
 func (c *Conn) reset(err error) {
 	if c.err != nil {
 		return
@@ -219,9 +223,7 @@ func (c *Conn) reset(err error) {
 	for c.writeWaiters.Len() > 0 {
 		c.writeWaiters.Pop().Trigger(nil)
 	}
-	for c.readWaiters.Len() > 0 {
-		c.readWaiters.Pop().Trigger(nil)
-	}
+	c.wakeRead()
 }
 
 // window is the current effective send window.
@@ -277,77 +279,68 @@ func (c *Conn) write(p *sim.Proc, sp span) error {
 	return nil
 }
 
-// Read blocks until stream bytes are available and returns up to max of
-// them (synthetic spans materialize as zero bytes). Buffered in-order data
-// is drained before a terminal connection error is reported.
-func (c *Conn) Read(p *sim.Proc, max int) ([]byte, error) {
-	if err := c.awaitData(p); err != nil {
-		return nil, err
+// ReadFunc consumes the next n stream bytes and hands them to fn; it never
+// blocks. A non-nil dst (room for n) gets them in place, zeroes where the
+// stream was synthetic; with a nil dst, a range written with WriteSynthetic
+// alone comes back nil and any other as n bytes made by its first real span.
+// Buffered data drains before a terminal error is reported; a read the error
+// cuts short consumes nothing and gets fn(nil, err). One read waits at a
+// time: a second ReadFunc while one waits panics, as does a negative n.
+//
+// fn runs where a process blocked in a read loop would have carried on: with
+// the bytes buffered (or the connection dead), inline. Otherwise the delivery
+// that completes the read, or the reset, schedules one same-instant hop from
+// where the parked reader's resume was scheduled; partial deliveries schedule
+// nothing. That is exact: the receive context serves a segment per segCPU
+// (>= 2 270 ns), so a connection's deliveries fall at distinct instants (a
+// hole fill's burst in one handleData schedules nothing between them). The
+// reader was parked again before each, its resumes on partial ones were
+// unobservable, and dropping them shifts later sequence numbers uniformly.
+func (c *Conn) ReadFunc(dst []byte, n int, fn func(b []byte, err error)) {
+	if n < 0 || c.readFn != nil {
+		panic("tcpsim: ReadFunc of a negative length, or while another read waits")
 	}
-	n := min(c.recvBytes, max)
-	return c.take(make([]byte, n), 0, n, n), nil
-}
-
-// ReadFull blocks until exactly n stream bytes have arrived and consumes
-// them. Bytes exist only where the peer supplied some: a range written with
-// WriteSynthetic alone comes back as nil — the caller knows its length — and
-// any other as n bytes, real spans copied into place and zeroes where the
-// stream was synthetic. If the connection dies first, the result is what had
-// arrived (nil, again, if none of it was real) and the terminal error.
-func (c *Conn) ReadFull(p *sim.Proc, n int) ([]byte, error) {
-	out, got, err := c.fill(p, nil, n)
-	if out != nil {
-		out = out[:got]
+	c.readDst, c.readN, c.readFn = dst, n, fn
+	if c.recvBytes >= n || c.err != nil {
+		runRead(c)
 	}
-	return out, err
 }
 
-// ReadInto is ReadFull into the caller's buffer, all of it: for fixed-size
-// headers decoded in place from a scratch buffer the reader keeps.
-func (c *Conn) ReadInto(p *sim.Proc, dst []byte) error {
-	clear(dst)
-	_, _, err := c.fill(p, dst, len(dst))
-	return err
-}
-
-// fill consumes exactly n stream bytes into dst (see take), blocking as they
-// arrive, and reports how many it got before a terminal error.
-func (c *Conn) fill(p *sim.Proc, dst []byte, n int) ([]byte, int, error) {
-	for got := 0; got < n; {
-		if err := c.awaitData(p); err != nil {
-			return dst, got, err
-		}
-		k := min(c.recvBytes, n-got)
-		dst = c.take(dst, got, k, n)
-		got += k
+// wakeRead schedules the waiting read's completion hop once its outcome is
+// decided, at most once per read.
+func (c *Conn) wakeRead() {
+	if c.readFn != nil && !c.readHop && (c.recvBytes >= c.readN || c.err != nil) {
+		c.readHop = true
+		c.stack.env.AtArg(0, runRead, c)
 	}
-	return dst, n, nil
 }
 
-// awaitData blocks until in-order stream bytes are buffered. It fails with
-// the connection's terminal error only once nothing is left to drain.
-func (c *Conn) awaitData(p *sim.Proc) error {
-	for c.recvBytes == 0 {
-		if c.err != nil {
-			return c.err
-		}
-		ev := c.stack.env.AcquireEvent()
-		c.readWaiters.Push(ev)
-		p.Wait(ev)
-		c.stack.env.ReleaseEvent(ev)
+// runRead completes the connection's waiting read; its callback may issue
+// the next one.
+func runRead(v any) {
+	c := v.(*Conn)
+	dst, n, fn := c.readDst, c.readN, c.readFn
+	c.readDst, c.readFn, c.readHop = nil, nil, false
+	if c.recvBytes < n {
+		fn(nil, c.err)
+		return
 	}
-	return nil
+	fn(c.take(dst, n), nil)
 }
 
-// take consumes the next k buffered stream bytes as dst[off:off+k] of an
-// n-byte result. Real spans are copied into place; synthetic spans are the
-// zeroes dst must already hold there. A nil dst is made by the first real
-// span, so a result that is synthetic throughout stays nil and costs nothing.
-func (c *Conn) take(dst []byte, off, k, n int) []byte {
-	c.recvBytes -= k
-	for k > 0 {
+// take consumes the next n buffered stream bytes into dst, zeroed first.
+// Real spans are copied into place; synthetic spans are the zeroes left
+// there. A nil dst is made by the first real span, so a result that is
+// synthetic throughout stays nil and costs nothing.
+func (c *Conn) take(dst []byte, n int) []byte {
+	if dst != nil {
+		dst = dst[:n]
+		clear(dst)
+	}
+	c.recvBytes -= n
+	for off := 0; off < n; {
 		sp := c.recvBuf.Front()
-		m := min(k, sp.length)
+		m := min(n-off, sp.length)
 		if sp.data != nil {
 			if dst == nil {
 				dst = make([]byte, n)
@@ -356,9 +349,7 @@ func (c *Conn) take(dst []byte, off, k, n int) []byte {
 			sp.data = sp.data[m:]
 		}
 		off += m
-		k -= m
-		sp.length -= m
-		if sp.length == 0 {
+		if sp.length -= m; sp.length == 0 {
 			c.recvBuf.Pop()
 		}
 	}
@@ -524,9 +515,7 @@ func (c *Conn) deliverSpans(spans []span, length int) {
 		pushSpan(&c.recvBuf, sp)
 	}
 	c.recvBytes += length
-	for c.readWaiters.Len() > 0 {
-		c.readWaiters.Pop().Trigger(nil)
-	}
+	c.wakeRead()
 }
 
 // insertOOO parks an out-of-order segment in the reassembly queue, keeping

@@ -22,7 +22,7 @@ func rtoPair(t *testing.T, cfg Config, n int) (env *sim.Env, tb *cluster.Testbed
 	env.Go("server", func(p *sim.Proc) {
 		c, err := ln.Accept(p)
 		for err == nil {
-			_, err = c.Read(p, 1<<20)
+			_, err = readFull(p, c, nil, 1<<20)
 		}
 	})
 	var cli *Conn

@@ -12,8 +12,8 @@ import (
 // streamModel is a byte stream stored as it was before synthetic runs
 // merged: one ring entry per write. read is what a reader of the next n bytes
 // must get — materialize asks for bytes even where the stream is synthetic
-// (Read, ReadInto); otherwise the result is nil unless a real byte is in
-// range (ReadFull).
+// (a ReadFunc into a buffer); otherwise the result is nil unless a real byte
+// is in range (a ReadFunc without one).
 type streamModel struct{ spans sim.Ring[span] }
 
 func (m *streamModel) write(data []byte, n int) { m.spans.Push(span{data: data, length: n}) }
@@ -43,9 +43,9 @@ func (m *streamModel) read(n int, materialize bool) []byte {
 
 // TestStreamBuffersMatchItemModel: with synthetic spans merged in the send
 // queue and the receive buffer, seeded mixes of Write and WriteSynthetic —
-// synthetic bursts, real bytes between them — read back through Read,
-// ReadFull and ReadInto of random sizes give the bytes, and the nil results,
-// the entry-per-write stream gives.
+// synthetic bursts, real bytes between them — read back through ReadFunc of
+// random sizes, into a fresh buffer, a dirty one or none, give the bytes, and
+// the nil results, the entry-per-write stream gives.
 func TestStreamBuffersMatchItemModel(t *testing.T) {
 	nilReads := 0
 	for seed := int64(1); seed <= 16; seed++ {
@@ -90,17 +90,15 @@ func TestStreamBuffersMatchItemModel(t *testing.T) {
 				var got, want []byte
 				switch rng.Intn(3) {
 				case 0:
-					got, err = c.Read(p, n)
-					n = len(got)
+					got, err = readFull(p, c, make([]byte, n), n)
 					want = model.read(n, true)
 				case 1:
-					got, err = c.ReadFull(p, n)
+					got, err = readFull(p, c, nil, n)
 					if want = model.read(n, false); want == nil {
 						nilReads++
 					}
 				case 2:
-					got = bytes.Repeat([]byte{0xA5}, n)
-					err = c.ReadInto(p, got)
+					got, err = readFull(p, c, bytes.Repeat([]byte{0xA5}, n), n)
 					want = model.read(n, true)
 				}
 				if err != nil || (got == nil) != (want == nil) || !bytes.Equal(got, want) {
@@ -134,7 +132,7 @@ func TestStreamBuffersMatchItemModel(t *testing.T) {
 		}
 	}
 	if nilReads == 0 {
-		t.Error("no ReadFull fell on a wholly synthetic range: not a test of merged runs")
+		t.Error("no read without a buffer fell on a wholly synthetic range: not a test of merged runs")
 	}
 }
 

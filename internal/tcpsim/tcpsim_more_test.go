@@ -83,7 +83,7 @@ func TestInterleavedRealAndSyntheticSpans(t *testing.T) {
 	var got []byte
 	env.Go("srv", func(p *sim.Proc) {
 		c, _ := ln.Accept(p)
-		got, _ = c.ReadFull(p, 5+1000+5)
+		got, _ = readFull(p, c, nil, 5+1000+5)
 		env.Stop()
 	})
 	env.Go("cli", func(p *sim.Proc) {
@@ -104,10 +104,10 @@ func TestInterleavedRealAndSyntheticSpans(t *testing.T) {
 }
 
 // TestReadFullIsBytesOnlyWhereBytesWereSent: a range the peer wrote with
-// WriteSynthetic alone is a length to the reader too — ReadFull returns nil,
-// never a buffer of zeroes — while a range that starts synthetic and turns
-// real is bytes from its first byte, and ReadInto gives a reused buffer the
-// stream's zeroes, not its own leftovers.
+// WriteSynthetic alone is a length to the reader too — a ReadFunc without a
+// buffer gets nil, never a buffer of zeroes — while a range that starts
+// synthetic and turns real is bytes from its first byte, and a ReadFunc into
+// a reused buffer gives it the stream's zeroes, not its own leftovers.
 func TestReadFullIsBytesOnlyWhereBytesWereSent(t *testing.T) {
 	env, sa, sb := pairStacks(ipoib.Datagram, 0, 0, Config{})
 	defer env.Shutdown()
@@ -116,9 +116,9 @@ func TestReadFullIsBytesOnlyWhereBytesWereSent(t *testing.T) {
 	scratch := []byte("leftovers!")
 	env.Go("srv", func(p *sim.Proc) {
 		c, _ := ln.Accept(p)
-		synthetic, _ = c.ReadFull(p, 300_000) // several segments, none real
-		mixed, _ = c.ReadFull(p, 4000+3)
-		c.ReadInto(p, scratch)
+		synthetic, _ = readFull(p, c, nil, 300_000) // several segments, none real
+		mixed, _ = readFull(p, c, nil, 4000+3)
+		readFull(p, c, scratch, len(scratch))
 		env.Stop()
 	})
 	env.Go("cli", func(p *sim.Proc) {
@@ -137,7 +137,7 @@ func TestReadFullIsBytesOnlyWhereBytesWereSent(t *testing.T) {
 		t.Errorf("synthetic-then-real range: %d bytes ending %q, want 4000 zeroes then END", len(mixed), mixed[max(0, len(mixed)-3):])
 	}
 	if string(scratch) != "\x00\x00\x00\x00\x00\x00TAIL" {
-		t.Errorf("ReadInto left %q in a reused buffer, want six zeroes then TAIL", scratch)
+		t.Errorf("a read into a reused buffer left %q, want six zeroes then TAIL", scratch)
 	}
 }
 

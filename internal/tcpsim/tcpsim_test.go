@@ -23,6 +23,20 @@ func pairStacks(mode ipoib.Mode, mtu int, delay sim.Time, cfg Config) (*sim.Env,
 	return env, NewStack(da, cfg), NewStack(db, cfg)
 }
 
+// readFull blocks p until c.ReadFunc(dst, n) completes and returns what the
+// callback got: the blocking read the stream tests are written against.
+func readFull(p *sim.Proc, c *Conn, dst []byte, n int) ([]byte, error) {
+	done := p.Env().NewEvent()
+	var b []byte
+	var err error
+	c.ReadFunc(dst, n, func(got []byte, e error) {
+		b, err = got, e
+		done.Trigger(nil)
+	})
+	p.Wait(done)
+	return b, err
+}
+
 func TestHandshakeAndEcho(t *testing.T) {
 	env, sa, sb := pairStacks(ipoib.Datagram, 0, sim.Micros(10), Config{})
 	ln := sb.Listen(5000)
@@ -30,13 +44,13 @@ func TestHandshakeAndEcho(t *testing.T) {
 	var echoed []byte
 	env.Go("server", func(p *sim.Proc) {
 		c, _ := ln.Accept(p)
-		data, _ := c.ReadFull(p, len(msg))
+		data, _ := readFull(p, c, nil, len(msg))
 		c.Write(p, data)
 	})
 	env.Go("client", func(p *sim.Proc) {
 		c, _ := sa.Dial(p, sb.Addr(), 5000)
 		c.Write(p, msg)
-		echoed, _ = c.ReadFull(p, len(msg))
+		echoed, _ = readFull(p, c, nil, len(msg))
 		env.Stop()
 	})
 	env.Run()
@@ -55,7 +69,7 @@ func TestLargeTransferIntegrity(t *testing.T) {
 	var got []byte
 	env.Go("server", func(p *sim.Proc) {
 		c, _ := ln.Accept(p)
-		got, _ = c.ReadFull(p, len(data))
+		got, _ = readFull(p, c, nil, len(data))
 		env.Stop()
 	})
 	env.Go("client", func(p *sim.Proc) {
@@ -228,7 +242,7 @@ func TestRetransmissionRecoversDrop(t *testing.T) {
 	var cli *Conn
 	env2.Go("server", func(p *sim.Proc) {
 		c, _ := ln.Accept(p)
-		got, _ = c.ReadFull(p, len(payload))
+		got, _ = readFull(p, c, nil, len(payload))
 		env2.Stop()
 	})
 	env2.Go("client", func(p *sim.Proc) {
@@ -267,7 +281,7 @@ func TestManyConnectionsDistinctPorts(t *testing.T) {
 		i := i
 		env.Go("srv", func(p *sim.Proc) {
 			c, _ := lns[i].Accept(p)
-			b, _ := c.ReadFull(p, 1)
+			b, _ := readFull(p, c, nil, 1)
 			results[i] = b[0]
 		})
 		env.Go("cli", func(p *sim.Proc) {
@@ -313,7 +327,7 @@ func TestPropStreamIntegrity(t *testing.T) {
 		var got []byte
 		env.Go("server", func(p *sim.Proc) {
 			c, _ := ln.Accept(p)
-			got, _ = c.ReadFull(p, len(all))
+			got, _ = readFull(p, c, nil, len(all))
 			env.Stop()
 		})
 		env.Go("client", func(p *sim.Proc) {
