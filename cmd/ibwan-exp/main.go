@@ -77,7 +77,8 @@
 // Every output path (-json, -cpuprofile, -memprofile, -trace-out,
 // -metrics-out, -timeline-out) is opened before any simulation runs, so an
 // unwritable path fails immediately instead of discarding results after
-// minutes of work.
+// minutes of work. Each output needs its own destination: two flags naming
+// the same file, or both '-', exit 2, and so does '-' for a profile.
 package main
 
 import (
@@ -87,6 +88,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"slices"
@@ -272,17 +274,41 @@ func main() {
 		ropt.Fault = plan
 	}
 
-	// Open every output up front: a typo'd or unwritable path must fail the
-	// run before any simulation happens, not silently discard its results.
-	outs := map[string]*os.File{}
-	for _, o := range []struct{ flag, path string }{
+	outPaths := []struct{ flag, path string }{
 		{"cpuprofile", *cpuProfile},
 		{"memprofile", *memProfile},
 		{"json", *jsonOut},
 		{"trace-out", *traceOut},
 		{"metrics-out", *metricsOut},
 		{"timeline-out", *timelineOut},
-	} {
+	}
+	// Two outputs sharing a destination interleave into a file no reader
+	// parses, and a binary profile on stdout lands between the tables:
+	// refuse both before anything is opened.
+	writerOf := map[string]string{} // destination ("" = stdout) -> flag
+	for _, o := range outPaths {
+		if o.path == "" {
+			continue
+		}
+		dest := filepath.Clean(o.path)
+		if o.path == "-" {
+			if o.flag == "cpuprofile" || o.flag == "memprofile" {
+				fmt.Fprintf(os.Stderr, "ibwan-exp: -%s writes a binary profile and cannot write to stdout ('-')\n", o.flag)
+				os.Exit(2)
+			}
+			dest = ""
+		}
+		if prev, ok := writerOf[dest]; ok {
+			fmt.Fprintf(os.Stderr, "ibwan-exp: -%s and -%s both write to %s; give each output its own destination\n", prev, o.flag, o.path)
+			os.Exit(2)
+		}
+		writerOf[dest] = o.flag
+	}
+
+	// Open every output up front: a typo'd or unwritable path must fail the
+	// run before any simulation happens, not silently discard its results.
+	outs := map[string]*os.File{}
+	for _, o := range outPaths {
 		if o.path == "" {
 			continue
 		}

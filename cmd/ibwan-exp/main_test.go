@@ -88,18 +88,31 @@ func TestProbeMisuseExitsTwo(t *testing.T) {
 // class are refused up front like -shards 0 and -topo bogus — exit 2, one
 // line naming the flag, nothing on stdout — rather than written into the
 // report as "par": -3, slipped under the -par x -shards guard as a negative
-// product, or run as a fig12 of ERR cells.
+// product, or run as a fig12 of ERR cells. So are two outputs sharing one
+// destination and a profile sent to stdout, which used to exit 0 with
+// output no reader parses; nothing is created at the shared path.
 func TestSweepFlagMisuseExitsTwo(t *testing.T) {
+	dir := t.TempDir()
+	shared := filepath.Join(dir, "out.json")
 	for _, c := range []struct{ args, want string }{
 		{"-quick -par 0 table1", "-par and -shards must be at least 1 (got 0 and 1)"},
 		{"-quick -par -3 -json - table1", "-par and -shards must be at least 1 (got -3 and 1)"},
 		{"-quick -topo mesh4 -par -64 -shards 64 multisite-bcast", "-par and -shards must be at least 1 (got -64 and 64)"},
 		{"-quick -class Z fig12", `-class must be one of B, A, W (got "Z")`},
+		{"-quick -json - -trace-out - fig3", "-json and -trace-out both write to -"},
+		{"-quick -sample-every 1ms -metrics-out - -timeline-out - fig3", "-metrics-out and -timeline-out both write to -"},
+		{"-quick -trace-out " + shared + " -metrics-out " + shared + " fig3", "-trace-out and -metrics-out both write to " + shared},
+		{"-quick -json " + shared + " -memprofile " + dir + "/./out.json fig3", "-memprofile and -json both write to " + shared},
+		{"-quick -cpuprofile - fig3", "-cpuprofile writes a binary profile and cannot write to stdout"},
+		{"-quick -memprofile - fig3", "-memprofile writes a binary profile and cannot write to stdout"},
 	} {
 		stdout, stderr, code := runBin(t, strings.Fields(c.args)...)
 		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "ibwan-exp: "+c.want) {
 			t.Errorf("ibwan-exp %s: exit %d, stderr %q, stdout %q; want exit 2, %q and no output", c.args, code, stderr, stdout, c.want)
 		}
+	}
+	if _, err := os.Stat(shared); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a refused run left %s behind (stat: %v)", shared, err)
 	}
 }
 

@@ -66,6 +66,9 @@ type traceSource interface {
 	Instants() []Instant
 }
 
+// refMicros converts sim time (ns) to trace-event microseconds.
+func refMicros(ns int64) float64 { return float64(ns) / 1000.0 }
+
 func refWritePerfettoTimeline(w io.Writer, r traceSource, pts []PointTimeline) error {
 	tracks := r.Tracks()
 	// Assign one pid per distinct process name, in first-appearance order,
@@ -134,7 +137,7 @@ func refWritePerfettoTimeline(w io.Writer, r traceSource, pts []PointTimeline) e
 		}
 		events = append(events, traceEvent{
 			Name: s.Name, Phase: "X",
-			TS: micros(int64(s.Start)), Dur: micros(int64(s.End - s.Start)),
+			TS: refMicros(int64(s.Start)), Dur: refMicros(int64(s.End - s.Start)),
 			PID: pid, TID: tid,
 			Args: &traceEventArgs{ID: s.ID, Parent: s.Parent, Depth: s.Depth},
 		})
@@ -145,7 +148,7 @@ func refWritePerfettoTimeline(w io.Writer, r traceSource, pts []PointTimeline) e
 			tid, pid = tidOf[in.Track], trackPID[in.Track]
 		}
 		ev := traceEvent{
-			Name: in.Name, Phase: "i", TS: micros(int64(in.Time)),
+			Name: in.Name, Phase: "i", TS: refMicros(int64(in.Time)),
 			PID: pid, TID: tid, Scope: "t",
 		}
 		if in.Msg != 0 || in.Wire != 0 || in.Reason != "" {
@@ -161,13 +164,13 @@ func refWritePerfettoTimeline(w io.Writer, r traceSource, pts []PointTimeline) e
 				s := &pt.Series[si]
 				for _, smp := range s.Samples {
 					events = append(events, counterEvent{
-						Name: s.Name, Phase: "C", TS: micros(int64(smp.T) + off), PID: tlPID,
+						Name: s.Name, Phase: "C", TS: refMicros(int64(smp.T) + off), PID: tlPID,
 						Args: map[string]float64{"value": float64(smp.V)},
 					})
 				}
 				for _, q := range s.Quantiles {
 					events = append(events, counterEvent{
-						Name: s.Name, Phase: "C", TS: micros(int64(q.T) + off), PID: tlPID,
+						Name: s.Name, Phase: "C", TS: refMicros(int64(q.T) + off), PID: tlPID,
 						Args: map[string]float64{"p50": q.P50, "p99": q.P99, "p999": q.P999},
 					})
 				}
@@ -258,10 +261,18 @@ var hostileStrings = []string{
 
 func pick(rng *rand.Rand, ss []string) string { return ss[rng.Intn(len(ss))] }
 
+// bigTimes straddle the bound below which micros writes integer digits
+// (2^42 ns) and reach where a float64 of microseconds no longer holds every
+// nanosecond.
+var bigTimes = []sim.Time{microsExact - 1_000_001, microsExact - 1, microsExact, microsExact + 1, 1 << 53, 1 << 60}
+
+func pickTime(rng *rand.Rand) sim.Time { return bigTimes[rng.Intn(len(bigTimes))] }
+
 // randomRecorder builds a recorder from a seeded program of track
 // registrations, nested / zero-duration / one-shot spans, instants with and
-// without args, epoch advances, spans on a track the recorder never
-// registered, and spans left open at export. Seed 0 is the empty recorder.
+// without args, epoch advances (some past 2^42 ns), spans on a track the
+// recorder never registered, and spans left open at export. Seed 0 is the
+// empty recorder.
 func randomRecorder(seed int64) *Recorder {
 	rng := rand.New(rand.NewSource(seed))
 	r := NewRecorder(0, rng.Intn(4))
@@ -300,7 +311,11 @@ func randomRecorder(seed int64) *Recorder {
 				Msg: int64(rng.Intn(3)), Wire: rng.Intn(3) * 1024, Reason: pick(rng, hostileStrings),
 			})
 		case 6:
-			r.Advance(sim.Time(rng.Intn(1_000_000)))
+			d := sim.Time(rng.Intn(1_000_000))
+			if r.Offset() < microsExact && rng.Intn(3) == 0 {
+				d = pickTime(rng)
+			}
+			r.Advance(d)
 			now = 0
 		}
 		if rng.Intn(3) > 0 {
@@ -319,7 +334,8 @@ var hostileFloats = []float64{
 
 // randomTimelines builds point timelines from a seeded program: no points
 // (nil and empty), points without series, series without rows, series
-// carrying both row kinds, intervals long enough that rates drop below 1e-6.
+// carrying both row kinds, intervals long enough that rates drop below 1e-6,
+// trace offsets past 2^42 ns.
 func randomTimelines(seed int64) (sim.Time, []PointTimeline) {
 	rng := rand.New(rand.NewSource(seed))
 	everies := []sim.Time{0, sim.Millisecond, 7, sim.Second * 10_000_000}
@@ -334,6 +350,9 @@ func randomTimelines(seed int64) (sim.Time, []PointTimeline) {
 		pt.Experiment, pt.Point = pick(rng, hostileStrings), pick(rng, hostileStrings)
 		pt.Every = everies[rng.Intn(len(everies))]
 		pt.TraceOffset = sim.Time(rng.Intn(2)) * sim.Time(rng.Intn(1_000_000))
+		if rng.Intn(3) == 0 {
+			pt.TraceOffset = pickTime(rng)
+		}
 		for si, n := 0, rng.Intn(4); si < n; si++ {
 			s := Series{Name: pick(rng, hostileStrings), Kind: []string{KindCounter, KindHiRes, KindDerived}[rng.Intn(3)]}
 			for k, rows := 0, rng.Intn(3)*rng.Intn(6); k < rows; k++ {

@@ -47,8 +47,17 @@ func (j *jsonWriter) float(v float64) {
 		}
 		return
 	}
+	abs := math.Abs(v)
+	if abs < 1<<53 {
+		// An integral value below 2^53 is its integer digits. -0 is
+		// integral too, but encoding/json writes it "-0".
+		if i := int64(v); float64(i) == v && (i != 0 || !math.Signbit(v)) {
+			j.buf = strconv.AppendInt(j.buf, i, 10)
+			return
+		}
+	}
 	format := byte('f')
-	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
 	j.buf = strconv.AppendFloat(j.buf, v, format, -1, 64)
@@ -58,6 +67,35 @@ func (j *jsonWriter) float(v float64) {
 			j.buf[n-2] = j.buf[n-1]
 			j.buf = j.buf[:n-1]
 		}
+	}
+}
+
+// microsExact bounds the sim times micros writes from their integer digits.
+const microsExact = 1 << 42
+
+// micros appends sim time ns (nanoseconds) as trace-event microseconds,
+// byte for byte what float writes for float64(ns)/1000: the integer part,
+// then up to three fraction digits, trailing zeros dropped. Below 2^42 ns the
+// quotient is under 2^32 µs, where a float64's ulp is far under 0.001: no
+// decimal shorter than the exact one rounds to the same float, and the value
+// is never in the 'e' range. Larger times take the float path.
+func (j *jsonWriter) micros(ns int64) {
+	if ns <= -microsExact || ns >= microsExact {
+		j.float(float64(ns) / 1000)
+		return
+	}
+	if ns < 0 {
+		j.buf = append(j.buf, '-')
+		ns = -ns
+	}
+	j.buf = strconv.AppendInt(j.buf, ns/1000, 10)
+	if f := ns % 1000; f != 0 {
+		frac := [4]byte{'.', byte('0' + f/100), byte('0' + f/10%10), byte('0' + f%10)}
+		n := len(frac)
+		for frac[n-1] == '0' {
+			n--
+		}
+		j.buf = append(j.buf, frac[:n]...)
 	}
 }
 

@@ -12,9 +12,6 @@ import (
 // cross-track hierarchy survives the export; wire-level instants become "i"
 // thread-scoped instant events.
 
-// micros converts sim time (ns) to trace-event microseconds.
-func micros(ns int64) float64 { return float64(ns) / 1000.0 }
-
 // WritePerfettoTimeline serializes the recorder's spans and instants as
 // Chrome trace-event JSON, plus sampled timelines rendered as counter
 // tracks. Output is deterministic: tracks are grouped into processes in
@@ -110,10 +107,10 @@ func WritePerfettoTimeline(w io.Writer, r *Recorder, pts []PointTimeline) error 
 		if int(s.Track) < len(tracks) {
 			tid, pid = tidOf[s.Track], trackPID[s.Track]
 		}
-		t.event(s.Name, "X", micros(int64(s.Start)))
-		if dur := micros(int64(s.End - s.Start)); dur != 0 {
+		t.event(s.Name, "X", int64(s.Start))
+		if dur := int64(s.End - s.Start); dur != 0 {
 			t.field("dur")
-			t.float(dur)
+			t.micros(dur)
 		}
 		t.pidTID(pid, tid)
 		t.openArgs()
@@ -134,7 +131,7 @@ func WritePerfettoTimeline(w io.Writer, r *Recorder, pts []PointTimeline) error 
 		if int(in.Track) < len(tracks) {
 			tid, pid = tidOf[in.Track], trackPID[in.Track]
 		}
-		t.event(in.Name, "i", micros(int64(in.Time)))
+		t.event(in.Name, "i", int64(in.Time))
 		t.pidTID(pid, tid)
 		t.field("s")
 		t.raw("\"t\"")
@@ -155,13 +152,13 @@ func WritePerfettoTimeline(w io.Writer, r *Recorder, pts []PointTimeline) error 
 			for si := range pt.Series {
 				s := &pt.Series[si]
 				for _, smp := range s.Samples {
-					t.counter(s.Name, micros(int64(smp.T)+off), tlPID)
+					t.counter(s.Name, int64(smp.T)+off, tlPID)
 					t.argFloat("value", float64(smp.V))
 					t.end()
 				}
 				for qi := range s.Quantiles {
 					q := &s.Quantiles[qi]
-					t.counter(s.Name, micros(int64(q.T)+off), tlPID)
+					t.counter(s.Name, int64(q.T)+off, tlPID)
 					t.argFloat("p50", q.P50)
 					t.argFloat("p99", q.P99)
 					t.argFloat("p999", q.P999)
@@ -189,8 +186,9 @@ type traceWriter struct {
 	args   int  // fields written into it
 }
 
-// event opens the next trace event with the fields every event starts with.
-func (t *traceWriter) event(name, phase string, ts float64) {
+// event opens the next trace event with the fields every event starts with;
+// ts is in sim nanoseconds.
+func (t *traceWriter) event(name, phase string, ts int64) {
 	if t.events > 0 {
 		t.raw(",")
 	}
@@ -200,7 +198,7 @@ func (t *traceWriter) event(name, phase string, ts float64) {
 	t.field("ph")
 	t.str(phase)
 	t.field("ts")
-	t.float(ts)
+	t.micros(ts)
 }
 
 func (t *traceWriter) field(key string) {
@@ -217,7 +215,7 @@ func (t *traceWriter) pidTID(pid, tid int) {
 }
 
 // counter opens a "C" counter sample up to its args object.
-func (t *traceWriter) counter(name string, ts float64, pid int) {
+func (t *traceWriter) counter(name string, ts int64, pid int) {
 	t.event(name, "C", ts)
 	t.field("pid")
 	t.int(int64(pid))

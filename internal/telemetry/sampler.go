@@ -7,24 +7,28 @@ import (
 )
 
 // Sampler snapshots a Registry's deltas at a fixed sim-time cadence into
-// append-only per-metric series. It is driven by the simulation kernel's
-// sampling hook (sim.Env.SetSampler), which guarantees the sample at time S
-// reflects exactly the events scheduled at or before S, by clamping the
-// scheduler's window horizons to the next sample time and firing at the
-// barrier. Because the hook never schedules heap events, sampling
-// perturbs nothing: event sequence numbers, executed counts and rendered
-// output are identical with sampling on or off.
+// per-metric series. It is driven by the simulation kernel's sampling hook
+// (sim.Env.SetSampler), which guarantees the sample at time S reflects
+// exactly the events scheduled at or before S, by clamping the scheduler's
+// window horizons to the next sample time and firing at the barrier.
+// Because the hook never schedules heap events, sampling perturbs nothing:
+// event sequence numbers, executed counts and rendered output are identical
+// with sampling on or off.
 //
 // Counters are recorded as per-interval deltas (rates fall out at export
 // time); hires histograms as per-interval quantile rows computed from
 // bucket deltas against the previous tick — a histogram nothing observed
 // into since the last tick costs two loads, an active one a pass over the
-// buckets its values have ever touched. Zero-delta intervals are kept, so
-// every series has one row per tick and timelines from different runs align
+// buckets its values have ever touched. The sampler stores the tick times
+// once, as runs of evenly spaced ticks, and per series only the rows that
+// moved; Series writes the zero rows back, so every series has one row per
+// tick from the tick it appeared on and timelines from different runs align
 // by construction.
 type Sampler struct {
-	reg   *Registry
-	every sim.Time
+	reg    *Registry
+	every  sim.Time
+	ticks  []tickRun // the tick times, in order
+	nTicks int
 
 	counters []*samplerCounter
 	hires    []*samplerHiRes
@@ -32,20 +36,36 @@ type Sampler struct {
 	delta    [HiResBuckets]int64 // scratch: one histogram's bucket deltas
 }
 
+// tickRun is n ticks one sampling interval apart, the first at sim time at.
+// The kernel's hook ticks at a fixed cadence, so a sampler's ticks are
+// usually one tickRun.
+type tickRun struct {
+	at sim.Time
+	n  int
+}
+
 type samplerCounter struct {
-	name    string
-	c       *Counter
-	prev    int64
-	samples []Sample
+	name  string
+	c     *Counter
+	prev  int64
+	first int          // tick index the series appeared on
+	rows  []counterRow // the non-zero deltas
+}
+
+// counterRow is a non-zero counter delta at tick index k.
+type counterRow struct {
+	k int32
+	v int64
 }
 
 type samplerHiRes struct {
 	name    string
 	h       *HiResHistogram
-	prev    []int64 // previous tick's cumulative buckets
+	prev    []int64 // previous tick's cumulative buckets; nil until the first observation
 	prevCnt int64
 	prevSum int64
-	samples []QuantileSample
+	first   int              // tick index the series appeared on
+	rows    []QuantileSample // the rows whose Count or Sum moved, T holding the tick index
 }
 
 // NewSampler creates a sampler over reg ticking every `every` of sim time.
@@ -70,16 +90,13 @@ func (s *Sampler) refresh() {
 	for name, c := range s.reg.counters {
 		if _, ok := s.byName["c:"+name]; !ok {
 			s.byName["c:"+name] = len(s.counters)
-			s.counters = append(s.counters, &samplerCounter{name: name, c: c})
+			s.counters = append(s.counters, &samplerCounter{name: name, c: c, first: s.nTicks})
 		}
 	}
 	for name, h := range s.reg.hires {
 		if _, ok := s.byName["h:"+name]; !ok {
 			s.byName["h:"+name] = len(s.hires)
-			s.hires = append(s.hires, &samplerHiRes{
-				name: name, h: h,
-				prev: make([]int64, HiResBuckets),
-			})
+			s.hires = append(s.hires, &samplerHiRes{name: name, h: h, first: s.nTicks})
 		}
 	}
 	sort.Slice(s.counters, func(i, j int) bool { return s.counters[i].name < s.counters[j].name })
@@ -98,15 +115,29 @@ func (s *Sampler) refresh() {
 // the run.
 func (s *Sampler) Tick(at sim.Time) {
 	s.refresh()
+	k := s.nTicks
+	s.nTicks++
+	if n := len(s.ticks); n > 0 && s.ticks[n-1].at+sim.Time(s.ticks[n-1].n)*s.every == at {
+		s.ticks[n-1].n++
+	} else {
+		s.ticks = append(s.ticks, tickRun{at: at, n: 1})
+	}
 	for _, c := range s.counters {
-		v := c.c.Value()
-		c.samples = append(c.samples, Sample{T: at, V: v - c.prev})
-		c.prev = v
+		if v := c.c.Value(); v != c.prev {
+			c.rows = append(c.rows, counterRow{k: int32(k), v: v - c.prev})
+			c.prev = v
+		}
 	}
 	for _, h := range s.hires {
 		count, sum := h.h.Count(), h.h.Sum()
-		row := QuantileSample{T: at, Count: count - h.prevCnt, Sum: sum - h.prevSum}
+		if count == h.prevCnt && sum == h.prevSum {
+			continue
+		}
+		row := QuantileSample{T: sim.Time(k), Count: count - h.prevCnt, Sum: sum - h.prevSum}
 		if count != h.prevCnt {
+			if h.prev == nil {
+				h.prev = make([]int64, HiResBuckets)
+			}
 			lo, hi := h.h.touched()
 			delta := s.delta[lo:hi]
 			for i := range delta {
@@ -118,7 +149,7 @@ func (s *Sampler) Tick(at sim.Time) {
 			quantilesFromBuckets(delta, lo, row.Count, sampledQuantiles[:], q[:])
 			row.P50, row.P90, row.P99, row.P999 = q[0], q[1], q[2], q[3]
 		}
-		h.samples = append(h.samples, row)
+		h.rows = append(h.rows, row)
 		h.prevCnt, h.prevSum = count, sum
 	}
 }
@@ -126,16 +157,39 @@ func (s *Sampler) Tick(at sim.Time) {
 // sampledQuantiles are the columns of a QuantileSample, ascending.
 var sampledQuantiles = [4]float64{0.50, 0.90, 0.99, 0.999}
 
-// Series returns the accumulated series, sorted by (name, kind). The
-// returned slices share the sampler's backing arrays; take them after the
-// run, not between ticks.
+// Series returns the accumulated series, sorted by (name, kind): one row
+// per tick from the tick each series appeared on, the zero rows written
+// back. Each call builds new row slices at their exact size, which the
+// caller owns.
 func (s *Sampler) Series() []Series {
+	ticks := make([]sim.Time, 0, s.nTicks)
+	for _, r := range s.ticks {
+		for i := 0; i < r.n; i++ {
+			ticks = append(ticks, r.at+sim.Time(i)*s.every)
+		}
+	}
 	out := make([]Series, 0, len(s.counters)+len(s.hires))
 	for _, c := range s.counters {
-		out = append(out, Series{Name: c.name, Kind: KindCounter, Samples: c.samples})
+		samples := make([]Sample, len(ticks)-c.first)
+		for i := range samples {
+			samples[i].T = ticks[c.first+i]
+		}
+		for _, r := range c.rows {
+			samples[int(r.k)-c.first].V = r.v
+		}
+		out = append(out, Series{Name: c.name, Kind: KindCounter, Samples: samples})
 	}
 	for _, h := range s.hires {
-		out = append(out, Series{Name: h.name, Kind: KindHiRes, Quantiles: h.samples})
+		quantiles := make([]QuantileSample, len(ticks)-h.first)
+		for i := range quantiles {
+			quantiles[i].T = ticks[h.first+i]
+		}
+		for _, r := range h.rows {
+			i := int(r.T) - h.first
+			r.T = quantiles[i].T
+			quantiles[i] = r
+		}
+		out = append(out, Series{Name: h.name, Kind: KindHiRes, Quantiles: quantiles})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {

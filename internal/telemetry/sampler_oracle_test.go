@@ -5,22 +5,31 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
-	"unsafe"
 
 	"repro/internal/sim"
 )
 
-// refSampler is the sampler's hires path as it stood before Tick learned to
-// skip idle histograms: every tick copies all 960 buckets, subtracts the
+// refSampler is the sampler as it stood before Tick learned to skip idle
+// histograms and to store only the rows that moved: every tick appends one
+// row to every series, and a hires row copies all 960 buckets, subtracts the
 // previous copy, walks the deltas once per quantile and adds them back. Kept
-// verbatim (with the quantile walk it called) as the oracle for Tick.
+// verbatim (with the quantile walk it called) as the oracle for Tick and
+// Series.
 type refSampler struct {
 	reg      *Registry
-	counters []*samplerCounter
+	counters []*refSamplerCounter
 	hires    []*refSamplerHiRes
 	byName   map[string]int
+}
+
+type refSamplerCounter struct {
+	name    string
+	c       *Counter
+	prev    int64
+	samples []Sample
 }
 
 type refSamplerHiRes struct {
@@ -42,7 +51,7 @@ func (s *refSampler) refresh() {
 	for name, c := range s.reg.counters {
 		if _, ok := s.byName["c:"+name]; !ok {
 			s.byName["c:"+name] = len(s.counters)
-			s.counters = append(s.counters, &samplerCounter{name: name, c: c})
+			s.counters = append(s.counters, &refSamplerCounter{name: name, c: c})
 		}
 	}
 	for name, h := range s.reg.hires {
@@ -140,11 +149,13 @@ func refQuantileFromBuckets(buckets []int64, count int64, q float64) float64 {
 	return 0
 }
 
-// TestSamplerTickMatchesSevenPassTick runs 40 seeded programs — bursts of
+// TestSamplerTickMatchesSevenPassTick runs 60 seeded programs — bursts of
 // observations across the whole value range (non-positive, exact small
 // values, both ends of the layout, one bucket hit many times), idle
-// stretches, metrics registered between ticks, a second registry merged in —
-// through Tick and through the reference, both sampling the same registry.
+// intervals, metrics registered between ticks, a second registry merged in,
+// and from seed 40 on idle stretches of 100 ticks or more, each after a tick
+// off the cadence — through Tick and through the reference, both sampling
+// the same registry.
 func TestSamplerTickMatchesSevenPassTick(t *testing.T) {
 	values := func(rng *rand.Rand) int64 {
 		switch rng.Intn(6) {
@@ -160,15 +171,21 @@ func TestSamplerTickMatchesSevenPassTick(t *testing.T) {
 			return rng.Int63n(1_000_000)
 		}
 	}
-	for seed := int64(0); seed < 40; seed++ {
+	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		reg := NewRegistry()
 		got := NewSampler(reg, sim.Millisecond)
 		want := &refSampler{reg: reg, byName: make(map[string]int)}
 		var hs []*HiResHistogram
 		var cs []*Counter
-		for tick := 1; tick <= 30; tick++ {
-			if tick == 1 || rng.Intn(6) == 0 { // late registration included
+		at := sim.Time(0)
+		tick := func(gap sim.Time) {
+			at += gap
+			got.Tick(at)
+			want.Tick(at)
+		}
+		for step := 1; step <= 30; step++ {
+			if step == 1 || rng.Intn(6) == 0 { // late registration included
 				hs = append(hs, reg.HiRes(fmt.Sprintf("h%d", rng.Intn(8))))
 				cs = append(cs, reg.Counter(fmt.Sprintf("c%d", rng.Intn(8))))
 			}
@@ -190,9 +207,14 @@ func TestSamplerTickMatchesSevenPassTick(t *testing.T) {
 					cs[rng.Intn(len(cs))].Add(int64(rng.Intn(100)))
 				}
 			}
-			at := sim.Time(tick) * sim.Millisecond
-			got.Tick(at)
-			want.Tick(at)
+			tick(sim.Millisecond)
+			if seed >= 40 && rng.Intn(8) == 0 {
+				// Off the cadence once, then idle.
+				tick(sim.Time(1+rng.Intn(3)) * sim.Millisecond / 2)
+				for i, n := 0, 100+rng.Intn(200); i < n; i++ {
+					tick(sim.Millisecond)
+				}
+			}
 		}
 		if g, w := got.Series(), want.Series(); !reflect.DeepEqual(g, w) {
 			for i := range w {
@@ -233,10 +255,24 @@ func TestSamplerIdleTickAllocs(t *testing.T) {
 	}
 }
 
+// TestSamplerIdleTickBytes: idle ticks store the tick time and no row.
+// 1 000 of them over idleSampler's sixteen series stored 576 KB of rows
+// when every series kept one row a tick.
+func TestSamplerIdleTickBytes(t *testing.T) {
+	s := idleSampler()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1000; i++ {
+		s.Tick(sim.Time(i+2) * sim.Millisecond)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<10 {
+		t.Errorf("1 000 idle ticks allocated %d B, want under 16 KiB", got)
+	}
+}
+
 func BenchmarkSamplerTickIdle(b *testing.B) {
 	s := idleSampler()
-	rowBytes := int64(8*unsafe.Sizeof(QuantileSample{}) + 8*unsafe.Sizeof(Sample{}))
-	b.SetBytes(rowBytes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
