@@ -146,6 +146,35 @@ func TestRunWideFaultOverride(t *testing.T) {
 	}
 }
 
+// TestPlansThatCannotFire: a run-wide plan whose levers cannot act — a
+// zero loss probability, a flap whose edges fall after every point has
+// finished — renders the bytes of no plan at all. The flap arms an injector
+// on every WAN link, so each packet consults a lever at p = 0 there, and
+// the fabric's health monitor holds the future edges.
+func TestPlansThatCannotFire(t *testing.T) {
+	if testing.Short() {
+		t.Skip("inert-plan sweep skipped in -short mode")
+	}
+	opt := Options{Quick: true}
+	plans := []struct {
+		name string
+		plan *fault.Plan
+	}{
+		{"wan-loss=0", &fault.Plan{Seed: 7, WANLoss: 0}},
+		{"wan-flap=1000s:1s", &fault.Plan{Seed: 7, WANFlaps: []fault.FlapStep{
+			{At: 1000 * sim.Second, Down: true}, {At: 1001 * sim.Second}}}},
+	}
+	for _, id := range []string{"fig3", "fig6", "fig9", "fig13", "loss-tcp"} {
+		clean := renderWithErrors(RunWith(id, opt, RunnerOptions{Workers: 2}))
+		for _, p := range plans {
+			if got := renderWithErrors(RunWith(id, opt, RunnerOptions{Workers: 2, Fault: p.plan})); got != clean {
+				t.Errorf("%s under -fault %s differs from no plan\n--- no plan ---\n%s\n--- %s ---\n%s",
+					id, p.name, clean, p.name, got)
+			}
+		}
+	}
+}
+
 // TestPerLinkDownDialTimesOut: a dial across a WAN link whose own fault
 // plan takes it down retransmits its SYN until the retry budget runs out
 // and fails with ErrConnectTimeout, exactly as under a run-wide plan. The

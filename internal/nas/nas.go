@@ -189,8 +189,8 @@ func runCG(w *mpi.World, b params) sim.Time {
 		myRow := r.ID() / cols
 		myCol := r.ID() % cols
 		for it := 0; it < b.cgIters; it++ {
-			// Local sparse matvec.
-			p.Sleep(sim.Time(float64(nnzPer)*cgNanosPerNonzero + float64(vecPer)*cgNanosPerVectorEl))
+			// Local sparse matvec (float64 rounds each product: no FMA).
+			p.Sleep(sim.Time(float64(float64(nnzPer)*cgNanosPerNonzero) + float64(float64(vecPer)*cgNanosPerVectorEl)))
 			// Row-group reduce-exchange of partial results: butterfly
 			// over the row (log2(cols) medium messages).
 			for mask := 1; mask < cols; mask <<= 1 {

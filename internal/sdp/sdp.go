@@ -111,11 +111,11 @@ func (l *Listener) Accept(p *sim.Proc) *Conn {
 
 // Conn is one end of an SDP stream.
 type Conn struct {
-	node  *cluster.Node
-	qp    *ib.QP
-	cq    *ib.CQ
-	zthr  int
-	sendQ *sim.Queue[*wireMsg] // serialized sender engine input
+	node *cluster.Node
+	qp   *ib.QP
+	cq   *ib.CQ
+	zthr int
+	tx   *sim.Server[*wireMsg] // sender engine: serializes bcopy copies and posts
 
 	// Receive side. copying is the bcopy message whose receive-side copy
 	// holds the CQ; copied, made once, delivers it when the copy is done.
@@ -176,23 +176,12 @@ func newConn(node *cluster.Node, qp *ib.QP, cq *ib.CQ) *Conn {
 		qp:       qp,
 		cq:       cq,
 		zthr:     DefaultZcopyThreshold,
-		sendQ:    sim.NewQueue[*wireMsg](node.HCA.Env(), 0),
 		zpending: make(map[*ib.MR]*sim.Event),
 	}
 	for i := 0; i < 64; i++ {
 		qp.PostRecv(ib.RecvWR{})
 	}
-	env := node.HCA.Env()
-	// Sender engine: serializes bcopy copies and posts.
-	env.Go("sdp-tx-"+node.Name, func(p *sim.Proc) {
-		for {
-			m := c.sendQ.Get(p)
-			if m.kind == dataMsg {
-				p.Sleep(sim.Time(float64(m.size) * CopyPerByteNanos))
-			}
-			c.postWire(m)
-		}
-	})
+	c.tx = sim.NewServer(node.HCA.Env(), sendCost, c.postWire)
 	// Receiver engine: protocol handling, on the CQ's completion events.
 	c.copied = func() { c.deliver(c.copying.data, c.copying.size) }
 	cq.SetHandler(c.handle)
@@ -215,7 +204,15 @@ func (c *Conn) Delivered() int64 { return c.delivered }
 // congestion-marked by a bounded link queue.
 func (c *Conn) ECNMarks() int64 { return c.ecnMarks }
 
-func (c *Conn) send(m *wireMsg) { c.sendQ.TryPut(m) }
+func (c *Conn) send(m *wireMsg) { c.tx.Put(m) }
+
+// sendCost is the sender's bcopy time: a data message's, zero for control.
+func sendCost(m *wireMsg) sim.Time {
+	if m.kind == dataMsg {
+		return sim.Time(float64(m.size) * CopyPerByteNanos)
+	}
+	return 0
+}
 
 func (c *Conn) postWire(m *wireMsg) {
 	wire := m.size + CtrlBytes

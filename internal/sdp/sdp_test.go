@@ -40,6 +40,32 @@ func TestEchoBcopy(t *testing.T) {
 	}
 }
 
+// A connection has no process of its own: the sender is a sim.Server and
+// the receiver the CQ's completion handler, so once the applications have
+// returned nothing is left live.
+func TestConnsStartNoProcess(t *testing.T) {
+	env, tb := testbed(sim.Micros(100))
+	defer env.Shutdown()
+	base := env.LiveProcs()
+	ln := Listen(tb.B[0], 7000)
+	defer ln.Close()
+	const bcopy, zcopy = 40000, 100000
+	var got []byte
+	env.Go("srv", func(p *sim.Proc) { got = ln.Accept(p).ReadFull(p, bcopy+zcopy) })
+	env.Go("cli", func(p *sim.Proc) {
+		c := Dial(p, tb.A[0], tb.B[0], 7000)
+		c.WriteSynthetic(p, bcopy)
+		c.WriteSynthetic(p, zcopy)
+	})
+	env.Run()
+	if len(got) != bcopy+zcopy {
+		t.Fatalf("server read %d bytes, want %d", len(got), bcopy+zcopy)
+	}
+	if n := env.LiveProcs() - base; n != 0 {
+		t.Errorf("%d processes live after both applications returned, want 0", n)
+	}
+}
+
 func TestZcopyIntegrity(t *testing.T) {
 	env, tb := testbed(sim.Micros(100))
 	defer env.Shutdown()

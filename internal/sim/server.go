@@ -1,76 +1,67 @@
 package sim
 
-// Server is a serial service context without a process: items queue FIFO,
-// one is in service at a time for cost(item) of virtual time, and done(item)
-// runs when its service ends. It is the event-driven form of the loop
+// Server is a serial service context without a process: a FIFO with one
+// item in service for cost(item) of virtual time, done(item) running when
+// that service ends. Items start and finish by the recurrence
 //
-//	env.Go(name, func(p *Proc) {
-//		for {
-//			v := q.Get(p)
-//			p.Sleep(cost(v))
-//			done(v)
-//		}
-//	})
+//	start_i = max(put_i, done_{i-1}),  done_i = start_i + cost_i
 //
-// and schedules exactly the heap entries that process would, so replacing
-// one with the other moves no event, no tie and no Executed() count: one
-// entry at construction (Go's first resume); one at now when Put finds the
-// server idle (the parked Get's resume); per item one at now+cost (Sleep's
-// trigger) whose dispatch schedules one more at now (the resume after the
-// sleep), which runs done and takes the next item. What it saves is the
-// coroutine switch behind every one of those resumes. cost is called when
-// service starts, done in scheduler context — neither may block, which is
-// what separates a server from a process: a body that waits for anything
-// but its own input and one service time stays a Proc.
+// which the process loop `for { v := q.Get(p); p.Sleep(cost(v)); done(v) }`
+// computes too. The server starts idle, schedules nothing until the first
+// Put, and takes one heap entry per item: at done_i, whose dispatch runs
+// done and starts the next item or goes idle. The loop took a resume hop
+// more to start an item on an idle queue and another after each sleep, so
+// its instants are the server's but not its order among same-instant work.
+//
+// cost runs at service start — inside the caller's Put when the server is
+// idle — so what it accounts (busy time, counters) is charged at start_i;
+// done runs in scheduler context. Neither may block, which is what
+// separates a server from a process: a body that waits for anything but its
+// own input and one service time stays a Proc. Both may call Put, which
+// queues behind the items already waiting.
 type Server[T any] struct {
 	env    *Env
 	cost   func(T) Time
 	done   func(T)
 	items  Ring[T]
-	cur    T    // the item in service
-	parked bool // idle with nothing queued: the next Put wakes the server
-	// The three dispatch targets, bound once so scheduling allocates nothing.
-	next, expire, finish func(any)
+	cur    T         // the item in service
+	busy   bool      // an item is in service: Put queues
+	finish func(any) // bound once so scheduling allocates nothing
 }
 
-// NewServer creates a server on env. Like a process started with Go, it
-// first looks at its queue after the work already scheduled for this instant.
+// NewServer creates an idle server on env.
 func NewServer[T any](env *Env, cost func(T) Time, done func(T)) *Server[T] {
 	s := &Server[T]{env: env, cost: cost, done: done}
-	s.next = func(any) { s.serveNext() }
-	s.expire = func(any) { env.scheduleArg(env.now, s.finish, nil) }
 	s.finish = func(any) {
 		v := s.cur
 		var zero T
 		s.cur = zero
 		s.done(v)
-		s.serveNext()
+		s.busy = false
+		if s.items.Len() > 0 {
+			s.start(s.items.Pop())
+		}
 	}
-	env.scheduleArg(env.now, s.next, nil)
 	return s
 }
 
-// Put queues v for service. It never blocks and may be called from process
-// or scheduler context, including from inside done.
+// Put queues v for service, starting it at once on an idle server. It never
+// blocks and may be called from process or scheduler context.
 func (s *Server[T]) Put(v T) {
-	s.items.Push(v)
-	if s.parked {
-		s.parked = false
-		s.env.scheduleArg(s.env.now, s.next, nil)
+	if s.busy {
+		s.items.Push(v)
+	} else {
+		s.start(v)
 	}
 }
 
-// serveNext starts service of the head item, or parks the server.
-func (s *Server[T]) serveNext() {
-	if s.items.Len() == 0 {
-		s.parked = true
-		return
-	}
-	v := s.items.Pop()
+// start puts v in service and schedules the end of its service.
+func (s *Server[T]) start(v T) {
+	s.busy = true
 	c := s.cost(v)
 	if c < 0 {
 		panic("sim: Server cost function returned a negative service time")
 	}
 	s.cur = v
-	s.env.scheduleArg(s.env.now+c, s.expire, nil)
+	s.env.scheduleArg(s.env.now+c, s.finish, nil)
 }

@@ -18,9 +18,10 @@
 // of one is a switch to its stack and back (see proc.go) — right for
 // application code that waits in the middle of its body, several times the
 // price of a plain dispatch for a context that serves a queue one item and
-// one service time after another. A Server is that loop as events: it
-// schedules exactly the entries the process would (see server.go), so
-// choosing one over the other changes host time only.
+// one service time after another. A Server is that context as a FIFO with
+// one item in service and one heap entry per item: each item starts and
+// finishes at the instants the process loop would give it (see server.go),
+// without the loop's resumes.
 //
 // Memory: the kernel and the layers above it recycle what they allocate on
 // per-environment freelists, and an Arena carries those lists from one world
@@ -37,6 +38,10 @@ import (
 	"fmt"
 	"time"
 )
+
+// ibwanNeeds64BitInt fails the build where int is narrower than 64 bits:
+// the layers above keep byte counts, transmit indices and thresholds in ints.
+const ibwanNeeds64BitInt int = 1 << 62
 
 // Time is a point in virtual time, in nanoseconds since the start of the
 // simulation. It is deliberately a distinct type from time.Duration so that

@@ -77,30 +77,32 @@ func TestReadFuncBufferedRunsInline(t *testing.T) {
 	}
 }
 
-// A waiting read completes one hop after the delivery that completed it: fn
-// sees the delivering segment's ACK queued on the receiver's transmit
-// context, but not yet in service. Run inline in the delivery, fn would come
-// before the ACK is queued, so the transmit context's wake-up, scheduled
-// after fn's probe, would not have run when the probe looks; a hop any later
-// than the transmit context's wake-up finds the ACK already in service.
+// A waiting read completes one hop after the delivery that completed it,
+// not inside it: the handler that delivers a segment queues its ACK after
+// the delivery, and the receiver's transmit context, idle, starts it at
+// once. So fn sees the ACK counted by the transmit context but not yet
+// counted by the peer's receive context, a service time (>= 2 270 ns) and a
+// wire crossing later. Run inline in the delivery, fn would come before the
+// ACK is queued. A hop that costs an extra dispatch is
+// TestReadFuncPartialDeliveriesScheduleNothing's to catch.
 func TestReadFuncWaitingCompletesInOneHop(t *testing.T) {
 	env, cli, srv := readPair(t)
 	defer env.Shutdown()
-	tx := &srv.stack.stats.TxSegments
+	acksSent, acksRcvd := &srv.stack.stats.TxSegments, &cli.stack.stats.RxSegments
 	var got []byte
-	var atFn, atProbe int64 = -1, -1
+	var sentAtFn, rcvdAtFn int64 = -1, -1
 	srv.ReadFunc(nil, 100, func(b []byte, err error) {
 		got = b
-		atFn = *tx
-		env.At(0, func() { atProbe = *tx })
+		sentAtFn, rcvdAtFn = *acksSent, *acksRcvd
 	})
 	payload := bytes.Repeat([]byte{7}, 100)
 	send(env, cli, payload, 0)
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("read got %d bytes, want the %d written", len(got), len(payload))
 	}
-	if atProbe != atFn+1 {
-		t.Errorf("transmit context served %d segments when fn ran and %d just after: the ACK was not queued-but-unserved when fn ran (inline: not yet queued; late: already in service)", atFn, atProbe)
+	if sentAtFn != *acksSent || rcvdAtFn != *acksRcvd-1 {
+		t.Errorf("when fn ran the receiver had started %d of its %d segments and the sender taken in %d of %d: the ACK was not in service when fn ran (inline: not yet queued; late: already at the peer)",
+			sentAtFn, *acksSent, rcvdAtFn, *acksRcvd)
 	}
 }
 

@@ -216,7 +216,7 @@ func quantilesFromBuckets(buckets []int64, base int, count int64, qs, out []floa
 				lo, hi := HiResBucketLo(i), HiResBucketHi(i)
 				pos := target - (cum - c) // 1..c within this bucket
 				frac := float64(pos) / float64(c)
-				out[next] = float64(lo) + frac*float64(hi-lo)
+				out[next] = float64(lo) + float64(frac*float64(hi-lo)) // rounded product: no FMA
 			}
 			if next++; next == len(qs) {
 				return
