@@ -85,18 +85,28 @@ func (h *HCA) receive(pkt *packet) {
 	h.pool.freePacket(pkt)
 }
 
-// RegisterMR registers buf as an RDMA-accessible memory region and returns
-// the region handle (which doubles as the rkey a peer must present).
-func (h *HCA) RegisterMR(buf []byte) *MR {
-	return &MR{hca: h, Buf: buf}
-}
+// BufferMR returns buf as an RDMA-accessible memory region, by value: the
+// record that advertises the region holds it, and a pointer to that copy is
+// the handle (which doubles as the rkey a peer must present).
+func (h *HCA) BufferMR(buf []byte) MR { return MR{hca: h, Buf: buf} }
 
-// RegisterVirtualMR registers a region with a size but no backing memory:
+// VirtualMR returns, by value, a region with a size but no backing memory:
 // RDMA operations against it are fully simulated on the wire but carry no
 // payload bytes. Perf-only traffic uses virtual regions to avoid allocating
 // and copying gigabytes of synthetic payload.
+func (h *HCA) VirtualMR(n int) MR { return MR{hca: h, virtualLen: n} }
+
+// RegisterMR registers buf as a region of its own and returns its handle.
+func (h *HCA) RegisterMR(buf []byte) *MR {
+	mr := h.BufferMR(buf)
+	return &mr
+}
+
+// RegisterVirtualMR registers a virtual region of n bytes (VirtualMR) and
+// returns its handle.
 func (h *HCA) RegisterVirtualMR(n int) *MR {
-	return &MR{hca: h, virtualLen: n}
+	mr := h.VirtualMR(n)
+	return &mr
 }
 
 // MR is a registered memory region on an HCA.

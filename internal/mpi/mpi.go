@@ -194,13 +194,14 @@ func NewWorld(env *sim.Env, placement []*cluster.Node, cfg Config) *World {
 			cq:    ib.NewCQ(home),
 			qps:   make(map[int]*ib.QP),
 			byQPN: make(map[int]*ib.QP),
-			reqs:  home.Recycled(reqPoolKey{}, func() any { return new(reqPool) }).(*reqPool),
+			reqs:  home.Recycled(reqPoolKey{}, newReqPool).(*reqPool),
 		}
 		r.copied = func() {
 			req, m := r.copyReq, r.copyMsg
 			r.copyReq, r.copyMsg = nil, nil // the request may be freed once it lands
 			r.deliverEager(req, m)
 		}
+		r.runShm = r.nextShm
 		w.ranks = append(w.ranks, r)
 	}
 	// QPs between ranks on different environments must exist before the
@@ -307,13 +308,21 @@ type Rank struct {
 	copyMsg *mpiMsg
 	copied  func()
 
+	// shm is the rank's pending shared-memory events in the order they run,
+	// and runShm, made once, is nextShm: the function every one of them is
+	// scheduled as (shmAt).
+	shm    []shmItem
+	runShm func()
+
 	byQPN map[int]*ib.QP // local QPN -> QP, for receive reposting
 
-	// reqs is the free requests of the rank's home environment, shared by
-	// the ranks there and kept in its recycled memory, so under a sim.Arena
-	// it outlives the world (a freed request is zeroed). A request is taken
-	// by newRequest and freed by Wait, both on the owning rank's
-	// environment, so the list is touched from that environment alone.
+	// reqs is the free requests and eager headers of the rank's home
+	// environment, shared by the ranks there and kept in its recycled
+	// memory, so under a sim.Arena it outlives the world (a freed record is
+	// zeroed). A request is taken by newRequest and freed by Wait, both on
+	// the owning rank's environment; a header is taken by Isend there and
+	// comes back through Env.ReturnTo, so the lists are touched from that
+	// environment alone.
 	reqs *reqPool
 
 	// collSeq numbers collective calls; collectives must be invoked in

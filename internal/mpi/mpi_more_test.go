@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -59,23 +60,51 @@ func TestIrecvInvalidRankPanics(t *testing.T) {
 	}
 }
 
+// TestRendezvousTruncationPanics: a rendezvous message larger than its
+// receive is refused on every path — over the wire and over shared memory,
+// into a buffer and into a synthetic capacity — not delivered as a short or
+// silently over-long receive.
 func TestRendezvousTruncationPanics(t *testing.T) {
-	w := crossWorld(0, Config{})
-	defer func() {
-		w.Shutdown()
-		if recover() == nil {
-			t.Fatal("rendezvous truncation did not panic")
-		}
-	}()
-	w.Run(func(r *Rank, p *sim.Proc) {
-		switch r.ID() {
-		case 0:
-			r.Send(p, 1, 1, nil, 100000)
-		case 1:
-			buf := make([]byte, 10) // far too small for a 100 KB message
-			r.Recv(p, 0, 1, buf, 0)
-		}
-	})
+	const want = "mpi: rendezvous truncation at rank 1: recv 10 < msg 100000"
+	for _, arm := range []struct {
+		name        string
+		shm, backed bool
+	}{
+		{"wire backed", false, true},
+		{"wire synthetic", false, false},
+		{"shared memory backed", true, true},
+		{"shared memory synthetic", true, false},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			tb := cluster.New(env, cluster.Config{NodesA: 1, NodesB: 1})
+			placement := []*cluster.Node{tb.A[0], tb.B[0]}
+			if arm.shm {
+				placement[1] = tb.A[0]
+			}
+			w := NewWorld(env, placement, Config{})
+			defer w.Shutdown()
+			defer func() {
+				if got := fmt.Sprint(recover()); !strings.Contains(got, want) {
+					t.Errorf("panicked with %q, want %q", got, want)
+				}
+			}()
+			w.Run(func(r *Rank, p *sim.Proc) {
+				switch r.ID() {
+				case 0:
+					r.Send(p, 1, 1, nil, 100000)
+				case 1:
+					var buf []byte
+					if arm.backed {
+						buf = make([]byte, 10) // far too small for a 100 KB message
+					}
+					n, _ := r.Recv(p, 0, 1, buf, 10)
+					t.Errorf("the receive returned %d bytes", n)
+				}
+			})
+			t.Error("no panic")
+		})
+	}
 }
 
 func TestEagerTruncationKeepsPrefix(t *testing.T) {

@@ -43,12 +43,11 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, data []byte, size int) *Request 
 		}
 	}
 	if eager {
-		// The eager header is garbage-collected, not the request's hdr: its
-		// last reader is the receiving rank, which may read it after this
-		// request completed and was freed — the transport ACK can come back
-		// while the receiver's CQ is held, before its handler reads the
-		// header (on a sharded world, on another shard).
-		m := &mpiMsg{kind: eagerMsg, src: r.id, tag: tag, size: size, data: data}
+		// The eager header comes from this rank's list and the receiver,
+		// not this request, frees it (deliverEager): the transport ACK can
+		// complete and free this request before the receiver has read it.
+		m := takeFree(&r.reqs.msgs)
+		*m = mpiMsg{kind: eagerMsg, src: r.id, tag: tag, size: size, data: data}
 		if peer.node == r.node {
 			// Shared-memory path: single copy charged here.
 			p.Sleep(sim.Time(float64(size) * ShmPerByteNanos))

@@ -21,6 +21,8 @@ const (
 // shared-memory delivery, and, for an eager message or RTS that arrives
 // before its receive is posted, the record the unexpected queue holds. The
 // rendezvous FIN has no header: its verbs Meta is the receiver's *Request.
+// An RTS or CTS is its request's hdr; an eager header comes from the
+// sending rank's reqPool and goes back there from deliverEager.
 type mpiMsg struct {
 	kind msgKind
 	src  int // sender rank
@@ -30,7 +32,7 @@ type mpiMsg struct {
 	// Rendezvous fields: a request is its own id.
 	sendReq *Request // RTS/CTS: the sender's request
 	recvReq *Request // CTS: the receiver's request
-	mr      *ib.MR   // CTS: registered landing region
+	mr      *ib.MR   // CTS: the receive's landing region (its landing)
 }
 
 func (m *mpiMsg) matches(req *Request) bool {
@@ -48,7 +50,6 @@ type Request struct {
 	tag  int
 	size int    // send size / recv capacity
 	data []byte // send payload / recv landing buffer
-	mr   *ib.MR // rendezvous receive region
 
 	// Results (valid after completion).
 	recvSize int // actual bytes received
@@ -65,10 +66,31 @@ type Request struct {
 	// it — the send waits for the CTS, the receive for the FIN — so the
 	// header lives exactly as long as it is needed.
 	hdr mpiMsg
+
+	// landing is a wire rendezvous receive's landing region, which its CTS
+	// advertises (the CTS's mr points here). It lives as long as the CTS's header, for the same reason:
+	// the request cannot complete before the FIN, the sender posts the FIN
+	// only after it read the region (rcPostSend's bounds check), and the QP
+	// delivers the FIN only after the write whose deliverInOrder reads
+	// RemoteMR.Buf. A retransmitted duplicate of the write stops at
+	// t.delivered, before the region.
+	landing ib.MR
 }
 
-// reqPool is an environment's free requests (see Rank.reqs).
-type reqPool struct{ free []*Request }
+// reqPool is an environment's free requests and free eager headers (see
+// Rank.reqs). take is the headers' ReturnTo sink, made once with the pool.
+type reqPool struct {
+	free []*Request
+	msgs []*mpiMsg
+	take func(any)
+}
+
+// newReqPool is reqPool's constructor in the environment's recycled memory.
+func newReqPool() any {
+	p := new(reqPool)
+	p.take = func(v any) { p.msgs = append(p.msgs, v.(*mpiMsg)) }
+	return p
+}
 
 // reqPoolKey is reqPool's key in the environment's recycled memory.
 type reqPoolKey struct{}
@@ -76,17 +98,22 @@ type reqPoolKey struct{}
 // newRequest returns a request of r's, taken from its home environment's
 // free requests, with a done event from the environment's event freelist.
 func (r *Rank) newRequest(peer, tag, size int, data []byte) *Request {
-	var q *Request
-	if n := len(r.reqs.free); n > 0 {
-		q = r.reqs.free[n-1]
-		r.reqs.free[n-1] = nil // the list outlives the world; the request is the world's now
-		r.reqs.free = r.reqs.free[:n-1]
-	} else {
-		q = &Request{}
-	}
+	q := takeFree(&r.reqs.free)
 	q.rank, q.done = r, r.env().AcquireEvent()
 	q.peer, q.tag, q.size, q.data = peer, tag, size, data
 	return q
+}
+
+// takeFree returns the last record of a free list, or a new one.
+func takeFree[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	v := (*free)[n-1]
+	(*free)[n-1] = nil // the list outlives the world; the record is the world's now
+	*free = (*free)[:n-1]
+	return v
 }
 
 // owner returns the rank q belongs to; a request Wait has freed has none.
@@ -202,14 +229,10 @@ func (r *Rank) handleMsg(m *mpiMsg) {
 		peer := r.world.ranks[req.peer]
 		if peer.node == r.node {
 			// Shared-memory rendezvous: the "RDMA write" is a local copy.
-			recvReq := m.recvReq
-			if recvReq.data != nil && req.data != nil {
+			if recvReq := m.recvReq; recvReq.data != nil && req.data != nil {
 				copy(recvReq.data, req.data)
 			}
-			r.env().At(sim.Time(float64(req.size)*ShmPerByteNanos), func() {
-				recvReq.complete()
-				req.complete()
-			})
+			r.shmAt(sim.Time(float64(req.size)*ShmPerByteNanos), shmItem{m: m})
 			return
 		}
 		qp := r.qpTo(peer)
@@ -251,6 +274,14 @@ func (r *Rank) matchUnexpected(req *Request) *mpiMsg {
 }
 
 // deliverEager lands an eager message into a matched receive request.
+//
+// It is the header's last reader, so it frees the header, zeroed, onto the
+// sender's list: inline when the two ranks share an environment, over the
+// return lane at the next barrier when they do not. The send request cannot
+// free it: the transport ACK can complete and free that request while the
+// receiver's CQ is held, before the handler here has read the header (on a
+// sharded world, on another shard). A header still unexpected at world end
+// falls to the garbage collector.
 func (r *Rank) deliverEager(req *Request, m *mpiMsg) {
 	n := m.size
 	if req.size < n {
@@ -261,29 +292,33 @@ func (r *Rank) deliverEager(req *Request, m *mpiMsg) {
 	}
 	req.recvSize = n
 	req.recvFrom = m.src
+	sender := r.world.ranks[m.src]
+	*m = mpiMsg{}
+	r.env().ReturnTo(sender.env(), sender.reqs.take, m)
 	req.complete()
 }
 
 // sendCTS answers a matched RTS: grant the sender clearance to move the
 // data, over the wire into a landing region registered here.
 func (r *Rank) sendCTS(req *Request, m *mpiMsg) {
+	if req.size < m.size {
+		panic(fmt.Sprintf("mpi: rendezvous truncation at rank %d: recv %d < msg %d",
+			r.id, req.size, m.size))
+	}
 	peer := r.world.ranks[m.src]
 	var mr *ib.MR
 	switch {
 	case peer.node == r.node:
 		// Shared memory: the sender copies, nothing to register.
 	case req.data != nil:
-		if len(req.data) < m.size {
-			panic(fmt.Sprintf("mpi: rendezvous truncation at rank %d: recv %d < msg %d",
-				r.id, len(req.data), m.size))
-		}
-		mr = r.node.HCA.RegisterMR(req.data)
+		req.landing = r.node.HCA.BufferMR(req.data)
+		mr = &req.landing
 	default:
 		// Synthetic receive: a virtual landing region of the right size,
 		// without allocating payload memory.
-		mr = r.node.HCA.RegisterVirtualMR(m.size)
+		req.landing = r.node.HCA.VirtualMR(m.size)
+		mr = &req.landing
 	}
-	req.mr = mr
 	req.recvSize = m.size
 	req.recvFrom = m.src
 	req.hdr = mpiMsg{kind: ctsMsg, src: r.id, sendReq: m.sendReq, recvReq: req, mr: mr}
@@ -303,12 +338,48 @@ func (r *Rank) ctrlSend(peer *Rank, m *mpiMsg, parent telemetry.SpanRef) {
 // shmDeliver carries a message between co-located ranks over the node's
 // shared memory: a fixed latency plus a copy cost, no fabric involvement.
 func (r *Rank) shmDeliver(peer *Rank, m *mpiMsg, ctx *Request) {
-	env := r.env() // co-located ranks share a node, hence a shard
-	d := ShmLatency + sim.Time(float64(m.size)*ShmPerByteNanos)
-	env.At(d, func() {
-		peer.handleMsg(m)
-		if ctx != nil {
-			ctx.complete()
-		}
-	})
+	r.shmAt(ShmLatency+sim.Time(float64(m.size)*ShmPerByteNanos), shmItem{to: peer, m: m, ctx: ctx})
+}
+
+// shmItem is a pending shared-memory event of a rank: m's delivery to rank
+// to, which completes ctx (if any) after it, or, when to is nil, the end of
+// the rendezvous copy that the CTS m granted.
+type shmItem struct {
+	at  sim.Time
+	to  *Rank
+	m   *mpiMsg
+	ctx *Request
+}
+
+// shmAt schedules it d from now without a closure of its own: every pending
+// item is one entry of the rank's runShm function value, and the kernel runs
+// those in (time, schedule order), which is the order r.shm keeps, so each
+// run takes the list's head. Co-located ranks share a node, hence a shard.
+func (r *Rank) shmAt(d sim.Time, it shmItem) {
+	env := r.env()
+	it.at = env.Now() + d
+	i := len(r.shm)
+	r.shm = append(r.shm, it)
+	for ; i > 0 && r.shm[i-1].at > it.at; i-- {
+		r.shm[i] = r.shm[i-1]
+	}
+	r.shm[i] = it
+	env.At(d, r.runShm)
+}
+
+// nextShm runs the rank's earliest pending shared-memory event.
+func (r *Rank) nextShm() {
+	it := r.shm[0]
+	n := copy(r.shm, r.shm[1:])
+	r.shm[n] = shmItem{}
+	r.shm = r.shm[:n]
+	if it.to == nil {
+		it.m.recvReq.complete()
+		it.m.sendReq.complete()
+		return
+	}
+	it.to.handleMsg(it.m)
+	if it.ctx != nil {
+		it.ctx.complete()
+	}
 }

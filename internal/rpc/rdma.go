@@ -31,11 +31,15 @@ type rdmaWire struct {
 	// synthetic marks a reply whose bulk was a length: nothing was written
 	// into the client's region, which must read as zeroes all the same.
 	synthetic bool
-	// Request: regions the client advertises for direct data placement.
-	readMR  *ib.MR // server writes READ data here
-	writeMR *ib.MR // server reads WRITE data from here
-	readLen int
-	wlen    int
+	// Request: regions the client advertises for direct data placement,
+	// nil when the call has no such bulk. They point into readRegion and
+	// writeRegion: the regions ride in the wire record that advertises them.
+	readMR      *ib.MR // server writes READ data here
+	writeMR     *ib.MR // server reads WRITE data from here
+	readRegion  ib.MR
+	writeRegion ib.MR
+	readLen     int
+	wlen        int
 }
 
 // RDMAClient is the NFS/RDMA client transport: one RC connection to the
@@ -243,17 +247,19 @@ func (c *RDMAClient) post(cl *call) {
 	}
 	if w.readLen > 0 {
 		if req.ReadBuf != nil {
-			w.readMR = c.node.HCA.RegisterMR(req.ReadBuf)
+			w.readRegion = c.node.HCA.BufferMR(req.ReadBuf)
 		} else {
-			w.readMR = c.node.HCA.RegisterVirtualMR(req.ReadLen)
+			w.readRegion = c.node.HCA.VirtualMR(req.ReadLen)
 		}
+		w.readMR = &w.readRegion
 	}
 	if w.wlen > 0 {
 		if req.WriteBulk != nil {
-			w.writeMR = c.node.HCA.RegisterMR(req.WriteBulk)
+			w.writeRegion = c.node.HCA.BufferMR(req.WriteBulk)
 		} else {
-			w.writeMR = c.node.HCA.RegisterVirtualMR(req.WriteLen)
+			w.writeRegion = c.node.HCA.VirtualMR(req.WriteLen)
 		}
+		w.writeMR = &w.writeRegion
 	}
 	c.qp.PostSend(ib.SendWR{Op: ib.OpSend, Len: CtrlWire(len(req.Meta)), Meta: w})
 }

@@ -33,6 +33,11 @@ type segment struct {
 	wnd              int    // advertised window (SYN/SYNACK and acks)
 	length           int    // payload bytes
 	spans            []span // payload runs (real or synthetic), in order
+	// one is the backing array of a fresh segment's spans, so a one-span
+	// segment costs one object. Released segments keep whatever backing
+	// array spans has (Stack.released), and no code copies a segment by
+	// value, so spans never aliases another segment's one.
+	one [1]span
 	// ce is the IP-layer congestion-experienced codepoint, stamped by the
 	// receiving stack when the carrying IB transfer was marked by a bounded
 	// link queue. Receiver-owned, like the delivery bookkeeping.

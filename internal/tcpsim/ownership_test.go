@@ -2,6 +2,8 @@ package tcpsim
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/ib"
@@ -88,5 +90,38 @@ func TestOwnershipOneWayStream(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestFreshSegmentIsOneObject: a data segment made fresh, as every segment
+// of a fresh world's first window is, costs one object, its one span riding
+// in the segment (segment.one). The window is pumped out of an established
+// connection whose environment has no free segment left; the figure is the
+// difference of a 128- and a 64-segment window, so the connection and the
+// rings it fills cancel out, each window the least of three runs, rounded.
+func TestFreshSegmentIsOneObject(t *testing.T) {
+	run := func(segs int) int64 {
+		env, cli, _ := readPair(t)
+		defer env.Shutdown()
+		mss := cli.stack.MSS()
+		cli.cwnd = segs * mss
+		cli.stack.segs.free = nil // as in a fresh world: every segment is new
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		pushSpan(&cli.sendQ, span{length: segs * mss})
+		cli.sendQBytes += segs * mss
+		cli.pump()
+		runtime.ReadMemStats(&after)
+		if got := cli.unacked.Len(); got != segs {
+			t.Fatalf("the window sent %d segments, want %d", got, segs)
+		}
+		return int64(after.Mallocs - before.Mallocs)
+	}
+	mallocs := func(segs int) int64 { return min(run(segs), run(segs), run(segs)) }
+	per := float64(mallocs(128)-mallocs(64)) / 64
+	t.Logf("%.2f objects per fresh one-span segment", per)
+	if math.Round(per) != 1 {
+		t.Errorf("a fresh one-span segment cost %.2f objects, want 1", per)
 	}
 }

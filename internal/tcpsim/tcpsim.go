@@ -160,7 +160,8 @@ type segPool struct{ free []*segment }
 // segPoolKey is segPool's key in the environment's recycled memory.
 type segPoolKey struct{}
 
-// newSegment returns a zeroed segment (its spans backing array is kept).
+// newSegment returns a zeroed segment (its spans backing array is kept; a
+// fresh one's is its inline array).
 func (s *Stack) newSegment() *segment {
 	if n := len(s.segs.free); n > 0 {
 		seg := s.segs.free[n-1]
@@ -168,7 +169,9 @@ func (s *Stack) newSegment() *segment {
 		s.segs.free = s.segs.free[:n-1]
 		return seg
 	}
-	return new(segment)
+	seg := new(segment)
+	seg.spans = seg.one[:0]
+	return seg
 }
 
 // transmit hands a segment to the transmit context, counting the flight.

@@ -86,6 +86,46 @@ var mutants = []mutant{
 		pkg:  "./internal/core",
 		run:  "TestPlansThatCannotFire",
 	},
+	{
+		name: "waiting read wakes on every delivery",
+		file: "internal/tcpsim/conn.go",
+		old:  "if c.readFn != nil && !c.readHop && (c.recvBytes >= c.readN || c.err != nil) {\n\t\tc.readHop = true\n\t\tc.stack.env.AtArg(0, runRead, c)",
+		new:  "if c.readFn != nil && !c.readHop {\n\t\tc.readHop = true\n\t\tc.stack.env.AtArg(0, func(v any) {\n\t\t\tif c.readHop = false; c.recvBytes >= c.readN || c.err != nil {\n\t\t\t\trunRead(v)\n\t\t\t}\n\t\t}, c)",
+		pkg:  "./internal/tcpsim",
+		run:  "TestReadFuncPartialDeliveriesScheduleNothing",
+	},
+	{
+		name: "eager header returned to the receiver's list",
+		file: "internal/mpi/proto.go",
+		old:  "r.env().ReturnTo(sender.env(), sender.reqs.take, m)",
+		new:  "r.env().ReturnTo(r.env(), r.reqs.take, m)\n\t_ = sender",
+		pkg:  "./internal/mpi",
+		run:  "TestRequestsReleasedAtHome/sharded",
+	},
+	{
+		name: "eager header zeroed before its payload is copied",
+		file: "internal/mpi/proto.go",
+		old:  "func (r *Rank) deliverEager(req *Request, m *mpiMsg) {\n",
+		new:  "func (r *Rank) deliverEager(req *Request, m *mpiMsg) {\n\t*m = mpiMsg{}\n",
+		pkg:  "./internal/mpi",
+		run:  "TestEagerTruncationKeepsPrefix",
+	},
+	{
+		name: "rendezvous truncation checked on the backed wire path only",
+		file: "internal/mpi/proto.go",
+		old:  "if req.size < m.size {",
+		new:  "if peer := r.world.ranks[m.src]; req.data != nil && peer.node != r.node && len(req.data) < m.size {",
+		pkg:  "./internal/mpi",
+		run:  "TestRendezvousTruncationPanics",
+	},
+	{
+		name: "fresh segment without its inline span",
+		file: "internal/tcpsim/tcpsim.go",
+		old:  "seg.spans = seg.one[:0]",
+		new:  "_ = seg.one",
+		pkg:  "./internal/tcpsim",
+		run:  "TestFreshSegmentIsOneObject",
+	},
 }
 
 // copyModule copies the module's sources (go.mod, the Go files at its root
