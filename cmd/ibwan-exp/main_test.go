@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -31,10 +32,16 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// runBin executes the binary and returns its streams and exit code.
+// runBin executes the binary and returns its streams and exit code. Leading
+// NAME=value arguments are set in its environment, as a shell would.
 func runBin(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
+	var env []string
+	for len(args) > 0 && !strings.HasPrefix(args[0], "-") && strings.Contains(args[0], "=") {
+		env, args = append(env, args[0]), args[1:]
+	}
 	cmd := exec.Command(bin, args...)
+	cmd.Env = append(os.Environ(), env...)
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	err := cmd.Run()
@@ -90,7 +97,10 @@ func TestProbeMisuseExitsTwo(t *testing.T) {
 // report as "par": -3, slipped under the -par x -shards guard as a negative
 // product, or run as a fig12 of ERR cells. So are two outputs sharing one
 // destination and a profile sent to stdout, which used to exit 0 with
-// output no reader parses; nothing is created at the shared path.
+// output no reader parses; nothing is created at the shared path. So are a
+// negative window, file size, sampling interval or span depth, a timeline
+// with nothing sampled, and more workers than the host can run: exit 2 with
+// the message, not any non-zero exit, which a panic would pass too.
 func TestSweepFlagMisuseExitsTwo(t *testing.T) {
 	dir := t.TempDir()
 	shared := filepath.Join(dir, "out.json")
@@ -105,6 +115,14 @@ func TestSweepFlagMisuseExitsTwo(t *testing.T) {
 		{"-quick -json " + shared + " -memprofile " + dir + "/./out.json fig3", "-memprofile and -json both write to " + shared},
 		{"-quick -cpuprofile - fig3", "-cpuprofile writes a binary profile and cannot write to stdout"},
 		{"-quick -memprofile - fig3", "-memprofile writes a binary profile and cannot write to stdout"},
+		{"-quick -tcpms -5 fig6", "-tcpms must not be negative (got -5)"},
+		{"-quick -filemb -1 fig13", "-filemb must not be negative (got -1)"},
+		{"-timeline-out " + dir + "/tl.json fig3", "-timeline-out requires -sample-every"},
+		{"-quick -topo mesh4 -par 64 -shards 64 multisite-bcast", "-par 64 x -shards 64 needs 4096 OS workers"},
+		{"-shards 0 fig3", "-par and -shards must be at least 1 (got "},
+		{"-topo bogus fig3", `-topo: topo: unknown preset "bogus"`},
+		{"-sample-every -1ms fig3", "-sample-every must be a positive duration (got -1ms)"},
+		{"-span-depth -1 fig3", "-span-depth must be non-negative (got -1)"},
 	} {
 		stdout, stderr, code := runBin(t, strings.Fields(c.args)...)
 		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "ibwan-exp: "+c.want) {
@@ -131,7 +149,7 @@ func TestFaultNaNExitsTwo(t *testing.T) {
 // TestProbeRunsOnTheHarness checks that a probe is an ordinary experiment to
 // everything before the word "probe": it prints its figure's cell, -list
 // shows it, a dead WAN is an ERR row and exit 0, and -trace-out holds its
-// packet log.
+// packet log as valid JSON.
 func TestProbeRunsOnTheHarness(t *testing.T) {
 	stdout, stderr, code := runBin(t, strings.Fields("probe perftest -test bw -size 4096 -delay 1000 -count 2048")...)
 	if code != 0 || !strings.Contains(stdout, "16.215") || strings.Contains(stdout, "ERR") {
@@ -161,6 +179,9 @@ func TestProbeRunsOnTheHarness(t *testing.T) {
 	data, err := os.ReadFile(trace)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !json.Valid(data) {
+		t.Error("the probe's trace is not valid JSON")
 	}
 	for _, want := range []string{`"tx data"`, `"rx ack"`, `"probe-perftest probe perftest -test bw -size 65536 -delay 1000 -count 8: bw"`} {
 		if !bytes.Contains(data, []byte(want)) {

@@ -175,6 +175,55 @@ func TestPlansThatCannotFire(t *testing.T) {
 	}
 }
 
+// TestPerLinkPlanMatchesRunWide: on the paper testbed's one WAN link, a plan
+// restricted to that link, named either way round, renders the bytes of the
+// same plan unrestricted. Each plan moves at least one of its figures, so
+// the relation is not between two inert plans (loss-tcp's per-point plans
+// override a run-wide one).
+func TestPerLinkPlanMatchesRunWide(t *testing.T) {
+	if testing.Short() {
+		t.Skip("per-link plan sweep skipped in -short mode")
+	}
+	opt := Options{Quick: true}
+	render := func(id string, p *fault.Plan) string {
+		return renderWithErrors(RunWith(id, opt, RunnerOptions{Workers: 2, Fault: p}))
+	}
+	cases := []struct {
+		name string
+		plan fault.Plan
+		ids  []string
+	}{
+		{"wan-loss=0.01,seed=7", fault.Plan{Seed: 7, WANLoss: 0.01}, []string{"fig5", "fig8", "loss-tcp"}},
+		{"wan-flap=2ms:3ms", fault.Plan{Seed: 1, WANFlaps: []fault.FlapStep{
+			{At: 2 * sim.Millisecond, Down: true}, {At: 5 * sim.Millisecond}}}, []string{"fig6", "fig9"}},
+	}
+	want := map[string]string{}
+	for _, c := range cases {
+		moved := false
+		for _, id := range c.ids {
+			want[c.name+" "+id] = render(id, &c.plan)
+			moved = moved || want[c.name+" "+id] != render(id, nil)
+		}
+		if !moved {
+			t.Fatalf("-fault %s changes none of %v", c.name, c.ids)
+		}
+	}
+	for _, link := range []string{"A-B", "B-A"} {
+		t.Run(link, func(t *testing.T) {
+			for _, c := range cases {
+				p := c.plan
+				p.Link = link
+				for _, id := range c.ids {
+					if got := render(id, &p); got != want[c.name+" "+id] {
+						t.Errorf("%s under -fault link=%s:%s differs from the run-wide plan\n--- run-wide ---\n%s\n--- link=%s ---\n%s",
+							id, link, c.name, want[c.name+" "+id], link, got)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestPerLinkDownDialTimesOut: a dial across a WAN link whose own fault
 // plan takes it down retransmits its SYN until the retry budget runs out
 // and fails with ErrConnectTimeout, exactly as under a run-wide plan. The

@@ -27,8 +27,8 @@ func multisiteIDs() []string {
 // TestEveryFamilyShards: one sharding rule for every world. Every registered
 // family at Quick renders the same tables and error rows sequentially, on
 // four shard workers, and on two point workers of two shard workers each —
-// and the paper's own testbed really partitions: fig5, fig7 and fig13 run
-// sharded windows at two shard workers.
+// and the paper's own testbed really partitions: fig5, fig7, fig13 and a
+// loss family, loss-goodput, run sharded windows at two shard workers.
 func TestEveryFamilyShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("every-family sharded sweep skipped in -short mode")
@@ -45,7 +45,7 @@ func TestEveryFamilyShards(t *testing.T) {
 						ropt.Workers, ropt.ShardWorkers, want, got)
 				}
 				switch id {
-				case "fig5", "fig7", "fig13":
+				case "fig5", "fig7", "fig13", "loss-goodput":
 					if ropt.ShardWorkers == 2 && res.Metrics.ShardWindows == 0 {
 						t.Errorf("%s ran no sharded window at %d shard workers", id, ropt.ShardWorkers)
 					}

@@ -11,14 +11,15 @@ import (
 )
 
 // mutant is one deliberate defect and the tests that must catch it: the
-// exact snippet of file it replaces, and the package and -run pattern whose
-// tests must fail once it is in.
+// exact snippet of file it replaces, and the package, -run pattern and
+// build tags whose tests must fail once it is in.
 type mutant struct {
 	name     string
 	file     string
 	old, new string
 	pkg      string
 	run      string
+	tags     string
 }
 
 var mutants = []mutant{
@@ -126,6 +127,31 @@ var mutants = []mutant{
 		pkg:  "./internal/tcpsim",
 		run:  "TestFreshSegmentIsOneObject",
 	},
+	{
+		name: "quantile interpolation without its rounded product",
+		file: "internal/telemetry/hires.go",
+		old:  "float64(lo) + float64(frac*float64(hi-lo))",
+		new:  "float64(lo) + frac*float64(hi-lo)",
+		pkg:  "./cmd/ibwan-exp",
+		run:  "TestCI/crossarch",
+		tags: "ci",
+	},
+	{
+		name: "two-site worlds never shard",
+		file: "internal/topo/topo.go",
+		old:  "len(t.Sites) < 2",
+		new:  "len(t.Sites) < 3",
+		pkg:  "./internal/core",
+		run:  "TestEveryFamilyShards/fig5",
+	},
+	{
+		name: "per-link plan matches its link named one way only",
+		file: "internal/fault/plan.go",
+		old:  ` || p.Link == b+"-"+a`,
+		new:  "",
+		pkg:  "./internal/core",
+		run:  "TestPerLinkPlanMatchesRunWide/B-A",
+	},
 }
 
 // copyModule copies the module's sources (go.mod, the Go files at its root
@@ -175,14 +201,14 @@ func TestMutants(t *testing.T) {
 			if err := os.WriteFile(path, []byte(mutated), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			cmd := exec.Command("go", "test", "-count=1", "-run", m.run, m.pkg)
+			cmd := exec.Command("go", "test", "-count=1", "-tags", m.tags, "-run", m.run, m.pkg)
 			cmd.Dir = dir
 			out, err := cmd.CombinedOutput()
 			switch {
 			case strings.Contains(string(out), "[build failed]") || strings.Contains(string(out), "[setup failed]"):
 				t.Fatalf("the mutant does not build:\n%s", out)
 			case err == nil:
-				t.Fatalf("the mutant survived go test -run '%s' %s", m.run, m.pkg)
+				t.Fatalf("the mutant survived go test -tags '%s' -run '%s' %s", m.tags, m.run, m.pkg)
 			case !strings.Contains(string(out), "--- FAIL"):
 				t.Fatalf("go test failed without a failing test:\n%s", out)
 			}
