@@ -107,14 +107,17 @@ var ciRows = []ciRow{
 	// the same bytes on two shard workers (the sdp probe's world stays on
 	// one environment).
 	tool("probes", "one-binary", oneBinary),
-	probe("perftest -test bw -size 65536 -delay 1000 -window 8"),
-	probe("ipoib -mode ud -delay 1000 -streams 8"),
-	probe("ipoib -mode rc -delay 1000 -streams 4"),
-	probe("ipoib -mode sdp -delay 1000 -streams 4"),
-	probe("mpi -bench bw -size 16384 -delay 1000 -threshold 65536"),
-	probe("nas -kernel CG -class A -procs 16 -delay 10000 -profile"),
-	probe("nfs -transport tcp-rc -threads 8 -delay 1000 -filemb 64"),
-	probe("nfs -transport tcp-ud -threads 4 -delay 1000 -filemb 32"),
+	probe("probe perftest -test bw -size 65536 -delay 1000 -window 8"),
+	probe("probe ipoib -mode ud -delay 1000 -streams 8"),
+	probe("probe ipoib -mode rc -delay 1000 -streams 4"),
+	probe("probe ipoib -mode sdp -delay 1000 -streams 4"),
+	probe("probe mpi -bench bw -size 16384 -delay 1000 -threshold 65536"),
+	probe("-class A probe nas -kernel CG -procs 16 -delay 10000 -profile"),
+	probe("-filemb 64 probe nfs -transport tcp-rc -threads 8 -delay 1000"),
+	probe("-filemb 32 probe nfs -transport tcp-ud -threads 4 -delay 1000"),
+	// -tcpms sets the probe's window as it sets the figure's: fig7(b)'s
+	// -quick 4-streams cell.
+	probe("-tcpms 10 probe ipoib -mode rc -streams 4 -delay 1000", contains("stdout", "888.820")),
 
 	row("multisite", "list", "-list", contains("stdout", "multisite-bcast")),
 	row("multisite", "star3-bcast", "-quick -topo star3 multisite-bcast", noERR),
@@ -181,10 +184,10 @@ func tool(group, name string, fn func(t *testing.T)) ciRow {
 	return ciRow{group: group, name: name, fn: fn}
 }
 
-func probe(args string) ciRow {
-	return row("probes", args, "probe "+args,
+func probe(cmd string, want ...check) ciRow {
+	return row("probes", strings.TrimPrefix(cmd, "probe "), cmd, append(want,
 		matches("stdout", `[0-9]+\.[0-9]+`), noERR,
-		sameAs("GOMAXPROCS=4 -par 1 -shards 2 probe "+args, "stdout"))
+		sameAs("GOMAXPROCS=4 -par 1 -shards 2 "+cmd, "stdout"))...)
 }
 
 // ciRun is one finished run of the binary.

@@ -10,9 +10,9 @@ import (
 	"repro/internal/sim"
 )
 
-// parseFaultSpec turns the -fault flag into a run-wide chaos plan. The
-// grammar is an optional link restriction followed by a comma-separated
-// list of levers:
+// parseFaultSpec turns the -fault flag into a run-wide chaos plan, whose
+// values core.Options.Validate checks. The grammar is an optional link
+// restriction followed by a comma-separated list of levers:
 //
 //	link=NAME:               restrict the WAN levers to the named link on
 //	                         multi-link topologies, NAME in siteA-siteB
@@ -88,9 +88,6 @@ func parseFaultSpec(spec string) (*fault.Plan, error) {
 		default:
 			return nil, fmt.Errorf("unknown fault lever %q", key)
 		}
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
 	}
 	return p, nil
 }

@@ -23,10 +23,10 @@
 // the paper measured that layer with: perftest (verbs), iperf (ipoib, incl.
 // -mode sdp), OMB (mpi), the NAS kernels (nas), IOzone (nfs). It runs on the
 // same harness as a registry experiment, so every flag before the word
-// "probe" applies (-fault, -trace-out, -metrics-out, -json, -csv, ...)
-// except the five that shape registry sweeps (-quick, -class, -filemb,
-// -tcpms, -topo). At a figure's parameters it prints that figure's cell; a
-// bad flag value is exit 2, a point the model cannot complete an ERR row.
+// "probe" applies (-fault, -class, -filemb, -tcpms, -trace-out, -json,
+// -csv, ...) except the two that shape registry sweeps (-quick, -topo). At
+// a figure's parameters it prints that figure's cell; a bad flag value is
+// exit 2, a point the model cannot complete an ERR row.
 // "ibwan-exp probe <layer> -h" lists a layer's flags.
 //
 // Every experiment expands into independent measurement points (one
@@ -62,7 +62,7 @@
 //	ibwan-exp -quick -sample-every 1ms -timeline-out tl.csv loss-flap  # same, CSV
 //	ibwan-exp -list                                 # experiment ids + descriptions
 //	ibwan-exp probe mpi -bench bw -size 16384 -delay 1000 -threshold 65536
-//	ibwan-exp probe nfs -transport tcp-rc -threads 8 -delay 1000 -filemb 64
+//	ibwan-exp -filemb 64 probe nfs -transport tcp-rc -threads 8 -delay 1000
 //	ibwan-exp -fault wan-loss=0.01 probe ipoib -mode ud -streams 8   # a probe under chaos
 //	ibwan-exp -trace-out p.json probe perftest -test bw -size 65536  # its packet log
 //
@@ -91,11 +91,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/nas"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -116,11 +114,11 @@ func flagSet(name string) bool {
 func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	chart := flag.Bool("chart", false, "render terminal sparkline charts instead of tables")
-	class := flag.String("class", "B", "NAS problem class for fig12 (B, A or W)")
-	fileMB := flag.Int("filemb", 512, "IOzone file size in MB for fig13")
-	tcpMS := flag.Int("tcpms", 60, "TCP measurement window (virtual ms) for fig6/fig7")
+	class := flag.String("class", "", "NAS problem class for fig12 and probe nas: B, A or W (default B, W under -quick)")
+	fileMB := flag.Int("filemb", 0, "IOzone file size in MB for fig13 and probe nfs (default 512, 16 under -quick)")
+	tcpMS := flag.Int("tcpms", 0, "TCP measurement window (virtual ms) for fig6/fig7 and probe ipoib (default 60, 10 under -quick)")
 	quick := flag.Bool("quick", false, "coarse sweeps for a fast smoke run")
-	topoName := flag.String("topo", "star3", "site topology preset for the multisite-* family ("+strings.Join(topo.PresetNames(), "|")+")")
+	topoName := flag.String("topo", "", "site topology preset for the multisite-*, congest-* and failover-* families: "+strings.Join(topo.PresetNames(), "|")+" (default star3)")
 	list := flag.Bool("list", false, "list the experiment registry with one-line descriptions and exit")
 	par := flag.Int("par", runtime.GOMAXPROCS(0), "measurement points run concurrently (output is identical at any value)")
 	shards := flag.Int("shards", 1, "OS workers per simulation world: a world of two or more sites whose WAN links all have a delay runs one event shard per site on up to this many workers (output is identical at any value)")
@@ -130,7 +128,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write an allocation profile taken at exit to this file")
 	traceOut := flag.String("trace-out", "", "write a Perfetto (Chrome trace event) JSON trace of the run to this file ('-' = stdout, suppresses tables); forces -par 1")
 	metricsOut := flag.String("metrics-out", "", "write a telemetry metrics dump to this file ('-' = stdout, suppresses tables; a .json suffix selects JSON, otherwise text)")
-	spanDepth := flag.Int("span-depth", 0, "suppress trace spans nested deeper than this (0 = unlimited; applies to -trace-out)")
+	spanDepth := flag.Int("span-depth", 0, "suppress trace spans nested deeper than this (0 = unlimited); requires -trace-out")
 	sampleEvery := flag.Duration("sample-every", 0, "sample telemetry timelines at this interval of virtual time (e.g. 1ms; output is identical at any -par/-shards)")
 	timelineOut := flag.String("timeline-out", "", "write sampled timelines to this file ('-' = stdout, suppresses tables; a .csv suffix selects CSV, otherwise JSON); requires -sample-every")
 	faultSpec := flag.String("fault", "", "run-wide chaos plan, e.g. 'wan-loss=0.01,seed=7' or 'wan-down' or 'wan-flap=5ms:20ms'; prefix 'link=NAME:' targets one link of a multi-link topology (e.g. 'link=r1-r2:wan-down'); failed points render as ERR")
@@ -154,43 +152,24 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if _, err := topo.Preset(*topoName, 0, 0); err != nil {
-		fmt.Fprintf(os.Stderr, "ibwan-exp: -topo: %v\n", err)
-		os.Exit(2)
-	}
-	// A negative measurement window or file size has no meaning and would
-	// otherwise run on as a silently wrong number (0 selects the default).
-	if *tcpMS < 0 {
-		fmt.Fprintf(os.Stderr, "ibwan-exp: -tcpms must not be negative (got %d)\n", *tcpMS)
-		os.Exit(2)
-	}
-	if *fileMB < 0 {
-		fmt.Fprintf(os.Stderr, "ibwan-exp: -filemb must not be negative (got %d)\n", *fileMB)
-		os.Exit(2)
-	}
-	if !slices.Contains(nas.Classes(), *class) {
-		fmt.Fprintf(os.Stderr, "ibwan-exp: -class must be one of %s (got %q)\n", strings.Join(nas.Classes(), ", "), *class)
-		os.Exit(2)
-	}
 	opt := core.Options{NASClass: *class, NFSFileMB: *fileMB, TCPMillis: *tcpMS, Topo: *topoName, Quick: *quick}
-	if *quick {
-		// Let Quick pick its own lighter defaults unless overridden.
-		if !flagSet("class") {
-			opt.NASClass = ""
+	if *faultSpec != "" {
+		plan, err := parseFaultSpec(*faultSpec)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ibwan-exp: -fault: %v\n", err)
+			os.Exit(2)
 		}
-		if !flagSet("filemb") {
-			opt.NFSFileMB = 0
-		}
-		if !flagSet("tcpms") {
-			opt.TCPMillis = 0
-		}
+		opt.Fault = plan
+	}
+	if err := opt.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "ibwan-exp: %v\n", err)
+		os.Exit(2)
 	}
 	var specs []core.Spec
 	if args[0] == "probe" {
-		// The sweep-shaping flags mean nothing to a single point (a probe
-		// has its own -class and -filemb): refuse them rather than print a
-		// number they did not shape.
-		for _, name := range []string{"quick", "class", "filemb", "tcpms", "topo"} {
+		// A probe is one point: refuse the flags that shape sweeps rather
+		// than print a number they did not shape.
+		for _, name := range []string{"quick", "topo"} {
 			if flagSet(name) {
 				fmt.Fprintf(os.Stderr, "ibwan-exp: -%s shapes registry sweeps and does not apply to a probe (probe flags go after the layer name)\n", name)
 				os.Exit(2)
@@ -217,24 +196,24 @@ func main() {
 			specs = append(specs, spec)
 		}
 	}
-	// Validate observability knobs before any simulation: a zero or negative
-	// sampling interval, a negative span depth, or a timeline sink with no
-	// sampler are configuration errors, reported exactly like an unknown
-	// experiment id (usage + exit 2), not silently ignored.
-	if flagSet("sample-every") && *sampleEvery <= 0 {
-		fmt.Fprintf(os.Stderr, "ibwan-exp: -sample-every must be a positive duration (got %v)\n\n", *sampleEvery)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *spanDepth < 0 {
-		fmt.Fprintf(os.Stderr, "ibwan-exp: -span-depth must be non-negative (got %d)\n\n", *spanDepth)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *timelineOut != "" && *sampleEvery <= 0 {
-		fmt.Fprintf(os.Stderr, "ibwan-exp: -timeline-out requires -sample-every (there is nothing to write without a sampling interval)\n\n")
-		flag.Usage()
-		os.Exit(2)
+	// Validate the observability and table knobs before any simulation: a
+	// value with no meaning, or a flag that would silently do nothing, is
+	// reported exactly like an unknown experiment id (usage + exit 2).
+	for _, c := range []struct {
+		bad bool
+		msg string
+	}{
+		{flagSet("sample-every") && *sampleEvery <= 0, fmt.Sprintf("-sample-every must be a positive duration (got %v)", *sampleEvery)},
+		{*spanDepth < 0, fmt.Sprintf("-span-depth must be non-negative (got %d)", *spanDepth)},
+		{*timelineOut != "" && *sampleEvery <= 0, "-timeline-out requires -sample-every (there is nothing to write without a sampling interval)"},
+		{*spanDepth != 0 && *traceOut == "", "-span-depth requires -trace-out (there are no spans to suppress without a trace)"},
+		{*csv && *chart, "-csv and -chart are two table formats; pick one"},
+	} {
+		if c.bad {
+			fmt.Fprintf(os.Stderr, "ibwan-exp: %s\n\n", c.msg)
+			flag.Usage()
+			os.Exit(2)
+		}
 	}
 	ropt := core.RunnerOptions{Workers: *par, SampleEvery: sim.Duration(*sampleEvery)}
 	if *par < 1 || *shards < 1 {
@@ -264,14 +243,6 @@ func main() {
 	}
 	if *progress {
 		ropt.Progress = os.Stderr
-	}
-	if *faultSpec != "" {
-		plan, err := parseFaultSpec(*faultSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ibwan-exp: -fault: %v\n", err)
-			os.Exit(2)
-		}
-		ropt.Fault = plan
 	}
 
 	outPaths := []struct{ flag, path string }{

@@ -68,11 +68,11 @@ func TestProbeMisuseExitsTwo(t *testing.T) {
 		{"probe perftest -delay -5", "-delay must be between"},
 		{"probe mpi -size -5", "-size must be at least 1"},
 		{"probe perftest -transport xx", "-transport must be one of rc, ud"},
-		{"probe nas -class Z", "-class must be one of B, A, W"},
+		{"-class Z probe nas", "-class must be one of B, A, W"},
 		{"probe nas -procs 7", "-procs must be even"},
 		{"probe mpi -no-such-flag", "flag provided but not defined"},
 		{"-quick probe mpi", "-quick shapes registry sweeps"},
-		{"-filemb 16 probe nfs", "-filemb shapes registry sweeps"},
+		{"-topo ring4 probe nfs", "-topo shapes registry sweeps"},
 	} {
 		stdout, stderr, code := runBin(t, strings.Fields(c.args)...)
 		first, _, _ := strings.Cut(stderr, "\n")
@@ -99,8 +99,9 @@ func TestProbeMisuseExitsTwo(t *testing.T) {
 // destination and a profile sent to stdout, which used to exit 0 with
 // output no reader parses; nothing is created at the shared path. So are a
 // negative window, file size, sampling interval or span depth, a timeline
-// with nothing sampled, and more workers than the host can run: exit 2 with
-// the message, not any non-zero exit, which a panic would pass too.
+// with nothing sampled, a span depth with no trace, two table formats at
+// once, and more workers than the host can run: exit 2 with the message, not
+// any non-zero exit, which a panic would pass too.
 func TestSweepFlagMisuseExitsTwo(t *testing.T) {
 	dir := t.TempDir()
 	shared := filepath.Join(dir, "out.json")
@@ -123,6 +124,8 @@ func TestSweepFlagMisuseExitsTwo(t *testing.T) {
 		{"-topo bogus fig3", `-topo: topo: unknown preset "bogus"`},
 		{"-sample-every -1ms fig3", "-sample-every must be a positive duration (got -1ms)"},
 		{"-span-depth -1 fig3", "-span-depth must be non-negative (got -1)"},
+		{"-span-depth 2 table1", "-span-depth requires -trace-out"},
+		{"-csv -chart table1", "-csv and -chart are two table formats"},
 	} {
 		stdout, stderr, code := runBin(t, strings.Fields(c.args)...)
 		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "ibwan-exp: "+c.want) {

@@ -123,7 +123,7 @@ type arenaOutcome struct {
 // arena with it, so the point after it is as good as on a fresh worker.
 func TestArenaIsolation(t *testing.T) {
 	opt := Options{Quick: true, Topo: "ring4"}
-	opt.fill()
+	opt = opt.filled()
 	dirty := arenaDirtyPoints(opt)
 	clean, stops := arenaCleanPoints(opt)
 	for _, mode := range []RunnerOptions{{Workers: 1}, {Workers: 4}, {Workers: 1, ShardWorkers: 2}} {
@@ -207,7 +207,7 @@ func TestArenaIsolation(t *testing.T) {
 // served them idle on the list.
 func TestArenaPinsNoDeadWorld(t *testing.T) {
 	opt := Options{Quick: true, Topo: "ring4"}
-	opt.fill()
+	opt = opt.filled()
 	dirty := arenaDirtyPoints(opt)
 	clean, _ := arenaCleanPoints(opt)
 	for _, mode := range []RunnerOptions{{Workers: 1}, {Workers: 1, ShardWorkers: 2}} {

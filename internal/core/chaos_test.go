@@ -34,12 +34,11 @@ func TestDeadWANTerminates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dead-WAN sweep skipped in -short mode")
 	}
-	opt := Options{Quick: true}
-	plan := &fault.Plan{Seed: 1, WANDown: true}
+	opt := Options{Quick: true, Fault: &fault.Plan{Seed: 1, WANDown: true}}
 	for _, id := range ExperimentIDs {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			res := RunWith(id, opt, RunnerOptions{Workers: 4, Fault: plan})
+			res := RunWith(id, opt, RunnerOptions{Workers: 4})
 			// table1 computes delay budgets without touching the WAN link,
 			// and the loss-* family overrides the run-wide plan with its
 			// own per-point plans (TestRunWideFaultOverride pins that);
@@ -88,11 +87,10 @@ func TestDeadWANDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dead-WAN determinism check skipped in -short mode")
 	}
-	opt := Options{Quick: true}
-	plan := &fault.Plan{Seed: 1, WANDown: true}
+	opt := Options{Quick: true, Fault: &fault.Plan{Seed: 1, WANDown: true}}
 	for _, id := range []string{"fig5", "fig8", "loss-goodput"} {
-		seq := renderWithErrors(RunWith(id, opt, RunnerOptions{Workers: 1, Fault: plan}))
-		par := renderWithErrors(RunWith(id, opt, RunnerOptions{Workers: 8, Fault: plan}))
+		seq := renderWithErrors(RunWith(id, opt, RunnerOptions{Workers: 1}))
+		par := renderWithErrors(RunWith(id, opt, RunnerOptions{Workers: 8}))
 		if seq != par {
 			t.Errorf("%s: dead-WAN output diverges across worker counts\n--- par=1 ---\n%s\n--- par=8 ---\n%s",
 				id, seq, par)
@@ -138,8 +136,8 @@ func TestRunWideFaultOverride(t *testing.T) {
 	}
 	opt := Options{Quick: true}
 	clean := renderWithErrors(RunWith("loss-goodput", opt, RunnerOptions{Workers: 4}))
-	chaos := renderWithErrors(RunWith("loss-goodput", opt,
-		RunnerOptions{Workers: 4, Fault: &fault.Plan{Seed: 1, WANDown: true}}))
+	opt.Fault = &fault.Plan{Seed: 1, WANDown: true}
+	chaos := renderWithErrors(RunWith("loss-goodput", opt, RunnerOptions{Workers: 4}))
 	if clean != chaos {
 		t.Errorf("per-point plans did not override the run-wide plan\n--- clean ---\n%s\n--- chaos ---\n%s",
 			clean, chaos)
@@ -167,10 +165,38 @@ func TestPlansThatCannotFire(t *testing.T) {
 	for _, id := range []string{"fig3", "fig6", "fig9", "fig13", "loss-tcp"} {
 		clean := renderWithErrors(RunWith(id, opt, RunnerOptions{Workers: 2}))
 		for _, p := range plans {
-			if got := renderWithErrors(RunWith(id, opt, RunnerOptions{Workers: 2, Fault: p.plan})); got != clean {
+			if got := renderWithErrors(RunWith(id, Options{Quick: true, Fault: p.plan}, RunnerOptions{Workers: 2})); got != clean {
 				t.Errorf("%s under -fault %s differs from no plan\n--- no plan ---\n%s\n--- %s ---\n%s",
 					id, p.name, clean, p.name, got)
 			}
+		}
+	}
+}
+
+// TestPlanOnALinkNoRouteUses: on mesh4, multisite-nfs reads every file
+// from m0, so the links among m1, m2 and m3 carry nothing, and a plan
+// restricted to one of them renders the bytes of no plan, however hard it
+// hits. The control, on a link the reads cross, must move them.
+func TestPlanOnALinkNoRouteUses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("unused-link plan sweep skipped in -short mode")
+	}
+	render := func(p *fault.Plan) string {
+		return renderWithErrors(RunWith("multisite-nfs", Options{Quick: true, Topo: "mesh4", Fault: p}, RunnerOptions{Workers: 2}))
+	}
+	clean := render(nil)
+	for _, c := range []struct {
+		name  string
+		plan  fault.Plan
+		fires bool
+	}{
+		{"link=m1-m2:wan-loss=0.5,seed=7", fault.Plan{Seed: 7, Link: "m1-m2", WANLoss: 0.5}, false},
+		{"link=m2-m3:wan-down", fault.Plan{Seed: 1, Link: "m2-m3", WANDown: true}, false},
+		{"link=m0-m1:wan-loss=0.01,seed=7", fault.Plan{Seed: 7, Link: "m0-m1", WANLoss: 0.01}, true},
+	} {
+		if got := render(&c.plan); (got != clean) != c.fires {
+			t.Errorf("multisite-nfs on mesh4 under -fault %s: changed %v, want %v\n--- no plan ---\n%s\n--- %s ---\n%s",
+				c.name, got != clean, c.fires, clean, c.name, got)
 		}
 	}
 }
@@ -184,9 +210,8 @@ func TestPerLinkPlanMatchesRunWide(t *testing.T) {
 	if testing.Short() {
 		t.Skip("per-link plan sweep skipped in -short mode")
 	}
-	opt := Options{Quick: true}
 	render := func(id string, p *fault.Plan) string {
-		return renderWithErrors(RunWith(id, opt, RunnerOptions{Workers: 2, Fault: p}))
+		return renderWithErrors(RunWith(id, Options{Quick: true, Fault: p}, RunnerOptions{Workers: 2}))
 	}
 	cases := []struct {
 		name string

@@ -67,8 +67,7 @@ var congestStreamSeries = []congestSeriesSpec{
 // congestRate and, when frac > 0, bounded at frac of its own
 // bandwidth-delay product with the given marking/backpressure discipline.
 func congestNet(m *Meter, opt Options, sc congestSeriesSpec) *topo.Network {
-	spec, err := topo.Preset(opt.Topo, multisiteNodes(opt), congestDelay)
-	m.Check(err)
+	spec := opt.preset(congestDelay)
 	links := make([]topo.Link, len(spec.Links))
 	copy(links, spec.Links)
 	for i := range links {
@@ -209,7 +208,6 @@ func congestDur(opt Options) sim.Time {
 // mark and drop coming from occupancy, with the injected-fault ledger
 // reading zero.
 func congestStreams(opt Options) *Plan {
-	opt.fill()
 	t := stats.NewTable(multisiteTitle(opt, "IPoIB-UD aggregate goodput vs parallel streams, bounded WAN queue"),
 		"Parallel Streams", "Goodput (MillionBytes/s)")
 	pl := &Plan{Tables: []*stats.Table{t}}
@@ -239,7 +237,6 @@ func congestStreams(opt Options) *Plan {
 // and lossless credit stalls trade drops for head-of-line blocking on the
 // stalled port.
 func congestQueue(opt Options) *Plan {
-	opt.fill()
 	t := stats.NewTable(multisiteTitle(opt,
 		fmt.Sprintf("IPoIB-UD aggregate goodput vs queue bound, %d streams", congestStreamCount)),
 		"Queue Bound (fraction of BDP)", "Goodput (MillionBytes/s)")

@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/fault"
 	"repro/internal/ib"
 	"repro/internal/ipoib"
 	"repro/internal/mpi"
@@ -13,6 +16,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tcpsim"
+	"repro/internal/topo"
 	"repro/internal/wan"
 )
 
@@ -24,28 +28,72 @@ import (
 // (runner.go) may execute them on any number of workers without changing
 // the rendered output.
 
-// Options tunes experiment weight without changing shape.
+// Options is the one description of a run: what is simulated. How the run
+// executes (workers, shards, telemetry, sampling, progress) is
+// RunnerOptions'. The zero value of every field selects its default, and
+// Validate names the first field that has no meaning; every registry and
+// probe Spec fills and checks the Options it is given once, in its Build.
 type Options struct {
-	// NASClass selects the NAS problem class for fig12 ("B" = paper;
-	// "A"/"W" are faster). Default "B" ("W" under Quick).
+	// NASClass selects the NAS problem class for fig12 and probe nas ("B"
+	// = paper; "A"/"W" are faster). Default "B" ("W" under Quick).
 	NASClass string
-	// NFSFileMB is the IOzone file size in MB (paper: 512). Throughput is
-	// steady-state, so smaller files give the same numbers faster.
-	// Default 512.
+	// NFSFileMB is the IOzone file size in MB for fig13 and probe nfs
+	// (paper: 512). Throughput is steady-state, so smaller files give the
+	// same numbers faster. Default 512 (16 under Quick).
 	NFSFileMB int
 	// TCPMillis is the per-point measurement window for the TCP
-	// experiments in milliseconds of virtual time at zero delay; it is
-	// scaled up with delay automatically. Default 60.
+	// experiments and probe ipoib in milliseconds of virtual time at zero
+	// delay; it is scaled up with delay automatically. Default 60 (10
+	// under Quick).
 	TCPMillis int
-	// Topo names the topo preset the multisite-* family runs on
-	// ("paper", "star3", "ring4", "mesh4"). Default "star3".
+	// Topo names the topo preset the multisite-*, congest-* and failover-*
+	// families run on ("paper", "star3", "ring4", "mesh4", ...). Default
+	// "star3".
 	Topo string
 	// Quick shrinks every sweep (fewer delays, sizes, streams, smaller
 	// worlds) for smoke runs; shapes remain visible but are coarser.
 	Quick bool
+	// Fault, when non-nil, is a run-wide chaos plan attached to every
+	// simulation environment every point creates (the CLI -fault flag).
+	// Points that install their own plan (the loss-* family) override it.
+	// Determinism is unaffected: a verdict is a pure function of the
+	// packet, whatever the worker count.
+	Fault *fault.Plan
 }
 
-func (o *Options) fill() {
+// Validate reports the first field that has no meaning, in the words of
+// the CLI flag that sets it. Zero values are valid: they select defaults.
+func (o Options) Validate() error {
+	if o.Topo != "" {
+		if _, err := topo.Preset(o.Topo, 0, 0); err != nil {
+			return fmt.Errorf("-topo: %v", err)
+		}
+	}
+	switch {
+	case o.TCPMillis < 0:
+		// A negative window or file size would otherwise run on as a
+		// silently wrong number.
+		return fmt.Errorf("-tcpms must not be negative (got %d)", o.TCPMillis)
+	case o.NFSFileMB < 0:
+		return fmt.Errorf("-filemb must not be negative (got %d)", o.NFSFileMB)
+	case o.NASClass != "" && !slices.Contains(nas.Classes(), o.NASClass):
+		return fmt.Errorf("-class must be one of %s (got %q)", strings.Join(nas.Classes(), ", "), o.NASClass)
+	}
+	if o.Fault != nil {
+		if err := o.Fault.Validate(); err != nil {
+			return fmt.Errorf("-fault: %v", err)
+		}
+	}
+	return nil
+}
+
+// filled returns o with every zero field at its default. Options that do
+// not validate panic with Validate's message, the way mustLookup panics on
+// an unknown id: the CLI validates first.
+func (o Options) filled() Options {
+	if err := o.Validate(); err != nil {
+		panic("core: " + err.Error())
+	}
 	if o.NASClass == "" {
 		o.NASClass = "B"
 		if o.Quick {
@@ -67,6 +115,22 @@ func (o *Options) fill() {
 	if o.Topo == "" {
 		o.Topo = "star3"
 	}
+	return o
+}
+
+// preset returns the topology of o.Topo with every link at delay, its sites
+// sized for the sweep. It cannot fail on filled Options: Validate checked
+// the name.
+func (o Options) preset(delay sim.Time) topo.Topology {
+	nodes := 4
+	if o.Quick {
+		nodes = 2
+	}
+	t, err := topo.Preset(o.Topo, nodes, delay)
+	if err != nil {
+		panic("core: " + err.Error())
+	}
+	return t
 }
 
 // delays returns the WAN delay sweep.
@@ -187,7 +251,6 @@ func fig5(opt Options) *Plan { return verbsBandwidth(opt, 5, ib.RC, 4<<20) }
 // verbsBandwidth is the shape fig4 and fig5 share: one series per delay,
 // message sizes from 2 bytes to maxSize, uni- and bidirectional.
 func verbsBandwidth(opt Options, fig int, tr ib.Transport, maxSize int) *Plan {
-	opt.fill()
 	bw := stats.NewTable(fmt.Sprintf("Figure %d(a): Verbs-level %s Bandwidth", fig, tr),
 		"Message Size (Bytes)", "Bandwidth (MillionBytes/s)")
 	bibw := stats.NewTable(fmt.Sprintf("Figure %d(b): Verbs-level %s Bidirectional Bandwidth", fig, tr),
@@ -323,7 +386,6 @@ func fig7(opt Options) *Plan {
 // tcpFigure is the shape fig6 and fig7 share: (a) one stream per variant,
 // (b) parallel streams at the mode's defaults, both vs WAN delay.
 func tcpFigure(opt Options, fig int, mode ipoib.Mode, variants []tcpVariant) *Plan {
-	opt.fill()
 	a := stats.NewTable(fmt.Sprintf("Figure %d(a): IPoIB-%s single-stream throughput vs delay", fig, mode),
 		"Delay (usecs)", "Throughput (MillionBytes/s)")
 	pl := &Plan{}
@@ -400,7 +462,6 @@ func mpiIters(size int) int {
 
 // fig8 reproduces MPI bandwidth and bidirectional bandwidth vs delay.
 func fig8(opt Options) *Plan {
-	opt.fill()
 	bw := stats.NewTable("Figure 8(a): MPI Bandwidth (MVAPICH2-model)",
 		"Message Size (Bytes)", "Bandwidth (MillionBytes/s)")
 	bibw := stats.NewTable("Figure 8(b): MPI Bidirectional Bandwidth",
@@ -424,7 +485,6 @@ func fig8(opt Options) *Plan {
 
 // fig9 reproduces the rendezvous-threshold tuning experiment at 1 ms delay.
 func fig9(opt Options) *Plan {
-	opt.fill()
 	const delay = 1000 // microseconds
 	bw := stats.NewTable("Figure 9(a): MPI Bandwidth with protocol thresholds, 1ms delay",
 		"Message Size (Bytes)", "Bandwidth (MillionBytes/s)")
@@ -456,7 +516,6 @@ func fig9(opt Options) *Plan {
 
 // fig10 reproduces the multi-pair aggregate message rate at three delays.
 func fig10(opt Options) *Plan {
-	opt.fill()
 	delays := []sim.Time{sim.Micros(10), sim.Micros(1000), sim.Micros(10000)}
 	pairCounts := []int{4, 8, 16}
 	if opt.Quick {
@@ -485,7 +544,6 @@ func fig10(opt Options) *Plan {
 // fig11 reproduces the broadcast comparison: the stock algorithm vs the
 // WAN-aware hierarchical broadcast, 64+64 processes, three delays.
 func fig11(opt Options) *Plan {
-	opt.fill()
 	delays := []sim.Time{sim.Micros(10), sim.Micros(100), sim.Micros(1000)}
 	sizes := []int{4, 16, 64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 128 << 10}
 	nodesPerCluster := 32
@@ -523,7 +581,6 @@ func fig11(opt Options) *Plan {
 // the measured one after all points land (Finish), exactly as the
 // sequential loop computed it.
 func fig12(opt Options) *Plan {
-	opt.fill()
 	t := stats.NewTable(
 		fmt.Sprintf("Figure 12: NAS class %s execution time (64 procs, 32+32)", opt.NASClass),
 		"Delay (usecs)", "Execution Time (s)")
@@ -600,7 +657,6 @@ func nfsPoint(m *Meter, transport string, lan bool, d sim.Time, cfg nfs.IOzoneCo
 
 // fig13 reproduces the NFS read throughput experiments.
 func fig13(opt Options) *Plan {
-	opt.fill()
 	fileMB := int64(opt.NFSFileMB)
 	streams := []int{1, 2, 4, 8}
 	if opt.Quick {

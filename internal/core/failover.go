@@ -39,8 +39,7 @@ const (
 // for kill >= 0, a scheduled permanent kill of link kill at
 // failoverKillAt. A zero debounce selects the monitor defaults.
 func failoverNet(m *Meter, opt Options, kill int, label string, debounce sim.Time) *topo.Network {
-	spec, err := topo.Preset(opt.Topo, multisiteNodes(opt), failoverDelay)
-	m.Check(err)
+	spec := opt.preset(failoverDelay)
 	spec.Failover = &ib.HealthConfig{DebounceDown: debounce, DebounceUp: debounce}
 	if kill >= 0 {
 		spec.Links[kill].Fault = &fault.Plan{
@@ -77,7 +76,6 @@ func failoverSeriesName(spec topo.Topology, kill int) string {
 // is a measurement — destinations whose route crossed the dead link pay
 // the detour and the recovery stall instead of erroring out.
 func failoverKill(opt Options) *Plan {
-	opt.fill()
 	goodput := stats.NewTable(multisiteTitle(opt, "RC goodput, one WAN link killed mid-run, failover on"),
 		"Destination Site Index", "Goodput (MillionBytes/s)")
 	lat := stats.NewTable(multisiteTitle(opt, "RC latency, one WAN link killed mid-run, failover on"),
@@ -90,10 +88,7 @@ func failoverKill(opt Options) *Plan {
 		count = 64
 		iters = 20
 	}
-	spec, err := topo.Preset(opt.Topo, multisiteNodes(opt), failoverDelay)
-	if err != nil {
-		spec = topo.Topology{Sites: []topo.Site{{Name: "?"}, {Name: "??"}}}
-	}
+	spec := opt.preset(failoverDelay)
 	for _, kill := range failoverKills(spec) {
 		name := failoverSeriesName(spec, kill)
 		gs := goodput.AddSeries(name)
@@ -175,7 +170,6 @@ func convergeRC(env *sim.Env, a, b *ib.HCA) sim.Time {
 // series is the floor: the first probe completion after the kill instant
 // on a healthy fabric.
 func failoverDebounce(opt Options) *Plan {
-	opt.fill()
 	t := stats.NewTable(multisiteTitle(opt, "failover convergence vs debounce, first link killed"),
 		"Debounce (usecs)", "Recovery After Kill (us)")
 	pl := &Plan{Tables: []*stats.Table{t}}
@@ -211,7 +205,6 @@ func failoverDebounce(opt Options) *Plan {
 // priced into it), where the route-once fabric produced ERR rows. The
 // no-fault series is the single baseline point at x = -1.
 func failoverServices(opt Options) *Plan {
-	opt.fill()
 	mpiT := stats.NewTable(multisiteTitle(opt, "MPI hier broadcast latency (64KB) across a link kill"),
 		"Killed Link Index", "Latency (us)")
 	nfsT := stats.NewTable(multisiteTitle(opt, "NFS/RDMA read throughput across a link kill"),
@@ -226,10 +219,7 @@ func failoverServices(opt Options) *Plan {
 	if opt.TCPMillis < 40 {
 		opt.TCPMillis = 40
 	}
-	spec, err := topo.Preset(opt.Topo, multisiteNodes(opt), failoverDelay)
-	if err != nil {
-		spec = topo.Topology{Sites: []topo.Site{{Name: "?"}, {Name: "??"}}}
-	}
+	spec := opt.preset(failoverDelay)
 	for _, kill := range failoverKills(spec) {
 		name := failoverSeriesName(spec, kill)
 		x := float64(kill)

@@ -41,8 +41,7 @@ func TestFailoverDeterminismMatrix(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					run := func(ropt RunnerOptions) string {
-						ropt.Fault = plan
-						res := RunWith(id, Options{Quick: true, Topo: preset}, ropt)
+						res := RunWith(id, Options{Quick: true, Topo: preset, Fault: plan}, ropt)
 						return renderTables(res) + fmt.Sprint(res.Errors)
 					}
 					base := run(RunnerOptions{Workers: 1})

@@ -50,7 +50,6 @@ func lossRates(quick bool) []float64 {
 // one series per WAN delay. Loss hurts quadratically with delay: every
 // retransmission costs a timeout plus another WAN round trip.
 func lossGoodput(opt Options) *Plan {
-	opt.fill()
 	t := stats.NewTable("Loss: RC Streaming Goodput vs WAN Packet Loss",
 		"Loss (%)", "Goodput (MillionBytes/s)")
 	pl := &Plan{Tables: []*stats.Table{t}}
@@ -78,7 +77,6 @@ func lossGoodput(opt Options) *Plan {
 // retransmission timeout, so the mean degrades sharply even at sub-percent
 // loss.
 func lossLatency(opt Options) *Plan {
-	opt.fill()
 	t := stats.NewTable("Loss: RC Send/Recv Latency (8-byte) vs WAN Packet Loss",
 		"Loss (%)", "Latency (us)")
 	s := t.AddSeries("rc-8B")
@@ -104,7 +102,6 @@ func lossLatency(opt Options) *Plan {
 // decreases with outage length because the elapsed time absorbs the
 // outage plus the retransmission backoff.
 func lossFlap(opt Options) *Plan {
-	opt.fill()
 	t := stats.NewTable("Loss: RC Streaming Goodput vs WAN Outage (link flap)",
 		"Outage (ms)", "Goodput (MillionBytes/s)")
 	s := t.AddSeries("rc-64KB")
@@ -141,7 +138,6 @@ func lossFlap(opt Options) *Plan {
 // loss inside the TCP stack — the classic TCP-under-loss curve, recovered
 // by the stack's RTO retransmission with exponential backoff.
 func lossTCP(opt Options) *Plan {
-	opt.fill()
 	// TCP pays a full RTO (50 ms) per loss, so the window must span many
 	// RTO stalls for the goodput estimate to mean anything, and the loss
 	// sweep sits an order of magnitude below the verbs one.

@@ -21,21 +21,10 @@ import (
 // intermediate sites, per-link WAN-byte accounting for the hierarchical
 // collectives, and faults that kill one link of many.
 
-// multisiteNodes sizes each site of the preset.
-func multisiteNodes(opt Options) int {
-	if opt.Quick {
-		return 2
-	}
-	return 4
-}
-
-// multisite builds the preset topology at the given all-links delay. An
-// unknown preset or malformed spec fails the point (ERR row), never the
-// run.
+// multisite builds the preset topology at the given all-links delay. A
+// malformed spec fails the point (ERR row), never the run.
 func (m *Meter) multisite(opt Options, delay sim.Time) *topo.Network {
-	t, err := topo.Preset(opt.Topo, multisiteNodes(opt), delay)
-	m.Check(err)
-	nw, err := topo.Build(m.NewEnv(), t)
+	nw, err := topo.Build(m.NewEnv(), opt.preset(delay))
 	m.Check(err)
 	return nw
 }
@@ -68,7 +57,6 @@ func bcastOnce(nw *topo.Network, size int, hier bool, link *topo.WANLink) int64 
 // generalization of Fig. 11 that shows the hierarchical algorithm paying
 // each link once while the flat algorithms re-cross them.
 func multisiteBcast(opt Options) *Plan {
-	opt.fill()
 	const delay = sim.Millisecond
 	lat := stats.NewTable(multisiteTitle(opt, "broadcast latency, 1ms links"),
 		"Message Size (Bytes)", "Latency (us)")
@@ -98,10 +86,7 @@ func multisiteBcast(opt Options) *Plan {
 		sb := bytesT.AddSeries(variant)
 		// One point per WAN link: the link count is a pure function of the
 		// preset, so the table shape is known at build time.
-		t, err := topo.Preset(opt.Topo, multisiteNodes(opt), delay)
-		if err != nil {
-			t = topo.Topology{} // unknown preset: no byte points; the latency points carry the error
-		}
+		t := opt.preset(delay)
 		for li := range t.Links {
 			li, lk := li, t.Links[li]
 			label := fmt.Sprintf("multisite-bcast/%s/%s/link%d[%s:%s]", opt.Topo, variant, li, lk.A, lk.B)
@@ -135,7 +120,6 @@ func allreduceLatency(w *mpi.World, vals, iters int, hier bool) sim.Time {
 // reduce+broadcast re-crosses WAN links with log(n) rounds, while the
 // site-tree variant pays each link one vector in each direction.
 func multisiteAllreduce(opt Options) *Plan {
-	opt.fill()
 	t := stats.NewTable(multisiteTitle(opt, "allreduce latency (1024 doubles)"),
 		"Delay (usecs)", "Latency (us)")
 	pl := &Plan{Tables: []*stats.Table{t}}
@@ -168,7 +152,6 @@ func multisiteAllreduce(opt Options) *Plan {
 // — the paper's cluster-of-clusters NFS scenario (Fig. 13) with clients
 // more than one WAN hop away on ring topologies.
 func multisiteNFS(opt Options) *Plan {
-	opt.fill()
 	t := stats.NewTable(multisiteTitle(opt, "NFS/RDMA read throughput, server at first site"),
 		"Client Site Index", "Throughput (MillionBytes/s)")
 	pl := &Plan{Tables: []*stats.Table{t}}
@@ -176,10 +159,7 @@ func multisiteNFS(opt Options) *Plan {
 	if fileMB > 64 {
 		fileMB = 64 // steady-state read: a modest file bounds per-point cost
 	}
-	spec, err := topo.Preset(opt.Topo, multisiteNodes(opt), 0)
-	if err != nil {
-		spec = topo.Topology{Sites: []topo.Site{{Name: "?"}, {Name: "??"}}} // shape for the error points
-	}
+	spec := opt.preset(0)
 	for _, d := range []sim.Time{0, sim.Millisecond} {
 		s := t.AddSeries(delayLabel(d))
 		for si := 1; si < len(spec.Sites); si++ {
@@ -206,7 +186,6 @@ func multisiteNFS(opt Options) *Plan {
 // rest keep their full goodput — per-link fault isolation that a
 // single-link testbed cannot express. The no-fault series is the baseline.
 func multisiteLoss(opt Options) *Plan {
-	opt.fill()
 	t := stats.NewTable(multisiteTitle(opt, "RC goodput with one WAN link down"),
 		"Destination Site Index", "Goodput (MillionBytes/s)")
 	pl := &Plan{Tables: []*stats.Table{t}}
@@ -215,10 +194,7 @@ func multisiteLoss(opt Options) *Plan {
 	if opt.Quick {
 		count = 64
 	}
-	spec, err := topo.Preset(opt.Topo, multisiteNodes(opt), 0)
-	if err != nil {
-		spec = topo.Topology{Sites: []topo.Site{{Name: "?"}, {Name: "??"}}}
-	}
+	spec := opt.preset(0)
 	kills := make([]int, 0, len(spec.Links)+1)
 	kills = append(kills, -1) // baseline: no link killed
 	for li := range spec.Links {
@@ -234,8 +210,7 @@ func multisiteLoss(opt Options) *Plan {
 			si, site := si, spec.Sites[si].Name
 			label := fmt.Sprintf("multisite-loss/%s/%s/site-%s", opt.Topo, name, site)
 			pl.point(s, float64(si), label, func(m *Meter) float64 {
-				spec, err := topo.Preset(opt.Topo, multisiteNodes(opt), 0)
-				m.Check(err)
+				spec := opt.preset(0)
 				if kill >= 0 {
 					spec.Links[kill].Fault = &fault.Plan{Seed: seedFor(label), WANDown: true}
 				}

@@ -28,9 +28,10 @@ import (
 
 // Probe is one probe layer: its name on the command line, its -list line,
 // and a binder that registers the layer's flags and returns the builder
-// ProbeSpec calls once they are parsed. The builder validates the values —
-// a probe never runs on one the model has no meaning for, nor on two that
-// contradict each other — and adds the tables and points.
+// ProbeSpec calls once they are parsed, and each Build again. The builder
+// validates the values — a probe never runs on one the model has no meaning
+// for, nor on two that contradict each other — and adds the tables and
+// points.
 type Probe struct {
 	Name string
 	Desc string
@@ -56,8 +57,9 @@ const maxProbeDelayUS = 1e6
 // ProbeSpec builds the Spec for "probe <layer> [flags]" from the words
 // after "probe". Any error — an unknown layer, a flag that does not parse, a
 // value out of range — is a usage error: its first line says what is wrong,
-// the rest lists the layer's flags. The Spec ignores Options (the probe's
-// own flags carry the parameters) and holds one Plan: build once, run once.
+// the rest lists the layer's flags. Like every registry Spec, its Build
+// fills the Options it is given and reads them: NASClass for nas, NFSFileMB
+// for nfs, TCPMillis for ipoib.
 func ProbeSpec(args []string) (Spec, error) {
 	var layer string
 	if len(args) > 0 {
@@ -72,7 +74,11 @@ func ProbeSpec(args []string) (Spec, error) {
 	fs.SetOutput(io.Discard)
 	delay := fs.Float64("delay", 0, "one-way WAN delay in microseconds")
 	build := p.bind(fs)
-	b := &probeBuild{pl: &Plan{}, title: "probe " + strings.Join(args, " ")}
+	plan := func(opt Options) (*Plan, error) {
+		b := &probeBuild{pl: &Plan{}, title: "probe " + strings.Join(args, " "),
+			us: *delay, d: sim.Micros(*delay), opt: opt.filled()}
+		return b.pl, build(b)
+	}
 	err := fs.Parse(args[1:]) // args[0] is the layer
 	switch {
 	case err != nil:
@@ -81,8 +87,7 @@ func ProbeSpec(args []string) (Spec, error) {
 	case !(*delay >= 0 && *delay <= maxProbeDelayUS): // also rejects NaN
 		err = fmt.Errorf("-delay must be between 0 and %g microseconds (got %g)", float64(maxProbeDelayUS), *delay)
 	default:
-		b.us, b.d = *delay, sim.Micros(*delay)
-		err = build(b)
+		_, err = plan(Options{})
 	}
 	if err != nil {
 		var usage strings.Builder
@@ -90,7 +95,13 @@ func ProbeSpec(args []string) (Spec, error) {
 		fs.PrintDefaults()
 		return Spec{}, fmt.Errorf("probe %s: %v\nprobe %s flags:\n%s", p.Name, err, p.Name, strings.TrimRight(usage.String(), "\n"))
 	}
-	return Spec{ID: "probe-" + p.Name, Desc: p.Desc, Build: func(Options) *Plan { return b.pl }}, nil
+	return Spec{ID: "probe-" + p.Name, Desc: p.Desc, Build: func(opt Options) *Plan {
+		pl, err := plan(opt)
+		if err != nil {
+			panic(err) // the builders check flags only, and those passed above
+		}
+		return pl
+	}}, nil
 }
 
 // probeBuild is a probe's plan under construction: every table is titled
@@ -100,6 +111,7 @@ type probeBuild struct {
 	title string
 	us    float64  // -delay as given
 	d     sim.Time // and as simulated
+	opt   Options  // filled
 }
 
 // table adds a table. Probe tables print three decimals: a message rate or
@@ -207,14 +219,13 @@ func probeIPoIB(fs *flag.FlagSet) func(*probeBuild) error {
 	mtu := fs.Int("mtu", 0, "IP MTU (0 = mode default: 2044 for ud, 65532 for rc)")
 	window := fs.Int("window", 0, "TCP window in bytes (0 = auto-tuned default)")
 	streams := fs.Int("streams", 1, "parallel connections")
-	ms := fs.Int("ms", 100, "measurement window in virtual milliseconds at zero delay (grows with delay)")
 	return func(b *probeBuild) error {
-		mtu, window, streams, ms := *mtu, *window, *streams, *ms
+		mtu, window, streams := *mtu, *window, *streams
 		ipMode, maxMTU := ipoib.Datagram, ipoib.DatagramMTU
 		if *mode == "rc" {
 			ipMode, maxMTU = ipoib.Connected, ipoib.MaxConnectedMTU
 		}
-		err := firstOf(oneOf("mode", *mode, "ud", "rc", "sdp"), atLeast("streams", streams, 1), atLeast("ms", ms, 1))
+		err := firstOf(oneOf("mode", *mode, "ud", "rc", "sdp"), atLeast("streams", streams, 1))
 		switch {
 		case err != nil:
 		case *mode == "sdp" && (mtu != 0 || window != 0):
@@ -231,10 +242,10 @@ func probeIPoIB(fs *flag.FlagSet) func(*probeBuild) error {
 		}
 		s := b.table("", throughput).AddSeries(*mode)
 		if *mode == "sdp" {
-			b.point(s, func(m *Meter) float64 { return sdpPoint(m, streams, b.d, ms) })
+			b.point(s, func(m *Meter) float64 { return sdpPoint(m, streams, b.d, b.opt.TCPMillis) })
 		} else {
 			b.point(s, func(m *Meter) float64 {
-				return tcpPoint(m, ipMode, mtu, window, streams, b.d, Options{TCPMillis: ms})
+				return tcpPoint(m, ipMode, mtu, window, streams, b.d, b.opt)
 			})
 		}
 		return nil
@@ -340,13 +351,12 @@ func probeMPI(fs *flag.FlagSet) func(*probeBuild) error {
 
 func probeNAS(fs *flag.FlagSet) func(*probeBuild) error {
 	kernel := fs.String("kernel", "all", "kernel: IS, FT, CG, MG, LU or all")
-	class := fs.String("class", "B", "problem class: B (paper), A or W")
 	procs := fs.Int("procs", 64, "total MPI processes (half per cluster)")
 	profile := fs.Bool("profile", false, "add each kernel's message-size census")
 	return func(b *probeBuild) error {
-		class, procs := *class, *procs
+		procs := *procs
 		kernels := nas.AllKernels()
-		err := firstOf(oneOf("kernel", *kernel, append(nas.AllKernels(), "all")...), oneOf("class", class, nas.Classes()...))
+		err := oneOf("kernel", *kernel, append(nas.AllKernels(), "all")...)
 		if err == nil && (procs < 2 || procs%2 != 0) {
 			err = fmt.Errorf("-procs must be even and at least 2 (got %d)", procs)
 		}
@@ -375,7 +385,7 @@ func probeNAS(fs *flag.FlagSet) func(*probeBuild) error {
 			b.point(t.AddSeries(k), func(m *Meter) float64 {
 				w := clusterWorld(m, procs/2, 1, b.d, mpi.Config{})
 				defer w.Shutdown()
-				elapsed := nas.RunClass(w, k, class).Seconds()
+				elapsed := nas.RunClass(w, k, b.opt.NASClass).Seconds()
 				census(w.Profile())
 				return elapsed
 			})
@@ -387,15 +397,14 @@ func probeNAS(fs *flag.FlagSet) func(*probeBuild) error {
 func probeNFS(fs *flag.FlagSet) func(*probeBuild) error {
 	transport := fs.String("transport", "rdma", "transport: rdma, tcp-rc or tcp-ud")
 	threads := fs.Int("threads", 1, "IOzone client threads")
-	fileMB := fs.Int("filemb", 512, "file size in MB")
 	record := fs.Int("record", 256<<10, "record size in bytes")
 	write := fs.Bool("write", false, "measure writes instead of reads")
 	lan := fs.Bool("lan", false, "mount within one cluster (DDR, no Longbows)")
 	return func(b *probeBuild) error {
 		transport, lan := *transport, *lan
-		cfg := nfs.IOzoneConfig{FileSize: int64(*fileMB) << 20, RecordSize: *record, Threads: *threads, Write: *write}
+		cfg := nfs.IOzoneConfig{FileSize: int64(b.opt.NFSFileMB) << 20, RecordSize: *record, Threads: *threads, Write: *write}
 		err := firstOf(oneOf("transport", transport, "rdma", "tcp-rc", "tcp-ud"),
-			atLeast("threads", *threads, 1), atLeast("filemb", *fileMB, 1), atLeast("record", *record, 1))
+			atLeast("threads", *threads, 1), atLeast("record", *record, 1))
 		if err == nil && lan && b.d != 0 {
 			err = errors.New("-lan mounts inside one cluster: -delay does not apply")
 		}

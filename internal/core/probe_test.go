@@ -21,8 +21,9 @@ func runOne(t *testing.T, pt *Point) (float64, int64) {
 	return y, m.Events()
 }
 
-// TestProbeMatchesRegistryCell runs each probe at parameters that coincide
-// with a -quick registry cell and requires the same world: the identical
+// TestProbeMatchesRegistryCell builds each probe at the -quick Options, at
+// parameters that coincide with a -quick registry cell (the Options give
+// the NAS class, file size and TCP window), and requires the same world: the identical
 // float and the identical number of dispatched events. The rendered values
 // are the ones `ibwan-exp -quick all` prints (fig5, fig7 and fig11 are also
 // in testdata/golden_quick.txt).
@@ -35,19 +36,19 @@ func TestProbeMatchesRegistryCell(t *testing.T) {
 	}{
 		{"perftest -test bw -transport rc -size 4096 -delay 1000 -count 2048",
 			"fig5", "fig5/1000us-delay/4K/uni", "16.22"},
-		{"ipoib -mode rc -streams 4 -delay 1000 -ms 10",
+		{"ipoib -mode rc -streams 4 -delay 1000",
 			"fig7", "fig7b/4-streams/1000us-delay", "888.82"},
-		{"ipoib -mode ud -streams 4 -delay 1000 -ms 10",
+		{"ipoib -mode ud -streams 4 -delay 1000",
 			"fig6", "fig6b/4-streams/1000us-delay", "445.63"},
 		{"mpi -bench bw -size 65536 -delay 1000 -threshold 65536 -iters 4",
 			"fig9", "fig9/thresh-64k (tuned)/64K/uni", "244.39"},
 		{"mpi -bench bcast -hier -nodes 4 -ppn 2 -size 131072 -delay 1000 -iters 3",
 			"fig11", "fig11/1000us-delay/128K/hier", "4375.12"},
-		{"nas -kernel IS -class W -procs 16 -delay 1000",
+		{"nas -kernel IS -procs 16 -delay 1000",
 			"fig12", "fig12/IS/1000us-delay", "0.34"},
-		{"nfs -transport rdma -threads 8 -delay 1000 -filemb 16",
+		{"nfs -transport rdma -threads 8 -delay 1000",
 			"fig13", "fig13a/1000us-delay/8streams", "60.94"},
-		{"nfs -transport tcp-rc -threads 8 -delay 1000 -filemb 16",
+		{"nfs -transport tcp-rc -threads 8 -delay 1000",
 			"fig13", "fig13/1000us-delay/8streams/ipoib-rc", ""},
 	} {
 		t.Run(strings.Fields(c.probe)[0]+"="+c.label, func(t *testing.T) {
@@ -55,7 +56,7 @@ func TestProbeMatchesRegistryCell(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ppl := spec.Build(Options{})
+			ppl := spec.Build(Options{Quick: true})
 			if len(ppl.Points) != 1 {
 				t.Fatalf("probe expands to %d points, want 1", len(ppl.Points))
 			}
@@ -129,7 +130,6 @@ func TestProbeRejectsBadFlags(t *testing.T) {
 		{"perftest fig5", `unexpected argument "fig5"`},
 		{"ipoib -mode tcp", "-mode must be one of ud, rc, sdp"},
 		{"ipoib -streams 0", "-streams must be at least 1"},
-		{"ipoib -ms 0", "-ms must be at least 1"},
 		{"ipoib -mode ud -mtu 4096", "-mtu must be 0 or between 576 and 2044"},
 		{"ipoib -mode rc -mtu 40", "-mtu must be 0 or between 576 and 65532"},
 		{"ipoib -window 1", "-window must be 0 or at least"},
@@ -143,15 +143,17 @@ func TestProbeRejectsBadFlags(t *testing.T) {
 		{"mpi -bench bw -hier", "does not apply to -bench bw"},
 		{"mpi -bench mr -autotune", "does not apply to -bench mr"},
 		{"mpi -bench bw -autotune -threshold 65536", "drop -threshold"},
-		{"nas -class Z", "-class must be one of B, A, W"},
 		{"nas -kernel EP", "-kernel must be one of"},
 		{"nas -procs 7", "-procs must be even and at least 2"},
 		{"nas -procs 0", "-procs must be even and at least 2"},
 		{"nfs -threads 0", "-threads must be at least 1"},
-		{"nfs -filemb 0", "-filemb must be at least 1"},
 		{"nfs -record 0", "-record must be at least 1"},
 		{"nfs -transport udp", "-transport must be one of rdma, tcp-rc, tcp-ud"},
 		{"nfs -lan -delay 100", "-delay does not apply"},
+		// The sweep's -class, -filemb and -tcpms go before "probe".
+		{"nas -class W", "flag provided but not defined: -class"},
+		{"nfs -filemb 16", "flag provided but not defined: -filemb"},
+		{"ipoib -ms 10", "flag provided but not defined: -ms"},
 	} {
 		_, err := ProbeSpec(strings.Fields(c.args))
 		if err == nil {
@@ -169,25 +171,24 @@ func TestProbeRejectsBadFlags(t *testing.T) {
 // measurement: the autotuned threshold and the NAS message census land in
 // their own tables, and read ERR — not a stale zero — when the point fails.
 func TestProbeSideCells(t *testing.T) {
-	run := func(args string, ropt RunnerOptions) Result {
+	run := func(args string, opt Options) Result {
 		t.Helper()
 		spec, err := ProbeSpec(strings.Fields(args))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ropt.Workers = 1
-		return RunSpec(spec, Options{}, ropt)
+		return RunSpec(spec, opt, RunnerOptions{Workers: 1})
 	}
-	res := run("mpi -bench bw -size 16384 -delay 1000 -autotune", RunnerOptions{})
+	res := run("mpi -bench bw -size 16384 -delay 1000 -autotune", Options{})
 	if out := renderTables(res); !strings.Contains(out, "1048576.000") || len(res.Errors) != 0 {
 		t.Errorf("autotune probe does not report the 1 MB threshold it chose:\n%s", out)
 	}
-	res = run("nas -kernel CG -class W -procs 4 -profile", RunnerOptions{})
+	res = run("nas -kernel CG -procs 4 -profile", Options{NASClass: "W"})
 	if len(res.Tables) != 2 || len(res.Tables[1].Series) != 5 || res.Tables[1].Series[0].Y[0] <= 0 {
 		t.Errorf("nas -profile does not report a census:\n%s", renderTables(res))
 	}
-	res = run("nas -kernel CG -class W -procs 4 -delay 100 -profile",
-		RunnerOptions{Fault: &fault.Plan{Seed: 1, WANDown: true}})
+	res = run("nas -kernel CG -procs 4 -delay 100 -profile",
+		Options{NASClass: "W", Fault: &fault.Plan{Seed: 1, WANDown: true}})
 	if len(res.Errors) != 1 {
 		t.Fatalf("dead WAN: %d error rows, want 1", len(res.Errors))
 	}

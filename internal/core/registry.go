@@ -67,8 +67,8 @@ type Meter struct {
 	tel *telemetry.Telemetry
 	// fault, when non-nil, is attached to every environment the point
 	// creates; the wan and tcpsim layers arm it at construction time. It
-	// is seeded either by the runner (RunnerOptions.Fault, a run-wide
-	// chaos plan) or by the point itself (WithFault, the loss-* family).
+	// is seeded either by the runner (Options.Fault, a run-wide chaos
+	// plan) or by the point itself (WithFault, the loss-* family).
 	fault *fault.Plan
 	// shardWorkers > 1 is declared on every environment the point creates,
 	// so topo.Build may split its world into per-site shards (it does when
@@ -264,7 +264,7 @@ func (m *Meter) recycle() {
 // registry lists every experiment in the paper's order. Adding a figure
 // means adding a builder and one entry here; the CLI, RunAllWith, the benchmark
 // and the determinism test all pick it up from this table.
-var registry = []Spec{
+var registry = filling([]Spec{
 	{"table1", "delay overhead of the Longbow's emulated wire length (Table 1)", table1},
 	{"fig3", "verbs-level small-message latency across the WAN bridge", fig3},
 	{"fig4", "verbs UD uni/bidirectional bandwidth vs WAN delay", fig4},
@@ -300,6 +300,17 @@ var registry = []Spec{
 	{"failover-kill", "RC goodput/latency with one WAN link killed mid-run and failover on", failoverKill},
 	{"failover-debounce", "failover convergence time vs health-monitor debounce window", failoverDebounce},
 	{"failover-services", "MPI/NFS/TCP surviving a mid-run link kill with failover on", failoverServices},
+})
+
+// filling makes each spec's Build fill the Options it is given (and panic on
+// ones that do not validate) before its builder sees them, so a builder
+// reads defaults and never checks a field.
+func filling(specs []Spec) []Spec {
+	for i := range specs {
+		build := specs[i].Build
+		specs[i].Build = func(opt Options) *Plan { return build(opt.filled()) }
+	}
+	return specs
 }
 
 // ExperimentIDs lists the registered experiment identifiers, in the

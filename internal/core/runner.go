@@ -8,13 +8,14 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
-// RunnerOptions configures the parallel experiment runner.
+// RunnerOptions says how a run executes: workers, shards, telemetry,
+// sampling and progress. What is simulated, the fault plan included, is
+// Options'.
 type RunnerOptions struct {
 	// Workers bounds how many points are measured concurrently; <= 0
 	// selects runtime.GOMAXPROCS(0). Results are independent of the
@@ -36,13 +37,6 @@ type RunnerOptions struct {
 	// the point's virtual end time and a harness-level span covering the
 	// whole point is emitted.
 	Telemetry *telemetry.Telemetry
-	// Fault, when non-nil, is a run-wide chaos plan attached to every
-	// simulation environment every point creates (the CLI -fault flag).
-	// Points that install their own plan (the loss-* family) override it.
-	// Determinism is unaffected: each point owns its environments, so
-	// each point draws from its own injector streams regardless of worker
-	// count.
-	Fault *fault.Plan
 	// SampleEvery > 0 arms the sim-time timeline sampler: every environment
 	// a point creates gets a private metrics registry sampled at this
 	// cadence of virtual time, and the runner assembles one PointTimeline
@@ -198,7 +192,7 @@ type Result struct {
 
 // Run generates the tables for one experiment id sequentially. The options
 // control the heavyweight experiments; zero values select paper-fidelity
-// settings. It panics on an unknown id.
+// settings. It panics on an unknown id or Options that do not validate.
 func Run(id string, opt Options) []*stats.Table {
 	return RunWith(id, opt, RunnerOptions{Workers: 1}).Tables
 }
@@ -250,7 +244,7 @@ func RunSpec(spec Spec, opt Options, ropt RunnerOptions) Result {
 			defer func() { putArena(arena) }()
 			for i := range idx {
 				pt := &pl.Points[i]
-				m := &Meter{arena: arena, tel: ropt.Telemetry, fault: ropt.Fault, shardWorkers: shardWorkers, sampleEvery: ropt.SampleEvery}
+				m := &Meter{arena: arena, tel: ropt.Telemetry, fault: opt.Fault, shardWorkers: shardWorkers, sampleEvery: ropt.SampleEvery}
 				var traceOff sim.Time
 				if tel := ropt.Telemetry; tel != nil && tel.Spans != nil {
 					// The recorder's epoch offset when the point starts

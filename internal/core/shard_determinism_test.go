@@ -112,13 +112,14 @@ func TestShardedMatchesSequential(t *testing.T) {
 			for _, p := range plans {
 				plan := p.plan
 				t.Run(preset+"/"+id+p.suffix, func(t *testing.T) {
-					base := renderTables(RunWith(id, opt, RunnerOptions{Workers: 1, Fault: plan}))
+					opt := opt
+					opt.Fault = plan
+					base := renderTables(RunWith(id, opt, RunnerOptions{Workers: 1}))
 					for _, ropt := range []RunnerOptions{
 						{Workers: 1, ShardWorkers: 4},
 						{Workers: 8},
 						{Workers: 2, ShardWorkers: 2},
 					} {
-						ropt.Fault = plan
 						res := RunWith(id, opt, ropt)
 						if got := renderTables(res); got != base {
 							t.Fatalf("output diverges at workers=%d shards=%d\n--- sequential ---\n%s\n--- got ---\n%s",

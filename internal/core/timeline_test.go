@@ -45,13 +45,14 @@ func TestTimelineDeterminism(t *testing.T) {
 				name += "/wan-flap"
 			}
 			t.Run(name, func(t *testing.T) {
-				base := timelineBytes(t, id, opt, RunnerOptions{Workers: 1, Fault: plan})
+				opt := opt
+				opt.Fault = plan
+				base := timelineBytes(t, id, opt, RunnerOptions{Workers: 1})
 				for _, ropt := range []RunnerOptions{
 					{Workers: 8},
 					{Workers: 1, ShardWorkers: 4},
 					{Workers: 2, ShardWorkers: 2},
 				} {
-					ropt.Fault = plan
 					got := timelineBytes(t, id, opt, ropt)
 					if !bytes.Equal(got, base) {
 						t.Fatalf("timeline diverges at workers=%d shards=%d\n--- sequential ---\n%s\n--- got ---\n%s",

@@ -152,6 +152,30 @@ var mutants = []mutant{
 		pkg:  "./internal/core",
 		run:  "TestPerLinkPlanMatchesRunWide/B-A",
 	},
+	{
+		name: "options validated without their topology preset",
+		file: "internal/core/experiments.go",
+		old:  "if _, err := topo.Preset(o.Topo, 0, 0); err != nil {",
+		new:  "if _, err := topo.Preset(o.Topo, 0, 0); false && err != nil {",
+		pkg:  "./internal/core",
+		run:  "TestOptionsValidate",
+	},
+	{
+		name: "ipoib probe on a fixed 100 ms window",
+		file: "internal/core/probe.go",
+		old:  "return tcpPoint(m, ipMode, mtu, window, streams, b.d, b.opt)",
+		new:  "return tcpPoint(m, ipMode, mtu, window, streams, b.d, Options{TCPMillis: 100})",
+		pkg:  "./internal/core",
+		run:  "TestProbeMatchesRegistryCell",
+	},
+	{
+		name: "lossless port admits past a waiting packet",
+		file: "internal/ib/fabric.go",
+		old:  "cfg.Lossless && (full || q.waitq.Len() > 0)",
+		new:  "cfg.Lossless && full",
+		pkg:  "./internal/ib",
+		run:  "TestLosslessPortFIFO",
+	},
 }
 
 // copyModule copies the module's sources (go.mod, the Go files at its root
