@@ -41,7 +41,7 @@ func TestConnectRejectsBadLink(t *testing.T) {
 // maps and the retry handler wait for traffic), and a link is its struct with
 // both ports inside (a port's delivery function is its device's, shared).
 // The HCA's QP table and the switches' port lists grow by doubling; a
-// hundred runs amortize that below one.
+// hundred runs amortize that below one. A sending RC QP adds its window.
 func TestConstructionAllocs(t *testing.T) {
 	env := sim.NewEnv()
 	f := NewFabric(env)
@@ -62,6 +62,38 @@ func TestConstructionAllocs(t *testing.T) {
 	}
 	if s := unsafe.Sizeof(packet{}); s > 80 {
 		t.Errorf("a packet is %d bytes, want <= 80", s)
+	}
+
+	// A fresh RC QP that sends 64 messages through its window, refilled from
+	// the completion handler, holds them in one ring of MaxInflight slots:
+	// beyond the pair's two structs, one object. No map, no retry record or
+	// closure per QP or per launch.
+	a, b := f.AddHCA("a"), f.AddHCA("b")
+	f.Connect(a, b, DDR, DefaultCableDelay)
+	f.Finalize()
+	cqa, cqb := NewCQ(env), NewCQ(env)
+	mr := b.RegisterVirtualMR(1 << 16)
+	var q *QP
+	posted := 0
+	cqa.SetHandler(func(Completion) {
+		if posted < 64 {
+			posted++
+			q.PostSend(SendWR{Op: OpRDMAWrite, Len: 2 * MTU, RemoteMR: mr})
+		}
+	})
+	stream := func() {
+		q = a.CreateQP(cqa, QPConfig{Transport: RC})
+		ConnectRC(q, b.CreateQP(cqb, QPConfig{Transport: RC}))
+		for posted = 0; posted < DefaultMaxInflight; posted++ {
+			q.PostSend(SendWR{Op: OpRDMAWrite, Len: 2 * MTU, RemoteMR: mr})
+		}
+		env.Run()
+	}
+	if n := testing.AllocsPerRun(100, stream); n-2 > 1 {
+		t.Errorf("a fresh RC QP sending 64 messages costs %v allocs beyond the pair's two structs, want <= 1", n-2)
+	}
+	if s := q.Stats(); s.MsgsSent != 64 || s.Acks != 0 || q.remote.Stats().Acks != 64 {
+		t.Errorf("the last stream sent %d messages and got %d acks, want 64", s.MsgsSent, q.remote.Stats().Acks)
 	}
 }
 

@@ -65,10 +65,10 @@ type Fabric struct {
 
 // pool is a fabric's handle on the freelists of one environment — one shard
 // view of a partitioned world, or the whole of a classic one — for wire
-// packets, transfer contexts and retry-timer records. They are plain LIFO
-// lists, not sync.Pools: a pool is only touched from its own environment's
-// scheduler, so reuse is unsynchronized and deterministic (it depends on
-// simulated traffic only, never on GC timing or OS scheduling).
+// packets and transfer contexts. They are plain LIFO lists, not sync.Pools:
+// a pool is only touched from its own environment's scheduler, so reuse is
+// unsynchronized and deterministic (it depends on simulated traffic only,
+// never on GC timing or OS scheduling).
 //
 // Every packet and transfer has a home pool, the one it was taken from (a
 // transfer's is its origin QP's). Its last consumer is often on another
@@ -78,7 +78,7 @@ type Fabric struct {
 // return lane (sim.Env.ReturnTo) and the window barrier hands it home.
 //
 // The pool also numbers the messages made on its environment. A message id
-// keys its QP's in-flight window, so it need only be unique per environment;
+// names it in packet traces, so it need only be unique per environment;
 // a pool's counter starts afresh with each fabric and advances in its own
 // event order, so on a partitioned world an id does not depend on which
 // shard got there first.
@@ -92,17 +92,13 @@ type pool struct {
 // poolMem is the lists themselves. They live in the environment's recycled
 // memory (sim.Env.Recycled), so under a sim.Arena the next world on this
 // shard index starts with them warm. Everything on them was zeroed when it
-// was released, retry records hold no pointer at all, and a pop clears the
-// slot it vacates — past a list's end its array would otherwise go on
-// pointing at packets and transfers in use — so they carry nothing of the
-// world that filled them and keep nothing of it alive.
+// was released, and a pop clears the slot it vacates — past a list's end its
+// array would otherwise go on pointing at packets and transfers in use — so
+// they carry nothing of the world that filled them and keep nothing of it
+// alive.
 type poolMem struct {
 	pktFree  []*packet
 	xferFree []*transfer
-	// Retry-timer records never leave their shard: retryFree holds the
-	// recycled ones, retrySlab what is left of the slab fresh ones come from.
-	retryFree []*retryRec
-	retrySlab []retryRec
 }
 
 // poolMemKey is poolMem's key in the environment's recycled memory.
@@ -176,8 +172,8 @@ func (pl *pool) freePacket(pkt *packet) {
 }
 
 // newTransfer returns a zeroed transfer context carrying a fresh message id.
-// Ids stay monotonic across recycling, so id-keyed state (QP inflight maps,
-// retry timers) can never confuse two uses of the same memory.
+// Ids stay monotonic across recycling, so a trace never confuses two uses of
+// the same memory.
 func (pl *pool) newTransfer() *transfer {
 	var t *transfer
 	if n := len(pl.xferFree); n > 0 {
@@ -472,7 +468,7 @@ func (l *Link) ConfigureQueue(cfg QueueConfig) error {
 	}
 	l.qcfg = &cfg
 	for _, p := range []*Port{&l.a, &l.b} {
-		p.cong = &portQueue{credit: p.env.NewTimer(p.grantCredits)}
+		p.cong = &portQueue{credit: p.env.NewTimer(grantCredits, p)}
 	}
 	return nil
 }
@@ -563,7 +559,7 @@ type portQueue struct {
 	// credit is the only event the queue ever schedules: while packets wait
 	// it stands at the head booking's departure.
 	waitq  sim.Ring[*packet]
-	credit *sim.Timer
+	credit sim.Timer
 }
 
 // booking is one admitted packet's claim on the queue: wire bytes, held until
@@ -763,10 +759,11 @@ func (p *Port) exclusiveTo(dst LID) bool {
 	return false
 }
 
-// grantCredits is the lossless credit wake-up, run at a departure while
-// packets wait: it sends, in arrival order, the ones that now fit, and stands
-// again at the next departure if some still wait.
-func (p *Port) grantCredits() {
+// grantCredits is the lossless credit wake-up of port v, run at a departure
+// while packets wait: it sends, in arrival order, the ones that now fit, and
+// stands again at the next departure if some still wait.
+func grantCredits(v any) {
+	p := v.(*Port)
 	q, now := p.cong, p.env.Now()
 	q.retire(now)
 	// The line steps aside while its head is sent: send sees an arrival with

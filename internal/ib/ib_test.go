@@ -205,31 +205,56 @@ func TestRDMAWriteBeyondMRPanics(t *testing.T) {
 	qa.PostSend(SendWR{Op: OpRDMAWrite, Len: 200, RemoteMR: mr})
 }
 
+// TestRCWindowLimitsInflight checks the window after every event, so at
+// every launch: sends and RDMA reads posted at once never have more than
+// MaxInflight launched and unacknowledged (counted from the wire side too,
+// as launches less completions), the reads' out-of-order completions leave
+// only cleared slots behind an outstanding one, and the window fills.
 func TestRCWindowLimitsInflight(t *testing.T) {
 	env, _, a, b, _ := backToBack(t)
 	qa, qb := CreateRCPair(a, b, nil, nil, QPConfig{MaxInflight: 2})
-	const n = 10
+	mr := b.RegisterVirtualMR(1 << 20)
+	const n = 12
 	for i := 0; i < n; i++ {
 		qb.PostRecv(RecvWR{})
 	}
-	maxInflight := 0
-	env.Go("send", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			qa.PostSend(SendWR{Op: OpSend, Len: 4096})
+	for i := 0; i < n; i++ {
+		if i%3 == 2 {
+			qa.PostSend(SendWR{Op: OpRDMARead, Len: 512, RemoteMR: mr})
+		} else {
+			qa.PostSend(SendWR{Op: OpSend, Len: 4096 * (1 + i%2)})
 		}
-		for i := 0; i < n; i++ {
-			qa.CQ().Poll(p)
-			if len(qa.inflight) > maxInflight {
-				maxInflight = len(qa.inflight)
+	}
+	completed, full := 0, false
+	for env.Step() {
+		for qa.CQ().Len() > 0 {
+			qa.CQ().TryPoll()
+			completed++
+		}
+		outstanding := 0
+		for i := 0; i < qa.launched; i++ {
+			if *qa.window.At(i) != nil {
+				outstanding++
+			} else if i == 0 {
+				t.Fatalf("at %v: a cleared slot at the window's head", env.Now())
 			}
 		}
-	})
-	env.Run()
-	if maxInflight > 2 {
-		t.Errorf("inflight reached %d, window is 2", maxInflight)
+		st := qa.Stats()
+		launched := int(st.MsgsSent + st.ReadRequests)
+		if outstanding != qa.unacked || outstanding > 2 || launched-completed > 2 {
+			t.Fatalf("at %v: %d outstanding in the window (unacked %d), %d launched and %d completed; the window is 2",
+				env.Now(), outstanding, qa.unacked, launched, completed)
+		}
+		full = full || outstanding == 2
 	}
-	if qa.Stats().MsgsSent != n {
-		t.Errorf("MsgsSent = %d, want %d", qa.Stats().MsgsSent, n)
+	if !full {
+		t.Error("the window never filled")
+	}
+	if completed != n || qa.window.Len() != 0 || qa.aim != nil {
+		t.Errorf("%d of %d completed, %d left in the window, retry aimed at %p", completed, n, qa.window.Len(), qa.aim)
+	}
+	if st := qa.Stats(); st.MsgsSent+st.ReadRequests != n {
+		t.Errorf("%d sends and %d reads launched, want %d in all", st.MsgsSent, st.ReadRequests, n)
 	}
 }
 

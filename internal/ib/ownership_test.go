@@ -123,6 +123,29 @@ func TestOwnershipOneWayStream(t *testing.T) {
 	}
 }
 
+// TestPooledPacketsZeroedAtHome: on a world of one environment every packet
+// is freed where it was made, so it goes straight back on its list instead of
+// taking the return lane TestOwnershipOneWayStream covers; it too comes back
+// zeroed, keeping only its train record, zeroed.
+func TestPooledPacketsZeroedAtHome(t *testing.T) {
+	env, _, a, b, _ := backToBack(t)
+	qa, qb := CreateRCPair(a, b, nil, nil, QPConfig{})
+	measureBW(env, qa, qb, 4*MTU, 64)
+	trains := 0
+	for _, pkt := range a.pool.pktFree {
+		tr := pkt.train
+		if *pkt != (packet{train: tr}) || tr != nil && *tr != (train{}) {
+			t.Fatalf("pooled a packet that is not zeroed: %+v", *pkt)
+		}
+		if tr != nil {
+			trains++
+		}
+	}
+	if trains == 0 {
+		t.Errorf("%d packets pooled, none with a train record", len(a.pool.pktFree))
+	}
+}
+
 // TestTransferReleasedOnce: the two endpoints of a transfer finish with it
 // in the same window, on different shards and so on different workers — the
 // initiator completing it while the responder drops the last reference.

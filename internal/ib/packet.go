@@ -128,8 +128,9 @@ type transfer struct {
 	// delivers strictly in this order, which preserves RC's in-order
 	// guarantee even when a retransmitted message arrives after its
 	// successors.
-	qpSeq   int64
-	acked   bool
+	qpSeq int64
+	// retry is the key reserved for the armed retry timeout (see QP).
+	retry   sim.Key
 	retried int
 	// epoch is the fabric routing epoch the latest transmission attempt
 	// launched under. Reactive health detection only attributes a retry
@@ -143,6 +144,8 @@ type transfer struct {
 	// ecn accumulates congestion-experienced marks from the transfer's
 	// packets (responder-owned, like got) and rides into Completion.ECN.
 	ecn bool
+	// acked marks the sender's side complete (see QP.settle).
+	acked bool
 	// readData is the responder-side snapshot streamed back for RDMA read.
 	readData []byte
 	// data carried by a UD datagram (single packet).
@@ -177,6 +180,7 @@ func (t *transfer) reset() {
 	t.size = 0
 	t.origin = nil
 	t.qpSeq = 0
+	t.retry = sim.Key{}
 	t.acked = false
 	t.retried = 0
 	t.epoch = 0

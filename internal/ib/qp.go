@@ -285,6 +285,17 @@ type Stats struct {
 }
 
 // QP is a queue pair.
+//
+// An RC sender's state is one ring in posting (and id) order and one retry
+// timer. The window's first launched entries are in flight, the rest queued;
+// kick launches while fewer than MaxInflight are unacked. A completion clears
+// its slot and cleared slots at the head go (RDMA reads complete out of
+// order). retryExhausted flushes the ring in order, as a real QP does. Each
+// launch reserves the key its own retry event would have had (armRetry); the
+// timer stands at the smallest armed key, retransmits that transfer when it
+// fires and re-aims when it completes first. Every other event keeps its
+// sequence number, so ties fall as they did; only timeouts of completed
+// transfers, which retransmitted nothing, are gone.
 type QP struct {
 	hca *HCA
 	qpn int
@@ -300,17 +311,14 @@ type QP struct {
 	// arriving packets, exactly like a real QP in IBV_QPS_ERR.
 	errored bool
 
-	// Sender state. inflight is made at the first launch.
-	sendQ    sim.Ring[*transfer]
-	inflight map[int64]*transfer
+	// Sender state. Of the first launched entries of window, unacked are
+	// outstanding (the rest nil); retry stands at aim's, the smallest key.
+	window   sim.Ring[*transfer]
+	launched int
+	unacked  int
+	retry    sim.Timer
+	aim      *transfer
 	seqTx    int64 // next message sequence to assign (this direction)
-	// retryq holds the armed retry timeouts, one per launch. They share one
-	// length until a backoff shifts it, so they expire in the order armed.
-	// retryArg, made at the first armRetry, is retryFired as a func(any): a
-	// timeout's record holds no pointer (see retryRec), so it cannot name the
-	// QP the way a transfer does for the stage handlers (see launchBody).
-	retryq   sim.Pipe
-	retryArg func(any)
 
 	// Receiver state. recvQ keeps consecutive blank WQEs as one run; reorder
 	// is made when the first message overtakes a predecessor.
@@ -336,7 +344,8 @@ func (h *HCA) CreateQP(cq *CQ, cfg QPConfig) *QP {
 	if cfg.RetryLimit == 0 {
 		cfg.RetryLimit = DefaultRetryLimit
 	}
-	qp := &QP{hca: h, qpn: len(h.qps) + 1, cfg: cfg, cq: cq, retryq: h.env.NewPipe()}
+	qp := &QP{hca: h, qpn: len(h.qps) + 1, cfg: cfg, cq: cq}
+	qp.retry = h.env.NewTimer(retryFired, qp)
 	if h.qps == nil {
 		h.qps = make(map[int]*QP)
 	}

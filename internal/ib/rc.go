@@ -2,8 +2,8 @@ package ib
 
 import (
 	"fmt"
-	"sort"
 
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -51,7 +51,7 @@ func (q *QP) rcPostSend(wr SendWR) {
 		if obs.rec != nil {
 			t.span = obs.rec.StartAt(q.env().Now(), obs.verbsTrack(q.hca), verbsSpanName(wr.Op), wr.ParentSpan)
 		}
-		obs.rcSendQ.Observe(int64(q.sendQ.Len()))
+		obs.rcSendQ.Observe(int64(q.window.Len() - q.launched))
 	}
 	if wr.Op != OpRDMARead {
 		// Sends and RDMA writes deliver at the responder in posted order.
@@ -60,7 +60,7 @@ func (q *QP) rcPostSend(wr SendWR) {
 		t.qpSeq = q.seqTx
 		q.seqTx++
 	}
-	q.sendQ.Push(t)
+	q.window.Push(t)
 	q.kick()
 }
 
@@ -70,16 +70,51 @@ func (q *QP) kick() {
 		return
 	}
 	obs := q.hca.fab.obs
-	for len(q.inflight) < q.cfg.MaxInflight && q.sendQ.Len() > 0 {
-		t := q.sendQ.Pop()
-		if q.inflight == nil {
-			q.inflight = make(map[int64]*transfer)
-		}
-		q.inflight[t.id] = t
+	for q.unacked < q.cfg.MaxInflight && q.launched < q.window.Len() {
+		t := *q.window.At(q.launched)
+		q.launched++
+		q.unacked++
 		if obs != nil {
-			obs.rcWindow.Observe(int64(len(q.inflight)))
+			obs.rcWindow.Observe(int64(q.unacked))
 		}
 		q.launch(t)
+	}
+}
+
+// settle takes a completing transfer out of the window (see QP); one the
+// error flush completed first, an RDMA read landing just before, is out.
+func (q *QP) settle(t *transfer) {
+	if t.acked {
+		return
+	}
+	t.acked = true
+	i := 0
+	for *q.window.At(i) != t {
+		i++
+	}
+	*q.window.At(i) = nil
+	q.unacked--
+	for q.launched > 0 && *q.window.Front() == nil {
+		q.window.Pop()
+		q.launched--
+	}
+	if t == q.aim {
+		q.reaim()
+	}
+}
+
+// reaim points the retry timer at the smallest armed key, or stops it.
+func (q *QP) reaim() {
+	var aim *transfer
+	for i := 0; i < q.launched; i++ {
+		if t := *q.window.At(i); t != nil && t.retry != (sim.Key{}) && (aim == nil || t.retry.Before(aim.retry)) {
+			aim = t
+		}
+	}
+	if q.aim = aim; aim != nil {
+		q.retry.ArmAt(aim.retry)
+	} else {
+		q.retry.Stop()
 	}
 }
 
@@ -94,11 +129,9 @@ func (q *QP) launch(t *transfer) {
 // launchBody transmits all packets of a transfer (the SendOverhead stage).
 //
 // It and the other stage handlers — ackSend, writeDone, readServe, readDone,
-// recvComp, udSend — are package functions, scheduled with the transfer as
-// their argument, because the transfer names the QP each runs on: the
-// initiator is t.origin, an RC responder t.origin.remote, and the QP whose
-// receive WQE an inbound send consumed t.resp. So a QP holds no function
-// value per stage, which matters because most QPs never carry a message.
+// recvComp, udSend — are package functions with the transfer as argument: it
+// names the QP each runs on (t.origin, t.origin.remote, or t.resp, the QP
+// whose receive WQE an inbound send consumed), so a QP holds no closures.
 func launchBody(v any) {
 	t := v.(*transfer)
 	q := t.origin
@@ -156,66 +189,32 @@ func (q *QP) sendDataPackets(port *Port, dst *QP, t *transfer, kind pktKind) {
 	}
 }
 
-// armRetry schedules a retransmission if the transfer is not acknowledged
-// within the retry timeout. In a loss-free fabric this never fires. The
-// timer's record names the transfer by the id it had when the timer was
-// armed, and the QP's in-flight window is keyed by id: ids are never reused,
-// so a transfer acked and recycled during the (long) timeout is simply not
-// found, and the timer keeps nothing from being recycled.
+// armRetry arms a retransmission if the transfer is not acknowledged within
+// the retry timeout; in a loss-free fabric none fires. The key is reserved
+// even for a transfer that completed while it was relaunched (see QP).
 //
 // Each retry doubles the timeout (capped at base << maxBackoffShift) and
 // spends one unit of the QP's retry budget; when the budget runs out the
 // transfer completes with StatusRetryExceeded and the QP errors instead
 // of retransmitting forever (see retryExhausted).
 func (q *QP) armRetry(t *transfer) {
-	shift := t.retried
-	if shift > maxBackoffShift {
-		shift = maxBackoffShift
-	}
-	rec := q.hca.pool.newRetryRec()
-	rec.id = t.id
-	if q.retryArg == nil {
-		q.retryArg = func(v any) { q.retryFired(v.(*retryRec)) }
-	}
-	q.retryq.AtArg(q.cfg.RetryTimeout<<shift, q.retryArg, rec)
-}
-
-// retryRec is one armed retry timeout. It holds no pointer: records are
-// carved from slabs and outlive their world on the pool's freelist (see
-// poolMem), and a slab kept alive by one free record must not keep the
-// transfers its other records were armed for.
-type retryRec struct {
-	id int64
-}
-
-// newRetryRec takes a record from the freelist or carves one from a slab: a
-// timeout outlives most runs, so records come back rarely and it is the
-// slabs that keep a message from costing an allocation here.
-func (pl *pool) newRetryRec() *retryRec {
-	if n := len(pl.retryFree); n > 0 {
-		rec := pl.retryFree[n-1]
-		pl.retryFree[n-1] = nil
-		pl.retryFree = pl.retryFree[:n-1]
-		return rec
-	}
-	if len(pl.retrySlab) == 0 {
-		pl.retrySlab = make([]retryRec, 64)
-	}
-	rec := &pl.retrySlab[0]
-	pl.retrySlab = pl.retrySlab[1:]
-	return rec
-}
-
-// retryFired is a retry timeout expiring: retransmit unless the transfer has
-// left the in-flight window since (every way out of it also sets acked).
-func (q *QP) retryFired(rec *retryRec) {
-	pl := q.hca.pool
-	t := q.inflight[rec.id]
-	rec.id = 0
-	pl.retryFree = append(pl.retryFree, rec)
-	if t == nil || t.acked || q.errored {
+	k := q.env().Reserve(q.cfg.RetryTimeout << min(t.retried, maxBackoffShift))
+	if t.acked {
 		return
 	}
+	t.retry = k
+	if q.aim == nil || k.Before(q.aim.retry) {
+		q.aim = t
+		q.retry.ArmAt(k)
+	}
+}
+
+// retryFired is the retry timer of QP v expiring at its aim's key.
+func retryFired(v any) {
+	q := v.(*QP)
+	t := q.aim
+	t.retry = sim.Key{}
+	q.reaim()
 	if q.cfg.RetryLimit >= 0 && t.retried >= q.cfg.RetryLimit {
 		q.retryExhausted(t)
 		return
@@ -250,29 +249,24 @@ func (q *QP) retryExhausted(t *transfer) {
 		obs.qpErrors.Add(1)
 	}
 	q.hca.fab.trace(evErr, q.hca, &packet{kind: t.wr.Op.pktKind(), msg: t}, "retry-exceeded")
-	delete(q.inflight, t.id)
-	t.acked = true // poison against late acks from earlier attempts
+	q.retry.Stop()
+	q.aim = nil
+	q.settle(t) // poison against late acks from earlier attempts
 	q.endVerbsSpan(t)
 	q.cq.post(Completion{Op: t.wr.Op, Status: StatusRetryExceeded, Bytes: t.size, Ctx: t.wr.Ctx, QPN: q.qpn})
 	q.hca.pool.endpointDone(t, xferSenderDone)
-	// Flush the rest of the in-flight window in posting (id) order — map
-	// iteration order would be nondeterministic.
-	ids := make([]int64, 0, len(q.inflight))
-	for id := range q.inflight {
-		ids = append(ids, id)
+	// Flush the rest of the window in posting order: the in-flight entries,
+	// then the queued ones.
+	for q.window.Len() > 0 {
+		if t := q.window.Pop(); t != nil {
+			q.flushTransfer(t)
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		q.flushTransfer(q.inflight[id])
-	}
-	for q.sendQ.Len() > 0 {
-		q.flushTransfer(q.sendQ.Pop())
-	}
+	q.launched, q.unacked = 0, 0
 }
 
 // flushTransfer error-completes one work request of an errored QP.
 func (q *QP) flushTransfer(t *transfer) {
-	delete(q.inflight, t.id)
 	t.acked = true
 	q.stats.Flushed++
 	q.endVerbsSpan(t)
@@ -351,11 +345,7 @@ func (q *QP) rcData(pkt *packet, readResp bool) {
 		return
 	}
 	q.deliverInOrder(t)
-	for {
-		next, ok := q.reorder[q.seqRx]
-		if !ok {
-			break
-		}
+	for next, ok := q.reorder[q.seqRx]; ok; next, ok = q.reorder[q.seqRx] {
 		delete(q.reorder, q.seqRx)
 		q.deliverInOrder(next)
 	}
@@ -366,8 +356,7 @@ func (q *QP) rcData(pkt *packet, readResp bool) {
 func readDone(v any) {
 	t := v.(*transfer)
 	q := t.origin
-	delete(q.inflight, t.id)
-	t.acked = true
+	q.settle(t)
 	q.endVerbsSpan(t)
 	q.cq.post(Completion{Op: OpRDMARead, Status: StatusOK, Bytes: t.size, Ctx: t.wr.Ctx, QPN: q.qpn})
 	q.hca.pool.endpointDone(t, xferSenderDone)
@@ -473,8 +462,7 @@ func (q *QP) rcAck(pkt *packet) {
 	if t.acked {
 		return // duplicate ack after retransmission
 	}
-	t.acked = true
-	delete(q.inflight, t.id)
+	q.settle(t)
 	if h := q.hca.fab.health; h != nil {
 		h.noteSuccess(q)
 	}

@@ -24,7 +24,8 @@ func strand(e *Env, seed int64) []Pipe {
 		e.Go("", func(pr *Proc) { pr.Wait(e.NewEvent()) })
 		e.Go("", func(pr *Proc) { pr.Sleep(Time(1 + i)) }) // done before the stop: its event is free
 	}
-	e.NewTimer(func() {}).Reset(Second)
+	tm := e.NewTimer(func(any) {}, nil)
+	tm.Reset(Second)
 	for e.Now() < 30 { // the program's handlers Stop now and then
 		e.RunUntil(30)
 	}

@@ -39,7 +39,7 @@ func TestDigestIgnoresSampler(t *testing.T) {
 		samples := 0
 		e.SetSampler(every, func(Time) { samples++ })
 		p := e.NewPipe()
-		tm := e.NewTimer(func() {})
+		tm := e.NewTimer(func(any) {}, nil)
 		for i := Time(1); i <= 20; i++ {
 			p.AtArg(3*i, func(any) {}, nil)
 			e.At(2*i, func() { tm.Reset(7) })

@@ -202,7 +202,8 @@ func (e *Env) runNext() {
 	case kindTrigger:
 		ent.tgt.(*Event).Trigger(ent.val)
 	case kindTimer:
-		ent.tgt.(*Timer).fn()
+		t := ent.tgt.(*Timer)
+		t.fn(t.arg)
 	}
 }
 

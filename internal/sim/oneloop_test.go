@@ -63,7 +63,8 @@ func newLoopProgram(seed int64) *loopProgram {
 		pipe := p.e.NewPipe()
 		p.pipes = append(p.pipes, &pipe)
 		i := i
-		p.timers = append(p.timers, p.e.NewTimer(func() { p.fire("timer", i) }))
+		tm := p.e.NewTimer(func(any) { p.fire("timer", i) }, nil)
+		p.timers = append(p.timers, &tm)
 		p.events = append(p.events, p.e.NewEvent())
 	}
 	if every := Time(p.rng.Intn(5)) * loopGrid; every > 0 {

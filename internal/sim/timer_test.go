@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -74,7 +75,8 @@ func TestTimerMatchesClosurePerDeadline(t *testing.T) {
 			return &closureTimer{env: e, fn: fn}
 		})
 		got, gotExec := timerProgram(seed, func(e *Env, fn func()) deadline {
-			return e.NewTimer(fn)
+			tm := e.NewTimer(callThunk, fn)
+			return &tm
 		})
 		fires := 0
 		for i := range want {
@@ -106,8 +108,7 @@ func TestTimerMatchesClosurePerDeadline(t *testing.T) {
 func TestTimerResetStopSemantics(t *testing.T) {
 	e := NewEnv()
 	var fired []Time
-	var tm *Timer
-	tm = e.NewTimer(func() { fired = append(fired, e.Now()) })
+	tm := e.NewTimer(func(any) { fired = append(fired, e.Now()) }, nil)
 
 	tm.Reset(10)
 	tm.Reset(30) // later: replaces
@@ -139,12 +140,12 @@ func TestTimerResetStopSemantics(t *testing.T) {
 
 	// Re-arming from inside the callback.
 	n := 0
-	var chain *Timer
-	chain = e.NewTimer(func() {
+	var chain Timer
+	chain = e.NewTimer(func(any) {
 		if n++; n < 4 {
 			chain.Reset(7)
 		}
-	})
+	}, nil)
 	start := e.Now()
 	chain.Reset(7)
 	if end := e.Run(); n != 4 || end != start+28 {
@@ -157,7 +158,7 @@ func TestTimerResetStopSemantics(t *testing.T) {
 func TestTimerKeepsOneStandingEntry(t *testing.T) {
 	e := NewEnv()
 	fired := 0
-	tm := e.NewTimer(func() { fired++ })
+	tm := e.NewTimer(func(any) { fired++ }, nil)
 	acks := 0
 	var ack func()
 	ack = func() {
@@ -176,5 +177,123 @@ func TestTimerKeepsOneStandingEntry(t *testing.T) {
 	}
 	if want := int64(10000 + 1); e.Executed() != want {
 		t.Fatalf("Executed() = %d, want %d: early wake-ups of the standing entry are not events", e.Executed(), want)
+	}
+}
+
+// reservedProgram is the retry-window shape: ordinary events on a coarse
+// grid (so everything ties) launch deadlines of a few fixed lengths, one per
+// launch, complete live ones at random, or schedule an echo onto the grid;
+// an expiring deadline sometimes launches another. perLaunch schedules each deadline as its own AtArg event
+// that does nothing if its deadline completed first; otherwise one Timer
+// stands at the smallest key reserved for a live deadline and re-aims when
+// that one completes or fires. It returns the log, Executed() and how many
+// expiries found their deadline completed.
+func reservedProgram(seed int64, perLaunch bool) (log []string, executed int64, noops int) {
+	e := NewEnv()
+	rng := rand.New(rand.NewSource(seed))
+	keys := map[int]Key{}
+	var live []int // ids in launch order
+	aim := -1
+	var tm Timer
+	reaim := func() {
+		aim = -1
+		for _, id := range live {
+			if aim < 0 || keys[id].Before(keys[aim]) {
+				aim = id
+			}
+		}
+		if aim >= 0 {
+			tm.ArmAt(keys[aim])
+		} else {
+			tm.Stop()
+		}
+	}
+	remove := func(id int) {
+		for i, l := range live {
+			if l == id {
+				live = append(live[:i], live[i+1:]...)
+			}
+		}
+	}
+	var launch func()
+	expire := func(id int) {
+		log = append(log, fmt.Sprintf("%d:fire%d", e.Now(), id))
+		remove(id)
+		if !perLaunch {
+			reaim()
+		}
+		if rng.Intn(2) == 0 {
+			launch()
+		}
+	}
+	onEvent := func(v any) {
+		id := v.(int)
+		for _, l := range live {
+			if l == id {
+				expire(id)
+				return
+			}
+		}
+		noops++
+	}
+	tm = e.NewTimer(func(any) { expire(aim) }, nil)
+	next := 0
+	launch = func() {
+		id, d := next, Time(10*(1+rng.Intn(4)))
+		next++
+		live = append(live, id)
+		if perLaunch {
+			e.AtArg(d, onEvent, id)
+			return
+		}
+		keys[id] = e.Reserve(d)
+		if aim < 0 || keys[id].Before(keys[aim]) {
+			aim = id
+			tm.ArmAt(keys[id])
+		}
+	}
+	for i := 0; i < 400; i++ {
+		e.At(Time(10*rng.Intn(100)), func() {
+			switch op := rng.Intn(4); {
+			case op == 0:
+				// An event scheduled between a key's reservation and the
+				// timer's arming at it, tying with the deadline.
+				e.At(Time(10*rng.Intn(5)), func() { log = append(log, fmt.Sprintf("%d:echo%d", e.Now(), i)) })
+			case op < 3:
+				launch()
+				log = append(log, fmt.Sprintf("%d:launch%d", e.Now(), next-1))
+			case len(live) > 0:
+				id := live[rng.Intn(len(live))]
+				remove(id)
+				if !perLaunch && id == aim {
+					reaim()
+				}
+				log = append(log, fmt.Sprintf("%d:complete%d", e.Now(), id))
+			}
+		})
+	}
+	e.Run()
+	return log, e.Executed(), noops
+}
+
+// TestTimerAtReservedKeysMatchesPerLaunchEvents: a timer kept at the
+// smallest of the keys reserved one per deadline fires each expiring
+// deadline exactly where its own event would have run, and the deadlines
+// completed first cost nothing.
+func TestTimerAtReservedKeysMatchesPerLaunchEvents(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		want, wantExec, noops := reservedProgram(seed, true)
+		got, gotExec, _ := reservedProgram(seed, false)
+		if !slices.Equal(got, want) {
+			for i := range want {
+				if i >= len(got) || got[i] != want[i] {
+					t.Fatalf("seed %d: line %d: the timer logs %q, per-launch events %q", seed, i, append(got, "<end>")[i], want[i])
+				}
+			}
+			t.Fatalf("seed %d: the timer logs %d lines, per-launch events %d", seed, len(got), len(want))
+		}
+		if noops == 0 || gotExec != wantExec-int64(noops) {
+			t.Fatalf("seed %d: Executed() = %d with the timer, %d with per-launch events of which %d did nothing", seed, gotExec, wantExec, noops)
+		}
 	}
 }

@@ -132,7 +132,7 @@ type Conn struct {
 	// until the connection is established, then the unacked data. It is
 	// re-armed on every ack that makes progress, so nearly every deadline is
 	// superseded before it expires.
-	rto *sim.Timer
+	rto sim.Timer
 	// rtoStreak counts consecutive unproductive RTO expiries; it shifts
 	// the exponential backoff and, against MaxRetransmits, decides when
 	// the connection gives up. Establishment and any ack progress reset it.
@@ -179,7 +179,7 @@ func newConn(s *Stack, remote ib.LID, remotePort, localPort int) *Conn {
 		swnd:        s.cfg.Window, // refined by SYN/SYNACK exchange
 		ssthresh:    s.cfg.Window,
 	}
-	c.rto = s.env.NewTimer(c.onRTO)
+	c.rto = s.env.NewTimer(onRTO, c)
 	return c
 }
 
@@ -580,19 +580,9 @@ func (c *Conn) handleAck(seg *segment) {
 	// never retransmit: the fast retransmit already resent every hole.
 	if !c.lossRecovery {
 		if c.cwnd < c.ssthresh {
-			c.cwnd += acked
-			if c.cwnd > c.ssthresh {
-				c.cwnd = c.ssthresh
-			}
+			c.cwnd = min(c.cwnd+acked, c.ssthresh)
 		} else if c.cwnd < c.stack.cfg.Window {
-			inc := c.stack.MSS() * acked / c.cwnd
-			if inc < 1 {
-				inc = 1
-			}
-			c.cwnd += inc
-			if c.cwnd > c.stack.cfg.Window {
-				c.cwnd = c.stack.cfg.Window
-			}
+			c.cwnd = min(c.cwnd+max(c.stack.MSS()*acked/c.cwnd, 1), c.stack.cfg.Window)
 		}
 	}
 	c.rto.Stop()
@@ -619,13 +609,7 @@ func (c *Conn) ecnCut(ackNum int64) {
 // the current flight, floored at two segments, and a new recovery round
 // opens at sndNxt.
 func (c *Conn) cutCwnd() {
-	half := int(c.sndNxt-c.sndUna) / 2
-	if m := 2 * c.stack.MSS(); half < m {
-		half = m
-	}
-	if half > c.stack.cfg.Window {
-		half = c.stack.cfg.Window
-	}
+	half := min(max(int(c.sndNxt-c.sndUna)/2, 2*c.stack.MSS()), c.stack.cfg.Window)
 	c.ssthresh = half
 	c.cwnd = half
 	c.recover = c.sndNxt
@@ -656,11 +640,7 @@ func (c *Conn) fastRetransmit() {
 // permanently dead WAN terminates with ErrReset instead of retransmitting
 // forever.
 func (c *Conn) armRTO() {
-	shift := c.rtoStreak
-	if shift > maxRTOShift {
-		shift = maxRTOShift
-	}
-	c.rto.Reset(c.stack.cfg.RTO << shift)
+	c.rto.Reset(c.stack.cfg.RTO << min(c.rtoStreak, maxRTOShift))
 }
 
 // establish completes the handshake: the timer stops retransmitting the
@@ -675,8 +655,9 @@ func (c *Conn) establish() {
 // it resends the handshake segment — SYN on the active side, SYN|ACK on the
 // passive side — and exhausting the budget fails the connection with
 // ErrConnectTimeout; after, it resends the data still outstanding, and
-// exhaustion is ErrReset.
-func (c *Conn) onRTO() {
+// exhaustion is ErrReset. The connection is the timer's argument.
+func onRTO(v any) {
+	c := v.(*Conn)
 	handshake := !c.established.Triggered()
 	if !handshake && c.unacked.Len() == 0 {
 		return

@@ -176,6 +176,62 @@ var mutants = []mutant{
 		pkg:  "./internal/ib",
 		run:  "TestLosslessPortFIFO",
 	},
+	{
+		name: "retry timer left at a completed transfer's key",
+		file: "internal/ib/rc.go",
+		old:  "\tif t == q.aim {\n\t\tq.reaim()\n\t}\n",
+		new:  "",
+		pkg:  "./internal/ib",
+		run:  "TestLossyRCMatchesPerLaunchTimeouts",
+	},
+	{
+		name: "timer armed at a fresh sequence number instead of the reserved key",
+		file: "internal/sim/timer.go",
+		old:  "\tt.key = k\n",
+		new:  "\tk = t.env.Reserve(k.at - t.env.now)\n\tt.key = k\n",
+		pkg:  "./internal/sim",
+		run:  "TestTimerAtReservedKeysMatchesPerLaunchEvents",
+	},
+	{
+		name: "cleared slots left at the window's head",
+		file: "internal/ib/rc.go",
+		old:  "for q.launched > 0 && *q.window.Front() == nil {",
+		new:  "for false && q.launched > 0 && *q.window.Front() == nil {",
+		pkg:  "./internal/ib",
+		run:  "TestRCWindowLimitsInflight",
+	},
+	{
+		name: "error flush takes the queue before the window",
+		file: "internal/ib/rc.go",
+		old:  "\t// then the queued ones.\n",
+		new:  "\t// then the queued ones.\n\tfor i := q.launched; i < q.window.Len(); i++ {\n\t\tq.flushTransfer(*q.window.At(i))\n\t\t*q.window.At(i) = nil\n\t}\n",
+		pkg:  "./internal/ib",
+		run:  "TestLossyRCMatchesPerLaunchTimeouts",
+	},
+	{
+		name: "datagram receive completed on the sending QP",
+		file: "internal/ib/ud.go",
+		old:  "\tt.resp = q\n",
+		new:  "\tt.resp = t.origin\n",
+		pkg:  "./internal/ib",
+		run:  "TestStageHandlersFindTheirQP",
+	},
+	{
+		name: "a delivery closure per port",
+		file: "internal/ib/fabric.go",
+		old:  "deliverArg: dev.ingress(),",
+		new:  "deliverArg: func(v any) { dev.ingress()(v) },",
+		pkg:  "./internal/ib",
+		run:  "TestConstructionAllocs",
+	},
+	{
+		name: "pooled packet left unzeroed",
+		file: "internal/ib/fabric.go",
+		old:  "\t\t*pkt = packet{train: tr}\n",
+		new:  "\t\tpkt.train = tr\n",
+		pkg:  "./internal/ib",
+		run:  "TestPooledPacketsZeroedAtHome",
+	},
 }
 
 // copyModule copies the module's sources (go.mod, the Go files at its root
