@@ -310,10 +310,11 @@ func TestKernelRCStreamQueuesDisabledAllocs(t *testing.T) {
 // NFS/IPoIB-RC must not allocate the bytes it reads. The records are lengths
 // from the server's page cache to the client's caller — tcpsim spans, the RPC
 // frame's bulkLen — and what is left per megabyte (four 256 KB records) is
-// the RPCs' own headers, requests and replies, about 3.2 KB. Materializing
-// each record's zeroes in the socket reader made it a megabyte per megabyte;
-// a pipe node and a record per RC retry timeout, each held for the whole
-// timeout, made it 7.6 KB. A file with contents still arrives as its bytes.
+// the socket's copies of the RPCs' headers and metadata, about 333 bytes.
+// Materializing each record's zeroes in the socket reader made it a megabyte
+// per megabyte; a pipe node and a record per RC retry timeout, each held for
+// the whole timeout, made it 7.6 KB, and a handler process, request and
+// reply per call 3.2 KB. A file with contents still arrives as its bytes.
 func TestKernelNFSTCPReadAllocBytes(t *testing.T) {
 	const fileMB = 64
 	env, tb := pair(0)
@@ -331,8 +332,8 @@ func TestKernelNFSTCPReadAllocBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perMB := float64(after.TotalAlloc-before.TotalAlloc) / fileMB
 	t.Logf("%.0f bytes allocated per MB read", perMB)
-	if perMB > 4<<10 {
-		t.Errorf("synthetic NFS/IPoIB-RC read allocated %.0f bytes per MB read, want <= 4096", perMB)
+	if perMB > 424 {
+		t.Errorf("synthetic NFS/IPoIB-RC read allocated %.0f bytes per MB read, want <= 424", perMB)
 	}
 
 	content := make([]byte, 300_000)
@@ -353,6 +354,57 @@ func TestKernelNFSTCPReadAllocBytes(t *testing.T) {
 	env.Run()
 	if !bytes.Equal(got, content) {
 		t.Error("a file with contents no longer reads back as its bytes")
+	}
+}
+
+// TestKernelNFSReadCallAllocs is the RPC call path's object budget: the
+// objects a warm 8-thread IOzone read of a synthetic file allocates per
+// call, measured as the difference between a 128 MB and a 64 MB pass so the
+// run's own processes cancel out. Over RDMA that is at most one, as a
+// call's record, wait event, fragment group and nfsd thread are all reused.
+// Over IPoIB-RC it is at most four, the socket's own copies of the request's
+// and the reply's header and metadata writes (tcpsim.Conn.Write keeps a copy
+// of what it is given). A process per call, its closure and wait event and
+// a fresh request, reply and metadata slices cost about seventeen.
+func TestKernelNFSReadCallAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rdma bool
+		max  float64
+	}{{"rdma", true, 1}, {"ipoib-rc", false, 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, tb := pair(0)
+			defer env.Shutdown()
+			var srv *nfs.Server
+			var cl *nfs.Client
+			if tc.rdma {
+				srv, cl = nfs.MountRDMA(tb.B[0], tb.A[0])
+			} else {
+				var err error
+				if srv, cl, err = nfs.MountTCP(env, tb.B[0], tb.A[0], ipoib.Connected); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv.AddSyntheticFile("f", 128<<20)
+			// pass returns the objects one IOzone read of the file's first
+			// fileMB allocates and the calls it makes.
+			pass := func(fileMB int64) (uint64, int64) {
+				var before, after runtime.MemStats
+				ops := srv.Ops()
+				runtime.ReadMemStats(&before)
+				nfs.IOzone(env, cl, "f", nfs.IOzoneConfig{FileSize: fileMB << 20, Threads: 8})
+				runtime.ReadMemStats(&after)
+				return after.Mallocs - before.Mallocs, srv.Ops() - ops
+			}
+			pass(128) // the first pass fills the freelists and starts the threads
+			small, smallCalls := pass(64)
+			large, largeCalls := pass(128)
+			perCall := (float64(large) - float64(small)) / float64(largeCalls-smallCalls)
+			t.Logf("%.2f objects allocated per call (%d over %d calls, %d over %d)", perCall, large, largeCalls, small, smallCalls)
+			if perCall > tc.max {
+				t.Errorf("warm NFS read over %s allocated %.2f objects per RPC call, want <= %v", tc.name, perCall, tc.max)
+			}
+		})
 	}
 }
 

@@ -115,6 +115,9 @@ var ciRows = []ciRow{
 	probe("-class A probe nas -kernel CG -procs 16 -delay 10000 -profile"),
 	probe("-filemb 64 probe nfs -transport tcp-rc -threads 8 -delay 1000"),
 	probe("-filemb 32 probe nfs -transport tcp-ud -threads 4 -delay 1000"),
+	// More client threads than the server's 32 nfsd threads: calls wait in
+	// the server's backlog.
+	probe("-filemb 16 probe nfs -transport rdma -threads 48 -delay 1000"),
 	// -tcpms sets the probe's window as it sets the figure's: fig7(b)'s
 	// -quick 4-streams cell.
 	probe("-tcpms 10 probe ipoib -mode rc -streams 4 -delay 1000", contains("stdout", "888.820")),

@@ -53,26 +53,35 @@ func NewClientOn(node *cluster.Node, t rpc.Client) *Client {
 }
 
 // call runs one RPC through the transport, spanning and timing it when
-// observation is on. The transport error is checked before the reply is
-// touched: a failed call has no reply metadata.
-func (c *Client) call(p *sim.Proc, name string, req *rpc.Request) (*rpc.Reply, int, error) {
+// observation is on, and returns the bulk bytes placed and the reply's
+// status as an error; the transport's error comes first, a failed call
+// having no reply. The caller releases rc after reading its reply.
+func (c *Client) call(p *sim.Proc, name string, rc *rpc.Call) (int, error) {
 	obs := c.obs
-	if obs == nil {
-		return c.t.Call(p, req)
-	}
-	start := obs.env.Now()
+	var start sim.Time
 	var ref telemetry.SpanRef
-	if obs.rec != nil {
-		ref = obs.rec.StartAt(start, obs.track, name, telemetry.NoSpan)
+	if obs != nil {
+		start = obs.env.Now()
+		if obs.rec != nil {
+			ref = obs.rec.StartAt(start, obs.track, name, telemetry.NoSpan)
+		}
 	}
-	reply, n, err := c.t.Call(p, req)
-	now := obs.env.Now()
-	obs.calls.Add(1)
-	obs.lat.Observe(int64(now - start))
-	if obs.rec != nil {
-		obs.rec.EndAt(now, ref)
+	n, err := c.t.Do(p, rc)
+	if obs != nil {
+		now := obs.env.Now()
+		obs.calls.Add(1)
+		obs.lat.Observe(int64(now - start))
+		if obs.rec != nil {
+			obs.rec.EndAt(now, ref)
+		}
 	}
-	return reply, n, err
+	if err == nil {
+		err = statusErr(binary.LittleEndian.Uint32(rc.Reply.Meta))
+	}
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // Errors returned by client operations.
@@ -97,82 +106,65 @@ func statusErr(st uint32) error {
 
 // Lookup resolves a name to a file handle and size.
 func (c *Client) Lookup(p *sim.Proc, name string) (uint64, int64, error) {
-	reply, _, err := c.call(p, "nfs.lookup", &rpc.Request{Proc: ProcLookup, Meta: []byte(name)})
-	if err != nil {
-		return 0, 0, err
+	rc := c.t.NewCall(ProcLookup)
+	rc.Req.Meta = append(rc.Req.Meta, name...)
+	var fh uint64
+	var size int64
+	_, err := c.call(p, "nfs.lookup", rc)
+	if err == nil {
+		fh = binary.LittleEndian.Uint64(rc.Reply.Meta[4:])
+		size = int64(binary.LittleEndian.Uint64(rc.Reply.Meta[12:]))
 	}
-	st := binary.LittleEndian.Uint32(reply.Meta)
-	if err := statusErr(st); err != nil {
-		return 0, 0, err
-	}
-	fh := binary.LittleEndian.Uint64(reply.Meta[4:])
-	size := int64(binary.LittleEndian.Uint64(reply.Meta[12:]))
-	return fh, size, nil
+	rc.Release()
+	return fh, size, err
 }
 
 // Create makes a new file: size >= 0 creates a synthetic file of that size;
 // size < 0 creates an empty real file for data writes.
 func (c *Client) Create(p *sim.Proc, name string, size int64) (uint64, error) {
-	meta := make([]byte, 8+len(name))
-	binary.LittleEndian.PutUint64(meta, uint64(size))
-	copy(meta[8:], name)
-	reply, _, err := c.call(p, "nfs.create", &rpc.Request{Proc: ProcCreate, Meta: meta})
-	if err != nil {
-		return 0, err
+	rc := c.t.NewCall(ProcCreate)
+	rc.Req.Meta = append(binary.LittleEndian.AppendUint64(rc.Req.Meta, uint64(size)), name...)
+	var fh uint64
+	_, err := c.call(p, "nfs.create", rc)
+	if err == nil {
+		fh = binary.LittleEndian.Uint64(rc.Reply.Meta[4:])
 	}
-	st := binary.LittleEndian.Uint32(reply.Meta)
-	if err := statusErr(st); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(reply.Meta[4:]), nil
-}
-
-func readMeta(fh uint64, off int64, count int) []byte {
-	meta := make([]byte, 8+8+4)
-	binary.LittleEndian.PutUint64(meta, fh)
-	binary.LittleEndian.PutUint64(meta[8:], uint64(off))
-	binary.LittleEndian.PutUint32(meta[16:], uint32(count))
-	return meta
+	rc.Release()
+	return fh, err
 }
 
 // Read reads count bytes at off. When buf is non-nil the data lands there
 // (real transfer); otherwise the transfer is synthetic. Returns bytes read.
 func (c *Client) Read(p *sim.Proc, fh uint64, off int64, count int, buf []byte) (int, error) {
-	req := &rpc.Request{Proc: ProcRead, Meta: readMeta(fh, off, count)}
+	rc := c.t.NewCall(ProcRead)
+	meta := binary.LittleEndian.AppendUint64(rc.Req.Meta, fh)
+	meta = binary.LittleEndian.AppendUint64(meta, uint64(off))
+	rc.Req.Meta = binary.LittleEndian.AppendUint32(meta, uint32(count))
 	if buf != nil {
-		req.ReadBuf = buf[:count]
+		rc.Req.ReadBuf = buf[:count]
 	} else {
-		req.ReadLen = count
+		rc.Req.ReadLen = count
 	}
-	reply, n, err := c.call(p, "nfs.read", req)
-	if err != nil {
-		return 0, err
-	}
-	st := binary.LittleEndian.Uint32(reply.Meta)
-	if err := statusErr(st); err != nil {
-		return 0, err
-	}
-	return n, nil
+	n, err := c.call(p, "nfs.read", rc)
+	rc.Release()
+	return n, err
 }
 
 // Write writes data (or n synthetic bytes when data is nil) at off.
 func (c *Client) Write(p *sim.Proc, fh uint64, off int64, data []byte, n int) (int, error) {
-	meta := make([]byte, 8+8)
-	binary.LittleEndian.PutUint64(meta, fh)
-	binary.LittleEndian.PutUint64(meta[8:], uint64(off))
-	req := &rpc.Request{Proc: ProcWrite, Meta: meta}
+	rc := c.t.NewCall(ProcWrite)
+	meta := binary.LittleEndian.AppendUint64(rc.Req.Meta, fh)
+	rc.Req.Meta = binary.LittleEndian.AppendUint64(meta, uint64(off))
 	if data != nil {
-		req.WriteBulk = data
+		rc.Req.WriteBulk = data
 	} else {
-		req.WriteLen = n
+		rc.Req.WriteLen = n
 	}
-	reply, _, err := c.call(p, "nfs.write", req)
-	if err != nil {
-		return 0, err
+	var written int
+	_, err := c.call(p, "nfs.write", rc)
+	if err == nil {
+		written = int(binary.LittleEndian.Uint32(rc.Reply.Meta[4:]))
 	}
-	st := binary.LittleEndian.Uint32(reply.Meta)
-	if err := statusErr(st); err != nil {
-		return 0, err
-	}
-	return int(binary.LittleEndian.Uint32(reply.Meta[4:])), nil
+	rc.Release()
+	return written, err
 }

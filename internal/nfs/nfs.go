@@ -46,7 +46,9 @@ const (
 	PerOpCPU = 15 * sim.Microsecond
 )
 
-// DefaultThreads is the nfsd thread-pool size.
+// DefaultThreads is the nfsd thread-pool size: a server starts at most this
+// many handler processes, as concurrent calls need them, and keeps them;
+// calls beyond them wait in arrival order.
 const DefaultThreads = 32
 
 // File is an in-memory file. Data nil means a synthetic file of Size bytes
@@ -115,44 +117,43 @@ func (s *Server) install(f *File) *File {
 	return f
 }
 
-// Handler returns the rpc.Handler serving this file system.
+// Handler returns the rpc.Handler serving this file system. A reply's
+// metadata is its status, then on success the operation's results.
 func (s *Server) Handler() rpc.Handler {
-	return func(p *sim.Proc, req *rpc.Request) *rpc.Reply {
+	return func(p *sim.Proc, req *rpc.Request, reply *rpc.Reply) {
 		s.ops++
 		s.node.CPU.Use(p, PerOpCPU)
+		reply.Meta = append(reply.Meta, 0, 0, 0, 0) // the status, put below
+		st := ErrIO
 		switch req.Proc {
 		case ProcLookup:
-			return s.lookup(req)
+			st = s.lookup(req, reply)
 		case ProcRead:
-			return s.read(p, req)
+			st = s.read(p, req, reply)
 		case ProcWrite:
-			return s.write(p, req)
+			st = s.write(p, req, reply)
 		case ProcCreate:
-			return s.create(req)
-		default:
-			return &rpc.Reply{Meta: statusMeta(ErrIO)}
+			st = s.create(req, reply)
 		}
+		binary.LittleEndian.PutUint32(reply.Meta, st)
 	}
 }
 
-func (s *Server) lookup(req *rpc.Request) *rpc.Reply {
-	name := string(req.Meta)
-	f := s.files[name]
+func (s *Server) lookup(req *rpc.Request, reply *rpc.Reply) uint32 {
+	f := s.files[string(req.Meta)]
 	if f == nil {
-		return &rpc.Reply{Meta: statusMeta(ErrNoEnt)}
+		return ErrNoEnt
 	}
-	meta := make([]byte, 4+8+8)
-	binary.LittleEndian.PutUint32(meta, OK)
-	binary.LittleEndian.PutUint64(meta[4:], f.FH)
-	binary.LittleEndian.PutUint64(meta[12:], uint64(f.Size))
-	return &rpc.Reply{Meta: meta}
+	reply.Meta = binary.LittleEndian.AppendUint64(reply.Meta, f.FH)
+	reply.Meta = binary.LittleEndian.AppendUint64(reply.Meta, uint64(f.Size))
+	return OK
 }
 
-func (s *Server) create(req *rpc.Request) *rpc.Reply {
+func (s *Server) create(req *rpc.Request, reply *rpc.Reply) uint32 {
 	name := string(req.Meta[8:])
 	size := int64(binary.LittleEndian.Uint64(req.Meta))
 	if _, dup := s.files[name]; dup {
-		return &rpc.Reply{Meta: statusMeta(ErrExist)}
+		return ErrExist
 	}
 	var f *File
 	if size < 0 {
@@ -160,22 +161,20 @@ func (s *Server) create(req *rpc.Request) *rpc.Reply {
 	} else {
 		f = s.install(&File{Name: name, Size: size})
 	}
-	meta := make([]byte, 4+8)
-	binary.LittleEndian.PutUint32(meta, OK)
-	binary.LittleEndian.PutUint64(meta[4:], f.FH)
-	return &rpc.Reply{Meta: meta}
+	reply.Meta = binary.LittleEndian.AppendUint64(reply.Meta, f.FH)
+	return OK
 }
 
-func (s *Server) read(p *sim.Proc, req *rpc.Request) *rpc.Reply {
+func (s *Server) read(p *sim.Proc, req *rpc.Request, reply *rpc.Reply) uint32 {
 	fh := binary.LittleEndian.Uint64(req.Meta)
 	off := int64(binary.LittleEndian.Uint64(req.Meta[8:]))
 	count := int(binary.LittleEndian.Uint32(req.Meta[16:]))
 	f := s.byFH[fh]
 	if f == nil {
-		return &rpc.Reply{Meta: statusMeta(ErrNoEnt)}
+		return ErrNoEnt
 	}
 	if off >= f.Size {
-		return &rpc.Reply{Meta: statusMeta(OK)}
+		return OK
 	}
 	if int64(count) > f.Size-off {
 		count = int(f.Size - off)
@@ -184,17 +183,19 @@ func (s *Server) read(p *sim.Proc, req *rpc.Request) *rpc.Reply {
 	// the RDMA path), serialized on the server's data context.
 	s.ioCtx.Use(p, sim.Time(float64(count)*s.touchNanos))
 	if f.Data != nil {
-		return &rpc.Reply{Meta: statusMeta(OK), Bulk: f.Data[off : off+int64(count)]}
+		reply.Bulk = f.Data[off : off+int64(count)]
+	} else {
+		reply.BulkLen = count
 	}
-	return &rpc.Reply{Meta: statusMeta(OK), BulkLen: count}
+	return OK
 }
 
-func (s *Server) write(p *sim.Proc, req *rpc.Request) *rpc.Reply {
+func (s *Server) write(p *sim.Proc, req *rpc.Request, reply *rpc.Reply) uint32 {
 	fh := binary.LittleEndian.Uint64(req.Meta)
 	off := int64(binary.LittleEndian.Uint64(req.Meta[8:]))
 	f := s.byFH[fh]
 	if f == nil {
-		return &rpc.Reply{Meta: statusMeta(ErrNoEnt)}
+		return ErrNoEnt
 	}
 	n := len(req.WriteBulk)
 	if req.WriteBulk == nil {
@@ -217,14 +218,6 @@ func (s *Server) write(p *sim.Proc, req *rpc.Request) *rpc.Reply {
 	if need > f.Size {
 		f.Size = need
 	}
-	meta := make([]byte, 4+4)
-	binary.LittleEndian.PutUint32(meta, OK)
-	binary.LittleEndian.PutUint32(meta[4:], uint32(n))
-	return &rpc.Reply{Meta: meta}
-}
-
-func statusMeta(st uint32) []byte {
-	b := make([]byte, 4)
-	binary.LittleEndian.PutUint32(b, st)
-	return b
+	reply.Meta = binary.LittleEndian.AppendUint32(reply.Meta, uint32(n))
+	return OK
 }

@@ -137,6 +137,39 @@ func TestConcurrentThreadsShareMount(t *testing.T) {
 	}
 }
 
+// TestNFSDThreadsAreKept runs a warm IOzone twice over each transport: the
+// server's nfsd threads are started by the first run and reused by the
+// second, and there are never more of them than calls at once (four client
+// threads) or DefaultThreads.
+func TestNFSDThreadsAreKept(t *testing.T) {
+	for _, rdma := range []bool{true, false} {
+		env, tb := testbed(sim.Micros(100))
+		var srv *Server
+		var cl *Client
+		// The transport's own processes: none over RDMA; over TCP the
+		// acceptor, the connection's reply writer and the client's writer.
+		base := 0
+		if rdma {
+			srv, cl = MountRDMA(tb.B[0], tb.A[0])
+		} else {
+			srv, cl, _ = MountTCP(env, tb.B[0], tb.A[0], ipoib.Connected)
+			base = 3
+		}
+		srv.AddSyntheticFile("f", 16<<20)
+		cfg := IOzoneConfig{FileSize: 16 << 20, Threads: 4}
+		IOzone(env, cl, "f", cfg)
+		first := env.LiveProcs()
+		IOzone(env, cl, "f", cfg)
+		if second := env.LiveProcs(); second != first {
+			t.Errorf("rdma %v: %d live processes after the second run, %d after the first", rdma, second, first)
+		}
+		if threads := first - base; threads < 1 || threads > min(cfg.Threads, DefaultThreads) {
+			t.Errorf("rdma %v: %d nfsd threads for %d concurrent calls, want 1..%d", rdma, threads, cfg.Threads, min(cfg.Threads, DefaultThreads))
+		}
+		env.Shutdown()
+	}
+}
+
 func TestIOzoneThreadScalingRDMA(t *testing.T) {
 	// Paper Fig. 13(a): throughput rises with client threads.
 	measure := func(threads int) float64 {

@@ -32,7 +32,9 @@ func appendFrame(runs []streamRun, f *frame) []streamRun {
 			runs = append(runs, streamRun{data: append([]byte(nil), b...), n: len(b)})
 		}
 	}
-	addReal(marshalHeader(f.xid, f.proc, len(f.meta), f.bulkLen, f.readLen))
+	var hdr [headerBytes]byte
+	putHeader(&hdr, f.xid, f.proc, len(f.meta), f.bulkLen, f.readLen)
+	addReal(hdr[:])
 	addReal(f.meta)
 	if f.bulk != nil {
 		addReal(f.bulk)
@@ -121,7 +123,8 @@ func TestReadFramesReassembles(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			readFrames(c, func(f frame) { got = append(got, f) }, func(err error) { fails = append(fails, err) })
+			readFrames(c, func(_ *frame, n int) []byte { return make([]byte, n) },
+				func(f *frame) { got = append(got, *f) }, func(err error) { fails = append(fails, err) })
 			for c.Delivered() < int64(total) {
 				p.Sleep(sim.Millisecond)
 			}

@@ -21,33 +21,13 @@ const (
 	FragmentIssueCPU = 3300 * sim.Nanosecond
 )
 
-// rdmaWire is the wire header message used on the send/recv channel.
-type rdmaWire struct {
-	xid     uint64
-	proc    uint32
-	meta    []byte
-	isReply bool
-	bulkLen int // reply: bulk bytes placed before this reply was sent
-	// synthetic marks a reply whose bulk was a length: nothing was written
-	// into the client's region, which must read as zeroes all the same.
-	synthetic bool
-	// Request: regions the client advertises for direct data placement,
-	// nil when the call has no such bulk. They point into readRegion and
-	// writeRegion: the regions ride in the wire record that advertises them.
-	readMR      *ib.MR // server writes READ data here
-	writeMR     *ib.MR // server reads WRITE data from here
-	readRegion  ib.MR
-	writeRegion ib.MR
-	readLen     int
-	wlen        int
-}
-
 // RDMAClient is the NFS/RDMA client transport: one RC connection to the
 // server, small sends for headers, direct data placement for bulk.
 type RDMAClient struct {
 	core
-	node *cluster.Node
-	qp   *ib.QP
+	node   *cluster.Node
+	qp     *ib.QP
+	remote *ib.QP // the connection's server-side QP, which each request names
 }
 
 // RDMAServer is the server side of the RDMA transport.
@@ -55,30 +35,32 @@ type RDMAServer struct {
 	env     *sim.Env
 	node    *cluster.Node
 	handler Handler
-	threads *sim.Resource
+	calls   *callPool
+	pool    *threadPool
 	// issueCtx serializes fragment preparation (the server data path).
 	issueCtx *sim.Resource
-	qps      []*ib.QP
 	cq       *ib.CQ
 }
 
-// ServeRDMA starts an RPC-over-RDMA server on the node.
+// ServeRDMA starts an RPC-over-RDMA server on the node, its calls served by
+// a pool of the given number of nfsd threads (see threadPool).
 func ServeRDMA(node *cluster.Node, threads int, h Handler) *RDMAServer {
 	env := node.HCA.Env()
 	s := &RDMAServer{
 		env:      env,
 		node:     node,
 		handler:  h,
-		threads:  sim.NewResource(env, threads),
+		calls:    callsOf(env),
 		issueCtx: sim.NewResource(env, 1),
 		cq:       ib.NewCQ(env),
 	}
+	s.pool = newThreadPool(env, "rpc-rdma-nfsd", threads, s.serve)
 	s.cq.SetHandler(s.complete)
 	return s
 }
 
-// complete is the server's single CQ consumer: it routes inbound calls to
-// handler processes and fragment completions to their waiting groups.
+// complete is the server's single CQ consumer: it hands inbound calls to the
+// thread pool and counts fragment completions down on their groups.
 func (s *RDMAServer) complete(c ib.Completion) {
 	if c.Status != ib.StatusOK {
 		// Errored connection: a flushed receive carries no call, but a
@@ -89,12 +71,11 @@ func (s *RDMAServer) complete(c ib.Completion) {
 	}
 	switch c.Op {
 	case ib.OpRecv:
-		qp := s.qpToClient(c.QPN)
-		qp.PostRecv(ib.RecvWR{})
-		w := c.Meta.(*rdmaWire)
-		s.env.Go("rpc-rdma-handler", func(ph *sim.Proc) {
-			s.serve(ph, w, qp)
-		})
+		in := c.Meta.(*Call)
+		in.qp.PostRecv(ib.RecvWR{})
+		sc := s.calls.take(s.env)
+		sc.in, sc.xid = in, in.xid
+		s.pool.dispatch(sc)
 	case ib.OpRDMAWrite, ib.OpRDMARead:
 		s.fragmentDone(c)
 	}
@@ -111,74 +92,70 @@ func (s *RDMAServer) fragmentDone(c ib.Completion) {
 	}
 }
 
-// fragGroup tracks a batch of outstanding direct-placement fragments.
+// fragGroup tracks a batch of outstanding direct-placement fragments; it
+// rides in the call record that issues them.
 type fragGroup struct {
 	remaining int
 	done      *sim.Event
 }
 
-// qpToClient returns the server-side QP the call arrived on; replies and
-// direct data placement flow back over the same connection.
-func (s *RDMAServer) qpToClient(localQPN int) *ib.QP {
-	for _, qp := range s.qps {
-		if qp.QPN() == localQPN {
-			return qp
-		}
+// fragments posts n bytes as Fragment-sized direct-placement operations, each
+// prepared on the issue context, and waits until all of them completed. post
+// issues the fragment at off of length k.
+func (s *RDMAServer) fragments(p *sim.Proc, g *fragGroup, n int, post func(off, k int)) {
+	g.remaining, g.done = (n+Fragment-1)/Fragment, s.env.AcquireEvent()
+	for off := 0; off < n; off += Fragment {
+		s.issueCtx.Use(p, FragmentIssueCPU)
+		post(off, min(Fragment, n-off))
 	}
-	panic("rpc: reply to unknown client QP")
+	p.Wait(g.done)
+	s.env.ReleaseEvent(g.done)
+	g.done = nil
 }
 
-// serve runs one call: fetch WRITE data by RDMA read, invoke the handler,
-// place READ data by fragmented RDMA writes, send the reply.
-func (s *RDMAServer) serve(p *sim.Proc, w *rdmaWire, qp *ib.QP) {
-	s.threads.Acquire(p)
-	defer s.threads.Release()
-	req := &Request{Proc: w.proc, Meta: w.meta, ReadLen: w.readLen}
+// serve runs one call on an nfsd thread: fetch WRITE data by RDMA read,
+// invoke the handler, place READ data by fragmented RDMA writes, send the
+// reply — the record itself — back on the connection the request named.
+func (s *RDMAServer) serve(p *sim.Proc, sc *Call) {
+	in := sc.in
+	qp := in.qp
+	req := &sc.Req
+	req.Proc, req.Meta, req.ReadLen = in.Req.Proc, in.Req.Meta, in.Req.readCap()
 	// Pull WRITE bulk from the client by RDMA read, fragment by fragment.
-	if w.wlen > 0 {
+	if wlen := in.Req.writeLen(); wlen > 0 {
 		var buf []byte
-		if w.writeMR != nil && w.writeMR.Buf != nil {
-			buf = make([]byte, w.wlen)
+		if in.Req.WriteBulk != nil {
+			buf = make([]byte, wlen)
 		}
-		g := &fragGroup{remaining: (w.wlen + Fragment - 1) / Fragment, done: s.env.NewEvent()}
-		for off := 0; off < w.wlen; off += Fragment {
-			n := min(Fragment, w.wlen-off)
-			s.issueCtx.Use(p, FragmentIssueCPU)
+		s.fragments(p, &sc.group, wlen, func(off, n int) {
 			var dst []byte
 			if buf != nil {
 				dst = buf[off : off+n]
 			}
 			qp.PostSend(ib.SendWR{Op: ib.OpRDMARead, Len: n, LocalBuf: dst,
-				RemoteMR: w.writeMR, RemoteOff: off, Ctx: g})
-		}
-		p.Wait(g.done)
+				RemoteMR: &in.writeRegion, RemoteOff: off, Ctx: &sc.group})
+		})
 		req.WriteBulk = buf
 		if buf == nil {
-			req.WriteLen = w.wlen
+			req.WriteLen = wlen
 		}
 	}
-	reply := s.handler(p, req)
+	s.handler(p, req, &sc.Reply)
 	// Place READ bulk into the client's region, 4 KB fragments.
-	bulkN := reply.bulkLen()
-	if bulkN > 0 {
-		if w.readMR == nil {
+	if bulkN := sc.Reply.bulkLen(); bulkN > 0 {
+		if in.Req.readCap() == 0 {
 			panic("rpc: reply bulk without client read region")
 		}
-		g := &fragGroup{remaining: (bulkN + Fragment - 1) / Fragment, done: s.env.NewEvent()}
-		for off := 0; off < bulkN; off += Fragment {
-			n := min(Fragment, bulkN-off)
-			s.issueCtx.Use(p, FragmentIssueCPU)
+		s.fragments(p, &sc.group, bulkN, func(off, n int) {
 			var src []byte
-			if reply.Bulk != nil {
-				src = reply.Bulk[off : off+n]
+			if sc.Reply.Bulk != nil {
+				src = sc.Reply.Bulk[off : off+n]
 			}
 			qp.PostSend(ib.SendWR{Op: ib.OpRDMAWrite, Data: src, Len: n,
-				RemoteMR: w.readMR, RemoteOff: off, Ctx: g})
-		}
-		p.Wait(g.done)
+				RemoteMR: &in.readRegion, RemoteOff: off, Ctx: &sc.group})
+		})
 	}
-	qp.PostSend(ib.SendWR{Op: ib.OpSend, Len: CtrlWire(len(reply.Meta)),
-		Meta: &rdmaWire{xid: w.xid, proc: w.proc, meta: reply.Meta, isReply: true, bulkLen: bulkN, synthetic: reply.Bulk == nil}})
+	qp.PostSend(ib.SendWR{Op: ib.OpSend, Len: CtrlWire(len(sc.Reply.Meta)), Meta: sc})
 }
 
 // CtrlWire is the wire size of an RPC header message with the given
@@ -191,19 +168,18 @@ func NewRDMAClient(node *cluster.Node, srv *RDMAServer) *RDMAClient {
 	c := &RDMAClient{node: node}
 	c.core = newCore(env, c.post)
 	cq := ib.NewCQ(env)
-	local, remote := ib.CreateRCPair(node.HCA, srv.node.HCA, cq, srv.cq,
+	c.qp, c.remote = ib.CreateRCPair(node.HCA, srv.node.HCA, cq, srv.cq,
 		ib.QPConfig{MaxInflight: rdmaQPWindow})
-	c.qp = local
-	srv.qps = append(srv.qps, remote)
 	for i := 0; i < 128; i++ {
-		local.PostRecv(ib.RecvWR{})
-		remote.PostRecv(ib.RecvWR{})
+		c.qp.PostRecv(ib.RecvWR{})
+		c.remote.PostRecv(ib.RecvWR{})
 	}
 	cq.SetHandler(c.complete)
 	return c
 }
 
-// complete is the client's CQ consumer: it matches replies to pending calls.
+// complete is the client's CQ consumer: it matches replies to pending calls
+// and sends each reply record back to the server's environment.
 func (c *RDMAClient) complete(comp ib.Completion) {
 	if comp.Status != ib.StatusOK {
 		// The RC connection gave up (retry budget exhausted) and flushed its
@@ -219,47 +195,41 @@ func (c *RDMAClient) complete(comp ib.Completion) {
 		return
 	}
 	c.qp.PostRecv(ib.RecvWR{})
-	w := comp.Meta.(*rdmaWire)
-	if !w.isReply {
-		return
+	sc := comp.Meta.(*Call)
+	if cl := c.find(sc.xid); cl != nil {
+		c.settle(cl)
+		cl.Reply.Meta = append(cl.Reply.Meta, sc.Reply.Meta...)
+		// Bulk was placed directly; a synthetic read reports at most its
+		// capacity.
+		n := sc.Reply.bulkLen()
+		if buf := cl.Req.ReadBuf; buf == nil {
+			n = min(n, cl.Req.ReadLen)
+		} else if sc.Reply.Bulk == nil {
+			clear(buf[:n])
+		}
+		cl.resolve(sc.Reply.bulkLen(), n)
 	}
-	cl := c.take(w.xid)
-	if cl == nil {
-		return
-	}
-	// Bulk was placed directly; a synthetic read reports at most its capacity.
-	n := w.bulkLen
-	if buf := cl.req.ReadBuf; buf == nil {
-		n = min(n, cl.req.ReadLen)
-	} else if w.synthetic {
-		clear(buf[:n])
-	}
-	cl.resolve(&Reply{Meta: w.meta, BulkLen: w.bulkLen}, n)
+	sc.release(c.env)
 }
 
 // post advertises the call's bulk regions for direct placement and sends
-// its header message.
-func (c *RDMAClient) post(cl *call) {
-	req := cl.req
-	w := &rdmaWire{
-		xid: cl.xid, proc: req.Proc, meta: req.Meta,
-		readLen: req.readCap(), wlen: req.writeLen(),
-	}
-	if w.readLen > 0 {
+// the record as its header message.
+func (c *RDMAClient) post(cl *Call) {
+	req := &cl.Req
+	cl.qp = c.remote
+	if req.readCap() > 0 {
 		if req.ReadBuf != nil {
-			w.readRegion = c.node.HCA.BufferMR(req.ReadBuf)
+			cl.readRegion = c.node.HCA.BufferMR(req.ReadBuf)
 		} else {
-			w.readRegion = c.node.HCA.VirtualMR(req.ReadLen)
+			cl.readRegion = c.node.HCA.VirtualMR(req.ReadLen)
 		}
-		w.readMR = &w.readRegion
 	}
-	if w.wlen > 0 {
+	if req.writeLen() > 0 {
 		if req.WriteBulk != nil {
-			w.writeRegion = c.node.HCA.BufferMR(req.WriteBulk)
+			cl.writeRegion = c.node.HCA.BufferMR(req.WriteBulk)
 		} else {
-			w.writeRegion = c.node.HCA.VirtualMR(req.WriteLen)
+			cl.writeRegion = c.node.HCA.VirtualMR(req.WriteLen)
 		}
-		w.writeMR = &w.writeRegion
 	}
-	c.qp.PostSend(ib.SendWR{Op: ib.OpSend, Len: CtrlWire(len(req.Meta)), Meta: w})
+	c.qp.PostSend(ib.SendWR{Op: ib.OpSend, Len: CtrlWire(len(req.Meta)), Meta: cl})
 }

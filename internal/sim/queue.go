@@ -82,8 +82,14 @@ func (q *Queue[T]) TryGet() (T, bool) {
 	return v, true
 }
 
-// Resource is a counting semaphore with FIFO queuing, used to model
-// contended hardware such as a node CPU or a DMA engine.
+// Resource is a counting semaphore, used to model contended hardware such
+// as a node CPU or a DMA engine. Waiters queue FIFO, but a releaser may
+// barge: Release wakes the oldest waiter, and a holder that acquires again
+// in the same dispatch takes the freed slot first, so the woken waiter finds
+// it taken and queues again at the tail. A process that uses the resource
+// in a loop thus keeps it for as long as it has work (a server's fragment
+// batch is issued without interleaving); the waiter gets its turn once the
+// holder blocks elsewhere or stops.
 type Resource struct {
 	env      *Env
 	capacity int

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -348,6 +350,29 @@ func TestResourceParallelSlots(t *testing.T) {
 		if finish[i] != want[i] {
 			t.Fatalf("finish = %v, want %v", finish, want)
 		}
+	}
+}
+
+// TestResourceReleaserReacquiresFirst pins the semaphore's one departure
+// from FIFO: a holder that releases and acquires again in the same dispatch
+// takes the slot before the waiter its release woke, which queues again at
+// the tail. Two processes that each hold a one-slot resource three times in
+// a row therefore run A's three turns, then B's.
+func TestResourceReleaserReacquiresFirst(t *testing.T) {
+	e := NewEnv()
+	r := NewResource(e, 1)
+	var log []string
+	for _, name := range []string{"A", "B"} {
+		e.Go(name, func(p *Proc) {
+			for i := 0; i < 3; i++ {
+				r.Use(p, 10)
+				log = append(log, fmt.Sprintf("%s%d@%d", name, i, p.Now()))
+			}
+		})
+	}
+	e.Run()
+	if got, want := strings.Join(log, " "), "A0@10 A1@20 A2@30 B0@40 B1@50 B2@60"; got != want {
+		t.Errorf("turns %s, want %s", got, want)
 	}
 }
 

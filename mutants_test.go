@@ -232,6 +232,46 @@ var mutants = []mutant{
 		pkg:  "./internal/ib",
 		run:  "TestPooledPacketsZeroedAtHome",
 	},
+	{
+		name: "nfsd pool starts a thread past its size",
+		file: "internal/rpc/pool.go",
+		old:  "if tp.started < tp.max {",
+		new:  "if true {",
+		pkg:  "./internal/rpc",
+		run:  "TestThreadPoolBoundsConcurrency",
+	},
+	{
+		name: "nfsd backlog served newest first",
+		file: "internal/rpc/pool.go",
+		old:  "t.call = tp.backlog.Pop()",
+		new:  "i := tp.backlog.Len() - 1\n\t\t\tt.call = *tp.backlog.At(i)\n\t\t\t*tp.backlog.At(i) = *tp.backlog.Front()\n\t\t\ttp.backlog.Pop()",
+		pkg:  "./internal/rpc",
+		run:  "TestThreadPoolBoundsConcurrency",
+	},
+	{
+		name: "call record not returned home",
+		file: "internal/rpc/rpc.go",
+		old:  "\tc.release(c.home)\n",
+		new:  "",
+		pkg:  ".",
+		run:  "TestKernelNFSReadCallAllocs",
+	},
+	{
+		name: "failed call's record recycled",
+		file: "internal/rpc/rpc.go",
+		old:  "\tif c.err != nil {\n\t\treturn\n\t}\n\tc.release(c.home)",
+		new:  "\tc.release(c.home)",
+		pkg:  "./internal/rpc",
+		run:  "TestFailedCallRecordNotRecycled",
+	},
+	{
+		name: "frame reader keeps the previous frame's bulk",
+		file: "internal/rpc/tcp.go",
+		old:  "\t\tr.f.bulk = b\n",
+		new:  "\t\tif b != nil {\n\t\t\tr.f.bulk = b\n\t\t}\n",
+		pkg:  "./internal/rpc",
+		run:  "TestReadFramesReassembles",
+	},
 }
 
 // copyModule copies the module's sources (go.mod, the Go files at its root
