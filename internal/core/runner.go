@@ -140,6 +140,11 @@ var idleArenas struct {
 	free []*sim.Arena
 }
 
+// takeArena hands a worker an idle arena, or a new one. Its worlds start
+// with the free records the arena's earlier worlds left, so what a family
+// allocates depends on what ran before it: fig6 allocates 8 755 objects
+// right after fig5 in registry order and 12 184 cold. Its events, digests
+// and results do not.
 func takeArena() *sim.Arena {
 	idleArenas.Lock()
 	defer idleArenas.Unlock()

@@ -9,7 +9,11 @@
 //     TCP segments;
 //   - corruption: per-packet bit corruption; a corrupted packet fails its
 //     CRC at the receiver and is discarded, so its observable effect is a
-//     drop, but Drops does not count it.
+//     drop.
+//
+// The injector counts nothing: a WAN drop is counted by the link
+// (ib.Link.Drops, ib.link.drops), a TCP one by its stack
+// (tcpsim.StackStats.SegDrops, tcp.seg.drops).
 //
 // Determinism: a verdict is a pure function of the plan seed, a salt per
 // lever and the transmission it judges — the direction it crosses, the flow
@@ -23,7 +27,6 @@ package fault
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/ib"
 	"repro/internal/sim"
@@ -52,8 +55,8 @@ type FlapStep struct {
 }
 
 // Injector is the fault state for one attachment point (one link, or one
-// TCP stack): its seed and levers, and a drop counter, the one thing that
-// changes as packets pass — so any number of shards may consult it.
+// TCP stack): its seed and levers. Nothing in it changes once it is armed,
+// so any number of shards may consult it.
 type Injector struct {
 	seed uint64
 	// loss is the per-packet loss probability, drawn under lossSalt, and
@@ -66,8 +69,6 @@ type Injector struct {
 	// state is a pure function of simulated time (see downAt).
 	down  bool
 	flaps []FlapStep
-
-	drops atomic.Int64 // packets dropped (loss, down link)
 }
 
 // downAt reports the link's down/up state at time now: the Down value of
@@ -81,21 +82,14 @@ func (in *Injector) downAt(now sim.Time) bool {
 	return in.flaps[i-1].Down
 }
 
-// Drops returns the number of packets dropped so far.
-func (in *Injector) Drops() int64 { return in.drops.Load() }
-
 // Drop decides the fate of one transmission at simulated time now: lost to
-// a down link or to the loss lever (counted in Drops), or corrupted (not
-// counted). The transmission is keyed by the direction it crosses, its flow
+// a down link or to the loss lever, or corrupted. The transmission is keyed by the direction it crosses, its flow
 // and its index on the flow's transmit counter, which every transmission
 // takes, retransmissions included: no two share a key, and every word is
 // the same on a one-shard world as on a partitioned one.
 func (in *Injector) Drop(now sim.Time, dir, flow, seq uint64) bool {
-	if in.downAt(now) || (in.loss > 0 && chance(in.seed, in.lossSalt, dir, flow, seq) < in.loss) {
-		in.drops.Add(1)
-		return true
-	}
-	return in.corruptP > 0 && chance(in.seed, saltCorrupt, dir, flow, seq) < in.corruptP
+	return in.downAt(now) || (in.loss > 0 && chance(in.seed, in.lossSalt, dir, flow, seq) < in.loss) ||
+		in.corruptP > 0 && chance(in.seed, saltCorrupt, dir, flow, seq) < in.corruptP
 }
 
 // dropCrossing is Drop for a packet crossing a link: its direction is the

@@ -65,17 +65,13 @@ type Fabric struct {
 
 // pool is a fabric's handle on the freelists of one environment — one shard
 // view of a partitioned world, or the whole of a classic one — for wire
-// packets and transfer contexts. They are plain LIFO lists, not sync.Pools:
-// a pool is only touched from its own environment's scheduler, so reuse is
-// unsynchronized and deterministic (it depends on simulated traffic only,
-// never on GC timing or OS scheduling).
+// packets and transfer contexts: the environment's sim.Free lists, so under a
+// sim.Arena the next world on this shard index starts with them warm.
 //
 // Every packet and transfer has a home pool, the one it was taken from (a
 // transfer's is its origin QP's). Its last consumer is often on another
-// shard — data flows one way, the acks come back — and neither keeps it (its
-// list would grow without bound while the sender's ran dry) nor pushes it
-// onto the home list (the home shard is running): it goes on the consumer's
-// return lane (sim.Env.ReturnTo) and the window barrier hands it home.
+// shard — data flows one way, the acks come back — so it goes home with
+// Free.Return, zeroed before it leaves.
 //
 // The pool also numbers the messages made on its environment. A message id
 // names it in packet traces, so it need only be unique per environment;
@@ -86,23 +82,9 @@ type pool struct {
 	fab     *Fabric
 	env     *sim.Env
 	nextMsg int64
-	*poolMem
+	pkts    *sim.Free[packet]
+	xfers   *sim.Free[transfer]
 }
-
-// poolMem is the lists themselves. They live in the environment's recycled
-// memory (sim.Env.Recycled), so under a sim.Arena the next world on this
-// shard index starts with them warm. Everything on them was zeroed when it
-// was released, and a pop clears the slot it vacates — past a list's end its
-// array would otherwise go on pointing at packets and transfers in use — so
-// they carry nothing of the world that filled them and keep nothing of it
-// alive.
-type poolMem struct {
-	pktFree  []*packet
-	xferFree []*transfer
-}
-
-// poolMemKey is poolMem's key in the environment's recycled memory.
-type poolMemKey struct{}
 
 // poolFor returns env's pool, creating it on first sight.
 func (f *Fabric) poolFor(env *sim.Env) *pool {
@@ -111,38 +93,15 @@ func (f *Fabric) poolFor(env *sim.Env) *pool {
 			return pl
 		}
 	}
-	mem := env.Recycled(poolMemKey{}, func() any { return new(poolMem) }).(*poolMem)
-	pl := &pool{fab: f, env: env, poolMem: mem}
+	pl := &pool{fab: f, env: env, pkts: sim.FreeOf[packet](env), xfers: sim.FreeOf[transfer](env)}
 	f.pools = append(f.pools, pl)
 	return pl
 }
 
-// takePacket and takeTransfer are the return-lane sinks, run on the object's
-// home environment. The object names its home — a packet's is still in home,
-// a transfer's is its origin QP's — so they are package functions, and sending
-// an object home allocates nothing.
-func takePacket(v any) {
-	pkt := v.(*packet)
-	pl := pkt.home
-	pkt.home = nil
-	pl.pktFree = append(pl.pktFree, pkt)
-}
-
-func takeTransfer(v any) {
-	t := v.(*transfer)
-	pl := t.origin.hca.pool
-	t.reset()
-	pl.xferFree = append(pl.xferFree, t)
-}
-
 // newPacket returns a packet holding v, from the freelist or fresh.
 func (pl *pool) newPacket(v packet) *packet {
-	var pkt *packet
-	if n := len(pl.pktFree); n > 0 {
-		pkt = pl.pktFree[n-1]
-		pl.pktFree[n-1] = nil // see poolMem: no slot past the end names a live object
-		pl.pktFree = pl.pktFree[:n-1]
-	} else {
+	pkt := pl.pkts.Get()
+	if pkt == nil {
 		pkt = new(packet)
 	}
 	v.home, v.train = pl, pkt.train
@@ -159,13 +118,8 @@ func (pl *pool) freePacket(pkt *packet) {
 	if tr != nil {
 		*tr = train{}
 	}
-	if home == pl {
-		*pkt = packet{train: tr}
-		pl.pktFree = append(pl.pktFree, pkt)
-	} else {
-		*pkt = packet{home: home, train: tr} // takePacket reads home there, and clears it
-		pl.env.ReturnTo(home.env, takePacket, pkt)
-	}
+	*pkt = packet{train: tr}
+	home.pkts.Return(pl.env, home.env, pkt)
 	if t != nil {
 		pl.unref(t)
 	}
@@ -175,12 +129,8 @@ func (pl *pool) freePacket(pkt *packet) {
 // Ids stay monotonic across recycling, so a trace never confuses two uses of
 // the same memory.
 func (pl *pool) newTransfer() *transfer {
-	var t *transfer
-	if n := len(pl.xferFree); n > 0 {
-		t = pl.xferFree[n-1]
-		pl.xferFree[n-1] = nil
-		pl.xferFree = pl.xferFree[:n-1]
-	} else {
+	t := pl.xfers.Get()
+	if t == nil {
 		t = &transfer{}
 	}
 	pl.nextMsg++
@@ -241,7 +191,9 @@ func (pl *pool) released(t *transfer, state int32) {
 	if state != xferDone {
 		return
 	}
-	pl.env.ReturnTo(t.origin.hca.env, takeTransfer, t)
+	home := t.origin.hca.pool
+	t.reset()
+	home.xfers.Return(pl.env, home.env, t)
 }
 
 // NewFabric creates an empty fabric on the given simulation environment.

@@ -35,6 +35,19 @@ func shardLine(arena *sim.Arena, workers, n int, delay sim.Time) (*sim.Env, *HCA
 	return env, a, b
 }
 
+// pooled returns the records on f, the last put first, and leaves f as it
+// was.
+func pooled[T any](f *sim.Free[T]) []*T {
+	var all []*T
+	for v := f.Get(); v != nil; v = f.Get() {
+		all = append(all, v)
+	}
+	for i := len(all) - 1; i >= 0; i-- {
+		f.Put(all[i])
+	}
+	return all
+}
+
 // TestOwnershipOneWayStream streams RC messages one way across a
 // partitioned world. Every data packet and every transfer is taken from the
 // sender's pool and last touched on the receiver's shard; every ack packet
@@ -89,32 +102,32 @@ func TestOwnershipOneWayStream(t *testing.T) {
 					// few of those rounds.
 					const bound = 16 * (size / MTU) * 4
 					for _, h := range []*HCA{a, b} {
-						pl := h.pool
+						pkts, xfers := pooled(h.pool.pkts), pooled(h.pool.xfers)
 						t.Logf("%s: %d packets and %d transfers pooled for %d data packets, %d messages",
-							h.name, len(pl.pktFree), len(pl.xferFree), dataPkts, count)
-						if n := len(pl.pktFree); n == 0 || n > bound {
+							h.name, len(pkts), len(xfers), dataPkts, count)
+						if n := len(pkts); n == 0 || n > bound {
 							t.Errorf("%s holds %d pooled packets after %d crossed, want 1..%d", h.name, n, dataPkts, bound)
 						}
 						// What came home is zeroed: a packet keeps no home, a
 						// transfer no origin and no receiving QP. A packet that
 						// carried a train keeps the record, zeroed.
-						for _, pkt := range pl.pktFree {
+						for _, pkt := range pkts {
 							tr := pkt.train
 							if *pkt != (packet{train: tr}) || tr != nil && *tr != (train{}) {
 								t.Fatalf("%s pooled a packet that is not zeroed: %+v", h.name, *pkt)
 							}
 						}
-						for _, x := range pl.xferFree {
+						for _, x := range xfers {
 							if x.origin != nil || x.resp != nil || x.state.Load() != 0 {
 								t.Fatalf("%s pooled a transfer that is not reset: origin %v resp %v state %d",
 									h.name, x.origin != nil, x.resp != nil, x.state.Load())
 							}
 						}
 					}
-					if n := len(a.pool.xferFree); n == 0 || n > bound {
+					if n := a.pool.xfers.Len(); n == 0 || n > bound {
 						t.Errorf("the sender holds %d pooled transfers after %d messages, want 1..%d", n, count, bound)
 					}
-					if n := len(b.pool.xferFree); n != 0 {
+					if n := b.pool.xfers.Len(); n != 0 {
 						t.Errorf("the receiver pooled %d of the sender's transfers", n)
 					}
 				})
@@ -132,7 +145,7 @@ func TestPooledPacketsZeroedAtHome(t *testing.T) {
 	qa, qb := CreateRCPair(a, b, nil, nil, QPConfig{})
 	measureBW(env, qa, qb, 4*MTU, 64)
 	trains := 0
-	for _, pkt := range a.pool.pktFree {
+	for _, pkt := range pooled(a.pool.pkts) {
 		tr := pkt.train
 		if *pkt != (packet{train: tr}) || tr != nil && *tr != (train{}) {
 			t.Fatalf("pooled a packet that is not zeroed: %+v", *pkt)
@@ -142,7 +155,7 @@ func TestPooledPacketsZeroedAtHome(t *testing.T) {
 		}
 	}
 	if trains == 0 {
-		t.Errorf("%d packets pooled, none with a train record", len(a.pool.pktFree))
+		t.Errorf("%d packets pooled, none with a train record", a.pool.pkts.Len())
 	}
 }
 
@@ -151,7 +164,7 @@ func TestPooledPacketsZeroedAtHome(t *testing.T) {
 // initiator completing it while the responder drops the last reference.
 // Exactly one of them may see the state word reach xferDone; a second
 // observer frees the transfer twice (the pool ends up long), none leaves it
-// to the collector (short).
+// to the collector (short). Each comes home reset, as it left the responder.
 func TestTransferReleasedOnce(t *testing.T) {
 	for name, arena := range map[string]*sim.Arena{"plain": nil, "arena": sim.NewArena()} {
 		t.Run(name, func(t *testing.T) {
@@ -169,11 +182,17 @@ func TestTransferReleasedOnce(t *testing.T) {
 				})
 			}
 			env.Run()
-			if got := len(a.pool.xferFree); got != n {
+			home := pooled(a.pool.xfers)
+			if got := len(home); got != n {
 				t.Fatalf("%d transfers came home for %d released", got, n)
 			}
-			if got := len(b.pool.xferFree); got != 0 {
+			if got := b.pool.xfers.Len(); got != 0 {
 				t.Fatalf("%d transfers landed in the responder's pool", got)
+			}
+			for _, x := range home {
+				if x.origin != nil || x.state.Load() != 0 {
+					t.Fatalf("a transfer came home without its reset: origin %v state %d", x.origin != nil, x.state.Load())
+				}
 			}
 		})
 	}

@@ -194,7 +194,8 @@ func NewWorld(env *sim.Env, placement []*cluster.Node, cfg Config) *World {
 			cq:    ib.NewCQ(home),
 			qps:   make(map[int]*ib.QP),
 			byQPN: make(map[int]*ib.QP),
-			reqs:  home.Recycled(reqPoolKey{}, newReqPool).(*reqPool),
+			reqs:  sim.FreeOf[Request](home),
+			msgs:  sim.FreeOf[mpiMsg](home),
 		}
 		r.copied = func() {
 			req, m := r.copyReq, r.copyMsg
@@ -316,14 +317,13 @@ type Rank struct {
 
 	byQPN map[int]*ib.QP // local QPN -> QP, for receive reposting
 
-	// reqs is the free requests and eager headers of the rank's home
-	// environment, shared by the ranks there and kept in its recycled
-	// memory, so under a sim.Arena it outlives the world (a freed record is
-	// zeroed). A request is taken by newRequest and freed by Wait, both on
-	// the owning rank's environment; a header is taken by Isend there and
-	// comes back through Env.ReturnTo, so the lists are touched from that
-	// environment alone.
-	reqs *reqPool
+	// reqs and msgs are the free requests and eager headers of the rank's
+	// home environment, shared by the ranks there. A request is taken by
+	// newRequest and freed by Wait, both on the owning rank's environment; a
+	// header is taken by Isend there and comes back with Free.Return, so the
+	// lists are touched from that environment alone.
+	reqs *sim.Free[Request]
+	msgs *sim.Free[mpiMsg]
 
 	// collSeq numbers collective calls; collectives must be invoked in
 	// the same order on every rank (the MPI rule), which keeps tags

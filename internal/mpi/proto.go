@@ -22,7 +22,7 @@ const (
 // before its receive is posted, the record the unexpected queue holds. The
 // rendezvous FIN has no header: its verbs Meta is the receiver's *Request.
 // An RTS or CTS is its request's hdr; an eager header comes from the
-// sending rank's reqPool and goes back there from deliverEager.
+// sending rank's msgs and goes back there from deliverEager.
 type mpiMsg struct {
 	kind msgKind
 	src  int // sender rank
@@ -77,43 +77,16 @@ type Request struct {
 	landing ib.MR
 }
 
-// reqPool is an environment's free requests and free eager headers (see
-// Rank.reqs). take is the headers' ReturnTo sink, made once with the pool.
-type reqPool struct {
-	free []*Request
-	msgs []*mpiMsg
-	take func(any)
-}
-
-// newReqPool is reqPool's constructor in the environment's recycled memory.
-func newReqPool() any {
-	p := new(reqPool)
-	p.take = func(v any) { p.msgs = append(p.msgs, v.(*mpiMsg)) }
-	return p
-}
-
-// reqPoolKey is reqPool's key in the environment's recycled memory.
-type reqPoolKey struct{}
-
 // newRequest returns a request of r's, taken from its home environment's
 // free requests, with a done event from the environment's event freelist.
 func (r *Rank) newRequest(peer, tag, size int, data []byte) *Request {
-	q := takeFree(&r.reqs.free)
+	q := r.reqs.Get()
+	if q == nil {
+		q = new(Request)
+	}
 	q.rank, q.done = r, r.env().AcquireEvent()
 	q.peer, q.tag, q.size, q.data = peer, tag, size, data
 	return q
-}
-
-// takeFree returns the last record of a free list, or a new one.
-func takeFree[T any](free *[]*T) *T {
-	n := len(*free)
-	if n == 0 {
-		return new(T)
-	}
-	v := (*free)[n-1]
-	(*free)[n-1] = nil // the list outlives the world; the record is the world's now
-	*free = (*free)[:n-1]
-	return v
 }
 
 // owner returns the rank q belongs to; a request Wait has freed has none.
@@ -140,7 +113,7 @@ func (q *Request) Wait(p *sim.Proc) (int, int) {
 	n, from := q.recvSize, q.recvFrom
 	r.env().ReleaseEvent(q.done)
 	*q = Request{}
-	r.reqs.free = append(r.reqs.free, q)
+	r.reqs.Put(q)
 	return n, from
 }
 
@@ -294,7 +267,7 @@ func (r *Rank) deliverEager(req *Request, m *mpiMsg) {
 	req.recvFrom = m.src
 	sender := r.world.ranks[m.src]
 	*m = mpiMsg{}
-	r.env().ReturnTo(sender.env(), sender.reqs.take, m)
+	sender.msgs.Return(r.env(), sender.env(), m)
 	req.complete()
 }
 

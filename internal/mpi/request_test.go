@@ -184,18 +184,25 @@ var releaseWorlds = []struct {
 	}},
 }
 
+// homeLists is one home environment's free requests and eager headers.
+type homeLists struct {
+	reqs *sim.Free[Request]
+	msgs *sim.Free[mpiMsg]
+}
+
 // homePools returns the request lists of the world's home environments, in
 // rank order: one per environment, shared by the ranks on it.
-func homePools(t *testing.T, w *World) []*reqPool {
-	var pools []*reqPool
-	byEnv := map[*sim.Env]*reqPool{}
+func homePools(t *testing.T, w *World) []homeLists {
+	var pools []homeLists
+	byEnv := map[*sim.Env]homeLists{}
 	for _, r := range w.ranks {
+		l := homeLists{r.reqs, r.msgs}
 		pool, ok := byEnv[r.env()]
 		switch {
 		case !ok:
-			byEnv[r.env()] = r.reqs
-			pools = append(pools, r.reqs)
-		case pool != r.reqs:
+			byEnv[r.env()] = l
+			pools = append(pools, l)
+		case pool != l:
 			t.Fatalf("rank %d does not share its environment's request list", r.id)
 		}
 	}
@@ -233,6 +240,19 @@ func checkFreed[T any](t *testing.T, what string, home int, free []*T, want map[
 	}
 }
 
+// pooled returns the records on f, the last put first, and leaves f as it
+// was.
+func pooled[T any](f *sim.Free[T]) []*T {
+	var all []*T
+	for v := f.Get(); v != nil; v = f.Get() {
+		all = append(all, v)
+	}
+	for i := len(all) - 1; i >= 0; i-- {
+		f.Put(all[i])
+	}
+	return all
+}
+
 // setOf returns the records of a list as a set.
 func setOf[T any](free []*T) map[*T]bool {
 	set := map[*T]bool{}
@@ -260,22 +280,22 @@ func TestRequestsReleasedAtHome(t *testing.T) {
 			msgSeeds := make([]map[*mpiMsg]bool, len(pools))
 			for i, pool := range pools {
 				for j := 0; j < seed; j++ {
-					pool.free = append(pool.free, &Request{})
-					pool.msgs = append(pool.msgs, &mpiMsg{})
+					pool.reqs.Put(&Request{})
+					pool.msgs.Put(&mpiMsg{})
 				}
-				reqSeeds[i], msgSeeds[i] = setOf(pool.free), setOf(pool.msgs)
+				reqSeeds[i], msgSeeds[i] = setOf(pooled(pool.reqs)), setOf(pooled(pool.msgs))
 			}
 			want := runRelease(t, w)
 			w.Shutdown()
 			for i, pool := range pools {
-				checkFreed(t, "request", i, pool.free, reqSeeds[i])
-				checkFreed(t, "eager header", i, pool.msgs, msgSeeds[i])
+				checkFreed(t, "request", i, pooled(pool.reqs), reqSeeds[i])
+				checkFreed(t, "eager header", i, pooled(pool.msgs), msgSeeds[i])
 			}
 
 			// Two worlds on one arena: the second finds the first's lists and,
 			// running the same program, takes nothing new and loses nothing.
 			a := sim.NewArena()
-			var prev []*reqPool
+			var prev []homeLists
 			var keptReqs []map[*Request]bool
 			var keptMsgs []map[*mpiMsg]bool
 			for round := 0; round < 2; round++ {
@@ -289,10 +309,10 @@ func TestRequestsReleasedAtHome(t *testing.T) {
 				a.Reclaim(env)
 				if round == 0 {
 					for i, pool := range pools {
-						keptReqs = append(keptReqs, setOf(pool.free))
-						keptMsgs = append(keptMsgs, setOf(pool.msgs))
-						checkFreed(t, "request", i, pool.free, keptReqs[i])
-						checkFreed(t, "eager header", i, pool.msgs, keptMsgs[i])
+						keptReqs = append(keptReqs, setOf(pooled(pool.reqs)))
+						keptMsgs = append(keptMsgs, setOf(pooled(pool.msgs)))
+						checkFreed(t, "request", i, pooled(pool.reqs), keptReqs[i])
+						checkFreed(t, "eager header", i, pooled(pool.msgs), keptMsgs[i])
 					}
 					prev = pools
 					continue
@@ -301,8 +321,8 @@ func TestRequestsReleasedAtHome(t *testing.T) {
 					if pool != prev[i] {
 						t.Errorf("home %d: the second world did not get the first's lists", i)
 					}
-					checkFreed(t, "request", i, pool.free, keptReqs[i])
-					checkFreed(t, "eager header", i, pool.msgs, keptMsgs[i])
+					checkFreed(t, "request", i, pooled(pool.reqs), keptReqs[i])
+					checkFreed(t, "eager header", i, pooled(pool.msgs), keptMsgs[i])
 				}
 			}
 		})

@@ -35,7 +35,7 @@ type RDMAServer struct {
 	env     *sim.Env
 	node    *cluster.Node
 	handler Handler
-	calls   *callPool
+	calls   *sim.Free[Call]
 	pool    *threadPool
 	// issueCtx serializes fragment preparation (the server data path).
 	issueCtx *sim.Resource
@@ -50,7 +50,7 @@ func ServeRDMA(node *cluster.Node, threads int, h Handler) *RDMAServer {
 		env:      env,
 		node:     node,
 		handler:  h,
-		calls:    callsOf(env),
+		calls:    sim.FreeOf[Call](env),
 		issueCtx: sim.NewResource(env, 1),
 		cq:       ib.NewCQ(env),
 	}
@@ -73,7 +73,7 @@ func (s *RDMAServer) complete(c ib.Completion) {
 	case ib.OpRecv:
 		in := c.Meta.(*Call)
 		in.qp.PostRecv(ib.RecvWR{})
-		sc := s.calls.take(s.env)
+		sc := newCall(s.env, s.calls)
 		sc.in, sc.xid = in, in.xid
 		s.pool.dispatch(sc)
 	case ib.OpRDMAWrite, ib.OpRDMARead:

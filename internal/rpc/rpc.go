@@ -110,11 +110,11 @@ type Call struct {
 	Reply Reply
 
 	xid  uint64
-	home *sim.Env   // the environment whose freelist the record came from
-	pool *callPool  // that freelist
-	done *sim.Event // client: triggered by the reply or the transport's failure
-	n    int        // client: bulk bytes placed into Req.ReadBuf
-	err  error      // client: the transport's failure
+	home *sim.Env        // the environment whose freelist the record came from
+	free *sim.Free[Call] // that freelist
+	done *sim.Event      // client: triggered by the reply or the transport's failure
+	n    int             // client: bulk bytes placed into Req.ReadBuf
+	err  error           // client: the transport's failure
 
 	// Room the record owns: the request's and the reply's metadata (Meta
 	// outgrows it into an array of its own, which leaves with the call), and
@@ -138,38 +138,14 @@ type Call struct {
 // reply but a LOOKUP or CREATE of a long name.
 const metaRoom = 32
 
-// callPool is an environment's free call records, kept under callPoolKey
-// in its recycled memory. put is the records' ReturnTo sink, made once with
-// the pool.
-type callPool struct {
-	free []*Call
-	put  func(any)
-}
-
-type callPoolKey struct{}
-
-func newCallPool() any {
-	p := new(callPool)
-	p.put = func(v any) { p.free = append(p.free, v.(*Call)) }
-	return p
-}
-
-// callsOf returns env's free call records.
-func callsOf(env *sim.Env) *callPool {
-	return env.Recycled(callPoolKey{}, newCallPool).(*callPool)
-}
-
-// take returns a free record of env's (pool is callsOf(env)), or a new one.
-func (pool *callPool) take(env *sim.Env) *Call {
-	var c *Call
-	if n := len(pool.free); n > 0 {
-		c = pool.free[n-1]
-		pool.free[n-1] = nil // the list outlives the world; the record is the world's now
-		pool.free = pool.free[:n-1]
-	} else {
+// newCall returns a free record of env's (free is sim.FreeOf[Call](env)),
+// or a new one.
+func newCall(env *sim.Env, free *sim.Free[Call]) *Call {
+	c := free.Get()
+	if c == nil {
 		c = new(Call)
 	}
-	c.home, c.pool = env, pool
+	c.home, c.free = env, free
 	c.Req.Meta, c.Reply.Meta = c.reqMeta[:0], c.replyMeta[:0]
 	return c
 }
@@ -187,9 +163,9 @@ func (c *Call) Release() {
 // release resets the record and sends it from env, the environment the
 // last reference to it ends on, to its home freelist.
 func (c *Call) release(env *sim.Env) {
-	home, pool := c.home, c.pool
+	home, free := c.home, c.free
 	*c = Call{}
-	env.ReturnTo(home, pool.put, c)
+	free.Return(env, home, c)
 }
 
 // core is the call handling both client transports share: records, XID
@@ -199,7 +175,7 @@ func (c *Call) release(env *sim.Env) {
 // are matched by XID.
 type core struct {
 	env   *sim.Env
-	calls *callPool
+	calls *sim.Free[Call]
 	// send puts a registered call on the wire; bound once at construction.
 	send    func(*Call)
 	nextXID uint64
@@ -214,12 +190,12 @@ type core struct {
 }
 
 func newCore(env *sim.Env, send func(*Call)) core {
-	return core{env: env, calls: callsOf(env), send: send}
+	return core{env: env, calls: sim.FreeOf[Call](env), send: send}
 }
 
 // NewCall implements Client.
 func (c *core) NewCall(proc uint32) *Call {
-	cl := c.calls.take(c.env)
+	cl := newCall(c.env, c.calls)
 	cl.Req.Proc = proc
 	return cl
 }

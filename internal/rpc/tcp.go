@@ -183,7 +183,7 @@ func ServeTCP(stack *tcpsim.Stack, port int, threads int, h Handler) {
 // the replies and sends each record home once its reply is on the stream.
 func serveConn(conn *tcpsim.Conn, pool *threadPool) {
 	env := conn.Stack().Env()
-	calls := callsOf(env)
+	calls := sim.FreeOf[Call](env)
 	replies := sim.NewQueue[*Call](env, 0)
 	// A dead connection ends the writer; in-flight handler results are
 	// dropped, as a real server's would be once the socket errors.
@@ -201,7 +201,7 @@ func serveConn(conn *tcpsim.Conn, pool *threadPool) {
 	// ends the reading, and calls already dispatched finish unanswered.
 	var cur *Call
 	readFrames(conn, func(f *frame, n int) []byte {
-		cur = calls.take(env)
+		cur = newCall(env, calls)
 		cur.xid, cur.replies = f.xid, replies
 		cur.Req.Proc, cur.Req.ReadLen = f.proc, f.readLen
 		cur.Req.Meta = sized(cur.Req.Meta, n)

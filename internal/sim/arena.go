@@ -3,16 +3,22 @@ package sim
 // Arena keeps the memory a world recycles alive after the world is gone, so
 // the next world starts with warm freelists instead of growing them again:
 // the event heap's backing array, the pooled Events, the pipe nodes and the
-// slab size they had reached, and whatever the layers above keep under
-// Env.Recycled (the fabric's packet and transfer lists, the TCP stacks'
-// segments). It holds one such set per shard index, so a partitioned world
-// hands each view the memory a view at that index returned.
+// slab size they had reached, and the layers' freelists (FreeOf: the
+// fabric's packets and transfers, the TCP stacks' segments, MPI's requests
+// and headers, RPC's call records). It holds one such set per shard index,
+// so a partitioned world hands each view the memory a view at that index
+// returned.
 //
 // An arena is plain memory owned by whoever runs the worlds — one per
 // experiment worker — never a sync.Pool: what a world finds in it depends
 // only on the worlds that worker ran before, and nothing simulated can
 // depend on it at all, because only objects that were reset when they were
 // released are kept (see Reclaim). It serves one world at a time.
+//
+// What a world allocates does depend on it: a world finds warm whatever
+// records the worlds before it on the arena put back, so an experiment's
+// allocation count depends on what its worker ran before (fig6 allocates
+// 8 755 objects right after fig5 in registry order, 12 184 cold).
 type Arena struct {
 	shards []envMem // by shard index; an unpartitioned world uses shards[0]
 	lent   bool     // the memory is out with a world until Reclaim
@@ -21,15 +27,11 @@ type Arena struct {
 // envMem is what one environment (one shard view) recycles.
 type envMem struct {
 	heap     []entry
-	evFree   []*Event
+	evFree   Free[Event]
 	pipeFree *pipeNode
 	pipeSlab int
-	layers   []layerMem
+	layers   []any
 }
-
-// layerMem is one layer's recycled memory, stored under the layer's own key
-// type (see Env.Recycled).
-type layerMem struct{ key, val any }
 
 // NewArena returns an empty arena.
 func NewArena() *Arena { return new(Arena) }
@@ -100,31 +102,7 @@ func (e *Env) detach() envMem {
 		}
 	}
 	clear(e.queue.s)
-	for _, ev := range e.evFree {
-		// ReleaseEvent truncated the waiters; the backing array still names
-		// the old world's processes.
-		ev.env = nil
-		clear(ev.waiters[:cap(ev.waiters)])
-	}
 	m := envMem{heap: e.queue.s[:0], evFree: e.evFree, pipeFree: e.pipeFree, pipeSlab: e.pipeSlab, layers: e.layers}
-	e.queue.s, e.evFree, e.pipeFree, e.pipeSlab, e.layers, e.piped = nil, nil, nil, 0, nil, 0
+	e.queue.s, e.evFree, e.pipeFree, e.pipeSlab, e.layers, e.piped = nil, Free[Event]{}, nil, 0, nil, 0
 	return m
-}
-
-// Recycled returns the value a layer keeps under key in the memory this
-// environment recycles, creating it with fresh on first use. Like the
-// telemetry and fault slots it is opaque to the kernel: a layer stores its
-// freelists here under a key type of its own, and when the environment came
-// from an Arena they are what the previous world at this shard index left
-// behind. Everything reachable from the value must stay valid without the
-// world — free objects reset at release, nothing in use.
-func (e *Env) Recycled(key any, fresh func() any) any {
-	for _, l := range e.layers {
-		if l.key == key {
-			return l.val
-		}
-	}
-	v := fresh()
-	e.layers = append(e.layers, layerMem{key, v})
-	return v
 }

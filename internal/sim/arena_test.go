@@ -29,8 +29,8 @@ func strand(e *Env, seed int64) []Pipe {
 	for e.Now() < 30 { // the program's handlers Stop now and then
 		e.RunUntil(30)
 	}
-	if e.Pending() < 50 || e.pipeFree == nil || len(e.evFree) == 0 {
-		t := fmt.Sprintf("pending %d, free pipe nodes %v, free events %d", e.Pending(), e.pipeFree != nil, len(e.evFree))
+	if e.Pending() < 50 || e.pipeFree == nil || e.evFree.Len() == 0 {
+		t := fmt.Sprintf("pending %d, free pipe nodes %v, free events %d", e.Pending(), e.pipeFree != nil, e.evFree.Len())
 		panic("strand: the world is not mid-run with warm freelists: " + t)
 	}
 	e.Shutdown()
@@ -68,7 +68,7 @@ func TestArenaKeepsNothingOfTheWorld(t *testing.T) {
 	inFlight := e.Pending()
 	a.Reclaim(e)
 
-	if e.Pending() != 0 || e.queue.s != nil || e.evFree != nil || e.pipeFree != nil {
+	if e.Pending() != 0 || e.queue.s != nil || e.evFree.free != nil || e.pipeFree != nil {
 		t.Errorf("the reclaimed world still holds recycled memory (Pending() = %d)", e.Pending())
 	}
 	for i := range pipes {
@@ -95,15 +95,16 @@ func TestArenaKeepsNothingOfTheWorld(t *testing.T) {
 	if nodes < inFlight/2 {
 		t.Errorf("%d pipe nodes kept with %d entries in flight at the stop: the waiting ones were not scrubbed into the list", nodes, inFlight)
 	}
-	if len(m.evFree) == 0 {
+	evs := m.evFree.free
+	if len(evs) == 0 {
 		t.Fatal("no pooled event kept")
 	}
-	for _, ev := range m.evFree[len(m.evFree):cap(m.evFree)] {
+	for _, ev := range evs[len(evs):cap(evs)] {
 		if ev != nil {
 			t.Fatal("the event list's array still names, past its end, an event the dead world took")
 		}
 	}
-	for _, ev := range m.evFree {
+	for _, ev := range evs {
 		if ev.env != nil || ev.triggered || ev.val != nil {
 			t.Fatal("a kept event still belongs to the dead world")
 		}
@@ -116,7 +117,7 @@ func TestArenaKeepsNothingOfTheWorld(t *testing.T) {
 
 	// The next world starts with it.
 	next := a.NewEnv()
-	if next.pipeFree == nil || len(next.evFree) == 0 || cap(next.queue.s) == 0 {
+	if next.pipeFree == nil || next.evFree.Len() == 0 || cap(next.queue.s) == 0 {
 		t.Fatal("the next world did not receive the arena's memory")
 	}
 	ev := next.AcquireEvent()
@@ -154,18 +155,18 @@ func TestArenaServesOneWorldAtATime(t *testing.T) {
 
 // TestArenaPerShardIndex: a partitioned world returns each view's memory
 // under its shard index and the next one gets it back at the same index —
-// also what its layers kept under Recycled — while a classic world in
-// between uses index 0 alone.
+// also the layers' freelists — while a classic world in between uses index 0
+// alone.
 func TestArenaPerShardIndex(t *testing.T) {
-	type key struct{}
+	type mark struct{ i int }
 	a := NewArena()
 	root := a.NewEnv()
 	views := root.Partition(3)
 	root.RegisterLookahead(Millisecond)
-	marks := make([]*int, len(views))
+	marks := make([]*mark, len(views))
 	for i, v := range views {
-		marks[i] = v.Recycled(key{}, func() any { return new(int) }).(*int)
-		*marks[i] = 100 + i
+		marks[i] = &mark{100 + i}
+		FreeOf[mark](v).Put(marks[i])
 		ev := v.AcquireEvent()
 		v.ReleaseEvent(ev)
 		p := v.NewPipe()
@@ -180,8 +181,10 @@ func TestArenaPerShardIndex(t *testing.T) {
 	}
 
 	classic := a.NewEnv()
-	if got := classic.Recycled(key{}, func() any { return new(int) }).(*int); got != marks[0] {
+	if got := FreeOf[mark](classic).Get(); got != marks[0] {
 		t.Error("the classic world did not get shard 0's layer memory")
+	} else {
+		FreeOf[mark](classic).Put(got)
 	}
 	a.Reclaim(classic)
 	if len(a.shards) != 3 || a.shards[1].pipeFree == nil {
@@ -190,11 +193,11 @@ func TestArenaPerShardIndex(t *testing.T) {
 
 	again := a.NewEnv().Partition(3)
 	for i, v := range again {
-		got := v.Recycled(key{}, func() any { return new(int) }).(*int)
-		if got != marks[i] || *got != 100+i {
+		got := FreeOf[mark](v).Get()
+		if got != marks[i] || got.i != 100+i {
 			t.Errorf("view %d got another index's layer memory", i)
 		}
-		if v.pipeFree == nil || len(v.evFree) == 0 {
+		if v.pipeFree == nil || v.evFree.Len() == 0 {
 			t.Errorf("view %d did not get its index's kernel memory", i)
 		}
 	}

@@ -17,13 +17,13 @@ type Env struct {
 	nprocs   int64              // counter for default proc names
 	executed int64              // events dispatched so far
 	digest   uint64             // running fingerprint of the dispatch sequence (see Digest)
-	evFree   []*Event           // recycled Events (see AcquireEvent)
+	evFree   Free[Event]        // recycled Events (see AcquireEvent)
 	piped    int                // entries waiting in pipes behind their standing head
 	pipeFree *pipeNode          // recycled pipe nodes (see pipe.go)
 	pipeSlab int                // size of the last node slab allocated
 	tel      any                // opaque telemetry attachment (see SetTelemetry)
 	flt      any                // opaque fault-plan attachment (see SetFault)
-	layers   []layerMem         // what the layers above recycle (see Recycled)
+	layers   []any              // the layers' freelists, a *Free[T] each (see FreeOf)
 	arena    *Arena             // where all of the recycled memory returns to (see Arena.Reclaim)
 
 	// Periodic observation hook (see SetSampler). The sampler is NOT a heap

@@ -20,17 +20,12 @@ func (e *Env) NewEvent() *Event { return &Event{env: e} }
 // waits, CQ polls — whose events have a strictly scoped lifetime: created,
 // waited on, triggered exactly once, then dead.
 func (e *Env) AcquireEvent() *Event {
-	if n := len(e.evFree); n > 0 {
-		ev := e.evFree[n-1]
-		// The list may outlive the world (see Arena): the vacated slot must
-		// not go on naming an event the world still uses, and the event may
-		// have been released in an earlier one.
-		e.evFree[n-1] = nil
-		e.evFree = e.evFree[:n-1]
-		ev.env = e
-		return ev
+	ev := e.evFree.Get()
+	if ev == nil {
+		return &Event{env: e}
 	}
-	return &Event{env: e}
+	ev.env = e
+	return ev
 }
 
 // ReleaseEvent recycles ev onto the freelist. The caller asserts that no
@@ -39,12 +34,14 @@ func (e *Env) AcquireEvent() *Event {
 // returns. Events a peer may still observe (completion
 // events handed to user code) must use NewEvent and be left to the garbage
 // collector. The freelist is per-Env and therefore deterministic: reuse
-// order depends only on the simulation itself.
+// order depends only on the simulation itself. The list may outlive the
+// world (see Arena), so the event is scrubbed of it: its environment and
+// its waiter array, whose slots past the truncation still name processes.
 func (e *Env) ReleaseEvent(ev *Event) {
-	ev.triggered = false
-	ev.val = nil
-	ev.waiters = ev.waiters[:0]
-	e.evFree = append(e.evFree, ev)
+	w := ev.waiters[:cap(ev.waiters)]
+	clear(w)
+	*ev = Event{waiters: w[:0]}
+	e.evFree.Put(ev)
 }
 
 // Triggered reports whether the event has fired.

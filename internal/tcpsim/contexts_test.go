@@ -91,11 +91,11 @@ func TestLossFreeStreamEventCountPinned(t *testing.T) {
 	// receiving application's Read result made it one per data segment, and
 	// an ack segment allocated per data segment two.
 	perSeg := float64(after.Mallocs-before.Mallocs) / 10000
-	t.Logf("%.2f allocations per data segment, %d segments in the sender's pool", perSeg, len(c.stack.segs.free))
+	t.Logf("%.2f allocations per data segment, %d segments in the sender's pool", perSeg, c.stack.segs.Len())
 	if perSeg > 1.5 {
 		t.Errorf("%.2f allocations per data segment over the stream, want <= 1.5", perSeg)
 	}
-	if n := len(c.stack.segs.free); n > 100 {
+	if n := c.stack.segs.Len(); n > 100 {
 		t.Errorf("sender's pool holds %d segments after the stream, want a window's worth", n)
 	}
 	if got := env.Executed(); got != lossFreeStreamEvents {

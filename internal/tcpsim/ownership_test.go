@@ -81,7 +81,7 @@ func TestOwnershipOneWayStream(t *testing.T) {
 					// One window of data (768 KB of 2 KB segments) and its acks.
 					const bound = 2 * DefaultWindow / 2000
 					for _, s := range []*Stack{sa, sb} {
-						n := len(s.segs.free)
+						n := s.segs.Len()
 						t.Logf("stack at LID %d: %d segments pooled, %d crossed", s.Addr(), n, segs)
 						if n == 0 || n > bound {
 							t.Errorf("stack at LID %d holds %d pooled segments after %d crossed, want 1..%d", s.Addr(), n, segs, bound)
@@ -105,7 +105,8 @@ func TestFreshSegmentIsOneObject(t *testing.T) {
 		defer env.Shutdown()
 		mss := cli.stack.MSS()
 		cli.cwnd = segs * mss
-		cli.stack.segs.free = nil // as in a fresh world: every segment is new
+		for cli.stack.segs.Get() != nil { // as in a fresh world: every segment is new
+		}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)

@@ -120,18 +120,12 @@ type Stack struct {
 	txq       *sim.Server[*segment] // transmit context
 	rxq       *sim.Server[*segment] // receive context (softirq)
 	stats     StackStats
-	// segs recycles segment objects: one list for all the stacks of an
-	// environment, kept in the environment's recycled memory so that under a
-	// sim.Arena it outlives the world (a released segment is zeroed). Like
-	// the fabric's packet pool it is a plain slice touched only from that
-	// environment, so reuse is deterministic. A segment's last toucher is
-	// often the peer stack (acks are consumed at the data sender), so a
-	// segment goes back to the environment of the stack that created it
-	// (segment.conn's) — directly when the two stacks share it, over the
-	// kernel's return lane (takeSeg is its sink) when the peer is on another
-	// shard: every list refills at the rate it drains.
-	segs    *segPool
-	takeSeg func(any)
+	// segs is the environment's free segments, shared by all of its stacks.
+	// A segment's last toucher is often the peer stack (acks are consumed at
+	// the data sender), so a segment goes home to the list of the stack that
+	// created it (segment.conn's) with Free.Return: every list refills at the
+	// rate it drains.
+	segs *sim.Free[segment]
 	// obs holds possibly-nil telemetry handles; record methods on nil
 	// handles are no-ops, so the disabled path costs a nil check per site.
 	obs stackObs
@@ -154,19 +148,10 @@ type stackObs struct {
 	fastRetransmits  *telemetry.Counter   // dup-ack triggered retransmissions
 }
 
-// segPool is an environment's free segments (see Stack.segs).
-type segPool struct{ free []*segment }
-
-// segPoolKey is segPool's key in the environment's recycled memory.
-type segPoolKey struct{}
-
 // newSegment returns a zeroed segment (its spans backing array is kept; a
 // fresh one's is its inline array).
 func (s *Stack) newSegment() *segment {
-	if n := len(s.segs.free); n > 0 {
-		seg := s.segs.free[n-1]
-		s.segs.free[n-1] = nil // the list outlives the world; the segment is the world's now
-		s.segs.free = s.segs.free[:n-1]
+	if seg := s.segs.Get(); seg != nil {
 		return seg
 	}
 	seg := new(segment)
@@ -199,7 +184,7 @@ func (s *Stack) acked(seg *segment) {
 
 // released recycles seg once its state word is zero: no flight in progress,
 // not held for retransmission. Whichever stack brought it there zeroes the
-// segment and sends it to its home stack's pool.
+// segment and sends it to its home stack's list.
 func (s *Stack) released(seg *segment, state int32) {
 	if state != 0 {
 		return
@@ -207,7 +192,7 @@ func (s *Stack) released(seg *segment, state int32) {
 	home, spans := seg.conn.stack, seg.spans
 	clear(spans)
 	*seg = segment{spans: spans[:0]}
-	s.env.ReturnTo(home.env, home.takeSeg, seg)
+	home.segs.Return(s.env, home.env, seg)
 }
 
 // StackStats counts stack activity, for utilization analysis.
@@ -239,8 +224,7 @@ func NewStack(dev *ipoib.NetDev, cfg Config) *Stack {
 		conns:     make(map[connKey]*Conn),
 		nextPort:  40000,
 	}
-	s.segs = s.env.Recycled(segPoolKey{}, func() any { return new(segPool) }).(*segPool)
-	s.takeSeg = func(v any) { s.segs.free = append(s.segs.free, v.(*segment)) }
+	s.segs = sim.FreeOf[segment](s.env)
 	if tel := telemetry.FromEnv(s.env); tel != nil && tel.Metrics != nil {
 		m := tel.Metrics
 		s.obs = stackObs{

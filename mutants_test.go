@@ -98,8 +98,8 @@ var mutants = []mutant{
 	{
 		name: "eager header returned to the receiver's list",
 		file: "internal/mpi/proto.go",
-		old:  "r.env().ReturnTo(sender.env(), sender.reqs.take, m)",
-		new:  "r.env().ReturnTo(r.env(), r.reqs.take, m)\n\t_ = sender",
+		old:  "sender.msgs.Return(r.env(), sender.env(), m)",
+		new:  "r.msgs.Return(r.env(), r.env(), m)\n\t_ = sender",
 		pkg:  "./internal/mpi",
 		run:  "TestRequestsReleasedAtHome/sharded",
 	},
@@ -227,10 +227,34 @@ var mutants = []mutant{
 	{
 		name: "pooled packet left unzeroed",
 		file: "internal/ib/fabric.go",
-		old:  "\t\t*pkt = packet{train: tr}\n",
-		new:  "\t\tpkt.train = tr\n",
+		old:  "\t*pkt = packet{train: tr}\n",
+		new:  "\tpkt.train = tr\n",
 		pkg:  "./internal/ib",
 		run:  "TestPooledPacketsZeroedAtHome",
+	},
+	{
+		name: "transfer sent home without its reset",
+		file: "internal/ib/fabric.go",
+		old:  "\tt.reset()\n\thome.xfers.Return(",
+		new:  "\thome.xfers.Return(",
+		pkg:  "./internal/ib",
+		run:  "TestTransferReleasedOnce",
+	},
+	{
+		name: "freelist Get leaves the vacated slot set",
+		file: "internal/sim/free.go",
+		old:  "\tf.free[n-1] = nil\n",
+		new:  "",
+		pkg:  "./internal/sim",
+		run:  "TestFreeList",
+	},
+	{
+		name: "freelist Get leaves the vacated slot set, seen by the arena",
+		file: "internal/sim/free.go",
+		old:  "\tf.free[n-1] = nil\n",
+		new:  "",
+		pkg:  "./internal/core",
+		run:  "TestArenaPinsNoDeadWorld",
 	},
 	{
 		name: "nfsd pool starts a thread past its size",
