@@ -257,3 +257,29 @@ func TestArenaPinsNoDeadWorld(t *testing.T) {
 		})
 	}
 }
+
+// TestArenaReclaimsStrandedRecords: a TCP stream world over IPoIB-UD, shaped
+// like fig6(b)'s and stopped as they are — mid-window, with segments unacked
+// and on the wire, packets on links and transfers unfinished — hands every
+// record back to its arena all the same, so the same world run again on the
+// arena makes no fresh segment, packet, transfer or event. The census is
+// counted, not the allocator, so the test is exact under -race.
+func TestArenaReclaimsStrandedRecords(t *testing.T) {
+	opt := Options{Quick: true}
+	opt = opt.filled()
+	a := sim.NewArena()
+	var records []int
+	for run := 0; run < 2; run++ {
+		m := &Meter{arena: a}
+		if bw := tcpPoint(m, ipoib.Datagram, 0, 0, 4, sim.Millisecond, opt); !(bw > 0) {
+			t.Fatalf("run %d: throughput %v", run, bw)
+		}
+		m.close()
+		m.recycle()
+		records = append(records, a.Records())
+	}
+	if records[0] == 0 || records[1] != records[0] {
+		t.Fatalf("the arena's lists made %d records in the first world and %d by the end of the second, want the same, > 0",
+			records[0], records[1])
+	}
+}

@@ -71,7 +71,7 @@ type Fabric struct {
 // Every packet and transfer has a home pool, the one it was taken from (a
 // transfer's is its origin QP's). Its last consumer is often on another
 // shard — data flows one way, the acks come back — so it goes home with
-// Free.Return, zeroed before it leaves.
+// Free.Return, which resets it before it leaves.
 //
 // The pool also numbers the messages made on its environment. A message id
 // names it in packet traces, so it need only be unique per environment;
@@ -93,7 +93,7 @@ func (f *Fabric) poolFor(env *sim.Env) *pool {
 			return pl
 		}
 	}
-	pl := &pool{fab: f, env: env, pkts: sim.FreeOf[packet](env), xfers: sim.FreeOf[transfer](env)}
+	pl := &pool{fab: f, env: env, pkts: sim.FreeOf(env, resetPacket), xfers: sim.FreeOf(env, (*transfer).reset)}
 	f.pools = append(f.pools, pl)
 	return pl
 }
@@ -101,9 +101,6 @@ func (f *Fabric) poolFor(env *sim.Env) *pool {
 // newPacket returns a packet holding v, from the freelist or fresh.
 func (pl *pool) newPacket(v packet) *packet {
 	pkt := pl.pkts.Get()
-	if pkt == nil {
-		pkt = new(packet)
-	}
 	v.home, v.train = pl, pkt.train
 	*pkt = v
 	return pkt
@@ -112,13 +109,9 @@ func (pl *pool) newPacket(v packet) *packet {
 // freePacket recycles a packet at its terminal sink — after the destination
 // QP consumed it, or when a drop removed it from the wire — and releases the
 // packet's reference on its transfer. pl is the pool of the environment the
-// sink runs on. The packet keeps its train record, zeroed.
+// sink runs on.
 func (pl *pool) freePacket(pkt *packet) {
-	t, home, tr := pkt.msg, pkt.home, pkt.train
-	if tr != nil {
-		*tr = train{}
-	}
-	*pkt = packet{train: tr}
+	t, home := pkt.msg, pkt.home
 	home.pkts.Return(pl.env, home.env, pkt)
 	if t != nil {
 		pl.unref(t)
@@ -130,9 +123,6 @@ func (pl *pool) freePacket(pkt *packet) {
 // the same memory.
 func (pl *pool) newTransfer() *transfer {
 	t := pl.xfers.Get()
-	if t == nil {
-		t = &transfer{}
-	}
 	pl.nextMsg++
 	t.id = pl.nextMsg
 	return t
@@ -158,9 +148,8 @@ const (
 func (t *transfer) ref() { t.state.Add(1) }
 
 // unref releases one reference. Transfers that never reach xferDone (e.g. a
-// UD datagram lost on the wire, or work cut short by Env.Shutdown) simply
-// fall back to the garbage collector — leaking to the GC is safe, recycling
-// too early is not.
+// UD datagram lost on the wire, or work cut short by Env.Shutdown) stay out
+// of use until the world ends — recycling too early is not safe.
 func (pl *pool) unref(t *transfer) {
 	s := t.state.Add(-1)
 	if s&xferRefs == xferRefs {
@@ -192,7 +181,6 @@ func (pl *pool) released(t *transfer, state int32) {
 		return
 	}
 	home := t.origin.hca.pool
-	t.reset()
 	home.xfers.Return(pl.env, home.env, t)
 }
 

@@ -35,11 +35,16 @@ func shardLine(arena *sim.Arena, workers, n int, delay sim.Time) (*sim.Env, *HCA
 	return env, a, b
 }
 
-// pooled returns the records on f, the last put first, and leaves f as it
-// was.
-func pooled[T any](f *sim.Free[T]) []*T {
+// pooled returns the records on f, the last put first, and leaves f holding
+// them again. Putting them back resets them, so check, if not nil, sees each
+// one first, as the list held it.
+func pooled[T any](f *sim.Free[T], check func(*T)) []*T {
 	var all []*T
-	for v := f.Get(); v != nil; v = f.Get() {
+	for f.Len() > 0 {
+		v := f.Get()
+		if check != nil {
+			check(v)
+		}
 		all = append(all, v)
 	}
 	for i := len(all) - 1; i >= 0; i-- {
@@ -102,26 +107,25 @@ func TestOwnershipOneWayStream(t *testing.T) {
 					// few of those rounds.
 					const bound = 16 * (size / MTU) * 4
 					for _, h := range []*HCA{a, b} {
-						pkts, xfers := pooled(h.pool.pkts), pooled(h.pool.xfers)
-						t.Logf("%s: %d packets and %d transfers pooled for %d data packets, %d messages",
-							h.name, len(pkts), len(xfers), dataPkts, count)
-						if n := len(pkts); n == 0 || n > bound {
-							t.Errorf("%s holds %d pooled packets after %d crossed, want 1..%d", h.name, n, dataPkts, bound)
-						}
 						// What came home is zeroed: a packet keeps no home, a
 						// transfer no origin and no receiving QP. A packet that
 						// carried a train keeps the record, zeroed.
-						for _, pkt := range pkts {
+						pkts := pooled(h.pool.pkts, func(pkt *packet) {
 							tr := pkt.train
 							if *pkt != (packet{train: tr}) || tr != nil && *tr != (train{}) {
 								t.Fatalf("%s pooled a packet that is not zeroed: %+v", h.name, *pkt)
 							}
-						}
-						for _, x := range xfers {
+						})
+						xfers := pooled(h.pool.xfers, func(x *transfer) {
 							if x.origin != nil || x.resp != nil || x.state.Load() != 0 {
 								t.Fatalf("%s pooled a transfer that is not reset: origin %v resp %v state %d",
 									h.name, x.origin != nil, x.resp != nil, x.state.Load())
 							}
+						})
+						t.Logf("%s: %d packets and %d transfers pooled for %d data packets, %d messages",
+							h.name, len(pkts), len(xfers), dataPkts, count)
+						if n := len(pkts); n == 0 || n > bound {
+							t.Errorf("%s holds %d pooled packets after %d crossed, want 1..%d", h.name, n, dataPkts, bound)
 						}
 					}
 					if n := a.pool.xfers.Len(); n == 0 || n > bound {
@@ -145,7 +149,7 @@ func TestPooledPacketsZeroedAtHome(t *testing.T) {
 	qa, qb := CreateRCPair(a, b, nil, nil, QPConfig{})
 	measureBW(env, qa, qb, 4*MTU, 64)
 	trains := 0
-	for _, pkt := range pooled(a.pool.pkts) {
+	pooled(a.pool.pkts, func(pkt *packet) {
 		tr := pkt.train
 		if *pkt != (packet{train: tr}) || tr != nil && *tr != (train{}) {
 			t.Fatalf("pooled a packet that is not zeroed: %+v", *pkt)
@@ -153,7 +157,7 @@ func TestPooledPacketsZeroedAtHome(t *testing.T) {
 		if tr != nil {
 			trains++
 		}
-	}
+	})
 	if trains == 0 {
 		t.Errorf("%d packets pooled, none with a train record", a.pool.pkts.Len())
 	}
@@ -182,17 +186,20 @@ func TestTransferReleasedOnce(t *testing.T) {
 				})
 			}
 			env.Run()
-			home := pooled(a.pool.xfers)
+			unreset := 0
+			home := pooled(a.pool.xfers, func(x *transfer) {
+				if x.origin != nil || x.state.Load() != 0 {
+					unreset++
+				}
+			})
 			if got := len(home); got != n {
 				t.Fatalf("%d transfers came home for %d released", got, n)
 			}
 			if got := b.pool.xfers.Len(); got != 0 {
 				t.Fatalf("%d transfers landed in the responder's pool", got)
 			}
-			for _, x := range home {
-				if x.origin != nil || x.state.Load() != 0 {
-					t.Fatalf("a transfer came home without its reset: origin %v state %d", x.origin != nil, x.state.Load())
-				}
+			if unreset != 0 {
+				t.Fatalf("%d of %d transfers came home without their reset", unreset, n)
 			}
 		})
 	}

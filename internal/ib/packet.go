@@ -42,6 +42,15 @@ type packet struct {
 	train *train
 }
 
+// resetPacket is the packet list's reset: the packet keeps its train
+// record, zeroed.
+func resetPacket(pkt *packet) {
+	if tr := pkt.train; tr != nil {
+		*tr = train{}
+	}
+	*pkt = packet{train: pkt.train}
+}
+
 // body returns the number of body packets the packet carries ahead of it.
 func (pkt *packet) body() int {
 	if pkt.train == nil {

@@ -194,8 +194,8 @@ func NewWorld(env *sim.Env, placement []*cluster.Node, cfg Config) *World {
 			cq:    ib.NewCQ(home),
 			qps:   make(map[int]*ib.QP),
 			byQPN: make(map[int]*ib.QP),
-			reqs:  sim.FreeOf[Request](home),
-			msgs:  sim.FreeOf[mpiMsg](home),
+			reqs:  sim.FreeOf(home, (*Request).reset),
+			msgs:  sim.FreeOf(home, (*mpiMsg).reset),
 		}
 		r.copied = func() {
 			req, m := r.copyReq, r.copyMsg

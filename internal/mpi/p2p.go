@@ -47,9 +47,6 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, data []byte, size int) *Request 
 		// not this request, frees it (deliverEager): the transport ACK can
 		// complete and free this request before the receiver has read it.
 		m := r.msgs.Get()
-		if m == nil {
-			m = new(mpiMsg)
-		}
 		*m = mpiMsg{kind: eagerMsg, src: r.id, tag: tag, size: size, data: data}
 		if peer.node == r.node {
 			// Shared-memory path: single copy charged here.

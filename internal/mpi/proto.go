@@ -81,13 +81,16 @@ type Request struct {
 // free requests, with a done event from the environment's event freelist.
 func (r *Rank) newRequest(peer, tag, size int, data []byte) *Request {
 	q := r.reqs.Get()
-	if q == nil {
-		q = new(Request)
-	}
 	q.rank, q.done = r, r.env().AcquireEvent()
 	q.peer, q.tag, q.size, q.data = peer, tag, size, data
 	return q
 }
+
+// reset is the request list's reset.
+func (q *Request) reset() { *q = Request{} }
+
+// reset is the eager header list's reset.
+func (m *mpiMsg) reset() { *m = mpiMsg{} }
 
 // owner returns the rank q belongs to; a request Wait has freed has none.
 func (q *Request) owner() *Rank {
@@ -112,7 +115,6 @@ func (q *Request) Wait(p *sim.Proc) (int, int) {
 	p.Wait(q.done)
 	n, from := q.recvSize, q.recvFrom
 	r.env().ReleaseEvent(q.done)
-	*q = Request{}
 	r.reqs.Put(q)
 	return n, from
 }
@@ -248,13 +250,13 @@ func (r *Rank) matchUnexpected(req *Request) *mpiMsg {
 
 // deliverEager lands an eager message into a matched receive request.
 //
-// It is the header's last reader, so it frees the header, zeroed, onto the
+// It is the header's last reader, so it frees the header, reset, onto the
 // sender's list: inline when the two ranks share an environment, over the
 // return lane at the next barrier when they do not. The send request cannot
 // free it: the transport ACK can complete and free that request while the
 // receiver's CQ is held, before the handler here has read the header (on a
 // sharded world, on another shard). A header still unexpected at world end
-// falls to the garbage collector.
+// stays out of use until the world ends.
 func (r *Rank) deliverEager(req *Request, m *mpiMsg) {
 	n := m.size
 	if req.size < n {
@@ -266,7 +268,6 @@ func (r *Rank) deliverEager(req *Request, m *mpiMsg) {
 	req.recvSize = n
 	req.recvFrom = m.src
 	sender := r.world.ranks[m.src]
-	*m = mpiMsg{}
 	sender.msgs.Return(r.env(), sender.env(), m)
 	req.complete()
 }

@@ -219,12 +219,13 @@ func runRelease(t *testing.T, w *World) string {
 	return fmt.Sprintf("%s\nfinish %d ns, %d events", strings.Join(out[:], "\n"), int64(finish), w.env.Executed())
 }
 
-// checkFreed requires free, a home's list of freed records of one kind, to
-// hold each of want exactly once, zeroed, and nothing else.
-func checkFreed[T any](t *testing.T, what string, home int, free []*T, want map[*T]bool) {
+// checkFreed requires f, a home's list of freed records of one kind, to
+// hold each of want exactly once, zeroed as the release path left it, and
+// nothing else.
+func checkFreed[T any](t *testing.T, what string, home int, f *sim.Free[T], want map[*T]bool) {
 	t.Helper()
 	seen := map[*T]bool{}
-	for _, q := range free {
+	free := pooled(f, func(q *T) {
 		switch {
 		case seen[q]:
 			t.Errorf("home %d, %s list: a record was freed twice", home, what)
@@ -234,17 +235,22 @@ func checkFreed[T any](t *testing.T, what string, home int, free []*T, want map[
 			t.Errorf("home %d, %s list: a freed record was not zeroed: %+v", home, what, *q)
 		}
 		seen[q] = true
-	}
+	})
 	if len(free) != len(want) {
 		t.Errorf("home %d, %s list: %d records back, want %d", home, what, len(free), len(want))
 	}
 }
 
-// pooled returns the records on f, the last put first, and leaves f as it
-// was.
-func pooled[T any](f *sim.Free[T]) []*T {
+// pooled returns the records on f, the last put first, and leaves f holding
+// them again. Putting them back resets them, so check, if not nil, sees each
+// one first, as the list held it.
+func pooled[T any](f *sim.Free[T], check func(*T)) []*T {
 	var all []*T
-	for v := f.Get(); v != nil; v = f.Get() {
+	for f.Len() > 0 {
+		v := f.Get()
+		if check != nil {
+			check(v)
+		}
 		all = append(all, v)
 	}
 	for i := len(all) - 1; i >= 0; i-- {
@@ -283,13 +289,13 @@ func TestRequestsReleasedAtHome(t *testing.T) {
 					pool.reqs.Put(&Request{})
 					pool.msgs.Put(&mpiMsg{})
 				}
-				reqSeeds[i], msgSeeds[i] = setOf(pooled(pool.reqs)), setOf(pooled(pool.msgs))
+				reqSeeds[i], msgSeeds[i] = setOf(pooled(pool.reqs, nil)), setOf(pooled(pool.msgs, nil))
 			}
 			want := runRelease(t, w)
 			w.Shutdown()
 			for i, pool := range pools {
-				checkFreed(t, "request", i, pooled(pool.reqs), reqSeeds[i])
-				checkFreed(t, "eager header", i, pooled(pool.msgs), msgSeeds[i])
+				checkFreed(t, "request", i, pool.reqs, reqSeeds[i])
+				checkFreed(t, "eager header", i, pool.msgs, msgSeeds[i])
 			}
 
 			// Two worlds on one arena: the second finds the first's lists and,
@@ -309,10 +315,10 @@ func TestRequestsReleasedAtHome(t *testing.T) {
 				a.Reclaim(env)
 				if round == 0 {
 					for i, pool := range pools {
-						keptReqs = append(keptReqs, setOf(pooled(pool.reqs)))
-						keptMsgs = append(keptMsgs, setOf(pooled(pool.msgs)))
-						checkFreed(t, "request", i, pooled(pool.reqs), keptReqs[i])
-						checkFreed(t, "eager header", i, pooled(pool.msgs), keptMsgs[i])
+						keptReqs = append(keptReqs, setOf(pooled(pool.reqs, nil)))
+						keptMsgs = append(keptMsgs, setOf(pooled(pool.msgs, nil)))
+						checkFreed(t, "request", i, pool.reqs, keptReqs[i])
+						checkFreed(t, "eager header", i, pool.msgs, keptMsgs[i])
 					}
 					prev = pools
 					continue
@@ -321,8 +327,8 @@ func TestRequestsReleasedAtHome(t *testing.T) {
 					if pool != prev[i] {
 						t.Errorf("home %d: the second world did not get the first's lists", i)
 					}
-					checkFreed(t, "request", i, pooled(pool.reqs), keptReqs[i])
-					checkFreed(t, "eager header", i, pooled(pool.msgs), keptMsgs[i])
+					checkFreed(t, "request", i, pool.reqs, keptReqs[i])
+					checkFreed(t, "eager header", i, pool.msgs, keptMsgs[i])
 				}
 			}
 		})

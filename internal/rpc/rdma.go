@@ -50,7 +50,7 @@ func ServeRDMA(node *cluster.Node, threads int, h Handler) *RDMAServer {
 		env:      env,
 		node:     node,
 		handler:  h,
-		calls:    sim.FreeOf[Call](env),
+		calls:    callsOf(env),
 		issueCtx: sim.NewResource(env, 1),
 		cq:       ib.NewCQ(env),
 	}

@@ -57,7 +57,7 @@ func TestCallRecordsReleasedAtHome(t *testing.T) {
 				seeds[i] = map[*Call]bool{}
 				for j := 0; j < seed; j++ {
 					c := new(Call)
-					sim.FreeOf[Call](h).Put(c)
+					callsOf(h).Put(c)
 					seeds[i][c] = true
 				}
 			}
@@ -85,9 +85,10 @@ func TestCallRecordsReleasedAtHome(t *testing.T) {
 				t.Fatalf("%d of %d calls answered", answered, 2*calls)
 			}
 			for i, h := range homes {
-				free := sim.FreeOf[Call](h)
+				free := callsOf(h)
 				seen := map[*Call]bool{}
-				for c := free.Get(); c != nil; c = free.Get() {
+				for free.Len() > 0 {
+					c := free.Get()
 					switch {
 					case seen[c]:
 						t.Errorf("home %d: a record was released twice", i)

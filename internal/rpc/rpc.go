@@ -138,20 +138,16 @@ type Call struct {
 // reply but a LOOKUP or CREATE of a long name.
 const metaRoom = 32
 
-// newCall returns a free record of env's (free is sim.FreeOf[Call](env)),
-// or a new one.
+// newCall returns a record from free, env's list of calls.
 func newCall(env *sim.Env, free *sim.Free[Call]) *Call {
 	c := free.Get()
-	if c == nil {
-		c = new(Call)
-	}
 	c.home, c.free = env, free
 	c.Req.Meta, c.Reply.Meta = c.reqMeta[:0], c.replyMeta[:0]
 	return c
 }
 
 // Release returns a client's call record home; Req and Reply are gone
-// with it. A failed call's record is left to the garbage collector
+// with it. A failed call's record stays out of use until the world ends
 // instead: the server may still be reading the request it carried.
 func (c *Call) Release() {
 	if c.err != nil {
@@ -160,13 +156,18 @@ func (c *Call) Release() {
 	c.release(c.home)
 }
 
-// release resets the record and sends it from env, the environment the
-// last reference to it ends on, to its home freelist.
+// release sends the record, reset, from env, the environment the last
+// reference to it ends on, to its home freelist.
 func (c *Call) release(env *sim.Env) {
-	home, free := c.home, c.free
-	*c = Call{}
-	free.Return(env, home, c)
+	c.free.Return(env, c.home, c)
 }
+
+// reset is the call list's reset.
+func (c *Call) reset() { *c = Call{} }
+
+// callsOf returns env's list of call records, which every client and server
+// on env shares.
+func callsOf(env *sim.Env) *sim.Free[Call] { return sim.FreeOf(env, (*Call).reset) }
 
 // core is the call handling both client transports share: records, XID
 // allocation, the calls outstanding, and failing them all when the
@@ -190,7 +191,7 @@ type core struct {
 }
 
 func newCore(env *sim.Env, send func(*Call)) core {
-	return core{env: env, calls: sim.FreeOf[Call](env), send: send}
+	return core{env: env, calls: callsOf(env), send: send}
 }
 
 // NewCall implements Client.

@@ -183,7 +183,7 @@ func ServeTCP(stack *tcpsim.Stack, port int, threads int, h Handler) {
 // the replies and sends each record home once its reply is on the stream.
 func serveConn(conn *tcpsim.Conn, pool *threadPool) {
 	env := conn.Stack().Env()
-	calls := sim.FreeOf[Call](env)
+	calls := callsOf(env)
 	replies := sim.NewQueue[*Call](env, 0)
 	// A dead connection ends the writer; in-flight handler results are
 	// dropped, as a real server's would be once the socket errors.

@@ -12,13 +12,12 @@ package sim
 // An arena is plain memory owned by whoever runs the worlds — one per
 // experiment worker — never a sync.Pool: what a world finds in it depends
 // only on the worlds that worker ran before, and nothing simulated can
-// depend on it at all, because only objects that were reset when they were
-// released are kept (see Reclaim). It serves one world at a time.
+// depend on it at all, because every object it keeps is reset (see
+// Reclaim). It serves one world at a time.
 //
-// What a world allocates does depend on it: a world finds warm whatever
-// records the worlds before it on the arena put back, so an experiment's
-// allocation count depends on what its worker ran before (fig6 allocates
-// 8 755 objects right after fig5 in registry order, 12 184 cold).
+// Everything a list made crosses, so a warm world allocates only past the
+// records the worlds before it needed: on an arena that ran fig6 once, fig6
+// allocates 2 359 objects whatever ran in between (5 265 cold).
 type Arena struct {
 	shards []envMem // by shard index; an unpartitioned world uses shards[0]
 	lent   bool     // the memory is out with a world until Reclaim
@@ -30,11 +29,22 @@ type envMem struct {
 	evFree   Free[Event]
 	pipeFree *pipeNode
 	pipeSlab int
-	layers   []any
+	layers   []freeList
+	records  int // how many records the lists had made when their world ended
 }
 
 // NewArena returns an empty arena.
 func NewArena() *Arena { return new(Arena) }
+
+// Records returns how many records the arena's lists had made when their
+// worlds ended, all of which they hold: a world that leaves it unchanged
+// made none.
+func (a *Arena) Records() (n int) {
+	for _, m := range a.shards {
+		n += m.records
+	}
+	return n
+}
 
 // NewEnv returns an empty environment that starts out with the arena's
 // memory and gives it back at Reclaim. While the memory is out with another
@@ -62,11 +72,10 @@ func (a *Arena) lend(e *Env, shard int) {
 // Reclaim takes back the memory of a world made by a.NewEnv, every shard
 // view's into its index. The world must have been shut down and must not be
 // run or scheduled on again; an environment that did not borrow from a is
-// left alone. Only what was free crosses to the next world — objects the
-// stopped world still holds stay with it for the collector — with one
-// exception: pipe nodes are carved from slabs, a slab lives as long as any
-// node of it is kept, so the nodes still waiting in pipes are scrubbed and
-// kept too rather than left pinning the dead world.
+// left alone. Everything a list made crosses to the next world, reset —
+// also the records the stopped world still held: segments unacked or on the
+// wire, packets on links, transfers in windows, records in return lanes —
+// and so do the pipe nodes still waiting in pipes, scrubbed.
 //
 // A world that failed mid-event may have left anything half-done: drop its
 // arena instead of reclaiming.
@@ -85,8 +94,8 @@ func (a *Arena) Reclaim(e *Env) {
 	}
 }
 
-// detach empties e and returns what it recycles, free of references into
-// e's world.
+// detach empties e and returns what it recycles, reset and free of
+// references into e's world.
 func (e *Env) detach() envMem {
 	// Every non-empty pipe has its head standing in the heap.
 	for i := range e.queue.s {
@@ -102,7 +111,11 @@ func (e *Env) detach() envMem {
 		}
 	}
 	clear(e.queue.s)
-	m := envMem{heap: e.queue.s[:0], evFree: e.evFree, pipeFree: e.pipeFree, pipeSlab: e.pipeSlab, layers: e.layers}
+	n := e.evFree.reclaim()
+	for _, l := range e.layers {
+		n += l.reclaim()
+	}
+	m := envMem{heap: e.queue.s[:0], evFree: e.evFree, pipeFree: e.pipeFree, pipeSlab: e.pipeSlab, layers: e.layers, records: n}
 	e.queue.s, e.evFree, e.pipeFree, e.pipeSlab, e.layers, e.piped = nil, Free[Event]{}, nil, 0, nil, 0
 	return m
 }

@@ -159,14 +159,16 @@ func TestArenaServesOneWorldAtATime(t *testing.T) {
 // alone.
 func TestArenaPerShardIndex(t *testing.T) {
 	type mark struct{ i int }
+	keep := func(*mark) {} // a reset that keeps the mark, to tell records apart
 	a := NewArena()
 	root := a.NewEnv()
 	views := root.Partition(3)
 	root.RegisterLookahead(Millisecond)
 	marks := make([]*mark, len(views))
 	for i, v := range views {
-		marks[i] = &mark{100 + i}
-		FreeOf[mark](v).Put(marks[i])
+		marks[i] = FreeOf(v, keep).Get()
+		marks[i].i = 100 + i
+		FreeOf(v, keep).Put(marks[i])
 		ev := v.AcquireEvent()
 		v.ReleaseEvent(ev)
 		p := v.NewPipe()
@@ -181,10 +183,10 @@ func TestArenaPerShardIndex(t *testing.T) {
 	}
 
 	classic := a.NewEnv()
-	if got := FreeOf[mark](classic).Get(); got != marks[0] {
+	if got := FreeOf(classic, keep).Get(); got != marks[0] {
 		t.Error("the classic world did not get shard 0's layer memory")
 	} else {
-		FreeOf[mark](classic).Put(got)
+		FreeOf(classic, keep).Put(got)
 	}
 	a.Reclaim(classic)
 	if len(a.shards) != 3 || a.shards[1].pipeFree == nil {
@@ -193,7 +195,7 @@ func TestArenaPerShardIndex(t *testing.T) {
 
 	again := a.NewEnv().Partition(3)
 	for i, v := range again {
-		got := FreeOf[mark](v).Get()
+		got := FreeOf(v, keep).Get()
 		if got != marks[i] || got.i != 100+i {
 			t.Errorf("view %d got another index's layer memory", i)
 		}

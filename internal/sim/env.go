@@ -23,7 +23,7 @@ type Env struct {
 	pipeSlab int                // size of the last node slab allocated
 	tel      any                // opaque telemetry attachment (see SetTelemetry)
 	flt      any                // opaque fault-plan attachment (see SetFault)
-	layers   []any              // the layers' freelists, a *Free[T] each (see FreeOf)
+	layers   []freeList         // the layers' freelists, a *Free[T] each (see FreeOf)
 	arena    *Arena             // where all of the recycled memory returns to (see Arena.Reclaim)
 
 	// Periodic observation hook (see SetSampler). The sampler is NOT a heap
@@ -49,7 +49,7 @@ type Env struct {
 // NewEnv creates an empty simulation environment with the clock at zero: the
 // one shard of a world of its own.
 func NewEnv() *Env {
-	e := &Env{procs: make(map[*Proc]struct{}), digest: fnvOffset}
+	e := &Env{procs: make(map[*Proc]struct{}), digest: fnvOffset, evFree: Free[Event]{reset: resetEvent}}
 	e.world = e.solo.init(e)
 	return e
 }

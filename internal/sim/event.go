@@ -21,9 +21,6 @@ func (e *Env) NewEvent() *Event { return &Event{env: e} }
 // waited on, triggered exactly once, then dead.
 func (e *Env) AcquireEvent() *Event {
 	ev := e.evFree.Get()
-	if ev == nil {
-		return &Event{env: e}
-	}
 	ev.env = e
 	return ev
 }
@@ -34,14 +31,16 @@ func (e *Env) AcquireEvent() *Event {
 // returns. Events a peer may still observe (completion
 // events handed to user code) must use NewEvent and be left to the garbage
 // collector. The freelist is per-Env and therefore deterministic: reuse
-// order depends only on the simulation itself. The list may outlive the
-// world (see Arena), so the event is scrubbed of it: its environment and
-// its waiter array, whose slots past the truncation still name processes.
-func (e *Env) ReleaseEvent(ev *Event) {
+// order depends only on the simulation itself.
+func (e *Env) ReleaseEvent(ev *Event) { e.evFree.Put(ev) }
+
+// resetEvent is the event list's reset. The list may outlive the world (see
+// Arena), so the event is scrubbed of it: its environment and its waiter
+// array, whose slots past the truncation still name processes.
+func resetEvent(ev *Event) {
 	w := ev.waiters[:cap(ev.waiters)]
 	clear(w)
 	*ev = Event{waiters: w[:0]}
-	e.evFree.Put(ev)
 }
 
 // Triggered reports whether the event has fired.

@@ -6,61 +6,85 @@ package sim
 // MPI's requests and eager headers, RPC's call records — keeps them on the
 // environment's list for their type (FreeOf).
 //
+// A list owns the whole life of its records: it makes each one (Get), keeps
+// a census of all it made, resets each one it takes back (Put, Return), and
+// at Arena.Reclaim takes back every record of the census, reset, whether the
+// stopped world released it or not.
+//
 // A list is plain memory of one environment, never a sync.Pool: it is
 // touched only from that environment's scheduler, last in first out, so
-// which record a Get returns depends on the simulated traffic alone. A record
-// is reset by whoever puts it back, so a list holds no state, only memory.
+// which record a Get returns depends on the simulated traffic alone. A reset
+// record holds no state, only memory.
 type Free[T any] struct {
-	free []*T
-	put  func(any) // Return's sink, made once with the list (FreeOf)
+	free  []*T
+	made  []*T      // census: every record the list made, in order
+	reset func(*T)  // returns a record to the state Get hands it out in
+	put   func(any) // Return's sink, made once with the list (FreeOf)
 }
 
-// FreeOf returns e's list of free *T, creating it on first use. It lives in
-// the memory e recycles, found by its type: when e came from an Arena it is
-// the list the previous world at e's shard index left there.
-func FreeOf[T any](e *Env) *Free[T] {
+// freeList is what an Env and its Arena need of a Free list of any type.
+type freeList interface{ reclaim() int }
+
+// FreeOf returns e's list of free *T, creating it with reset on first use.
+// A type has one reset, so a layer finds its list of a type at one place,
+// which passes it. The list lives in the memory e recycles, found by its
+// type: when e came from an Arena it is the list the previous world at e's
+// shard index left there.
+func FreeOf[T any](e *Env, reset func(*T)) *Free[T] {
 	for _, l := range e.layers {
 		if f, ok := l.(*Free[T]); ok {
 			return f
 		}
 	}
-	f := new(Free[T])
-	f.put = func(v any) { f.Put(v.(*T)) }
+	f := &Free[T]{reset: reset}
+	f.put = func(v any) { f.free = append(f.free, v.(*T)) }
 	e.layers = append(e.layers, f)
 	return f
 }
 
-// Get takes the record put last, or returns nil on an empty list: making a
-// fresh one, and whatever setup that takes, is the caller's. The list may
-// outlive the world (see Arena), so Get clears the slot it vacates: past the
-// list's end its array must not go on naming a record the world now uses.
+// Get takes the record put last, or makes a fresh one, reset, and counts it
+// in the census. The slot it vacates may keep naming it: the census does.
 func (f *Free[T]) Get() *T {
 	n := len(f.free)
 	if n == 0 {
-		return nil
+		v := new(T)
+		f.reset(v)
+		f.made = append(f.made, v)
+		return v
 	}
 	v := f.free[n-1]
-	f.free[n-1] = nil
 	f.free = f.free[:n-1]
 	return v
 }
 
-// Put adds v, already reset, to the list.
-func (f *Free[T]) Put(v *T) { f.free = append(f.free, v) }
+// Put resets v, a record of f's, and adds it to the list.
+func (f *Free[T]) Put(v *T) {
+	f.reset(v)
+	f.free = append(f.free, v)
+}
 
-// Return sends v, already reset, home to f — the list of environment home —
-// from environment from, where its last reference ended: at once when from
-// is home, at the next window barrier otherwise (Env.ReturnTo). A record
-// whose last consumer runs on another shard thus neither stays there (that
-// list would grow while home's ran dry) nor touches home's list mid-window.
-// f must come from FreeOf.
+// Return resets v and sends it home to f — the list of environment home,
+// which made it — from environment from, where its last reference ended: at
+// once when from is home, at the next window barrier otherwise
+// (Env.ReturnTo). A record whose last consumer runs on another shard thus
+// neither stays there (that list would grow while home's ran dry) nor
+// touches home's list mid-window. f must come from FreeOf.
 func (f *Free[T]) Return(from, home *Env, v *T) {
-	if from == home {
-		f.Put(v)
-		return
-	}
+	f.reset(v)
 	from.ReturnTo(home, f.put, v)
 }
 
 // Len returns the number of records on the list.
 func (f *Free[T]) Len() int { return len(f.free) }
+
+// reclaim relists every record f made, reset, whether its world released it
+// or not, and returns how many there are; the world is never touched again.
+// The list never outgrows the census, so every slot the world wrote is
+// rewritten.
+func (f *Free[T]) reclaim() int {
+	f.free = append(f.free[:0], f.made...)
+	for _, v := range f.made {
+		f.reset(v)
+	}
+	return len(f.made)
+}

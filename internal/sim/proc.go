@@ -243,7 +243,7 @@ func (p *Proc) Sleep(d Time) {
 	}
 	// The timer event's lifetime is exactly this call: recycle it. If the
 	// process is killed mid-sleep the release is skipped and the event
-	// falls back to the garbage collector, which is safe.
+	// stays out of use until the world ends, which is safe.
 	env := p.env
 	ev := env.AcquireEvent()
 	env.scheduleTrigger(env.now+d, ev, nil)

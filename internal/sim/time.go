@@ -25,8 +25,8 @@
 //
 // Memory: the kernel and the layers above it recycle what they allocate on
 // per-environment freelists, and an Arena carries those lists from one world
-// to the next its owner runs (see arena.go). Only free, reset objects cross,
-// so this too changes host time and allocation only.
+// to the next its owner runs (see arena.go). Every object crosses reset, so
+// this too changes host time and allocation only.
 //
 // Determinism: only one process or callback ever runs at a time, the event
 // heap breaks ties by insertion sequence number, and no wall-clock or

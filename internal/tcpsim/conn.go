@@ -35,7 +35,7 @@ type segment struct {
 	spans            []span // payload runs (real or synthetic), in order
 	// one is the backing array of a fresh segment's spans, so a one-span
 	// segment costs one object. Released segments keep whatever backing
-	// array spans has (Stack.released), and no code copies a segment by
+	// array spans has (resetSegment), and no code copies a segment by
 	// value, so spans never aliases another segment's one.
 	one [1]span
 	// ce is the IP-layer congestion-experienced codepoint, stamped by the
@@ -48,14 +48,14 @@ type segment struct {
 	// processing has not finished yet — and segUnacked flags membership in
 	// the sender's retransmission queue. The segment is recycled by whichever
 	// operation brings the word to zero. A flight lost to fault injection
-	// never completes, leaving the segment to the garbage collector — safe,
-	// just unpooled. The word is atomic, and one word, because on a
+	// never completes, leaving the segment out of use until the world ends.
+	// The word is atomic, and one word, because on a
 	// partitioned world a go-back-N retransmission or an ack leaving the
 	// queue (sender shard) can overlap the original flight's receive
 	// processing (peer shard) inside one conservative window, and exactly
 	// one of the two must see the last release. A plain int32 driven through
 	// sync/atomic functions (not atomic.Int32) keeps the pooled zeroing
-	// assignment in released copyable.
+	// assignment in resetSegment copyable.
 	state int32
 	// conn is the sending connection: its stack's pool takes the segment
 	// back, and its transmit counter numbers the flights (Stack.txDone).
@@ -426,7 +426,7 @@ func (c *Conn) pump() {
 // newSegment takes a segment from the stack's pool and stamps this
 // connection's headers on it.
 func (c *Conn) newSegment(flags int) *segment {
-	seg := c.stack.newSegment()
+	seg := c.stack.segs.Get()
 	seg.conn = c
 	seg.srcAddr, seg.dst = c.stack.Addr(), c.remote
 	seg.srcPort, seg.dstPort = c.localPort, c.remotePort

@@ -105,7 +105,8 @@ func TestFreshSegmentIsOneObject(t *testing.T) {
 		defer env.Shutdown()
 		mss := cli.stack.MSS()
 		cli.cwnd = segs * mss
-		for cli.stack.segs.Get() != nil { // as in a fresh world: every segment is new
+		for cli.stack.segs.Len() > 0 { // as in a fresh world: every segment is new
+			cli.stack.segs.Get()
 		}
 		var before, after runtime.MemStats
 		runtime.GC()

@@ -148,21 +148,21 @@ type stackObs struct {
 	fastRetransmits  *telemetry.Counter   // dup-ack triggered retransmissions
 }
 
-// newSegment returns a zeroed segment (its spans backing array is kept; a
-// fresh one's is its inline array).
-func (s *Stack) newSegment() *segment {
-	if seg := s.segs.Get(); seg != nil {
-		return seg
+// resetSegment is the segment list's reset: the segment keeps its spans
+// backing array, cleared; a fresh one's is its inline array.
+func resetSegment(seg *segment) {
+	spans := seg.spans
+	if spans == nil {
+		spans = seg.one[:0]
 	}
-	seg := new(segment)
-	seg.spans = seg.one[:0]
-	return seg
+	clear(spans)
+	*seg = segment{spans: spans[:0]}
 }
 
 // transmit hands a segment to the transmit context, counting the flight.
 // The matching release happens after the peer's receive context processed
 // the segment (or never, if fault injection drops it — then the segment
-// falls back to the garbage collector).
+// stays out of use until the world ends).
 func (s *Stack) transmit(seg *segment) {
 	atomic.AddInt32(&seg.state, 1)
 	s.txq.Put(seg)
@@ -183,15 +183,13 @@ func (s *Stack) acked(seg *segment) {
 }
 
 // released recycles seg once its state word is zero: no flight in progress,
-// not held for retransmission. Whichever stack brought it there zeroes the
-// segment and sends it to its home stack's list.
+// not held for retransmission. Whichever stack brought it there sends it,
+// reset, to its home stack's list.
 func (s *Stack) released(seg *segment, state int32) {
 	if state != 0 {
 		return
 	}
-	home, spans := seg.conn.stack, seg.spans
-	clear(spans)
-	*seg = segment{spans: spans[:0]}
+	home := seg.conn.stack
 	home.segs.Return(s.env, home.env, seg)
 }
 
@@ -224,7 +222,7 @@ func NewStack(dev *ipoib.NetDev, cfg Config) *Stack {
 		conns:     make(map[connKey]*Conn),
 		nextPort:  40000,
 	}
-	s.segs = sim.FreeOf[segment](s.env)
+	s.segs = sim.FreeOf(s.env, resetSegment)
 	if tel := telemetry.FromEnv(s.env); tel != nil && tel.Metrics != nil {
 		m := tel.Metrics
 		s.obs = stackObs{

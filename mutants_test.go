@@ -122,7 +122,7 @@ var mutants = []mutant{
 	{
 		name: "fresh segment without its inline span",
 		file: "internal/tcpsim/tcpsim.go",
-		old:  "seg.spans = seg.one[:0]",
+		old:  "spans = seg.one[:0]",
 		new:  "_ = seg.one",
 		pkg:  "./internal/tcpsim",
 		run:  "TestFreshSegmentIsOneObject",
@@ -226,35 +226,67 @@ var mutants = []mutant{
 	},
 	{
 		name: "pooled packet left unzeroed",
-		file: "internal/ib/fabric.go",
-		old:  "\t*pkt = packet{train: tr}\n",
-		new:  "\tpkt.train = tr\n",
+		file: "internal/ib/packet.go",
+		old:  "\t*pkt = packet{train: pkt.train}\n",
+		new:  "",
 		pkg:  "./internal/ib",
 		run:  "TestPooledPacketsZeroedAtHome",
 	},
 	{
-		name: "transfer sent home without its reset",
+		name: "transfer list without its reset",
 		file: "internal/ib/fabric.go",
-		old:  "\tt.reset()\n\thome.xfers.Return(",
-		new:  "\thome.xfers.Return(",
+		old:  "sim.FreeOf(env, (*transfer).reset)",
+		new:  "sim.FreeOf(env, func(*transfer) {})",
 		pkg:  "./internal/ib",
 		run:  "TestTransferReleasedOnce",
 	},
 	{
-		name: "freelist Get leaves the vacated slot set",
+		name: "arena relists only the records already free",
 		file: "internal/sim/free.go",
-		old:  "\tf.free[n-1] = nil\n",
+		old:  "\tf.free = append(f.free[:0], f.made...)\n",
 		new:  "",
 		pkg:  "./internal/sim",
 		run:  "TestFreeList",
 	},
 	{
-		name: "freelist Get leaves the vacated slot set, seen by the arena",
+		name: "arena relists only the records already free, seen by a stopped TCP world",
 		file: "internal/sim/free.go",
-		old:  "\tf.free[n-1] = nil\n",
+		old:  "\tf.free = append(f.free[:0], f.made...)\n",
 		new:  "",
 		pkg:  "./internal/core",
-		run:  "TestArenaPinsNoDeadWorld",
+		run:  "TestArenaReclaimsStrandedRecords",
+	},
+	{
+		name: "fresh record left out of the census",
+		file: "internal/sim/free.go",
+		old:  "\t\tf.made = append(f.made, v)\n",
+		new:  "",
+		pkg:  "./internal/sim",
+		run:  "TestFreeList",
+	},
+	{
+		name: "stranded record relisted without its reset",
+		file: "internal/sim/free.go",
+		old:  "\tfor _, v := range f.made {\n\t\tf.reset(v)\n\t}\n",
+		new:  "",
+		pkg:  "./internal/sim",
+		run:  "TestArenaKeepsNothingOfTheWorld",
+	},
+	{
+		name: "record sent home without its reset",
+		file: "internal/sim/free.go",
+		old:  "\tf.reset(v)\n\tfrom.ReturnTo(",
+		new:  "\tfrom.ReturnTo(",
+		pkg:  "./internal/ib",
+		run:  "TestPooledPacketsZeroedAtHome",
+	},
+	{
+		name: "record sent home without its reset, seen by MPI",
+		file: "internal/sim/free.go",
+		old:  "\tf.reset(v)\n\tfrom.ReturnTo(",
+		new:  "\tfrom.ReturnTo(",
+		pkg:  "./internal/mpi",
+		run:  "TestRequestsReleasedAtHome",
 	},
 	{
 		name: "nfsd pool starts a thread past its size",
