@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/ib"
 	"repro/internal/ipoib"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/perftest"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // arenaPoint is one cell of the arena tests' plans.
@@ -28,8 +31,9 @@ type arenaPoint struct {
 
 // arenaDirtyPoints leave a worker's arena in the worst state a point can:
 // worlds carrying real payloads, dropping packets, stopped with segments,
-// packets, transfers, retry timers and mailbox deposits in flight — and one
-// that fails outright. Their values are never looked at.
+// packets, transfers, retry timers and mailbox deposits in flight, one of
+// them observed, so its devices cached telemetry tracks — and one that fails
+// outright. Their values are never looked at.
 func arenaDirtyPoints(opt Options) []arenaPoint {
 	content := make([]byte, 1<<20)
 	rand.New(rand.NewSource(3)).Read(content)
@@ -45,6 +49,16 @@ func arenaDirtyPoints(opt Options) []arenaPoint {
 		}
 	}
 	return []arenaPoint{
+		{"dirty/observed", func(m *Meter) float64 {
+			env, tb := observedPair(m, 29)
+			qa, qb := ib.CreateRCPair(tb.A[0].HCA, tb.B[0].HCA, nil, nil, lossQPCfg())
+			for i := 0; i < 64; i++ {
+				qb.PostRecv(ib.RecvWR{})
+				qa.PostSend(ib.SendWR{Op: ib.OpSend, Len: 64 << 10})
+			}
+			env.RunUntil(3 * sim.Millisecond)
+			return 0
+		}},
 		{"dirty/nfs-tcp-lossy", func(m *Meter) float64 {
 			m.WithFault(&fault.Plan{Seed: 11, WANLoss: 0.02})
 			env, tb := m.pair(sim.Millisecond)
@@ -79,11 +93,17 @@ func arenaDirtyPoints(opt Options) []arenaPoint {
 }
 
 // arenaCleanPoints are ordinary measurements through every layer that draws
-// on recycled memory. stops marks the ones that end by Env.Stop across
+// on recycled memory, one of them with telemetry attached, whose value sums
+// up what it recorded. stops marks the ones that end by Env.Stop across
 // shards, whose Executed() and final clock are not a function of the input
 // on a partitioned world whatever the arena holds (ROADMAP 6a).
 func arenaCleanPoints(opt Options) (pts []arenaPoint, stops map[string]bool) {
 	return []arenaPoint{
+		{"clean/rc-observed", func(m *Meter) float64 {
+			env, tb := observedPair(m, 23)
+			bw := perftest.StreamRC(env, tb.A[0].HCA, tb.B[0].HCA, 64<<10, 16, lossQPCfg())
+			return observed(bw, m.tel)
+		}},
 		{"clean/nfs-tcp", func(m *Meter) float64 {
 			return nfsPoint(m, "tcp-rc", false, sim.Micros(100),
 				nfs.IOzoneConfig{FileSize: 4 << 20, RecordSize: 256 << 10, Threads: 2})
@@ -106,6 +126,32 @@ func arenaCleanPoints(opt Options) (pts []arenaPoint, stops map[string]bool) {
 			return nfs.IOzone(nw.Env, cl, "f", nfs.IOzoneConfig{FileSize: 4 << 20, RecordSize: 256 << 10, Threads: 2})
 		}},
 	}, map[string]bool{"clean/nfs-tcp": true, "clean/multisite-nfs": true}
+}
+
+// observedPair builds the paper's testbed at 1 ms, lossy with the given seed,
+// with metrics and spans of the point's own attached. It keeps the world on
+// one shard: a span recorder has one writer.
+func observedPair(m *Meter, seed uint64) (*sim.Env, *cluster.Testbed) {
+	m.shardWorkers = 1
+	m.tel = &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Spans: telemetry.NewRecorder(1<<16, 4)}
+	m.WithFault(&fault.Plan{Seed: seed, WANLoss: 0.01})
+	return m.pair(sim.Millisecond)
+}
+
+// observed folds a measurement and everything its telemetry recorded — every
+// metric, every span and instant with the track it landed on — into one
+// exact float: a device's stale track or a fabric's stale observer changes it.
+func observed(y float64, tel *telemetry.Telemetry) float64 {
+	h := fnv.New64a()
+	tracks := tel.Spans.Tracks()
+	fmt.Fprint(h, y, tel.Metrics.Snapshot())
+	for _, in := range tel.Spans.Instants() {
+		fmt.Fprint(h, tracks[in.Track], in)
+	}
+	for _, sp := range tel.Spans.Spans() {
+		fmt.Fprint(h, tracks[sp.Track], sp)
+	}
+	return float64(h.Sum64() >> 11)
 }
 
 // arenaOutcome is what a point's world came to.
@@ -142,7 +188,8 @@ func TestArenaIsolation(t *testing.T) {
 			// Two rounds of dirty, clean, dirty, clean...: at one worker every
 			// clean point inherits a dirty world's arena (or, behind the dead
 			// WAN, the fresh one that replaced it); at four the pairing is the
-			// scheduler's, and any of it must do.
+			// scheduler's, and any of it must do. In the first round the
+			// observed clean point follows the observed dirty one.
 			var mu sync.Mutex
 			values := make(map[string][]float64)
 			spec := Spec{ID: "arena", Build: func(Options) *Plan {
@@ -281,5 +328,41 @@ func TestArenaReclaimsStrandedRecords(t *testing.T) {
 	if records[0] == 0 || records[1] != records[0] {
 		t.Fatalf("the arena's lists made %d records in the first world and %d by the end of the second, want the same, > 0",
 			records[0], records[1])
+	}
+}
+
+// TestArenaRebuildsTheFabricFromRecords: a ring4 multisite world — its
+// switches, links, Longbow pairs and HCAs, an MPI world's QPs and CQs, and
+// partitioned, its mailbox lanes — run twice on one arena builds the second
+// time from what the first left: Arena.Records() does not grow, so no fresh
+// record is made. The census is counted, not the allocator, so the test is
+// exact under -race; the lanes are TestArenaKeepsEmptiedMailboxes' (sim).
+func TestArenaRebuildsTheFabricFromRecords(t *testing.T) {
+	opt := Options{Quick: true, Topo: "ring4"}
+	opt = opt.filled()
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			a := sim.NewArena()
+			var records []int
+			for run := 0; run < 2; run++ {
+				m := &Meter{arena: a, shardWorkers: shards}
+				nw := m.multisite(opt, sim.Millisecond)
+				if nw.Env.Sharded() != (shards > 1) {
+					t.Fatalf("run %d: partitioned %v at %d shard workers", run, nw.Env.Sharded(), shards)
+				}
+				w := mpi.NewWorld(nw.Env, nw.Nodes(), mpi.Config{})
+				if lat := mpi.BcastLatency(w, 16<<10, 2, true); !(lat > 0) {
+					t.Fatalf("run %d: broadcast latency %v", run, lat)
+				}
+				w.Shutdown()
+				m.close()
+				m.recycle()
+				records = append(records, a.Records())
+			}
+			if records[0] == 0 || records[1] != records[0] {
+				t.Fatalf("the arena's lists made %d records in the first world and %d by the end of the second, want the same, > 0",
+					records[0], records[1])
+			}
+		})
 	}
 }

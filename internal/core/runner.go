@@ -142,8 +142,8 @@ var idleArenas struct {
 
 // takeArena hands a worker an idle arena, or a new one. Its worlds start
 // with every record the arena's earlier worlds made (sim.Arena): fig6
-// allocates 2 359 objects on an arena that ran it once, 5 265 cold, and
-// 3 658 in registry order, whose failing failover points drop their arenas.
+// allocates 1 641 objects on an arena that ran it once, 4 652 cold, and
+// 3 396 in registry order, whose failing failover points drop their arenas.
 // Events, digests and results do not depend on the arena.
 func takeArena() *sim.Arena {
 	idleArenas.Lock()

@@ -84,6 +84,7 @@ type pool struct {
 	nextMsg int64
 	pkts    *sim.Free[packet]
 	xfers   *sim.Free[transfer]
+	sweep   sweepScratch // its devices' routing sweeps' working memory
 }
 
 // poolFor returns env's pool, creating it on first sight.
@@ -93,9 +94,36 @@ func (f *Fabric) poolFor(env *sim.Env) *pool {
 			return pl
 		}
 	}
-	pl := &pool{fab: f, env: env, pkts: sim.FreeOf(env, resetPacket), xfers: sim.FreeOf(env, (*transfer).reset)}
+	pl := sim.FreeOf(env, (*pool).reset).Get()
+	pl.fab, pl.env, pl.pkts, pl.xfers = f, env, sim.FreeOf(env, resetPacket), sim.FreeOf(env, (*transfer).reset)
 	f.pools = append(f.pools, pl)
 	return pl
+}
+
+// The fabric, its pools, devices, links, QPs and CQs are records (sim.Free)
+// whose reset keeps only memory, and a switch's closure, which names it alone.
+
+func (pl *pool) reset() {
+	sc := &pl.sweep
+	clear(sc.visited)
+	*pl = pool{sweep: sweepScratch{visited: sc.visited, frontier: emptied(sc.frontier), next: emptied(sc.next)}}
+}
+
+func (f *Fabric) reset() {
+	*f = Fabric{pools: emptied(f.pools), devices: emptied(f.devices), byLID: emptied(f.byLID)}
+}
+
+func (s *Switch) reset() {
+	*s = Switch{plist: emptied(s.plist), routes: emptied(s.routes), deliver: s.deliver}
+}
+
+func (l *Link) reset() { *l = Link{} }
+
+// emptied returns s resliced to [:0], its array zeroed.
+func emptied[T any](s []T) []T {
+	s = s[:cap(s)]
+	clear(s)
+	return s[:0]
 }
 
 // newPacket returns a packet holding v, from the freelist or fresh.
@@ -188,7 +216,8 @@ func (pl *pool) released(t *transfer, state int32) {
 // If the environment carries a telemetry attachment (telemetry.Attach), the
 // fabric arms its instrumentation; otherwise observation costs nothing.
 func NewFabric(env *sim.Env) *Fabric {
-	f := &Fabric{env: env, byLID: []Device{nil}}
+	f := sim.FreeOf(env, (*Fabric).reset).Get()
+	f.env, f.byLID = env, append(f.byLID, nil)
 	f.cur = f.poolFor(env)
 	if tel := telemetry.FromEnv(env); tel != nil && (tel.Metrics != nil || tel.Spans != nil) {
 		f.obs = newFabObs(tel)
@@ -215,7 +244,8 @@ func (f *Fabric) addDevice(d Device) {
 // AddHCA creates a host channel adapter end node (on the UseEnv
 // environment).
 func (f *Fabric) AddHCA(name string) *HCA {
-	h := &HCA{fab: f, pool: f.cur, env: f.cur.env, name: name}
+	h := sim.FreeOf(f.cur.env, (*HCA).reset).Get()
+	h.fab, h.pool, h.env, h.name = f, f.cur, f.cur.env, name
 	f.addDevice(h)
 	return h
 }
@@ -223,8 +253,11 @@ func (f *Fabric) AddHCA(name string) *HCA {
 // AddSwitch creates a switch with the given forwarding latency (use
 // ib.SwitchDelay for a normal cluster switch) on the UseEnv environment.
 func (f *Fabric) AddSwitch(name string, forwardDelay sim.Time) *Switch {
-	s := &Switch{fab: f, pool: f.cur, name: name, fwd: forwardDelay}
-	s.deliver = func(v any) { s.receive(v.(*packet)) }
+	s := sim.FreeOf(f.cur.env, (*Switch).reset).Get()
+	s.fab, s.pool, s.name, s.fwd = f, f.cur, name, forwardDelay
+	if s.deliver == nil {
+		s.deliver = func(v any) { s.receive(v.(*packet)) }
+	}
 	f.addDevice(s)
 	return s
 }
@@ -236,7 +269,7 @@ func (f *Fabric) AddSwitch(name string, forwardDelay sim.Time) *Switch {
 // environment; when the two differ (a WAN link between shards) delivery
 // crosses through the kernel's mailbox path, and the propagation delay must
 // honor the world's registered lookahead bound. The link and both its ports
-// are one allocation.
+// are one record, from a's environment.
 func (f *Fabric) Connect(a, b Device, rate Rate, prop sim.Time) *Link {
 	if rate <= 0 {
 		panic(fmt.Sprintf("ib: link rate must be positive, got %v", rate))
@@ -244,7 +277,8 @@ func (f *Fabric) Connect(a, b Device, rate Rate, prop sim.Time) *Link {
 	if prop < 0 {
 		panic(fmt.Sprintf("ib: negative link delay %v", prop))
 	}
-	l := &Link{rate: rate, prop: prop}
+	l := sim.FreeOf(a.home().env, (*Link).reset).Get()
+	l.rate, l.prop = rate, prop
 	l.a.init(a, l, &l.b)
 	l.b.init(b, l, &l.a)
 	a.attach(&l.a)
@@ -257,7 +291,7 @@ func (f *Fabric) Connect(a, b Device, rate Rate, prop sim.Time) *Link {
 // every device toward every LID. It must be called after topology changes
 // and before traffic flows; CreateRC/CreateUD call it implicitly.
 func (f *Fabric) Finalize() {
-	f.resweep(f.devices, nil, new(sweepScratch))
+	f.resweep(f.devices, nil, &f.pools[0].sweep)
 	f.routed = true
 }
 
@@ -281,9 +315,8 @@ type sweepHop struct {
 // excluded predicate removes links from consideration (the health monitor
 // excludes dead links, making each call a new routing epoch). The sweep
 // reads only the immutable port/link graph and writes only the tables of
-// the devices it was given (and sc, the caller's own), so on a partitioned
-// world each shard re-sweeps its own devices concurrently without
-// synchronization.
+// the devices it was given (and sc, their pool's), so on a partitioned world
+// each shard re-sweeps its own devices concurrently without synchronization.
 func (f *Fabric) resweep(devs []Device, excluded func(*Link) bool, sc *sweepScratch) {
 	if len(sc.visited) < len(f.byLID) {
 		sc.visited = make([]int, len(f.byLID))

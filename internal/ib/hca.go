@@ -17,8 +17,13 @@ type HCA struct {
 	// port is the single port, once attached, and the route to everything;
 	// an array so ports() can slice it.
 	port [1]*Port
-	qps  map[int]*QP // by QPN, made by the first CreateQP; QPs are never removed
+	qps  map[int]*QP // by QPN, made by the first CreateQP; QPs are never removed but with the world
 	wireTrackCache
+}
+
+func (h *HCA) reset() {
+	clear(h.qps)
+	*h = HCA{qps: h.qps}
 }
 
 // Name returns the HCA name.

@@ -202,10 +202,11 @@ func (f *Fabric) EnableFailover(cfg HealthConfig) error {
 			devs := byEnv[e]
 			isLead := e == f.env
 			lead = lead || isLead
-			e.At(at-e.Now(), func() { f.applyEpoch(devs, at, isLead) })
+			sc := &devs[0].home().sweep
+			e.At(at-e.Now(), func() { f.applyEpoch(devs, at, isLead, sc) })
 		}
 		if !lead {
-			f.env.At(at-f.env.Now(), func() { f.applyEpoch(nil, at, true) })
+			f.env.At(at-f.env.Now(), func() { f.applyEpoch(nil, at, true, &f.pools[0].sweep) })
 		}
 	}
 	return nil
@@ -253,13 +254,13 @@ func debounceEdges(raw []HealthTransition, debounceDown, debounceUp sim.Time) []
 // event per edge time runs with lead set; it owns the epoch counters and
 // the failover-time histogram. On sharded runs the lead event executes on
 // shard 0 concurrently with the other shards' sweeps; it touches only its
-// own devices' tables, immutable verdict timelines, and atomics.
-func (f *Fabric) applyEpoch(devs []Device, at sim.Time, lead bool) {
+// own devices' tables, with their pool's scratch sc, verdicts and atomics.
+func (f *Fabric) applyEpoch(devs []Device, at sim.Time, lead bool, sc *sweepScratch) {
 	h := f.health
 	f.resweep(devs, func(l *Link) bool {
 		ml := h.byLink[l]
 		return ml != nil && ml.downAt(at)
-	}, new(sweepScratch))
+	}, sc)
 	if !lead {
 		return
 	}
@@ -350,7 +351,7 @@ func (h *healthState) reactiveDown(f *Fabric, ml *monitoredLink, now sim.Time) {
 	f.resweep(f.devices, func(l *Link) bool {
 		m := h.byLink[l]
 		return m != nil && (m.down || m.downAt(now))
-	}, new(sweepScratch))
+	}, &f.pools[0].sweep) // reactive detection runs on one-environment fabrics
 	f.routeEpoch.Add(1)
 	h.transitions.Add(1)
 	if obs := f.obs; obs != nil {

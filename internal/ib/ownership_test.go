@@ -2,6 +2,8 @@ package ib
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -203,4 +205,107 @@ func TestTransferReleasedOnce(t *testing.T) {
 			}
 		})
 	}
+}
+
+// blank returns where v — a record as its reset left it — holds more than
+// memory: a field set, a reference, a map with entries, a slot of a kept
+// array that is not zero, up to its capacity (a ring's or a stamp table's
+// length is its size, so a slice's is not looked at); or "" where it holds
+// none. keep lists the paths a reset may leave set.
+func blank(v reflect.Value, path string, keep ...string) string {
+	if slices.Contains(keep, path) {
+		return ""
+	}
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if s := blank(v.Field(i), path+"."+v.Type().Field(i).Name, keep...); s != "" {
+				return s
+			}
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if s := blank(v.Index(i), fmt.Sprintf("%s[%d]", path, i), keep...); s != "" {
+				return s
+			}
+		}
+	case reflect.Slice:
+		for i, all := 0, v.Slice(0, v.Cap()); i < all.Len(); i++ {
+			if s := blank(all.Index(i), fmt.Sprintf("%s[%d]", path, i), keep...); s != "" {
+				return s
+			}
+		}
+	case reflect.Map:
+		if v.Len() != 0 {
+			return path + " has entries"
+		}
+	default:
+		if !v.IsZero() {
+			return path + " is set"
+		}
+	}
+	return ""
+}
+
+// TestOwnershipFabricRecordsComeBackBlank: a partitioned world with RC and UD
+// queue pairs, a completion handler and unpolled completions, stopped with
+// messages in flight and receives posted, gives its arena every fabric record
+// it made — the fabric, a pool per shard, the switches, links, HCAs, QPs and
+// CQs — on the shard index of the environment that made it, each holding
+// memory and nothing else: no state, no reference into the world.
+func TestOwnershipFabricRecordsComeBackBlank(t *testing.T) {
+	const shards = 3
+	arena := sim.NewArena()
+	env, a, b := shardLine(arena, 2, shards, 100*sim.Microsecond)
+	qa, qb := CreateRCPair(a, b, nil, nil, QPConfig{MaxInflight: 4})
+	ua := a.CreateQP(NewCQ(a.Env()), QPConfig{Transport: UD})
+	ub := b.CreateQP(NewCQ(b.Env()), QPConfig{Transport: UD})
+	handled := 0
+	qb.CQ().SetHandler(func(Completion) { handled++ })
+	for i := 0; i < 64; i++ {
+		qb.PostRecv(RecvWR{Ctx: i})
+		ub.PostRecv(RecvWR{Buf: make([]byte, 16)})
+		qa.PostSend(SendWR{Op: OpSend, Len: 16 << 10, Ctx: i})
+		ua.PostSend(SendWR{Op: OpSend, Len: 512, DestLID: b.LID(), DestQPN: ub.QPN(), Ctx: i})
+	}
+	env.RunUntil(500 * sim.Microsecond)
+	if handled == 0 || qa.window.Len() == 0 || qb.recvQ.Len() == 0 || qa.CQ().Len() == 0 {
+		t.Fatalf("the world is not mid-stream at the stop: %d handled, window %d, receives %d, unpolled %d",
+			handled, qa.window.Len(), qb.recvQ.Len(), qa.CQ().Len())
+	}
+	env.Shutdown()
+	arena.Reclaim(env)
+
+	next := arena.NewEnv()
+	views := next.Partition(shards)
+	got := make([]map[string]int, shards)
+	for i, v := range views {
+		got[i] = map[string]int{}
+		check := func(kind string, r any, keep ...string) {
+			got[i][kind]++
+			if s := blank(reflect.ValueOf(r).Elem(), kind, keep...); s != "" {
+				t.Errorf("a reclaimed %s is not blank: %s", kind, s)
+			}
+		}
+		pooled(sim.FreeOf(v, (*Fabric).reset), func(r *Fabric) { check("fabric", r) })
+		pooled(sim.FreeOf(v, (*pool).reset), func(r *pool) { check("pool", r) })
+		pooled(sim.FreeOf(v, (*Switch).reset), func(r *Switch) { check("switch", r, "switch.deliver") })
+		pooled(sim.FreeOf(v, (*Link).reset), func(r *Link) { check("link", r) })
+		pooled(sim.FreeOf(v, (*HCA).reset), func(r *HCA) { check("hca", r) })
+		pooled(sim.FreeOf(v, (*QP).reset), func(r *QP) { check("qp", r) })
+		pooled(sim.FreeOf(v, (*CQ).reset), func(r *CQ) { check("cq", r) })
+	}
+	// Shard 0 holds the fabric, switch 0, HCA a with its QPs and CQs and the
+	// links from them; the middle shard its switch and the link onward; the
+	// last shard switch 2 and HCA b's.
+	want := []map[string]int{
+		{"fabric": 1, "pool": 1, "switch": 1, "link": 2, "hca": 1, "qp": 2, "cq": 2},
+		{"pool": 1, "switch": 1, "link": 1},
+		{"pool": 1, "switch": 1, "link": 1, "hca": 1, "qp": 2, "cq": 2},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("records by shard index %v, want %v", got, want)
+	}
+	next.Shutdown()
+	arena.Reclaim(next)
 }

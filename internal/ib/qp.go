@@ -153,7 +153,17 @@ type CQ struct {
 }
 
 // NewCQ creates a completion queue.
-func NewCQ(env *sim.Env) *CQ { return &CQ{env: env} }
+func NewCQ(env *sim.Env) *CQ {
+	c := sim.FreeOf(env, (*CQ).reset).Get()
+	c.env = env
+	return c
+}
+
+func (c *CQ) reset() {
+	c.items.q.Clear()
+	c.waiters.Clear()
+	*c = CQ{items: runs[Completion]{q: c.items.q}, waiters: c.waiters}
+}
 
 func (c *CQ) post(comp Completion) {
 	c.items.push(comp, sameCompletions)
@@ -331,8 +341,8 @@ type QP struct {
 }
 
 // CreateQP creates a queue pair on the HCA bound to the given completion
-// queue. RC QPs must be connected with ConnectRC before use. A QP is one
-// allocation until it carries traffic. QPNs number an HCA's QPs from 1 in
+// queue. RC QPs must be connected with ConnectRC before use. A QP is a record
+// of the HCA's environment (sim.Free). QPNs number an HCA's QPs from 1 in
 // creation order, whatever environment the HCA is on.
 func (h *HCA) CreateQP(cq *CQ, cfg QPConfig) *QP {
 	if cfg.MaxInflight == 0 {
@@ -344,13 +354,22 @@ func (h *HCA) CreateQP(cq *CQ, cfg QPConfig) *QP {
 	if cfg.RetryLimit == 0 {
 		cfg.RetryLimit = DefaultRetryLimit
 	}
-	qp := &QP{hca: h, qpn: len(h.qps) + 1, cfg: cfg, cq: cq}
+	qp := sim.FreeOf(h.env, (*QP).reset).Get()
+	qp.hca, qp.qpn, qp.cfg, qp.cq = h, len(h.qps)+1, cfg, cq
 	qp.retry = h.env.NewTimer(retryFired, qp)
 	if h.qps == nil {
 		h.qps = make(map[int]*QP)
 	}
 	h.qps[qp.qpn] = qp
 	return qp
+}
+
+func (q *QP) reset() {
+	q.window.Clear()
+	q.pending.Clear()
+	q.recvQ.q.Clear()
+	clear(q.reorder)
+	*q = QP{window: q.window, pending: q.pending, recvQ: runs[RecvWR]{q: q.recvQ.q}, reorder: q.reorder}
 }
 
 // ConnectRC connects two RC QPs (one on each HCA) as a reliable connection.

@@ -5,9 +5,12 @@ package sim
 // the event heap's backing array, the pooled Events, the pipe nodes and the
 // slab size they had reached, and the layers' freelists (FreeOf: the
 // fabric's packets and transfers, the TCP stacks' segments, MPI's requests
-// and headers, RPC's call records). It holds one such set per shard index,
-// so a partitioned world hands each view the memory a view at that index
-// returned.
+// and headers, RPC's call records, and the world's skeleton: fabric, pools,
+// switches, links, HCAs, QPs, CQs, WAN pairs with their Longbows). It holds
+// one such set per shard index, so a partitioned world hands each view the
+// memory a view at that index returned, and the last partitioned world's
+// lanes, lane pipes and window scratch, emptied, for the next one of as many
+// shards.
 //
 // An arena is plain memory owned by whoever runs the worlds — one per
 // experiment worker — never a sync.Pool: what a world finds in it depends
@@ -17,9 +20,10 @@ package sim
 //
 // Everything a list made crosses, so a warm world allocates only past the
 // records the worlds before it needed: on an arena that ran fig6 once, fig6
-// allocates 2 359 objects whatever ran in between (5 265 cold).
+// allocates 1 641 objects whatever ran in between (4 652 cold).
 type Arena struct {
 	shards []envMem // by shard index; an unpartitioned world uses shards[0]
+	mail   mailbox  // the last partitioned world's lanes, pipes and scratch, emptied
 	lent   bool     // the memory is out with a world until Reclaim
 }
 
@@ -92,6 +96,21 @@ func (a *Arena) Reclaim(e *Env) {
 	for i, v := range views {
 		a.shards[i] = v.detach()
 	}
+	if len(views) > 1 {
+		a.mail = e.world.mailbox.emptied()
+	}
+}
+
+// takeMailbox returns the storage of an n-shard world: the one a reclaimed
+// world of n shards left, or a fresh one.
+func (a *Arena) takeMailbox(n int) (m mailbox) {
+	if a != nil && len(a.mail.next) == n {
+		m, a.mail = a.mail, mailbox{}
+		return m
+	}
+	return mailbox{bounds: make([]Time, n*n), lanes: make([]lane, n*n), pipes: make([]Pipe, n*n),
+		next: make([]Time, n), est: make([]Time, n), limits: make([]Time, n),
+		active: make([]int32, 0, n), repShards: make([]ShardStats, n)}
 }
 
 // detach empties e and returns what it recycles, reset and free of

@@ -204,3 +204,95 @@ func TestArenaPerShardIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaKeepsEmptiedMailboxes: a partitioned world stopped with a deposit
+// and returns still on its lanes leaves its arena the lanes' arrays, its
+// pipes and its window scratch, none of it naming the world; the next world
+// partitioned into as many shards builds on them and runs as a fresh one
+// does, while one of another shard count starts afresh.
+func TestArenaKeepsEmptiedMailboxes(t *testing.T) {
+	const n = 3
+	// run passes a message round the shards' ring, every hop also sending
+	// a value home over a return lane, and stops at the fortieth hop with
+	// its deposit and returns on the lanes; it returns the dispatch log.
+	run := func(root *Env) []string {
+		views := root.Partition(n)
+		root.RegisterLookahead(10 * Microsecond)
+		var log []string
+		var hop func(any)
+		hop = func(v any) {
+			k := v.(int)
+			from := views[k%n]
+			log = append(log, fmt.Sprint(k, from.Now()))
+			if k == 40 {
+				from.Stop()
+			}
+			from.AtArgOn(views[(k+1)%n], 10*Microsecond, hop, k+1)
+			from.ReturnTo(views[(k+2)%n], func(any) {}, &log)
+		}
+		views[0].AtArg(0, hop, 0)
+		root.Run()
+		return log
+	}
+	want := run(NewEnv())
+
+	a := NewArena()
+	root := a.NewEnv()
+	if got := run(root); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatal("a world on an empty arena diverges from a fresh one")
+	}
+	lanes := root.world.lanes
+	stranded := 0
+	for _, ln := range lanes {
+		stranded += len(ln.entries) + len(ln.rets)
+	}
+	if stranded == 0 {
+		t.Fatal("the world stopped with nothing on its lanes")
+	}
+	root.Shutdown()
+	a.Reclaim(root)
+	m := a.mail
+	if len(m.lanes) != n*n || &m.lanes[0] != &lanes[0] {
+		t.Fatal("the arena did not keep the world's lanes")
+	}
+	kept := 0
+	for i, ln := range m.lanes {
+		kept += cap(ln.entries) + cap(ln.rets)
+		if len(ln.entries) != 0 || len(ln.rets) != 0 || ln.head != 0 || ln.last != 0 || ln.shuffled {
+			t.Fatalf("kept lane %d is not empty", i)
+		}
+		for _, x := range ln.entries[:cap(ln.entries)] {
+			if x.fnv != nil || x.val != nil || x.at != 0 || x.srcSeq != 0 {
+				t.Fatalf("kept lane %d still holds a deposit of the dead world", i)
+			}
+		}
+		for _, r := range ln.rets[:cap(ln.rets)] {
+			if r.sink != nil || r.val != nil {
+				t.Fatalf("kept lane %d still holds a return of the dead world", i)
+			}
+		}
+	}
+	if kept == 0 {
+		t.Fatal("the kept lanes kept no memory")
+	}
+	for i, p := range m.pipes {
+		if p != (Pipe{}) {
+			t.Fatalf("kept pipe %d still names the dead world", i)
+		}
+	}
+
+	next := a.NewEnv()
+	if got := run(next); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatal("a world on kept mailboxes diverges from a fresh one")
+	}
+	if &next.world.lanes[0] != &lanes[0] || a.mail.lanes != nil {
+		t.Fatal("the next world of as many shards did not take the kept mailboxes")
+	}
+	next.Shutdown()
+	a.Reclaim(next)
+	other := a.NewEnv()
+	other.Partition(2)
+	if len(other.world.lanes) != 4 || len(a.mail.lanes) != n*n {
+		t.Fatal("a world of another shard count took the kept mailboxes")
+	}
+}

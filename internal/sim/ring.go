@@ -58,6 +58,12 @@ func (r *Ring[T]) At(i int) *T {
 	return &r.buf[(r.head+i)&(len(r.buf)-1)]
 }
 
+// Clear empties the ring and zeroes its slots, keeping the backing array.
+func (r *Ring[T]) Clear() {
+	clear(r.buf)
+	r.head, r.n = 0, 0
+}
+
 // grow doubles the capacity, unwrapping the elements into order.
 func (r *Ring[T]) grow() {
 	c := len(r.buf) * 2

@@ -84,16 +84,8 @@ type world struct {
 	// noBound where no channel has been registered. nchan counts registered
 	// directed channels.
 	lookahead Time
-	bounds    []Time
 	nchan     int
-
-	lanes []lane // lanes[src*n+dst]: single-producer cross-shard deposits
-	pipes []Pipe // pipes[src*n+dst]: lane src→dst's delivered events, on dst
-
-	next   []Time  // per-window scratch: each shard's next-event time
-	est    []Time  // per-window scratch: earliest conceivable execution time
-	limits []Time  // per-window scratch: each shard's safe horizon
-	active []int32 // per-window scratch: shards with runnable work
+	mailbox
 
 	stopped atomic.Bool
 
@@ -103,10 +95,37 @@ type world struct {
 	// Marks for TakeWindowStats deltas.
 	repWindows int64
 	repHorizon Time
-	repShards  []ShardStats
 
 	pmu    sync.Mutex
 	panics []shardPanic
+}
+
+// mailbox is the storage of an n-shard world that depends on n alone, which
+// an Arena keeps for the next Partition into as many shards.
+type mailbox struct {
+	bounds []Time // bounds[src*n+dst]: the channel's bound, noBound where none
+	lanes  []lane // lanes[src*n+dst]: single-producer cross-shard deposits
+	pipes  []Pipe // pipes[src*n+dst]: lane src→dst's delivered events, on dst
+
+	next   []Time  // per-window scratch: each shard's next-event time
+	est    []Time  // per-window scratch: earliest conceivable execution time
+	limits []Time  // per-window scratch: each shard's safe horizon
+	active []int32 // per-window scratch: shards with runnable work
+
+	repShards []ShardStats // marks for TakeWindowStats deltas
+}
+
+// emptied returns m, its arrays kept, with nothing of its world left in it.
+func (m mailbox) emptied() mailbox {
+	for i := range m.lanes {
+		ln := &m.lanes[i]
+		clear(ln.entries[:cap(ln.entries)])
+		clear(ln.rets[:cap(ln.rets)])
+		*ln = lane{entries: ln.entries[:0], rets: ln.rets[:0]}
+	}
+	clear(m.pipes)
+	clear(m.repShards)
+	return m
 }
 
 // lane collects events crossing one directed (src,dst) shard pair during a
@@ -117,12 +136,12 @@ type world struct {
 // across windows. Padded so neighboring lanes don't share a cache line
 // under concurrent producers.
 type lane struct {
-	entries []xentry
-	rets    []returned // objects going home to dst's freelists (ReturnTo)
-	head    int        // drain cursor during the k-way merge
-	last    Time       // most recent append's at, for the sorted check
-	sorted  bool       // entries are in nondecreasing at order (the common case)
-	_       [56]byte
+	entries  []xentry
+	rets     []returned // objects going home to dst's freelists (ReturnTo)
+	head     int        // drain cursor during the k-way merge
+	last     Time       // most recent append's at, for the sorted check
+	shuffled bool       // entries are out of at order (rare: a delay dropped mid-run)
+	_        [56]byte
 }
 
 // returned is one object on a return lane: sink(val) puts it back on its
@@ -225,23 +244,9 @@ func (e *Env) Partition(n int) []*Env {
 	if workers < 1 {
 		workers = 1
 	}
-	w := &world{
-		workers:   workers,
-		lookahead: maxTime,
-		bounds:    make([]Time, n*n),
-		lanes:     make([]lane, n*n),
-		pipes:     make([]Pipe, n*n),
-		next:      make([]Time, n),
-		est:       make([]Time, n),
-		limits:    make([]Time, n),
-		active:    make([]int32, 0, n),
-		repShards: make([]ShardStats, n),
-	}
+	w := &world{workers: workers, lookahead: maxTime, mailbox: e.arena.takeMailbox(n)}
 	for i := range w.bounds {
 		w.bounds[i] = noBound
-	}
-	for i := range w.lanes {
-		w.lanes[i].sorted = true
 	}
 	views := make([]*Env, n)
 	views[0] = e
@@ -369,7 +374,7 @@ func (e *Env) AtArgOn(target *Env, delay Time, fn func(any), arg any) {
 	ln := &w.lanes[int(e.shard)*len(w.shards)+int(target.shard)]
 	at := e.now + delay
 	if at < ln.last && len(ln.entries) > 0 {
-		ln.sorted = false // a shorter delay than the lane's last deposit
+		ln.shuffled = true // a shorter delay than the lane's last deposit
 	}
 	ln.last = at
 	ln.entries = append(ln.entries, xentry{
@@ -617,10 +622,10 @@ func (w *world) deliverMail() {
 				continue
 			}
 			pending += len(ln.entries)
-			if !ln.sorted {
+			if ln.shuffled {
 				ents := ln.entries
 				sort.SliceStable(ents, func(a, b int) bool { return ents[a].at < ents[b].at })
-				ln.sorted = true
+				ln.shuffled = false
 			}
 		}
 		if pending == 0 {
@@ -664,7 +669,7 @@ func (w *world) deliverMail() {
 			ln.entries = ln.entries[:0]
 			ln.head = 0
 			ln.last = 0
-			ln.sorted = true
+			ln.shuffled = false
 		}
 	}
 }

@@ -57,21 +57,20 @@ func DistanceForDelay(d sim.Time) (float64, error) {
 
 // Longbow is one WAN extender device. On the fabric it behaves as a switch
 // with a larger forwarding latency.
-type Longbow struct {
-	sw   *ib.Switch
-	name string
-}
+type Longbow struct{ sw *ib.Switch }
 
 // Device returns the fabric device to connect links to.
 func (l *Longbow) Device() *ib.Switch { return l.sw }
 
 // Name returns the device name.
-func (l *Longbow) Name() string { return l.name }
+func (l *Longbow) Name() string { return l.sw.Name() }
 
-// Pair is two Longbows joined by the long-haul link.
+// Pair is two Longbows joined by the long-haul link. It is a record, as the
+// fabric's devices are (sim.Free), and holds its Longbows.
 type Pair struct {
 	A, B *Longbow
 	link *ib.Link
+	ends [2]Longbow
 }
 
 // NewPairAcross creates two Longbows on the fabric and joins them with a WAN
@@ -92,14 +91,16 @@ type Pair struct {
 // link exists elsewhere in the topology. The pair carries no fault plan; its
 // caller arms one on Link if the link has one.
 func NewPairAcross(f *ib.Fabric, name, endA, endB string, rate ib.Rate, delay sim.Time, envA, envB *sim.Env) *Pair {
+	p := sim.FreeOf(envA, (*Pair).reset).Get()
+	p.A, p.B = &p.ends[0], &p.ends[1]
 	f.UseEnv(envA)
-	a := &Longbow{name: name + "-" + endA, sw: f.AddSwitch(name+"-"+endA, ForwardingDelay)}
+	p.A.sw = f.AddSwitch(name+"-"+endA, ForwardingDelay)
 	f.UseEnv(envB)
-	b := &Longbow{name: name + "-" + endB, sw: f.AddSwitch(name+"-"+endB, ForwardingDelay)}
+	p.B.sw = f.AddSwitch(name+"-"+endB, ForwardingDelay)
 	f.UseEnv(f.Env())
-	link := f.Connect(a.sw, b.sw, rate, delay)
+	p.link = f.Connect(p.A.sw, p.B.sw, rate, delay)
 	// The long-haul hop is where utilization and queueing telemetry lives.
-	link.MarkWAN()
+	p.link.MarkWAN()
 	if envA != envB {
 		// This link is a cross-shard edge: its delay bounds the directed
 		// channel in each direction. (RegisterLookaheadBetween rejects a
@@ -108,8 +109,10 @@ func NewPairAcross(f *ib.Fabric, name, endA, endB string, rate ib.Rate, delay si
 		envA.RegisterLookaheadBetween(envB, delay)
 		envB.RegisterLookaheadBetween(envA, delay)
 	}
-	return &Pair{A: a, B: b, link: link}
+	return p
 }
+
+func (p *Pair) reset() { *p = Pair{} }
 
 // Delay returns the configured one-way WAN delay.
 func (p *Pair) Delay() sim.Time { return p.link.Delay() }

@@ -328,6 +328,38 @@ var mutants = []mutant{
 		pkg:  "./internal/rpc",
 		run:  "TestReadFramesReassembles",
 	},
+	{
+		name: "switch reset keeps its port slots",
+		file: "internal/ib/fabric.go",
+		old:  "*s = Switch{plist: emptied(s.plist), ",
+		new:  "*s = Switch{plist: s.plist, ",
+		pkg:  "./internal/core",
+		run:  "TestArenaIsolation",
+	},
+	{
+		name: "CQ reset keeps its drain",
+		file: "internal/ib/qp.go",
+		old:  "waiters: c.waiters}",
+		new:  "waiters: c.waiters, drain: c.drain}",
+		pkg:  "./internal/core",
+		run:  "TestArenaRebuildsTheFabricFromRecords",
+	},
+	{
+		name: "QP reset keeps its remote",
+		file: "internal/ib/qp.go",
+		old:  "reorder: q.reorder}",
+		new:  "reorder: q.reorder, remote: q.remote}",
+		pkg:  "./internal/ib",
+		run:  "TestOwnershipFabricRecordsComeBackBlank",
+	},
+	{
+		name: "HCA reset keeps its wire track",
+		file: "internal/ib/hca.go",
+		old:  "*h = HCA{qps: h.qps}",
+		new:  "*h = HCA{qps: h.qps, wireTrackCache: h.wireTrackCache}",
+		pkg:  "./internal/core",
+		run:  "TestArenaIsolation",
+	},
 }
 
 // copyModule copies the module's sources (go.mod, the Go files at its root
