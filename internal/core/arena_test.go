@@ -165,8 +165,9 @@ type arenaOutcome struct {
 // next and nothing else. Each clean point, run right behind the dirty ones
 // on the arena they left, must come to exactly what it comes to on a Meter
 // with no arena at all — value, Executed() and final clock — on one worker,
-// on four, and with the worlds partitioned; and a point that fails takes its
-// arena with it, so the point after it is as good as on a fresh worker.
+// on four, and with the worlds partitioned. That holds behind a point that
+// fails too: the dead WAN's, whose sender panics with RETRY_EXCEEDED inside
+// its process, hands its arena back like any other point.
 func TestArenaIsolation(t *testing.T) {
 	opt := Options{Quick: true, Topo: "ring4"}
 	opt = opt.filled()
@@ -186,20 +187,42 @@ func TestArenaIsolation(t *testing.T) {
 			}
 
 			// Two rounds of dirty, clean, dirty, clean...: at one worker every
-			// clean point inherits a dirty world's arena (or, behind the dead
-			// WAN, the fresh one that replaced it); at four the pairing is the
-			// scheduler's, and any of it must do. In the first round the
-			// observed clean point follows the observed dirty one.
+			// clean point inherits a dirty world's arena; at four the pairing
+			// is the scheduler's, and any of it must do. In the first round
+			// the observed clean point follows the observed dirty one.
 			var mu sync.Mutex
 			values := make(map[string][]float64)
+			// deadAt holds, for an arena whose last point was the dead WAN's,
+			// the records it held before that point; the next point on the
+			// arena finds them there, and more.
+			deadAt := make(map[*sim.Arena]int)
+			behindDead := 0
+			onArena := func(label string, m *Meter) {
+				mu.Lock()
+				defer mu.Unlock()
+				if before, ok := deadAt[m.arena]; ok {
+					delete(deadAt, m.arena)
+					behindDead++
+					if r := m.arena.Records(); r == 0 || r < before {
+						t.Errorf("%s: the arena holds %d records behind the dead WAN's point, %d before it", label, r, before)
+					}
+				}
+				if label == "dirty/dead-wan" {
+					deadAt[m.arena] = m.arena.Records()
+				}
+			}
 			spec := Spec{ID: "arena", Build: func(Options) *Plan {
 				tb := stats.NewTable("arena", "x", "y")
 				pl := &Plan{Tables: []*stats.Table{tb}}
 				for round := 0; round < 2; round++ {
 					for i, c := range clean {
 						d := dirty[(i+round)%len(dirty)]
-						pl.point(tb.AddSeries(d.label), 0, d.label, d.fn)
+						pl.point(tb.AddSeries(d.label), 0, d.label, func(m *Meter) float64 {
+							onArena(d.label, m)
+							return d.fn(m)
+						})
 						pl.point(tb.AddSeries(c.label), 0, c.label, func(m *Meter) float64 {
+							onArena(c.label, m)
 							y := c.fn(m)
 							mu.Lock()
 							values[c.label] = append(values[c.label], y)
@@ -220,7 +243,10 @@ func TestArenaIsolation(t *testing.T) {
 				}
 			}
 			if len(res.Errors) == 0 {
-				t.Error("the dead-WAN point did not fail: nothing exercised the dropped arena")
+				t.Error("the dead-WAN point did not fail: nothing exercised a failed point's arena")
+			}
+			if mode.Workers == 1 && behindDead == 0 {
+				t.Error("no point ran on the arena the dead-WAN point left: it was not handed back")
 			}
 			for _, pt := range clean {
 				w := want[pt.label]

@@ -253,8 +253,8 @@ func (m *Meter) close() {
 
 // recycle returns what the point's environments recycled to the worker's
 // arena. It comes last — after close, and after SimTime and Events were read
-// — and only for a point that ran to its end: the worker drops the arena of
-// a failed one.
+// — for every point, one that failed too: a panic may stop a world anywhere,
+// and sim.Arena.Reclaim reads nothing of it but the kernel's own memory.
 func (m *Meter) recycle() {
 	for _, e := range m.envs {
 		m.arena.Reclaim(e)

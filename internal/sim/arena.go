@@ -2,15 +2,14 @@ package sim
 
 // Arena keeps the memory a world recycles alive after the world is gone, so
 // the next world starts with warm freelists instead of growing them again:
-// the event heap's backing array, the pooled Events, the pipe nodes and the
-// slab size they had reached, and the layers' freelists (FreeOf: the
-// fabric's packets and transfers, the TCP stacks' segments, MPI's requests
-// and headers, RPC's call records, and the world's skeleton: fabric, pools,
-// switches, links, HCAs, QPs, CQs, WAN pairs with their Longbows). It holds
-// one such set per shard index, so a partitioned world hands each view the
-// memory a view at that index returned, and the last partitioned world's
-// lanes, lane pipes and window scratch, emptied, for the next one of as many
-// shards.
+// the event heap's backing array, the kernel's lists of Events and pipe
+// nodes, and the layers' freelists (FreeOf: the fabric's packets and
+// transfers, the TCP stacks' segments, MPI's requests and headers, RPC's call
+// records, and the world's skeleton: fabric, pools, switches, links, HCAs,
+// QPs, CQs, WAN pairs with their Longbows). It holds one such set per shard
+// index, so a partitioned world hands each view the memory a view at that
+// index returned, and the last partitioned world's lanes, lane pipes and
+// window scratch, emptied, for the next one of as many shards.
 //
 // An arena is plain memory owned by whoever runs the worlds — one per
 // experiment worker — never a sync.Pool: what a world finds in it depends
@@ -20,7 +19,7 @@ package sim
 //
 // Everything a list made crosses, so a warm world allocates only past the
 // records the worlds before it needed: on an arena that ran fig6 once, fig6
-// allocates 1 641 objects whatever ran in between (4 652 cold).
+// allocates 1 639 objects whatever ran in between (5 108 cold).
 type Arena struct {
 	shards []envMem // by shard index; an unpartitioned world uses shards[0]
 	mail   mailbox  // the last partitioned world's lanes, pipes and scratch, emptied
@@ -29,12 +28,11 @@ type Arena struct {
 
 // envMem is what one environment (one shard view) recycles.
 type envMem struct {
-	heap     []entry
-	evFree   Free[Event]
-	pipeFree *pipeNode
-	pipeSlab int
-	layers   []freeList
-	records  int // how many records the lists had made when their world ended
+	heap    []entry
+	evFree  Free[Event]
+	nodes   Free[pipeNode]
+	layers  []freeList
+	records int // how many records the lists had made when their world ended
 }
 
 // NewArena returns an empty arena.
@@ -69,7 +67,7 @@ func (a *Arena) lend(e *Env, shard int) {
 		return
 	}
 	m := &a.shards[shard]
-	e.queue.s, e.evFree, e.pipeFree, e.pipeSlab, e.layers = m.heap, m.evFree, m.pipeFree, m.pipeSlab, m.layers
+	e.queue.s, e.evFree, e.nodes, e.layers = m.heap, m.evFree, m.nodes, m.layers
 	*m = envMem{}
 }
 
@@ -78,11 +76,21 @@ func (a *Arena) lend(e *Env, shard int) {
 // run or scheduled on again; an environment that did not borrow from a is
 // left alone. Everything a list made crosses to the next world, reset —
 // also the records the stopped world still held: segments unacked or on the
-// wire, packets on links, transfers in windows, records in return lanes —
-// and so do the pipe nodes still waiting in pipes, scrubbed.
+// wire, packets on links, transfers in windows, nodes waiting in pipes,
+// records in return lanes. The dead world's owners may go on naming them;
+// nothing reads those names again.
 //
-// A world that failed mid-event may have left anything half-done: drop its
-// arena instead of reclaiming.
+// A world that failed is reclaimed the same way, even one a panic stopped
+// mid-dispatch, in a process or a callback, on any shard. Reclaim reads
+// nothing of the world's structure (no pipe, device or connection), only what
+// the kernel keeps itself: the heap's array, cleared; the lists' censuses,
+// each record reset from its own memory alone; a partitioned world's mailbox,
+// zeroed to capacity. A panic leaves none of these half-written: the kernel
+// is done with the heap and a pipe's node before it runs a handler, a list's
+// Get and Put complete before their caller goes on, and the barrier collects
+// every shard before it raises the earliest panic. What the panic left
+// half-done lies in the world's records, which the resets overwrite, and in
+// its structure, which nothing reads again.
 func (a *Arena) Reclaim(e *Env) {
 	if a == nil || e.arena != a {
 		return
@@ -116,25 +124,12 @@ func (a *Arena) takeMailbox(n int) (m mailbox) {
 // detach empties e and returns what it recycles, reset and free of
 // references into e's world.
 func (e *Env) detach() envMem {
-	// Every non-empty pipe has its head standing in the heap.
-	for i := range e.queue.s {
-		if ent := &e.queue.s[i]; ent.kind == kindPipe {
-			p := ent.tgt.(*Pipe)
-			for n := p.head; n != nil; {
-				next := n.next
-				*n = pipeNode{next: e.pipeFree}
-				e.pipeFree = n
-				n = next
-			}
-			p.head, p.tail = nil, nil
-		}
-	}
 	clear(e.queue.s)
-	n := e.evFree.reclaim()
+	n := e.evFree.reclaim() + e.nodes.reclaim()
 	for _, l := range e.layers {
 		n += l.reclaim()
 	}
-	m := envMem{heap: e.queue.s[:0], evFree: e.evFree, pipeFree: e.pipeFree, pipeSlab: e.pipeSlab, layers: e.layers, records: n}
-	e.queue.s, e.evFree, e.pipeFree, e.pipeSlab, e.layers, e.piped = nil, Free[Event]{}, nil, 0, nil, 0
+	m := envMem{heap: e.queue.s[:0], evFree: e.evFree, nodes: e.nodes, layers: e.layers, records: n}
+	e.queue.s, e.evFree, e.nodes, e.layers, e.piped = nil, Free[Event]{}, Free[pipeNode]{}, nil, 0
 	return m
 }

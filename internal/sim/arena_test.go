@@ -2,14 +2,14 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
-// strand builds a world on e and abandons it mid-run: pipes deep with
-// entries, timers armed, processes asleep and parked on events others hold,
-// pooled events out and back. It returns the pipes, for looking at once the
-// world is gone.
-func strand(e *Env, seed int64) []Pipe {
+// busy loads e with a world mid-run: pipes deep with entries, processes
+// asleep and parked on events others hold, a timer armed, pooled events out
+// and back. It returns the pipe program, whose handlers Stop now and then.
+func busy(e *Env, seed int64) *pipeProgram {
 	p := newPipeProgramOn(e, seed, true)
 	p.budget = 400
 	for i := 0; i < 200; i++ {
@@ -26,11 +26,18 @@ func strand(e *Env, seed int64) []Pipe {
 	}
 	tm := e.NewTimer(func(any) {}, nil)
 	tm.Reset(Second)
-	for e.Now() < 30 { // the program's handlers Stop now and then
+	return p
+}
+
+// strand builds a busy world on e and abandons it mid-run, with warm lists.
+// It returns the pipes, for looking at once the world is gone.
+func strand(e *Env, seed int64) []Pipe {
+	p := busy(e, seed)
+	for e.Now() < 30 {
 		e.RunUntil(30)
 	}
-	if e.Pending() < 50 || e.pipeFree == nil || e.evFree.Len() == 0 {
-		t := fmt.Sprintf("pending %d, free pipe nodes %v, free events %d", e.Pending(), e.pipeFree != nil, e.evFree.Len())
+	if e.Pending() < 50 || e.nodes.Len() == 0 || e.evFree.Len() == 0 {
+		t := fmt.Sprintf("pending %d, free pipe nodes %d, free events %d", e.Pending(), e.nodes.Len(), e.evFree.Len())
 		panic("strand: the world is not mid-run with warm freelists: " + t)
 	}
 	e.Shutdown()
@@ -57,24 +64,144 @@ func TestArenaWorldMatchesFresh(t *testing.T) {
 	}
 }
 
+// crossRun runs a pipe program on each view of root, partitioned into two
+// shards on one worker, whose handlers also hop to the other view now and
+// then, in three bursts like pipeProgram.run, and returns the dispatch log.
+func crossRun(root *Env, seed int64) string {
+	views := root.Partition(2)
+	root.RegisterLookahead(5)
+	progs := make([]*pipeProgram, len(views))
+	for i, v := range views {
+		progs[i] = newPipeProgramOn(v, seed+int64(i), true)
+	}
+	cross(progs)
+	var log []string
+	for burst := 0; burst < 3; burst++ {
+		for _, p := range progs {
+			p.budget = 400
+			for i := 0; i < 50; i++ {
+				p.schedule()
+			}
+		}
+		for root.Pending() > 0 {
+			root.RunUntil(root.Now() + Time(1+progs[0].rng.Intn(25)))
+			log = append(log, fmt.Sprintf("now=%d executed=%d pending=%d", root.Now(), root.Executed(), root.Pending()))
+		}
+	}
+	for _, p := range progs {
+		log = append(log, p.log...)
+	}
+	return fmt.Sprint(log)
+}
+
+// cross makes the handler of each view's pipe program send one in eight of
+// its firings on to the next view's program, and never Stop: a Stop leaves a
+// partitioned world's shards at clocks its input does not fix (ROADMAP 6(a)).
+func cross(progs []*pipeProgram) {
+	for i, p := range progs {
+		p.noStop = true
+		next, fire := progs[(i+1)%len(progs)], p.fire
+		p.fire = func(v any) {
+			fire(v)
+			if p.rng.Intn(8) == 0 {
+				p.env.AtArgOn(next.env, 5+Time(p.rng.Intn(20)), next.fire, v)
+			}
+		}
+	}
+}
+
+// TestArenaReclaimsAfterPanic: a world whose kernel a panic stopped
+// mid-dispatch — in a pipe's handler or in a process, with pipes deep,
+// timers armed and processes parked, on one shard or on one of two shards
+// running the window in parallel — is reclaimed like any other: the next
+// worlds on its arena, on one shard and on two, run exactly as on NewEnv.
+func TestArenaReclaimsAfterPanic(t *testing.T) {
+	boom := func(any) { panic("boom") }
+	for _, shards := range []int{1, 2} {
+		for _, in := range []string{"callback", "process"} {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, in), func(t *testing.T) {
+				a := NewArena()
+				for seed := int64(1); seed <= 4; seed++ {
+					root := a.NewEnv()
+					root.SetShardWorkers(2)
+					views := root.Partition(shards)
+					progs := make([]*pipeProgram, len(views))
+					for i, v := range views {
+						progs[i] = busy(v, seed+int64(i))
+					}
+					if shards > 1 {
+						root.RegisterLookahead(5)
+						cross(progs)
+						for _, p := range progs {
+							for i := 0; i < 50; i++ {
+								p.schedule()
+							}
+						}
+					}
+					victim := views[len(views)-1]
+					if in == "callback" {
+						p := victim.NewPipe()
+						p.AtArg(20, boom, nil)
+						p.AtArg(25, func(any) {}, nil)
+					} else {
+						victim.Go("", func(pr *Proc) { pr.Sleep(20); boom(nil) })
+					}
+					r := func() (r any) {
+						defer func() { r = recover() }()
+						for root.Now() < 40 {
+							root.RunUntil(40)
+						}
+						return nil
+					}()
+					if !strings.Contains(fmt.Sprint(r), "boom") {
+						t.Fatalf("seed %d: the world ran on without the panic (recovered %v)", seed, r)
+					}
+					if root.Pending() < 50 || root.LiveProcs() == 0 {
+						t.Fatalf("seed %d: the panic left %d entries pending, %d processes: not mid-run", seed, root.Pending(), root.LiveProcs())
+					}
+					root.Shutdown()
+					a.Reclaim(root)
+					if a.Records() == 0 {
+						t.Fatalf("seed %d: the failed world gave its arena nothing back", seed)
+					}
+
+					ref, got := newPipeProgram(seed, true), newPipeProgramOn(a.NewEnv(), seed, true)
+					ref.run()
+					got.run()
+					if fmt.Sprint(ref.log) != fmt.Sprint(got.log) {
+						t.Fatalf("seed %d: the world on the arena diverges from the fresh one", seed)
+					}
+					a.Reclaim(got.env)
+					next := a.NewEnv()
+					if crossRun(NewEnv(), seed) != crossRun(next, seed) {
+						t.Fatalf("seed %d: the two-shard world on the arena diverges from the fresh one", seed)
+					}
+					next.Shutdown()
+					a.Reclaim(next)
+				}
+			})
+		}
+	}
+}
+
 // TestArenaKeepsNothingOfTheWorld: what Reclaim keeps is memory, not state.
-// Every kept object is as released — zeroed — and the world it served holds
-// none of it any more, so a dead world neither lives on through its arena
-// nor can reach into the next one.
+// Every kept object is as released — zeroed, the nodes still waiting in the
+// dead world's pipes among them — and the environment it served holds none
+// of it any more, so a dead world does not live on through its arena.
 func TestArenaKeepsNothingOfTheWorld(t *testing.T) {
 	a := NewArena()
 	e := a.NewEnv()
 	pipes := strand(e, 7)
-	inFlight := e.Pending()
+	waiting, free := 0, e.nodes.Len()
+	for _, p := range pipes {
+		for n := p.head; n != nil; n = n.next {
+			waiting++
+		}
+	}
 	a.Reclaim(e)
 
-	if e.Pending() != 0 || e.queue.s != nil || e.evFree.free != nil || e.pipeFree != nil {
+	if e.Pending() != 0 || e.queue.s != nil || e.evFree.free != nil || e.nodes.free != nil {
 		t.Errorf("the reclaimed world still holds recycled memory (Pending() = %d)", e.Pending())
-	}
-	for i := range pipes {
-		if pipes[i].head != nil || pipes[i].tail != nil {
-			t.Errorf("pipe %d of the reclaimed world still holds nodes", i)
-		}
 	}
 	m := &a.shards[0]
 	if len(m.heap) != 0 || cap(m.heap) == 0 {
@@ -85,15 +212,13 @@ func TestArenaKeepsNothingOfTheWorld(t *testing.T) {
 			t.Fatalf("kept heap slot %d still holds an entry of the dead world", i)
 		}
 	}
-	nodes := 0
-	for n := m.pipeFree; n != nil; n = n.next {
-		nodes++
-		if n.fn != nil || n.val != nil || n.at != 0 || n.seq != 0 {
-			t.Fatalf("kept pipe node %d still holds a dead world's entry", nodes)
-		}
+	if waiting == 0 || m.nodes.Len() != free+waiting {
+		t.Errorf("%d pipe nodes kept, %d free and %d waiting in pipes at the stop: the waiting ones did not come back", m.nodes.Len(), free, waiting)
 	}
-	if nodes < inFlight/2 {
-		t.Errorf("%d pipe nodes kept with %d entries in flight at the stop: the waiting ones were not scrubbed into the list", nodes, inFlight)
+	for i, n := range m.nodes.free {
+		if n.fn != nil || n.val != nil || n.at != 0 || n.seq != 0 || n.next != nil {
+			t.Fatalf("kept pipe node %d still holds a dead world's entry", i)
+		}
 	}
 	evs := m.evFree.free
 	if len(evs) == 0 {
@@ -117,7 +242,7 @@ func TestArenaKeepsNothingOfTheWorld(t *testing.T) {
 
 	// The next world starts with it.
 	next := a.NewEnv()
-	if next.pipeFree == nil || next.evFree.Len() == 0 || cap(next.queue.s) == 0 {
+	if next.nodes.Len() == 0 || next.evFree.Len() == 0 || cap(next.queue.s) == 0 {
 		t.Fatal("the next world did not receive the arena's memory")
 	}
 	ev := next.AcquireEvent()
@@ -139,12 +264,12 @@ func TestArenaServesOneWorldAtATime(t *testing.T) {
 		t.Fatal("an environment that did not borrow from the arena was reclaimed into it")
 	}
 	a.Reclaim(first)
-	if a.lent || a.shards[0].pipeFree == nil {
+	if a.lent || a.shards[0].nodes.Len() == 0 {
 		t.Fatal("the borrower's memory did not come back")
 	}
-	kept := a.shards[0].pipeFree
+	kept := a.shards[0].nodes.free
 	a.Reclaim(first) // again: already given back
-	if a.shards[0].pipeFree != kept {
+	if got := a.shards[0].nodes.free; len(got) != len(kept) || &got[0] != &kept[0] {
 		t.Fatal("reclaiming twice disturbed the arena")
 	}
 	var none *Arena
@@ -189,7 +314,7 @@ func TestArenaPerShardIndex(t *testing.T) {
 		FreeOf(classic, keep).Put(got)
 	}
 	a.Reclaim(classic)
-	if len(a.shards) != 3 || a.shards[1].pipeFree == nil {
+	if len(a.shards) != 3 || a.shards[1].nodes.Len() == 0 {
 		t.Fatal("a classic world in between lost the other shards' memory")
 	}
 
@@ -199,7 +324,7 @@ func TestArenaPerShardIndex(t *testing.T) {
 		if got != marks[i] || got.i != 100+i {
 			t.Errorf("view %d got another index's layer memory", i)
 		}
-		if v.pipeFree == nil || v.evFree.Len() == 0 {
+		if v.nodes.Len() == 0 || v.evFree.Len() == 0 {
 			t.Errorf("view %d did not get its index's kernel memory", i)
 		}
 	}

@@ -18,9 +18,8 @@ type Env struct {
 	executed int64              // events dispatched so far
 	digest   uint64             // running fingerprint of the dispatch sequence (see Digest)
 	evFree   Free[Event]        // recycled Events (see AcquireEvent)
+	nodes    Free[pipeNode]     // recycled pipe nodes (see Pipe)
 	piped    int                // entries waiting in pipes behind their standing head
-	pipeFree *pipeNode          // recycled pipe nodes (see pipe.go)
-	pipeSlab int                // size of the last node slab allocated
 	tel      any                // opaque telemetry attachment (see SetTelemetry)
 	flt      any                // opaque fault-plan attachment (see SetFault)
 	layers   []freeList         // the layers' freelists, a *Free[T] each (see FreeOf)
@@ -49,7 +48,8 @@ type Env struct {
 // NewEnv creates an empty simulation environment with the clock at zero: the
 // one shard of a world of its own.
 func NewEnv() *Env {
-	e := &Env{procs: make(map[*Proc]struct{}), digest: fnvOffset, evFree: Free[Event]{reset: resetEvent}}
+	e := &Env{procs: make(map[*Proc]struct{}), digest: fnvOffset,
+		evFree: Free[Event]{reset: resetEvent}, nodes: Free[pipeNode]{reset: resetPipeNode}}
 	e.world = e.solo.init(e)
 	return e
 }

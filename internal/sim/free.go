@@ -1,11 +1,12 @@
 package sim
 
 // Free is a list of free records of type T: the one freelist of the stack.
-// The kernel keeps its pooled Events on one, and every layer that recycles
-// records — the fabric's packets and transfers, the TCP stacks' segments,
-// MPI's requests and eager headers, RPC's call records — keeps them on the
-// environment's list for their type (FreeOf), and so does the fabric for the
-// records a world is built of, which only Arena.Reclaim takes back.
+// The kernel keeps its pooled Events and its pipe nodes on two, and every
+// layer that recycles records — the fabric's packets and transfers, the TCP
+// stacks' segments, MPI's requests and eager headers, RPC's call records —
+// keeps them on the environment's list for their type (FreeOf), and so does
+// the fabric for the records a world is built of, which only Arena.Reclaim
+// takes back.
 //
 // A list owns the whole life of its records: it makes each one (Get), keeps
 // a census of all it made, resets each one it takes back (Put, Return), and

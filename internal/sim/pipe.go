@@ -21,8 +21,10 @@ package sim
 //
 // A Pipe is a value meant to be embedded in its owner (a port, a switch, a
 // QP); it must not be copied once used, and every call must come from the
-// owning environment's context. Its nodes come from a freelist on the
-// environment, so an idle pipe costs no memory of its own.
+// owning environment's context. Its nodes are records of the environment's
+// node list (a Free beside its events'), so an idle pipe costs no memory of
+// its own, and at Arena.Reclaim every node comes back with the list's census,
+// whatever pipe it was waiting in.
 type Pipe struct {
 	env        *Env
 	head, tail *pipeNode
@@ -53,7 +55,7 @@ func (p *Pipe) AtArg(delay Time, fn func(any), arg any) {
 		return
 	}
 	e.seq++
-	n := e.newPipeNode()
+	n := e.nodes.Get()
 	n.at, n.seq, n.fn, n.val = at, e.seq, fn, arg
 	if p.tail == nil {
 		p.head, p.tail = n, n
@@ -88,33 +90,9 @@ func (e *Env) runPipeHead() {
 		e.piped--
 		e.queue.siftDown(entry{at: p.head.at, seq: p.head.seq, kind: kindPipe, tgt: p})
 	}
-	*n = pipeNode{next: e.pipeFree}
-	e.pipeFree = n
+	e.nodes.Put(n)
 	fn(val)
 }
 
-// Pipe nodes are carved from slabs that double up to pipeSlabMax, so a small
-// world pays for a few dozen nodes and a deep one allocates once per
-// thousand. Nodes are never handed back to the collector before the
-// environment itself goes — and under an Arena not then either: the freelist
-// and the slab size it reached go to the arena's next world.
-const (
-	pipeSlabMin = 32
-	pipeSlabMax = 1024
-)
-
-func (e *Env) newPipeNode() *pipeNode {
-	if e.pipeFree == nil {
-		size := min(max(2*e.pipeSlab, pipeSlabMin), pipeSlabMax)
-		e.pipeSlab = size
-		slab := make([]pipeNode, size)
-		for i := range slab[:size-1] {
-			slab[i].next = &slab[i+1]
-		}
-		e.pipeFree = &slab[0]
-	}
-	n := e.pipeFree
-	e.pipeFree = n.next
-	n.next = nil
-	return n
-}
+// resetPipeNode is the node list's reset.
+func resetPipeNode(n *pipeNode) { *n = pipeNode{} }

@@ -27,7 +27,8 @@ type pipeProgram struct {
 	pipes  []Pipe
 	delay  []Time // each pipe's current delay
 	nextID int
-	budget int // events the handlers may still spawn
+	budget int  // events the handlers may still spawn
+	noStop bool // the handlers never Stop the run
 	fire   func(any)
 	log    []string
 }
@@ -48,7 +49,7 @@ func newPipeProgramOn(env *Env, seed int64, piped bool) *pipeProgram {
 			p.budget--
 			p.schedule()
 		}
-		if p.rng.Intn(97) == 0 {
+		if p.rng.Intn(97) == 0 && !p.noStop {
 			p.env.Stop()
 		}
 	}

@@ -56,6 +56,14 @@ var mutants = []mutant{
 		run:  "TestReadFuncWaitingCompletesInOneHop",
 	},
 	{
+		name: "waiting read completes a hop late",
+		file: "internal/tcpsim/conn.go",
+		old:  "c.stack.env.AtArg(0, runRead, c)",
+		new:  "c.stack.env.AtArg(0, func(v any) { c.stack.env.AtArg(0, runRead, v) }, c)",
+		pkg:  "./internal/tcpsim",
+		run:  "TestReadFuncPartialDeliveriesScheduleNothing",
+	},
+	{
 		name: "trace timestamps written from integer digits past 2^53",
 		file: "internal/telemetry/jsonw.go",
 		old:  "const microsExact = 1 << 42",
@@ -269,6 +277,22 @@ var mutants = []mutant{
 		file: "internal/sim/free.go",
 		old:  "\tfor _, v := range f.made {\n\t\tf.reset(v)\n\t}\n",
 		new:  "",
+		pkg:  "./internal/sim",
+		run:  "TestArenaKeepsNothingOfTheWorld",
+	},
+	{
+		name: "pipe node relisted without its reset",
+		file: "internal/sim/arena.go",
+		old:  "n := e.evFree.reclaim() + e.nodes.reclaim()",
+		new:  "e.nodes.free = append(e.nodes.free[:0], e.nodes.made...)\n\tn := e.evFree.reclaim() + len(e.nodes.made)",
+		pkg:  "./internal/sim",
+		run:  "TestArenaWorldMatchesFresh",
+	},
+	{
+		name: "pipe node list left out of detach's reclaim",
+		file: "internal/sim/arena.go",
+		old:  "n := e.evFree.reclaim() + e.nodes.reclaim()",
+		new:  "n := e.evFree.reclaim()",
 		pkg:  "./internal/sim",
 		run:  "TestArenaKeepsNothingOfTheWorld",
 	},
