@@ -73,17 +73,20 @@ var ciRows = []ciRow{
 		equalsFile("../../experiments_output.txt")),
 
 	// Both exports are valid JSON, a second run streams the same trace
-	// bytes, and each fact is one metric: the names once carried by a
-	// coarse and a hi-res histogram side by side appear exactly once.
+	// bytes, and each fact is one metric of the one histogram kind: every
+	// histogram name appears exactly once, and none as a "histogram".
 	row("telemetry", "fig8", "-quick -span-depth 4 -trace-out {dir}/trace.json -metrics-out {dir}/metrics.json fig8",
 		validJSON("trace.json"), validJSON("metrics.json"),
 		contains("metrics.json", `"ibwan-metrics/v1"`),
 		count("metrics.json", `"name": "mpi.rndv.handshake.ns"`, 1),
+		count("metrics.json", `"name": "mpi.msg.bytes"`, 1),
 		count("metrics.json", `"name": "ib.rc.window.occupancy"`, 1),
 		count("metrics.json", `"name": "wan.link.queue.wait.ns"`, 1),
+		count("metrics.json", `"kind": "histogram"`, 0),
 		sameAs("-quick -span-depth 4 -trace-out {dir}/trace.json fig8", "trace.json")),
 	row("telemetry", "fig13", "-quick -metrics-out {dir}/metrics.json fig13",
-		count("metrics.json", `"name": "nfs.rpc.latency.ns"`, 1)),
+		count("metrics.json", `"name": "nfs.rpc.latency.ns"`, 1),
+		count("metrics.json", `"name": "tcp.segment.proc.ns"`, 1)),
 
 	// Attaching telemetry sends every message packet by packet instead of
 	// as a train: the tables must not show it.
@@ -95,6 +98,7 @@ var ciRows = []ciRow{
 		contains("tl.json", `"ibwan-timeline/v1"`),
 		contains("tl.json", `"wan.link.busy.ns"`),
 		contains("tl.json", `"ib.rc.window.occupancy"`),
+		contains("tl.json", `"ib.rc.sendq.depth"`),
 		contains("tl.json", `"wan.link.utilization.permille"`)),
 
 	// Seeded loss plans recover to numbers; a dead WAN is ERR rows, not a

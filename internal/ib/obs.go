@@ -16,7 +16,7 @@ type fabObs struct {
 	wanBusy       *telemetry.Counter        // cumulative serialization (busy) time, ns
 	wanQueueWait  *telemetry.HiResHistogram // egress queueing ahead of serialization, ns
 	rcWindow      *telemetry.HiResHistogram // in-flight window occupancy at launch
-	rcSendQ       *telemetry.Histogram      // send-queue depth behind the window
+	rcSendQ       *telemetry.HiResHistogram // send-queue depth behind the window
 	rcRetransmits *telemetry.Counter
 	rcGiveUps     *telemetry.Counter // retry budgets exhausted
 	qpErrors      *telemetry.Counter // QP error-state transitions
@@ -117,7 +117,7 @@ func newFabObs(tel *telemetry.Telemetry) *fabObs {
 		wanBusy:       m.Counter("wan.link.busy.ns"),
 		wanQueueWait:  m.HiRes("wan.link.queue.wait.ns"),
 		rcWindow:      m.HiRes("ib.rc.window.occupancy"),
-		rcSendQ:       m.Histogram("ib.rc.sendq.depth"),
+		rcSendQ:       m.HiRes("ib.rc.sendq.depth"),
 		rcRetransmits: m.Counter("ib.rc.retransmits"),
 		rcGiveUps:     m.Counter("ib.rc.retry.exhausted"),
 		qpErrors:      m.Counter("ib.qp.errors"),

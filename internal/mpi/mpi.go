@@ -94,7 +94,7 @@ type mpiObs struct {
 	rec       *telemetry.Recorder
 	eagerMsgs *telemetry.Counter
 	rndvMsgs  *telemetry.Counter
-	msgBytes  *telemetry.Histogram
+	msgBytes  *telemetry.HiResHistogram
 	handshake *telemetry.HiResHistogram // RTS -> CTS round trip, ns
 }
 
@@ -178,7 +178,7 @@ func NewWorld(env *sim.Env, placement []*cluster.Node, cfg Config) *World {
 			rec:       tel.Spans,
 			eagerMsgs: m.Counter("mpi.eager.msgs"),
 			rndvMsgs:  m.Counter("mpi.rndv.msgs"),
-			msgBytes:  m.Histogram("mpi.msg.bytes"),
+			msgBytes:  m.HiRes("mpi.msg.bytes"),
 			handshake: m.HiRes("mpi.rndv.handshake.ns"),
 		}
 	}

@@ -80,19 +80,24 @@ func TestSamplerHorizonSplit(t *testing.T) {
 }
 
 // TestSamplerStopSkipsTail checks that a Stop leaves the tail unsampled:
-// samples strictly before the stopping event's time have fired, none after.
+// samples strictly before the stopping event's time have fired, none after,
+// and none at it — a Stop on a sample time leaves that sample unfired, since
+// the events that share its time may not have run.
 func TestSamplerStopSkipsTail(t *testing.T) {
-	env := NewEnv()
-	var log sampleLog
-	var count int
-	env.SetSampler(10, log.hook(&count))
-	env.At(5, func() { count++ })
-	env.At(25, func() { count++; env.Stop() })
-	env.At(50, func() { count++ }) // never runs
-	env.Run()
-	want := []string{"t=10,c=1", "t=20,c=1"}
-	if !reflect.DeepEqual(log.rows, want) {
-		t.Errorf("samples = %v, want %v", log.rows, want)
+	for _, stopAt := range []Time{25, 30} {
+		env := NewEnv()
+		var log sampleLog
+		var count int
+		env.SetSampler(10, log.hook(&count))
+		env.At(5, func() { count++ })
+		env.At(stopAt, func() { count++; env.Stop() })
+		env.At(30, func() { count++ }) // never runs
+		env.At(50, func() { count++ }) // never runs
+		env.Run()
+		want := []string{"t=10,c=1", "t=20,c=1"}
+		if !reflect.DeepEqual(log.rows, want) {
+			t.Errorf("stop at %d: samples = %v, want %v", stopAt, log.rows, want)
+		}
 	}
 }
 

@@ -140,12 +140,12 @@ type stackObs struct {
 	txSegs, rxSegs   *telemetry.Counter
 	txBytes, rxBytes *telemetry.Counter
 	retransmits      *telemetry.Counter
-	resets           *telemetry.Counter   // connections torn down by the recovery machinery
-	segDrops         *telemetry.Counter   // fault-injected segment losses
-	segProcNS        *telemetry.Histogram // per-segment stack processing cost
-	ecnCE            *telemetry.Counter   // segments received with the CE mark
-	ecnCuts          *telemetry.Counter   // cwnd reductions triggered by ECE echoes
-	fastRetransmits  *telemetry.Counter   // dup-ack triggered retransmissions
+	resets           *telemetry.Counter        // connections torn down by the recovery machinery
+	segDrops         *telemetry.Counter        // fault-injected segment losses
+	segProcNS        *telemetry.HiResHistogram // per-segment stack processing cost
+	ecnCE            *telemetry.Counter        // segments received with the CE mark
+	ecnCuts          *telemetry.Counter        // cwnd reductions triggered by ECE echoes
+	fastRetransmits  *telemetry.Counter        // dup-ack triggered retransmissions
 }
 
 // resetSegment is the segment list's reset: the segment keeps its spans
@@ -233,7 +233,7 @@ func NewStack(dev *ipoib.NetDev, cfg Config) *Stack {
 			retransmits:     m.Counter("tcp.retransmits"),
 			resets:          m.Counter("tcp.conn.resets"),
 			segDrops:        m.Counter("tcp.seg.drops"),
-			segProcNS:       m.Histogram("tcp.segment.proc.ns"),
+			segProcNS:       m.HiRes("tcp.segment.proc.ns"),
 			ecnCE:           m.Counter("tcp.ecn.ce.segments"),
 			ecnCuts:         m.Counter("tcp.ecn.cwnd.cuts"),
 			fastRetransmits: m.Counter("tcp.fast.retransmits"),

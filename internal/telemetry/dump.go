@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Metrics dump exporters: a human-readable text table and a stable JSON
@@ -24,19 +23,8 @@ func WriteMetricsJSON(w io.Writer, r *Registry) error {
 	return enc.Encode(metricsReport{Schema: "ibwan-metrics/v1", Metrics: r.Snapshot()})
 }
 
-// bound renders a bucket boundary, eliding the int64 sentinels.
-func bound(v int64) string {
-	switch v {
-	case math.MinInt64:
-		return "-inf"
-	case math.MaxInt64:
-		return "inf"
-	}
-	return fmt.Sprintf("%d", v)
-}
-
-// WriteMetricsText dumps the registry as aligned plain text. Histograms
-// list only populated buckets, one "[lo,hi):count" cell per bucket.
+// WriteMetricsText dumps the registry as aligned plain text: one row per
+// metric, a histogram's quantiles in place of its buckets.
 func WriteMetricsText(w io.Writer, r *Registry) error {
 	snaps := r.Snapshot()
 	width := 0
@@ -51,23 +39,9 @@ func WriteMetricsText(w io.Writer, r *Registry) error {
 			if _, err := fmt.Fprintf(w, "%-9s %-*s %d\n", s.Kind, width, s.Name, s.Value); err != nil {
 				return err
 			}
-		case "histogram":
-			if _, err := fmt.Fprintf(w, "%-9s %-*s count=%d sum=%d min=%d max=%d mean=%.1f",
-				s.Kind, width, s.Name, s.Count, s.Sum, s.Min, s.Max, s.Mean); err != nil {
-				return err
-			}
-			for _, b := range s.Buckets {
-				if _, err := fmt.Fprintf(w, "  [%s,%s):%d", bound(b.Lo), bound(b.Hi), b.Count); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintln(w); err != nil {
-				return err
-			}
 		case "hires":
-			// The log-linear histograms are percentile instruments: the
-			// quantile row is the payload, the (many) buckets stay in the
-			// JSON dump only.
+			// A histogram is a percentile instrument: the quantile row is
+			// the payload, the (many) buckets stay in the JSON dump only.
 			if _, err := fmt.Fprintf(w, "%-9s %-*s count=%d sum=%d mean=%.1f p50=%.0f p90=%.0f p99=%.0f p999=%.0f\n",
 				s.Kind, width, s.Name, s.Count, s.Sum, s.Mean, s.P50, s.P90, s.P99, s.P999); err != nil {
 				return err

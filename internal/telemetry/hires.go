@@ -6,14 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// High-resolution log-linear histograms: log2 major buckets split into
-// linear sub-buckets (the HDR-histogram layout). Where the coarse Histogram
-// answers "what order of magnitude", these answer "what percentile" —
-// quantile estimates are off by at most one sub-bucket width, a bounded
-// relative error of about 1/2^SubBits — at the cost of more (but still
-// fixed, still allocation-free) bucket storage. Layers register one next to
-// a coarse histogram when a metric is an SLO instrument, not just a shape
-// diagnostic.
+// Log-linear histograms: log2 major buckets split into linear sub-buckets
+// (the HDR-histogram layout), the registry's one histogram type. They answer
+// "what percentile" as well as "what order of magnitude": a quantile
+// estimate is off by at most one sub-bucket width, a bounded relative error
+// of about 1/2^SubBits, for a fixed, allocation-free bucket array. With zero
+// sub-bits the layout would be a plain log2 histogram.
 
 // SubBits is the number of linear sub-bucket bits per log2 major bucket: 16
 // sub-buckets, so quantile interpolation error is bounded by 1/16 (~6%) of

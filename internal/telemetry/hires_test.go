@@ -117,10 +117,6 @@ func TestRegistryHiRes(t *testing.T) {
 	if h == nil || r.HiRes("x.latency") != h {
 		t.Fatal("HiRes should return one stable handle per name")
 	}
-	// A coarse histogram may share the name: different kinds, both kept.
-	if r.Histogram("x.latency") == nil {
-		t.Fatal("coarse histogram under the same name")
-	}
 	h.Observe(100)
 	h.Observe(200)
 	var found bool

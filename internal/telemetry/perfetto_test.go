@@ -125,7 +125,7 @@ func TestMetricsDump(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a.count").Add(42)
 	r.Counter("b.count").Add(7)
-	h := r.Histogram("c.hist")
+	h := r.HiRes("c.hist")
 	h.Observe(1)
 	h.Observe(900)
 	var js bytes.Buffer
@@ -150,7 +150,8 @@ func TestMetricsDump(t *testing.T) {
 	if rep.Metrics[0].Name != "a.count" || rep.Metrics[0].Value != 42 {
 		t.Errorf("first metric = %+v", rep.Metrics[0])
 	}
-	if got := rep.Metrics[2]; got.Kind != "histogram" || got.Count != 2 || len(got.Buckets) != 2 {
+	if got := rep.Metrics[2]; got.Kind != "hires" || got.Count != 2 || len(got.Buckets) != 2 ||
+		got.Buckets[1] != (struct{ Lo, Hi, Count int64 }{896, 928, 1}) {
 		t.Errorf("histogram snapshot = %+v", got)
 	}
 	var txt bytes.Buffer
@@ -158,7 +159,7 @@ func TestMetricsDump(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := txt.String()
-	for _, want := range []string{"counter", "a.count", "42", "b.count", "7", "histogram", "count=2", "[512,1024):1"} {
+	for _, want := range []string{"counter", "a.count", "42", "b.count", "7", "hires", "count=2", "p50=2", "p99=928"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text dump missing %q:\n%s", want, out)
 		}

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -30,10 +32,9 @@ type Sampler struct {
 	ticks  []tickRun // the tick times, in order
 	nTicks int
 
-	counters []*samplerCounter
-	hires    []*samplerHiRes
-	byName   map[string]int      // index into counters/hires by kind-prefixed name
-	delta    [HiResBuckets]int64 // scratch: one histogram's bucket deltas
+	counters []*samplerCounter // sorted by name
+	hires    []*samplerHiRes   // sorted by name
+	delta    []int64           // scratch: one histogram's bucket deltas
 }
 
 // tickRun is n ticks one sampling interval apart, the first at sim time at.
@@ -61,7 +62,7 @@ type counterRow struct {
 type samplerHiRes struct {
 	name    string
 	h       *HiResHistogram
-	prev    []int64 // previous tick's cumulative buckets; nil until the first observation
+	prev    []int64 // previous tick's cumulative buckets [0, hi) of the touched range
 	prevCnt int64
 	prevSum int64
 	first   int              // tick index the series appeared on
@@ -70,7 +71,7 @@ type samplerHiRes struct {
 
 // NewSampler creates a sampler over reg ticking every `every` of sim time.
 func NewSampler(reg *Registry, every sim.Time) *Sampler {
-	return &Sampler{reg: reg, every: every, byName: make(map[string]int)}
+	return &Sampler{reg: reg, every: every}
 }
 
 // Every returns the sampling interval.
@@ -87,25 +88,29 @@ func (s *Sampler) refresh() {
 	if len(s.counters) == len(s.reg.counters) && len(s.hires) == len(s.reg.hires) {
 		return
 	}
+	// Registration only adds names, so a registry name missing from the
+	// sorted lists is new; the lists are sorted again once it is appended.
+	n := len(s.counters)
 	for name, c := range s.reg.counters {
-		if _, ok := s.byName["c:"+name]; !ok {
-			s.byName["c:"+name] = len(s.counters)
+		if _, ok := slices.BinarySearchFunc(s.counters[:n], name, func(c *samplerCounter, name string) int {
+			return strings.Compare(c.name, name)
+		}); !ok {
 			s.counters = append(s.counters, &samplerCounter{name: name, c: c, first: s.nTicks})
 		}
 	}
+	if len(s.counters) > n {
+		slices.SortFunc(s.counters, func(a, b *samplerCounter) int { return strings.Compare(a.name, b.name) })
+	}
+	n = len(s.hires)
 	for name, h := range s.reg.hires {
-		if _, ok := s.byName["h:"+name]; !ok {
-			s.byName["h:"+name] = len(s.hires)
+		if _, ok := slices.BinarySearchFunc(s.hires[:n], name, func(h *samplerHiRes, name string) int {
+			return strings.Compare(h.name, name)
+		}); !ok {
 			s.hires = append(s.hires, &samplerHiRes{name: name, h: h, first: s.nTicks})
 		}
 	}
-	sort.Slice(s.counters, func(i, j int) bool { return s.counters[i].name < s.counters[j].name })
-	sort.Slice(s.hires, func(i, j int) bool { return s.hires[i].name < s.hires[j].name })
-	for i, c := range s.counters {
-		s.byName["c:"+c.name] = i
-	}
-	for i, h := range s.hires {
-		s.byName["h:"+h.name] = i
+	if len(s.hires) > n {
+		slices.SortFunc(s.hires, func(a, b *samplerHiRes) int { return strings.Compare(a.name, b.name) })
 	}
 }
 
@@ -135,11 +140,14 @@ func (s *Sampler) Tick(at sim.Time) {
 		}
 		row := QuantileSample{T: sim.Time(k), Count: count - h.prevCnt, Sum: sum - h.prevSum}
 		if count != h.prevCnt {
-			if h.prev == nil {
-				h.prev = make([]int64, HiResBuckets)
-			}
 			lo, hi := h.h.touched()
-			delta := s.delta[lo:hi]
+			if grow := hi - len(h.prev); grow > 0 {
+				h.prev = append(h.prev, make([]int64, grow)...)
+			}
+			if len(s.delta) < hi-lo {
+				s.delta = make([]int64, hi-lo)
+			}
+			delta := s.delta[:hi-lo]
 			for i := range delta {
 				v := h.h.buckets[lo+i].Load()
 				delta[i] = v - h.prev[lo+i]
@@ -191,11 +199,8 @@ func (s *Sampler) Series() []Series {
 		}
 		out = append(out, Series{Name: h.name, Kind: KindHiRes, Quantiles: quantiles})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Kind < out[j].Kind
+	slices.SortFunc(out, func(a, b Series) int {
+		return cmp.Or(strings.Compare(a.Name, b.Name), strings.Compare(a.Kind, b.Kind))
 	})
 	return out
 }

@@ -271,6 +271,34 @@ func TestSamplerIdleTickBytes(t *testing.T) {
 	}
 }
 
+// TestSamplerLateRegistrationAllocs: the tick after a metric is registered
+// late adopts it at a cost independent of how many names the sampler already
+// follows. A sampler that re-keyed every name allocated one key per name.
+func TestSamplerLateRegistrationAllocs(t *testing.T) {
+	reg := NewRegistry()
+	for i := 0; i < 32; i++ {
+		reg.Counter(fmt.Sprintf("counter.%02d", i)).Add(1)
+	}
+	for i := 0; i < 8; i++ {
+		reg.HiRes(fmt.Sprintf("hires.%d", i)).Observe(int64(i) * 1000)
+	}
+	s := NewSampler(reg, sim.Millisecond)
+	s.Tick(sim.Millisecond)
+	for i := 0; i < 8; i++ {
+		reg.Counter(fmt.Sprintf("late.%d", i))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Tick(sim.Time(i+2) * sim.Millisecond)
+		runtime.ReadMemStats(&after)
+		if got := after.Mallocs - before.Mallocs; got > 3 {
+			t.Fatalf("tick after late registration %d allocated %d objects, want at most 3", i, got)
+		}
+	}
+	if got := len(s.Series()); got != 48 {
+		t.Errorf("%d series, want 48", got)
+	}
+}
+
 func BenchmarkSamplerTickIdle(b *testing.B) {
 	s := idleSampler()
 	b.ReportAllocs()

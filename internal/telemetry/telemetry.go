@@ -1,5 +1,5 @@
 // Package telemetry is the simulator's cross-layer observability subsystem:
-// a metrics registry (counters, log-scale histograms — allocation
+// a metrics registry (counters, log-linear histograms — allocation
 // free on the record path), a hierarchical stage-span recorder keyed on
 // sim.Time, and exporters (Chrome trace-event JSON for Perfetto, plain-text
 // and JSON metrics dumps).

@@ -339,9 +339,9 @@ func TestMergeInto(t *testing.T) {
 	src, dst := NewRegistry(), NewRegistry()
 	src.Counter("a").Add(3)
 	src.Counter("zero") // registered but never incremented: presence still merges
-	src.Histogram("h").Observe(10)
 	src.HiRes("hr").Observe(20)
 	dst.Counter("a").Add(1)
+	dst.HiRes("hr").Observe(5)
 	src.MergeInto(dst)
 	if got := dst.Counter("a").Value(); got != 4 {
 		t.Errorf("merged counter = %d, want 4", got)
@@ -349,8 +349,8 @@ func TestMergeInto(t *testing.T) {
 	if dst.Counter("zero").Value() != 0 {
 		t.Error("zero counter should exist in dst after merge")
 	}
-	if dst.Histogram("h").Count() != 1 || dst.HiRes("hr").Count() != 1 {
-		t.Error("histograms did not merge")
+	if h := dst.HiRes("hr"); h.Count() != 2 || h.Sum() != 25 {
+		t.Errorf("merged histogram count/sum = %d/%d, want 2/25", h.Count(), h.Sum())
 	}
 	// Self-merge and nil-merge are no-ops, not double counts.
 	dst.MergeInto(dst)

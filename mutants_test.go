@@ -88,6 +88,30 @@ var mutants = []mutant{
 		run:  "TestSamplerTickMatchesSevenPassTick",
 	},
 	{
+		name: "sampler refresh skips a metric registered after the first tick",
+		file: "internal/telemetry/sampler.go",
+		old:  "if len(s.counters) == len(s.reg.counters) && len(s.hires) == len(s.reg.hires) {",
+		new:  "if s.nTicks > 0 {",
+		pkg:  "./internal/telemetry",
+		run:  "TestSamplerTickMatchesSevenPassTick",
+	},
+	{
+		name: "shard window not clamped to the next sample time",
+		file: "internal/sim/shard.go",
+		old:  "root.sampleFn != nil && root.sampleNext < windowHorizon",
+		new:  "false && root.sampleNext < windowHorizon",
+		pkg:  "./internal/sim",
+		run:  "TestSamplerShardedMatchesClassic|TestSamplerHorizonSplit|TestSamplerStopSkipsTail",
+	},
+	{
+		name: "samples fired after a Stop",
+		file: "internal/sim/shard.go",
+		old:  "if !w.stopped.Load() {",
+		new:  "if true {",
+		pkg:  "./internal/sim",
+		run:  "TestSamplerShardedMatchesClassic|TestSamplerHorizonSplit|TestSamplerStopSkipsTail",
+	},
+	{
 		name: "loss lever fires at p = 0",
 		file: "internal/fault/fault.go",
 		old:  "(in.loss > 0 && chance(in.seed, in.lossSalt, dir, flow, seq) < in.loss)",
