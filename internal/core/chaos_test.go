@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"strings"
@@ -13,17 +12,6 @@ import (
 	"repro/internal/tcpsim"
 	"repro/internal/topo"
 )
-
-// renderWithErrors renders an experiment the way RunAllWith does — tables
-// plus the per-point error lines — for byte-comparison.
-func renderWithErrors(res Result) string {
-	var buf bytes.Buffer
-	for _, t := range res.Tables {
-		t.Render(&buf)
-	}
-	RenderErrors(&buf, res.Errors)
-	return buf.String()
-}
 
 // TestDeadWANTerminates is the end-to-end recovery acceptance test: with
 // the WAN permanently down, every experiment in the registry must
@@ -73,7 +61,7 @@ func TestDeadWANTerminates(t *testing.T) {
 			if nan < len(res.Errors) {
 				t.Errorf("%s: %d error rows but only %d NaN cells", id, len(res.Errors), nan)
 			}
-			if !strings.Contains(renderWithErrors(res), "ERR") {
+			if !strings.Contains(render(res), "ERR") {
 				t.Errorf("%s: rendered output has no ERR cell despite %d errors", id, len(res.Errors))
 			}
 		})
@@ -89,8 +77,8 @@ func TestDeadWANDeterministic(t *testing.T) {
 	}
 	opt := Options{Quick: true, Fault: &fault.Plan{Seed: 1, WANDown: true}}
 	for _, id := range []string{"fig5", "fig8", "loss-goodput"} {
-		seq := renderWithErrors(RunWith(id, opt, RunnerOptions{Workers: 1}))
-		par := renderWithErrors(RunWith(id, opt, RunnerOptions{Workers: 8}))
+		seq := render(RunWith(id, opt, RunnerOptions{Workers: 1}))
+		par := render(RunWith(id, opt, RunnerOptions{Workers: 8}))
 		if seq != par {
 			t.Errorf("%s: dead-WAN output diverges across worker counts\n--- par=1 ---\n%s\n--- par=8 ---\n%s",
 				id, seq, par)
@@ -113,8 +101,8 @@ func TestLossFamilyRepeatable(t *testing.T) {
 		}
 		id := id
 		t.Run(id, func(t *testing.T) {
-			first := renderWithErrors(RunWith(id, opt, RunnerOptions{Workers: 8}))
-			second := renderWithErrors(RunWith(id, opt, RunnerOptions{Workers: 3}))
+			first := render(RunWith(id, opt, RunnerOptions{Workers: 8}))
+			second := render(RunWith(id, opt, RunnerOptions{Workers: 3}))
 			if first != second {
 				t.Errorf("repeated runs diverge\n--- run 1 (par=8) ---\n%s\n--- run 2 (par=3) ---\n%s",
 					first, second)
@@ -135,9 +123,9 @@ func TestRunWideFaultOverride(t *testing.T) {
 		t.Skip("fault override check skipped in -short mode")
 	}
 	opt := Options{Quick: true}
-	clean := renderWithErrors(RunWith("loss-goodput", opt, RunnerOptions{Workers: 4}))
+	clean := render(RunWith("loss-goodput", opt, RunnerOptions{Workers: 4}))
 	opt.Fault = &fault.Plan{Seed: 1, WANDown: true}
-	chaos := renderWithErrors(RunWith("loss-goodput", opt, RunnerOptions{Workers: 4}))
+	chaos := render(RunWith("loss-goodput", opt, RunnerOptions{Workers: 4}))
 	if clean != chaos {
 		t.Errorf("per-point plans did not override the run-wide plan\n--- clean ---\n%s\n--- chaos ---\n%s",
 			clean, chaos)
@@ -163,9 +151,9 @@ func TestPlansThatCannotFire(t *testing.T) {
 			{At: 1000 * sim.Second, Down: true}, {At: 1001 * sim.Second}}}},
 	}
 	for _, id := range []string{"fig3", "fig6", "fig9", "fig13", "loss-tcp"} {
-		clean := renderWithErrors(RunWith(id, opt, RunnerOptions{Workers: 2}))
+		clean := render(RunWith(id, opt, RunnerOptions{Workers: 2}))
 		for _, p := range plans {
-			if got := renderWithErrors(RunWith(id, Options{Quick: true, Fault: p.plan}, RunnerOptions{Workers: 2})); got != clean {
+			if got := render(RunWith(id, Options{Quick: true, Fault: p.plan}, RunnerOptions{Workers: 2})); got != clean {
 				t.Errorf("%s under -fault %s differs from no plan\n--- no plan ---\n%s\n--- %s ---\n%s",
 					id, p.name, clean, p.name, got)
 			}
@@ -182,7 +170,7 @@ func TestPlanOnALinkNoRouteUses(t *testing.T) {
 		t.Skip("unused-link plan sweep skipped in -short mode")
 	}
 	render := func(p *fault.Plan) string {
-		return renderWithErrors(RunWith("multisite-nfs", Options{Quick: true, Topo: "mesh4", Fault: p}, RunnerOptions{Workers: 2}))
+		return render(RunWith("multisite-nfs", Options{Quick: true, Topo: "mesh4", Fault: p}, RunnerOptions{Workers: 2}))
 	}
 	clean := render(nil)
 	for _, c := range []struct {
@@ -211,7 +199,7 @@ func TestPerLinkPlanMatchesRunWide(t *testing.T) {
 		t.Skip("per-link plan sweep skipped in -short mode")
 	}
 	render := func(id string, p *fault.Plan) string {
-		return renderWithErrors(RunWith(id, Options{Quick: true, Fault: p}, RunnerOptions{Workers: 2}))
+		return render(RunWith(id, Options{Quick: true, Fault: p}, RunnerOptions{Workers: 2}))
 	}
 	cases := []struct {
 		name string

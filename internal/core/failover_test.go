@@ -42,7 +42,7 @@ func TestFailoverDeterminismMatrix(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					run := func(ropt RunnerOptions) string {
 						res := RunWith(id, Options{Quick: true, Topo: preset, Fault: plan}, ropt)
-						return renderTables(res) + fmt.Sprint(res.Errors)
+						return render(res)
 					}
 					base := run(RunnerOptions{Workers: 1})
 					if redundant[preset] && strings.Contains(base, "ERR") {
@@ -71,7 +71,7 @@ func TestFailoverPartitionTerminates(t *testing.T) {
 		t.Skip("failover partition test skipped in -short mode")
 	}
 	opt := Options{Quick: true, Topo: "star3"}
-	out := renderTables(RunWith("failover-kill", opt, RunnerOptions{Workers: 1}))
+	out := render(RunWith("failover-kill", opt, RunnerOptions{Workers: 1}))
 	if !strings.Contains(out, "ERR") {
 		t.Fatalf("star3 has no redundant paths; killing a link must degrade to ERR rows, got:\n%s", out)
 	}

@@ -23,37 +23,39 @@ var updateGolden = flag.Bool("update", false, "rewrite golden output files")
 // pre-congestion seed.
 var goldenIDs = []string{"table1", "fig3", "fig4", "fig5", "fig7", "fig11"}
 
-// TestGoldenQuickOutput asserts that quick-mode ibwan-exp rendering is
-// byte-identical to the checked-in pre-optimization output, and that every
-// registered experiment dispatches exactly the pinned number of events, in
-// the pinned order, on the classic single heap
+// TestGoldenQuickOutput asserts that the determinism matrix's default row —
+// the sequential pass of every family at Options{Quick: true} — renders the
+// golden families byte-identical to the checked-in pre-optimization output,
+// and that every registered experiment dispatches exactly the pinned number
+// of events, in the pinned order, on the classic single heap
 // (testdata/golden_quick_events.txt, one `id events digest` line per
 // registry entry; the digest is Result.Metrics.Digest): tables round, so a
 // simulator-only change could move an event — an extra wake-up, a tie
 // resolved the other way — without moving a rendered digit, and a reordered
 // tie moves no count either. The counts and digests make "this change
-// leaves the simulation alone"
-// a machine check on every layer, including the ones whose tables are too
-// long to pin; sharded counts are not pinned (a Stop on a partitioned world
-// lands at a scheduling-dependent event). The par=1 vs par=8 determinism
-// test proves output is independent of scheduling; this test additionally
-// proves it is independent of the kernel's internal representation (heap
-// layout, freelists and the arenas that carry them between worlds, ring
-// buffers, processes vs servers), which is the contract every performance
-// PR against internal/sim, internal/ib or internal/tcpsim must preserve.
-// Regenerate (only when an intentional modeling change shifts the numbers)
-// with:
+// leaves the simulation alone" a machine check on every layer, including
+// the ones whose tables are too long to pin; sharded counts are not pinned
+// (a Stop on a partitioned world lands at a scheduling-dependent event).
+// The matrix's cells prove output is independent of scheduling; this test
+// additionally proves it is independent of the kernel's internal
+// representation (heap layout, freelists and the arenas that carry them
+// between worlds, ring buffers, processes vs servers), which is the
+// contract every performance change to internal/sim, internal/ib or
+// internal/tcpsim must preserve.
+// Regenerate (only when an intentional modeling change shifts the numbers;
+// it runs the default row's sequential pass and nothing else) with:
 //
 //	go test ./internal/core -run TestGoldenQuickOutput -update
 func TestGoldenQuickOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden sweep skipped in -short mode")
 	}
+	in := matrixRow(defaultInput)
 	var tables, events strings.Builder
 	for _, id := range ExperimentIDs {
-		res := RunWith(id, Options{Quick: true}, RunnerOptions{Workers: 1})
+		res := in.baseline(id)
 		if slices.Contains(goldenIDs, id) {
-			tables.WriteString(renderTables(res))
+			tables.WriteString(render(res))
 		}
 		fmt.Fprintf(&events, "%s %d %016x\n", id, res.Metrics.Events, res.Metrics.Digest)
 	}
@@ -94,28 +96,10 @@ func checkGolden(t *testing.T, name, got, contract string) {
 // readable (the full rendering is thousands of lines).
 func diffHint(want, got string) string {
 	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
-	n := len(wl)
-	if len(gl) < n {
-		n = len(gl)
-	}
-	for i := 0; i < n; i++ {
+	for i := range min(len(wl), len(gl)) {
 		if wl[i] != gl[i] {
-			return "line " + itoa(i+1) + ":\n  want: " + wl[i] + "\n  got:  " + gl[i]
+			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i+1, wl[i], gl[i])
 		}
 	}
-	return "line count differs: want " + itoa(len(wl)) + ", got " + itoa(len(gl))
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	return fmt.Sprintf("line count differs: want %d, got %d", len(wl), len(gl))
 }

@@ -95,7 +95,7 @@ func TestSDPProbeIgnoresShards(t *testing.T) {
 	}
 	one := RunSpec(spec, Options{}, RunnerOptions{Workers: 1})
 	two := RunSpec(spec, Options{}, RunnerOptions{Workers: 1, ShardWorkers: 2})
-	if a, b := renderTables(one)+fmt.Sprint(one.Errors), renderTables(two)+fmt.Sprint(two.Errors); a != b {
+	if a, b := render(one), render(two); a != b {
 		t.Fatalf("sdp probe at two shard workers:\n%s\nat one:\n%s", b, a)
 	}
 	if one.Metrics.Events != two.Metrics.Events || two.Metrics.ShardWindows != 0 {
@@ -180,19 +180,19 @@ func TestProbeSideCells(t *testing.T) {
 		return RunSpec(spec, opt, RunnerOptions{Workers: 1})
 	}
 	res := run("mpi -bench bw -size 16384 -delay 1000 -autotune", Options{})
-	if out := renderTables(res); !strings.Contains(out, "1048576.000") || len(res.Errors) != 0 {
+	if out := render(res); !strings.Contains(out, "1048576.000") || len(res.Errors) != 0 {
 		t.Errorf("autotune probe does not report the 1 MB threshold it chose:\n%s", out)
 	}
 	res = run("nas -kernel CG -procs 4 -profile", Options{NASClass: "W"})
 	if len(res.Tables) != 2 || len(res.Tables[1].Series) != 5 || res.Tables[1].Series[0].Y[0] <= 0 {
-		t.Errorf("nas -profile does not report a census:\n%s", renderTables(res))
+		t.Errorf("nas -profile does not report a census:\n%s", render(res))
 	}
 	res = run("nas -kernel CG -procs 4 -delay 100 -profile",
 		Options{NASClass: "W", Fault: &fault.Plan{Seed: 1, WANDown: true}})
 	if len(res.Errors) != 1 {
 		t.Fatalf("dead WAN: %d error rows, want 1", len(res.Errors))
 	}
-	if out := renderTables(res); strings.Count(out, "ERR") != 6 {
+	if out := render(res); strings.Count(out, "ERR") != 6 {
 		t.Errorf("dead WAN: want the measurement and all five census cells ERR:\n%s", out)
 	}
 }

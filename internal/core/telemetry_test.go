@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -58,25 +57,5 @@ func TestTelemetrySpansForceSequential(t *testing.T) {
 	}
 	if points != res.Metrics.Points {
 		t.Errorf("harness spans = %d, want one per point (%d)", points, res.Metrics.Points)
-	}
-}
-
-// TestObservationChangesNoTable: attaching a metrics registry and a 1 ms
-// sampler changes no table byte and no error row, on every family. Events and digests may move: an attached observer sends
-// every message packet by packet instead of as a train (DESIGN §7).
-func TestObservationChangesNoTable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("observed sweep skipped in -short mode")
-	}
-	opt := Options{Quick: true}
-	for _, id := range ExperimentIDs {
-		t.Run(id, func(t *testing.T) {
-			detached := renderWithErrors(RunWith(id, opt, RunnerOptions{Workers: 2}))
-			observed := renderWithErrors(RunWith(id, opt, RunnerOptions{Workers: 2,
-				Telemetry: &telemetry.Telemetry{Metrics: telemetry.NewRegistry()}, SampleEvery: sim.Millisecond}))
-			if observed != detached {
-				t.Errorf("observed run differs\n--- detached ---\n%s\n--- observed ---\n%s", detached, observed)
-			}
-		})
 	}
 }

@@ -95,8 +95,10 @@ func crossRun(root *Env, seed int64) string {
 }
 
 // cross makes the handler of each view's pipe program send one in eight of
-// its firings on to the next view's program, and never Stop: a Stop leaves a
-// partitioned world's shards at clocks its input does not fix (ROADMAP 6(a)).
+// its firings on to the next view's program, and never Stop: on a
+// partitioned world a Stop is seen by the other shards at their next
+// dispatch check, so how far each shard's clock got still depends on thread
+// timing, not on the input (ROADMAP 6(a)).
 func cross(progs []*pipeProgram) {
 	for i, p := range progs {
 		p.noStop = true

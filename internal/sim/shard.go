@@ -480,16 +480,19 @@ func (w *world) run(horizon Time) Time {
 		w.raisePanics()
 	}
 	// Quiescent (or stopped): align every clock to the furthest shard so
-	// later activity on any view starts from one well-defined time.
+	// later activity on any view starts from one well-defined time. A Stop
+	// leaves the last window's deposits on their lanes: a clock rises no
+	// further than the earliest one waiting for it, which the next run
+	// delivers.
 	var maxNow Time
 	for _, s := range w.shards {
 		if s.now > maxNow {
 			maxNow = s.now
 		}
 	}
-	for _, s := range w.shards {
+	for di, s := range w.shards {
 		if s.now < maxNow {
-			s.now = maxNow
+			s.now = max(s.now, min(maxNow, w.earliestMail(di)))
 		}
 	}
 	if !w.stopped.Load() {
@@ -499,6 +502,18 @@ func (w *world) run(horizon Time) Time {
 		root.fireSamples(maxNow)
 	}
 	return maxNow
+}
+
+// earliestMail returns the earliest time on a lane into shard di, or
+// maxTime when its lanes are empty.
+func (w *world) earliestMail(di int) Time {
+	n, at := len(w.shards), maxTime
+	for j := 0; j < n; j++ {
+		for _, x := range w.lanes[j*n+di].entries {
+			at = min(at, x.at)
+		}
+	}
+	return at
 }
 
 // planWindow computes each shard's safe horizon from its incoming channel

@@ -172,6 +172,31 @@ func TestShardPanicDeterminism(t *testing.T) {
 	}
 }
 
+// TestStopDeliversPendingMail: a Stop leaves a deposit on its lane, and the
+// clock alignment that closes the run must not carry the receiving shard
+// past it. The next Run delivers the deposit at its own time, then the
+// receiver's later event.
+func TestStopDeliversPendingMail(t *testing.T) {
+	env := NewEnv()
+	views := env.Partition(2)
+	env.RegisterLookahead(5)
+	var ran []Time
+	record := func(any) { ran = append(ran, views[0].Now()) }
+	views[1].AtArg(0, func(any) { views[1].AtArgOn(views[0], 5, record, nil) }, nil)
+	views[1].AtArg(9, func(any) { views[1].Stop() }, nil)
+	views[0].AtArg(20, record, nil)
+	if now := env.Run(); now != 9 {
+		t.Fatalf("stopped run returned %v, want 9", now)
+	}
+	if len(ran) != 0 {
+		t.Fatalf("shard 0 ran %v before the Stop's Run returned", ran)
+	}
+	env.Run()
+	if fmt.Sprint(ran) != fmt.Sprint([]Time{5, 20}) {
+		t.Fatalf("shard 0 ran its events at %v, want [5 20]", ran)
+	}
+}
+
 // TestWindowStats checks the scheduler's progress counters: windows tick,
 // per-shard executed counts land on the right shard, and a shard with no
 // work in a window records a stall.

@@ -174,7 +174,31 @@ var mutants = []mutant{
 		old:  "len(t.Sites) < 2",
 		new:  "len(t.Sites) < 3",
 		pkg:  "./internal/core",
-		run:  "TestEveryFamilyShards/fig5",
+		run:  "TestDeterminismMatrix/default/par2-shards2/fig5",
+	},
+	{
+		name: "a point's value depends on the size of the worker pool",
+		file: "internal/core/runner.go",
+		old:  "pt.commit(y)",
+		new:  "pt.commit(y + float64(workers-1))",
+		pkg:  "./internal/core",
+		run:  "TestShardedMatchesSequential/^star3$/multisite-/par8",
+	},
+	{
+		name: "an observed WAN port books each packet's serialization twice",
+		file: "internal/ib/fabric.go",
+		old:  "obs.wanBusy.Add(int64(ser))",
+		new:  "obs.wanBusy.Add(int64(ser))\n\t\tp.busyUntil += ser",
+		pkg:  "./internal/core",
+		run:  "TestDeterminismMatrix/default/observed/fig5",
+	},
+	{
+		name: "a stopped world raises a clock past a deposit waiting for it",
+		file: "internal/sim/shard.go",
+		old:  "s.now = max(s.now, min(maxNow, w.earliestMail(di)))",
+		new:  "s.now = maxNow\n\t\t\t_ = di",
+		pkg:  "./internal/sim",
+		run:  "TestStopDeliversPendingMail",
 	},
 	{
 		name: "per-link plan matches its link named one way only",
