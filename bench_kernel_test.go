@@ -277,6 +277,88 @@ func BenchmarkKernelWorldBuild(b *testing.B) {
 	}
 }
 
+// collWorld builds an MPI world of one rank per node on a topology preset
+// of two nodes per site across 1 ms WAN links, on one environment.
+func collWorld(tb testing.TB, preset string) *mpi.World {
+	spec, err := topo.Preset(preset, 2, sim.Millisecond)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	nw, err := topo.Build(sim.NewEnv(), spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mpi.NewWorld(nw.Env, nw.Nodes(), mpi.Config{})
+}
+
+// allreduceAll runs calls 8-element reductions on every rank of w, the
+// hierarchical allreduce when hier is set.
+func allreduceAll(w *mpi.World, calls int, hier bool) {
+	vec := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	w.Run(func(r *mpi.Rank, p *sim.Proc) {
+		for i := 0; i < calls; i++ {
+			if hier {
+				r.HierAllreduce(p, vec)
+			} else {
+				r.Allreduce(p, vec)
+			}
+		}
+	})
+}
+
+// BenchmarkKernelAllreduce measures a warm 8-element Allreduce over 4 ranks,
+// two on each side of the paper's testbed: each op is one call on every
+// rank. allocs/op is the figure to read, 0: the accumulator, the wire
+// encoding, the landing buffer and the broadcast's group are the ranks' own.
+func BenchmarkKernelAllreduce(b *testing.B) {
+	w := collWorld(b, "paper")
+	defer w.Shutdown()
+	allreduceAll(w, 1, false) // connects the ranks and grows their scratch
+	start := w.Env().Executed()
+	b.ReportAllocs()
+	b.ResetTimer()
+	allreduceAll(w, b.N, false)
+	b.StopTimer()
+	reportKernelRate(b, w.Env().Executed()-start)
+}
+
+// TestKernelAllreduceAllocs is the collectives' object budget: a warm
+// 8-element Allreduce over the paper's 4 ranks, and a warm HierAllreduce over
+// star3's 6, allocate nothing per call. The figure is the difference of a
+// 2 000- and a 1 000-call run of one world, so the runs' own processes
+// cancel out, the least of three such pairs, rounded: an object or two per
+// run (a ring doubling once more in the longer run) is not an object per
+// call. A per-call encoding, accumulator or decoded result costs one object
+// per rank.
+func TestKernelAllreduceAllocs(t *testing.T) {
+	const k = 1000
+	for _, tc := range []struct {
+		name, preset string
+		hier         bool
+	}{{"allreduce", "paper", false}, {"hier-allreduce", "star3", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := collWorld(t, tc.preset)
+			defer w.Shutdown()
+			mallocs := func(calls int) float64 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				allreduceAll(w, calls, tc.hier)
+				runtime.ReadMemStats(&after)
+				return float64(after.Mallocs - before.Mallocs)
+			}
+			mallocs(k) // connects the ranks and grows their scratch and queues
+			perCall := math.Inf(1)
+			for range 3 {
+				perCall = min(perCall, (mallocs(2*k)-mallocs(k))/k)
+			}
+			t.Logf("%s over %d ranks: %.3f objects per call", tc.name, w.Size(), perCall)
+			if math.Round(perCall) > 0 {
+				t.Errorf("a warm %s allocated %.2f objects per call, want 0", tc.name, perCall)
+			}
+		})
+	}
+}
+
 // TestKernelRCStreamTelemetryOffAllocs enforces the disabled-path
 // allocation budget as a plain test: the end-to-end RC stream must stay at
 // the seed's <= 2 allocs per 64 KB message with telemetry off.

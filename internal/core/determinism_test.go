@@ -79,11 +79,13 @@ func matrixRow(name string) *matrixInput {
 }
 
 // matrixInputs returns the matrix's rows: every family at the default
-// Options; then every multisite family on every topology preset with no
-// fault plan, a WAN flap, WAN loss and corruption, and TCP segment loss —
-// with the failover family on ring4, where a killed link has an alternate
-// route, and congest-streams on the heterogeneous-delay star, whose queue
-// marks, drops and stalls feed back into endpoint pacing.
+// Options; fig5, fig8 and loss-goodput with the WAN permanently down, whose
+// error rows must be as reproducible as measurements; then every multisite
+// family on every topology preset with no fault plan, a WAN flap, WAN loss
+// and corruption, and TCP segment loss — with the failover family on ring4,
+// where a killed link has an alternate route, and congest-streams on the
+// heterogeneous-delay star, whose queue marks, drops and stalls feed back
+// into endpoint pacing.
 func matrixInputs() []*matrixInput {
 	failover, multisite := family("failover-"), family("multisite-")
 	// On the default star a killed link has no alternate route, so the
@@ -92,7 +94,11 @@ func matrixInputs() []*matrixInput {
 	ins := []*matrixInput{{name: defaultInput, opt: Options{Quick: true}, ids: ExperimentIDs,
 		sane: without(ExperimentIDs, failover...),
 		// The paper's own testbed partitions.
-		sharded: []string{"fig5", "fig7", "fig13", "loss-goodput"}, base: map[string]Result{}}}
+		sharded: []string{"fig5", "fig7", "fig13", "loss-goodput"}, base: map[string]Result{}},
+		// fig5 and fig8 fail every WAN point; loss-goodput's own per-point
+		// plans override the run-wide one (TestRunWideFaultOverride).
+		{name: "wan-down", opt: Options{Quick: true, Fault: &fault.Plan{Seed: 1, WANDown: true}},
+			ids: []string{"fig5", "fig8", "loss-goodput"}, base: map[string]Result{}}}
 	plans := []struct {
 		name string
 		plan *fault.Plan
@@ -153,17 +159,22 @@ var matrixModes = []struct {
 }
 
 // TestDeterminismMatrix: every table the registry renders at the default
-// Options is the same at any worker count, shard count or observer. Each
-// cell, default/<mode>/<family>, compares the family under the mode with
-// the row's sequential pass, which the sanity, shape and golden tests read
-// too. The preset rows are in TestShardedMatchesSequential.
+// Options, and every table and error row of the dead-WAN row, is the same
+// at any worker count, shard count or observer. Each cell,
+// <row>/<mode>/<family>, compares the family under the mode with the row's
+// sequential pass, which the sanity, shape and golden tests read too. The
+// preset rows are in TestShardedMatchesSequential.
 func TestDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("determinism matrix skipped in -short mode")
 	}
-	in := matrixRow(defaultInput)
-	for _, md := range matrixModes {
-		t.Run(in.name+"/"+md.name, func(t *testing.T) { in.compare(t, md.ropt) })
+	for _, in := range matrixRows() {
+		if in.preset != "" {
+			continue
+		}
+		for _, md := range matrixModes {
+			t.Run(in.name+"/"+md.name, func(t *testing.T) { in.compare(t, md.ropt) })
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 		t.Skip("sharded determinism matrix skipped in -short mode")
 	}
 	for _, in := range matrixRows() {
-		if in.name == defaultInput {
+		if in.preset == "" {
 			continue
 		}
 		for _, id := range in.ids {

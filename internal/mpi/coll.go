@@ -48,10 +48,7 @@ func (r *Rank) Bcast(p *sim.Proc, root int, data []byte, size int) []byte {
 	r.collSeq++
 	defer endColl(r.beginColl("coll.bcast"))
 	n := len(r.world.ranks)
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
+	ids := r.world.ids[:n]
 	if size >= BcastLargeMin && n > 2 {
 		if n&(n-1) == 0 {
 			return r.bcastScatterRD(p, root, data, size, ids)
@@ -268,7 +265,7 @@ func (r *Rank) HierBcast(p *sim.Proc, root int, data []byte, size int) []byte {
 	tag := r.collTag(0)
 	wanTag := r.collTag(1)
 	rootSite := r.world.ranks[root].node.Site()
-	st := r.siteTree(rootSite)
+	st := r.world.siteTree(rootSite)
 	mySite := r.node.Site()
 	mine := st.groups[mySite]
 	if len(st.order) == 1 {
@@ -303,50 +300,47 @@ func (r *Rank) HierBcast(p *sim.Proc, root int, data []byte, size int) []byte {
 }
 
 // Reduce sums float64 vectors onto root over a binomial tree and returns
-// the reduced vector at root (nil elsewhere).
+// the reduced vector at root (nil elsewhere). The result is the rank's own
+// buffer: it stays valid until the rank's next collective, as an MPI receive
+// buffer is the caller's until it is posted again. vals may be such a result.
 func (r *Rank) Reduce(p *sim.Proc, root int, vals []float64) []float64 {
 	r.collSeq++
 	tag := r.collTag(0)
 	n := len(r.world.ranks)
 	vrank := (r.id - root + n) % n
-	acc := make([]float64, len(vals))
-	copy(acc, vals)
-	var buf []byte // one receive buffer for every child
+	acc := r.accumulate(vals)
 	// Receive from children (vrank + mask), then send to parent.
 	for mask := 1; mask < n; mask <<= 1 {
 		if vrank&mask != 0 {
 			parent := ((vrank &^ mask) + root) % n
-			r.Send(p, parent, tag, encodeF64(acc), 0)
+			r.Send(p, parent, tag, r.encode(acc), 0)
 			return nil
 		}
 		if vrank+mask < n {
 			child := (vrank + mask + root) % n
-			if buf == nil {
-				buf = make([]byte, 8*len(vals))
-			}
-			got, _ := r.Recv(p, child, tag, buf, 0)
-			addF64(acc, buf[:got])
+			got, _ := r.Recv(p, child, tag, r.landing(len(vals)), 0)
+			addF64(acc, r.land[:got])
 		}
 	}
 	return acc
 }
 
 // Allreduce sums float64 vectors across all ranks (reduce to rank 0, then
-// broadcast) and returns the result on every rank.
+// broadcast) and returns the result on every rank. Like Reduce's, the result
+// is the rank's own buffer, valid until the rank's next collective.
 func (r *Rank) Allreduce(p *sim.Proc, vals []float64) []float64 {
 	res := r.Reduce(p, 0, vals)
 	var buf []byte
 	if r.id == 0 {
-		buf = encodeF64(res)
+		buf = r.encode(res)
 	} else {
-		buf = make([]byte, 8*len(vals))
+		buf = r.landing(len(vals))
 	}
-	out := r.Bcast(p, 0, buf, 0)
+	r.Bcast(p, 0, buf, 0)
 	if r.id == 0 {
 		return res
 	}
-	_ = out
-	return decodeF64(buf)
+	return r.decode(buf)
 }
 
 // AlltoallSynthetic exchanges sizePer synthetic bytes with every other rank.
@@ -357,7 +351,7 @@ func (r *Rank) Allreduce(p *sim.Proc, vals []float64) []float64 {
 func (r *Rank) AlltoallSynthetic(p *sim.Proc, sizePer int) {
 	r.collSeq++
 	n := len(r.world.ranks)
-	reqs := make([]*Request, 0, 2*(n-1))
+	reqs := r.a2a[:0]
 	for i := 1; i < n; i++ {
 		src := (r.id - i + n) % n
 		reqs = append(reqs, r.Irecv(src, r.collTag(0), nil, sizePer))
@@ -367,18 +361,56 @@ func (r *Rank) AlltoallSynthetic(p *sim.Proc, sizePer int) {
 		reqs = append(reqs, r.Isend(p, dst, r.collTag(0), nil, sizePer))
 	}
 	WaitAll(p, reqs)
+	r.a2a = emptied(reqs) // Wait freed them
 }
 
-func encodeF64(v []float64) []byte {
-	b := make([]byte, 8*len(v))
+// accumulate copies vals into the rank's accumulator and returns it.
+func (r *Rank) accumulate(vals []float64) []float64 {
+	r.acc = grow(r.acc, len(vals))
+	copy(r.acc, vals)
+	return r.acc
+}
+
+// encode writes v into the rank's send buffer and returns it.
+func (r *Rank) encode(v []float64) []byte {
+	r.wire = encodeF64(r.wire, v)
+	return r.wire
+}
+
+// landing returns the rank's receive buffer sized for n values.
+func (r *Rank) landing(n int) []byte {
+	r.land = grow(r.land, 8*n)
+	return r.land
+}
+
+// decode writes the encoded vector b into the rank's accumulator and returns
+// it.
+func (r *Rank) decode(b []byte) []float64 {
+	r.acc = decodeF64(r.acc, b)
+	return r.acc
+}
+
+// grow returns s at length n, on its own array when that is large enough.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// encodeF64 writes v into dst, grown to 8 bytes a value, and returns it.
+func encodeF64(dst []byte, v []float64) []byte {
+	b := grow(dst, 8*len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 	return b
 }
 
-func decodeF64(b []byte) []float64 {
-	v := make([]float64, len(b)/8)
+// decodeF64 writes the encoded vector b into dst, grown to len(b)/8 values,
+// and returns it.
+func decodeF64(dst []float64, b []byte) []float64 {
+	v := grow(dst, len(b)/8)
 	for i := range v {
 		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
@@ -386,7 +418,7 @@ func decodeF64(b []byte) []float64 {
 }
 
 // addF64 adds the encoded vector b into acc element by element: the sum
-// acc[i] += decodeF64(b)[i] makes, without the decoded copy.
+// acc[i] += decodeF64(nil, b)[i] makes, without the decoded copy.
 func addF64(acc []float64, b []byte) {
 	for i := range acc {
 		acc[i] += math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))

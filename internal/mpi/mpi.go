@@ -22,6 +22,7 @@ package mpi
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/cluster"
@@ -77,7 +78,9 @@ func (c *Config) fill() {
 }
 
 // World is an MPI communicator spanning a set of ranks placed on cluster
-// nodes.
+// nodes. It is a record of its environment's list (sim.FreeOf), as its ranks
+// are of theirs: a world built on an arena's environment reuses the records,
+// and their memory, of the worlds before it there.
 type World struct {
 	env     *sim.Env
 	cfg     Config
@@ -85,6 +88,35 @@ type World struct {
 	profile census
 	// obs is non-nil only when telemetry is attached to the environment.
 	obs *mpiObs
+
+	// ids is the identity permutation 0..len(ranks)-1 (Bcast's group) and
+	// names the ranks' process names; both are made once per record and
+	// only ever extended, their entries never change.
+	ids   []int
+	names []string
+
+	// trees holds the site trees built so far, one per root site, shared
+	// read-only by every rank. Ranks on different shards ask concurrently,
+	// so the first to ask builds a tree under treeMu (siteTree).
+	treeMu sync.Mutex
+	trees  []*siteTree
+
+	// The current Run: the ranks' body, how many are still running and the
+	// latest time one returned.
+	body      func(r *Rank, p *sim.Proc)
+	remaining atomic.Int64
+	finish    atomic.Int64
+}
+
+// reset is the world list's reset: the records keep their memory.
+func (w *World) reset() {
+	*w = World{ranks: emptied(w.ranks), ids: w.ids, names: w.names, trees: emptied(w.trees)}
+}
+
+// emptied returns s cleared to its capacity, at length 0.
+func emptied[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // mpiObs caches the library's telemetry handles: protocol-phase spans and
@@ -171,7 +203,12 @@ func (w *World) Profile() MessageProfile {
 // through the shared-memory path.
 func NewWorld(env *sim.Env, placement []*cluster.Node, cfg Config) *World {
 	cfg.fill()
-	w := &World{env: env, cfg: cfg}
+	w := sim.FreeOf(env, (*World).reset).Get()
+	w.env, w.cfg = env, cfg
+	for len(w.ids) < len(placement) {
+		w.ids = append(w.ids, len(w.ids))
+		w.names = append(w.names, fmt.Sprintf("rank-%d", len(w.names)))
+	}
 	if tel := telemetry.FromEnv(env); tel != nil && (tel.Metrics != nil || tel.Spans != nil) {
 		m := tel.Metrics
 		w.obs = &mpiObs{
@@ -187,22 +224,11 @@ func NewWorld(env *sim.Env, placement []*cluster.Node, cfg Config) *World {
 		// node's home environment, which on a partitioned world is the
 		// node's site shard.
 		home := node.HCA.Env()
-		r := &Rank{
-			world: w,
-			id:    i,
-			node:  node,
-			cq:    ib.NewCQ(home),
-			qps:   make(map[int]*ib.QP),
-			byQPN: make(map[int]*ib.QP),
-			reqs:  sim.FreeOf(home, (*Request).reset),
-			msgs:  sim.FreeOf(home, (*mpiMsg).reset),
-		}
-		r.copied = func() {
-			req, m := r.copyReq, r.copyMsg
-			r.copyReq, r.copyMsg = nil, nil // the request may be freed once it lands
-			r.deliverEager(req, m)
-		}
-		r.runShm = r.nextShm
+		r := sim.FreeOf(home, (*Rank).reset).Get()
+		r.world, r.id, r.node = w, i, node
+		r.cq = ib.NewCQ(home)
+		r.reqs = sim.FreeOf(home, (*Request).reset)
+		r.msgs = sim.FreeOf(home, (*mpiMsg).reset)
 		w.ranks = append(w.ranks, r)
 	}
 	// QPs between ranks on different environments must exist before the
@@ -222,7 +248,7 @@ func NewWorld(env *sim.Env, placement []*cluster.Node, cfg Config) *World {
 		}
 	}
 	for _, r := range w.ranks {
-		r.cq.SetHandler(r.progress)
+		r.cq.SetHandler(r.runProgress)
 	}
 	return w
 }
@@ -264,33 +290,39 @@ func (w *World) Config() Config { return w.cfg }
 // time is unaffected — it is latched when the last rank returns, exactly
 // the value the old Stop-based path reported.
 func (w *World) Run(fn func(r *Rank, p *sim.Proc)) sim.Time {
-	var remaining atomic.Int64
-	var finish atomic.Int64
-	remaining.Store(int64(len(w.ranks)))
+	w.body = fn
+	w.remaining.Store(int64(len(w.ranks)))
+	w.finish.Store(0)
 	for _, r := range w.ranks {
-		r.env().Go(fmt.Sprintf("rank-%d", r.id), func(p *sim.Proc) {
-			fn(r, p)
-			remaining.Add(-1)
-			for {
-				cur := finish.Load()
-				if int64(p.Now()) <= cur || finish.CompareAndSwap(cur, int64(p.Now())) {
-					break
-				}
-			}
-		})
+		r.env().Go(w.names[r.id], r.run)
 	}
 	w.env.Run()
-	if n := remaining.Load(); n != 0 {
+	if n := w.remaining.Load(); n != 0 {
 		panic(fmt.Sprintf("mpi: deadlock — %d ranks still blocked when simulation drained", n))
 	}
-	return sim.Time(finish.Load())
+	return sim.Time(w.finish.Load())
+}
+
+// runRank is rank r's process body in Run.
+func (w *World) runRank(r *Rank, p *sim.Proc) {
+	w.body(r, p)
+	w.remaining.Add(-1)
+	for {
+		cur := w.finish.Load()
+		if int64(p.Now()) <= cur || w.finish.CompareAndSwap(cur, int64(p.Now())) {
+			return
+		}
+	}
 }
 
 // Shutdown unwinds any rank process still parked (call when done with the
 // world).
 func (w *World) Shutdown() { w.env.Shutdown() }
 
-// Rank is one MPI process.
+// Rank is one MPI process. It is a record of its home environment's list
+// (sim.FreeOf), which Arena.Reclaim takes back reset: a rank keeps only
+// memory between worlds — its emptied maps and queues, its collective
+// scratch, and the function values it schedules, made once per record.
 type Rank struct {
 	world *World
 	id    int
@@ -315,6 +347,11 @@ type Rank struct {
 	shm    []shmItem
 	runShm func()
 
+	// runProgress, made once, is progress, the CQ's handler; run is the
+	// rank's process body in World.Run.
+	runProgress func(ib.Completion)
+	run         func(p *sim.Proc)
+
 	byQPN map[int]*ib.QP // local QPN -> QP, for receive reposting
 
 	// reqs and msgs are the free requests and eager headers of the rank's
@@ -330,10 +367,14 @@ type Rank struct {
 	// aligned.
 	collSeq int
 
-	// trees caches the site tree by root site and sites the occupied-site
-	// count (0 until counted); both depend only on placement (sitetree.go).
-	trees map[string]*siteTree
-	sites int
+	// Collective scratch, grown to the largest vector seen (coll.go): the
+	// accumulator, which is also the result a reduction returns, the
+	// encoding of what the rank sends, the landing buffer of what it
+	// receives, and AlltoallSynthetic's requests.
+	acc  []float64
+	wire []byte
+	land []byte
+	a2a  []*Request
 
 	// Telemetry: the rank's trace track (lazily created) and the span of
 	// the collective currently executing on this rank, which point-to-point
@@ -341,6 +382,30 @@ type Rank struct {
 	track    telemetry.TrackID
 	trackSet bool
 	collSpan telemetry.SpanRef
+}
+
+// reset is the rank list's reset. A fresh record makes its maps and
+// function values here; a used one keeps them, and its queues and scratch,
+// emptied.
+func (r *Rank) reset() {
+	if r.qps == nil {
+		r.qps, r.byQPN = make(map[int]*ib.QP), make(map[int]*ib.QP)
+		r.copied = func() {
+			req, m := r.copyReq, r.copyMsg
+			r.copyReq, r.copyMsg = nil, nil // the request may be freed once it lands
+			r.deliverEager(req, m)
+		}
+		r.runShm, r.runProgress = r.nextShm, r.progress
+		r.run = func(p *sim.Proc) { r.world.runRank(r, p) }
+	}
+	clear(r.qps)
+	clear(r.byQPN)
+	*r = Rank{
+		qps: r.qps, byQPN: r.byQPN,
+		postedRecvs: emptied(r.postedRecvs), unexpected: emptied(r.unexpected), shm: emptied(r.shm),
+		copied: r.copied, runShm: r.runShm, runProgress: r.runProgress, run: r.run,
+		acc: r.acc[:0], wire: r.wire[:0], land: r.land[:0], a2a: emptied(r.a2a),
+	}
 }
 
 // obsTrack returns (lazily creating) the rank's trace track. Only called

@@ -127,6 +127,43 @@ func TestEagerTruncationKeepsPrefix(t *testing.T) {
 	}
 }
 
+// TestEagerSendBufferReusable: an eager Send returns with the payload in the
+// header's bounce buffer, so a sender that overwrites its buffer at once
+// does not change what a receive posted a millisecond later gets — over the
+// wire and over shared memory.
+func TestEagerSendBufferReusable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		shm  bool
+	}{{"wire", false}, {"shm", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			tb := cluster.New(env, cluster.Config{NodesA: 1, NodesB: 1, Delay: sim.Micros(10)})
+			placement := []*cluster.Node{tb.A[0], tb.B[0]}
+			if tc.shm {
+				placement[1] = tb.A[0]
+			}
+			w := NewWorld(env, placement, Config{})
+			defer w.Shutdown()
+			got := make([]byte, 5)
+			w.Run(func(r *Rank, p *sim.Proc) {
+				switch r.ID() {
+				case 0:
+					msg := []byte("hello")
+					r.Send(p, 1, 1, msg, 0)
+					copy(msg, "XXXXX")
+				case 1:
+					p.Sleep(sim.Millisecond)
+					r.Recv(p, 0, 1, got, 0)
+				}
+			})
+			if string(got) != "hello" {
+				t.Errorf("received %q, want %q: the send aliased the sender's buffer", got, "hello")
+			}
+		})
+	}
+}
+
 func TestSendrecvExchangeNoDeadlock(t *testing.T) {
 	// Symmetric large-message exchange must not deadlock (nonblocking
 	// receive under the hood).

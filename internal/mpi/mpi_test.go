@@ -323,14 +323,18 @@ func wanTx(tb *cluster.Testbed) int64 {
 	return tb.WAN.Link().TxTotal()
 }
 
+// TestReduceAndAllreduce: Reduce's result is the rank's buffer, valid until
+// its next collective, so the root copies it out before an Allreduce of a
+// different vector, whose result must not carry Reduce's.
 func TestReduceAndAllreduce(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 7} {
 		w, _ := spreadWorld((n+1)/2, n/2, sim.Micros(10), Config{})
 		vecLen := 5
-		want := make([]float64, vecLen)
+		want, wantAll := make([]float64, vecLen), make([]float64, vecLen)
 		for i := 0; i < n; i++ {
 			for j := 0; j < vecLen; j++ {
 				want[j] += float64(i*10 + j)
+				wantAll[j] += float64(i*100 - j)
 			}
 		}
 		var rootGot []float64
@@ -342,11 +346,14 @@ func TestReduceAndAllreduce(t *testing.T) {
 			}
 			res := r.Reduce(p, 0, vals)
 			if r.ID() == 0 {
-				rootGot = res
+				rootGot = append([]float64(nil), res...)
+			}
+			for j := range vals {
+				vals[j] = float64(r.ID()*100 - j)
 			}
 			all := r.Allreduce(p, vals)
 			for j := range all {
-				if math.Abs(all[j]-want[j]) > 1e-9 {
+				if math.Abs(all[j]-wantAll[j]) > 1e-9 {
 					allOK = false
 				}
 			}

@@ -13,7 +13,9 @@ import (
 // rendezvous protocol (RTS/CTS handshake, zero-copy RDMA write).
 //
 // The returned request completes when the send buffer is reusable: for
-// eager sends, when the transport acknowledges the message; for rendezvous,
+// eager sends, when the transport acknowledges the message (the payload was
+// copied into the header's bounce buffer before Isend returned, so what the
+// receiver reads does not depend on the buffer after that); for rendezvous,
 // when the RDMA write has been acknowledged. Wait on it exactly once: after
 // Wait returns the *Request is gone (MPI_Wait frees the request).
 func (r *Rank) Isend(p *sim.Proc, dst, tag int, data []byte, size int) *Request {
@@ -47,7 +49,13 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, data []byte, size int) *Request 
 		// not this request, frees it (deliverEager): the transport ACK can
 		// complete and free this request before the receiver has read it.
 		m := r.msgs.Get()
-		*m = mpiMsg{kind: eagerMsg, src: r.id, tag: tag, size: size, data: data}
+		*m = mpiMsg{kind: eagerMsg, src: r.id, tag: tag, size: size, buf: m.buf}
+		if data != nil {
+			// The bounce-buffer copy that copyTime charges: the receiver
+			// reads the header's copy, whenever its receive matches.
+			m.buf = append(m.buf[:0], data...)
+			m.data = m.buf
+		}
 		if peer.node == r.node {
 			// Shared-memory path: single copy charged here.
 			p.Sleep(sim.Time(float64(size) * ShmPerByteNanos))

@@ -28,7 +28,11 @@ type mpiMsg struct {
 	src  int // sender rank
 	tag  int
 	size int    // payload size of the MPI message
-	data []byte // eager payload (nil for synthetic traffic)
+	data []byte // eager payload (nil for synthetic traffic): buf's copy of it
+	// buf is the eager header's bounce buffer: Isend copies a payload into it,
+	// so the sender's own buffer is free once Isend returns. It keeps its
+	// memory when the header is reset, growing to the largest payload sent.
+	buf []byte
 	// Rendezvous fields: a request is its own id.
 	sendReq *Request // RTS/CTS: the sender's request
 	recvReq *Request // CTS: the receiver's request
@@ -89,8 +93,8 @@ func (r *Rank) newRequest(peer, tag, size int, data []byte) *Request {
 // reset is the request list's reset.
 func (q *Request) reset() { *q = Request{} }
 
-// reset is the eager header list's reset.
-func (m *mpiMsg) reset() { *m = mpiMsg{} }
+// reset is the eager header list's reset; the bounce buffer keeps its memory.
+func (m *mpiMsg) reset() { *m = mpiMsg{buf: m.buf[:0]} }
 
 // owner returns the rank q belongs to; a request Wait has freed has none.
 func (q *Request) owner() *Rank {

@@ -334,3 +334,119 @@ func TestRequestsReleasedAtHome(t *testing.T) {
 		})
 	}
 }
+
+// TestRanksReleasedAtHome: a world and its ranks are records of their
+// environments' lists. Arena.Reclaim takes each rank back blank — its maps
+// and queues emptied, keeping only memory: their capacity, its collective
+// scratch and the function values made with the record — and the next world
+// on the arena is the same world record, built of the same rank records,
+// each at its own home, one rank to a record; it prints what a world on
+// fresh memory prints.
+func TestRanksReleasedAtHome(t *testing.T) {
+	collectives := func(r *Rank, p *sim.Proc) {
+		r.Allreduce(p, []float64{float64(r.ID()), 1, 2})
+		r.HierAllreduce(p, []float64{float64(r.ID())})
+		r.AlltoallSynthetic(p, 1<<10)
+	}
+	for _, arm := range releaseWorlds {
+		t.Run(arm.name, func(t *testing.T) {
+			w := arm.build(t, sim.NewEnv())
+			want := runRelease(t, w)
+			w.Run(collectives)
+			w.Shutdown()
+
+			a := sim.NewArena()
+			var prevWorld *World
+			var prev []map[*Rank]bool // round 1's records by home, in rank order
+			for round := 0; round < 2; round++ {
+				env := a.NewEnv()
+				w := arm.build(t, env)
+				homes := ranksByHome(t, w)
+				if got := runRelease(t, w); got != want {
+					t.Errorf("world %d on the arena printed\n%s\nwant (fresh memory)\n%s", round+1, got, want)
+				}
+				w.Run(collectives)
+				w.Shutdown()
+				a.Reclaim(env)
+				for _, r := range w.ranks {
+					checkBlank(t, r)
+				}
+				if round == 0 {
+					prevWorld, prev = w, homes
+					continue
+				}
+				if w != prevWorld {
+					t.Error("the second world is not the first's record")
+				}
+				if !reflect.DeepEqual(homes, prev) {
+					t.Error("the second world's ranks are not the first's records, each at its own home")
+				}
+			}
+		})
+	}
+}
+
+// ranksByHome returns the world's rank records grouped by home environment,
+// the homes in the order of their first rank.
+func ranksByHome(t *testing.T, w *World) []map[*Rank]bool {
+	var homes []map[*Rank]bool
+	index := map[*sim.Env]int{}
+	for _, r := range w.ranks {
+		i, ok := index[r.env()]
+		if !ok {
+			i = len(homes)
+			index[r.env()] = i
+			homes = append(homes, map[*Rank]bool{})
+		}
+		if homes[i][r] {
+			t.Fatalf("rank %d shares its record with another rank", r.id)
+		}
+		homes[i][r] = true
+	}
+	return homes
+}
+
+// checkBlank requires r, a rank record Arena.Reclaim took back, to keep
+// nothing of its world: empty maps, queues at length 0 with their arrays
+// cleared, and nothing else set but its scratch and the function values.
+func checkBlank(t *testing.T, r *Rank) {
+	t.Helper()
+	if len(r.qps) != 0 || len(r.byQPN) != 0 {
+		t.Errorf("a reclaimed rank keeps %d QPs by peer and %d by QPN", len(r.qps), len(r.byQPN))
+	}
+	if r.copied == nil || r.runShm == nil || r.runProgress == nil || r.run == nil {
+		t.Error("a reclaimed rank lost a function value made with its record")
+	}
+	for _, q := range r.postedRecvs[:cap(r.postedRecvs)] {
+		if q != nil {
+			t.Error("a reclaimed rank's posted receives still name a request")
+		}
+	}
+	for _, m := range r.unexpected[:cap(r.unexpected)] {
+		if m != nil {
+			t.Error("a reclaimed rank's unexpected queue still names a header")
+		}
+	}
+	for _, it := range r.shm[:cap(r.shm)] {
+		if it != (shmItem{}) {
+			t.Error("a reclaimed rank's shared-memory queue still holds an event")
+		}
+	}
+	for _, q := range r.a2a[:cap(r.a2a)] {
+		if q != nil {
+			t.Error("a reclaimed rank's alltoall requests still name a request")
+		}
+	}
+	if cap(r.acc) == 0 || cap(r.wire) == 0 || cap(r.land) == 0 {
+		t.Error("a reclaimed rank dropped its collective scratch")
+	}
+	v := *r
+	if n := len(v.postedRecvs) + len(v.unexpected) + len(v.shm) + len(v.acc) + len(v.wire) + len(v.land) + len(v.a2a); n != 0 {
+		t.Errorf("a reclaimed rank's queues and scratch hold %d entries", n)
+	}
+	v.qps, v.byQPN, v.copied, v.runShm, v.runProgress, v.run = nil, nil, nil, nil, nil, nil
+	v.postedRecvs, v.unexpected, v.shm, v.acc, v.wire, v.land, v.a2a = nil, nil, nil, nil, nil, nil, nil
+	if !reflect.ValueOf(v).IsZero() {
+		t.Errorf("a reclaimed rank keeps state of its world: %+v", v)
+	}
+}

@@ -23,18 +23,19 @@ func (st *siteTree) leader(site string) int { return st.groups[site][0] }
 func (st *siteTree) children(site string) []string { return st.kids[site] }
 
 // siteTree returns the tree for a collective rooted at rootSite (which must
-// be occupied). It depends only on placement, so the rank builds it once per
-// root site and keeps it; the cache is the rank's, not the world's, because
-// ranks on different shards ask concurrently.
-func (r *Rank) siteTree(rootSite string) *siteTree {
-	if st := r.trees[rootSite]; st != nil {
-		return st
+// be occupied). It depends only on placement, so the world builds it once per
+// root site, the first time a rank asks, and every rank shares it read-only;
+// ranks on different shards ask concurrently, hence the lock.
+func (w *World) siteTree(rootSite string) *siteTree {
+	w.treeMu.Lock()
+	defer w.treeMu.Unlock()
+	for _, st := range w.trees {
+		if st.order[0] == rootSite {
+			return st
+		}
 	}
-	if r.trees == nil {
-		r.trees = make(map[string]*siteTree)
-	}
-	st := r.buildSiteTree(rootSite)
-	r.trees[rootSite] = st
+	st := w.buildSiteTree(rootSite)
+	w.trees = append(w.trees, st)
 	return st
 }
 
@@ -45,11 +46,11 @@ func (r *Rank) siteTree(rootSite string) *siteTree {
 // down the tree crosses each WAN link on the BFS paths exactly once. Ranks
 // assembled outside the topology layer fall back to a star: every other site
 // hangs directly off the root site (exactly the two-cluster behavior when
-// there are two sites).
-func (r *Rank) buildSiteTree(rootSite string) *siteTree {
+// there are two sites). Every occupied site is in the tree's order.
+func (w *World) buildSiteTree(rootSite string) *siteTree {
 	st := &siteTree{groups: map[string][]int{}, parent: map[string]string{}, kids: map[string][]string{}}
 	var occupied []string // first-appearance order by rank id: deterministic
-	for _, rk := range r.world.ranks {
+	for _, rk := range w.ranks {
 		s := rk.node.Site()
 		if len(st.groups[s]) == 0 {
 			occupied = append(occupied, s)
@@ -61,7 +62,7 @@ func (r *Rank) buildSiteTree(rootSite string) *siteTree {
 	}
 	st.order = append(st.order, rootSite)
 	placed := map[string]bool{rootSite: true}
-	if nw := r.node.Net(); nw != nil {
+	if nw := w.ranks[0].node.Net(); nw != nil {
 		full, fparent := nw.BcastOrder(rootSite)
 		for _, s := range full {
 			if placed[s] || len(st.groups[s]) == 0 {
@@ -90,17 +91,4 @@ func (r *Rank) buildSiteTree(rootSite string) *siteTree {
 		st.kids[p] = append(st.kids[p], s)
 	}
 	return st
-}
-
-// occupiedSites returns the number of distinct sites holding ranks, counted
-// at the rank's first call.
-func (r *Rank) occupiedSites() int {
-	if r.sites == 0 {
-		seen := map[string]bool{}
-		for _, rk := range r.world.ranks {
-			seen[rk.node.Site()] = true
-		}
-		r.sites = len(seen)
-	}
-	return r.sites
 }

@@ -157,7 +157,7 @@ func TestSiteTreeFallbackStar(t *testing.T) {
 	if !ok {
 		t.Error("fallback-star HierAllreduce mismatch")
 	}
-	st := w.Rank(0).siteTree("x")
+	st := w.siteTree("x")
 	if len(st.order) != 3 || st.order[0] != "x" {
 		t.Errorf("fallback site order = %v, want x first of 3", st.order)
 	}

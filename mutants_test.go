@@ -144,6 +144,30 @@ var mutants = []mutant{
 		run:  "TestEagerTruncationKeepsPrefix",
 	},
 	{
+		name: "eager send carries the sender's buffer, not its copy",
+		file: "internal/mpi/p2p.go",
+		old:  "m.data = m.buf",
+		new:  "m.data = data",
+		pkg:  "./internal/mpi",
+		run:  "TestEagerSendBufferReusable",
+	},
+	{
+		name: "collective encoding made per call",
+		file: "internal/mpi/coll.go",
+		old:  "b := grow(dst, 8*len(v))",
+		new:  "b := make([]byte, 8*len(v))",
+		pkg:  ".",
+		run:  "TestKernelAllreduceAllocs",
+	},
+	{
+		name: "rank reset keeps its QPs",
+		file: "internal/mpi/mpi.go",
+		old:  "\tclear(r.qps)\n",
+		new:  "",
+		pkg:  "./internal/mpi",
+		run:  "TestRanksReleasedAtHome",
+	},
+	{
 		name: "rendezvous truncation checked on the backed wire path only",
 		file: "internal/mpi/proto.go",
 		old:  "if req.size < m.size {",
