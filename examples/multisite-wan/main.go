@@ -33,7 +33,7 @@ func main() {
 
 			before := make([]int64, len(nw.Links()))
 			for i, l := range nw.Links() {
-				before[i] = l.Pair.Link().TxTotal()
+				before[i] = l.Pair.Link().Counters().XmitData
 			}
 			fin := w.Run(func(r *mpi.Rank, p *sim.Proc) {
 				if hier {
@@ -49,7 +49,7 @@ func main() {
 			}
 			fmt.Printf("  %-14s %8.0f us", name, fin.Microseconds())
 			for i, l := range nw.Links() {
-				fmt.Printf("   %s=%dKB", l.Name(), (l.Pair.Link().TxTotal()-before[i])>>10)
+				fmt.Printf("   %s=%dKB", l.Name(), (l.Pair.Link().Counters().XmitData-before[i])>>10)
 			}
 			fmt.Println()
 			w.Shutdown()

@@ -96,22 +96,22 @@ func congestLedgers(nw *topo.Network, sc congestSeriesSpec) error {
 		faultFree = false
 	}
 	for _, l := range nw.Links() {
-		lk := l.Pair.Link()
+		lk := l.Pair.Link().Counters()
 		if faultFree {
-			if d := lk.Drops(); d != 0 {
+			if d := lk.FaultDrops; d != 0 {
 				return fmt.Errorf("congest: link %s counts %d injected drops in a fault-free run", l.Name(), d)
 			}
 		}
 		if sc.frac == 0 {
-			if d, m := lk.OverflowDrops(), lk.ECNMarks(); d != 0 || m != 0 {
+			if d, m := lk.XmitDiscards, lk.ECNMarks; d != 0 || m != 0 {
 				return fmt.Errorf("congest: unbounded link %s counts %d overflow drops, %d marks", l.Name(), d, m)
 			}
 		}
 		if sc.lossless {
-			if d := lk.OverflowDrops(); d != 0 {
+			if d := lk.XmitDiscards; d != 0 {
 				return fmt.Errorf("congest: lossless link %s counts %d overflow drops", l.Name(), d)
 			}
-		} else if s := lk.CreditStalls(); s != 0 {
+		} else if s := lk.XmitWait; s != 0 {
 			return fmt.Errorf("congest: lossy link %s counts %d credit stalls", l.Name(), s)
 		}
 	}

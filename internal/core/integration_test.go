@@ -52,7 +52,7 @@ func TestMPIOverLossyWAN(t *testing.T) {
 	if !ok {
 		t.Error("MPI payloads corrupted over lossy WAN")
 	}
-	if tb.WAN.Link().Drops() == 0 {
+	if tb.WAN.Link().Counters().FaultDrops == 0 {
 		t.Error("fault injection never fired; test vacuous")
 	}
 }

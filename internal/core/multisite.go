@@ -40,7 +40,7 @@ func multisiteTitle(opt Options, what string) string {
 func bcastOnce(nw *topo.Network, size int, hier bool, link *topo.WANLink) int64 {
 	w := mpi.NewWorld(nw.Env, nw.Nodes(), mpi.Config{})
 	defer w.Shutdown()
-	before := link.Pair.Link().TxTotal()
+	before := link.Pair.Link().Counters().XmitData
 	w.Run(func(r *mpi.Rank, p *sim.Proc) {
 		if hier {
 			r.HierBcast(p, 0, nil, size)
@@ -48,7 +48,7 @@ func bcastOnce(nw *topo.Network, size int, hier bool, link *topo.WANLink) int64 
 			r.Bcast(p, 0, nil, size)
 		}
 	})
-	return link.Pair.Link().TxTotal() - before
+	return link.Pair.Link().Counters().XmitData - before
 }
 
 // multisiteBcast compares the stock and WAN-aware broadcasts on the

@@ -11,8 +11,8 @@
 //     CRC at the receiver and is discarded, so its observable effect is a
 //     drop.
 //
-// The injector counts nothing: a WAN drop is counted by the link
-// (ib.Link.Drops, ib.link.drops), a TCP one by its stack
+// The injector counts nothing: a WAN drop is counted by the port that sent
+// the packet (ib.PortCounters.FaultDrops, ib.link.drops), a TCP one by its stack
 // (tcpsim.StackStats.SegDrops, tcp.seg.drops).
 //
 // Determinism: a verdict is a pure function of the plan seed, a salt per
@@ -48,11 +48,9 @@ func chance(seed, salt, dir, flow, seq uint64) float64 {
 }
 
 // FlapStep is one edge of a scheduled link flap: at time At the link goes
-// down (Down=true) or comes back up.
-type FlapStep struct {
-	At   sim.Time
-	Down bool
-}
+// down (Down=true) or comes back up. It is the edge the fabric's health
+// monitor reads, so a plan's schedule is one timeline (Plan.DownEdges).
+type FlapStep = ib.HealthTransition
 
 // Injector is the fault state for one attachment point (one link, or one
 // TCP stack): its seed and levers. Nothing in it changes once it is armed,
@@ -64,22 +62,17 @@ type Injector struct {
 	loss     float64
 	lossSalt uint64
 	corruptP float64
-	// down is the base down/up state (the WANDown lever). flaps, when
-	// non-empty, override it from the first step's time onward: the link
-	// state is a pure function of simulated time (see downAt).
-	down  bool
-	flaps []FlapStep
+	// edges is the plan's outage timeline (Plan.DownEdges): the link state
+	// is a pure function of simulated time (see downAt).
+	edges []FlapStep
 }
 
 // downAt reports the link's down/up state at time now: the Down value of
-// the last flap step with At <= now, or the base state before the first
-// step, so a packet sent at exactly a step's time already sees it.
+// the last edge with At <= now, up before the first, so a packet sent at
+// exactly an edge's time already sees it.
 func (in *Injector) downAt(now sim.Time) bool {
-	i := sort.Search(len(in.flaps), func(i int) bool { return in.flaps[i].At > now })
-	if i == 0 {
-		return in.down
-	}
-	return in.flaps[i-1].Down
+	i := sort.Search(len(in.edges), func(i int) bool { return in.edges[i].At > now })
+	return i > 0 && in.edges[i-1].Down
 }
 
 // Drop decides the fate of one transmission at simulated time now: lost to

@@ -103,23 +103,21 @@ func (p *Plan) MatchesLink(a, b string) bool {
 	return p.Link == "" || p.Link == a+"-"+b || p.Link == b+"-"+a
 }
 
-// DownEdges exports the plan's scheduled WAN outage timeline as raw
-// health transitions for the fabric's link-health monitor
-// (ib.Fabric.MonitorLink): a permanent WANDown is an edge at time zero,
-// and each flap step contributes its edge. Levers that draw randomness
-// (loss, corruption) have no schedule and are detected reactively.
+// DownEdges is the plan's scheduled WAN outage timeline, read by the WAN
+// injector and the fabric's link-health monitor (ib.Fabric.MonitorLink): a
+// permanent WANDown is an edge at time zero, and each flap step is its
+// edge, so flaps override WANDown from their first step on. The result is
+// read-only: without WANDown it is WANFlaps itself. Levers that draw
+// randomness (loss, corruption) have no schedule and are detected
+// reactively.
 func (p *Plan) DownEdges() []ib.HealthTransition {
-	if p == nil {
+	switch {
+	case p == nil:
 		return nil
+	case p.WANDown:
+		return append([]ib.HealthTransition{{At: 0, Down: true}}, p.WANFlaps...)
 	}
-	var out []ib.HealthTransition
-	if p.WANDown {
-		out = append(out, ib.HealthTransition{At: 0, Down: true})
-	}
-	for _, s := range p.WANFlaps {
-		out = append(out, ib.HealthTransition{At: s.At, Down: s.Down})
-	}
-	return out
+	return p.WANFlaps
 }
 
 // AttachPlan validates p and installs it on the environment's fault slot.
@@ -145,14 +143,14 @@ func PlanFromEnv(env *sim.Env) *Plan {
 
 // ArmWAN builds the WAN-link injector for a validated plan and attaches it
 // to link. It returns nil — and touches nothing — when no WAN lever is set.
-// The injector schedules nothing: flap steps are stored and resolved at
-// packet time (downAt), so steps in the past are naturally in effect.
+// The injector schedules nothing: the plan's edges are stored and resolved
+// at packet time (downAt), so edges in the past are naturally in effect.
 func (p *Plan) ArmWAN(link *ib.Link) *Injector {
 	if p == nil || !p.wanEnabled() {
 		return nil
 	}
 	in := &Injector{seed: p.Seed, loss: p.WANLoss, lossSalt: saltWAN,
-		corruptP: p.WANCorrupt, down: p.WANDown, flaps: p.WANFlaps}
+		corruptP: p.WANCorrupt, edges: p.DownEdges()}
 	link.DropFn = in.dropCrossing // both directions: a crossing names its own
 	return in
 }

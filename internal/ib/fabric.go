@@ -51,12 +51,10 @@ type Fabric struct {
 	byLID   []Device // indexed by LID; LIDs are dense from 1
 	routed  bool
 	// health is non-nil once MonitorLink has registered a WAN link with the
-	// self-healing layer (see health.go); routeEpoch counts re-sweeps and
-	// unreachable counts packets dropped for lack of a route. Both are
-	// atomics: on partitioned worlds they are bumped from shard events.
-	health      *healthState
-	routeEpoch  atomic.Int64
-	unreachable atomic.Int64
+	// self-healing layer (see health.go); routeEpoch counts re-sweeps, an
+	// atomic: on partitioned worlds every shard bumps it.
+	health     *healthState
+	routeEpoch atomic.Int64
 	// obs is non-nil only when a telemetry session is attached to the
 	// environment; every instrumented hot-path site is gated on this one
 	// pointer, keeping the disabled path allocation-free.
@@ -101,7 +99,8 @@ func (f *Fabric) poolFor(env *sim.Env) *pool {
 }
 
 // The fabric, its pools, devices, links, QPs and CQs are records (sim.Free)
-// whose reset keeps only memory, and a switch's closure, which names it alone.
+// whose reset keeps only memory, and a switch's or a CQ's closure, which
+// names it alone.
 
 func (pl *pool) reset() {
 	sc := &pl.sweep
@@ -376,9 +375,6 @@ type Link struct {
 	// WAN link live on different shards, so the decision must be a function of
 	// the passed time and crossing, not of state other traffic moves.
 	DropFn func(now sim.Time, c Crossing) bool
-	// drops counts packets removed by DropFn (atomic: a WAN link's two
-	// ports may transmit from different shards).
-	drops atomic.Int64
 	// wan marks the link as the long-haul WAN hop (see MarkWAN); the
 	// telemetry layer records utilization and queue spans only there.
 	wan bool
@@ -386,16 +382,6 @@ type Link struct {
 	// ConfigureQueue). Nil leaves an infinite FIFO where the only delay is
 	// serialization behind busyUntil.
 	qcfg *QueueConfig
-	// ovfDrops counts packets tail-dropped at a full bounded queue. It is a
-	// ledger disjoint from drops (injected faults) and from the fabric's
-	// unreachable-route counter: emergent loss, not configured loss.
-	ovfDrops atomic.Int64
-	// ecnMarks counts packets CE-marked at admission (queue depth at or
-	// beyond half the bound).
-	ecnMarks atomic.Int64
-	// stalls counts packets held back by lossless credit flow control
-	// instead of being dropped.
-	stalls atomic.Int64
 }
 
 // Crossing is a packet crossing a link as a drop function sees it: the
@@ -446,20 +432,6 @@ func (l *Link) ConfigureQueue(cfg QueueConfig) error {
 	return nil
 }
 
-// Queue returns the link's queue configuration, or nil when unbounded.
-func (l *Link) Queue() *QueueConfig { return l.qcfg }
-
-// OverflowDrops returns the number of packets tail-dropped at a full
-// bounded queue (disjoint from the injected-fault ledger, see Drops).
-func (l *Link) OverflowDrops() int64 { return l.ovfDrops.Load() }
-
-// ECNMarks returns the number of packets CE-marked at admission.
-func (l *Link) ECNMarks() int64 { return l.ecnMarks.Load() }
-
-// CreditStalls returns the number of packets held back by lossless credit
-// flow control.
-func (l *Link) CreditStalls() int64 { return l.stalls.Load() }
-
 // MarkWAN labels the link as the WAN hop for telemetry purposes: its ports
 // record utilization, queueing delay and wan.xmit spans when observation is
 // enabled. The wan package marks the Longbow long-haul link.
@@ -470,9 +442,6 @@ func (l *Link) Delay() sim.Time { return l.prop }
 
 // Rate returns the link data rate.
 func (l *Link) Rate() Rate { return l.rate }
-
-// Drops returns the number of packets dropped by fault injection.
-func (l *Link) Drops() int64 { return l.drops.Load() }
 
 // Lossy reports whether some link of the fabric has a drop function.
 func (f *Fabric) Lossy() bool {
@@ -486,8 +455,30 @@ func (f *Fabric) Lossy() bool {
 	return false
 }
 
-// TxTotal returns the total wire bytes carried in both directions.
-func (l *Link) TxTotal() int64 { return l.a.txBytes + l.b.txBytes }
+// PortCounters is one port's transmit-side ledger, every fact the port
+// sees about the packets it sends, under the name perfquery gives the IB
+// PortCounters attribute where there is one. Each is a plain count written
+// only on the port's own environment (the sender's shard), so it is read
+// once Run has returned. Overflow (emergent loss) and fault drops
+// (configured loss) are disjoint.
+type PortCounters struct {
+	XmitData     int64 // wire bytes sent (perfquery counts 4-byte words)
+	XmitPkts     int64 // packets sent
+	XmitDiscards int64 // packets tail-dropped at a full bounded queue
+	XmitWait     int64 // packets held by lossless credits (perfquery: ticks waited)
+	ECNMarks     int64 // packets CE-marked at admission
+	FaultDrops   int64 // packets removed on the wire by the link's DropFn
+}
+
+// Counters returns the port's ledger.
+func (p *Port) Counters() PortCounters { return p.ctr }
+
+// Counters returns the link's two ports' ledgers summed: both directions.
+func (l *Link) Counters() PortCounters {
+	a, b := l.a.ctr, l.b.ctr
+	return PortCounters{a.XmitData + b.XmitData, a.XmitPkts + b.XmitPkts, a.XmitDiscards + b.XmitDiscards,
+		a.XmitWait + b.XmitWait, a.ECNMarks + b.ECNMarks, a.FaultDrops + b.FaultDrops}
+}
 
 // Port is one link endpoint on a device, embedded in its Link. Transmission
 // is modeled with a busy-until horizon: each packet occupies the egress for
@@ -500,8 +491,7 @@ type Port struct {
 	link      *Link
 	peer      *Port
 	busyUntil sim.Time
-	txBytes   int64
-	txPkts    int64
+	ctr       PortCounters
 	// stage caches dev.stage(), and deliverArg dev.ingress(), a func(any)
 	// value the device shares among its ports, so the peer's per-packet
 	// scheduling rides the kernel's closure-free AtArg path.
@@ -591,7 +581,7 @@ func (p *Port) send(pkt *packet) {
 			// Credit-based link-level flow control: the next hop withholds
 			// credits, so the packet waits for departures instead of
 			// dropping. The verbs layers above never see loss.
-			p.link.stalls.Add(1)
+			p.ctr.XmitWait++
 			if fab.obs != nil {
 				fab.obs.wanCreditStalls.Add(1)
 			}
@@ -602,11 +592,7 @@ func (p *Port) send(pkt *packet) {
 			return
 		}
 		if full {
-			p.link.ovfDrops.Add(1)
-			if fab.obs != nil {
-				fab.obs.wanOverflowDrops.Add(1)
-			}
-			fab.trace(evDrop, p.dev, pkt, "overflow")
+			fab.discard(discardOverflow, &p.ctr.XmitDiscards, p.dev, pkt)
 			p.pool.freePacket(pkt)
 			return
 		}
@@ -617,7 +603,7 @@ func (p *Port) send(pkt *packet) {
 		// byte-identical.
 		if cfg.ECN && q.depth >= max(cfg.QueueBytes/2, 1) {
 			pkt.ecn = true
-			p.link.ecnMarks.Add(1)
+			p.ctr.ECNMarks++
 			if fab.obs != nil {
 				fab.obs.wanECNMarks.Add(1)
 			}
@@ -627,8 +613,8 @@ func (p *Port) send(pkt *packet) {
 	ser := serialization(pkt.wire, p.link.rate)
 	depart := start + ser // the instant the last bit leaves the port
 	p.busyUntil = depart
-	p.txBytes += int64(pkt.wire)
-	p.txPkts++
+	p.ctr.XmitData += int64(pkt.wire)
+	p.ctr.XmitPkts++
 	if q != nil {
 		q.depth += pkt.wire
 		q.booked.Push(booking{depart, pkt.wire})
@@ -651,11 +637,7 @@ func (p *Port) send(pkt *packet) {
 	}
 	fab.trace(evTx, p.dev, pkt, "")
 	if p.link.DropFn != nil && p.link.DropFn(now, Crossing{p.dev.LID(), p.peer.dev.LID(), pkt.src, pkt.srcQP, pkt.tx, pkt.wire}) {
-		p.link.drops.Add(1)
-		if fab.obs != nil {
-			fab.obs.linkDrops.Add(1)
-		}
-		fab.trace(evDrop, p.dev, pkt, "fault")
+		fab.discard(discardFault, &p.ctr.FaultDrops, p.dev, pkt)
 		p.pool.freePacket(pkt)
 		return
 	}
@@ -687,8 +669,8 @@ func (p *Port) sendBody(tr *train) {
 	const wire = HeaderRC + MTU
 	tr.book(p.busyUntil, serialization(wire, l.rate))
 	p.busyUntil = tr.at(tr.m - 1)
-	p.txBytes += int64(tr.m) * wire
-	p.txPkts += int64(tr.m)
+	p.ctr.XmitData += int64(tr.m) * wire
+	p.ctr.XmitPkts += int64(tr.m)
 	tr.shift(l.prop + p.peer.stage)
 }
 
@@ -752,9 +734,6 @@ func grantCredits(v any) {
 	}
 }
 
-// TxBytes returns the total wire bytes transmitted from this port.
-func (p *Port) TxBytes() int64 { return p.txBytes }
-
 // Switch is an IB switch (or, with a larger forwarding delay, an Obsidian
 // Longbow WAN extender operating in switch mode).
 type Switch struct {
@@ -768,6 +747,9 @@ type Switch struct {
 	// deliver is receive as a func(any), made once for all the switch's
 	// ports: a packet in transit does not name the switch it reaches.
 	deliver func(any)
+	// noRoute counts packets discarded for lack of a route, on the switch's
+	// own environment (see Fabric.NoRouteDrops).
+	noRoute int64
 	wireTrackCache
 }
 
@@ -806,8 +788,11 @@ func (s *Switch) receive(pkt *packet) {
 	out := s.routeTo(pkt.dst)
 	if out == nil {
 		// No route in the current epoch: a failover transition window or a
-		// true partition. The packet is discarded (Fabric.dropUnreachable).
-		s.fab.dropUnreachable(s, pkt)
+		// true partition. The switch discards the packet, as an IB switch
+		// does; the sender is not told and fails, as on any loss, when its
+		// retry budget runs out.
+		s.fab.discard(discardNoRoute, &s.noRoute, s, pkt)
+		s.pool.freePacket(pkt)
 		return
 	}
 	out.send(pkt)

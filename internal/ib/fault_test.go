@@ -101,9 +101,9 @@ func dropInstants(t *testing.T, rec *telemetry.Recorder, reason string) (n int64
 }
 
 // TestDropAccountingAgreement pushes lossy traffic across one link and
-// checks that the three independent drop ledgers agree exactly:
-// Link.Drops(), the ib.link.drops telemetry counter, and the packet log's
-// count of "drop" wire instants.
+// checks that the three independent drop ledgers agree exactly: the link's
+// FaultDrops port counters, the ib.link.drops telemetry counter, and the
+// packet log's count of "drop" wire instants.
 func TestDropAccountingAgreement(t *testing.T) {
 	env := sim.NewEnv()
 	reg, rec := telemetry.NewRegistry(), telemetry.NewRecorder(0, 0)
@@ -137,15 +137,15 @@ func TestDropAccountingAgreement(t *testing.T) {
 	env.Run()
 	env.Shutdown()
 
-	drops := link.Drops()
+	drops := link.Counters().FaultDrops
 	if drops == 0 {
 		t.Fatal("no drops at 5% loss over 200 messages; injector not armed?")
 	}
 	if got := reg.Counter("ib.link.drops").Value(); got != drops {
-		t.Errorf("telemetry ib.link.drops = %d, Link.Drops() = %d", got, drops)
+		t.Errorf("telemetry ib.link.drops = %d, FaultDrops = %d", got, drops)
 	}
 	if got := dropInstants(t, rec, "fault"); got != drops {
-		t.Errorf("drop instants = %d, Link.Drops() = %d", got, drops)
+		t.Errorf("drop instants = %d, FaultDrops = %d", got, drops)
 	}
 }
 
@@ -211,7 +211,8 @@ func TestThreeLedgerDropAccounting(t *testing.T) {
 	env.Run()
 	env.Shutdown()
 
-	inj, ovf, unr := mid.Drops(), mid.OverflowDrops(), f.UnreachableDrops()
+	c := mid.Counters()
+	inj, ovf, unr := c.FaultDrops, c.XmitDiscards, f.NoRouteDrops()
 	if inj == 0 || ovf == 0 || unr == 0 {
 		t.Fatalf("want every ledger driven: injected=%d overflow=%d unreachable=%d", inj, ovf, unr)
 	}

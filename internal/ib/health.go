@@ -93,10 +93,7 @@ type monitoredLink struct {
 // verdict edge at or before t (links start up).
 func (ml *monitoredLink) downAt(t sim.Time) bool {
 	i := sort.Search(len(ml.edges), func(i int) bool { return ml.edges[i].at > t })
-	if i == 0 {
-		return false
-	}
-	return ml.edges[i-1].down
+	return i > 0 && ml.edges[i-1].down
 }
 
 // edgeAt returns the verdict edge firing exactly at t, if any.
@@ -394,20 +391,16 @@ func (f *Fabric) HealthTransitions() int64 {
 	return f.health.transitions.Load()
 }
 
-// UnreachableDrops returns the number of packets dropped at a switch whose
-// current routing epoch has no route to the destination (a transition
-// window or a true partition).
-func (f *Fabric) UnreachableDrops() int64 { return f.unreachable.Load() }
-
-// dropUnreachable is the no-route sink: count the drop, trace it and free
-// the packet, as an IB switch discards a packet it has no route for. The
-// sender is not told; it fails, as on any loss, when its retry budget runs
-// out.
-func (f *Fabric) dropUnreachable(s *Switch, pkt *packet) {
-	f.unreachable.Add(1)
-	if obs := f.obs; obs != nil {
-		obs.routeUnreachable.Add(1)
+// NoRouteDrops returns the number of packets the fabric's switches
+// discarded because their current routing epoch had no route to the
+// destination (a transition window or a true partition). Read it once Run
+// has returned: each switch counts on its own environment.
+func (f *Fabric) NoRouteDrops() int64 {
+	var n int64
+	for _, d := range f.devices {
+		if s, ok := d.(*Switch); ok {
+			n += s.noRoute
+		}
 	}
-	f.trace(evDrop, s, pkt, "unreachable")
-	s.pool.freePacket(pkt)
+	return n
 }

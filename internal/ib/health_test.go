@@ -139,8 +139,8 @@ func TestScheduledFailoverReroutes(t *testing.T) {
 	if got := f.HealthTransitions(); got != 1 {
 		t.Errorf("HealthTransitions = %d, want 1", got)
 	}
-	if got := f.UnreachableDrops(); got != 0 {
-		t.Errorf("UnreachableDrops = %d, want 0 (alternate path exists)", got)
+	if got := f.NoRouteDrops(); got != 0 {
+		t.Errorf("NoRouteDrops = %d, want 0 (alternate path exists)", got)
 	}
 }
 
@@ -176,8 +176,8 @@ func TestUnreachableDropErrorsQP(t *testing.T) {
 	if status != StatusRetryExceeded {
 		t.Fatalf("partitioned send completed with %v, want %v", status, StatusRetryExceeded)
 	}
-	if got := f.UnreachableDrops(); got < 1 {
-		t.Errorf("UnreachableDrops = %d, want >= 1", got)
+	if got := f.NoRouteDrops(); got < 1 {
+		t.Errorf("NoRouteDrops = %d, want >= 1", got)
 	}
 	// The drop is logged at the forwarding instant: s1 looks the route up as
 	// the packet leaves its forwarding stage, not as it arrives.
@@ -234,8 +234,8 @@ func TestReactiveDetection(t *testing.T) {
 	if got := f.RouteEpochs(); got != 1 {
 		t.Errorf("RouteEpochs = %d, want 1", got)
 	}
-	if got := f.UnreachableDrops(); got < 1 {
-		t.Errorf("UnreachableDrops = %d, want >= 1", got)
+	if got := f.NoRouteDrops(); got < 1 {
+		t.Errorf("NoRouteDrops = %d, want >= 1", got)
 	}
 	// Attempt k launches one SendOverhead after its post or timeout and
 	// waits RetryTimeout << min(k, maxBackoffShift); the last attempt's

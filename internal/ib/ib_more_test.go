@@ -80,12 +80,12 @@ func TestPortTxBytesAccounting(t *testing.T) {
 	env.Run()
 	// 5000 payload = 3 packets: 2048+2048+904 payload + 3 * HeaderRC.
 	want := int64(5000 + 3*HeaderRC)
-	if got := a.FabricPort().TxBytes(); got != want {
-		t.Errorf("sender TxBytes = %d, want %d", got, want)
+	if got := a.FabricPort().Counters().XmitData; got != want {
+		t.Errorf("sender XmitData = %d, want %d", got, want)
 	}
 	// Receiver sent exactly one ack.
-	if got := b.FabricPort().TxBytes(); got != AckBytes {
-		t.Errorf("receiver TxBytes = %d, want %d (one ack)", got, AckBytes)
+	if got := b.FabricPort().Counters().XmitData; got != AckBytes {
+		t.Errorf("receiver XmitData = %d, want %d (one ack)", got, AckBytes)
 	}
 }
 

@@ -441,8 +441,8 @@ func TestRCRetransmissionRecoversFromLoss(t *testing.T) {
 	if qa.Stats().Retransmits == 0 {
 		t.Error("no retransmission recorded")
 	}
-	if l.Drops() != 1 {
-		t.Errorf("link drops = %d, want 1", l.Drops())
+	if l.Counters().FaultDrops != 1 {
+		t.Errorf("link drops = %d, want 1", l.Counters().FaultDrops)
 	}
 }
 

@@ -140,7 +140,7 @@ func losslessFIFOCase(t *testing.T, queueBytes int, sizes []int) {
 			t.Errorf("lossless link forced %d retransmits", n)
 		}
 	}
-	if n := out.OverflowDrops(); n > 0 {
+	if n := out.Counters().XmitDiscards; n > 0 {
 		t.Errorf("lossless link dropped %d packets", n)
 	}
 	if len(admitted) == 0 {
@@ -156,10 +156,10 @@ func losslessFIFOCase(t *testing.T, queueBytes int, sizes []int) {
 		}
 	}
 	if err := sameOrder(admittedWire, sent); err != nil {
-		t.Errorf("tx order differs from admission order (%d credit stalls): %v", out.CreditStalls(), err)
+		t.Errorf("tx order differs from admission order (%d credit stalls): %v", out.Counters().XmitWait, err)
 	}
 	if err := sameOrder(admitted, arrived); err != nil {
-		t.Errorf("rx order differs from admission order (%d credit stalls): %v", out.CreditStalls(), err)
+		t.Errorf("rx order differs from admission order (%d credit stalls): %v", out.Counters().XmitWait, err)
 	}
 }
 

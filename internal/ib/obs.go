@@ -20,18 +20,17 @@ type fabObs struct {
 	rcRetransmits *telemetry.Counter
 	rcGiveUps     *telemetry.Counter // retry budgets exhausted
 	qpErrors      *telemetry.Counter // QP error-state transitions
-	udRecvDrops   *telemetry.Counter
-	linkDrops     *telemetry.Counter
+
+	// One counter per discardReason (Fabric.discard).
+	discards [numDiscardReasons]*telemetry.Counter
 
 	// Bounded link queues (congestion model).
-	wanQueueDepth    *telemetry.HiResHistogram // queue depth at admission, bytes
-	wanECNMarks      *telemetry.Counter        // packets CE-marked at admission
-	wanOverflowDrops *telemetry.Counter        // tail-drops at a full queue (emergent loss)
-	wanCreditStalls  *telemetry.Counter        // packets held by lossless credit flow control
+	wanQueueDepth   *telemetry.HiResHistogram // queue depth at admission, bytes
+	wanECNMarks     *telemetry.Counter        // packets CE-marked at admission
+	wanCreditStalls *telemetry.Counter        // packets held by lossless credit flow control
 
 	// Self-healing routing layer (health.go).
 	routeEpochs       *telemetry.Counter        // subnet re-sweeps after Finalize
-	routeUnreachable  *telemetry.Counter        // packets dropped for lack of a route
 	healthTransitions *telemetry.Counter        // debounced link verdict flips
 	failoverNs        *telemetry.HiResHistogram // raw edge -> verdict latency, ns
 
@@ -121,18 +120,17 @@ func newFabObs(tel *telemetry.Telemetry) *fabObs {
 		rcRetransmits: m.Counter("ib.rc.retransmits"),
 		rcGiveUps:     m.Counter("ib.rc.retry.exhausted"),
 		qpErrors:      m.Counter("ib.qp.errors"),
-		udRecvDrops:   m.Counter("ib.ud.recv.drops"),
-		linkDrops:     m.Counter("ib.link.drops"),
 
-		wanQueueDepth:    m.HiRes("wan.link.queue.depth"),
-		wanECNMarks:      m.Counter("wan.link.ecn.marks"),
-		wanOverflowDrops: m.Counter("wan.link.overflow.drops"),
-		wanCreditStalls:  m.Counter("wan.link.credit.stalls"),
+		wanQueueDepth:   m.HiRes("wan.link.queue.depth"),
+		wanECNMarks:     m.Counter("wan.link.ecn.marks"),
+		wanCreditStalls: m.Counter("wan.link.credit.stalls"),
 
 		routeEpochs:       m.Counter("ib.route.epochs"),
-		routeUnreachable:  m.Counter("ib.route.unreachable.drops"),
 		healthTransitions: m.Counter("wan.link.health.transitions"),
 		failoverNs:        m.HiRes("ib.route.failover.ns"),
+	}
+	for r, d := range discardReasons {
+		o.discards[r] = m.Counter(d.metric)
 	}
 	if o.rec != nil {
 		o.verbsTracks = make(map[*HCA]telemetry.TrackID)
@@ -170,14 +168,45 @@ func (o *fabObs) wanTrack(p *Port) telemetry.TrackID {
 	return id
 }
 
+// discardReason is why a packet left the fabric short of its destination.
+type discardReason uint8
+
+const (
+	discardFault    discardReason = iota // removed on the wire by the link's DropFn
+	discardOverflow                      // tail-dropped at a full bounded queue
+	discardNoRoute                       // no route in the switch's routing epoch
+	discardNoRecv                        // UD datagram with no posted receive
+	numDiscardReasons
+)
+
+// discardReasons holds each reason's drop-instant reason and telemetry
+// counter.
+var discardReasons = [numDiscardReasons]struct{ trace, metric string }{
+	discardFault:    {"fault", "ib.link.drops"},
+	discardOverflow: {"overflow", "wan.link.overflow.drops"},
+	discardNoRoute:  {"unreachable", "ib.route.unreachable.drops"},
+	discardNoRecv:   {"no-recv", "ib.ud.recv.drops"},
+}
+
+// discard is the one step every discard takes: it counts the packet on the
+// site's own ledger n (a port's, a switch's or a QP's, written only on that
+// site's environment) and on the reason's telemetry counter, and logs one
+// drop instant on dev's wire track. The site frees the packet.
+func (f *Fabric) discard(r discardReason, n *int64, dev Device, pkt *packet) {
+	*n++
+	if o := f.obs; o != nil {
+		o.discards[r].Add(1)
+	}
+	f.trace(evDrop, dev, pkt, discardReasons[r].trace)
+}
+
 // trace records one wire-level event as an instant on the observing
 // device's wire track. The recorder's instant stream is the packet log of a
 // run (what -trace-out writes): "<kind> <pkt>" with the transfer id, the
-// wire bytes and, for drop, rto and err, the reason ("fault": injected on
-// the wire, "no-recv": UD datagram with no posted receive, "overflow":
-// tail-drop at a full bounded queue, "unreachable": no route, "timeout",
-// "retry-exceeded"). The retry timer has no packet at hand and passes a
-// zero-wire one of the kind a retransmission resends.
+// wire bytes and, for drop, rto and err, the reason (a drop's from
+// discardReasons, "timeout", "retry-exceeded"). The retry timer has no
+// packet at hand and passes a zero-wire one of the kind a retransmission
+// resends.
 func (f *Fabric) trace(kind evKind, dev Device, pkt *packet, reason string) {
 	o := f.obs
 	if o == nil || o.rec == nil {

@@ -293,7 +293,7 @@ func TestOwnershipFabricRecordsComeBackBlank(t *testing.T) {
 		pooled(sim.FreeOf(v, (*Link).reset), func(r *Link) { check("link", r) })
 		pooled(sim.FreeOf(v, (*HCA).reset), func(r *HCA) { check("hca", r) })
 		pooled(sim.FreeOf(v, (*QP).reset), func(r *QP) { check("qp", r) })
-		pooled(sim.FreeOf(v, (*CQ).reset), func(r *CQ) { check("cq", r) })
+		pooled(sim.FreeOf(v, (*CQ).reset), func(r *CQ) { check("cq", r, "cq.drain") })
 	}
 	// Shard 0 holds the fabric, switch 0, HCA a with its QPs and CQs and the
 	// links from them; the middle shard its switch and the link onward; the

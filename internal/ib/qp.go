@@ -140,8 +140,10 @@ type CQ struct {
 	env     *sim.Env
 	items   runs[Completion]
 	waiters sim.Ring[*sim.Event]
-	// drain, non-nil once SetHandler installed a completion handler, feeds
-	// it every queued completion; it is what post schedules.
+	// fn, non-nil once SetHandler installed it, is the completion handler.
+	// drain feeds it every queued completion and is what post schedules: a
+	// closure bound to the record, made on its first handler and kept.
+	fn    func(Completion)
 	drain func(any)
 	// armed means the handler has drained the queue and the next post must
 	// schedule a drain — a parked poller's state, without the process.
@@ -162,7 +164,7 @@ func NewCQ(env *sim.Env) *CQ {
 func (c *CQ) reset() {
 	c.items.q.Clear()
 	c.waiters.Clear()
-	*c = CQ{items: runs[Completion]{q: c.items.q}, waiters: c.waiters}
+	*c = CQ{items: runs[Completion]{q: c.items.q}, waiters: c.waiters, drain: c.drain}
 }
 
 func (c *CQ) post(comp Completion) {
@@ -191,22 +193,25 @@ func (c *CQ) post(comp Completion) {
 // those of the poll loop, without a goroutine handoff per wake-up. fn must
 // not block; where the process would sleep mid-body, fn calls Hold.
 func (c *CQ) SetHandler(fn func(Completion)) {
-	if c.drain != nil {
+	if c.fn != nil {
 		panic("ib: CQ.SetHandler called twice")
 	}
 	if c.waiters.Len() > 0 {
 		panic("ib: CQ.SetHandler on a CQ with a parked poller")
 	}
-	c.drain = func(any) {
-		for c.items.Len() > 0 {
-			c.handling = true
-			fn(c.items.pop())
-			c.handling = false
-			if c.then != nil {
-				return // held: resume goes on draining
+	c.fn = fn
+	if c.drain == nil {
+		c.drain = func(any) {
+			for c.items.Len() > 0 {
+				c.handling = true
+				c.fn(c.items.pop())
+				c.handling = false
+				if c.then != nil {
+					return // held: resume goes on draining
+				}
 			}
+			c.armed = true
 		}
-		c.armed = true
 	}
 	c.env.AtArg(0, c.drain, nil)
 }
@@ -252,7 +257,7 @@ func holdResume(cq any) {
 // Poll blocks the calling process until a completion is available and
 // returns it.
 func (c *CQ) Poll(p *sim.Proc) Completion {
-	if c.drain != nil {
+	if c.fn != nil {
 		panic("ib: CQ.Poll on a CQ with a completion handler")
 	}
 	for c.items.Len() == 0 {

@@ -77,10 +77,10 @@ func TestOneEventPerLinkCrossing(t *testing.T) {
 		if got := qb.Stats().MsgsRecv; got != msgs {
 			t.Fatalf("RC over %d links: %d of %d messages arrived", links, got, msgs)
 		}
-		if n := wan.OverflowDrops() + wan.CreditStalls(); n != 0 {
-			t.Fatalf("RC over %d links: the bound %+v held %d packets back", links, wanQueue, n)
+		if c := wan.Counters(); c.XmitDiscards+c.XmitWait != 0 {
+			t.Fatalf("RC over %d links: the bound %+v held %d packets back", links, wanQueue, c.XmitDiscards+c.XmitWait)
 		}
-		if wanQueue != nil && wanQueue.ECN && links == 1 && wan.ECNMarks() == 0 {
+		if wanQueue != nil && wanQueue.ECN && links == 1 && wan.Counters().ECNMarks == 0 {
 			t.Fatalf("RC back to back: the bound %+v marked nothing", wanQueue)
 		}
 		return env.Executed()
@@ -386,7 +386,7 @@ func stageRecurrenceCase(t *testing.T, seed int64, cov *stageCoverage) {
 		cov.overflows += int64(len(m.overflowed))
 		cov.marks += int64(len(m.marked))
 		cov.departTies += m.departTies
-		if got := m.link.ECNMarks(); got != int64(len(m.marked)) {
+		if got := m.link.Counters().ECNMarks; got != int64(len(m.marked)) {
 			t.Errorf("%s marked %d packets, the model %d", dev.Name(), got, len(m.marked))
 		}
 	}
@@ -413,7 +413,7 @@ func stageRecurrenceCase(t *testing.T, seed int64, cov *stageCoverage) {
 		tx, dropped, out := m.run(merged)
 		expect(switches[i], m, tx, dropped)
 		merged = out
-		cov.stalls += m.link.CreditStalls()
+		cov.stalls += m.link.Counters().XmitWait
 		for _, id := range m.marked {
 			ce[id] = true
 		}
@@ -503,9 +503,9 @@ func TestQueueDepthAtDepartureInstant(t *testing.T) {
 			if depth != wireB {
 				t.Errorf("%+v, %s: B admitted with %d bytes queued, want its own %d", bound, order, depth, wireB)
 			}
-			if n := link.OverflowDrops() + link.ECNMarks() + link.CreditStalls(); n != 0 || len(arrived) != 2 || arrived[1].ecn {
+			if c := link.Counters(); c.XmitDiscards+c.ECNMarks+c.XmitWait != 0 || len(arrived) != 2 || arrived[1].ecn {
 				t.Errorf("%+v, %s: %d drops, %d marks, %d stalls, %d packets arrived; want A and B, untouched",
-					bound, order, link.OverflowDrops(), link.ECNMarks(), link.CreditStalls(), len(arrived))
+					bound, order, c.XmitDiscards, c.ECNMarks, c.XmitWait, len(arrived))
 			}
 		}
 	}

@@ -69,8 +69,8 @@ func TestTrainBodyMatchesLindley(t *testing.T) {
 		if p.busyUntil != depart[m-1] {
 			t.Fatalf("case %d: the port is busy until %d after the body, per packet %d", c, p.busyUntil, depart[m-1])
 		}
-		if p.txBytes != int64(m)*wire || p.txPkts != int64(m) {
-			t.Fatalf("case %d: the body counted %d bytes in %d packets, want %d in %d", c, p.txBytes, p.txPkts, m*wire, m)
+		if p.ctr.XmitData != int64(m)*wire || p.ctr.XmitPkts != int64(m) {
+			t.Fatalf("case %d: the body counted %d bytes in %d packets, want %d in %d", c, p.ctr.XmitData, p.ctr.XmitPkts, m*wire, m)
 		}
 	}
 }
@@ -245,7 +245,7 @@ func runTrainProgram(seed int64, links int, perPacket bool) trainOutcome {
 	}
 	txTotal := func() (n int64) {
 		for _, l := range w.links {
-			n += l.TxTotal()
+			n += l.Counters().XmitData
 		}
 		return n
 	}
@@ -267,8 +267,8 @@ func runTrainProgram(seed int64, links int, perPacket bool) trainOutcome {
 		}
 	}
 	for _, l := range w.links {
-		out.portTx = append(out.portTx, l.a.TxBytes(), l.b.TxBytes())
-		out.linkTx = append(out.linkTx, l.TxTotal())
+		out.portTx = append(out.portTx, l.a.Counters().XmitData, l.b.Counters().XmitData)
+		out.linkTx = append(out.linkTx, l.Counters().XmitData)
 	}
 	return out
 }

@@ -61,11 +61,7 @@ func udSend(v any) {
 func (q *QP) udReceive(pkt *packet) {
 	t := pkt.msg
 	if q.recvQ.Len() == 0 {
-		q.stats.RecvDrops++
-		if obs := q.hca.fab.obs; obs != nil {
-			obs.udRecvDrops.Add(1)
-		}
-		q.hca.fab.trace(evDrop, q.hca, pkt, "no-recv")
+		q.hca.fab.discard(discardNoRecv, &q.stats.RecvDrops, q.hca, pkt)
 		// Nothing on this end will ever touch the transfer again; the
 		// packet's reference (released by the caller) recycles it.
 		q.hca.pool.endpointDone(t, xferRecvDone)

@@ -320,7 +320,7 @@ func TestHierBcastCrossesWANOnce(t *testing.T) {
 
 func wanTx(tb *cluster.Testbed) int64 {
 	// Sum of bytes sent in both directions over the WAN link.
-	return tb.WAN.Link().TxTotal()
+	return tb.WAN.Link().Counters().XmitData
 }
 
 // TestReduceAndAllreduce: Reduce's result is the rank's buffer, valid until

@@ -36,14 +36,14 @@ func TestHierBcastCrossesEachLinkOnce(t *testing.T) {
 		defer w.Shutdown()
 		before := make([]int64, len(nw.Links()))
 		for i, l := range nw.Links() {
-			before[i] = l.Pair.Link().TxTotal()
+			before[i] = l.Pair.Link().Counters().XmitData
 		}
 		w.Run(func(r *Rank, p *sim.Proc) {
 			r.HierBcast(p, 0, nil, size)
 		})
 		out := make(map[string]int64, len(nw.Links()))
 		for i, l := range nw.Links() {
-			out[l.Name()] = l.Pair.Link().TxTotal() - before[i]
+			out[l.Name()] = l.Pair.Link().Counters().XmitData - before[i]
 		}
 		return out
 	}

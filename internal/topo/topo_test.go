@@ -364,7 +364,7 @@ func TestFailoverBlamesOnlyFaultyLink(t *testing.T) {
 		if got := nw.Fabric.HealthTransitions(); got != 1 {
 			t.Errorf("shard workers %d: HealthTransitions = %d, want 1 (r0-r1 only)", workers, got)
 		}
-		if got := nw.Link("r0", "r3").Pair.Link().TxTotal(); got == 0 {
+		if got := nw.Link("r0", "r3").Pair.Link().Counters().XmitData; got == 0 {
 			t.Errorf("shard workers %d: the stream did not reroute over r0-r3", workers)
 		}
 		env.Shutdown()

@@ -305,6 +305,22 @@ var mutants = []mutant{
 		run:  "TestConstructionAllocs",
 	},
 	{
+		name: "a discard that skips its count",
+		file: "internal/ib/obs.go",
+		old:  "\t*n++\n",
+		new:  "",
+		pkg:  "./internal/ib",
+		run:  "TestDiscardReasonsCountOnce",
+	},
+	{
+		name: "an overflow counted on the peer port",
+		file: "internal/ib/fabric.go",
+		old:  "&p.ctr.XmitDiscards",
+		new:  "&p.peer.ctr.XmitDiscards",
+		pkg:  "./internal/ib",
+		run:  "TestDiscardReasonsCountOnce",
+	},
+	{
 		name: "pooled packet left unzeroed",
 		file: "internal/ib/packet.go",
 		old:  "\t*pkt = packet{train: pkt.train}\n",
@@ -433,10 +449,10 @@ var mutants = []mutant{
 		run:  "TestArenaIsolation",
 	},
 	{
-		name: "CQ reset keeps its drain",
+		name: "CQ reset keeps its handler",
 		file: "internal/ib/qp.go",
-		old:  "waiters: c.waiters}",
-		new:  "waiters: c.waiters, drain: c.drain}",
+		old:  "waiters: c.waiters, drain: c.drain}",
+		new:  "waiters: c.waiters, drain: c.drain, fn: c.fn}",
 		pkg:  "./internal/core",
 		run:  "TestArenaRebuildsTheFabricFromRecords",
 	},
