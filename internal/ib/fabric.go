@@ -28,8 +28,8 @@ type Device interface {
 	// below n, so entries toward now-unreachable destinations do not survive
 	// a routing epoch.
 	resetRoutes(n int)
-	// wireTrackSlot is the device's cached telemetry "wire" track (obs.go).
-	wireTrackSlot() *wireTrackCache
+	// wireTrack is the device's telemetry "wire" track (obs.go).
+	wireTrack() *track
 	fabric() *Fabric
 	// home returns the pool — and with it the environment — the device was
 	// created under (see Fabric.UseEnv).
@@ -505,6 +505,8 @@ type Port struct {
 	// cong holds the bounded-queue state for this direction when the link
 	// has a QueueConfig, and is nil otherwise.
 	cong *portQueue
+	// wanQueue is the port's telemetry "wan-queue" track (obs.go).
+	wanQueue track
 }
 
 // portQueue is one direction's bounded egress queue. All state is touched
@@ -750,7 +752,7 @@ type Switch struct {
 	// noRoute counts packets discarded for lack of a route, on the switch's
 	// own environment (see Fabric.NoRouteDrops).
 	noRoute int64
-	wireTrackCache
+	wire    track // the switch's telemetry "wire" track (obs.go)
 }
 
 // Name returns the switch name.
@@ -765,6 +767,7 @@ func (s *Switch) setLID(l LID)            { s.lid = l }
 func (s *Switch) setRoute(d LID, p *Port) { s.routes[d] = p }
 func (s *Switch) fabric() *Fabric         { return s.fab }
 func (s *Switch) home() *pool             { return s.pool }
+func (s *Switch) wireTrack() *track       { return &s.wire }
 func (s *Switch) stage() sim.Time         { return s.fwd }
 func (s *Switch) ingress() func(any)      { return s.deliver }
 

@@ -18,7 +18,8 @@ type HCA struct {
 	// an array so ports() can slice it.
 	port [1]*Port
 	qps  map[int]*QP // by QPN, made by the first CreateQP; QPs are never removed but with the world
-	wireTrackCache
+	// wire and verbs are the HCA's telemetry tracks (obs.go).
+	wire, verbs track
 }
 
 func (h *HCA) reset() {
@@ -65,6 +66,7 @@ func (h *HCA) setRoute(LID, *Port) {}
 func (h *HCA) resetRoutes(int)     {}
 func (h *HCA) fabric() *Fabric     { return h.fab }
 func (h *HCA) home() *pool         { return h.pool }
+func (h *HCA) wireTrack() *track   { return &h.wire }
 func (h *HCA) stage() sim.Time     { return PacketProc } // per-packet processing: a pipeline stage
 func (h *HCA) ingress() func(any)  { return hcaIngress }
 

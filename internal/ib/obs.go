@@ -33,23 +33,25 @@ type fabObs struct {
 	routeEpochs       *telemetry.Counter        // subnet re-sweeps after Finalize
 	healthTransitions *telemetry.Counter        // debounced link verdict flips
 	failoverNs        *telemetry.HiResHistogram // raw edge -> verdict latency, ns
-
-	// Track caches: HCAs and WAN ports are few and long-lived, so per-event
-	// track resolution is a map hit. The per-packet wire track is cached on
-	// the device itself (wireTrackCache).
-	verbsTracks map[*HCA]telemetry.TrackID
-	wanTracks   map[*Port]telemetry.TrackID
 }
 
-// wireTrackCache is a device's "wire" track, registered with the recorder
-// on the device's first wire event (registration order fixes the exported
-// pid/tid numbering, so it stays lazy). HCA and Switch embed one.
-type wireTrackCache struct {
-	wireTrack   telemetry.TrackID
-	wireTracked bool
+// track is a telemetry track cached on the record it belongs to (an HCA's
+// "wire" and "verbs" tracks, a switch's "wire" track, a port's "wan-queue"
+// track), registered with the recorder at its first use: registration order
+// fixes the exported pid/tid numbering, so it stays lazy. The records'
+// resets zero it.
+type track struct {
+	id telemetry.TrackID
+	ok bool
 }
 
-func (c *wireTrackCache) wireTrackSlot() *wireTrackCache { return c }
+// of returns the track, registering it as name's kind track on first use.
+func (c *track) of(rec *telemetry.Recorder, name, kind string) telemetry.TrackID {
+	if !c.ok {
+		c.id, c.ok = rec.Track(name, kind), true
+	}
+	return c.id
+}
 
 // evKind is a wire instant's kind: packet departure (tx), arrival at the
 // destination device (rx), a drop, an RC retry-timeout expiry (rto) and the
@@ -132,40 +134,22 @@ func newFabObs(tel *telemetry.Telemetry) *fabObs {
 	for r, d := range discardReasons {
 		o.discards[r] = m.Counter(d.metric)
 	}
-	if o.rec != nil {
-		o.verbsTracks = make(map[*HCA]telemetry.TrackID)
-		o.wanTracks = make(map[*Port]telemetry.TrackID)
-	}
 	return o
 }
 
 // verbsTrack is the per-HCA track carrying verbs operation spans.
 func (o *fabObs) verbsTrack(h *HCA) telemetry.TrackID {
-	id, ok := o.verbsTracks[h]
-	if !ok {
-		id = o.rec.Track(h.name, "verbs")
-		o.verbsTracks[h] = id
-	}
-	return id
+	return h.verbs.of(o.rec, h.name, "verbs")
 }
 
 // wireTrack is the per-device track carrying wire-level instant events.
 func (o *fabObs) wireTrack(dev Device) telemetry.TrackID {
-	c := dev.wireTrackSlot()
-	if !c.wireTracked {
-		c.wireTrack, c.wireTracked = o.rec.Track(dev.Name(), "wire"), true
-	}
-	return c.wireTrack
+	return dev.wireTrack().of(o.rec, dev.Name(), "wire")
 }
 
 // wanTrack is the per-WAN-port track carrying wan.xmit queue spans.
 func (o *fabObs) wanTrack(p *Port) telemetry.TrackID {
-	id, ok := o.wanTracks[p]
-	if !ok {
-		id = o.rec.Track(p.dev.Name(), "wan-queue")
-		o.wanTracks[p] = id
-	}
-	return id
+	return p.wanQueue.of(o.rec, p.dev.Name(), "wan-queue")
 }
 
 // discardReason is why a packet left the fabric short of its destination.
@@ -201,7 +185,8 @@ func (f *Fabric) discard(r discardReason, n *int64, dev Device, pkt *packet) {
 }
 
 // trace records one wire-level event as an instant on the observing
-// device's wire track. The recorder's instant stream is the packet log of a
+// device's wire track, read off that device's clock (its own shard's on a
+// partitioned world). The recorder's instant stream is the packet log of a
 // run (what -trace-out writes): "<kind> <pkt>" with the transfer id, the
 // wire bytes and, for drop, rto and err, the reason (a drop's from
 // discardReasons, "timeout", "retry-exceeded"). The retry timer has no
@@ -216,7 +201,7 @@ func (f *Fabric) trace(kind evKind, dev Device, pkt *packet, reason string) {
 	if pkt.ud {
 		pk = pktUD
 	}
-	at := f.env.Now()
+	at := dev.home().env.Now()
 	if kind == evRx {
 		at -= PacketProc // logged as the HCA's ingress stage ends, stamped at wire arrival
 	}

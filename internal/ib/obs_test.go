@@ -1,6 +1,8 @@
 package ib
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -145,5 +147,86 @@ func TestPktKindStrings(t *testing.T) {
 	}
 	if !strings.Contains(pktKind(99).String(), "unknown") {
 		t.Error("unknown kind")
+	}
+}
+
+// TestTraceInstantsOnTheDeviceClock sends RC messages across a lossy line
+// a — sw0 — sw1 — b, once on one environment and once partitioned into two
+// shards (a and sw0 on the first, sw1 and b on the second) run by one worker,
+// with a span recorder attached. A wire instant is stamped with the clock of
+// the device that saw it, so the two packet logs hold the same instants;
+// stamped with the fabric's clock, sw1's and b's would carry the first
+// shard's time.
+func TestTraceInstantsOnTheDeviceClock(t *testing.T) {
+	const delay = 50 * sim.Microsecond
+	run := func(shards int) []string {
+		env := sim.NewEnv()
+		rec := telemetry.NewRecorder(0, 0)
+		telemetry.Attach(env, &telemetry.Telemetry{Spans: rec})
+		views := []*sim.Env{env, env}
+		if shards == 2 {
+			env.SetShardWorkers(1)
+			views = env.Partition(2)
+			views[0].RegisterLookaheadBetween(views[1], delay)
+			views[1].RegisterLookaheadBetween(views[0], delay)
+		}
+		f := NewFabric(env)
+		f.UseEnv(views[0])
+		a, sw0 := f.AddHCA("a"), f.AddSwitch("sw0", SwitchDelay)
+		f.Connect(a, sw0, SDR, DefaultCableDelay)
+		f.UseEnv(views[1])
+		b, sw1 := f.AddHCA("b"), f.AddSwitch("sw1", SwitchDelay)
+		f.Connect(sw1, b, SDR, DefaultCableDelay)
+		wan := f.Connect(sw0, sw1, SDR, delay)
+		wan.DropFn = func(_ sim.Time, c Crossing) bool { return c.Tx%7 == 3 }
+		f.Finalize()
+		const count = 12
+		qa, qb := CreateRCPair(a, b, nil, nil, QPConfig{MaxInflight: 4, RetryTimeout: sim.Millisecond})
+		b.Env().Go("recv", func(p *sim.Proc) {
+			for range count {
+				qb.PostRecv(RecvWR{})
+			}
+			for range count {
+				qb.CQ().Poll(p)
+			}
+		})
+		a.Env().Go("send", func(p *sim.Proc) {
+			for range count {
+				qa.PostSend(SendWR{Op: OpSend, Len: 8 << 10})
+			}
+			for range count {
+				if c := qa.CQ().Poll(p); c.Status != StatusOK {
+					panic(c.Status)
+				}
+			}
+		})
+		env.Run()
+		env.Shutdown()
+		tracks := rec.Tracks()
+		var log []string
+		for _, in := range rec.Instants() {
+			log = append(log, fmt.Sprintf("%d %s %s msg=%d wire=%d %s",
+				in.Time, tracks[in.Track][0], in.Name, in.Msg, in.Wire, in.Reason))
+		}
+		slices.Sort(log)
+		return log
+	}
+	one, two := run(1), run(2)
+	drops := 0
+	for _, in := range one {
+		if strings.Contains(in, " drop ") {
+			drops++
+		}
+	}
+	if drops == 0 {
+		t.Fatal("the lossy line dropped nothing")
+	}
+	if !slices.Equal(one, two) {
+		for i := range min(len(one), len(two)) {
+			if one[i] != two[i] {
+				t.Fatalf("instant %d of %d: one shard %q, two shards %q", i, len(one), one[i], two[i])
+			}
+		}
+		t.Fatalf("one shard logs %d instants, two shards %d", len(one), len(two))
 	}
 }

@@ -181,25 +181,6 @@ type transfer struct {
 	span telemetry.SpanRef
 }
 
-// reset zeroes the transfer for freelist reuse. Field-by-field rather than
-// a struct assignment: the atomic must not be copied.
-func (t *transfer) reset() {
-	t.id = 0
-	t.wr = SendWR{}
-	t.size = 0
-	t.origin = nil
-	t.qpSeq = 0
-	t.retry = sim.Key{}
-	t.acked = false
-	t.retried = 0
-	t.epoch = 0
-	t.got = 0
-	t.delivered = false
-	t.ecn = false
-	t.readData = nil
-	t.udData = nil
-	t.rwr = RecvWR{}
-	t.resp = nil
-	t.state.Store(0)
-	t.span = telemetry.SpanRef{}
-}
+// reset zeroes the transfer for freelist reuse. Assigning a composite
+// literal copies no atomic: the state word is zeroed in place.
+func (t *transfer) reset() { *t = transfer{} }

@@ -29,18 +29,65 @@ func (r *Rank) Barrier(p *sim.Proc) {
 	}
 }
 
+// tree is a rank's place in the binomial tree over the group ids rooted at
+// one of them, the one tree every tree collective walks. Positions count
+// from the root: the root is v = 0, the parent of v is v-up, where up is v's
+// lowest set bit, and the children of v are v+mask for each power of two
+// mask < up that stays inside the group. The root's up is nextPow2(n), so
+// its children follow the same rule.
+type tree struct {
+	ids     []int
+	rootPos int // the root's position in ids
+	v, up   int
+}
+
+// posIn returns rank self's place in the binomial tree over ids rooted at
+// rank root; both must be in ids.
+func posIn(ids []int, self, root int) tree {
+	me, t := -1, tree{ids: ids, rootPos: -1}
+	for i, id := range ids {
+		if id == self {
+			me = i
+		}
+		if id == root {
+			t.rootPos = i
+		}
+	}
+	if me < 0 || t.rootPos < 0 {
+		panic("mpi: collective called by a rank outside its group")
+	}
+	n := len(ids)
+	t.v = (me - t.rootPos + n) % n
+	t.up = nextPow2(n)
+	if t.v != 0 {
+		t.up = t.v & -t.v
+	}
+	return t
+}
+
+// at returns the rank id at distance v from the root.
+func (t tree) at(v int) int { return t.ids[(v+t.rootPos)%len(t.ids)] }
+
+func nextPow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
+
 // BcastLargeMin is the message size at which Bcast switches from the
-// binomial tree to the scatter + ring-allgather algorithm, as MVAPICH2
-// does. The ring stage is what makes the topology-unaware broadcast pay
-// many WAN crossings for large messages (Fig. 11's "Original" curves).
+// binomial tree to the scatter + allgather algorithms, as MVAPICH2 does. The
+// allgather stage is what makes the topology-unaware broadcast pay many WAN
+// crossings for large messages (Fig. 11's "Original" curves).
 const BcastLargeMin = 16 << 10
 
 // Bcast broadcasts size bytes (or data, at the root) from root to all
 // ranks, using the topology-unaware algorithms of the stock library: a
-// binomial tree for small messages and scatter + ring allgather for large
-// ones. On non-root ranks data (when non-nil) is the landing buffer, as in
-// MPI_Bcast; the returned slice holds the payload (nil for synthetic
-// traffic).
+// binomial tree for small messages and a binomial scatter followed by an
+// allgather for large ones. On non-root ranks data (when non-nil) is the
+// landing buffer, as in MPI_Bcast; the returned slice holds the payload (nil
+// for synthetic traffic).
 func (r *Rank) Bcast(p *sim.Proc, root int, data []byte, size int) []byte {
 	if data != nil {
 		size = len(data)
@@ -48,14 +95,43 @@ func (r *Rank) Bcast(p *sim.Proc, root int, data []byte, size int) []byte {
 	r.collSeq++
 	defer endColl(r.beginColl("coll.bcast"))
 	n := len(r.world.ranks)
-	ids := r.world.ids[:n]
+	t := posIn(r.world.ids[:n], r.id, root)
 	if size >= BcastLargeMin && n > 2 {
 		if n&(n-1) == 0 {
-			return r.bcastScatterRD(p, root, data, size, ids)
+			return r.bcastScatterRD(p, t, data, size)
 		}
-		return r.bcastScatterRing(p, root, data, size, ids)
+		return r.bcastScatterRing(p, t, data, size)
 	}
-	return r.bcastTree(p, root, data, size, ids, r.collTag(0))
+	return r.bcastTree(p, t, data, size, r.collTag(0))
+}
+
+// chunks returns chunks [a, b) of size bytes cut into n chunks: the payload
+// (nil for synthetic traffic) and its length.
+func chunks(data []byte, size, n, a, b int) ([]byte, int) {
+	lo, hi := size*a/n, size*b/n
+	if data == nil {
+		return nil, hi - lo
+	}
+	return data[lo:hi], hi - lo
+}
+
+// scatter cuts size bytes into one chunk per rank and hands each rank the
+// chunks of its subtree, [v, v+up), down the binomial tree, farthest subtree
+// first. Ranges are clamped to the group; on a power-of-two group no clamp
+// binds, so both large-message broadcasts start here. No range is empty:
+// size is at least BcastLargeMin, far more bytes than a world has ranks.
+func (r *Rank) scatter(p *sim.Proc, t tree, data []byte, size int) {
+	n := len(t.ids)
+	if t.v != 0 {
+		b, nb := chunks(data, size, n, t.v, min(t.v+t.up, n))
+		r.Irecv(t.at(t.v-t.up), r.collTag(0), b, nb).Wait(p)
+	}
+	for mask := t.up / 2; mask > 0; mask >>= 1 {
+		if c := t.v + mask; c < n {
+			b, nb := chunks(data, size, n, c, min(c+mask, n))
+			r.Send(p, t.at(c), r.collTag(0), b, nb)
+		}
+	}
 }
 
 // bcastScatterRD implements the power-of-two large-message broadcast:
@@ -65,189 +141,61 @@ func (r *Rank) Bcast(p *sim.Proc, root int, data []byte, size int) []byte {
 // block placement, the scatter and the top allgather step each cross the
 // WAN once, which is why the WAN-aware hierarchical broadcast (one
 // crossing) wins moderately rather than overwhelmingly (paper Fig. 11).
-func (r *Rank) bcastScatterRD(p *sim.Proc, root int, data []byte, size int, ids []int) []byte {
-	n := len(ids)
-	me, rootPos := -1, -1
-	for i, id := range ids {
-		if id == r.id {
-			me = i
-		}
-		if id == root {
-			rootPos = i
-		}
-	}
-	vrank := (me - rootPos + n) % n
-	chunkLo := func(v int) int { return size * v / n }
-	slice := func(lo, hi int) []byte {
-		if data == nil {
-			return nil
-		}
-		return data[lo:hi]
-	}
-	// Binomial scatter down to single chunks.
-	if vrank != 0 {
-		mask := 1
-		for vrank&mask == 0 {
-			mask <<= 1
-		}
-		parent := (vrank - mask + rootPos) % n
-		lo, hi := chunkLo(vrank), chunkLo(vrank+mask)
-		req := r.Irecv(ids[parent], r.collTag(0), slice(lo, hi), hi-lo)
-		req.Wait(p)
-	}
-	for mask := nextPow2(n) / 2; mask > 0; mask >>= 1 {
-		if vrank&(2*mask-1) == 0 && vrank+mask < n {
-			lo, hi := chunkLo(vrank+mask), chunkLo(vrank+2*mask)
-			child := (vrank + mask + rootPos) % n
-			r.Send(p, ids[child], r.collTag(0), slice(lo, hi), hi-lo)
-		}
-	}
-	// Recursive-doubling allgather: at step with the given mask, exchange
-	// the currently held block (mask chunks) with vrank^mask.
+func (r *Rank) bcastScatterRD(p *sim.Proc, t tree, data []byte, size int) []byte {
+	n := len(t.ids)
+	r.scatter(p, t, data, size)
+	// At the step with the given mask, exchange the held block of mask
+	// chunks for the partner's, v^mask.
 	for mask, round := 1, 1; mask < n; mask, round = mask*2, round+1 {
-		base := vrank &^ (2*mask - 1)
-		var sendLo, sendHi, recvLo, recvHi int
-		if vrank&mask == 0 {
-			sendLo, sendHi = chunkLo(base), chunkLo(base+mask)
-			recvLo, recvHi = chunkLo(base+mask), chunkLo(base+2*mask)
-		} else {
-			sendLo, sendHi = chunkLo(base+mask), chunkLo(base+2*mask)
-			recvLo, recvHi = chunkLo(base), chunkLo(base+mask)
+		base := t.v &^ (2*mask - 1)
+		mine, theirs := base, base+mask
+		if t.v&mask != 0 {
+			mine, theirs = theirs, mine
 		}
-		partner := ids[(vrank^mask+rootPos)%n]
-		r.Sendrecv(p, partner, r.collTag(round), slice(sendLo, sendHi), sendHi-sendLo,
-			partner, r.collTag(round), slice(recvLo, recvHi), recvHi-recvLo)
+		sb, sn := chunks(data, size, n, mine, mine+mask)
+		rb, rn := chunks(data, size, n, theirs, theirs+mask)
+		partner := t.at(t.v ^ mask)
+		r.Sendrecv(p, partner, r.collTag(round), sb, sn, partner, r.collTag(round), rb, rn)
 	}
 	return data
 }
 
-// bcastScatterRing implements the large-message broadcast: binomial scatter
-// of size/n chunks followed by a ring allgather (n-1 steps). Every ring
-// step moves a chunk across every boundary between adjacent ranks — on a
-// cluster-of-clusters, two of those boundaries are the WAN link, so the
+// bcastScatterRing implements the other large-message broadcast: binomial
+// scatter of size/n chunks followed by a ring allgather (n-1 steps). Every
+// ring step moves a chunk across every boundary between adjacent ranks — on
+// a cluster-of-clusters, two of those boundaries are the WAN link, so the
 // payload crosses the WAN many times.
-func (r *Rank) bcastScatterRing(p *sim.Proc, root int, data []byte, size int, ids []int) []byte {
-	n := len(ids)
-	me, rootPos := -1, -1
-	for i, id := range ids {
-		if id == r.id {
-			me = i
-		}
-		if id == root {
-			rootPos = i
-		}
-	}
-	vrank := (me - rootPos + n) % n
-	chunkLo := func(v int) int { return size * v / n }
-	slice := func(lo, hi int) []byte {
-		if data == nil {
-			return nil
-		}
-		return data[lo:hi]
-	}
-	// Binomial scatter: each node holds chunk range [vrank, hi) and
-	// forwards the upper half to vrank+mask.
-	hi := n
-	if vrank != 0 {
-		mask := 1
-		for vrank&mask == 0 {
-			mask <<= 1
-		}
-		parent := (vrank - mask + rootPos) % n
-		hi = vrank + mask
-		if hi > n {
-			hi = n
-		}
-		lo := chunkLo(vrank)
-		hiB := chunkLo(hi)
-		req := r.Irecv(ids[parent], r.collTag(0), slice(lo, hiB), hiB-lo)
-		req.Wait(p)
-	}
-	for mask := nextPow2(n) / 2; mask > 0; mask >>= 1 {
-		if vrank&(2*mask-1) == 0 && vrank+mask < n {
-			childHi := vrank + 2*mask
-			if childHi > hi {
-				childHi = hi
-			}
-			if childHi > n {
-				childHi = n
-			}
-			lo := chunkLo(vrank + mask)
-			hiB := chunkLo(childHi)
-			if hiB > lo {
-				child := (vrank + mask + rootPos) % n
-				r.Send(p, ids[child], r.collTag(0), slice(lo, hiB), hiB-lo)
-			}
-		}
-	}
-	// Ring allgather: step s passes chunk (vrank-s) to the right.
-	right := ids[(me+1)%n]
-	left := ids[(me-1+n)%n]
+func (r *Rank) bcastScatterRing(p *sim.Proc, t tree, data []byte, size int) []byte {
+	n := len(t.ids)
+	r.scatter(p, t, data, size)
+	// Step s passes chunk v-s to the right.
+	right, left := t.at(t.v+1), t.at(t.v-1+n)
 	for s := 0; s < n-1; s++ {
-		sendChunk := ((vrank-s)%n + n) % n
-		recvChunk := ((vrank-s-1)%n + n) % n
-		sLo, sHi := chunkLo(sendChunk), chunkLo(sendChunk+1)
-		rLo, rHi := chunkLo(recvChunk), chunkLo(recvChunk+1)
-		r.Sendrecv(p, right, r.collTag(1+s), slice(sLo, sHi), sHi-sLo,
-			left, r.collTag(1+s), slice(rLo, rHi), rHi-rLo)
+		send, recv := (t.v-s+n)%n, (t.v-s-1+n)%n
+		sb, sn := chunks(data, size, n, send, send+1)
+		rb, rn := chunks(data, size, n, recv, recv+1)
+		r.Sendrecv(p, right, r.collTag(1+s), sb, sn, left, r.collTag(1+s), rb, rn)
 	}
 	return data
 }
 
-// bcastTree runs a binomial broadcast among the given rank ids (which must
-// include r.id); root is an absolute rank id in ids.
-func (r *Rank) bcastTree(p *sim.Proc, root int, data []byte, size int, ids []int, tag int) []byte {
-	n := len(ids)
-	if n <= 1 {
-		return data
-	}
-	// Position of this rank and the root within the group.
-	me, rootPos := -1, -1
-	for i, id := range ids {
-		if id == r.id {
-			me = i
-		}
-		if id == root {
-			rootPos = i
-		}
-	}
-	if me < 0 || rootPos < 0 {
-		panic("mpi: bcastTree called by rank outside group")
-	}
-	vrank := (me - rootPos + n) % n
-	// Receive phase (non-root): the parent holds the highest set bit of
-	// vrank. As in MPI_Bcast, data doubles as the landing buffer on
-	// non-root ranks (nil keeps the traffic synthetic).
-	if vrank != 0 {
-		// The parent differs in the lowest set bit of vrank.
-		mask := 1
-		for vrank&mask == 0 {
-			mask <<= 1
-		}
-		parent := (vrank - mask + rootPos) % n
-		req := r.Irecv(ids[parent], tag, data, size)
-		got, _ := req.Wait(p)
+// bcastTree runs a binomial broadcast down t. As in MPI_Bcast, data doubles
+// as the landing buffer on non-root ranks (nil keeps the traffic synthetic).
+func (r *Rank) bcastTree(p *sim.Proc, t tree, data []byte, size int, tag int) []byte {
+	if t.v != 0 {
+		got, _ := r.Irecv(t.at(t.v-t.up), tag, data, size).Wait(p)
 		size = got
 		if data != nil {
 			data = data[:got]
 		}
 	}
-	// Send phase: forward to children, farthest subtree first.
-	for mask := nextPow2(n) / 2; mask > 0; mask >>= 1 {
-		if vrank&(2*mask-1) == 0 && vrank+mask < n {
-			child := (vrank + mask + rootPos) % n
-			r.Send(p, ids[child], tag, data, size)
+	// Forward to the children, farthest subtree first.
+	for mask := t.up / 2; mask > 0; mask >>= 1 {
+		if t.v+mask < len(t.ids) {
+			r.Send(p, t.at(t.v+mask), tag, data, size)
 		}
 	}
 	return data
-}
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // HierBcast is the paper's WAN-aware broadcast (§3.4, "MPI Broadcast
@@ -269,7 +217,7 @@ func (r *Rank) HierBcast(p *sim.Proc, root int, data []byte, size int) []byte {
 	mySite := r.node.Site()
 	mine := st.groups[mySite]
 	if len(st.order) == 1 {
-		return r.bcastTree(p, root, data, size, mine, tag)
+		return r.bcastTree(p, posIn(mine, r.id, root), data, size, tag)
 	}
 	localRoot := st.leader(mySite)
 	if mySite == rootSite {
@@ -296,7 +244,25 @@ func (r *Rank) HierBcast(p *sim.Proc, root int, data []byte, size int) []byte {
 			r.Send(p, st.leader(child), wanTag, data, size)
 		}
 	}
-	return r.bcastTree(p, localRoot, data, size, mine, tag)
+	return r.bcastTree(p, posIn(mine, r.id, localRoot), data, size, tag)
+}
+
+// reduceTree sums vals up t onto its root: each rank adds its children's
+// partial sums, nearest child first, then sends its own to its parent. It
+// returns the sum (the rank's accumulator) at the root and nil elsewhere.
+func (r *Rank) reduceTree(p *sim.Proc, t tree, vals []float64, tag int) []float64 {
+	acc := r.accumulate(vals)
+	for mask := 1; mask < t.up; mask <<= 1 {
+		if t.v+mask < len(t.ids) {
+			got, _ := r.Recv(p, t.at(t.v+mask), tag, r.landing(len(vals)), 0)
+			addF64(acc, r.land[:got])
+		}
+	}
+	if t.v == 0 {
+		return acc
+	}
+	r.Send(p, t.at(t.v-t.up), tag, r.encode(acc), 0)
+	return nil
 }
 
 // Reduce sums float64 vectors onto root over a binomial tree and returns
@@ -305,24 +271,8 @@ func (r *Rank) HierBcast(p *sim.Proc, root int, data []byte, size int) []byte {
 // buffer is the caller's until it is posted again. vals may be such a result.
 func (r *Rank) Reduce(p *sim.Proc, root int, vals []float64) []float64 {
 	r.collSeq++
-	tag := r.collTag(0)
 	n := len(r.world.ranks)
-	vrank := (r.id - root + n) % n
-	acc := r.accumulate(vals)
-	// Receive from children (vrank + mask), then send to parent.
-	for mask := 1; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			parent := ((vrank &^ mask) + root) % n
-			r.Send(p, parent, tag, r.encode(acc), 0)
-			return nil
-		}
-		if vrank+mask < n {
-			child := (vrank + mask + root) % n
-			got, _ := r.Recv(p, child, tag, r.landing(len(vals)), 0)
-			addF64(acc, r.land[:got])
-		}
-	}
-	return acc
+	return r.reduceTree(p, posIn(r.world.ids[:n], r.id, root), vals, r.collTag(0))
 }
 
 // Allreduce sums float64 vectors across all ranks (reduce to rank 0, then
@@ -351,7 +301,7 @@ func (r *Rank) Allreduce(p *sim.Proc, vals []float64) []float64 {
 func (r *Rank) AlltoallSynthetic(p *sim.Proc, sizePer int) {
 	r.collSeq++
 	n := len(r.world.ranks)
-	reqs := r.a2a[:0]
+	reqs := r.batch[:0]
 	for i := 1; i < n; i++ {
 		src := (r.id - i + n) % n
 		reqs = append(reqs, r.Irecv(src, r.collTag(0), nil, sizePer))
@@ -361,7 +311,7 @@ func (r *Rank) AlltoallSynthetic(p *sim.Proc, sizePer int) {
 		reqs = append(reqs, r.Isend(p, dst, r.collTag(0), nil, sizePer))
 	}
 	WaitAll(p, reqs)
-	r.a2a = emptied(reqs) // Wait freed them
+	r.batch = emptied(reqs) // Wait freed them
 }
 
 // accumulate copies vals into the rank's accumulator and returns it.

@@ -32,8 +32,9 @@ func (r *Rank) HierAllreduce(p *sim.Proc, vals []float64) []float64 {
 	}
 	mine := st.groups[mySite]
 	leader, remoteLeader := st.leader(mySite), st.leader(otherSite)
-	// Local binomial reduce onto the leader (positions within the group).
-	acc := r.localReduce(p, mine, vals, tagReduce)
+	// Local binomial reduce onto the leader, then the same tree back down.
+	t := posIn(mine, r.id, leader)
+	acc := r.reduceTree(p, t, vals, tagReduce)
 	// Leaders exchange partial sums (one WAN round trip) and combine.
 	var result []byte
 	if r.id == leader {
@@ -44,31 +45,8 @@ func (r *Rank) HierAllreduce(p *sim.Proc, vals []float64) []float64 {
 	} else {
 		result = r.landing(len(vals))
 	}
-	// Local broadcast of the global result.
-	out := r.bcastTree(p, leader, result, 8*len(vals), mine, tagBcast)
+	out := r.bcastTree(p, t, result, 8*len(vals), tagBcast)
 	return r.decode(out)
-}
-
-// localReduce runs a binomial sum-reduction of vals onto ids[0] using
-// positions within the group; it returns the accumulated vector (the rank's
-// accumulator) on ids[0] and nil on every other rank.
-func (r *Rank) localReduce(p *sim.Proc, ids []int, vals []float64, tag int) []float64 {
-	me := indexOf(ids, r.id)
-	n := len(ids)
-	acc := r.accumulate(vals)
-	for mask := 1; mask < n; mask <<= 1 {
-		if me&mask != 0 {
-			parent := ids[me&^mask]
-			r.Send(p, parent, tag, r.encode(acc), 0)
-			return nil
-		}
-		if me+mask < n {
-			child := ids[me+mask]
-			got, _ := r.Recv(p, child, tag, r.landing(len(vals)), 0)
-			addF64(acc, r.land[:got])
-		}
-	}
-	return acc
 }
 
 // hierAllreduceTree is the >=3-site allreduce over st, the tree rooted at
@@ -86,7 +64,8 @@ func (r *Rank) hierAllreduceTree(p *sim.Proc, vals []float64, st *siteTree) []fl
 	mySite := r.node.Site()
 	mine := st.groups[mySite]
 	leader := st.leader(mySite)
-	acc := r.localReduce(p, mine, vals, tagReduce)
+	t := posIn(mine, r.id, leader)
+	acc := r.reduceTree(p, t, vals, tagReduce)
 	var result []byte
 	if r.id == leader {
 		buf := r.landing(len(vals)) // one receive buffer for the whole call
@@ -107,15 +86,6 @@ func (r *Rank) hierAllreduceTree(p *sim.Proc, vals []float64, st *siteTree) []fl
 	} else {
 		result = r.landing(len(vals))
 	}
-	out := r.bcastTree(p, leader, result, 8*len(vals), mine, tagBcast)
+	out := r.bcastTree(p, t, result, 8*len(vals), tagBcast)
 	return r.decode(out)
-}
-
-func indexOf(ids []int, id int) int {
-	for i, v := range ids {
-		if v == id {
-			return i
-		}
-	}
-	panic("mpi: rank not in its own cluster group")
 }

@@ -370,11 +370,12 @@ type Rank struct {
 	// Collective scratch, grown to the largest vector seen (coll.go): the
 	// accumulator, which is also the result a reduction returns, the
 	// encoding of what the rank sends, the landing buffer of what it
-	// receives, and AlltoallSynthetic's requests.
-	acc  []float64
-	wire []byte
-	land []byte
-	a2a  []*Request
+	// receives, and the requests of a batch posted at once (AlltoallSynthetic,
+	// an OMB window; omb.go).
+	acc   []float64
+	wire  []byte
+	land  []byte
+	batch []*Request
 
 	// Telemetry: the rank's trace track (lazily created) and the span of
 	// the collective currently executing on this rank, which point-to-point
@@ -404,7 +405,7 @@ func (r *Rank) reset() {
 		qps: r.qps, byQPN: r.byQPN,
 		postedRecvs: emptied(r.postedRecvs), unexpected: emptied(r.unexpected), shm: emptied(r.shm),
 		copied: r.copied, runShm: r.runShm, runProgress: r.runProgress, run: r.run,
-		acc: r.acc[:0], wire: r.wire[:0], land: r.land[:0], a2a: emptied(r.a2a),
+		acc: r.acc[:0], wire: r.wire[:0], land: r.land[:0], batch: emptied(r.batch),
 	}
 }
 

@@ -233,10 +233,10 @@ func TestBcastDeliversData(t *testing.T) {
 }
 
 func TestLargeBcastScatterRingDeliversData(t *testing.T) {
-	// Above BcastLargeMin the flat Bcast switches to scatter + ring
-	// allgather; verify payload integrity for awkward (non-power-of-2)
-	// world sizes.
-	for _, n := range []int{3, 5, 8} {
+	// Above BcastLargeMin the flat Bcast switches to scatter + allgather;
+	// verify payload integrity for awkward (non-power-of-2) world sizes,
+	// which take the ring, and for power-of-two ones, which double.
+	for _, n := range []int{3, 4, 5, 8} {
 		for _, root := range []int{0, n - 1} {
 			w, _ := spreadWorld((n+1)/2, n/2, sim.Micros(10), Config{})
 			payload := make([]byte, 200000)
@@ -337,16 +337,22 @@ func TestReduceAndAllreduce(t *testing.T) {
 				wantAll[j] += float64(i*100 - j)
 			}
 		}
-		var rootGot []float64
+		// Reduce onto the first rank and onto the last: the tree rotates
+		// by the root.
+		rootGot := map[int][]float64{}
 		allOK := true
 		w.Run(func(r *Rank, p *sim.Proc) {
 			vals := make([]float64, vecLen)
-			for j := range vals {
-				vals[j] = float64(r.ID()*10 + j)
-			}
-			res := r.Reduce(p, 0, vals)
-			if r.ID() == 0 {
-				rootGot = append([]float64(nil), res...)
+			for _, root := range []int{0, n - 1} {
+				for j := range vals {
+					vals[j] = float64(r.ID()*10 + j)
+				}
+				res := r.Reduce(p, root, vals)
+				if r.ID() == root {
+					rootGot[root] = append([]float64(nil), res...)
+				} else if res != nil {
+					allOK = false
+				}
 			}
 			for j := range vals {
 				vals[j] = float64(r.ID()*100 - j)
@@ -358,13 +364,20 @@ func TestReduceAndAllreduce(t *testing.T) {
 				}
 			}
 		})
-		for j := range want {
-			if math.Abs(rootGot[j]-want[j]) > 1e-9 {
-				t.Errorf("n=%d Reduce[%d] = %v, want %v", n, j, rootGot[j], want[j])
+		for _, root := range []int{0, n - 1} {
+			got := rootGot[root]
+			if len(got) != vecLen {
+				t.Errorf("n=%d root=%d: Reduce returned %v at the root", n, root, got)
+				continue
+			}
+			for j := range want {
+				if math.Abs(got[j]-want[j]) > 1e-9 {
+					t.Errorf("n=%d root=%d Reduce[%d] = %v, want %v", n, root, j, got[j], want[j])
+				}
 			}
 		}
 		if !allOK {
-			t.Errorf("n=%d Allreduce mismatch", n)
+			t.Errorf("n=%d Allreduce mismatch, or a Reduce result off the root", n)
 		}
 		w.Shutdown()
 	}

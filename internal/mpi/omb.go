@@ -47,29 +47,42 @@ func Bandwidth(w *World, size, iters int) float64 {
 		switch r.ID() {
 		case 0:
 			start := p.Now()
-			for i := 0; i < iters; i++ {
-				reqs := make([]*Request, BwWindow)
-				for j := range reqs {
-					reqs[j] = r.Isend(p, 1, appTag, nil, size)
-				}
-				WaitAll(p, reqs)
-			}
-			// Final handshake so the sender timeline covers delivery.
-			r.Recv(p, 1, appTag+1, nil, 4)
+			r.sendWindows(p, 1, size, iters)
 			elapsed = p.Now() - start
 		case 1:
-			for i := 0; i < iters; i++ {
-				reqs := make([]*Request, BwWindow)
-				for j := range reqs {
-					reqs[j] = r.Irecv(0, appTag, nil, size)
-				}
-				WaitAll(p, reqs)
-			}
-			r.Send(p, 0, appTag+1, nil, 4)
+			r.recvWindows(p, 0, size, iters)
 		}
 	})
 	total := float64(size) * float64(BwWindow) * float64(iters)
 	return total / elapsed.Seconds() / 1e6
+}
+
+// sendWindows is the sending side of osu_bw: iters windows of BwWindow
+// nonblocking sends of size bytes to peer, each waited for whole, then the
+// receiver's 4-byte handshake, so the sender's timeline covers delivery.
+func (r *Rank) sendWindows(p *sim.Proc, peer, size, iters int) {
+	for i := 0; i < iters; i++ {
+		reqs := r.batch[:0]
+		for j := 0; j < BwWindow; j++ {
+			reqs = append(reqs, r.Isend(p, peer, appTag, nil, size))
+		}
+		WaitAll(p, reqs)
+		r.batch = emptied(reqs) // Wait freed them
+	}
+	r.Recv(p, peer, appTag+1, nil, 4)
+}
+
+// recvWindows is sendWindows' receiving side.
+func (r *Rank) recvWindows(p *sim.Proc, peer, size, iters int) {
+	for i := 0; i < iters; i++ {
+		reqs := r.batch[:0]
+		for j := 0; j < BwWindow; j++ {
+			reqs = append(reqs, r.Irecv(peer, appTag, nil, size))
+		}
+		WaitAll(p, reqs)
+		r.batch = emptied(reqs)
+	}
+	r.Send(p, peer, appTag+1, nil, 4)
 }
 
 // BiBandwidth runs osu_bibw (both ranks send and receive a window per
@@ -83,7 +96,7 @@ func BiBandwidth(w *World, size, iters int) float64 {
 		}
 		start := p.Now()
 		for i := 0; i < iters; i++ {
-			reqs := make([]*Request, 0, 2*BwWindow)
+			reqs := r.batch[:0]
 			for j := 0; j < BwWindow; j++ {
 				reqs = append(reqs, r.Irecv(peer, appTag, nil, size))
 			}
@@ -91,6 +104,7 @@ func BiBandwidth(w *World, size, iters int) float64 {
 				reqs = append(reqs, r.Isend(p, peer, appTag, nil, size))
 			}
 			WaitAll(p, reqs)
+			r.batch = emptied(reqs)
 		}
 		if r.ID() == 0 {
 			elapsed = p.Now() - start
@@ -112,28 +126,12 @@ func MessageRate(w *World, pairs, size, iters int) float64 {
 	w.Run(func(r *Rank, p *sim.Proc) {
 		switch {
 		case r.ID() < pairs:
-			peer := r.ID() + pairs
-			for i := 0; i < iters; i++ {
-				reqs := make([]*Request, BwWindow)
-				for j := range reqs {
-					reqs[j] = r.Isend(p, peer, appTag, nil, size)
-				}
-				WaitAll(p, reqs)
-			}
-			r.Recv(p, peer, appTag+1, nil, 4)
+			r.sendWindows(p, r.ID()+pairs, size, iters)
 			if t := p.Now(); t > last {
 				last = t
 			}
 		case r.ID() < 2*pairs:
-			peer := r.ID() - pairs
-			for i := 0; i < iters; i++ {
-				reqs := make([]*Request, BwWindow)
-				for j := range reqs {
-					reqs[j] = r.Irecv(peer, appTag, nil, size)
-				}
-				WaitAll(p, reqs)
-			}
-			r.Send(p, peer, appTag+1, nil, 4)
+			r.recvWindows(p, r.ID()-pairs, size, iters)
 		}
 	})
 	msgs := float64(pairs) * float64(BwWindow) * float64(iters)

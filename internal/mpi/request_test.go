@@ -432,7 +432,7 @@ func checkBlank(t *testing.T, r *Rank) {
 			t.Error("a reclaimed rank's shared-memory queue still holds an event")
 		}
 	}
-	for _, q := range r.a2a[:cap(r.a2a)] {
+	for _, q := range r.batch[:cap(r.batch)] {
 		if q != nil {
 			t.Error("a reclaimed rank's alltoall requests still name a request")
 		}
@@ -441,11 +441,11 @@ func checkBlank(t *testing.T, r *Rank) {
 		t.Error("a reclaimed rank dropped its collective scratch")
 	}
 	v := *r
-	if n := len(v.postedRecvs) + len(v.unexpected) + len(v.shm) + len(v.acc) + len(v.wire) + len(v.land) + len(v.a2a); n != 0 {
+	if n := len(v.postedRecvs) + len(v.unexpected) + len(v.shm) + len(v.acc) + len(v.wire) + len(v.land) + len(v.batch); n != 0 {
 		t.Errorf("a reclaimed rank's queues and scratch hold %d entries", n)
 	}
 	v.qps, v.byQPN, v.copied, v.runShm, v.runProgress, v.run = nil, nil, nil, nil, nil, nil
-	v.postedRecvs, v.unexpected, v.shm, v.acc, v.wire, v.land, v.a2a = nil, nil, nil, nil, nil, nil, nil
+	v.postedRecvs, v.unexpected, v.shm, v.acc, v.wire, v.land, v.batch = nil, nil, nil, nil, nil, nil, nil
 	if !reflect.ValueOf(v).IsZero() {
 		t.Errorf("a reclaimed rank keeps state of its world: %+v", v)
 	}

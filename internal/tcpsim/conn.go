@@ -1,6 +1,8 @@
 package tcpsim
 
 import (
+	"sync/atomic"
+
 	"repro/internal/ib"
 	"repro/internal/sim"
 )
@@ -53,10 +55,8 @@ type segment struct {
 	// partitioned world a go-back-N retransmission or an ack leaving the
 	// queue (sender shard) can overlap the original flight's receive
 	// processing (peer shard) inside one conservative window, and exactly
-	// one of the two must see the last release. A plain int32 driven through
-	// sync/atomic functions (not atomic.Int32) keeps the pooled zeroing
-	// assignment in resetSegment copyable.
-	state int32
+	// one of the two must see the last release.
+	state atomic.Int32
 	// conn is the sending connection: its stack's pool takes the segment
 	// back, and its transmit counter numbers the flights (Stack.txDone).
 	conn *Conn
@@ -410,7 +410,7 @@ func (c *Conn) pump() {
 		}
 		c.sendQBytes -= n
 		c.sndNxt += int64(n)
-		seg.state = segUnacked // fresh from the pool: no flight yet
+		seg.state.Store(segUnacked) // fresh from the pool: no flight yet
 		c.unacked.Push(seg)
 		c.stack.transmit(seg)
 		if c.unacked.Len() == 1 {

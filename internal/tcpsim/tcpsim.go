@@ -20,7 +20,6 @@ package tcpsim
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/ib"
@@ -164,13 +163,13 @@ func resetSegment(seg *segment) {
 // the segment (or never, if fault injection drops it — then the segment
 // stays out of use until the world ends).
 func (s *Stack) transmit(seg *segment) {
-	atomic.AddInt32(&seg.state, 1)
+	seg.state.Add(1)
 	s.txq.Put(seg)
 }
 
 // unref ends one flight of seg; s is the stack the flight ended on.
 func (s *Stack) unref(seg *segment) {
-	st := atomic.AddInt32(&seg.state, -1)
+	st := seg.state.Add(-1)
 	if st&(segUnacked-1) == segUnacked-1 {
 		panic("tcpsim: segment reference count underflow")
 	}
@@ -179,7 +178,7 @@ func (s *Stack) unref(seg *segment) {
 
 // acked takes seg off its sender's retransmission queue (s is that sender).
 func (s *Stack) acked(seg *segment) {
-	s.released(seg, atomic.AddInt32(&seg.state, -segUnacked))
+	s.released(seg, seg.state.Add(-segUnacked))
 }
 
 // released recycles seg once its state word is zero: no flight in progress,

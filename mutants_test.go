@@ -160,6 +160,22 @@ var mutants = []mutant{
 		run:  "TestKernelAllreduceAllocs",
 	},
 	{
+		name: "the binomial tree stops rotating by the root",
+		file: "internal/mpi/coll.go",
+		old:  "return t.ids[(v+t.rootPos)%len(t.ids)]",
+		new:  "return t.ids[v%len(t.ids)]",
+		pkg:  "./internal/mpi",
+		run:  "TestReduceAndAllreduce",
+	},
+	{
+		name: "the large-broadcast scatter drops its range clamp",
+		file: "internal/mpi/coll.go",
+		old:  "chunks(data, size, n, c, min(c+mask, n))",
+		new:  "chunks(data, size, n, c, c+mask)",
+		pkg:  "./internal/mpi",
+		run:  "TestLargeBcastScatterRingDeliversData",
+	},
+	{
 		name: "rank reset keeps its QPs",
 		file: "internal/mpi/mpi.go",
 		old:  "\tclear(r.qps)\n",
@@ -468,7 +484,7 @@ var mutants = []mutant{
 		name: "HCA reset keeps its wire track",
 		file: "internal/ib/hca.go",
 		old:  "*h = HCA{qps: h.qps}",
-		new:  "*h = HCA{qps: h.qps, wireTrackCache: h.wireTrackCache}",
+		new:  "*h = HCA{qps: h.qps, wire: h.wire}",
 		pkg:  "./internal/core",
 		run:  "TestArenaIsolation",
 	},
